@@ -9,6 +9,7 @@ representations of the same graph compare equal.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -16,7 +17,14 @@ import numpy as np
 from repro.errors import GraphValidationError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["from_edges", "from_edge_list", "symmetrized"]
+__all__ = [
+    "MAX_PACKED_NODES",
+    "from_edges",
+    "from_edge_list",
+    "min_by_key",
+    "pair_keys",
+    "symmetrized",
+]
 
 
 def from_edges(
@@ -37,7 +45,8 @@ def from_edges(
     w:
         Positive weights, parallel to ``u``/``v``.
     num_nodes:
-        Number of nodes ``n``; endpoints must lie in ``[0, n)``.
+        Number of nodes ``n``; endpoints must lie in ``[0, n)``, and
+        ``n·n`` must fit int64 (see :func:`pair_keys`).
     dedup:
         Policy for parallel edges: ``"min"`` (default) keeps the lightest
         copy — the only one relevant to shortest paths — while ``"error"``
@@ -69,33 +78,85 @@ def from_edges(
 
     # Drop self-loops: they never participate in shortest paths.
     keep = u != v
-    u, v, w = u[keep], v[keep], w[keep]
+    key = pair_keys(u[keep], v[keep], n)
+    # Parallel edges collapse to their lightest copy.
+    pairs, weights = min_by_key(key, w[keep])
+    if dedup == "error" and len(pairs) < len(key):
+        raise GraphValidationError("duplicate edges present and dedup='error'")
+    return _assemble_csr(pairs, weights, n)
 
-    # Normalize orientation so duplicates collide, then deduplicate.
-    a = np.minimum(u, v)
-    b = np.maximum(u, v)
-    if len(a):
-        order = np.lexsort((w, b, a))
-        a, b, w = a[order], b[order], w[order]
-        new_group = np.empty(len(a), dtype=bool)
-        new_group[0] = True
-        np.logical_or(a[1:] != a[:-1], b[1:] != b[:-1], out=new_group[1:])
-        if dedup == "error" and not new_group.all():
-            raise GraphValidationError("duplicate edges present and dedup='error'")
-        first = np.flatnonzero(new_group)
-        a, b, w = a[first], b[first], w[first]  # lightest copy per pair
 
-    # Symmetrize: store each edge in both directions and sort into CSR.
-    src = np.concatenate([a, b])
-    dst = np.concatenate([b, a])
-    ww = np.concatenate([w, w])
-    order = np.lexsort((dst, src))
-    src, dst, ww = src[order], dst[order], ww[order]
+def min_by_key(
+    keys: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct ``keys`` ascending, each with the minimum of its ``values``.
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return CSRGraph(indptr, dst, ww)
+    One sort makes equal keys adjacent and ``np.minimum.reduceat`` takes
+    each run's minimum.  ``min`` is order-free, so the sort needs neither
+    stability nor a tie-break and the result is independent of input
+    order.
+    """
+    if not len(keys):
+        return keys, values
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    if len(starts) == len(keys):
+        return keys, values
+    return keys[starts], np.minimum.reduceat(values, starts)
+
+
+#: Largest node count whose packed pair keys ``min·n + max`` fit int64.
+MAX_PACKED_NODES = math.isqrt(int(np.iinfo(np.int64).max))
+
+
+def pair_keys(u: np.ndarray, v: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Pack unordered pairs into int64 keys ``min(u, v)·n + max(u, v)``.
+
+    Keys order pairs lexicographically by ``(min, max)``, so one sort
+    groups every orientation of a pair.  Raises
+    :class:`GraphValidationError` when ``n·n`` would overflow int64
+    (``n > MAX_PACKED_NODES``) rather than wrapping silently.
+    """
+    n = int(num_nodes)
+    if n > MAX_PACKED_NODES:
+        raise GraphValidationError(
+            f"num_nodes={n} exceeds the packed pair-key bound "
+            f"{MAX_PACKED_NODES}: min(u,v)*n + max(u,v) would overflow int64"
+        )
+    return np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
+
+
+def _assemble_csr(key: np.ndarray, w: np.ndarray, n: int) -> CSRGraph:
+    """Symmetric CSR from distinct packed pairs ``a·n + b`` (``a < b``), sorted.
+
+    Row ``r`` lists its smaller neighbours (pairs with ``b = r``) and
+    then its larger ones (pairs with ``a = r``), each ascending.  The
+    forward half is already in that order, so it is placed directly; the
+    reversed half needs one more sort, on its own unique key ``b·n + a``.
+    """
+    a = key // n if n else key  # n = 0 admits no pairs
+    b = key - a * n
+    m = len(key)
+    # Rows start after all earlier rows' smaller (rstart) and larger
+    # (fstart) neighbours.
+    fstart = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a, minlength=n), out=fstart[1:])
+    rstart = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(b, minlength=n), out=rstart[1:])
+    indptr = fstart + rstart
+
+    indices = np.empty(2 * m, dtype=np.int64)
+    weights = np.empty(2 * m, dtype=np.float64)
+    rank = np.arange(m, dtype=np.int64)
+    pos = rank + rstart[a + 1]  # (a → b) after a's smaller neighbours
+    indices[pos] = b
+    weights[pos] = w
+    rorder = np.argsort(b * np.int64(n) + a)
+    pos = rank + fstart[b[rorder]]  # (b → a), ascending a within row b
+    indices[pos] = a[rorder]
+    weights[pos] = w[rorder]
+    return CSRGraph(indptr, indices, weights)
 
 
 def from_edge_list(

@@ -38,7 +38,13 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["PairBatch", "group_min_first", "group_sum", "group_count"]
+__all__ = [
+    "PairBatch",
+    "group_min",
+    "group_min_first",
+    "group_sum",
+    "group_count",
+]
 
 #: The value a batch round trades in: ``(keys, values, counts)`` arrays.
 PairBatch = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -78,6 +84,20 @@ def group_min_first(
     )
     firsts = order[offsets[:-1]]
     return keys, values[firsts], np.ones(num_groups, dtype=np.int64)
+
+
+def group_min(keys: np.ndarray, offsets: np.ndarray, values: np.ndarray) -> PairBatch:
+    """Column-wise minimum per group (one output row per group).
+
+    Order-free, unlike :func:`group_min_first`: the result does not
+    depend on the order of rows within a group, so producers need no
+    arrival-order guarantee.
+    """
+    num_groups = len(keys)
+    if num_groups == 0:
+        return keys, values, np.zeros(0, dtype=np.int64)
+    mins = np.minimum.reduceat(values, offsets[:-1], axis=0)
+    return keys, mins, np.ones(num_groups, dtype=np.int64)
 
 
 def group_sum(keys: np.ndarray, offsets: np.ndarray, values: np.ndarray) -> PairBatch:

@@ -282,7 +282,6 @@ class MREngine:
         values: np.ndarray,
         reducer: BatchReducer,
         *,
-        combiner: BatchReducer = None,
         key_bound: int = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Execute one MR round over an integer-keyed array batch.
@@ -311,15 +310,8 @@ class MREngine:
         Output, counters, memory checks, and the critical-path model are
         identical on every path.
 
-        ``combiner``, as in :meth:`round`, is applied per key *before*
-        the shuffle (map-side aggregation): only combined pairs count as
-        shuffled messages and the memory checks apply to the combined
-        groups — the model's answer to hot keys whose raw groups exceed
-        ``M_L``.  The combiner must be semantically idempotent with
-        respect to the reducer.
-
         Accounting matches :meth:`round` structurally: one round, one
-        message per (combined) input pair, a memory word per key plus one
+        message per input pair, a memory word per key plus one
         per payload column (the tuple cost model of ``_pair_words``), and
         a simulated critical path equal to the busiest worker's input +
         output pairs under the same hash partitioner as the per-key path.
@@ -330,11 +322,6 @@ class MREngine:
             values = values.reshape(-1, 1)
         if len(keys) != len(values):
             raise ValueError("keys and values must have one row per pair")
-        if combiner is not None and len(keys):
-            ckeys, coffsets, cvalues = _group_batch(keys, values)
-            keys, values, _counts = combiner(ckeys, coffsets, cvalues)
-            keys = np.ascontiguousarray(keys, dtype=np.int64)
-            values = np.ascontiguousarray(values, dtype=np.float64)
         width = values.shape[1]
         words_per_pair = 1 + max(width, 1)
         self.check_total_memory(len(keys), words_per_pair)

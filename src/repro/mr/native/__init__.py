@@ -483,6 +483,24 @@ def _get_pool(workers: int):
         return _pool
 
 
+def _reset_pool_in_child() -> None:
+    """Forget the parent's emit pool in a forked child.
+
+    ``fork`` copies the executor object but none of its threads, so a
+    child that reused it would queue emit chunks no thread ever runs
+    (the sharded backend forks its workers).  The child builds a fresh
+    pool, under a fresh lock, on first use.
+    """
+    global _pool, _pool_size, _pool_lock
+    _pool = None
+    _pool_size = 0
+    _pool_lock = Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool_in_child)
+
+
 def _compact(lib, out_keys, out_nd, out_src, out_aidx, bases, counts) -> int:
     bases = np.asarray(bases, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)

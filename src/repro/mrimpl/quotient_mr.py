@@ -18,9 +18,9 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.cluster import Clustering
-from repro.graph.builder import from_edges
+from repro.graph.builder import from_edges, min_by_key, pair_keys
 from repro.graph.csr import CSRGraph
-from repro.mr.batch import group_min_first
+from repro.mr.batch import group_min
 from repro.mr.engine import MREngine
 from repro.mr.primitives import mr_reduce_by_key
 
@@ -34,23 +34,23 @@ def _batch_quotient(
     """Vectorized map side + one batch reduce round.
 
     Cluster pairs are packed into a single int64 key
-    (``min·num_centers + max``), so the shuffle groups crossing edges by
-    unordered cluster pair exactly as the tuple keys do.  The reduce is
-    map-side combined: a popular cluster pair can own far more crossing
-    edges than any node has neighbours, so without combining its reducer
-    group could exceed an ``M_L`` sized for the growing rounds.
+    (``min·num_centers + max``, :func:`~repro.graph.builder.pair_keys`),
+    so the shuffle groups crossing edges by unordered cluster pair
+    exactly as the tuple keys do.  The map side combines before the
+    shuffle, to one pair per cluster pair
+    (:func:`~repro.graph.builder.min_by_key`: one sort, a ``min`` per
+    run): a popular cluster pair can own far more crossing edges than
+    any node has neighbours, so without combining its reducer group
+    could exceed an ``M_L`` sized for the growing rounds.  ``min`` is
+    order-free, so neither the sort nor the reducer needs a tie-break.
     """
     srcs, tgts, w = graph.edge_arrays()
     cu, cv = ids[srcs], ids[tgts]
     crossing = cu != cv
-    cu, cv = cu[crossing], cv[crossing]
-    lo = np.minimum(cu, cv)
-    hi = np.maximum(cu, cv)
-    keys = lo * np.int64(num_centers) + hi
-    values = (w[crossing] + d[srcs[crossing]] + d[tgts[crossing]]).reshape(-1, 1)
-    out_keys, out_values = engine.round_batch(
-        keys, values, group_min_first, combiner=group_min_first
-    )
+    keys = pair_keys(cu[crossing], cv[crossing], num_centers)
+    values = w[crossing] + d[srcs[crossing]] + d[tgts[crossing]]
+    keys, values = min_by_key(keys, values)
+    out_keys, out_values = engine.round_batch(keys, values, group_min)
     return (
         out_keys // num_centers,
         out_keys % num_centers,

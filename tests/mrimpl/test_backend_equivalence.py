@@ -165,8 +165,60 @@ class TestQuotientBackends:
         assert legacy_q.num_edges == batch_q.num_edges
         assert np.array_equal(legacy_q.indptr, batch_q.indptr)
         assert np.array_equal(legacy_q.indices, batch_q.indices)
-        assert np.allclose(legacy_q.weights, batch_q.weights)
+        assert np.array_equal(legacy_q.weights, batch_q.weights)
         assert legacy_engine.counters.rounds == batch_engine.counters.rounds == 1
+
+    @staticmethod
+    def _tied_grid():
+        """Unit-weight grid clustered on the core path: every crossing
+        edge of a cluster pair has an integer reweighted value, so the
+        min per pair is reached by several tied copies."""
+        from repro.graph.builder import from_edge_list
+
+        side = 9
+        edges = [
+            (r * side + c, r * side + c + 1, 1.0)
+            for r in range(side)
+            for c in range(side - 1)
+        ] + [
+            (r * side + c, (r + 1) * side + c, 1.0)
+            for r in range(side - 1)
+            for c in range(side)
+        ]
+        graph = from_edge_list(edges, side * side)
+        cfg = ClusterConfig(tau=4, seed=3, stage_threshold_factor=1.0)
+        return graph, cluster(graph, config=cfg)
+
+    @pytest.mark.parametrize("case", ["tied", "hot-pair"])
+    def test_matches_core_quotient_and_accounting(self, case):
+        from repro.core.quotient import quotient_graph
+
+        if case == "tied":
+            graph, clustering = self._tied_grid()
+        else:
+            graph, clustering = TestQuotientHotKey()._bipartite_two_clusters()
+        core_q, core_centers = quotient_graph(graph, clustering)
+        accounting = {}
+        for backend in ("serial", "vector", "sharded"):
+            engine = default_engine(graph, executor=backend, num_workers=2)
+            try:
+                q, centers = mr_quotient_graph(engine, graph, clustering)
+            finally:
+                if hasattr(engine.executor, "close"):
+                    engine.executor.close()
+            assert np.array_equal(centers, core_centers)
+            for name in ("indptr", "indices", "weights"):
+                assert np.array_equal(getattr(q, name), getattr(core_q, name))
+            accounting[backend] = (
+                engine.counters.rounds,
+                engine.counters.messages,
+                engine.simulated_time,
+            )
+        # One round whose messages are the combined pairs: one per
+        # quotient edge on every backend.
+        assert {a[:2] for a in accounting.values()} == {(1, core_q.num_edges)}
+        # The batch backends share the packed keys and hash partitioner.
+        assert accounting["vector"] == accounting["sharded"]
 
 
 class TestDiameterBackends:
