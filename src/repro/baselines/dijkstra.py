@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.graph.csr import CSRGraph
 
@@ -24,6 +23,8 @@ def dijkstra_sssp(graph: CSRGraph, source: int) -> np.ndarray:
 
     Unreachable nodes get ``inf``.
     """
+    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
     return _csgraph_dijkstra(graph.to_scipy(), directed=False, indices=source)
 
 

@@ -30,6 +30,7 @@ from repro.core.config import ClusterConfig
 from repro.core.quotient import quotient_graph
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
+from repro.mr import native
 from repro.mr.metrics import Counters
 
 __all__ = [
@@ -78,24 +79,44 @@ def quotient_diameter(
     """Diameter of the quotient graph, exactly or conservatively.
 
     Returns ``(value, exact)``.  ``"exact"`` computes all-pairs max finite
-    distance; ``"sweep"`` returns ``2 · ecc(v)`` from an arbitrary node
-    (still an upper bound, so Φ_approx stays conservative); ``"auto"``
+    distance; ``"sweep"`` returns ``2 · ecc(s_C)`` maximised over the
+    quotient's components ``C``, each swept from its highest-degree node
+    ``s_C`` (lowest index on ties) — still an upper bound on every
+    component's diameter, so Φ_approx stays conservative; ``"auto"``
     switches on ``exact_limit``.  The paper computes this step inside one
     reducer's memory in O(1) rounds; either variant respects that regime.
-    """
-    from repro.exact.apsp import exact_diameter
-    from repro.exact.eccentricity import eccentricity
 
+    The native tier (:func:`repro.mr.native.quotient_ecc`) runs the
+    Dijkstras; the py tier calls scipy's, imported only here.  Both give
+    bit-identical values.
+    """
     if g_c.num_nodes <= 1 or g_c.num_edges == 0:
         return 0.0, True
+    csr = (g_c.indptr, g_c.indices, g_c.weights)
     if mode == "exact" or (mode == "auto" and g_c.num_nodes <= exact_limit):
+        if native.use_native():
+            all_nodes = np.arange(g_c.num_nodes)
+            return native.quotient_ecc(*csr, all_nodes, skip_reached=False), True
+        from repro.exact.apsp import exact_diameter
+
         return exact_diameter(g_c), True
-    if mode in ("sweep", "auto"):
-        # 2·ecc upper bound from the highest-degree node (a cheap, central
-        # starting point); conservative by the triangle inequality.
-        start = int(np.argmax(g_c.degrees))
-        return 2.0 * eccentricity(g_c, start), False
-    raise ConfigurationError(f"unknown quotient mode {mode!r}")
+    if mode not in ("sweep", "auto"):
+        raise ConfigurationError(f"unknown quotient mode {mode!r}")
+    # Degree desc, index asc: the first node of each component in this
+    # order is its np.argmax start (a cheap, central starting point;
+    # 2·ecc is conservative by the triangle inequality).
+    order = np.argsort(-g_c.degrees, kind="stable")
+    if native.use_native():
+        return 2.0 * native.quotient_ecc(*csr, order, skip_reached=True), False
+    from scipy.sparse.csgraph import connected_components, dijkstra
+
+    sp = g_c.to_scipy()
+    _, labels = connected_components(sp, directed=False)
+    _, first = np.unique(labels[order], return_index=True)
+    # Components are disjoint, so each node's nearest start is its own
+    # component's: one multi-source run gives every component's ecc.
+    dist = dijkstra(sp, directed=False, indices=order[first], min_only=True)
+    return 2.0 * float(dist[np.isfinite(dist)].max()), False
 
 
 def diameter_from_clustering(

@@ -11,7 +11,6 @@ report true ratios instead of ratio bounds.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.graph.csr import CSRGraph
 
@@ -24,6 +23,8 @@ def apsp_matrix(graph: CSRGraph, indices=None) -> np.ndarray:
     ``indices`` restricts the sources (rows); ``None`` computes all pairs.
     Unreachable entries are ``inf``.
     """
+    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
     return _csgraph_dijkstra(graph.to_scipy(), directed=False, indices=indices)
 
 
@@ -35,6 +36,8 @@ def exact_diameter(graph: CSRGraph, *, chunk: int = 512) -> float:
     Sources are processed in chunks so the distance matrix never exceeds
     ``chunk × n`` floats.
     """
+    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
     n = graph.num_nodes
     if n <= 1:
         return 0.0

@@ -10,7 +10,6 @@ lower-bounds it).
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.graph.csr import CSRGraph
 
@@ -19,6 +18,8 @@ __all__ = ["eccentricity", "eccentricities", "radius"]
 
 def eccentricity(graph: CSRGraph, node: int) -> float:
     """Eccentricity of ``node`` (max finite distance; 0 for isolated nodes)."""
+    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
     dist = _csgraph_dijkstra(graph.to_scipy(), directed=False, indices=node)
     finite = dist[np.isfinite(dist)]
     return float(finite.max()) if len(finite) else 0.0
@@ -26,6 +27,8 @@ def eccentricity(graph: CSRGraph, node: int) -> float:
 
 def eccentricities(graph: CSRGraph, *, chunk: int = 512) -> np.ndarray:
     """Eccentricities of all nodes (chunked to bound memory)."""
+    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
     n = graph.num_nodes
     out = np.zeros(n, dtype=np.float64)
     if n <= 1:

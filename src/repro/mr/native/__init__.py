@@ -3,7 +3,9 @@
 ``REPRO_KERNEL_IMPL=py|native|auto`` selects the implementation tier for
 the Δ-growing hot kernels (push/pull emit with the improvement
 pre-filter, ``scatter_min_rows``, ``merge_candidates``'s grouped
-min-first, ``counting_group_keys``, and the frozen-replay histogram).
+min-first, ``counting_group_keys``, and the frozen-replay histogram)
+and for CL-DIAM's quotient-diameter Dijkstra (:func:`quotient_ecc`,
+whose pure tier is scipy's — so a native-tier run never imports scipy).
 ``auto`` (the default) uses the native tier whenever the shared library
 can be built and loaded (see :mod:`repro.mr.native.build`), degrading
 silently to the pure NumPy tier otherwise — the pure implementations
@@ -70,6 +72,7 @@ __all__ = [
     "impl_overrides",
     "resolved_info",
     "kernel_table",
+    "quotient_ecc",
 ]
 
 #: Implementation-tier switch: ``py`` | ``native`` | ``auto`` (default).
@@ -139,6 +142,9 @@ _SIGNATURES = {
         [_P, _P, _P, _I, _P, _P, _D, _P, _P, _P, _P, _P, _P, _P],
         _I,
     ),
+    # indptr, indices, weights, sources, nsources, skip_reached, dist,
+    # touched, heap_d, heap_v -> largest finite distance
+    "rk_quotient_ecc": ([_P, _P, _P, _P, _I, _I, _P, _P, _P, _P], _D),
 }
 
 
@@ -635,6 +641,36 @@ def core_emit_pull(
     )
     return (
         cand_t[:t], cand_d[:t], cand_s[:t], cand_w[:t], int(messages[0])
+    )
+
+
+# -- quotient diameter -------------------------------------------------- #
+
+
+def quotient_ecc(indptr, indices, weights, sources, *, skip_reached) -> float:
+    """Largest finite distance settled by Dijkstras from ``sources``.
+
+    ``skip_reached=True`` skips sources an earlier one already reached
+    (one run per component when ``sources`` covers every node);
+    ``False`` runs every source, resetting only what each touched.
+    Distances match scipy's csgraph Dijkstra bit for bit.
+    """
+    n = len(indptr) - 1
+    sources = _contig_i8(sources)
+    if len(sources) and (sources.min() < 0 or sources.max() >= n):
+        raise ValueError(f"sources must lie in [0, {n})")
+    lib = _load()
+    indptr = _contig_i8(indptr)
+    indices = _contig_i8(indices)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    dist = np.full(n, np.inf)
+    touched = np.empty(n, dtype=np.int64)
+    heap_d = np.empty(len(indices) + 1)
+    heap_v = np.empty(len(indices) + 1, dtype=np.int64)
+    return lib.rk_quotient_ecc(
+        _ptr(indptr), _ptr(indices), _ptr(weights),
+        _ptr(sources), len(sources), 1 if skip_reached else 0,
+        _ptr(dist), _ptr(touched), _ptr(heap_d), _ptr(heap_v),
     )
 
 

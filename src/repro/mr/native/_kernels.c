@@ -1,4 +1,5 @@
-/* Native kernel tier for the Δ-growing hot paths.
+/* Native kernel tier for the Δ-growing hot paths and CL-DIAM's final
+ * quotient-diameter step.
  *
  * Compiled on demand by repro.mr.native.build (cc -O3 -fPIC -shared) and
  * loaded through ctypes; every entry point is a plain C function over
@@ -16,6 +17,7 @@
  * every function here against it.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -623,4 +625,96 @@ i64 rk_core_emit_pull(
     }
     *messages = msg;
     return t;
+}
+
+/* Quotient eccentricity (core.diameter.quotient_diameter): one
+ * lazy-deletion binary-heap Dijkstra per source over an undirected CSR,
+ * returning the largest finite distance any of them settles.
+ *
+ * Parity with scipy's csgraph Dijkstra: with positive weights every
+ * correct label-setting SSSP reaches the same fixed point
+ * dist[v] = min_u fl(dist[u] + w) (fl(x + w) is monotone in x and never
+ * below x), so the distances — and their maximum — are bit-identical
+ * whatever the heap's tie order.
+ *
+ * dist must be all +inf on entry.  With skip_reached set (the sweep),
+ * sources already reached by an earlier source are skipped and nothing
+ * is reset: each run covers exactly its own component, so walking the
+ * nodes in (degree desc, index asc) order runs one Dijkstra per
+ * component, from its highest-degree node.  Without it (exact mode)
+ * only the nodes a source touched are reset to +inf before the next.
+ * heap_d / heap_v need room for narcs + 1 entries (a push needs a
+ * strict improvement, so each node is settled once and each arc pushes
+ * at most once); touched needs n. */
+double rk_quotient_ecc(
+    const i64 *indptr, const i64 *indices, const double *weights,
+    const i64 *sources, i64 nsources, i64 skip_reached,
+    double *dist, i64 *touched, double *heap_d, i64 *heap_v)
+{
+    double best = 0.0;
+    for (i64 s = 0; s < nsources; ++s) {
+        i64 src = sources[s];
+        if (skip_reached && dist[src] < INFINITY)
+            continue;
+        i64 ntouched = 1, size = 1;
+        dist[src] = 0.0;
+        touched[0] = src;
+        heap_d[0] = 0.0;
+        heap_v[0] = src;
+        while (size > 0) {
+            double d = heap_d[0];
+            i64 u = heap_v[0];
+            /* pop: move the last entry to the root and sift it down */
+            --size;
+            if (size > 0) {
+                double ld = heap_d[size];
+                i64 lv = heap_v[size];
+                i64 i = 0;
+                for (;;) {
+                    i64 c = 2 * i + 1;
+                    if (c >= size)
+                        break;
+                    if (c + 1 < size && heap_d[c + 1] < heap_d[c])
+                        ++c;
+                    if (!(heap_d[c] < ld))
+                        break;
+                    heap_d[i] = heap_d[c];
+                    heap_v[i] = heap_v[c];
+                    i = c;
+                }
+                heap_d[i] = ld;
+                heap_v[i] = lv;
+            }
+            if (d > dist[u])
+                continue; /* stale entry */
+            if (d > best)
+                best = d;
+            i64 hi = indptr[u + 1];
+            for (i64 a = indptr[u]; a < hi; ++a) {
+                i64 v = indices[a];
+                double nd = d + weights[a];
+                if (!(nd < dist[v]))
+                    continue;
+                if (dist[v] == INFINITY)
+                    touched[ntouched++] = v;
+                dist[v] = nd;
+                /* push: sift the new entry up from the end */
+                i64 i = size++;
+                while (i > 0) {
+                    i64 p = (i - 1) / 2;
+                    if (!(nd < heap_d[p]))
+                        break;
+                    heap_d[i] = heap_d[p];
+                    heap_v[i] = heap_v[p];
+                    i = p;
+                }
+                heap_d[i] = nd;
+                heap_v[i] = v;
+            }
+        }
+        if (!skip_reached)
+            for (i64 t = 0; t < ntouched; ++t)
+                dist[touched[t]] = INFINITY;
+    }
+    return best;
 }

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ClusterConfig
 from repro.core.diameter import approximate_diameter, quotient_diameter
 from repro.errors import ConfigurationError
-from repro.exact import exact_diameter
+from repro.exact import eccentricity, exact_diameter
 from repro.generators import (
     cycle_graph,
     gnm_random_graph,
@@ -15,7 +16,8 @@ from repro.generators import (
     powerlaw_cluster_like,
     star_graph,
 )
-from repro.graph.builder import from_edge_list
+from repro.graph.builder import from_edge_list, from_edges
+from repro.graph.ops import disjoint_union
 
 
 class TestConservativeness:
@@ -133,4 +135,68 @@ class TestQuotientDiameterModes:
         g = gnm_random_graph(100, 250, seed=13, connect=True)
         cfg = ClusterConfig(seed=13, quotient_mode="sweep")
         est = approximate_diameter(g, tau=6, config=cfg)
+        assert est.value >= exact_diameter(g) - 1e-9
+
+
+class TestDisconnectedQuotients:
+    """The sweep must bound every component, not just the one holding
+    the globally highest-degree node."""
+
+    @staticmethod
+    def _path_star_pairs():
+        # A unit-weight 400-node path (diameter 399), a 50-leaf star
+        # (its centre has the top degree) and 3,200 disjoint edges:
+        # > 3,000 clusters, so "auto" takes the sweep.
+        u = list(range(399)) + [400] * 50
+        v = list(range(1, 400)) + list(range(401, 451))
+        u += range(451, 451 + 6400, 2)
+        v += range(452, 452 + 6400, 2)
+        return from_edges(np.array(u), np.array(v), np.ones(len(u)), 6851)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sweep_covers_every_component(self, seed):
+        g = self._path_star_pairs()
+        est = approximate_diameter(g, config=ClusterConfig(seed=seed))
+        assert not est.quotient_exact
+        assert est.value >= 399.0
+
+    def test_connected_quotient_keeps_the_argmax_start(self):
+        g = gnm_random_graph(60, 150, seed=14, connect=True)
+        start = int(np.argmax(g.degrees))
+        value, _ = quotient_diameter(g, mode="sweep")
+        assert value == 2.0 * eccentricity(g, start)
+
+    @staticmethod
+    def _component(kind, k, seed):
+        if kind == "path":
+            return path_graph(k, weights="uniform", seed=seed)
+        if kind == "star":
+            return star_graph(k + 1)
+        return gnm_random_graph(
+            k, min(3 * k, k * (k - 1) // 2), seed=seed, connect=True
+        )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["path", "star", "gnm"]), st.integers(1, 30)
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(0, 4),
+        st.integers(0, 5000),
+        st.integers(1, 8),
+        st.sampled_from(["sweep", "auto"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_estimate_never_undershoots(self, parts, isolated, seed, tau, mode):
+        graphs = [
+            self._component(kind, k, seed + i)
+            for i, (kind, k) in enumerate(parts)
+        ]
+        graphs += [from_edge_list([], 1)] * isolated
+        g = disjoint_union(*graphs)
+        cfg = ClusterConfig(seed=seed, quotient_mode=mode)
+        est = approximate_diameter(g, tau=tau, config=cfg)
         assert est.value >= exact_diameter(g) - 1e-9

@@ -6,6 +6,8 @@ same ``(nd, center, source)`` tie-breaks, same output ordering — for any
 input, including the awkward ones (equal-distance ties, duplicate
 targets, empty and singleton frontiers, infinite distances).  The
 threaded emit path must additionally be invariant in the thread count.
+The quotient-eccentricity kernel has no NumPy twin: scipy's csgraph
+Dijkstra is its oracle.
 
 The suite also locks down the degradation contract (``py`` requested,
 ``REPRO_NATIVE_DISABLE``, no compiler) and the array-namespace dispatch
@@ -18,11 +20,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from repro.core.cluster import cluster
 from repro.core.config import ClusterConfig
+from repro.core.diameter import quotient_diameter
 from repro.errors import ConfigurationError
 from repro.generators import rmat
+from repro.graph.builder import from_edges
 from repro.graph.ops import largest_connected_component
 from repro.mr import native
 from repro.mr.emit import EMIT_ENV, EmitScratch
@@ -363,6 +369,136 @@ class TestCacheKernels:
         np.testing.assert_array_equal(
             hist, np.bincount(np.array(ref_k), minlength=hi - lo)
         )
+
+
+# --------------------------------------------------------------------- #
+# quotient eccentricity: the CL-DIAM quotient-diameter kernel
+# --------------------------------------------------------------------- #
+
+#: Weight pools the Dijkstra parity must survive: heavy ties, and
+#: magnitudes so far apart that fl(d + w) == d (effectively zero arcs).
+_WEIGHT_POOLS = (
+    (1.0,),
+    (1.0, 2.0),
+    (1e-300, 1.0, 1e300),
+    (1e-300, 1e300),
+    (0.1, 0.2, 0.3),
+)
+
+
+@st.composite
+def _quotient_graphs(draw):
+    """Undirected graphs with isolated nodes and several components."""
+    n = draw(st.integers(0, 40))
+    pool = draw(st.sampled_from(_WEIGHT_POOLS))
+    if n < 2:
+        u = v = np.empty(0, dtype=np.int64)
+    else:
+        pairs = draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=3 * n,
+            )
+        )
+        pairs = [(a, b) for a, b in pairs if a != b]
+        u = np.array([a for a, _ in pairs], dtype=np.int64)
+        v = np.array([b for _, b in pairs], dtype=np.int64)
+    w = np.array(
+        draw(st.lists(st.sampled_from(pool), min_size=len(u), max_size=len(u))),
+        dtype=np.float64,
+    )
+    return from_edges(u, v, w, n)
+
+
+def _scipy_eccs(g):
+    """Per-source max finite distance via scipy (the oracle)."""
+    if g.num_nodes == 0:
+        return np.empty(0)
+    dist = dijkstra(g.to_scipy(), directed=False)
+    dist[~np.isfinite(dist)] = 0.0
+    return dist.max(axis=1)
+
+
+def _native_eccs(g):
+    return np.array(
+        [
+            native.quotient_ecc(
+                g.indptr, g.indices, g.weights, np.array([s]),
+                skip_reached=False,
+            )
+            for s in range(g.num_nodes)
+        ]
+    )
+
+
+@needs_native
+class TestQuotientEcc:
+    @given(_quotient_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_single_source_matches_scipy(self, g):
+        np.testing.assert_array_equal(_native_eccs(g), _scipy_eccs(g))
+
+    @given(_quotient_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_all_sources_is_the_exact_diameter(self, g):
+        got = native.quotient_ecc(
+            g.indptr, g.indices, g.weights, np.arange(g.num_nodes),
+            skip_reached=False,
+        )
+        ref = _scipy_eccs(g)
+        assert got == (ref.max() if len(ref) else 0.0)
+
+    @given(_quotient_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_runs_each_component_from_its_argmax(self, g):
+        order = np.argsort(-g.degrees, kind="stable")
+        got = native.quotient_ecc(
+            g.indptr, g.indices, g.weights, order, skip_reached=True
+        )
+        eccs = _scipy_eccs(g)
+        if g.num_nodes == 0:
+            assert got == 0.0
+            return
+        _, labels = connected_components(g.to_scipy(), directed=False)
+        starts = [
+            int(np.flatnonzero(labels == c)[np.argmax(g.degrees[labels == c])])
+            for c in np.unique(labels)
+        ]
+        np.testing.assert_array_equal(got, eccs[starts].max())
+
+    @given(_quotient_graphs(), st.sampled_from(["sweep", "exact"]))
+    @settings(max_examples=150, deadline=None)
+    def test_quotient_diameter_tiers_agree(self, g, mode):
+        with native.impl_overrides("py", None):
+            ref = quotient_diameter(g, mode=mode)
+        with native.impl_overrides("native", None):
+            got = quotient_diameter(g, mode=mode)
+        assert got == ref
+
+    def test_trivial_sources(self):
+        empty = np.empty(0, dtype=np.int64)
+        for n in (0, 1):
+            g = from_edges(empty, empty, np.empty(0), n)
+            assert native.quotient_ecc(
+                g.indptr, g.indices, g.weights, np.arange(n),
+                skip_reached=False,
+            ) == 0.0
+        g = from_edges(
+            np.array([0]), np.array([1]), np.array([2.5]), 3
+        )
+        for sources in (empty, np.array([2])):
+            assert native.quotient_ecc(
+                g.indptr, g.indices, g.weights, sources, skip_reached=False
+            ) == 0.0
+        assert native.quotient_ecc(
+            g.indptr, g.indices, g.weights, np.array([2, 0, 1]),
+            skip_reached=True,
+        ) == 2.5
+        for bad in (np.array([3]), np.array([-1])):
+            with pytest.raises(ValueError):
+                native.quotient_ecc(
+                    g.indptr, g.indices, g.weights, bad, skip_reached=True
+                )
 
 
 # --------------------------------------------------------------------- #
