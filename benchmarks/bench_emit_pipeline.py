@@ -4,9 +4,9 @@ PR 4 moved the reduce side to O(candidates); this bench measures the
 emit side's fused pipeline (``repro.mr.emit``): scratch-buffered
 candidate generation, direction-optimizing push/pull expansion, the
 improvement pre-filter, and the frozen-emission cache that replays
-forced rounds.  The same Figure-4-family workload as
-``bench_growing_kernels.py`` (R-MAT LCC, CLUSTER with capped growth)
-runs on every fused backend under each ``REPRO_EMIT_MODE``:
+forced rounds.  A Figure-4-family workload (R-MAT LCC, CLUSTER with
+capped growth) runs on every fused backend under each
+``REPRO_EMIT_MODE``:
 
 * ``push`` — frontier-major expansion (the PR 4 shape, now scratch-
   buffered and improvement-filtered);
@@ -22,7 +22,7 @@ clustering *and* identical rounds/messages/updates counters (asserted
 below and by ``tests/mr/test_native_kernels.py``); the wall-clock
 column is the point.  Acceptance bars (enforced at full scale):
 ``auto`` beats the recorded PR 4 scatter baselines by ≥ 2x on
-``vector`` and ≥ 1.3x on ``parallel`` and ``sharded``; the native
+``vector`` and ≥ 1.3x on ``sharded``; the native
 tier's ``vector-auto`` beats the serial core on the py tier AND lands
 ≥ 3x under the 0.8724s PR 5 ``vector-auto`` baseline (the native bar
 is calibrated by the same-process serial-core wall against its PR 5
@@ -53,7 +53,7 @@ from repro.mr.emit import EMIT_ENV
 from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.growing_mr import default_engine
 
-BACKENDS = ("vector", "parallel", "sharded")
+BACKENDS = ("vector", "sharded")
 MODES = ("push", "pull", "auto")
 IMPLS = ("py", "native") if native.native_available() else ("py",)
 SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "18"))
@@ -65,10 +65,10 @@ CFG = ClusterConfig(
 #: PR 4's recorded R-MAT(18) scatter baselines (BENCH_growing_kernels
 #: .json at the time this bench was introduced) — what the acceptance
 #: bars are measured against.
-PR4_SCATTER_BASELINE = {"vector": 3.7918, "parallel": 9.421, "sharded": 13.5934}
+PR4_SCATTER_BASELINE = {"vector": 3.7918, "sharded": 13.5934}
 
 #: Required speedup of ``auto`` over the PR 4 baseline, per backend.
-ACCEPTANCE = {"vector": 2.0, "parallel": 1.3, "sharded": 1.3}
+ACCEPTANCE = {"vector": 2.0, "sharded": 1.3}
 
 #: PR 5's recorded ``vector-auto`` and ``serial-core`` walls
 #: (BENCH_emit_pipeline.json at the time the native tier was
@@ -125,7 +125,7 @@ def test_emit_pipeline_report(benchmark, workload):
         results = {}
         # The acceptance rows run first, best-of-3: they feed the
         # native bars, and measuring them before the multi-gigabyte
-        # sharded/parallel runs perturb allocator and page-cache state
+        # sharded runs perturb allocator and page-cache state
         # keeps them comparable to a standalone run.
         results[("serial-core", "auto", "py")] = _run(
             workload, "serial-core", "auto", "py", repeats=3

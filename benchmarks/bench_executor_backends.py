@@ -7,19 +7,14 @@ component of an R-MAT graph with ≥ 100 000 nodes) and measures
 * ``serial``   — the paper-literal per-key simulation: every pair a
   Python tuple, every shuffle a dict-of-lists;
 * ``vector``   — the same algorithm on the batch path: int64 key arrays,
-  ``np.argsort`` shuffle, one batch-reducer call per round;
-* ``parallel`` — the batch path with reducers fanned out to a
-  shared-memory process pool.
+  the fused emit pipeline and the scatter-min merge per round.
 
-PR 7 adds ``vector-native`` / ``parallel-native`` rows — the same batch
-backends on the native C kernel tier — when a toolchain is available.
+PR 7 adds a ``vector-native`` row — the same batch backend on the
+native C kernel tier — when a toolchain is available.
 Every combination must return the *identical* clustering (same centers,
 same radius, same round/step counts — asserted below); the point of the
 bench is the wall-clock column.  Expected shape: ``vector`` beats ``serial``
-by an order of magnitude (the engine stops being the bottleneck);
-``parallel`` tracks ``vector`` on a single-core host (pool of 1 plus IPC
-overhead) and pulls ahead on multi-core hosts once per-round work
-dominates the shared-memory setup.
+by an order of magnitude (the engine stops being the bottleneck).
 
 This is the slowest module in the suite (the dict-based path alone needs
 minutes on 148k nodes); run it on demand, not by default::
@@ -44,13 +39,11 @@ from repro.mr import native
 from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.growing_mr import default_engine
 
-BACKENDS = ("serial", "vector", "parallel")
-#: Batch backends additionally run on the native C kernel tier when a
-#: toolchain is available (the per-key dict path has no array kernels
+BACKENDS = ("serial", "vector")
+#: The batch backend additionally runs on the native C kernel tier when
+#: a toolchain is available (the per-key dict path has no array kernels
 #: for the native tier to replace, so ``serial`` stays py-only).
-NATIVE_BACKENDS = (
-    ("vector", "parallel") if native.native_available() else ()
-)
+NATIVE_BACKENDS = ("vector",) if native.native_available() else ()
 #: R-MAT scale 18 (edge factor 8): the LCC has ~148k nodes / ~1.97M edges.
 #: ``REPRO_BENCH_SCALE`` shrinks the instance for CI smoke runs.
 SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "18"))
@@ -152,5 +145,3 @@ def test_backend_speedup_report(benchmark, workload):
     # The headline claim: the vectorized shuffle beats the dict path.
     vector_time = results["vector"][2]
     assert vector_time < serial_time
-    # Batch backends share the engine's load model exactly.
-    assert results["vector"][1].simulated_time == results["parallel"][1].simulated_time

@@ -1,32 +1,23 @@
-"""Owner-compute sharding vs ship-everything pool rounds.
+"""Owner-compute sharding vs the model's ship-everything shuffle.
 
-The ``mmap``/``parallel`` backends publish every round's *entire*
-grouped candidate batch to stateless workers: per-round traffic scales
-with total frontier state wherever it lives.  The ``sharded`` backend
-keeps each shard's state resident in a persistent worker and exchanges
-only the candidates that cross a shard boundary, so per-round traffic
-scales with the *boundary* frontier.
+A MapReduce round ships every relaxation message to its reducer:
+per-round traffic scales with total frontier state wherever it lives.
+The ``sharded`` backend keeps each shard's state resident in a
+persistent worker and exchanges only the candidates that cross a shard
+boundary, so per-round traffic scales with the *boundary* frontier.
 
 This bench runs CLUSTER on a **stored** R-MAT(16) LCC (the graph is
 memory-mapped from a ``.rcsr`` store, so shard workers open their rows
-zero-copy) on the ``mmap`` and ``sharded`` backends and records, per
-round, the bytes each backend moved to its workers:
-
-* ``mmap``     — ``bytes_shipped + bytes_published`` (handles + the
-  spilled batch; the batch is the part that scales);
-* ``sharded``  — ``bytes_shipped`` (cross-shard candidate blocks).
+zero-copy) on the ``vector`` and ``sharded`` backends and records, per
+round, the bytes the sharded backend moved to its workers
+(``bytes_shipped``: cross-shard candidate blocks).
 
 Acceptance: the sharded exchange must stay under 10% of the *model
 shuffle volume* — the bytes a MapReduce round would charge for
 shipping every relaxation message (``counters.messages`` x the 32-byte
-candidate row), which is what both the paper's platform model and the
-pre-PR 5 pool backends actually moved.  (The original bar compared
-against the ``mmap`` backend's published bytes, but PR 5's improvement
-pre-filter and frozen-emission cache cut those ~260x — survivors-only
-publication — so that baseline no longer represents a ship-everything
-shuffle.)  Results are identical on all backends (asserted against the
-``vector`` reference), and the per-round byte profile plus a
-``BENCH_sharded.json`` record are written under
+candidate row).  Results are identical on both backends (asserted
+against the ``vector`` reference), and the per-round byte profile plus
+a ``BENCH_sharded.json`` record are written under
 ``benchmarks/results/``.
 
 Run on demand::
@@ -98,11 +89,8 @@ def stored_workload(tmp_path_factory):
 
 
 def _moved_bytes_per_round(executor):
-    """Bytes a backend moved to workers each round (transport-agnostic)."""
-    shipped = list(getattr(executor, "bytes_shipped_per_round", []))
-    published = list(getattr(executor, "bytes_published_per_round", []))
-    published += [0] * (len(shipped) - len(published))
-    return [s + p for s, p in zip(shipped, published)]
+    """Bytes a backend moved to workers each round (none in-process)."""
+    return list(getattr(executor, "bytes_shipped_per_round", []))
 
 
 def _run_backend(graph, backend: str):
@@ -124,14 +112,14 @@ def test_boundary_exchange_report(benchmark, stored_workload):
     assert graph.is_mmap, "the sharded bench must run on a stored graph"
 
     def sweep():
-        return {b: _run_backend(graph, b) for b in ("vector", "mmap", "sharded")}
+        return {b: _run_backend(graph, b) for b in ("vector", "sharded")}
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     reference = results["vector"][0]
     rows = []
     bench_rows = []
-    for backend in ("vector", "mmap", "sharded"):
+    for backend in ("vector", "sharded"):
         clustering, engine, elapsed = results[backend]
         # Identical results on every backend — sharding is free.
         assert np.array_equal(clustering.center, reference.center)
@@ -346,12 +334,12 @@ def test_big_graph_out_of_core(tmp_path_factory):
     """The regime the distributed model exists for: graph > memory.
 
     Every backend runs CLUSTER on a stored R-MAT(BIG_SCALE) in a child
-    process.  Unconstrained, all four complete bit-identically and the
-    in-RAM backends are naturally fastest.  Then the address space is
-    capped between the out-of-core footprint and the cheapest
+    process.  Unconstrained, all three complete bit-identically and the
+    in-RAM ``vector`` backend is naturally fastest.  Then the address
+    space is capped between the out-of-core footprint and the
     full-graph footprint — a machine the graph does not fit on — and
-    the ship-everything backends fail while the sharded tiers complete:
-    sharded is the fastest (indeed only) backend family in that tier.
+    ``vector`` fails while the sharded tiers complete: sharded is the
+    fastest (indeed only) backend family in that tier.
     """
     graph = rmat(BIG_SCALE, edge_factor=8, seed=11)
     path = tmp_path_factory.mktemp("big-graph") / f"rmat{BIG_SCALE}.rcsr"
@@ -374,7 +362,7 @@ def test_big_graph_out_of_core(tmp_path_factory):
     # Budget: one shard comfortably, two never.
     resident_mb = max(1.0, 1.25 * max(shard_sizes) / 2**20)
 
-    backends = ("vector", "mmap", "sharded", "sharded-ooc")
+    backends = ("vector", "sharded", "sharded-ooc")
     unconstrained = {
         b: _spawn_big_graph_child(path, b, 0, SHARDS, resident_mb)
         for b in backends
@@ -418,10 +406,7 @@ def test_big_graph_out_of_core(tmp_path_factory):
     # interpreter baseline; smoke scales just exercise the harness.
     if BIG_SCALE >= 20:
         ooc_peak = unconstrained["sharded-ooc"]["vm_peak_bytes"]
-        full_peak = min(
-            unconstrained["vector"]["vm_peak_bytes"],
-            unconstrained["mmap"]["vm_peak_bytes"],
-        )
+        full_peak = unconstrained["vector"]["vm_peak_bytes"]
         assert ooc_peak < full_peak, (
             f"out-of-core footprint {ooc_peak} not below full-graph "
             f"minimum {full_peak}; no cap can separate them"
@@ -436,10 +421,9 @@ def test_big_graph_out_of_core(tmp_path_factory):
             f"{capped['sharded-ooc']}"
         )
         assert capped["sharded-ooc"]["checksum"] in checksums
-        for b in ("vector", "mmap"):
-            assert not capped[b]["ok"], (
-                f"{b} unexpectedly fit under the {cap} byte cap"
-            )
+        assert not capped["vector"]["ok"], (
+            f"vector unexpectedly fit under the {cap} byte cap"
+        )
         completed = {b: r for b, r in capped.items() if r["ok"]}
         fastest = min(completed, key=lambda b: completed[b]["wall_s"])
         assert fastest.startswith("sharded"), (

@@ -111,15 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the MR-engine code path on this backend: 'serial' is "
         "the paper-literal per-key simulation, 'vector' the NumPy batch "
-        "shuffle, 'parallel' the shared-memory process pool, 'mmap' the "
-        "spill-file process pool, 'sharded' the owner-compute persistent"
-        "-worker backend.  Default: the vectorized in-memory path (no "
-        "MR engine).",
+        "engine, 'sharded' the owner-compute persistent-worker backend.  "
+        "Default: the vectorized in-memory path (no MR engine).",
     )
     p_diam.add_argument(
         "--workers", type=int, default=None,
-        help="simulated machines (and process-pool size for the pool "
-        "backends); defaults to 1, or the CPU count for 'parallel'/'mmap'",
+        help="simulated machines (the shard count for 'sharded'); "
+        "defaults to 1",
     )
     p_diam.add_argument(
         "--shards", type=int, default=None,

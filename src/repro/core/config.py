@@ -73,9 +73,8 @@ class ClusterConfig:
     executor:
         MR execution backend the ``mrimpl`` drivers build their default
         engine with: ``"serial"`` (paper-literal per-key simulation),
-        ``"vector"`` (vectorized batch shuffle, single process),
-        ``"parallel"`` (shared-memory process pool), ``"mmap"``
-        (spill-file + memory-map process pool), or ``"sharded"``
+        ``"vector"`` (vectorized batch engine, single process), or
+        ``"sharded"``
         (owner-compute persistent shard workers with boundary-only
         exchange).  All backends produce identical clusterings; they
         differ only in wall-clock speed and in which per-round metrics

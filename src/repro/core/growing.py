@@ -16,8 +16,7 @@ The implementation is a single synchronous (Jacobi-style) NumPy pass:
    kernel (:func:`repro.mr.kernels.scatter_min_rows`) over
    ``(candidate_distance, candidate_center)`` — exactly the paper's
    tie-breaking rule, deterministically, without sorting the candidate
-   batch (``REPRO_GROWING_KERNEL=sort`` restores the legacy
-   ``np.lexsort`` for A/B comparison).
+   batch.
 
 Frontier maintenance: after the first full step, only nodes whose state
 changed can generate new improvements (frozen nodes' contributions never
@@ -37,9 +36,9 @@ from repro.core.state import NO_CENTER, ClusterState
 from repro.graph.csr import CSRGraph
 from repro.mr import native as _native
 from repro.mr.emit import PULL_DEGREE_FRACTION, emit_mode
-from repro.mr.kernels import ScatterScratch, merge_kernel_name, scatter_min_rows
+from repro.mr.kernels import ScatterScratch, scatter_min_rows
 from repro.mr.metrics import Counters
-from repro.util import expand_ranges, first_occurrence
+from repro.util import expand_ranges
 
 __all__ = ["delta_growing_step", "partial_growth", "GrowthResult"]
 
@@ -214,19 +213,14 @@ def delta_growing_step(
 
     # Winner per target: smallest distance, then smallest center index
     # (any remaining tie is a duplicate (target, distance, center) row;
-    # both kernels keep the earliest arrival — which is the same row in
+    # the kernel keeps the earliest arrival — which is the same row in
     # push and pull order, as sources ascend within each target group).
-    if merge_kernel_name() == "sort":
-        order = np.lexsort((cand_c, cand_d, cand_t))
-        sel = order[first_occurrence(cand_t[order])]
-        upd = cand_t[sel]
-    else:
-        upd, sel = scatter_min_rows(
-            cand_t,
-            (cand_d, cand_c.astype(np.float64)),
-            domain=len(state.center),
-            scratch=scratch,
-        )
+    upd, sel = scatter_min_rows(
+        cand_t,
+        (cand_d, cand_c.astype(np.float64)),
+        domain=len(state.center),
+        scratch=scratch,
+    )
 
     apply_start = perf_counter()
     counters.add_time("reduce", apply_start - reduce_start)

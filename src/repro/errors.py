@@ -99,8 +99,8 @@ class ConvergenceError(ReproError):
 class WorkerFailure(ReproError):
     """A distributed worker died, hung past its deadline, or lost its pipe.
 
-    Carries enough context to supervise: which shard (``None`` for a
-    pool worker or an unknown origin), which command was in flight, and
+    Carries enough context to supervise: which shard (``None`` for an
+    unknown origin), which command was in flight, and
     the growing-step ordinal the driver was executing (attached by the
     driver, which is the only layer that knows it).  The recovery loop
     in :mod:`repro.runtime.checkpoint` catches this, rebuilds the worker

@@ -8,7 +8,7 @@ Two binary graph containers coexist:
   / :func:`open_store`) — an uncompressed, versioned container whose raw
   int64/float64 sections are 64-byte aligned so
   :meth:`~repro.graph.csr.CSRGraph.open_mmap` can memory-map them
-  read-only.  Repeated CLI/benchmark invocations and every process-pool
+  read-only.  Repeated CLI/benchmark invocations and every shard
   worker then share the same page-cache bytes: opening a stored graph is
   O(1) regardless of size, and nothing is pickled or copied.
 

@@ -15,10 +15,11 @@ budget ``M_L``.  This package provides:
   reports (rounds, work = node updates + messages);
 * :mod:`~repro.mr.batch` — the array-valued batch reducer protocol of the
   vectorized shuffle (``MREngine.round_batch``);
-* :mod:`~repro.mr.kernels` — the O(candidates) scatter-min merge kernels
-  and the bounded-key counting-sort shuffle of the growing step;
-* :mod:`~repro.mr.executor` — serial, multiprocessing, vectorized, and
-  shared-memory parallel backends (``make_executor``).
+* :mod:`~repro.mr.kernels` — the O(candidates) scatter-min merge kernel
+  of the growing step;
+* :mod:`~repro.mr.executor` — the serial and vectorized backends, plus
+  ``make_executor`` for those and the owner-compute ``sharded`` backend
+  of :mod:`~repro.mr.sharded`.
 """
 
 from repro.mr.model import MRSpec
@@ -34,9 +35,7 @@ from repro.mr.partitioner import (
 from repro.mr.primitives import mr_sort, mr_prefix_sum, mr_segmented_prefix_sum
 from repro.mr.executor import (
     EXECUTOR_NAMES,
-    MultiprocessingExecutor,
     SerialExecutor,
-    SharedMemoryExecutor,
     VectorExecutor,
     make_executor,
 )
@@ -55,9 +54,7 @@ __all__ = [
     "mr_prefix_sum",
     "mr_segmented_prefix_sum",
     "SerialExecutor",
-    "MultiprocessingExecutor",
     "VectorExecutor",
-    "SharedMemoryExecutor",
     "make_executor",
     "EXECUTOR_NAMES",
 ]

@@ -11,9 +11,8 @@ parallel arrays:
   of payload).
 
 :meth:`repro.mr.engine.MREngine.round_batch` performs the shuffle with a
-bounded-key counting sort (``np.bincount`` + prefix sum) or a stable
-``np.argsort`` fallback — the vectorized equivalent of the
-dict-of-lists grouping.  A **batch reducer** then processes *all*
+stable ``np.argsort`` — the vectorized equivalent of the dict-of-lists
+grouping.  A **batch reducer** then processes *all*
 groups in one call::
 
     reduce_batch(keys, offsets, values) -> (out_keys, out_values, out_counts)
@@ -26,10 +25,6 @@ result is a new pair batch plus ``out_counts[i]`` = number of output rows
 produced by group ``i``.  The counts let the engine attribute output
 traffic to the worker that hosts the producing group, keeping the
 critical-path time model identical to the per-key path.
-
-Reducers here are module-level functions (or ``functools.partial`` of
-them) so the shared-memory process-pool backend can ship them to workers
-by reference instead of pickling closures.
 """
 
 from __future__ import annotations

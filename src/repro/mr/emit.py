@@ -1,12 +1,14 @@
 """Fused zero-allocation emit pipeline with direction-optimizing expansion.
 
-PR 4 made the *reduce* side of a Δ-growing step frontier-proportional
-(:mod:`repro.mr.kernels`); profiling then showed the *map* side — per
-round candidate generation plus the shuffle that re-materializes those
-rows — dominating every batch backend.  Three structural costs remained:
+The scatter-min merge (:mod:`repro.mr.kernels`) makes the *reduce* side
+of a Δ-growing step frontier-proportional; the *map* side — per round
+candidate generation plus the shuffle that re-materializes those rows —
+then dominates every batch backend.  A plain expansion (gather the
+frontier's CSR rows, build a ``(C, 3)`` candidate matrix) has three
+structural costs:
 
-1. **allocation churn** — ``emit_frontier`` built a fresh ``(C, 3)``
-   float64 matrix plus several index temporaries every round;
+1. **allocation churn** — a fresh ``(C, 3)`` float64 matrix plus
+   several index temporaries every round;
 2. **push-only expansion** — a forced round (stage start, Δ change)
    re-expands *every* assigned node through ``indptr`` gathers and two
    ``np.repeat`` calls, even though late-stage forced rounds are almost
@@ -19,7 +21,7 @@ rows — dominating every batch backend.  Three structural costs remained:
 This module fixes all three while keeping every observable — the
 clustering, ``rounds``/``messages``/``updates`` counters, and (on the
 engine-managed backends) the memory-model checks and simulated critical
-path — bit-identical to the legacy pipeline.  The sharded backend's
+path — bit-identical to the plain expansion.  The sharded backend's
 self-defined resident-merge accounting instead measures the batch its
 workers *actually* merge, which the improvement pre-filter shrinks —
 see :class:`repro.mr.sharded.ShardedGrowingState` for that contract.
@@ -30,7 +32,7 @@ see :class:`repro.mr.sharded.ShardedGrowingState` for that contract.
   so a non-forced round performs **zero O(n) or O(m) allocations**:
   candidate columns are written straight into the banks and handed to
   :func:`~repro.mr.kernels.scatter_min_rows` with no intermediate copy,
-  key materialization, or counting-sort pass.
+  key materialization, or sort.
 
 * **Direction-optimizing expansion** (cf. Beamer et al.'s push/pull
   BFS): when the emitting frontier's degree-sum exceeds
@@ -75,17 +77,15 @@ see :class:`repro.mr.sharded.ShardedGrowingState` for that contract.
   cache is replay, not approximation: the replayed multiset equals what
   push would emit, and the dense histogram is maintained incrementally,
   so the accounting stays exact.  Cache replay reorders rows (frozen
-  block first), which only an order-free merge may consume — the
-  in-process scatter path and the sharded workers break ties by ``(nd,
-  center, source)``, provably equal to arrival order for deduplicated
-  edges; order-sensitive consumers (the pool backends' grouped
-  reducers) and Contract2 rescaling use the plain push/pull paths, as
-  do the explicit ``push``/``pull`` A/B modes.
+  block first), which only an order-free merge may consume — every
+  merge (the whole-graph scatter and the sharded workers) breaks ties
+  by ``(nd, center, source)``, provably equal to arrival order for
+  deduplicated edges.  Contract2 rescaling uses the plain push/pull
+  paths, as do the explicit ``push``/``pull`` A/B modes.
 
-The legacy pipeline (``emit_frontier`` + ``MREngine.round_batch``) is
-retained verbatim as the ``REPRO_GROWING_KERNEL=sort`` oracle; the
-parity suites in ``tests/mr/test_emit_parity.py`` pit every
-executor × kernel × emit-mode combination against it.
+The plain expansion survives as the ``emit_frontier`` oracle of
+``tests/mr/test_emit.py``; ``tests/mr/test_emit_parity.py`` pits every
+executor × emit-mode combination against the per-key ``serial`` path.
 """
 
 from __future__ import annotations
@@ -148,9 +148,8 @@ class EmitBatch:
     **unfiltered** multiset: :attr:`emitted` is the round's ``messages``
     count and :attr:`group_keys` / :attr:`group_counts` the per-target
     histogram that the memory-model checks and the critical-path model
-    consume.  :attr:`order_free` records that rows were produced in an
-    order the arrival tie-break may *not* rely on (cache replay): the
-    consumer must then merge by ``(nd, center, source)``.
+    consume.  Cache-replayed rows are not in arrival order, so
+    consumers merge by ``(nd, center, source)``.
     """
 
     __slots__ = (
@@ -164,7 +163,6 @@ class EmitBatch:
         "w",
         "group_keys",
         "group_counts",
-        "order_free",
     )
 
     def __init__(self):
@@ -178,7 +176,6 @@ class EmitBatch:
         self.w = _EMPTY_F8
         self.group_keys = _EMPTY_I8
         self.group_counts = _EMPTY_I8
-        self.order_free = False
 
 
 class _Bank:
@@ -597,8 +594,8 @@ class EmitScratch:
     ):
         """Unfiltered fused expansion: ``(keys, nd, src_local, aidx, emitted)``.
 
-        The scratch-buffered, direction-optimized equivalent of
-        ``emit_frontier(..., with_sources=True)`` minus the value-matrix
+        The scratch-buffered, direction-optimized plain expansion
+        (candidate keys, distances and source ids) minus the value-matrix
         materialization; sharded workers route and filter the columns
         themselves (only locally-owned targets can be improvement-
         tested).  State arrays are local; ``keys`` follow ``indices``'
@@ -737,20 +734,18 @@ class EmitScratch:
         iteration: int = 0,
         sources: Optional[np.ndarray] = None,
         mode: Optional[str] = None,
-        order_free: bool = True,
         accounting: bool = True,
     ) -> EmitBatch:
         """One round's fused candidate generation (whole-graph layout).
 
-        Semantically :func:`repro.mrimpl.growing_mr.emit_frontier`
-        followed by the merge-time discard of unadoptable candidates,
-        with the counters and histogram of the *unfiltered* emission.
-        ``sources`` is the active frontier for non-forced rounds (local
-        ids, ascending); forced rounds scan all nodes.
-        ``order_free=False`` disables the frozen-emission cache so rows
-        keep the push/pull arrival order (grouped, order-sensitive
-        consumers need it); explicit ``push``/``pull`` modes disable it
-        too, so the A/B actually exercises the named direction.
+        Semantically the plain expansion (the ``emit_frontier`` oracle of
+        ``tests/mr/test_emit.py``) followed by the merge-time discard of
+        unadoptable candidates, with the counters and histogram of the
+        *unfiltered* emission.  ``sources`` is the active frontier for
+        non-forced rounds (local ids, ascending); forced rounds scan all
+        nodes.  Explicit ``push``/``pull`` modes disable the
+        frozen-emission cache, so the A/B actually exercises the named
+        direction.
         """
         if self.base:
             raise ValueError("emit() is the whole-graph layout; use emit_raw")
@@ -774,7 +769,7 @@ class EmitScratch:
         m_loc, e_loc, degree_sum = self._forced_sets(
             center, dist, frozen, frozen_iter, delta, rescale, iteration
         )
-        if order_free and rescale == 0.0 and mode == "auto":
+        if rescale == 0.0 and mode == "auto":
             live_loc = m_loc & ~frozen
             live_ids = np.flatnonzero(live_loc)
             live_sum = int(
@@ -1018,7 +1013,6 @@ class EmitScratch:
 
         f_active = len(self._cache_keys)
         batch.emitted = self._cache_inert + f_active + lcnt
-        batch.order_free = True
         if batch.emitted == 0:
             return batch
 

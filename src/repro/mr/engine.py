@@ -18,7 +18,6 @@ import numpy as np
 from repro.errors import MemoryLimitExceeded
 from repro.mr import native as _native
 from repro.mr.executor import SerialExecutor
-from repro.mr.kernels import CountScratch, ScatterScratch, counting_group_keys
 from repro.mr.metrics import Counters
 from repro.mr.model import MRSpec
 from repro.mr.partitioner import hash_partition, hash_partition_array
@@ -53,35 +52,6 @@ def _group_batch(
     ).astype(np.int64)
     offsets = np.concatenate((starts, [len(sorted_keys)])).astype(np.int64)
     return sorted_keys[starts], offsets, values[order]
-
-
-#: Keys count as "bounded" when a dense histogram over their domain is
-#: O(batch size): the counting-sort shuffle then beats the argsort.
-_BOUNDED_SLACK = 65_536
-
-
-def _key_bound(keys: np.ndarray, key_bound=None):
-    """Key-domain size when the counting-sort shuffle applies, else ``None``.
-
-    Callers that know their key domain (node ids < n) pass ``key_bound``
-    as a hint; the batch's own min/max fill it in otherwise.  Negative
-    keys — or a domain far larger than the batch, where the O(domain)
-    histogram would cost more than sorting the few rows present (e.g. a
-    growing stage's skinny tail rounds) — fall back to the argsort
-    shuffle.
-    """
-    if not len(keys):
-        return None
-    kmin = int(keys.min())
-    kmax = int(keys.max())
-    if kmin < 0:
-        return None
-    bound = kmax + 1
-    if key_bound is not None:
-        bound = max(int(key_bound), bound)
-    if bound <= 4 * len(keys) + _BOUNDED_SLACK:
-        return bound
-    return None
 
 
 def _pair_words(value: object) -> int:
@@ -135,12 +105,6 @@ class MREngine:
         self.enforce_memory = enforce_memory
         self.counters = Counters()
         self.simulated_time = 0
-        # Dense scatter buffers for ungrouped batch reducers, reused
-        # across rounds (see round_batch's counting-sort fast path).
-        self._scatter_scratch = ScatterScratch()
-        # Histogram/prefix-sum buffers of the counting-sort shuffle,
-        # reused across rounds and grown to the largest key_bound seen.
-        self._count_scratch = CountScratch()
         # Per-worker load scratch for the native critical-path
         # accounting (all-zero between rounds).
         self._loads: np.ndarray = None
@@ -265,50 +229,30 @@ class MREngine:
 
     @property
     def supports_batch(self) -> bool:
-        """Whether the executor runs batch rounds natively.
+        """Whether drivers should use the array-valued batch layout.
 
-        Drivers use this to pick their data layout: engines whose executor
-        implements ``run_batch`` (``VectorExecutor``,
-        ``SharedMemoryExecutor``) get the array-valued hot path, the
-        others keep the literal per-key pair simulation.  ``round_batch``
-        itself works on every engine — without native support the engine
-        applies the batch reducer in-process after the vectorized shuffle.
+        True for executors marked ``batch_rounds`` (``VectorExecutor``,
+        ``ShardedExecutor``); the others keep the literal per-key pair
+        simulation.  ``round_batch`` itself works on every engine — the
+        batch reducer always runs in the engine's process.
         """
-        return hasattr(self.executor, "run_batch")
+        return getattr(self.executor, "batch_rounds", False)
 
     def round_batch(
         self,
         keys: np.ndarray,
         values: np.ndarray,
         reducer: BatchReducer,
-        *,
-        key_bound: int = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Execute one MR round over an integer-keyed array batch.
 
         The vectorized counterpart of :meth:`round`: ``keys`` is an
         ``int64`` array of reducer keys (one per pair) and ``values`` a
         ``float64`` matrix with the corresponding payload rows.  Values
-        reach the reducer grouped by key *in input order*, the same
-        stability guarantee the dict-of-lists grouping provides.
-        Returns the output batch as ``(out_keys, out_values)``.
-
-        The shuffle adapts to the round.  When the reducer carries an
-        ``ungrouped_reduce`` attribute (see
-        :func:`repro.mr.kernels.merge_candidates`), the executor reduces
-        in-process, and the keys are bounded non-negative ids (node ids
-        — pass ``key_bound`` when the domain is known, else the batch's
-        own max decides), the stable ``np.argsort`` is replaced by a
-        **counting-sort shuffle**: ``np.bincount`` plus a prefix sum
-        yields the distinct keys and group sizes in O(pairs + domain)
-        and the reducer is handed the *raw* batch plus the engine's
-        reusable scatter scratch — the rows are never permuted at all,
-        which is what makes growing-step rounds cost O(candidates).
-        Every other round (grouped-layout reducers, pool executors whose
-        workers slice physically grouped shards, unbounded or negative
-        keys) takes the argsort shuffle, which the gather needs anyway.
-        Output, counters, memory checks, and the critical-path model are
-        identical on every path.
+        reach the reducer grouped by key *in input order* (a stable
+        argsort shuffle), the same stability guarantee the dict-of-lists
+        grouping provides.  Returns the output batch as ``(out_keys,
+        out_values)``.
 
         Accounting matches :meth:`round` structurally: one round, one
         message per input pair, a memory word per key plus one
@@ -326,44 +270,14 @@ class MREngine:
         words_per_pair = 1 + max(width, 1)
         self.check_total_memory(len(keys), words_per_pair)
 
-        run_batch = getattr(self.executor, "run_batch", None)
-        in_process = run_batch is None or getattr(
-            self.executor, "in_process_batch", False
-        )
-        ungrouped = getattr(reducer, "ungrouped_reduce", None)
-
         shuffle_start = perf_counter()
-        scatter_bound = None
-        sorted_values = values
         if len(keys):
-            # The counting-sort shuffle only pays off when the gather can
-            # be skipped too, i.e. the reducer consumes ungrouped rows in
-            # this process; grouped-layout reducers (and pool executors,
-            # whose workers slice physically grouped shards) would need
-            # the argsort permutation anyway, so they take it directly.
-            bound = (
-                _key_bound(keys, key_bound)
-                if ungrouped is not None and in_process
-                else None
-            )
-            if bound is not None:
-                # Counting-sort shuffle: histogram + prefix sum,
-                # O(C + domain) — no permutation, rows stay put (the
-                # scatter reducer never reads offsets, so none are
-                # built), with the engine's reusable histogram buffers.
-                group_keys, counts, offsets = counting_group_keys(
-                    keys, bound, with_offsets=False,
-                    scratch=self._count_scratch,
-                )
-                scatter_bound = bound
-            else:
-                group_keys, offsets, sorted_values = _group_batch(keys, values)
-                counts = np.diff(offsets)
+            group_keys, offsets, sorted_values = _group_batch(keys, values)
+            counts = np.diff(offsets)
             self.check_local_memory(group_keys, counts, words_per_pair)
         else:
             group_keys = np.empty(0, dtype=np.int64)
             counts = np.empty(0, dtype=np.int64)
-            offsets = np.zeros(1, dtype=np.int64)
 
         reduce_start = perf_counter()
         self.counters.add_time("shuffle", reduce_start - shuffle_start)
@@ -371,14 +285,6 @@ class MREngine:
             out_keys = np.empty(0, dtype=np.int64)
             out_values = np.empty((0, width), dtype=np.float64)
             out_counts = np.empty(0, dtype=np.int64)
-        elif scatter_bound is not None:
-            out_keys, out_values, out_counts = ungrouped(
-                keys, values, group_keys, scatter_bound, self._scatter_scratch
-            )
-        elif run_batch is not None:
-            out_keys, out_values, out_counts = run_batch(
-                group_keys, offsets, sorted_values, reducer, self.spec.num_workers
-            )
         else:
             out_keys, out_values, out_counts = reducer(
                 group_keys, offsets, sorted_values

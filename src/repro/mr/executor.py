@@ -1,76 +1,43 @@
 """Execution backends for the MR engine.
 
-For legacy per-key rounds the engine hands an executor a mapping
+For per-key rounds the engine hands an executor a mapping
 ``{key: [values]}``; the executor partitions the key groups across
 ``num_workers`` simulated machines, applies the reducer to every group,
 and reports per-worker loads so the engine can accumulate the round's
-critical-path cost.  For batch rounds (see :mod:`repro.mr.batch`) the
-engine performs the vectorized shuffle itself and hands executors that
-implement ``run_batch`` the grouped ``(keys, offsets, values)`` arrays.
+critical-path cost.  Batch rounds (see :mod:`repro.mr.batch`) always
+reduce in the engine's process; an executor only decides whether the
+growing-step drivers pick the array layout (``batch_rounds``).
 
-Four backends are provided:
+Three backends are selectable by name (:data:`EXECUTOR_NAMES`):
 
 * :class:`SerialExecutor` — applies per-key reducers in one process.
   This is the default and the paper-literal simulation; worker loads are
   still tracked so the critical-path *model* reflects a multi-machine
   platform.
-* :class:`MultiprocessingExecutor` — fans per-key worker shards out to a
-  process pool.  Reducers must be picklable (module-level functions).
-  Every key group is re-pickled each round, so the speedup rarely covers
-  the serialization cost; it survives as the contrast case for the
-  shared-memory backend.
-* :class:`VectorExecutor` — runs batch rounds by applying the batch
-  reducer to all groups in one NumPy call, in-process.  This is the fast
-  single-host backend (``--executor vector``).
-* :class:`SharedMemoryExecutor` — runs batch rounds on a
-  :class:`concurrent.futures.ProcessPoolExecutor`, shipping the grouped
-  arrays to workers through ``multiprocessing.shared_memory`` so the
-  payload crosses the process boundary exactly once and pickle-free
-  (``--executor parallel``).
-* :class:`MmapExecutor` — same pool protocol, but each round's grouped
-  arrays spill to one file that every worker memory-maps read-only
-  (``--executor mmap``).  Workers receive a *path + offsets*, never
-  arrays; on a warm page cache this matches shared memory while also
-  working where ``/dev/shm`` is tiny or absent (containers) and leaving
-  a file handle a future multi-host transport could ship.
+* :class:`VectorExecutor` — batch rounds: the growing step runs on the
+  array state and every batch reducer handles all groups in one NumPy
+  call, in-process.  This is the fast single-host backend
+  (``--executor vector``).
+* the owner-compute :class:`~repro.mr.sharded.ShardedExecutor`
+  (``--executor sharded``), in :mod:`repro.mr.sharded`: persistent
+  workers own a node range (memory-mapping their shard of a partitioned
+  GraphStore) and rounds exchange only the candidates that cross shard
+  boundaries.
 
-The pool backends publish each round's payload through a
-:class:`_RoundPayload` context manager backed by a ``weakref.finalize``
-finalizer, so the segments/files are reclaimed even when a worker raises
-mid-round (or the round is abandoned without ``close``).  They also
-account, per round, the bytes actually *pickled* to workers
-(``bytes_shipped_per_round``) versus the bytes *published* zero-copy
-(``bytes_published_per_round``) — the zero-copy tests assert that graph-
-and payload-scale data never travels through pickle.
-
-The batch backends still accept legacy per-key rounds (delegated to
-the serial shard loop), so one engine can mix batch hot-path rounds with
-per-key rounds in the same computation.
-
-A sixth backend, the owner-compute :class:`~repro.mr.sharded.ShardedExecutor`
-(``--executor sharded``), lives in :mod:`repro.mr.sharded`: instead of
-re-shipping each round's grouped batch to stateless pool workers, its
-persistent workers own a contiguous node range (memory-mapping their
-shard of a partitioned GraphStore) and rounds exchange only the
-candidates that cross shard boundaries.
+The batch backends still accept per-key rounds (delegated to the serial
+shard loop), so one engine can mix batch hot-path rounds with per-key
+rounds in the same computation.
 """
 
 from __future__ import annotations
 
-import pickle
-import weakref
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
-import numpy as np
-
-from repro.mr.partitioner import hash_partition, hash_partition_array
+from repro.mr.partitioner import hash_partition
 
 __all__ = [
     "SerialExecutor",
-    "MultiprocessingExecutor",
     "VectorExecutor",
-    "SharedMemoryExecutor",
-    "MmapExecutor",
     "make_executor",
     "EXECUTOR_NAMES",
 ]
@@ -78,9 +45,8 @@ __all__ = [
 Reducer = Callable[[Hashable, List[object]], Iterable[Tuple[Hashable, object]]]
 
 
-def _apply_shard(args):
-    """Run a reducer over one worker's shard of key groups (picklable)."""
-    shard, reducer = args
+def _apply_shard(shard, reducer):
+    """Run a reducer over one worker's shard of key groups."""
     out: List[Tuple[Hashable, object]] = []
     load = 0
     for key, values in shard:
@@ -115,82 +81,24 @@ class SerialExecutor:
         output: List[Tuple[Hashable, object]] = []
         loads: List[int] = []
         for shard in shards:
-            out, load = _apply_shard((shard, reducer))
+            out, load = _apply_shard(shard, reducer)
             output.extend(out)
             loads.append(load)
         return output, loads
-
-
-class MultiprocessingExecutor:
-    """Apply reducers through a :mod:`multiprocessing` pool.
-
-    Parameters
-    ----------
-    processes:
-        Pool size; defaults to ``num_workers`` passed at run time (capped
-        at the host CPU count by the pool itself).
-
-    Notes
-    -----
-    The pool is created lazily on first use and reused across rounds; call
-    :meth:`close` (or use the instance as a context manager) when done.
-    """
-
-    def __init__(self, processes: int = None):
-        self.processes = processes
-        self._pool = None
-
-    def _ensure_pool(self, num_workers: int):
-        if self._pool is None:
-            import multiprocessing
-
-            size = self.processes or num_workers
-            self._pool = multiprocessing.Pool(processes=size)
-        return self._pool
-
-    def run(
-        self,
-        groups: Dict[Hashable, List[object]],
-        reducer: Reducer,
-        num_workers: int,
-    ) -> Tuple[List[Tuple[Hashable, object]], List[int]]:
-        shards = _shard_groups(groups, num_workers)
-        pool = self._ensure_pool(num_workers)
-        results = pool.map(_apply_shard, [(shard, reducer) for shard in shards])
-        output: List[Tuple[Hashable, object]] = []
-        loads: List[int] = []
-        for out, load in results:
-            output.extend(out)
-            loads.append(load)
-        return output, loads
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
 
 class VectorExecutor:
     """Vectorized single-process backend for batch rounds.
 
-    ``run_batch`` applies the batch reducer to every group in one call —
-    no per-key Python loop, no per-pair objects.  Legacy per-key rounds
-    fall back to the serial shard loop so algorithms can mix both round
-    kinds on one engine.
+    The engine applies batch reducers to every group in one call — no
+    per-key Python loop, no per-pair objects.  Per-key rounds fall back
+    to the serial shard loop so algorithms can mix both round kinds on
+    one engine.
     """
 
-    #: Batch reducers run synchronously in the engine's process, so the
-    #: engine may hand scatter-capable reducers the ungrouped batch
-    #: (skipping the shuffle permutation entirely).
-    in_process_batch = True
+    #: Drivers pick the array layout on this engine (see
+    #: :attr:`repro.mr.engine.MREngine.supports_batch`).
+    batch_rounds = True
 
     def run(
         self,
@@ -199,523 +107,30 @@ class VectorExecutor:
         num_workers: int,
     ) -> Tuple[List[Tuple[Hashable, object]], List[int]]:
         return SerialExecutor().run(groups, reducer, num_workers)
-
-    def run_batch(
-        self,
-        keys: np.ndarray,
-        offsets: np.ndarray,
-        values: np.ndarray,
-        reducer,
-        num_workers: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return reducer(keys, offsets, values)
-
-
-def _attach_shared(name: str, deregister: bool):
-    """Attach to a shared-memory block without racing the resource tracker.
-
-    Workers only borrow the block — the parent owns creation and unlink.
-    Under a ``spawn``/``forkserver`` pool each worker has its *own*
-    resource tracker, which would warn about a "leaked" block at exit, so
-    the attach is deregistered (``deregister=True``).  Under ``fork`` the
-    tracker process is shared with the parent and deregistering would
-    race the parent's unlink, so the registration is left alone.
-    """
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    if deregister:
-        try:  # pragma: no cover - tracker layout is an implementation detail
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-    return shm
-
-
-# --------------------------------------------------------------------- #
-# Round payloads: parent-side publication of one round's grouped batch
-# --------------------------------------------------------------------- #
-
-
-class _RoundPayload:
-    """One round's published ``(keys, offsets, values)`` batch.
-
-    A context manager whose cleanup is *also* registered as a
-    ``weakref.finalize`` finalizer, so the published resources (shared
-    memory segments or spill files) are reclaimed on every exit path:
-    normal completion, a worker raising mid-round, the parent abandoning
-    the round, or interpreter shutdown.  ``close`` is idempotent.
-    """
-
-    _finalizer = None
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes published zero-copy (for the shipping accounting)."""
-        return self._nbytes
-
-    def handle(self):
-        """Picklable descriptor workers use to map the batch (no arrays)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        if self._finalizer is not None:
-            self._finalizer()  # runs cleanup once, then detaches
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-class _ShmPayload(_RoundPayload):
-    """Batch published as three ``multiprocessing.shared_memory`` blocks."""
-
-    def __init__(self, keys, offsets, values, *, deregister: bool):
-        from multiprocessing import shared_memory
-
-        self._deregister = deregister
-        self._nbytes = 0
-        blocks = []
-        try:
-            for array in (keys, offsets, values):
-                array = np.ascontiguousarray(array)
-                shm = shared_memory.SharedMemory(
-                    create=True, size=max(array.nbytes, 1)
-                )
-                blocks.append(shm)
-                np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)[
-                    ...
-                ] = array
-                self._nbytes += array.nbytes
-        except BaseException:
-            self._cleanup(blocks)
-            raise
-        self._names = tuple(shm.name for shm in blocks)
-        self._finalizer = weakref.finalize(self, self._cleanup, blocks)
-
-    @staticmethod
-    def _cleanup(blocks) -> None:
-        for shm in blocks:
-            try:
-                shm.close()
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    def handle(self):
-        return ("shm", self._names, self._deregister)
-
-
-class _MmapPayload(_RoundPayload):
-    """Batch spilled to one file that workers memory-map read-only.
-
-    Sections are 64-byte aligned, mirroring the GraphStore layout; the
-    handle carries only the path and section offsets.  The file lives in
-    ``spill_dir`` (default: the system temp directory, usually tmpfs- or
-    page-cache-backed, so a warm round never touches the disk).
-    """
-
-    def __init__(self, keys, offsets, values, *, spill_dir=None):
-        import os
-        import tempfile
-
-        fd, path = tempfile.mkstemp(
-            prefix="repro-round-", suffix=".batch", dir=spill_dir
-        )
-        self._nbytes = 0
-        section_offsets = []
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pos = 0
-                for array in (keys, offsets, values):
-                    array = np.ascontiguousarray(array)
-                    pad = (-pos) % 64
-                    fh.write(b"\x00" * pad)
-                    pos += pad
-                    section_offsets.append(pos)
-                    data = array.tobytes()
-                    fh.write(data)
-                    pos += len(data)
-                    self._nbytes += array.nbytes
-        except BaseException:
-            self._cleanup(path)
-            raise
-        self.path = path
-        self._section_offsets = tuple(section_offsets)
-        self._finalizer = weakref.finalize(self, self._cleanup, path)
-
-    @staticmethod
-    def _cleanup(path) -> None:
-        import os
-
-        try:
-            os.unlink(path)
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-    def handle(self):
-        return ("mmap", self.path, self._section_offsets)
-
-
-def _map_payload(handle, g: int, rows: int, width: int):
-    """Worker side: build zero-copy batch views from a payload handle.
-
-    Returns ``(keys, offsets, values, closers)``; the caller must call
-    every closer when done (shared-memory attaches need an explicit
-    ``close``; mmaps are dropped with their arrays).
-    """
-    kind = handle[0]
-    if kind == "shm":
-        _, names, deregister = handle
-        closers = []
-        try:
-            shm_k = _attach_shared(names[0], deregister)
-            closers.append(shm_k.close)
-            keys = np.ndarray((g,), dtype=np.int64, buffer=shm_k.buf)
-            shm_o = _attach_shared(names[1], deregister)
-            closers.append(shm_o.close)
-            offsets = np.ndarray((g + 1,), dtype=np.int64, buffer=shm_o.buf)
-            shm_v = _attach_shared(names[2], deregister)
-            closers.append(shm_v.close)
-            values = np.ndarray(
-                (rows, width), dtype=np.float64, buffer=shm_v.buf
-            )
-        except BaseException:
-            # A later attach failing must not leak the earlier mappings
-            # in this long-lived pool worker.
-            for close in closers:
-                close()
-            raise
-        return keys, offsets, values, closers
-    if kind == "mmap":
-        import mmap as _mmap
-
-        _, path, (k_off, o_off, v_off) = handle
-        with open(path, "rb") as fh:
-            buf = _mmap.mmap(fh.fileno(), 0, access=_mmap.ACCESS_READ)
-        keys = np.frombuffer(buf, dtype=np.int64, count=g, offset=k_off)
-        offsets = np.frombuffer(buf, dtype=np.int64, count=g + 1, offset=o_off)
-        values = np.frombuffer(
-            buf, dtype=np.float64, count=rows * width, offset=v_off
-        ).reshape(rows, width)
-        return keys, offsets, values, []
-    raise ValueError(f"unknown payload handle kind {kind!r}")
-
-
-def _reduce_batch_shard(handle, shape, group_idx_bytes, reducer):
-    """Worker side of the pool batch backends.
-
-    Reconstructs the grouped batch from the published payload (shared
-    memory or mmap — never pickle), gathers this worker's groups,
-    applies the batch reducer, and returns the shard's output (small
-    relative to the input; plain pickling suffices).
-    """
-    g, rows, width = shape
-    gidx = np.frombuffer(group_idx_bytes, dtype=np.int64)
-    keys, offsets, values, closers = _map_payload(handle, g, rows, width)
-    try:
-        counts = offsets[gidx + 1] - offsets[gidx]
-        total = int(counts.sum())
-        ends = np.cumsum(counts)
-        row_idx = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(ends - counts, counts)
-            + np.repeat(offsets[gidx], counts)
-        )
-        shard_keys = keys[gidx].copy()
-        shard_offsets = np.concatenate(([0], ends)).astype(np.int64)
-        shard_values = values[row_idx]
-
-        out_keys, out_values, out_counts = reducer(
-            shard_keys, shard_offsets, shard_values
-        )
-        return (
-            np.ascontiguousarray(out_keys),
-            np.ascontiguousarray(out_values),
-            np.ascontiguousarray(out_counts),
-        )
-    finally:
-        for close in closers:
-            close()
-
-
-class _PoolBatchExecutor:
-    """Shared machinery of the process-pool batch backends.
-
-    Subclasses implement :meth:`_publish` to choose the zero-copy
-    transport (shared memory vs spill file + mmap).  Everything else —
-    pool lifecycle, sharding, the worker protocol, result scatter, and
-    the shipping accounting — is identical.
-
-    Parameters
-    ----------
-    processes:
-        Pool size; defaults to ``min(num_workers, cpu_count)`` at first
-        use.
-
-    Attributes
-    ----------
-    bytes_shipped_per_round:
-        Pickled bytes submitted to the pool each batch round (payload
-        handle + group indices + reducer reference; measured as the
-        once-per-round fixed part plus each shard's raw group-index
-        bytes, so the accounting itself does not re-serialize anything
-        on the hot path).  This is the quantity that must stay
-        O(metadata): the zero-copy tests assert it never scales with
-        the graph or candidate arrays.
-    bytes_published_per_round:
-        Bytes each round placed in the zero-copy transport instead.
-
-    Notes
-    -----
-    The pool is created lazily and reused across rounds; call
-    :meth:`close` (or use the instance as a context manager) when done.
-    Batch reducers must be picklable by reference (module-level functions
-    or ``functools.partial`` of them).  Legacy per-key rounds run through
-    the serial shard loop in-process.
-    """
-
-    def __init__(self, processes: Optional[int] = None):
-        self.processes = processes
-        self._pool = None
-        self._ctx = None
-        self.bytes_shipped_per_round: List[int] = []
-        self.bytes_published_per_round: List[int] = []
-
-    @property
-    def bytes_shipped(self) -> int:
-        """Total pickled bytes submitted to workers across all rounds."""
-        return sum(self.bytes_shipped_per_round)
-
-    # -- legacy per-key rounds ----------------------------------------- #
-
-    def run(
-        self,
-        groups: Dict[Hashable, List[object]],
-        reducer: Reducer,
-        num_workers: int,
-    ) -> Tuple[List[Tuple[Hashable, object]], List[int]]:
-        return SerialExecutor().run(groups, reducer, num_workers)
-
-    # -- batch rounds --------------------------------------------------- #
-
-    def _ensure_pool(self, num_workers: int):
-        if self._pool is None:
-            import multiprocessing
-            import os
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Build (and load) the native kernel library once in the
-            # parent before any worker starts: forked children inherit
-            # the loaded .so, and spawn-based children find the cached
-            # build instead of racing N simultaneous compiles.  A
-            # no-compiler host is a cheap no-op (pure-tier fallback).
-            from repro.mr import native
-
-            native.native_available()
-
-            # Prefer fork: workers share the parent's resource tracker,
-            # start instantly, and inherit mmap-backed graphs without a
-            # single copied page; fall back to the platform default
-            # elsewhere.
-            methods = multiprocessing.get_all_start_methods()
-            self._ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            size = self.processes or max(
-                1, min(num_workers, os.cpu_count() or 1)
-            )
-            self._pool = ProcessPoolExecutor(max_workers=size, mp_context=self._ctx)
-        return self._pool
-
-    def _publish(self, keys, offsets, values) -> _RoundPayload:
-        raise NotImplementedError
-
-    def run_batch(
-        self,
-        keys: np.ndarray,
-        offsets: np.ndarray,
-        values: np.ndarray,
-        reducer,
-        num_workers: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        g = len(keys)
-        width = values.shape[1]
-        workers = hash_partition_array(keys, num_workers)
-        shards = [np.flatnonzero(workers == p) for p in range(num_workers)]
-        shards = [s for s in shards if len(s)]
-        if not shards:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty((0, width), dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-            )
-
-        pool = self._ensure_pool(num_workers)
-        shape = (g, len(values), width)
-
-        with self._publish(keys, offsets, values) as payload:
-            handle = payload.handle()
-            # The handle/shape/reducer part of every shard's args is
-            # identical — pickle it once for the accounting instead of
-            # re-serializing per shard on the hot path.
-            fixed_cost = len(
-                pickle.dumps(
-                    (handle, shape, reducer),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            )
-            shipped = 0
-            futures = []
-            for gidx in shards:
-                gidx_bytes = gidx.tobytes()
-                shipped += fixed_cost + len(gidx_bytes)
-                futures.append(
-                    pool.submit(
-                        _reduce_batch_shard, handle, shape, gidx_bytes, reducer
-                    )
-                )
-            self.bytes_shipped_per_round.append(shipped)
-            self.bytes_published_per_round.append(payload.nbytes)
-            # Settle every future before the payload is reclaimed: a
-            # worker that raises must not strand siblings on an unlinked
-            # segment (and a failing round must still clean up — the
-            # lifecycle test asserts no segment survives).
-            results = []
-            first_error = None
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    if first_error is None:
-                        first_error = exc
-            if first_error is not None:
-                from concurrent.futures.process import BrokenProcessPool
-
-                if isinstance(first_error, (BrokenProcessPool, BrokenPipeError)):
-                    # A pool process died (OOM kill, SIGKILL): surface
-                    # the structured fault so the recovery loop can
-                    # rebuild the pool and replay, instead of the raw
-                    # executor internals.  The pool object is broken
-                    # beyond this round either way.
-                    from repro.errors import WorkerFailure
-
-                    raise WorkerFailure(
-                        f"pool worker died: {first_error!r}"
-                    ) from first_error
-                raise first_error
-
-        out_keys = np.concatenate([r[0] for r in results])
-        out_values = np.concatenate([r[1] for r in results])
-        # Scatter each shard's per-group output counts back to the
-        # engine's group order so load attribution matches VectorExecutor.
-        out_counts = np.zeros(g, dtype=np.int64)
-        for gidx, (_, _, counts) in zip(shards, results):
-            out_counts[gidx] = counts
-        return out_keys, out_values, out_counts
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-class SharedMemoryExecutor(_PoolBatchExecutor):
-    """Parallel batch backend: process pool + shared-memory shards.
-
-    Each round the grouped key/offset/value arrays are published once in
-    ``multiprocessing.shared_memory`` blocks; every pool worker receives
-    only the block names plus its group-index list, builds zero-copy
-    views, and reduces its shard.  Unlike
-    :class:`MultiprocessingExecutor`, the payload is never pickled, so
-    the per-round overhead is O(shard metadata) instead of O(data).
-
-    See :class:`_PoolBatchExecutor` for the pool lifecycle, accounting
-    attributes, and per-key fallback.
-    """
-
-    def _publish(self, keys, offsets, values) -> _RoundPayload:
-        deregister = self._ctx.get_start_method() != "fork"
-        return _ShmPayload(keys, offsets, values, deregister=deregister)
-
-
-class MmapExecutor(_PoolBatchExecutor):
-    """Parallel batch backend: process pool + memory-mapped spill files.
-
-    Each round the grouped arrays are written once into a spill file
-    whose sections are 64-byte aligned; workers receive the *path and
-    section offsets* — never arrays — and build read-only mmap views.
-    On a warm page cache this is byte-for-byte the shared-memory
-    transport minus ``/dev/shm`` (helpful in containers with tiny shm
-    mounts), and the spill file is a natural hand-off point for a future
-    multi-host transport.
-
-    Parameters
-    ----------
-    processes:
-        Pool size; defaults to ``min(num_workers, cpu_count)``.
-    spill_dir:
-        Directory for the per-round spill files; defaults to the system
-        temp directory.  Files are removed as each round completes (or
-        fails — the payload finalizer guarantees it).
-    """
-
-    def __init__(
-        self, processes: Optional[int] = None, *, spill_dir=None
-    ):
-        super().__init__(processes=processes)
-        self.spill_dir = spill_dir
-
-    def _publish(self, keys, offsets, values) -> _RoundPayload:
-        return _MmapPayload(keys, offsets, values, spill_dir=self.spill_dir)
 
 
 #: CLI/config names of the selectable backends.
-EXECUTOR_NAMES = ("serial", "vector", "parallel", "mmap", "sharded")
-
-#: Backends that run a process pool (and hence default to CPU-count
-#: workers rather than the single-machine simulation).
-POOL_EXECUTOR_NAMES = ("parallel", "mmap")
+EXECUTOR_NAMES = ("serial", "vector", "sharded")
 
 
-def make_executor(
-    name: str, *, processes: Optional[int] = None, shards: Optional[int] = None
-):
+def make_executor(name: str, *, shards: Optional[int] = None):
     """Build an executor from its CLI/config name.
 
     ``serial`` is the paper-literal per-key simulation, ``vector`` the
-    single-process vectorized batch backend, ``parallel`` the
-    shared-memory process-pool backend, ``mmap`` the spill-file
-    process-pool backend, and ``sharded`` the owner-compute backend of
-    :mod:`repro.mr.sharded` (persistent shard-owning workers, boundary-
-    only exchange; ``shards`` sets the shard count, defaulting to
-    ``processes`` or the CPU count).  Raises ``ValueError`` on any
-    other name.
+    single-process vectorized batch backend, and ``sharded`` the
+    owner-compute backend of :mod:`repro.mr.sharded` (persistent
+    shard-owning workers, boundary-only exchange; ``shards`` sets the
+    shard count, defaulting to the CPU count).  Raises ``ValueError`` on
+    any other name.
     """
     if name == "serial":
         return SerialExecutor()
     if name == "vector":
         return VectorExecutor()
-    if name == "parallel":
-        return SharedMemoryExecutor(processes=processes)
-    if name == "mmap":
-        return MmapExecutor(processes=processes)
     if name == "sharded":
         from repro.mr.sharded import ShardedExecutor
 
-        return ShardedExecutor(num_shards=shards or processes)
+        return ShardedExecutor(num_shards=shards)
     raise ValueError(
         f"unknown executor {name!r}; expected one of {', '.join(EXECUTOR_NAMES)}"
     )

@@ -1,11 +1,11 @@
-"""Native kernel tier: compiled hot kernels + threaded emit, behind a seam.
+"""Native kernel tier: compiled hot kernels + threaded emit.
 
 ``REPRO_KERNEL_IMPL=py|native|auto`` selects the implementation tier for
 the Δ-growing hot kernels (push/pull emit with the improvement
-pre-filter, ``scatter_min_rows``, ``merge_candidates``'s grouped
-min-first, ``counting_group_keys``, and the frozen-replay histogram)
-and for CL-DIAM's quotient-diameter Dijkstra (:func:`quotient_ecc`,
-whose pure tier is scipy's — so a native-tier run never imports scipy).
+pre-filter, ``scatter_min_rows``, the distinct-key count, and the
+frozen-replay histogram) and for CL-DIAM's quotient-diameter Dijkstra
+(:func:`quotient_ecc`, whose pure tier is scipy's — so a native-tier
+run never imports scipy).
 ``auto`` (the default) uses the native tier whenever the shared library
 can be built and loaded (see :mod:`repro.mr.native.build`), degrading
 silently to the pure NumPy tier otherwise — the pure implementations
@@ -13,10 +13,10 @@ always remain and stay the parity oracle.  ``REPRO_NATIVE_DISABLE=1``
 force-disables the native tier even when a compiler exists (the
 no-toolchain CI job uses it to prove the fallback).
 
-Like ``REPRO_GROWING_KERNEL`` and ``REPRO_EMIT_MODE``, the switches are
-read from the environment **per call**, so benchmarks and the parity
-suites flip tiers between runs in one process, and forked pool workers
-inherit the active tier through their environment snapshot.
+Like ``REPRO_EMIT_MODE``, the switches are read from the environment
+**per call**, so benchmarks and the parity suites flip tiers between
+runs in one process, and forked shard workers receive the active tier
+through the environment snapshot the driver ships on every reset.
 :func:`impl_overrides` is the config-plumbing entry (used by
 ``repro.runtime.runner``): it applies :class:`ClusterConfig` overrides
 by setting the environment for the run's duration, which is what makes
@@ -34,15 +34,6 @@ order-preserving compaction (``rk_compact``) packs the regions — so the
 candidate columns are bit-identical to the single-threaded pass for
 *any* thread count.  ctypes releases the GIL around every kernel call,
 which is what lets the chunks run concurrently.
-
-Dispatch seam (GPU-ready)
--------------------------
-:func:`kernel_table` is the dispatch point, keyed by **array namespace
-× implementation tier**: ``("numpy", "py")`` and ``("numpy", "native")``
-are registered today, and a future CuPy backend plugs in as
-``("cupy", "native")`` without touching the call sites — they resolve
-through the same table.  Unknown namespaces fall back to the pure NumPy
-tier so partial backends stay correct while they grow.
 """
 
 from __future__ import annotations
@@ -71,7 +62,6 @@ __all__ = [
     "emit_threads",
     "impl_overrides",
     "resolved_info",
-    "kernel_table",
     "quotient_ecc",
 ]
 
@@ -107,7 +97,6 @@ _SIGNATURES = {
     ),
     "rk_count_keys": ([_P, _I, _P, _P, _P], _I),
     "rk_bincount": ([_P, _I, _P], None),
-    "rk_group_min_first": ([_P, _I, _I, _P, _I, _P], None),
     "rk_emit_push": ([_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _P], _I),
     "rk_emit_pull": ([_P, _P, _P, _I, _I, _P, _P, _D, _I, _P, _P, _P, _P], _I),
     "rk_compact": ([_P, _P, _P, _P, _P, _P, _I], _I),
@@ -225,8 +214,8 @@ def impl_overrides(
 
     Overrides are applied through the environment (and restored on
     exit) because that is the one channel every consumer shares: the
-    in-process kernels read it per call, and pool/sharded workers
-    forked *during* the run inherit it in their environment snapshot.
+    in-process kernels read it per call, and shard workers receive it
+    in the environment snapshot the driver ships on every reset.
     ``impl="auto"``/``None`` and ``threads=None`` defer to whatever the
     caller's environment already says.
     """
@@ -315,26 +304,6 @@ def bincount_into(keys, hist) -> None:
     lib = _load()
     keys = _contig_i8(keys)
     lib.rk_bincount(_ptr(keys), len(keys), _ptr(hist))
-
-
-def group_min_first_rows(values, sort_cols, offsets) -> Optional[np.ndarray]:
-    """Winner row per offsets-delimited group; ``None`` when the matrix
-    layout is not native-friendly (caller falls back to the pure tier)."""
-    if (
-        values.dtype != np.float64
-        or values.ndim != 2
-        or not values.flags.c_contiguous
-    ):
-        return None
-    lib = _load()
-    ngroups = len(offsets) - 1
-    offsets = _contig_i8(offsets)
-    out = np.empty(ngroups, dtype=np.int64)
-    lib.rk_group_min_first(
-        _ptr(values), values.shape[1], sort_cols, _ptr(offsets), ngroups,
-        _ptr(out),
-    )
-    return out
 
 
 def filter_improve(
@@ -672,50 +641,3 @@ def quotient_ecc(indptr, indices, weights, sources, *, skip_reached) -> float:
         _ptr(sources), len(sources), 1 if skip_reached else 0,
         _ptr(dist), _ptr(touched), _ptr(heap_d), _ptr(heap_v),
     )
-
-
-# -- dispatch seam ------------------------------------------------------ #
-
-#: Kernel tables keyed by (array namespace, implementation tier).  The
-#: hot call sites in ``mr/kernels.py`` / ``mr/emit.py`` /
-#: ``core/growing.py`` branch on :func:`use_native` directly (a dict
-#: lookup per candidate row would be measurable); this table is the
-#: *extension* seam those branches implement: a GPU backend registers
-#: ``("cupy", "native")`` entries here and :func:`kernel_table` routes
-#: to them when the caller's arrays live in that namespace.  Tested in
-#: ``tests/mr/test_native_kernels.py``.
-KERNEL_TABLES: Dict[Tuple[str, str], Dict[str, object]] = {}
-
-
-def _register_tables() -> None:
-    from repro.mr import kernels as _k
-
-    KERNEL_TABLES[("numpy", "py")] = {
-        "scatter_min_rows": _k.scatter_min_rows,
-        "counting_group_keys": _k.counting_group_keys,
-        "group_min_first": _k.scatter_group_min_first,
-    }
-    KERNEL_TABLES[("numpy", "native")] = {
-        "scatter_min_rows": scatter_min_rows,
-        "count_keys": count_keys,
-        "group_min_first_rows": group_min_first_rows,
-        "emit_push_into": emit_push_into,
-        "emit_pull_into": emit_pull_into,
-        "filter_improve": filter_improve,
-        "core_emit_push": core_emit_push,
-        "core_emit_pull": core_emit_pull,
-    }
-
-
-def kernel_table(namespace: str = "numpy") -> Dict[str, object]:
-    """The kernel table for an array namespace under the resolved tier.
-
-    Unknown namespaces (and the native tier when unavailable) resolve
-    to ``("numpy", "py")`` — the always-correct pure implementations.
-    """
-    if not KERNEL_TABLES:
-        _register_tables()
-    key = (namespace, kernel_impl())
-    if key in KERNEL_TABLES:
-        return KERNEL_TABLES[key]
-    return KERNEL_TABLES[("numpy", "py")]

@@ -138,33 +138,6 @@ void rk_bincount(const i64 *keys, i64 n, i64 *hist)
     }
 }
 
-/* Grouped min-first: per offsets-delimited group, the first row in
- * input order minimizing the leading sort_cols columns of the
- * C-contiguous (nrows, stride) values matrix. */
-void rk_group_min_first(
-    const double *values, i64 stride, i64 sort_cols,
-    const i64 *offsets, i64 ngroups, i64 *out_rows)
-{
-    for (i64 g = 0; g < ngroups; ++g) {
-        i64 lo = offsets[g], hi = offsets[g + 1];
-        i64 best = lo;
-        const double *bv = values + lo * stride;
-        for (i64 r = lo + 1; r < hi; ++r) {
-            const double *rv = values + r * stride;
-            for (i64 c = 0; c < sort_cols; ++c) {
-                if (rv[c] < bv[c]) {
-                    best = r;
-                    bv = rv;
-                    break;
-                }
-                if (rv[c] > bv[c])
-                    break;
-            }
-        }
-        out_rows[g] = best;
-    }
-}
-
 /* Fused push expansion + light/Δ filter (EmitScratch._emit_push).
  * Expands src_ids (any contiguous chunk) through their CSR rows,
  * keeping arcs with w <= delta and eff + w <= delta.  Output order is

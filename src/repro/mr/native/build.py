@@ -10,7 +10,7 @@ NumPy kernels.
 The library is cached outside the source tree (``$REPRO_NATIVE_DIR``,
 else ``~/.cache/repro-native``, else the system temp dir) under a name
 derived from the source hash, so upgrades rebuild automatically and
-concurrent builders (pool workers, parallel test runs) race benignly:
+concurrent builders (shard workers, parallel test runs) race benignly:
 each compiles to a private temp file and ``os.replace``\\ s it into
 place atomically.
 """

@@ -1,8 +1,8 @@
 """Owner-compute sharded execution: persistent workers, boundary exchange.
 
-The pool backends (``parallel``/``mmap``) re-publish every round's whole
-grouped batch to stateless workers, so per-round cost scales with total
-state even when only a thin frontier changed.  This module inverts that:
+A single-process backend keeps the whole graph and growing state in
+one address space, so it cannot run a graph larger than one machine's
+memory.  This module splits both across persistent workers:
 
 * the graph is partitioned once — contiguous node ranges or the
   locality-aware lp assignment (:mod:`repro.graph.partition`) — and
@@ -55,9 +55,9 @@ On top of the candidate-volume reductions, three execution tiers:
   only the O(arcs) CSR pages page in and out.
 
 Bit-identical results are by construction, not luck: workers run the
-same :func:`~repro.mrimpl.growing_mr.apply_merged_candidates` /
-:func:`~repro.mrimpl.growing_mr.emit_frontier` kernels as the
-whole-graph array state, and the merge tie-break is the order-free
+same :func:`~repro.mrimpl.growing_mr.apply_merged_candidates` and
+:class:`~repro.mr.emit.EmitScratch` kernels as the whole-graph array
+state, and the merge tie-break is the order-free
 equivalent of the engine's stable-first rule: builders deduplicate
 edges, so a target receives at most one candidate per source and
 "earliest arrival" equals "smallest source id" — the winner is simply
@@ -86,7 +86,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import MemoryLimitExceeded, WorkerFailure
+from repro.errors import ConfigurationError, MemoryLimitExceeded, WorkerFailure
 from repro.mr import native as _native
 
 __all__ = [
@@ -134,7 +134,6 @@ _KERNEL_ENV_KEYS = (
     "REPRO_NATIVE_DISABLE",
     "REPRO_EMIT_THREADS",
     "REPRO_EMIT_MODE",
-    "REPRO_GROWING_KERNEL",
 )
 
 
@@ -158,7 +157,7 @@ def _min_by_target(keys: np.ndarray, values: np.ndarray):
     at most one candidate per (source, target) arrival order within a
     target group is ascending source order — so "earliest minimal"
     equals "minimal ``(nd, center, source)``".  Returns ``(group_keys,
-    winner_values, max_group, max_group_key)``.
+    winner_values)``.
     """
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -171,14 +170,7 @@ def _min_by_target(keys: np.ndarray, values: np.ndarray):
     rank = np.lexsort(
         (sorted_values[:, 3], sorted_values[:, 1], sorted_values[:, 0], gid)
     )
-    firsts = rank[starts]
-    at = int(np.argmax(counts))
-    return (
-        sorted_keys[starts],
-        sorted_values[firsts],
-        int(counts[at]),
-        int(sorted_keys[starts][at]),
-    )
+    return sorted_keys[starts], sorted_values[rank[starts]]
 
 
 class _Ownership:
@@ -198,8 +190,8 @@ class _Ownership:
     Both layouts keep ``localidx`` order-preserving (ascending global
     id ↔ ascending local row), which the merge relies on: converting
     ascending global group keys to local ids preserves ascending order,
-    so the scatter- and sort-merge paths pick identical first-maximum
-    groups and ``apply_merged_candidates`` sees its documented ordering.
+    so the merge's first-maximum group is the ascending-first one and
+    ``apply_merged_candidates`` sees its documented ordering.
     """
 
     __slots__ = (
@@ -478,7 +470,7 @@ class _ShardWorker:
 
     def reset(self, env: Optional[dict] = None):
         from repro.core.state import ClusterState
-        from repro.mr.kernels import CountScratch, ScatterScratch
+        from repro.mr.kernels import ScatterScratch
 
         if env is not None:
             # Sync the kernel-selection environment from the driver:
@@ -495,8 +487,9 @@ class _ShardWorker:
             #: Dense scatter buffers of the merge kernel, reused across
             #: rounds (sized to this shard's node range).
             self.scratch = ScatterScratch()
-            #: Dense histogram buffer of the merge's group accounting.
-            self.count_scratch = CountScratch()
+            #: Dense histogram of the merge's group accounting, kept
+            #: all-zero between rounds.
+            self.hist = np.zeros(self.num_rows, dtype=np.int64)
             self.halo_best = np.full(len(self.halo), np.inf)
             # Frozen-replica ("ghost") state of halo nodes, filled by
             # freeze updates; immutable once set.
@@ -566,18 +559,11 @@ class _ShardWorker:
         per-node buffers (``(nd, center, source)`` tie-break, all three
         columns unique per target — see the module docstring), reusing
         the shard-sized scratch across rounds; the per-group counts
-        come from one ``np.bincount`` (counting-sort histogram), which
-        also yields the memory-model extremes.
-        ``REPRO_GROWING_KERNEL=sort`` selects the legacy sort-based
-        merge for the A/B benchmark and parity CI.
+        come from one dense histogram, which also yields the
+        memory-model extremes.
         """
-        from repro.mr.kernels import merge_kernel_name, scatter_min_rows
+        from repro.mr.kernels import scatter_min_rows
 
-        if merge_kernel_name() == "sort":
-            gkeys, winners, max_group, max_group_key = _min_by_target(
-                cand_keys, cand_values
-            )
-            return self.own.to_local(gkeys), winners, max_group, max_group_key
         local = self.own.to_local(cand_keys)
         ids, rows = scatter_min_rows(
             local,
@@ -589,8 +575,8 @@ class _ShardWorker:
         # allocation beyond the G-sized gather; the buffer keeps its
         # all-zero invariant between rounds).  The counts feed nothing
         # but the memory-model extremes; argmax over ascending distinct
-        # ids picks the same first-maximum group as the sort path.
-        hist = self.count_scratch.hist(self.num_rows)
+        # ids picks the first-maximum group, as the engine's check does.
+        hist = self.hist
         if _native.use_native():
             _native.bincount_into(local, hist)
         else:
@@ -618,7 +604,6 @@ class _ShardWorker:
     ):
         from time import perf_counter
 
-        from repro.mr.kernels import merge_kernel_name
         from repro.mrimpl.growing_mr import apply_merged_candidates
 
         if fault == "kill":
@@ -697,7 +682,7 @@ class _ShardWorker:
         # block for the next merge — the same timing as shipped
         # candidates.
         if force and len(self.halo):
-            if merge_kernel_name() != "sort" and not rescale:
+            if not rescale:
                 # Fused fast path (Contract semantics): a ghost's
                 # candidate distance is just the arc weight, and ghost
                 # targets are locally owned — so one boolean sweep over
@@ -726,29 +711,23 @@ class _ShardWorker:
                     # already counted (and dropped from shipping).
                     pending_blocks.append((ghost_keys, ghost_values))
             else:
-                if rescale:
-                    r_eff = self.r_dist - rescale * (
-                        iteration - self.r_frozen_iter
-                    )
-                else:
-                    r_eff = np.zeros(len(self.halo))
+                # Rescaled (Contract2): effective distances first, then
+                # the same filters, improvement pre-filter last.
+                r_eff = self.r_dist - rescale * (
+                    iteration - self.r_frozen_iter
+                )
                 emits = self.r_frozen & (r_eff < delta)
                 arc = emits[self.ext_halo_idx]
                 if arc.any():
                     hidx = self.ext_halo_idx[arc]
                     w = self.ext_w[arc]
                     nd = r_eff[hidx] + w
+                    ghost_rows = self.ext_rows[arc]
                     ok = (w <= delta) & (nd <= delta)
+                    ok &= ~self.state.frozen[ghost_rows]
+                    ok &= nd < self.state.dist[ghost_rows]
                     hidx, w, nd = hidx[ok], w[ok], nd[ok]
-                    ghost_rows = self.ext_rows[arc][ok]
-                    if merge_kernel_name() != "sort":
-                        # Rescaled (Contract2) fused path: improvement
-                        # pre-filter after the effective distances.
-                        imp = ~self.state.frozen[ghost_rows] & (
-                            nd < self.state.dist[ghost_rows]
-                        )
-                        hidx, w, nd = hidx[imp], w[imp], nd[imp]
-                        ghost_rows = ghost_rows[imp]
+                    ghost_rows = ghost_rows[ok]
                     if len(ghost_rows):
                         ghost_values = np.column_stack(
                             (
@@ -811,31 +790,24 @@ class _ShardWorker:
         halves partition the active set, and the merge is order-free.
         Returns ``(emitted, outgoing, pending_blocks, sent_bytes)``.
         """
-        from repro.mr.kernels import merge_kernel_name
-
-        emit_fn = (
-            self._emit_legacy
-            if merge_kernel_name() == "sort"
-            else self._emit_fused
-        )
         if not self._async_on:
             sources = None if force else self.active
-            emitted, outgoing, pending = emit_fn(
+            emitted, outgoing, pending = self._emit_fused(
                 delta, force, rescale, iteration, sources
             )
             return emitted, outgoing, pending, 0
         if force:
-            emitted, outgoing, pending = emit_fn(
+            emitted, outgoing, pending = self._emit_fused(
                 delta, force, rescale, iteration, None
             )
             sent = self._ship_outgoing(outgoing)
             return emitted, [], pending, sent
         boundary = self.is_boundary_row[self.active]
-        e1, out1, pend1 = emit_fn(
+        e1, out1, pend1 = self._emit_fused(
             delta, force, rescale, iteration, self.active[boundary]
         )
         sent = self._ship_outgoing(out1)
-        e2, out2, pend2 = emit_fn(
+        e2, out2, pend2 = self._emit_fused(
             delta, force, rescale, iteration, self.active[~boundary]
         )
         if out2:
@@ -844,55 +816,8 @@ class _ShardWorker:
             )
         return e1 + e2, [], pend1 + pend2, sent
 
-    def _emit_legacy(self, delta, force, rescale, iteration, sources):
-        """The sort-oracle emission: emit_frontier + owner routing."""
-        from repro.mrimpl.growing_mr import emit_frontier
-
-        out_keys, out_values3, out_srcs = emit_frontier(
-            self.indptr,
-            self.indices,
-            self.weights,
-            center=self.state.center,
-            dist=self.state.dist,
-            dacc=self.state.dist_acc,
-            frozen=self.state.frozen,
-            changed=self.changed,
-            frozen_iter=self.state.frozen_iter,
-            delta=delta,
-            force=force,
-            rescale=rescale,
-            iteration=iteration,
-            with_sources=True,
-            sources=sources,
-        )
-        emitted = len(out_keys)
-        outgoing = []
-        pending_blocks = []
-        if emitted:
-            out_values = np.column_stack(
-                (
-                    out_values3,
-                    self.own.to_global(out_srcs).astype(np.float64),
-                )
-            )
-            owners = self.own.owner_of(out_keys)
-            local = owners == self.shard_id
-            pending_blocks.append((out_keys[local], out_values[local]))
-            # Cross-shard candidates from frozen sources are dropped at
-            # the source: every neighbouring shard regenerates them from
-            # its frozen replicas (the ghost pass), for free.
-            live_remote = ~local & ~self.state.frozen[out_srcs]
-            for dest in np.unique(owners[live_remote]):
-                mask = live_remote & (owners == dest)
-                keys, values = self._combine_outgoing(
-                    out_keys[mask], out_values[mask]
-                )
-                if len(keys):
-                    outgoing.append((int(dest), keys, values))
-        return emitted, outgoing, pending_blocks
-
     def _emit_fused(self, delta, force, rescale, iteration, sources):
-        """Scratch-buffered fused emission (scatter kernels).
+        """Scratch-buffered fused emission.
 
         Runs the direction-optimized expansion of
         :class:`~repro.mr.emit.EmitScratch` over the shard's rows, then
@@ -985,7 +910,7 @@ class _ShardWorker:
         Both change only the shipped-bytes accounting (like any
         map-side combiner), never the resulting state.
         """
-        keys, values, _max_group, _key = _min_by_target(keys, values)
+        keys, values = _min_by_target(keys, values)
         idx = np.searchsorted(self.halo, keys)
         nd = values[:, 0]
         keep = nd < self.halo_best[idx]
@@ -1316,6 +1241,38 @@ def _shard_worker_main(conn, shard_path, shard_id, spec, peers, exchange):
 # --------------------------------------------------------------------- #
 
 
+def _check_fd_budget(num_shards: int, mesh: bool) -> None:
+    """Refuse a pipe pool the open-file limit cannot hold.
+
+    The driver holds every pipe end while it forks: the async mesh's
+    ``K(K-1)`` ends plus, per worker, a command pipe pair and the
+    process sentinel.  Past ``RLIMIT_NOFILE`` some ``pipe()`` or fork
+    fails with a raw ``EMFILE`` halfway through the spawn, so check the
+    need up front and raise a :class:`ConfigurationError` that names it.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX hosts
+        return
+    soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft == resource.RLIM_INFINITY:
+        return
+    try:
+        already_open = len(os.listdir("/proc/self/fd"))
+    except OSError:  # pragma: no cover - no procfs
+        already_open = 0
+    mesh_fds = num_shards * (num_shards - 1) if mesh else 0
+    need = mesh_fds + 3 * num_shards + already_open
+    if need > soft:
+        raise ConfigurationError(
+            f"sharded executor with {num_shards} shards needs {need} open "
+            f"file descriptors ({mesh_fds} for the worker pipe mesh, "
+            f"{3 * num_shards} for worker pipes, {already_open} already "
+            f"open) but the limit (RLIMIT_NOFILE) is {soft}; use fewer "
+            f"shards or raise the limit"
+        )
+
+
 class _PipePool:
     """Forked worker processes driven over per-worker command pipes.
 
@@ -1338,6 +1295,7 @@ class _PipePool:
         num = len(shard_paths)
         self.num_shards = num
         self.exchange_active = exchange == "async" and num > 1
+        _check_fd_budget(num, self.exchange_active)
         mesh = [dict() for _ in range(num)]
         mesh_ends = []
         if self.exchange_active:
@@ -1564,7 +1522,7 @@ class _InprocPool:
     copies — and the coldest open shards are fully unmapped first.  At
     most one shard *needs* to be mapped at a time, so the peak mapped
     footprint is ``max(budget, largest shard)`` no matter how big the
-    graph is.  Results are bit-identical to the process pool's serial
+    graph is.  Results are bit-identical to the pipe pool's serial
     exchange: same workers, same command order, same delivery timing.
     """
 
@@ -1659,16 +1617,12 @@ class ShardedGrowingState:
     merged + produced candidates per step.
 
     The memory-model checks and ``simulated_time`` are measured against
-    the **resident merge the workers actually perform** — under the
-    default fused pipeline that batch excludes locally-filtered
-    unadoptable candidates, so these two quantities are smaller than
-    under ``REPRO_GROWING_KERNEL=sort`` (which merges the unfiltered
-    batch) and are not comparable across kernel modes or to the
-    engine-managed backends.  This extends the existing convention
-    (this backend's critical path was already the owner-compute model,
-    reported but never cross-compared — see ``docs/mr_model.md`` §3);
-    results and the rounds/messages/updates counters remain
-    bit-identical everywhere.
+    the **resident merge the workers actually perform** — that batch
+    excludes locally-filtered unadoptable candidates, so these two
+    quantities are not comparable to the engine-managed backends (the
+    critical path here is the owner-compute model, reported but never
+    cross-compared — see ``docs/mr_model.md`` §3); results and the
+    rounds/messages/updates counters remain bit-identical everywhere.
     """
 
     def __init__(self, graph, engine, executor: "ShardedExecutor"):
@@ -2008,10 +1962,10 @@ class ShardedExecutor:
     #: (see :func:`repro.mrimpl.growing_mr.make_growing_state`).
     owns_growing_state = True
 
-    #: Non-growing batch rounds (e.g. the quotient construction) reduce
-    #: in the driver process, so scatter-capable reducers may take the
-    #: engine's ungrouped fast path.
-    in_process_batch = True
+    #: Non-growing batch rounds (e.g. the quotient construction) run
+    #: vectorized in the driver process (see
+    #: :attr:`repro.mr.engine.MREngine.supports_batch`).
+    batch_rounds = True
 
     def __init__(
         self,
@@ -2086,9 +2040,6 @@ class ShardedExecutor:
         from repro.mr.executor import SerialExecutor
 
         return SerialExecutor().run(groups, reducer, num_workers)
-
-    def run_batch(self, keys, offsets, values, reducer, num_workers):
-        return reducer(keys, offsets, values)
 
     # -- growing-state factory ----------------------------------------- #
 
@@ -2176,7 +2127,9 @@ class ShardedExecutor:
         if self._finalizer is not None:
             self._finalizer()  # runs _cleanup once, then detaches
             self._finalizer = None
-        elif self._pool is not None:
+        elif self._pool is not None or self._tmpdir is not None:
+            # No finalizer yet: the pool failed to start (e.g. the fd
+            # budget check) after the private temp store was written.
             self._cleanup(self._pool, self._tmpdir)
         self._pool = None
         self._tmpdir = None

@@ -12,9 +12,9 @@ engine's executor, see :func:`~repro.mrimpl.growing_mr.make_growing_state`):
 * the **per-key pair layout** — the graph distributed as key-value
   pairs, deliberately simple and slow; its purpose is cross-validation
   and demonstrating that every step fits the memory budgets;
-* the **batch array layout** — int64-keyed candidate arrays through the
-  engine's vectorized shuffle (``round_batch``), which makes the MR
-  path fast enough for ≥100k-node instances while remaining
+* the **batch array layout** — int64-keyed candidate arrays merged by
+  the scatter-min kernel under the engine's batch cost model, which
+  makes the MR path fast enough for ≥100k-node instances while remaining
   bit-identical to the pair layout (and to :mod:`repro.core`) seed for
   seed.
 """

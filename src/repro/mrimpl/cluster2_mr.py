@@ -12,7 +12,7 @@ not exercise.
 
 Like :func:`~repro.mrimpl.cluster_mr.mr_cluster`, the driver runs on
 either state backend: per-key pair rounds on the serial executors, batch
-array rounds on ``vector``/``parallel`` — same results either way.
+array rounds on ``vector``/``sharded`` — same results either way.
 
 Fault tolerance mirrors the CLUSTER driver: the public entry wraps both
 phases in one :func:`~repro.runtime.checkpoint.recovery_loop` (phase 1

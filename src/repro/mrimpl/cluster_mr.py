@@ -8,7 +8,7 @@ enforced.  From the same seed the two implementations must return the
 strongest evidence that the vectorized kernels implement the pseudocode.
 
 The driver is backend-agnostic: engines whose executor supports batch
-rounds (``vector``/``parallel``) run the array-valued hot path of
+rounds (``vector``) run the array-valued hot path of
 :class:`~repro.mrimpl.growing_mr.ArrayGrowingState`, the per-key
 executors keep the literal pair simulation — with bit-identical results,
 which the backend-equivalence tests assert.

@@ -32,10 +32,8 @@ engine's executor supports batch rounds): node state lives in driver-side
 NumPy arrays, adjacency stays in the input CSR, and only the relaxation
 candidates cross the engine — an ``int64`` target-key array plus a
 ``(nd, center, dacc)`` float64 row per candidate.  The merge half of the
-step is one :meth:`~repro.mr.engine.MREngine.round_batch` with the
-min-by-(distance, center) reducer — by default the O(candidates)
-scatter-min kernel of :mod:`repro.mr.kernels`
-(``REPRO_GROWING_KERNEL=sort`` restores the lexsort oracle); the
+step is one engine round resolved by the min-by-(distance, center)
+O(candidates) scatter-min kernel of :mod:`repro.mr.kernels`; the
 emission half expands the adopted frontier, carried between rounds as
 an explicit index array, through the CSR arrays.  Step timing,
 tie-breaking, and the forced-broadcast semantics are identical to the
@@ -52,19 +50,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.mr.batch import group_min_first
 from repro.mr.emit import EmitBatch, EmitScratch
 from repro.mr.engine import MREngine, Pair
 from repro.mr.executor import make_executor
-from repro.mr.kernels import (
-    merge_candidates,
-    merge_candidates_by_source,
-    merge_kernel_name,
-    scatter_min_rows,
-)
+from repro.mr.kernels import ScatterScratch, scatter_min_rows
 from repro.mr import native as _native
 from repro.mr.model import MRSpec
-from repro.util import expand_ranges, first_occurrence
 
 __all__ = [
     "graph_to_pairs",
@@ -77,41 +68,19 @@ __all__ = [
     "default_engine",
     "owned_engine",
     "apply_merged_candidates",
-    "emit_frontier",
-    "merge_reducer",
 ]
 
 NO_CENTER = -1
 
-#: Legacy (sort-based) reducer of the candidate merge: smallest ``nd``,
-#: then smallest center, earliest arrival on full ties.  Kept as the
-#: reference oracle; the default merge is the scatter kernel below.
-MERGE_CANDIDATES_SORT = partial(group_min_first, sort_cols=2)
-
-#: Default batch reducer of the candidate merge — the scatter-min kernel
-#: with the identical tie-break (``repro.mr.kernels.merge_candidates``).
-MERGE_CANDIDATES = merge_candidates
-
-
-def merge_reducer():
-    """The active candidate-merge reducer (scatter, or the sort oracle).
-
-    Honors ``REPRO_GROWING_KERNEL`` so benchmarks and the CI parity job
-    can A/B the two implementations on any backend.
-    """
-    if merge_kernel_name() == "sort":
-        return MERGE_CANDIDATES_SORT
-    return MERGE_CANDIDATES
-
-
 # --------------------------------------------------------------------- #
-# Shared growing-step kernels
+# Shared growing-step kernel
 #
-# One Δ-growing step is merge-then-emit.  Both halves are factored out
-# as pure array functions so every array-backed execution path — the
-# whole-graph ArrayGrowingState below and the per-shard workers of
-# repro.mr.sharded — runs the *identical* code on its node range, which
-# is what makes the sharded backend bit-identical by construction.
+# One Δ-growing step is merge-then-emit.  The apply half of the merge is
+# factored out as a pure array function so every array-backed execution
+# path — the whole-graph ArrayGrowingState below and the per-shard
+# workers of repro.mr.sharded — runs the *identical* code on its node
+# range, which is what makes the sharded backend bit-identical by
+# construction.
 # --------------------------------------------------------------------- #
 
 
@@ -130,7 +99,7 @@ def apply_merged_candidates(
 
     ``keys`` are the distinct target node ids (ascending) and ``values``
     the winning ``(nd, center, dacc)`` row per target, as produced by
-    :data:`MERGE_CANDIDATES`.  State arrays are indexed locally; ``base``
+    the scatter-min merge.  State arrays are indexed locally; ``base``
     is the global id of local node 0 (0 for whole-graph state).  Marks
     adopted targets in ``changed`` and returns ``(newly_assigned,
     adopted)`` — how many adopted targets were previously unassigned,
@@ -151,90 +120,6 @@ def apply_merged_candidates(
     dacc[tgt] = dc[adopt]
     changed[tgt] = True
     return newly, tgt
-
-
-def emit_frontier(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    *,
-    center: np.ndarray,
-    dist: np.ndarray,
-    dacc: np.ndarray,
-    frozen: np.ndarray,
-    changed: np.ndarray,
-    frozen_iter: np.ndarray,
-    delta: float,
-    force: bool,
-    rescale: float = 0.0,
-    iteration: int = 0,
-    with_sources: bool = False,
-    sources: Optional[np.ndarray] = None,
-):
-    """Expand the new-contribution frontier through CSR rows.
-
-    Local rows, but ``indices`` may carry *global* target ids (shard
-    CSRs do); the returned candidate keys are whatever id space
-    ``indices`` uses.  Candidates appear in ascending local source
-    order, each source's arcs in CSR order — the arrival order the
-    merge tie-break depends on.  Because builders deduplicate edges, a
-    source contributes at most one candidate per target, so within any
-    one target's group "arrival order" and "ascending source id" are
-    the same order — the fact the sharded backend's order-free merge
-    relies on.  ``with_sources=True`` additionally returns each
-    candidate's (local) source id.
-
-    ``sources``, when given, is the caller-maintained active frontier
-    (ascending local ids whose state changed last merge, i.e. the nodes
-    the ``changed`` mask would select): the whole call then costs
-    O(frontier + emitted arcs) with no O(n) mask scan.  ``None`` scans
-    every node — required on forced rounds, where unchanged (and
-    frozen) contributors re-emit.  Effective distances are computed on
-    the emitting subset only; no O(n) temporary is allocated on either
-    path.
-
-    Returns ``(keys, values)`` — or ``(keys, values, sources)``.
-    """
-    if sources is None:
-        src = np.flatnonzero((center != NO_CENTER) & (changed | force))
-    else:
-        # Active-frontier nodes are adopted, hence assigned and (at
-        # adoption time) unfrozen; a later Contract may have frozen
-        # some and cleared their changed flag — drop those, exactly as
-        # the mask scan would.
-        src = sources[~frozen[sources]] if len(sources) else sources
-    if len(src):
-        eff = dist[src]  # fancy indexing: already a fresh O(|src|) buffer
-        fr = frozen[src]
-        if rescale:
-            eff[fr] = eff[fr] - rescale * (iteration - frozen_iter[src][fr])
-        else:
-            eff[fr] = 0.0
-        keep = eff < delta
-        src = src[keep]
-        eff = eff[keep]
-    if not len(src):
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.empty((0, 3), dtype=np.float64),
-        )
-        return empty + (np.empty(0, dtype=np.int64),) if with_sources else empty
-    starts = indptr[src]
-    counts = indptr[src + 1] - starts
-    arc_idx = expand_ranges(starts, counts)
-    tgts = indices[arc_idx]
-    w = weights[arc_idx]
-    src_rep = np.repeat(src, counts)
-    nd_out = np.repeat(eff, counts) + w
-    ok = (w <= delta) & (nd_out <= delta)
-    keep_src = src_rep[ok]
-    cand_values = np.empty((len(keep_src), 3), dtype=np.float64)
-    cand_values[:, 0] = nd_out[ok]
-    cand_values[:, 1] = center[keep_src]
-    cand_values[:, 2] = dacc[keep_src] + w[ok]
-    if with_sources:
-        return tgts[ok], cand_values, keep_src
-    return tgts[ok], cand_values
 
 
 def graph_to_pairs(graph: CSRGraph) -> List[Pair]:
@@ -530,19 +415,15 @@ class ArrayGrowingState:
     step for step — the backend-equivalence tests assert bit-identical
     clusterings.
 
-    Under the default scatter kernels the merge-then-emit round runs the
-    **fused pipeline** of :mod:`repro.mr.emit`: candidates are written
-    into a per-state :class:`~repro.mr.emit.EmitScratch`, unadoptable
-    rows are dropped before their value columns are materialized (the
-    counters and memory-model checks still see the full multiset), and
-    in-process executors hand the surviving rows straight to
-    :func:`~repro.mr.kernels.scatter_min_rows` — no intermediate copy,
-    key materialization, or counting-sort pass, and zero O(n)/O(m)
-    allocations on non-forced rounds.  Pool executors receive the
-    filtered rows grouped (stable argsort over what survives, not the
-    whole emission).  ``REPRO_EMIT_MODE`` selects push/pull/auto
-    expansion; ``REPRO_GROWING_KERNEL=sort`` restores the legacy
-    emit_frontier + ``round_batch`` pipeline verbatim as the oracle.
+    The merge-then-emit round runs the **fused pipeline** of
+    :mod:`repro.mr.emit`: candidates are written into a per-state
+    :class:`~repro.mr.emit.EmitScratch`, unadoptable rows are dropped
+    before their value columns are materialized (the counters and
+    memory-model checks still see the full multiset), and the surviving
+    rows go straight to :func:`~repro.mr.kernels.scatter_min_rows` — no
+    intermediate copy, key materialization, or sort, and zero O(n)/O(m)
+    allocations on non-forced rounds.  ``REPRO_EMIT_MODE`` selects
+    push/pull/auto expansion.
     """
 
     def __init__(self, graph: CSRGraph):
@@ -555,9 +436,8 @@ class ArrayGrowingState:
         self.dacc = np.full(n, np.inf)
         self.changed = np.zeros(n, dtype=bool)
         self.frozen_iter = np.zeros(n, dtype=np.int64)
-        #: In-flight emission: an :class:`EmitBatch` (fused pipeline) or
-        #: a ``("legacy", keys, values)`` tuple (sort-oracle pipeline).
-        self._pending = None
+        #: In-flight emission: the last step's :class:`EmitBatch`.
+        self._pending: Optional[EmitBatch] = None
         #: Last merge's adopted node ids (ascending) — the live frontier.
         self._active = np.empty(0, dtype=np.int64)
         self._emit_scratch = EmitScratch(
@@ -566,6 +446,8 @@ class ArrayGrowingState:
             graph.weights,
             arc_sources=graph.rsrc,
         )
+        #: Dense buffers of the merge, reused across rounds and phases.
+        self._merge_scratch = ScatterScratch()
 
     def reset(self) -> None:
         """Return to the pristine post-``__init__`` state, keeping scratch.
@@ -619,24 +501,10 @@ class ArrayGrowingState:
         rescale: float = 0.0,
         iteration: int = 0,
     ) -> Tuple[int, int]:
-        if merge_kernel_name() == "sort":
-            return self._step_legacy(engine, delta, force, rescale, iteration)
-
-        in_process = not hasattr(engine.executor, "run_batch") or getattr(
-            engine.executor, "in_process_batch", False
-        )
         # Merge: reduce last step's surviving candidates to the winning
         # (nd, center, dacc) per target, with the accounting of the full
-        # emission (the batch carries it).  A pending batch is merged by
-        # its *own* layout, so flipping the kernel switch between steps
-        # cannot mispair an emission with the wrong merge.
-        if isinstance(self._pending, tuple):
-            _, cand_keys, cand_values = self._pending
-            keys, values = engine.round_batch(
-                cand_keys, cand_values, merge_reducer(), key_bound=self.num_nodes
-            )
-        else:
-            keys, values = self._merge_fused(engine, self._pending, in_process)
+        # emission (the batch carries it).
+        keys, values = self._merge_fused(engine, self._pending)
         self._pending = None
         apply_start = perf_counter()
         self.changed[self._active] = False  # O(frontier), not O(n)
@@ -654,10 +522,9 @@ class ArrayGrowingState:
         engine.counters.add_time("apply", emit_start - apply_start)
 
         # Emit: fused expansion into the scratch banks.  Non-forced
-        # rounds pass the adopted frontier straight through.  Every
-        # fused consumer merges order-free — the in-process scatter and
-        # the pool reducer both break ties by (nd, center, source) — so
-        # the frozen-emission cache is available everywhere.
+        # rounds pass the adopted frontier straight through.  The merge
+        # is order-free — the scatter breaks ties by (nd, center,
+        # source) — so the frozen-emission cache is always available.
         self._pending = self._emit_scratch.emit(
             center=self.center,
             dist=self.dist,
@@ -677,12 +544,11 @@ class ArrayGrowingState:
         return updated, newly
 
     def _merge_fused(
-        self, engine: MREngine, batch: Optional[EmitBatch], in_process: bool
+        self, engine: MREngine, batch: Optional[EmitBatch]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One merge round over a fused batch, with ``round_batch``'s
         exact accounting — the shared engine cost-model helpers, fed
         the *unfiltered* multiset the batch recorded at emit time."""
-        spec = engine.spec
         emitted = batch.emitted if batch is not None else 0
         words_per_pair = 4  # 1 key word + 3 payload words
         engine.check_total_memory(emitted, words_per_pair)
@@ -692,55 +558,26 @@ class ArrayGrowingState:
                 batch.group_keys, batch.group_counts, words_per_pair
             )
 
+        reduce_start = perf_counter()
         if batch is None or batch.count == 0:
-            reduce_start = perf_counter()
             out_keys = np.empty(0, dtype=np.int64)
             out_values = np.empty((0, 3), dtype=np.float64)
-        elif in_process:
+        else:
             # No shuffle at all: the ungrouped scatter consumes the
             # scratch banks directly; the (nd, center, source)
             # tie-break equals the engine's stable-first rule for
             # deduplicated edges.
-            reduce_start = perf_counter()
             out_keys, rows = scatter_min_rows(
                 batch.keys,
                 (batch.nd, batch.ctr, batch.srcf),
                 domain=self.num_nodes,
-                scratch=engine._scatter_scratch,
+                scratch=self._merge_scratch,
             )
             out_values = np.empty((len(out_keys), 3), dtype=np.float64)
             out_values[:, 0] = batch.nd[rows]
             out_values[:, 1] = batch.ctr[rows]
             out_values[:, 2] = self.dacc[batch.src[rows]]
             out_values[:, 2] += batch.w[rows]
-        else:
-            # Pool executors need physically grouped rows — built over
-            # the filtered survivors only, inside the shuffle window
-            # (mirroring round_batch's attribution of the argsort
-            # grouping).  The source id ships as an explicit tie-break
-            # column so the merge is order-free (cache-replayed batches
-            # have no arrival-order guarantee).
-            values4 = np.empty((batch.count, 4), dtype=np.float64)
-            values4[:, 0] = batch.nd
-            values4[:, 1] = batch.ctr
-            values4[:, 2] = batch.srcf
-            values4[:, 3] = self.dacc[batch.src]
-            values4[:, 3] += batch.w
-            order = np.argsort(batch.keys, kind="stable")
-            sorted_keys = batch.keys[order]
-            starts = first_occurrence(sorted_keys)
-            offsets = np.concatenate(
-                (starts, [len(sorted_keys)])
-            ).astype(np.int64)
-            sorted_values = values4[order]
-            reduce_start = perf_counter()
-            out_keys, out_values, _counts = engine.executor.run_batch(
-                sorted_keys[starts],
-                offsets,
-                sorted_values,
-                merge_candidates_by_source,
-                spec.num_workers,
-            )
         engine.counters.add_time("shuffle", reduce_start - shuffle_start)
         engine.counters.add_time("reduce", perf_counter() - reduce_start)
 
@@ -752,72 +589,8 @@ class ArrayGrowingState:
         )
         return out_keys, out_values
 
-    def _step_legacy(
-        self, engine, delta, force, rescale, iteration
-    ) -> Tuple[int, int]:
-        """The sort-oracle pipeline: emit_frontier + ``round_batch``."""
-        if isinstance(self._pending, EmitBatch):
-            in_process = not hasattr(engine.executor, "run_batch") or getattr(
-                engine.executor, "in_process_batch", False
-            )
-            keys, values = self._merge_fused(engine, self._pending, in_process)
-            self._pending = None
-        else:
-            if isinstance(self._pending, tuple):
-                _, cand_keys, cand_values = self._pending
-            else:
-                cand_keys = np.empty(0, dtype=np.int64)
-                cand_values = np.empty((0, 3), dtype=np.float64)
-            keys, values = engine.round_batch(
-                cand_keys,
-                cand_values,
-                merge_reducer(),
-                key_bound=self.num_nodes,
-            )
-        apply_start = perf_counter()
-        self.changed[self._active] = False  # O(frontier), not O(n)
-        newly, self._active = apply_merged_candidates(
-            keys,
-            values,
-            center=self.center,
-            dist=self.dist,
-            dacc=self.dacc,
-            frozen=self.frozen,
-            changed=self.changed,
-        )
-        updated = len(self._active)
-        emit_start = perf_counter()
-        engine.counters.add_time("apply", emit_start - apply_start)
-
-        out_keys, out_values = emit_frontier(
-            self.graph.indptr,
-            self.graph.indices,
-            self.graph.weights,
-            center=self.center,
-            dist=self.dist,
-            dacc=self.dacc,
-            frozen=self.frozen,
-            changed=self.changed,
-            frozen_iter=self.frozen_iter,
-            delta=delta,
-            force=force,
-            rescale=rescale,
-            iteration=iteration,
-            sources=None if force else self._active,
-        )
-        self._pending = ("legacy", out_keys, out_values)
-        engine.counters.add_time("emit", perf_counter() - emit_start)
-
-        engine.counters.updates += updated
-        engine.counters.growing_steps += 1
-        return updated, newly
-
     def in_flight(self) -> bool:
-        if self._pending is None:
-            return False
-        if isinstance(self._pending, tuple):
-            return len(self._pending[1]) > 0
-        return self._pending.emitted > 0
+        return self._pending is not None and self._pending.emitted > 0
 
     def discard_candidates(self) -> None:
         self._pending = None
@@ -910,8 +683,8 @@ def owned_engine(graph: CSRGraph, config, engine=None, *, num_workers=None):
 
     The drivers accept an optional caller-supplied engine; when none is
     given they build one from ``config.executor`` and must close its
-    executor on the way out (the ``parallel`` backend owns a process
-    pool).  This context manager is that ownership rule, written once.
+    executor on the way out (the ``sharded`` backend owns worker
+    processes).  This context manager is that ownership rule, written once.
     """
     if engine is not None:
         yield engine
@@ -934,7 +707,6 @@ def default_engine(
     *,
     executor="serial",
     num_workers=None,
-    processes=None,
     shards=None,
 ) -> MREngine:
     """Engine whose spec accommodates ``graph``'s densest reducer group.
@@ -943,27 +715,16 @@ def default_engine(
     size ≤ 8·(deg) + 64 words is a safe envelope for both layouts.
     ``executor`` is either an executor instance or a
     :func:`~repro.mr.executor.make_executor` name.  ``num_workers``
-    defaults to 1 (the single-machine simulation) except for the pool
-    backends (``parallel``/``mmap``), which default to the CPU count — a
-    process pool partitioned for one worker would run with zero
-    parallelism — and ``sharded``, where the simulated machine count
-    *is* the shard count (``shards``, default ``num_workers`` or the
-    CPU count).  ``num_workers`` never affects results, only the
-    critical-path model and the pool/shard size.
+    defaults to 1 (the single-machine simulation) except for
+    ``sharded``, where the simulated machine count *is* the shard count
+    (``shards``, default ``num_workers`` or the CPU count).
+    ``num_workers`` never affects results, only the critical-path model
+    and the shard count.
     """
     if isinstance(executor, str):
         if executor == "sharded" and shards is None:
             shards = num_workers
-        if num_workers is None and executor != "sharded":
-            from repro.mr.executor import POOL_EXECUTOR_NAMES
-
-            if executor in POOL_EXECUTOR_NAMES:
-                import os
-
-                num_workers = os.cpu_count() or 1
-            else:
-                num_workers = 1
-        executor = make_executor(executor, processes=processes, shards=shards)
+        executor = make_executor(executor, shards=shards)
     num_shards = getattr(executor, "num_shards", None)
     if num_shards is not None:
         # Owner-compute backend: the simulated machine count is the

@@ -5,7 +5,7 @@ Two subsystems (see ``docs/architecture.md`` for the full picture):
 * :mod:`repro.runtime.store` — :class:`GraphStore`, which converts any
   supported graph file once into the binary GraphStore container and
   memory-maps it read-only everywhere after, so repeated invocations and
-  process-pool workers share the same page-cache bytes;
+  shard workers share the same page-cache bytes;
 * :mod:`repro.runtime.registry` / :mod:`repro.runtime.runner` — the
   :data:`REGISTRY` of named algorithms and the :func:`run` dispatcher
   that replaces per-caller orchestration (graph loading, config

@@ -62,7 +62,7 @@ class RunContext:
     options: Mapping[str, Any] = field(default_factory=dict)
     counters: Counters = field(default_factory=Counters)
     #: Caller-owned MR engine to reuse (``repro serve`` keeps one warm
-    #: per resident graph so scratch buffers and pooled executors
+    #: per resident graph so scratch buffers and shard workers
     #: survive across queries).  ``None`` builds a per-run engine whose
     #: executor is closed when the run ends.
     engine: Optional[Any] = None
@@ -205,7 +205,7 @@ def run(
         config is built and ``seed``/``tau`` applied on top.
     executor, workers:
         MR-engine backend selection for specs that support it
-        (``serial``/``vector``/``parallel``/``mmap``/``sharded``);
+        (``serial``/``vector``/``sharded``);
         ``None`` runs the vectorized core path.  Specs without executor
         support reject a non-``None`` value.
     shards:
@@ -222,7 +222,7 @@ def run(
         to reuse instead of building (and closing) one per run.  The
         engine must have been built for *this* graph and executor kind;
         its per-run counters are reset before the spec executes, but its
-        scratch buffers, growing state, and pooled executor stay warm —
+        scratch buffers, growing state, and shard workers stay warm —
         this is how ``repro serve`` amortizes engine start-up across
         queries.  Requires a non-``None`` ``executor``.
     checkpoint_every, resume, checkpoint_dir:
@@ -286,15 +286,8 @@ def run(
         )
     elif executor is not None and workers is None:
         # Resolve the engine default here so RunResult.workers reports
-        # the count the run actually used (pool backends: CPU count).
-        from repro.mr.executor import POOL_EXECUTOR_NAMES
-
-        if executor in POOL_EXECUTOR_NAMES:
-            import os
-
-            workers = os.cpu_count() or 1
-        else:
-            workers = 1
+        # the count the run actually used.
+        workers = 1
     unknown = set(options) - set(spec.option_names) - _COMMON_OPTIONS
     if unknown:
         raise ConfigurationError(
@@ -402,7 +395,7 @@ def run(
 
     start = time.perf_counter()
     # The config's kernel tier / thread count apply for the whole run
-    # (environment-scoped so pool workers fork with the same setting);
+    # (environment-scoped so shard workers run with the same setting);
     # the resolved values are stamped on the counters for reporting —
     # never into the snapshot, which stays tier-invariant.
     with native.impl_overrides(ctx.config.kernel_impl, ctx.config.emit_threads):

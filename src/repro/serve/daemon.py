@@ -2,9 +2,8 @@
 
 One asyncio process holds everything a one-shot CLI run rebuilds from
 scratch — mmap'd :class:`CSRGraph` stores with their reverse-CSR
-sections, warm MR engines (scratch banks, pooled executors, resident
-shard workers), and a result cache — behind a concurrent query
-scheduler:
+sections, warm MR engines (scratch banks, resident shard workers), and
+a result cache — behind a concurrent query scheduler:
 
 * connections arrive on a unix socket (``--socket``) and/or a TCP port
   (``--port``); the first request line is sniffed, so **both** surfaces
@@ -23,7 +22,7 @@ scheduler:
 
 Fault containment: malformed or oversized requests get error responses
 without killing the connection; a client disconnecting mid-response
-only ends that connection; a broken engine (e.g. a pool worker killed
+only ends that connection; a broken engine (e.g. a shard worker killed
 mid-query) is closed and dropped so the next query rebuilds it; a store
 file mutated under a resident graph is detected by its (mtime, size)
 signature — the stale residency is retired and its cached results are
@@ -592,7 +591,7 @@ class ReproServer:
             except ReproError as exc:
                 raise ServeError.bad_request(f"{type(exc).__name__}: {exc}")
             except Exception as exc:
-                # A broken engine (killed pool worker, poisoned shard
+                # A broken engine (killed shard worker, poisoned shard
                 # state) must not poison later queries: close and drop
                 # it so the next run rebuilds from scratch.
                 entry.drop_engine(

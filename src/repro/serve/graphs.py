@@ -13,7 +13,7 @@ once per resident graph.  :class:`GraphPool` keeps a bounded LRU of
   time so pull-mode growing steps never rebuild the arc→row map;
 * a small LRU of warm :class:`~repro.mr.engine.MREngine` instances per
   (executor, workers, shards) — their scratch banks, cached growing
-  state, and pooled/shard executors survive across queries.
+  state, and shard workers survive across queries.
 
 Staleness uses the store's (mtime, size) signature: a query that finds
 its graph's current signature differing from the resident one swaps the
@@ -106,7 +106,7 @@ class ResidentGraph:
         shards: Optional[int],
     ) -> None:
         """Discard (and close) one backend's engine — e.g. after its
-        process pool broke mid-query.  The next query rebuilds it."""
+        worker processes broke mid-query.  The next query rebuilds it."""
         if executor is None:
             return
         engine = self._engines.pop((executor, workers, shards), None)

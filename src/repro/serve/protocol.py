@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.core.config import ClusterConfig
 from repro.errors import ConfigurationError
+from repro.mr.executor import EXECUTOR_NAMES
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -183,10 +184,10 @@ def parse_query(obj: Mapping[str, Any]) -> QueryRequest:
     """Validate a raw ``query`` request object into a :class:`QueryRequest`.
 
     Raises :class:`ServeError` (``bad-request``) on anything malformed:
-    missing/empty fields, unknown config keys, non-JSON-native types.
-    Algorithm existence and executor validity are checked later against
-    the registry by the execution path (so the error carries the
-    registry's message).
+    missing/empty fields, unknown config keys, non-JSON-native types, an
+    executor outside :data:`~repro.mr.executor.EXECUTOR_NAMES`.
+    Algorithm existence is checked later against the registry by the
+    execution path (so the error carries the registry's message).
     """
     if not isinstance(obj, Mapping):
         raise ServeError.bad_request("request must be a JSON object")
@@ -209,6 +210,11 @@ def parse_query(obj: Mapping[str, Any]) -> QueryRequest:
     executor = obj.get("executor", raw_config.get("executor"))
     if executor is not None and not isinstance(executor, str):
         raise ServeError.bad_request("'executor' must be a string or null")
+    if executor is not None and executor not in EXECUTOR_NAMES:
+        raise ServeError.bad_request(
+            f"unknown executor {executor!r}; expected one of "
+            + ", ".join(EXECUTOR_NAMES)
+        )
 
     def _int_or_none(name, value):
         if value is None:

@@ -3,7 +3,7 @@
 The scheduler sits between the asyncio protocol handlers and the
 blocking runtime: each admitted query becomes a job on a bounded
 ``ThreadPoolExecutor`` (NumPy kernels release the GIL for the bulk of
-their work, and pool/sharded executors fan out to processes anyway),
+their work, and the sharded executor fans out to processes anyway),
 ordered by three rules:
 
 * **per-graph FIFO** — every graph path has its own queue drained

@@ -100,10 +100,10 @@ class TestBenchRecords:
         assert record["rounds"] == 1
 
     def test_format_is_valid_json(self):
-        text = format_bench_json([self._record(), self._record(backend="mmap")])
+        text = format_bench_json([self._record(), self._record(backend="sharded")])
         rows = json.loads(text)
         assert len(rows) == 2
-        assert rows[1]["backend"] == "mmap"
+        assert rows[1]["backend"] == "sharded"
 
     def test_missing_schema_key_rejected(self):
         record = self._record()

@@ -38,6 +38,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ClusterConfig(quotient_mode="apsp")
 
+    @pytest.mark.parametrize("executor", ["serial", "vector", "sharded"])
+    def test_valid_executor(self, executor):
+        assert ClusterConfig(executor=executor).executor == executor
+
+    @pytest.mark.parametrize("executor", ["parallel", "mmap", "gpu"])
+    def test_invalid_executor(self, executor):
+        with pytest.raises(ConfigurationError):
+            ClusterConfig(executor=executor)
+
 
 class TestResolveTau:
     def test_explicit_tau_wins(self):

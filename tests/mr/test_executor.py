@@ -1,9 +1,7 @@
 """Tests for the execution backends."""
 
-import pytest
-
 from repro.mr.engine import MREngine
-from repro.mr.executor import MultiprocessingExecutor, SerialExecutor
+from repro.mr.executor import SerialExecutor, VectorExecutor
 from repro.mr.model import MRSpec
 
 
@@ -27,23 +25,27 @@ class TestSerialExecutor:
         assert loads == [0, 0, 0]
 
 
-class TestMultiprocessingExecutor:
+class TestVectorExecutor:
+    """Per-key rounds on the batch backend run the serial simulation."""
+
     def test_matches_serial(self):
         groups = {i: [i, i + 1] for i in range(8)}
-        serial_out, _ = SerialExecutor().run(groups, double_reducer, 4)
-        with MultiprocessingExecutor(processes=2) as ex:
-            mp_out, loads = ex.run(groups, double_reducer, 4)
-        assert sorted(mp_out) == sorted(serial_out)
-        assert len(loads) == 4
+        serial_out, serial_loads = SerialExecutor().run(
+            groups, double_reducer, 4
+        )
+        out, loads = VectorExecutor().run(groups, double_reducer, 4)
+        assert sorted(out) == sorted(serial_out)
+        assert loads == serial_loads
 
     def test_engine_integration(self):
-        with MultiprocessingExecutor(processes=2) as ex:
-            engine = MREngine(MRSpec(10_000, 1000, num_workers=2), executor=ex)
-            out = engine.round([("a", 1), ("b", 2)], double_reducer)
+        engine = MREngine(
+            MRSpec(10_000, 1000, num_workers=2), executor=VectorExecutor()
+        )
+        out = engine.round([("a", 1), ("b", 2)], double_reducer)
         assert sorted(out) == [("a", 2), ("b", 4)]
+        assert engine.supports_batch
 
-    def test_close_idempotent(self):
-        ex = MultiprocessingExecutor(processes=1)
-        ex.run({"a": [1]}, double_reducer, 1)
-        ex.close()
-        ex.close()  # second close is a no-op
+    def test_empty_groups(self):
+        out, loads = VectorExecutor().run({}, double_reducer, 3)
+        assert out == []
+        assert loads == [0, 0, 0]

@@ -3,10 +3,10 @@
 The engine's contract is that executors only change *where* reducers run,
 never *what* they compute: output pair multisets, ``Counters``, the
 simulated critical path, and memory-limit enforcement must be identical
-across ``SerialExecutor``, ``MultiprocessingExecutor``,
-``VectorExecutor``, and ``SharedMemoryExecutor`` — for legacy per-key
-rounds and batch rounds alike (executors without native batch support
-run batch reducers through the engine's in-process fallback).
+across ``SerialExecutor``, ``VectorExecutor``, and ``ShardedExecutor``
+— for per-key rounds and batch rounds alike (every batch reducer runs
+in the engine's process; the sharded backend only takes over growing
+steps).
 """
 
 from functools import partial
@@ -19,20 +19,18 @@ from repro.mr.batch import group_count, group_min_first, group_sum
 from repro.mr.engine import MREngine
 from repro.mr.executor import (
     EXECUTOR_NAMES,
-    MultiprocessingExecutor,
     SerialExecutor,
-    SharedMemoryExecutor,
     VectorExecutor,
     make_executor,
 )
 from repro.mr.model import MRSpec
 from repro.mr.partitioner import hash_partition, hash_partition_array
+from repro.mr.sharded import ShardedExecutor
 
 EXECUTORS = {
     "serial": SerialExecutor,
-    "multiprocessing": lambda: MultiprocessingExecutor(processes=2),
     "vector": VectorExecutor,
-    "parallel": lambda: SharedMemoryExecutor(processes=2),
+    "sharded": lambda: ShardedExecutor(num_shards=2),
 }
 
 
@@ -42,7 +40,7 @@ def _close(executor):
 
 
 def doubler(key, values):
-    """Module-level per-key reducer (picklable for the process pools)."""
+    """Module-level per-key reducer."""
     return [(key, 2 * v) for v in values]
 
 
@@ -64,7 +62,7 @@ def batch_payload():
 
 
 class TestLegacyRoundParity:
-    """Per-key rounds across all four backends."""
+    """Per-key rounds across all three backends."""
 
     @pytest.fixture(params=list(EXECUTORS))
     def backend(self, request):
@@ -98,7 +96,7 @@ class TestLegacyRoundParity:
 
 
 class TestBatchRoundParity:
-    """Batch rounds across all four backends (fallback or native)."""
+    """Batch rounds across all three backends."""
 
     @pytest.fixture(params=list(EXECUTORS))
     def backend(self, request):
@@ -171,10 +169,17 @@ class TestPartitionerConsistency:
 
 class TestFactory:
     def test_names(self):
+        assert EXECUTOR_NAMES == ("serial", "vector", "sharded")
         for name in EXECUTOR_NAMES:
             executor = make_executor(name)
-            assert (name == "serial") == (not hasattr(executor, "run_batch"))
+            batch = getattr(executor, "batch_rounds", False)
+            assert (name == "serial") == (not batch)
             _close(executor)
+
+    @pytest.mark.parametrize("name", ["parallel", "mmap"])
+    def test_removed_pool_names_rejected(self, name):
+        with pytest.raises(ValueError):
+            make_executor(name)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -183,3 +188,4 @@ class TestFactory:
     def test_supports_batch_property(self):
         assert not make_engine(SerialExecutor()).supports_batch
         assert make_engine(VectorExecutor()).supports_batch
+        assert make_engine(ShardedExecutor(num_shards=2)).supports_batch

@@ -1,66 +1,81 @@
-"""Scatter-min kernels vs the sort-based oracle.
+"""The scatter-min kernel vs the sort-based oracle.
 
-The kernels in :mod:`repro.mr.kernels` must reproduce the tie-break of
-:func:`repro.mr.batch.group_min_first` — smallest leading columns, then
-earliest arrival — *bit for bit*, on every candidate-set shape the
+:func:`repro.mr.kernels.scatter_min_rows` must reproduce the tie-break
+of :func:`repro.mr.batch.group_min_first` — smallest leading columns,
+then earliest arrival — *bit for bit*, on every candidate-set shape the
 growing step can produce: equal distances, equal ``(distance, center)``
-pairs, duplicate targets, empty batches.  The counting-sort shuffle must
-likewise reproduce the stable-argsort grouping exactly, and the engine
-must produce identical round output and accounting whichever path it
-takes.
+pairs, duplicate targets, empty batches.
 """
-
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mr.batch import group_min_first
-from repro.mr.engine import MREngine, _group_batch, _key_bound
-from repro.mr.executor import SerialExecutor, VectorExecutor
-from repro.mr.kernels import (
-    ScatterScratch,
-    counting_group_keys,
-    merge_candidates,
-    scatter_group_min_first,
-    scatter_min_rows,
-)
-from repro.mr.model import MRSpec
-
-
-def grouped(keys, values):
-    """Stable-shuffle a raw batch into the grouped reducer layout."""
-    keys = np.asarray(keys, dtype=np.int64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        values = values.reshape(-1, 1)
-    return _group_batch(keys, values)
-
-
-def assert_same_batch(a, b):
-    ak, av, ac = a
-    bk, bv, bc = b
-    np.testing.assert_array_equal(ak, bk)
-    np.testing.assert_array_equal(av, bv)
-    np.testing.assert_array_equal(ac, bc)
+from repro.mr.engine import _group_batch
+from repro.mr.kernels import ScatterScratch, scatter_min_rows
 
 
 def random_batch(rng, size, num_keys, distinct_values):
     """A candidate-like batch with heavy, adversarial tie collisions."""
     keys = rng.integers(0, num_keys, size=size).astype(np.int64)
-    values = np.column_stack(
-        (
-            rng.integers(0, distinct_values, size=size).astype(np.float64),
-            rng.integers(0, distinct_values, size=size).astype(np.float64),
-            rng.integers(0, distinct_values, size=size).astype(np.float64),
-        )
-    )
+    values = rng.integers(0, distinct_values, size=(size, 3)).astype(np.float64)
     return keys, values
 
 
-class TestScatterGroupMinFirst:
-    """The grouped (reduceat) kernel against the lexsort oracle."""
+def assert_matches_group_min_first(keys, values, sort_cols=2):
+    """Scatter-min over the raw rows == the lexsort oracle over the
+    stable-grouped rows (winner keys and winner payload rows).
+    ``sort_cols=None`` ties on every column, as in the oracle."""
+    keys = np.asarray(keys, dtype=np.int64)
+    ncols = values.shape[1] if sort_cols is None else sort_cols
+    cols = tuple(values[:, c] for c in range(ncols))
+    got_ids, got_rows = scatter_min_rows(
+        keys, cols, domain=int(keys.max()) + 1 if len(keys) else 1
+    )
+    if len(keys):
+        gk, off, gv = _group_batch(keys, values)
+    else:
+        gk, off, gv = keys, np.zeros(1, dtype=np.int64), values
+    ref_k, ref_v, _ = group_min_first(gk, off, gv, sort_cols=sort_cols)
+    np.testing.assert_array_equal(got_ids, ref_k)
+    np.testing.assert_array_equal(values[got_rows], ref_v)
+    return got_ids, values[got_rows]
+
+
+class TestTieBreakCases:
+    """Tie-break shapes of the growing-step merge, named and random."""
+
+    def test_all_rows_fully_tied(self):
+        # Every candidate identical: the earliest arrival must win in
+        # every group.
+        keys = np.array([5, 2, 5, 2, 5, 5], dtype=np.int64)
+        values = np.ones((6, 3))
+        values[:, 2] = np.arange(6)  # payload records the arrival
+        _, rows = assert_matches_group_min_first(keys, values)
+        np.testing.assert_array_equal(rows[:, 2], [1, 0])
+
+    def test_equal_distance_distinct_centers(self):
+        # Ties on the distance column break towards the smaller center.
+        keys = np.zeros(4, dtype=np.int64)
+        values = np.array(
+            [[1.0, 9.0, 0.1], [1.0, 3.0, 0.2], [1.0, 7.0, 0.3], [2.0, 1.0, 0.4]]
+        )
+        _, rows = assert_matches_group_min_first(keys, values)
+        assert rows[0, 1] == 3.0  # smallest center among min-distance rows
+
+    def test_equal_distance_and_center_takes_first_arrival(self):
+        # Two tie-break columns: the dacc column must NOT break the tie.
+        keys = np.zeros(3, dtype=np.int64)
+        values = np.array([[1.0, 2.0, 0.9], [1.0, 2.0, 0.1], [1.0, 2.0, 0.5]])
+        _, rows = assert_matches_group_min_first(keys, values)
+        assert rows[0, 2] == 0.9  # first arrival's payload survives
+
+    def test_empty_batch(self):
+        ids, rows = assert_matches_group_min_first(
+            np.empty(0, dtype=np.int64), np.empty((0, 3))
+        )
+        assert len(ids) == len(rows) == 0
 
     @pytest.mark.parametrize("sort_cols", [None, 1, 2, 3])
     def test_random_collision_heavy_batches(self, sort_cols):
@@ -73,55 +88,11 @@ class TestScatterGroupMinFirst:
             (2000, 100, 5),
         ]:
             keys, values = random_batch(rng, size, num_keys, span)
-            gk, off, gv = grouped(keys, values)
-            assert_same_batch(
-                scatter_group_min_first(gk, off, gv, sort_cols=sort_cols),
-                group_min_first(gk, off, gv, sort_cols=sort_cols),
-            )
-
-    def test_all_rows_fully_tied(self):
-        # Every candidate identical: the earliest arrival must win in
-        # every group, i.e. the first row of each group slice.
-        keys = np.array([5, 2, 5, 2, 5, 5], dtype=np.int64)
-        values = np.ones((6, 3))
-        gk, off, gv = grouped(keys, values)
-        assert_same_batch(
-            scatter_group_min_first(gk, off, gv, sort_cols=2),
-            group_min_first(gk, off, gv, sort_cols=2),
-        )
-
-    def test_equal_distance_distinct_centers(self):
-        # Ties on the distance column break towards the smaller center.
-        keys = np.zeros(4, dtype=np.int64)
-        values = np.array(
-            [[1.0, 9.0, 0.1], [1.0, 3.0, 0.2], [1.0, 7.0, 0.3], [2.0, 1.0, 0.4]]
-        )
-        gk, off, gv = grouped(keys, values)
-        out = scatter_group_min_first(gk, off, gv, sort_cols=2)
-        assert out[1][0, 1] == 3.0  # smallest center among min-distance rows
-        assert_same_batch(out, group_min_first(gk, off, gv, sort_cols=2))
-
-    def test_equal_distance_and_center_takes_first_arrival(self):
-        # sort_cols=2: the dacc column must NOT break the tie.
-        keys = np.zeros(3, dtype=np.int64)
-        values = np.array([[1.0, 2.0, 0.9], [1.0, 2.0, 0.1], [1.0, 2.0, 0.5]])
-        gk, off, gv = grouped(keys, values)
-        out = scatter_group_min_first(gk, off, gv, sort_cols=2)
-        assert out[1][0, 2] == 0.9  # first arrival's payload survives
-        assert_same_batch(out, group_min_first(gk, off, gv, sort_cols=2))
-
-    def test_empty_batch(self):
-        gk = np.empty(0, dtype=np.int64)
-        off = np.zeros(1, dtype=np.int64)
-        gv = np.empty((0, 3))
-        assert_same_batch(
-            scatter_group_min_first(gk, off, gv, sort_cols=2),
-            group_min_first(gk, off, gv, sort_cols=2),
-        )
+            assert_matches_group_min_first(keys, values, sort_cols=sort_cols)
 
     @given(
         seed=st.integers(0, 10_000),
-        size=st.integers(1, 300),
+        size=st.integers(0, 300),
         num_keys=st.integers(1, 20),
         span=st.integers(1, 4),
         sort_cols=st.sampled_from([None, 1, 2, 3]),
@@ -130,11 +101,7 @@ class TestScatterGroupMinFirst:
     def test_property_matches_oracle(self, seed, size, num_keys, span, sort_cols):
         rng = np.random.default_rng(seed)
         keys, values = random_batch(rng, size, num_keys, span)
-        gk, off, gv = grouped(keys, values)
-        assert_same_batch(
-            scatter_group_min_first(gk, off, gv, sort_cols=sort_cols),
-            group_min_first(gk, off, gv, sort_cols=sort_cols),
-        )
+        assert_matches_group_min_first(keys, values, sort_cols=sort_cols)
 
 
 class TestScatterMinRows:
@@ -194,146 +161,3 @@ class TestScatterMinRows:
         got_ids, got_rows = scatter_min_rows(ids, cols, domain=4)
         np.testing.assert_array_equal(got_ids, [3])
         np.testing.assert_array_equal(got_rows, [2])  # (1.0, 4.0) first arrival
-
-
-class TestCountingShuffle:
-    """bincount+prefix-sum grouping vs the stable argsort shuffle."""
-
-    @pytest.mark.parametrize(
-        "keys",
-        [
-            np.array([], dtype=np.int64),
-            np.zeros(40, dtype=np.int64),  # one hot key
-            np.arange(40, dtype=np.int64)[::-1].copy(),  # strictly descending
-            np.array([7] * 10 + [0] * 10 + [7] * 10, dtype=np.int64),
-            np.array([0, 2, 4, 6, 8], dtype=np.int64),  # gaps in the domain
-        ],
-    )
-    def test_adversarial_key_arrays(self, keys):
-        values = np.arange(len(keys), dtype=np.float64).reshape(-1, 1)
-        if not len(keys):
-            gk, counts, off = counting_group_keys(keys, 1)
-            assert len(gk) == 0 and len(counts) == 0
-            np.testing.assert_array_equal(off, [0])
-            return
-        bound = int(keys.max()) + 1
-        gk, counts, off = counting_group_keys(keys, bound)
-        ref_k, ref_off, _ = _group_batch(keys, values)
-        np.testing.assert_array_equal(gk, ref_k)
-        np.testing.assert_array_equal(off, ref_off)
-        np.testing.assert_array_equal(counts, np.diff(ref_off))
-
-    @given(
-        seed=st.integers(0, 10_000),
-        size=st.integers(1, 500),
-        domain=st.integers(1, 60),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_property_matches_argsort_grouping(self, seed, size, domain):
-        rng = np.random.default_rng(seed)
-        keys = rng.integers(0, domain, size=size).astype(np.int64)
-        values = rng.random((size, 2))
-        gk, counts, off = counting_group_keys(keys, domain)
-        ref_k, ref_off, _ = _group_batch(keys, values)
-        np.testing.assert_array_equal(gk, ref_k)
-        np.testing.assert_array_equal(off, ref_off)
-
-    def test_key_bound_detection(self):
-        dense = np.array([0, 5, 3], dtype=np.int64)
-        assert _key_bound(dense) == 6
-        assert _key_bound(dense, key_bound=100) == 100
-        # A caller-supplied bound below the observed max is widened.
-        assert _key_bound(np.array([50], dtype=np.int64), key_bound=10) == 51
-        # Negative or far-spread keys fall back to the argsort shuffle.
-        assert _key_bound(np.array([-1, 3], dtype=np.int64)) is None
-        assert _key_bound(np.array([0, 2**40], dtype=np.int64)) is None
-        assert _key_bound(np.empty(0, dtype=np.int64)) is None
-        # The hint is a domain cap, not a mandate: a skinny batch in a
-        # huge domain still sorts rather than paying the O(domain)
-        # histogram.
-        assert _key_bound(np.array([3], dtype=np.int64), key_bound=10**7) is None
-
-    def test_offsets_optional(self):
-        keys = np.array([4, 1, 4, 0], dtype=np.int64)
-        gk, counts, offsets = counting_group_keys(keys, 5, with_offsets=False)
-        assert offsets is None
-        np.testing.assert_array_equal(gk, [0, 1, 4])
-        np.testing.assert_array_equal(counts, [1, 1, 2])
-
-
-class TestEngineScatterPath:
-    """round_batch: identical output/accounting on every shuffle path."""
-
-    def engine(self, executor, workers=3):
-        return MREngine(
-            MRSpec(10**9, 10**6, num_workers=workers), executor=executor
-        )
-
-    def payload(self, seed=11, size=400, domain=37):
-        rng = np.random.default_rng(seed)
-        keys = rng.integers(0, domain, size=size).astype(np.int64)
-        values = np.column_stack(
-            (
-                rng.integers(0, 4, size=size).astype(np.float64),
-                rng.integers(0, 4, size=size).astype(np.float64),
-                rng.random(size),
-            )
-        )
-        return keys, values
-
-    def test_scatter_reducer_matches_sort_reducer(self):
-        keys, values = self.payload()
-        ref = self.engine(VectorExecutor())
-        ref_out = ref.round_batch(
-            keys, values, partial(group_min_first, sort_cols=2)
-        )
-        for key_bound in (None, 37, 1000):
-            eng = self.engine(VectorExecutor())
-            out = eng.round_batch(
-                keys, values, merge_candidates, key_bound=key_bound
-            )
-            np.testing.assert_array_equal(out[0], ref_out[0])
-            np.testing.assert_array_equal(out[1], ref_out[1])
-            assert eng.counters.rounds == ref.counters.rounds
-            assert eng.counters.messages == ref.counters.messages
-            assert eng.simulated_time == ref.simulated_time
-
-    def test_serial_engine_takes_in_process_scatter_path(self):
-        # No run_batch on SerialExecutor: the engine reduces in-process,
-        # which qualifies for the ungrouped fast path.
-        keys, values = self.payload(seed=3)
-        ref = self.engine(SerialExecutor())
-        ref_out = ref.round_batch(keys, values, partial(group_min_first, sort_cols=2))
-        eng = self.engine(SerialExecutor())
-        out = eng.round_batch(keys, values, merge_candidates)
-        np.testing.assert_array_equal(out[0], ref_out[0])
-        np.testing.assert_array_equal(out[1], ref_out[1])
-        assert eng.simulated_time == ref.simulated_time
-
-    def test_unbounded_keys_fall_back_to_argsort_shuffle(self):
-        keys = np.array([0, 2**40, 7, 2**40], dtype=np.int64)
-        values = np.column_stack(
-            (
-                np.array([3.0, 1.0, 2.0, 1.0]),
-                np.array([1.0, 2.0, 1.0, 1.0]),
-                np.array([0.1, 0.2, 0.3, 0.4]),
-            )
-        )
-        eng = self.engine(VectorExecutor())
-        out_k, out_v = eng.round_batch(keys, values, merge_candidates)
-        ref_k, ref_v = self.engine(VectorExecutor()).round_batch(
-            keys, values, partial(group_min_first, sort_cols=2)
-        )
-        np.testing.assert_array_equal(out_k, ref_k)
-        np.testing.assert_array_equal(out_v, ref_v)
-
-    def test_memory_limit_still_enforced_on_counting_path(self):
-        from repro.errors import MemoryLimitExceeded
-
-        keys = np.zeros(100, dtype=np.int64)  # one huge group
-        values = np.ones((100, 3))
-        eng = MREngine(
-            MRSpec(10**9, 16, num_workers=2), executor=VectorExecutor()
-        )
-        with pytest.raises(MemoryLimitExceeded):
-            eng.round_batch(keys, values, merge_candidates, key_bound=10)

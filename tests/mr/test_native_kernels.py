@@ -10,8 +10,7 @@ The quotient-eccentricity kernel has no NumPy twin: scipy's csgraph
 Dijkstra is its oracle.
 
 The suite also locks down the degradation contract (``py`` requested,
-``REPRO_NATIVE_DISABLE``, no compiler) and the array-namespace dispatch
-seam future accelerator backends plug into.
+``REPRO_NATIVE_DISABLE``, no compiler).
 """
 
 import os
@@ -32,13 +31,7 @@ from repro.graph.builder import from_edges
 from repro.graph.ops import largest_connected_component
 from repro.mr import native
 from repro.mr.emit import EMIT_ENV, EmitScratch
-from repro.mr.kernels import (
-    KERNEL_ENV,
-    CountScratch,
-    ScatterScratch,
-    counting_group_keys,
-    scatter_min_rows,
-)
+from repro.mr.kernels import ScatterScratch, scatter_min_rows
 from repro.mr.partitioner import hash_partition_array
 from repro.mrimpl.cluster2_mr import mr_cluster2
 from repro.mrimpl.cluster_mr import mr_cluster
@@ -67,7 +60,6 @@ def impl_env():
         native.NATIVE_DISABLE_ENV,
         native.EMIT_THREADS_ENV,
         EMIT_ENV,
-        KERNEL_ENV,
     )
     before = {k: os.environ.get(k) for k in keys}
     yield
@@ -192,16 +184,6 @@ class TestCountingKernels:
         hist = np.ones(6, dtype=np.int64)
         native.bincount_into(keys, hist)
         np.testing.assert_array_equal(hist, [2, 1, 3, 1, 1, 2])
-
-    def test_counting_group_keys_dispatch_parity(self, impl_env):
-        rng = np.random.default_rng(8)
-        keys = rng.integers(0, 50, 300).astype(np.int64)
-        os.environ[native.KERNEL_IMPL_ENV] = "py"
-        ref = counting_group_keys(keys, 50, scratch=CountScratch())
-        os.environ[native.KERNEL_IMPL_ENV] = "native"
-        got = counting_group_keys(keys, 50, scratch=CountScratch())
-        for a, b in zip(got, ref):
-            np.testing.assert_array_equal(a, b)
 
     def test_partition_loads_matches_reference(self):
         rng = np.random.default_rng(4)
@@ -570,29 +552,6 @@ class TestFallback:
 
 
 # --------------------------------------------------------------------- #
-# dispatch seam
-# --------------------------------------------------------------------- #
-
-
-class TestDispatchSeam:
-    def test_unknown_namespace_resolves_to_pure(self, impl_env):
-        os.environ[native.KERNEL_IMPL_ENV] = "native"
-        table = native.kernel_table("cupy")
-        assert table is native.kernel_table.__globals__[
-            "KERNEL_TABLES"
-        ][("numpy", "py")]
-
-    def test_numpy_tables_expose_both_tiers(self, impl_env):
-        os.environ[native.KERNEL_IMPL_ENV] = "py"
-        assert "scatter_min_rows" in native.kernel_table("numpy")
-        if NATIVE:
-            os.environ[native.KERNEL_IMPL_ENV] = "native"
-            table = native.kernel_table("numpy")
-            assert table["scatter_min_rows"] is native.scatter_min_rows
-            assert "emit_push_into" in table
-
-
-# --------------------------------------------------------------------- #
 # end-to-end: every driver x executor x mode x tier is bit-identical
 # --------------------------------------------------------------------- #
 
@@ -623,7 +582,7 @@ def _run_driver(graph, algorithm, executor, mode, impl, threads=None):
 
 @needs_native
 class TestEndToEndParity:
-    EXECUTORS = ("serial", "vector", "parallel", "mmap", "sharded")
+    EXECUTORS = ("serial", "vector", "sharded")
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_cluster_tiers_agree(self, graph, executor, impl_env):

@@ -11,17 +11,25 @@ identical* to the ``serial``/``vector`` backends — same centers, same
 distances, and the same round/message/update counters.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.config import ClusterConfig
 from repro.core.diameter import approximate_diameter
+from repro.errors import ConfigurationError
 from repro.generators import gnm_random_graph, mesh, path_graph
 from repro.graph.serialize import open_store, write_store
 from repro.mr.sharded import (
     EXCHANGE_ENV,
     RESIDENT_ENV,
     ShardedExecutor,
+    _check_fd_budget,
 )
 from repro.mrimpl.cluster2_mr import mr_cluster2
 from repro.mrimpl.cluster_mr import mr_cluster
@@ -44,7 +52,7 @@ def assert_same_clustering(result, reference):
 def assert_identical(result, reference):
     """Full parity, message counters included.
 
-    Only meaningful against the batch backends (``vector``/``parallel``):
+    Only meaningful against the batch backend (``vector``):
     the per-key ``serial`` simulation also counts its adjacency/state
     pairs as shuffled messages, a known representation difference.
     """
@@ -226,6 +234,96 @@ class TestShardedMachinery:
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
             ShardedExecutor(num_shards=0)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="needs RLIMIT_NOFILE and /proc/self/fd",
+    )
+    def test_fd_limit_is_a_structured_error(self, tmp_path):
+        """A pipe mesh beyond RLIMIT_NOFILE is refused up front.
+
+        K shards need K(K-1) mesh fds in the driver; past the soft
+        limit the spawn used to die with a raw ``[Errno 24] Too many
+        open files``.  Run under a lowered limit in a subprocess (the
+        limit is per process): a large K raises ConfigurationError
+        naming K, the need and the limit, and leaves no temp store
+        behind; a small K still runs.
+        """
+        script = textwrap.dedent(
+            """
+            import resource
+            from repro.errors import ConfigurationError
+            from repro.generators import mesh
+            from repro.runtime import run
+
+            _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))
+            graph = mesh(8, seed=1)
+            try:
+                run("diameter", graph, tau=4, executor="sharded", shards=20)
+            except ConfigurationError as exc:
+                print("ERROR", exc)
+            result = run("diameter", graph, tau=4, executor="sharded", shards=3)
+            print("OK", result.value)
+            """
+        )
+        env = dict(os.environ, TMPDIR=str(tmp_path))
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        error = next(line for line in lines if line.startswith("ERROR"))
+        assert "20 shards" in error
+        assert "needs " in error and "380 for the worker pipe mesh" in error
+        assert "is 256" in error
+        assert any(line.startswith("OK") for line in lines)
+        assert not list(tmp_path.iterdir()), "temp store leaked"
+
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="needs RLIMIT_NOFILE and /proc/self/fd",
+    )
+    @pytest.mark.parametrize(
+        "shards, mesh_on, soft, mesh_fds",
+        [
+            (20, True, 256, 380),  # the mesh alone overflows the limit
+            (3, True, 1 << 20, None),
+            (20, False, 1 << 20, None),  # sync exchange: no mesh
+            (2, False, 3, 0),  # worker pipes past an absurd limit
+            (50, True, "unlimited", None),
+        ],
+        ids=["mesh-over", "mesh-fits", "no-mesh", "pipes-over", "unlimited"],
+    )
+    def test_fd_budget(self, monkeypatch, shards, mesh_on, soft, mesh_fds):
+        """The up-front check counts K(K-1) mesh ends (async exchange
+        only) plus three fds per worker on top of what is already open,
+        against the soft limit; an unlimited soft limit always passes."""
+        import resource
+
+        _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if soft == "unlimited":
+            soft = resource.RLIM_INFINITY
+        monkeypatch.setattr(resource, "getrlimit", lambda _which: (soft, hard))
+        if mesh_fds is None:
+            _check_fd_budget(shards, mesh_on)
+            return
+        with pytest.raises(ConfigurationError) as excinfo:
+            _check_fd_budget(shards, mesh_on)
+        message = str(excinfo.value)
+        assert f"with {shards} shards" in message
+        assert f"({mesh_fds} for the worker pipe mesh" in message
+        assert f"{3 * shards} for worker pipes" in message
+        assert f"(RLIMIT_NOFILE) is {soft}" in message
 
 
 class TestAsyncExchangeParity:

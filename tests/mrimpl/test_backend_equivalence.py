@@ -1,7 +1,7 @@
-"""Backend equivalence: serial / vector / parallel must agree exactly.
+"""Backend equivalence: serial / vector / sharded must agree exactly.
 
 The drivers pick their data layout from the engine's executor (literal
-pair rounds on ``serial``, array batch rounds on ``vector``/``parallel``)
+pair rounds on ``serial``, array batch rounds on ``vector``/``sharded``)
 but the algorithm — RNG stream, growing-step timing, tie-breaks,
 Contract — is the same, so from one seed every backend must return the
 *identical* clustering and diameter estimate, with identical round and
@@ -23,7 +23,7 @@ from repro.mrimpl.diameter_mr import mr_approximate_diameter
 from repro.mrimpl.growing_mr import default_engine
 from repro.mrimpl.quotient_mr import mr_quotient_graph
 
-BACKENDS = ("serial", "vector", "parallel")
+BACKENDS = ("serial", "vector", "sharded")
 
 
 def assert_same_clustering(a, b):

@@ -84,10 +84,10 @@ class TestDispatch:
 
 
 class TestExecutorDispatch:
-    @pytest.mark.parametrize("executor", ["serial", "vector", "parallel", "mmap"])
+    @pytest.mark.parametrize("executor", ["serial", "vector", "sharded"])
     def test_backends_match_core_path(self, graph, executor):
         baseline = run("diameter", graph, tau=3, seed=1)
-        kwargs = {"workers": 2} if executor in ("parallel", "mmap") else {}
+        kwargs = {"workers": 2} if executor == "sharded" else {}
         result = run(
             "diameter", graph, tau=3, seed=1, executor=executor, **kwargs
         )

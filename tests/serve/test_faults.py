@@ -1,5 +1,5 @@
 """Fault injection: the daemon must survive misbehaving clients,
-dying pool workers, and graphs mutating on disk — recovering without
+dying shard workers, and graphs mutating on disk — recovering without
 leaked shared-memory segments or orphaned worker processes."""
 
 from __future__ import annotations
@@ -118,40 +118,39 @@ class TestClientDisconnect:
 
 
 def _engine_worker_pids(handle) -> set:
-    """PIDs of pool workers owned by the daemon's resident engines."""
+    """PIDs of shard workers owned by the daemon's resident engines."""
     pids = set()
     for entry in handle.server.graphs._entries.values():
         for engine in entry._engines.values():
             pool = getattr(getattr(engine, "executor", None), "_pool", None)
-            procs = getattr(pool, "_processes", None)
-            if procs:
-                pids.update(procs.keys())
+            for proc in getattr(pool, "_procs", None) or ():
+                pids.add(proc.pid)
     return pids
 
 
 class TestWorkerDeath:
-    def test_killed_pool_worker_recovers(self, make_server, stored_graphs):
+    def test_killed_shard_worker_recovers(self, make_server, stored_graphs):
         before_shm = shm_segments()
         handle = make_server()
         with ServeClient(socket_path=handle.socket_path) as client:
-            # Warm a process-pool engine.
+            # Warm a sharded engine (persistent worker processes).
             first = client.query(
                 stored_graphs["big"], "cluster", tau=16, seed=21,
-                executor="parallel", workers=1,
+                executor="sharded", shards=2,
             )
             assert first["serve"]["cache_hit"] is False
 
             pids = _engine_worker_pids(handle)
-            assert pids, "parallel engine should own pool workers"
+            assert pids, "sharded engine should own worker processes"
 
-            # Race a cold query against SIGKILLing the pool workers.
+            # Race a cold query against SIGKILLing the shard workers.
             outcome = {}
 
             def fire():
                 try:
                     outcome["response"] = client.query(
                         stored_graphs["big"], "cluster", tau=16, seed=22,
-                        executor="parallel", workers=1,
+                        executor="sharded", shards=2,
                     )
                 except ServeRemoteError as exc:
                     outcome["error"] = exc
@@ -166,7 +165,7 @@ class TestWorkerDeath:
             thread.join(120)
             assert not thread.is_alive()
             # The race is legitimate: the query either finished first or
-            # died with the pool — but the daemon must survive either.
+            # died with the workers — but the daemon must survive either.
             if "error" in outcome:
                 assert outcome["error"].status == 500
 
@@ -174,16 +173,16 @@ class TestWorkerDeath:
             # rebuilds it and matches a direct run bit-for-bit.
             after = client.query(
                 stored_graphs["big"], "cluster", tau=16, seed=23,
-                executor="parallel", workers=1,
+                executor="sharded", shards=2,
             )
             direct = run(
                 "cluster", stored_graphs["big"], tau=16, seed=23,
-                executor="parallel", workers=1,
+                executor="sharded", shards=2,
             )
             assert after["digest"] == result_digest(direct.raw)
             assert after["counters"] == direct.counters.snapshot()
         handle.stop()
-        # No zombie workers: every engine pool was shut down with the
+        # No zombie workers: every engine's workers shut down with the
         # server; reap anything fork left behind, then check /dev/shm.
         deadline = time.time() + 30
         while time.time() < deadline:
@@ -442,7 +441,7 @@ class TestLeakHygiene:
             )
             client.query(
                 stored_graphs["big"], "cluster", tau=16,
-                executor="parallel", workers=1,
+                executor="sharded", shards=2,
             )
             pids = _engine_worker_pids(handle)
         handle.stop()
@@ -453,7 +452,7 @@ class TestLeakHygiene:
                 break
             time.sleep(0.05)
         assert not [pid for pid in pids if _pid_alive(pid)], (
-            "pool workers outlived the daemon"
+            "shard workers outlived the daemon"
         )
         assert shm_segments() - before_shm == set()
 

@@ -55,6 +55,12 @@ class TestParseQuery:
         )
         assert (req.executor, req.workers, req.shards) == ("sharded", 2, 2)
 
+    @pytest.mark.parametrize("name", ["serial", "vector", "sharded"])
+    def test_every_executor_name_accepted(self, name):
+        # Top level and inside the config block, as the CLI spells it.
+        assert parse_query(_query(executor=name)).executor == name
+        assert parse_query(_query(config={"executor": name})).executor == name
+
     def test_options_sorted_into_tuple(self):
         req = parse_query(_query(options={"source": 3, "delta": 2.0}))
         assert req.options == (("delta", 2.0), ("source", 3))
@@ -70,6 +76,8 @@ class TestParseQuery:
             _query(config={"no_such_knob": 1}),
             _query(config=[1, 2]),
             _query(executor=3),
+            _query(executor="parallel"),
+            _query(executor="gpu"),
             _query(workers="two"),
             _query(workers=True),
             _query(options={"arr": [1, 2]}),

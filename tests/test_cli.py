@@ -80,13 +80,13 @@ class TestDiameter:
         lb = float(out.split("lower bound  : ")[1].splitlines()[0])
         assert est >= lb - 1e-9
 
-    @pytest.mark.parametrize("executor", ["serial", "vector", "parallel", "mmap"])
+    @pytest.mark.parametrize("executor", ["serial", "vector", "sharded"])
     def test_executor_backends_agree(self, graph_file, capsys, executor):
         main(["diameter", graph_file, "--tau", "3"])
         baseline = capsys.readouterr().out
         args = ["diameter", graph_file, "--tau", "3", "--executor", executor]
-        if executor in ("parallel", "mmap"):
-            args += ["--workers", "2"]
+        if executor == "sharded":
+            args += ["--shards", "2"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert f"executor     : {executor}" in out
@@ -94,9 +94,10 @@ class TestDiameter:
         ref = float(baseline.split("estimate     : ")[1].splitlines()[0])
         assert est == pytest.approx(ref)
 
-    def test_bad_executor_rejected(self, graph_file):
+    @pytest.mark.parametrize("executor", ["gpu", "parallel", "mmap"])
+    def test_bad_executor_rejected(self, graph_file, executor):
         with pytest.raises(SystemExit):
-            main(["diameter", graph_file, "--executor", "gpu"])
+            main(["diameter", graph_file, "--executor", executor])
 
 
 class TestSssp:
@@ -292,9 +293,9 @@ class TestRunCommand:
 
     def test_run_with_executor(self, graph_file, capsys):
         args = ["run", "cluster", graph_file, "--tau", "3",
-                "--executor", "mmap", "--workers", "2"]
+                "--executor", "sharded", "--workers", "2"]
         assert main(args) == 0
-        assert "executor     : mmap (2 workers)" in capsys.readouterr().out
+        assert "executor     : sharded (2 workers)" in capsys.readouterr().out
 
     def test_unknown_algorithm(self, graph_file, capsys):
         assert main(["run", "fft", graph_file]) == 2
