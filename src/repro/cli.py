@@ -484,8 +484,6 @@ def _cmd_diameter(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    import os
-
     from repro.bench.reporting import format_table
     from repro.runtime import default_store
 
@@ -496,7 +494,9 @@ def _cmd_partition(args) -> int:
     if partitioner is None:
         # Mirror the sharded backend's resolution, so the partition
         # written here is the one ``--executor sharded`` memory-maps.
-        partitioner = os.environ.get("REPRO_SHARD_PARTITIONER") or "lp"
+        from repro.mr.sharded import partitioner_from_env
+
+        partitioner = partitioner_from_env()
     partitioned = default_store().get_partitioned(
         args.file, args.shards, partitioner=partitioner
     )

@@ -30,7 +30,7 @@ cut size (see the respective docstrings for the argument):
    from its own symmetric arcs, so the per-stage forced broadcast of
    frozen nodes costs zero bytes.
 
-On top of the candidate-volume reductions, three execution tiers:
+On top of the candidate-volume reductions, two execution tiers:
 
 * **Locality-aware partitioning** (``partitioner="lp"``, the backend
   default): shards are the multilevel label-propagation assignment of
@@ -40,13 +40,6 @@ On top of the candidate-volume reductions, three execution tiers:
   int32 partition sidecars (node→shard, node→local row) supply the
   global↔local maps, so every candidate on the wire still carries
   global ids and results stay bit-identical across partitioners.
-* **Compute/exchange overlap** (``exchange="async"``, the default with
-  >1 process worker): workers emit their *boundary* frontier first,
-  hand the outgoing blocks to per-peer sender threads, then expand the
-  interior frontier while the pipes drain.  Arrivals are collected at
-  the end of the step and merge next step — exactly when the serial
-  driver would have delivered them — so the overlap changes wall-clock
-  only, never results (the merge is order-free, see below).
 * **Out-of-core residency** (``REPRO_SHARD_RESIDENT_MB``): workers run
   sequentially in-process and their CSR mmaps are opened/released
   under an explicit byte budget, so no two shards need be resident
@@ -63,20 +56,22 @@ edges, so a target receives at most one candidate per source and
 "earliest arrival" equals "smallest source id" — the winner is simply
 the row minimizing ``(nd, center, source)``.  ``tests/mr/
 test_sharded_parity.py`` asserts equality against ``serial``/``vector``
-across shard counts, partitioners, and exchange modes.
+across shard counts, partitioners, and residency budgets.
 
-The exchange transport is pipes (pickled NumPy arrays): driver↔worker
-for commands and results, worker↔worker for the async candidate mesh.
-On one host this costs one copy each way; the point of the architecture
-is that the protocol is already message-passing over explicit byte
-streams, so a multi-host transport is a serialization detail, not a
-rewrite.
+The exchange is one protocol for both worker pools: each growing step
+is one ``step`` command per worker, and the cross-shard blocks a step
+produces return to the driver, which delivers them with the next
+step's command — the MR shuffle between two rounds.  The pools differ
+only in transport and residency: :class:`_PipePool` runs one forked
+process per shard behind a driver↔worker pipe (pickled NumPy arrays),
+:class:`_InprocPool` calls the same workers directly in the driver.
+The protocol is already message-passing over explicit byte streams,
+so a multi-host transport is a serialization detail, not a rewrite.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import shutil
 import tempfile
 import threading
@@ -92,9 +87,9 @@ from repro.mr import native as _native
 __all__ = [
     "ShardedExecutor",
     "ShardedGrowingState",
-    "EXCHANGE_ENV",
     "PARTITIONER_ENV",
     "RESIDENT_ENV",
+    "partitioner_from_env",
     "WORKER_TIMEOUT_ENV",
 ]
 
@@ -102,12 +97,6 @@ __all__ = [
 #: source column exists for the order-free merge tie-break; the state
 #: kernels consume only the first three columns.
 CANDIDATE_WIDTH = 4
-
-#: Exchange mode override: ``async`` (default) overlaps boundary
-#: shipping with interior expansion; ``serial`` routes every candidate
-#: through the driver (the A/B baseline, and the only mode of the
-#: in-process out-of-core pool).
-EXCHANGE_ENV = "REPRO_SHARD_EXCHANGE"
 
 #: Partitioner override for the sharded backend: ``lp`` (default) or
 #: ``range``.  Library callers of ``ensure_partitioned`` still default
@@ -124,6 +113,40 @@ RESIDENT_ENV = "REPRO_SHARD_RESIDENT_MB"
 #: and the whole pool is torn down with a
 #: :class:`~repro.errors.WorkerFailure` for the recovery loop.
 WORKER_TIMEOUT_ENV = "REPRO_WORKER_TIMEOUT_S"
+
+def partitioner_from_env() -> str:
+    """The backend's partitioner: ``REPRO_SHARD_PARTITIONER`` or ``lp``.
+
+    Shared by the executor and the runner's pre-partition step so both
+    agree on the cache leaf; a malformed value is a configuration
+    error naming the variable, not a traceback from the planner.
+    """
+    from repro.graph.partition import PARTITIONERS
+
+    value = os.environ.get(PARTITIONER_ENV) or "lp"
+    if value not in PARTITIONERS:
+        raise ConfigurationError(
+            f"{PARTITIONER_ENV}={value!r} is not a partitioner "
+            f"(use one of {', '.join(PARTITIONERS)})"
+        )
+    return value
+
+
+def _resident_mb_from_env() -> Optional[float]:
+    """The ``REPRO_SHARD_RESIDENT_MB`` budget, or ``None`` when unset."""
+    raw = os.environ.get(RESIDENT_ENV)
+    if not raw:
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        value = None
+    if value is None or not 0 < value < float("inf"):
+        raise ConfigurationError(
+            f"{RESIDENT_ENV}={raw!r} is not a positive number of MiB"
+        )
+    return value
+
 
 #: Kernel-selection environment, re-applied in every worker on each
 #: ``reset`` broadcast: persistent workers outlive driver-side env
@@ -147,30 +170,6 @@ def _empty_candidates() -> Tuple[np.ndarray, np.ndarray]:
 def _candidate_bytes(blocks) -> int:
     """Payload bytes of a list of ``(keys, values, ...)`` array blocks."""
     return sum(sum(a.nbytes for a in block) for block in blocks)
-
-
-def _min_by_target(keys: np.ndarray, values: np.ndarray):
-    """Per distinct target, the row minimizing ``(nd, center, source)``.
-
-    The order-free form of the engine's merge: ``group_min_first`` keeps
-    the *earliest* row among those minimizing ``(nd, center)``, and with
-    at most one candidate per (source, target) arrival order within a
-    target group is ascending source order — so "earliest minimal"
-    equals "minimal ``(nd, center, source)``".  Returns ``(group_keys,
-    winner_values)``.
-    """
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    sorted_values = values[order]
-    starts = np.concatenate(
-        ([0], np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1)
-    ).astype(np.int64)
-    counts = np.diff(np.concatenate((starts, [len(sorted_keys)])))
-    gid = np.repeat(np.arange(len(starts), dtype=np.int64), counts)
-    rank = np.lexsort(
-        (sorted_values[:, 3], sorted_values[:, 1], sorted_values[:, 0], gid)
-    )
-    return sorted_keys[starts], sorted_values[rank[starts]]
 
 
 class _Ownership:
@@ -266,28 +265,6 @@ class _Ownership:
         return self.row_gids[lids]
 
 
-def _sender_loop(send_queue: "queue.Queue", conn) -> None:
-    """Drain one peer's outgoing queue (a worker-side sender thread).
-
-    One thread per destination pipe: with a single shared sender a full
-    pipe to a slow peer would stall shipping to every other peer, and a
-    cycle of full pipes could deadlock the mesh.  Per-destination
-    threads make every send independent, and since each worker receives
-    exactly one message per peer per step before the driver's barrier,
-    every queued send is eventually drained.  ``None`` is the shutdown
-    sentinel; payloads travel wrapped in a 1-tuple so ``(None,)`` — "no
-    candidates this step" — stays distinct from it.
-    """
-    while True:
-        item = send_queue.get()
-        if item is None:
-            break
-        try:
-            conn.send(item[0])
-        except (OSError, ValueError):  # peer gone: shutdown in progress
-            break
-
-
 # --------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------- #
@@ -308,8 +285,6 @@ class _ShardWorker:
         shard_path,
         shard_id: int,
         spec: dict,
-        peer_conns: Optional[dict] = None,
-        exchange: str = "serial",
         in_process: bool = False,
     ):
         from repro.graph.serialize import open_store
@@ -351,12 +326,6 @@ class _ShardWorker:
         self.ext_w = self.weights[external]
         self.halo = np.unique(self.ext_nbrs)
         self.ext_halo_idx = np.searchsorted(self.halo, self.ext_nbrs)
-        #: Rows with at least one external arc — the only rows whose
-        #: emission can produce cross-shard candidates; the async
-        #: exchange emits them first so the pipes fill while the
-        #: interior expands.
-        self.is_boundary_row = np.zeros(num_rows, dtype=bool)
-        self.is_boundary_row[self.ext_rows] = True
 
         #: Fused emit pipeline over this shard's rows: scratch-buffered
         #: push/pull expansion.  The reverse-CSR arc→row map memory-maps
@@ -399,25 +368,6 @@ class _ShardWorker:
             self.boundary_nodes = np.empty(0, dtype=np.int64)
             self.boundary_dests = np.empty(0, dtype=np.int64)
 
-        # Async exchange plumbing: one duplex pipe and one sender
-        # thread per peer (see _sender_loop for the deadlock argument).
-        self.peer_conns = dict(peer_conns) if peer_conns else {}
-        self.exchange = exchange
-        self._async_on = exchange == "async" and bool(self.peer_conns)
-        self._send_queues: Dict[int, queue.Queue] = {}
-        self._sender_threads: List[threading.Thread] = []
-        if self._async_on:
-            for dest in sorted(self.peer_conns):
-                send_queue: queue.Queue = queue.Queue()
-                thread = threading.Thread(
-                    target=_sender_loop,
-                    args=(send_queue, self.peer_conns[dest]),
-                    daemon=True,
-                )
-                thread.start()
-                self._send_queues[dest] = send_queue
-                self._sender_threads.append(thread)
-        self._shipped_this_step = False
         self.reset()
 
     # -- graph residency (out-of-core tier) ----------------------------- #
@@ -487,6 +437,9 @@ class _ShardWorker:
             #: Dense scatter buffers of the merge kernel, reused across
             #: rounds (sized to this shard's node range).
             self.scratch = ScatterScratch()
+            #: Halo-sized scatter buffers of the outgoing map-side
+            #: combine (ids are halo indices, not local rows).
+            self.halo_scratch = ScatterScratch()
             #: Dense histogram of the merge's group accounting, kept
             #: all-zero between rounds.
             self.hist = np.zeros(self.num_rows, dtype=np.int64)
@@ -552,10 +505,9 @@ class _ShardWorker:
         """Per-target winner over this shard's resident candidate batch.
 
         Wire keys are global; the returned group keys are **local**
-        (``apply_merged_candidates`` runs with ``base=0``) and stay
-        ascending because both ownership layouts keep the global→local
-        map order-preserving.  The scatter form of
-        :func:`_min_by_target`: ``np.minimum.at`` passes over dense
+        (the state arrays' index space) and stay ascending because both
+        ownership layouts keep the global→local map order-preserving.
+        :func:`~repro.mr.kernels.scatter_min_rows` passes over dense
         per-node buffers (``(nd, center, source)`` tie-break, all three
         columns unique per target — see the module docstring), reusing
         the shard-sized scratch across rounds; the per-group counts
@@ -625,12 +577,11 @@ class _ShardWorker:
             import time as _time
 
             _time.sleep(float(fault[1]))
-        self._shipped_this_step = False
         for block in replicas:
             self.apply_replicas(*block)
 
         # Merge: this shard's resident candidates plus the delivered
-        # cross-shard blocks; order is irrelevant (see _min_by_target).
+        # cross-shard blocks; order is irrelevant (the merge is a min).
         reduce_start = perf_counter()
         blocks = [self.pending] + [(k, v) for k, v in incoming]
         self.pending = _empty_candidates()
@@ -660,20 +611,17 @@ class _ShardWorker:
                 dacc=self.state.dist_acc,
                 frozen=self.state.frozen,
                 changed=self.changed,
-                base=0,
             )
         self.active = adopted
         updated = len(adopted)
 
-        # Emit through the shard's CSR rows, then route by owner.  The
-        # adopted frontier drives non-forced rounds directly.  Under
-        # the async exchange the boundary frontier goes first and its
-        # cross-shard candidates ship immediately (sender threads),
-        # overlapping the interior expansion; otherwise the driver
-        # routes everything next step.
+        # Emit through the shard's CSR rows, then route by owner: the
+        # cross-shard blocks return to the driver, which delivers them
+        # with the next step.  The adopted frontier drives non-forced
+        # rounds directly.
         emit_start = perf_counter()
-        emitted, outgoing, pending_blocks, sent_bytes = self._emit_round(
-            delta, force, rescale, iteration
+        emitted, outgoing, pending_blocks = self._emit_fused(
+            delta, force, rescale, iteration, None if force else self.active
         )
         # Regenerate incoming frozen-external contributions locally: on
         # a forced round every frozen replica contributes over this
@@ -741,17 +689,6 @@ class _ShardWorker:
                             (self.own.to_global(ghost_rows), ghost_values)
                         )
         emit_end = perf_counter()
-        if self._async_on:
-            # Every peer sends exactly one (possibly empty) message per
-            # step; a round that emitted nothing still must not leave
-            # peers blocked on their end-of-step receive.
-            if not self._shipped_this_step:
-                sent_bytes += self._ship_outgoing([])
-            # What peers shipped *during this step* joins the resident
-            # pending block and merges next step — the same delivery
-            # timing as the serial driver's routing.  Timed after the
-            # emit phase closes: the wait is exchange, not compute.
-            pending_blocks.extend(self._recv_arrivals())
         if pending_blocks:
             self.pending = (
                 np.concatenate([b[0] for b in pending_blocks]),
@@ -771,50 +708,10 @@ class _ShardWorker:
             "max_group": max_group,
             "max_group_key": max_group_key,
             "outgoing": outgoing,
-            "sent_bytes": sent_bytes,
             "times": times,
         }
 
     # -- emission ------------------------------------------------------- #
-
-    def _emit_round(self, delta, force, rescale, iteration):
-        """One round's emission, split for the async exchange.
-
-        Serial mode: a single pass, cross-shard blocks returned to the
-        driver.  Async mode: the cross-shard blocks never reach the
-        driver — forced rounds emit once and ship, non-forced rounds
-        emit the boundary frontier first (every cross-shard candidate
-        comes from a boundary row, by definition of ``is_boundary_row``)
-        and ship while the interior frontier expands.  Splitting the
-        frontier cannot change results: emission is per-source, the two
-        halves partition the active set, and the merge is order-free.
-        Returns ``(emitted, outgoing, pending_blocks, sent_bytes)``.
-        """
-        if not self._async_on:
-            sources = None if force else self.active
-            emitted, outgoing, pending = self._emit_fused(
-                delta, force, rescale, iteration, sources
-            )
-            return emitted, outgoing, pending, 0
-        if force:
-            emitted, outgoing, pending = self._emit_fused(
-                delta, force, rescale, iteration, None
-            )
-            sent = self._ship_outgoing(outgoing)
-            return emitted, [], pending, sent
-        boundary = self.is_boundary_row[self.active]
-        e1, out1, pend1 = self._emit_fused(
-            delta, force, rescale, iteration, self.active[boundary]
-        )
-        sent = self._ship_outgoing(out1)
-        e2, out2, pend2 = self._emit_fused(
-            delta, force, rescale, iteration, self.active[~boundary]
-        )
-        if out2:
-            raise AssertionError(
-                "interior frontier rows produced cross-shard candidates"
-            )
-        return e1 + e2, [], pend1 + pend2, sent
 
     def _emit_fused(self, delta, force, rescale, iteration, sources):
         """Scratch-buffered fused emission.
@@ -908,77 +805,24 @@ class _ShardWorker:
            any other trace — non-adopted winners are discarded whole).
 
         Both change only the shipped-bytes accounting (like any
-        map-side combiner), never the resulting state.
+        map-side combiner), never the resulting state.  The combine is
+        one :func:`~repro.mr.kernels.scatter_min_rows` over halo
+        indices; the halo is sorted, so the block stays in ascending
+        target order.
         """
-        keys, values = _min_by_target(keys, values)
-        idx = np.searchsorted(self.halo, keys)
-        nd = values[:, 0]
+        from repro.mr.kernels import scatter_min_rows
+
+        idx, rows = scatter_min_rows(
+            np.searchsorted(self.halo, keys),
+            (values[:, 0], values[:, 1], values[:, 3]),
+            domain=len(self.halo),
+            scratch=self.halo_scratch,
+        )
+        nd = values[rows, 0]
         keep = nd < self.halo_best[idx]
         self.halo_best[idx[keep]] = nd[keep]
-        return keys[keep], values[keep]
-
-    # -- async exchange ------------------------------------------------- #
-
-    def _ship_outgoing(self, outgoing) -> int:
-        """Queue one message per peer (async exchange, once per step)."""
-        by_dest = {dest: (keys, values) for dest, keys, values in outgoing}
-        sent = 0
-        for dest, send_queue in self._send_queues.items():
-            block = by_dest.pop(dest, None)
-            if block is not None:
-                sent += block[0].nbytes + block[1].nbytes
-            send_queue.put((block,))
-        if by_dest:  # pragma: no cover - owners are always peers
-            raise ValueError(f"no pipe to shards {sorted(by_dest)}")
-        self._shipped_this_step = True
-        return sent
-
-    def _recv_arrivals(self):
-        """Collect this step's one message from every peer (sorted)."""
-        arrivals = []
-        for peer in sorted(self.peer_conns):
-            block = self.peer_conns[peer].recv()
-            if block is not None:
-                arrivals.append(block)
-        return arrivals
-
-    def abort_step(self) -> None:
-        """Keep peers unblocked when this worker's step failed.
-
-        Peers block on their end-of-step receive; send them the empty
-        message this step still owes (if unshipped), then drain their
-        messages so nobody's sender thread wedges on a full pipe.  The
-        driver surfaces the original traceback either way.
-        """
-        if not self._async_on:
-            return
-        if not self._shipped_this_step:
-            try:
-                self._ship_outgoing([])
-            except Exception:  # pragma: no cover - best-effort unblock
-                pass
-        for peer in sorted(self.peer_conns):
-            conn = self.peer_conns[peer]
-            try:
-                if conn.poll(5):
-                    conn.recv()
-            except (EOFError, OSError):  # pragma: no cover - peer gone
-                pass
-
-    def close_exchange(self) -> None:
-        for send_queue in self._send_queues.values():
-            send_queue.put(None)
-        for thread in self._sender_threads:
-            thread.join(timeout=5)
-        for conn in self.peer_conns.values():
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        self._send_queues = {}
-        self._sender_threads = []
-        self.peer_conns = {}
-        self._async_on = False
+        rows = rows[keep]
+        return keys[rows], values[rows]
 
     # -- stage control -------------------------------------------------- #
 
@@ -1178,7 +1022,7 @@ def _orphan_watchdog(stop, ppid) -> None:
             os._exit(2)
 
 
-def _shard_worker_main(conn, shard_path, shard_id, spec, peers, exchange):
+def _shard_worker_main(conn, shard_path, shard_id, spec):
     """Entry point of a shard-owning worker process."""
     watchdog_stop = threading.Event()
     threading.Thread(
@@ -1187,9 +1031,7 @@ def _shard_worker_main(conn, shard_path, shard_id, spec, peers, exchange):
         daemon=True,
     ).start()
     try:
-        worker = _ShardWorker(
-            shard_path, shard_id, spec, peer_conns=peers, exchange=exchange
-        )
+        worker = _ShardWorker(shard_path, shard_id, spec)
     except BaseException as exc:  # noqa: BLE001 - reported to the driver
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
         conn.close()
@@ -1213,7 +1055,6 @@ def _shard_worker_main(conn, shard_path, shard_id, spec, peers, exchange):
             break
         command = message[0]
         if command == "close":
-            worker.close_exchange()
             stop.set()
             with send_lock:
                 conn.send(("ok", None))
@@ -1228,8 +1069,6 @@ def _shard_worker_main(conn, shard_path, shard_id, spec, peers, exchange):
             import traceback
 
             busy.clear()
-            if command == "step":
-                worker.abort_step()
             with send_lock:
                 conn.send(("error", traceback.format_exc()))
     stop.set()
@@ -1241,14 +1080,14 @@ def _shard_worker_main(conn, shard_path, shard_id, spec, peers, exchange):
 # --------------------------------------------------------------------- #
 
 
-def _check_fd_budget(num_shards: int, mesh: bool) -> None:
+def _check_fd_budget(num_shards: int) -> None:
     """Refuse a pipe pool the open-file limit cannot hold.
 
-    The driver holds every pipe end while it forks: the async mesh's
-    ``K(K-1)`` ends plus, per worker, a command pipe pair and the
-    process sentinel.  Past ``RLIMIT_NOFILE`` some ``pipe()`` or fork
-    fails with a raw ``EMFILE`` halfway through the spawn, so check the
-    need up front and raise a :class:`ConfigurationError` that names it.
+    The driver holds, per worker, a command pipe pair and the process
+    sentinel while it forks.  Past ``RLIMIT_NOFILE`` some ``pipe()`` or
+    fork fails with a raw ``EMFILE`` halfway through the spawn, so
+    check the need up front and raise a :class:`ConfigurationError`
+    that names it.
     """
     try:
         import resource
@@ -1261,15 +1100,13 @@ def _check_fd_budget(num_shards: int, mesh: bool) -> None:
         already_open = len(os.listdir("/proc/self/fd"))
     except OSError:  # pragma: no cover - no procfs
         already_open = 0
-    mesh_fds = num_shards * (num_shards - 1) if mesh else 0
-    need = mesh_fds + 3 * num_shards + already_open
+    need = 3 * num_shards + already_open
     if need > soft:
         raise ConfigurationError(
             f"sharded executor with {num_shards} shards needs {need} open "
-            f"file descriptors ({mesh_fds} for the worker pipe mesh, "
-            f"{3 * num_shards} for worker pipes, {already_open} already "
-            f"open) but the limit (RLIMIT_NOFILE) is {soft}; use fewer "
-            f"shards or raise the limit"
+            f"file descriptors ({3 * num_shards} for worker pipes, "
+            f"{already_open} already open) but the limit (RLIMIT_NOFILE) "
+            f"is {soft}; use fewer shards or raise the limit"
         )
 
 
@@ -1277,62 +1114,35 @@ class _PipePool:
     """Forked worker processes driven over per-worker command pipes.
 
     The default pool: one persistent process per shard, commands and
-    replies over a dedicated driver↔worker pipe.  Under the async
-    exchange the pool additionally wires a full duplex pipe mesh
-    between the workers *before* forking, so candidate blocks travel
-    peer-to-peer without a driver hop.
+    replies — cross-shard candidate blocks included — over a dedicated
+    driver↔worker pipe.
     """
 
     kind = "pipe"
 
-    def __init__(self, shard_paths, spec, exchange: str):
+    def __init__(self, shard_paths, spec):
         import multiprocessing
 
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        num = len(shard_paths)
-        self.num_shards = num
-        self.exchange_active = exchange == "async" and num > 1
-        _check_fd_budget(num, self.exchange_active)
-        mesh = [dict() for _ in range(num)]
-        mesh_ends = []
-        if self.exchange_active:
-            for i in range(num):
-                for j in range(i + 1, num):
-                    end_i, end_j = ctx.Pipe(duplex=True)
-                    mesh[i][j] = end_i
-                    mesh[j][i] = end_j
-                    mesh_ends.extend((end_i, end_j))
+        self.num_shards = len(shard_paths)
+        _check_fd_budget(self.num_shards)
         self._procs: List = []
         self._conns: List = []
         self._early: Dict[int, tuple] = {}
-        try:
-            for k, path in enumerate(shard_paths):
-                parent, child = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_shard_worker_main,
-                    args=(
-                        child,
-                        str(path),
-                        k,
-                        spec,
-                        mesh[k],
-                        "async" if self.exchange_active else "serial",
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                child.close()
-                self._procs.append(proc)
-                self._conns.append(parent)
-        finally:
-            # The children hold their mesh ends (inherited or shipped
-            # at spawn); the parent's copies would otherwise keep every
-            # pipe open forever.
-            for end in mesh_ends:
-                end.close()
+        for k, path in enumerate(shard_paths):
+            parent, child = ctx.Pipe()
+            proc = ctx.Process(
+                target=_shard_worker_main,
+                args=(child, str(path), k, spec),
+                daemon=True,
+            )
+            proc.start()
+            child.close()
+            self._procs.append(proc)
+            self._conns.append(parent)
         for k, conn in enumerate(self._conns):
             try:
                 status, payload = conn.recv()
@@ -1358,10 +1168,10 @@ class _PipePool:
         Supervision: any send or receive failure — broken pipe, EOF, a
         dead process, or a deadline miss with no heartbeat — terminates
         the **whole pool** and raises :class:`WorkerFailure`.  Never
-        heal the mesh in place: under the async exchange the surviving
-        peers block on pipes to the dead worker, and a single-worker
-        respawn could not restore cross-shard consistency anyway.  The
-        recovery loop respawns everything from the last checkpoint.
+        heal the pool in place: a single-worker respawn could not
+        restore cross-shard consistency (the dead shard's state and its
+        undelivered candidates are gone).  The recovery loop respawns
+        everything from the last checkpoint.
         Worker-side Python exceptions (shipped back as tracebacks) stay
         ``RuntimeError`` — the worker is alive and consistent, that is
         an application error, not a fault.
@@ -1413,11 +1223,8 @@ class _PipePool:
 
         Polls in short slices so a *different* worker's death is
         noticed promptly even while this one's (possibly long) round is
-        still running.  This cross-check must not wait for worker *k*'s
-        reply or deadline: under the async exchange the survivors block
-        on the dead peer's mesh pipes **while still heart-beating**, so
-        a kill that only watched the in-order worker would extend its
-        deadline forever.  ``poll(0)`` alone cannot distinguish a dead
+        still running, instead of only after worker *k*'s reply or
+        deadline.  ``poll(0)`` alone cannot distinguish a dead
         worker (EOF *is* readable) from one with a buffered reply, so
         the scan drains the dead worker's pipe: a complete non-heartbeat
         frame means it finished the command before dying (stashed for
@@ -1514,20 +1321,19 @@ class _InprocPool:
     """Sequential in-process shard workers under a residency budget.
 
     The out-of-core tier: every :class:`_ShardWorker` lives in the
-    driver process and commands dispatch directly (no pipes, no pickle,
-    serial exchange).  The pool holds shard CSR mmaps open LRU-style
+    driver process and commands dispatch directly (no pipes, no
+    pickle).  The pool holds shard CSR mmaps open LRU-style
     under ``resident_bytes``: a worker's graph is (re)opened only for
     its ``step`` — the only command that reads CSR arrays; merge, ghost
     regeneration, and stage control run on resident O(nodes + cut)
     copies — and the coldest open shards are fully unmapped first.  At
     most one shard *needs* to be mapped at a time, so the peak mapped
     footprint is ``max(budget, largest shard)`` no matter how big the
-    graph is.  Results are bit-identical to the pipe pool's serial
-    exchange: same workers, same command order, same delivery timing.
+    graph is.  Results are bit-identical to the pipe pool's: same
+    workers, same command order, same delivery timing.
     """
 
     kind = "inproc"
-    exchange_active = False
 
     def __init__(self, shard_paths, spec, resident_bytes: int):
         self.num_shards = len(shard_paths)
@@ -1647,18 +1453,12 @@ class ShardedGrowingState:
         if replies and isinstance(replies[0], dict):
             info = dict(replies[0])
             info["partitioner"] = self.plan.mode
-            info["exchange"] = (
-                "async" if executor.exchange_active else "serial"
-            )
             engine.counters.impl.update(info)
         # remote[dest] -> list of (keys, values) awaiting delivery.
         self._remote: Dict[int, List] = {}
         # replica_updates[dest] -> list of freeze blocks to deliver.
         self._replica_updates: Dict[int, List] = {}
         self._emitted_last = 0
-        # Bytes the workers shipped peer-to-peer during the previous
-        # step (async exchange): delivered — merged — this step.
-        self._sent_prev = 0
 
     # -- growing-state interface --------------------------------------- #
 
@@ -1727,10 +1527,6 @@ class ShardedGrowingState:
                     else None,
                 )
             )
-        # Async exchange: candidates shipped worker-to-worker during
-        # the previous step are delivered (merged) this step.
-        shipped += self._sent_prev
-        self._sent_prev = 0
         # Fixed per-worker command overhead (params + framing), so the
         # accounting never reads zero on an idle round.
         shipped += 64 * num_shards
@@ -1746,8 +1542,7 @@ class ShardedGrowingState:
         step_wall = perf_counter() - step_start
         # Per-phase timers: the critical path (slowest shard) of each
         # worker-reported phase; everything else — pickling, pipe
-        # transport, scheduling, the async arrival wait — is the
-        # exchange, booked as shuffle.
+        # transport, scheduling — is the exchange, booked as shuffle.
         compute = 0.0
         for phase in ("emit", "reduce", "apply"):
             worst = max((r["times"][phase] for r in replies), default=0.0)
@@ -1758,10 +1553,11 @@ class ShardedGrowingState:
         merged = sum(r["merged"] for r in replies)
         updated = sum(r["updated"] for r in replies)
         newly = sum(r["newly"] for r in replies)
-        sent_now = sum(r.get("sent_bytes", 0) for r in replies)
-        for k, reply in enumerate(replies):
+        produced = 0
+        for reply in replies:
             for dest, keys, values in reply["outgoing"]:
                 self._remote.setdefault(dest, []).append((keys, values))
+                produced += keys.nbytes + values.nbytes
 
         # Memory-model enforcement, mirroring MREngine.round_batch for a
         # width-3 candidate batch (1 key word + 3 payload words per pair;
@@ -1792,17 +1588,7 @@ class ShardedGrowingState:
         engine.counters.updates += updated
         engine.counters.growing_steps += 1
         self.executor.bytes_shipped_per_round.append(shipped)
-        self.executor.bytes_exchanged_per_round.append(
-            shipped
-            + sent_now
-            + sum(
-                _candidate_bytes(
-                    [(k2, v2) for _, k2, v2 in r["outgoing"]]
-                )
-                for r in replies
-            )
-        )
-        self._sent_prev = sent_now
+        self.executor.bytes_exchanged_per_round.append(shipped + produced)
         return updated, newly
 
     def in_flight(self) -> bool:
@@ -1811,7 +1597,6 @@ class ShardedGrowingState:
     def discard_candidates(self) -> None:
         self._remote = {}
         self._emitted_last = 0
-        self._sent_prev = 0
         self.executor._broadcast("discard")
 
     def freeze_assigned(self, iteration: int = 0) -> int:
@@ -1902,7 +1687,6 @@ class ShardedGrowingState:
         self._remote = {}
         self._replica_updates = {}
         self._emitted_last = 0
-        self._sent_prev = 0
 
 
 class ShardedExecutor:
@@ -1930,18 +1714,12 @@ class ShardedExecutor:
         ``"range"``.  The backend defaults to the locality-aware
         assignment; library callers of ``ensure_partitioned`` keep the
         ``range`` default.
-    exchange:
-        ``"async"`` (default; env ``REPRO_SHARD_EXCHANGE``) overlaps
-        boundary shipping with interior expansion over a worker pipe
-        mesh; ``"serial"`` routes all candidates through the driver.
-        Single-shard and in-process pools are always effectively
-        serial.
     resident_mb:
         Out-of-core residency budget in MiB (env
         ``REPRO_SHARD_RESIDENT_MB``).  When set, workers run
         sequentially in-process and shard CSR mmaps are LRU-released
         to keep the mapped bytes under the budget — the big-graph
-        tier; implies the serial exchange.
+        tier.
 
     Attributes
     ----------
@@ -1949,10 +1727,10 @@ class ShardedExecutor:
         The :class:`~repro.graph.partition.PartitionPlan` in effect
         (after workers spawn).
     bytes_shipped_per_round:
-        Bytes delivered to workers each growing step: cross-shard
-        candidate blocks (driver-routed or peer-shipped last step)
-        plus one-time frozen-replica updates — the boundary exchange
-        the sharded architecture exists to shrink.
+        Bytes delivered to workers each growing step: the cross-shard
+        candidate blocks of the previous step plus one-time
+        frozen-replica updates — the boundary exchange the sharded
+        architecture exists to shrink.
     bytes_exchanged_per_round:
         Same plus the boundary candidates produced that step (both
         directions of the exchange).
@@ -1972,39 +1750,25 @@ class ShardedExecutor:
         num_shards: Optional[int] = None,
         *,
         partitioner: Optional[str] = None,
-        exchange: Optional[str] = None,
         resident_mb: Optional[float] = None,
     ):
         if num_shards is not None and num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards or os.cpu_count() or 1
         if partitioner is None:
-            partitioner = os.environ.get(PARTITIONER_ENV) or "lp"
+            partitioner = partitioner_from_env()
         if partitioner not in ("range", "lp"):
             raise ValueError(
                 f"unknown partitioner {partitioner!r} (use 'range' or 'lp')"
             )
         self.partitioner = partitioner
-        if exchange is None:
-            exchange = os.environ.get(EXCHANGE_ENV) or "async"
-        if exchange not in ("serial", "async"):
-            raise ValueError(
-                f"unknown exchange {exchange!r} (use 'serial' or 'async')"
-            )
         if resident_mb is None:
-            raw = os.environ.get(RESIDENT_ENV)
-            if raw:
-                resident_mb = float(raw)
+            resident_mb = _resident_mb_from_env()
         if resident_mb is not None and resident_mb <= 0:
             raise ValueError("resident_mb must be > 0")
         self.resident_bytes = (
             int(resident_mb * 1024 * 1024) if resident_mb is not None else None
         )
-        if self.resident_bytes is not None:
-            # The out-of-core pool runs shards sequentially in-process;
-            # a peer mesh cannot overlap anything there.
-            exchange = "serial"
-        self.exchange = exchange
         self.plan = None
         self.partitioned = None
         self.bytes_shipped_per_round: List[int] = []
@@ -2018,11 +1782,6 @@ class ShardedExecutor:
     @property
     def bytes_shipped(self) -> int:
         return sum(self.bytes_shipped_per_round)
-
-    @property
-    def exchange_active(self) -> bool:
-        """Whether the peer-to-peer async exchange is actually running."""
-        return bool(self._pool is not None and self._pool.exchange_active)
 
     @property
     def max_resident_bytes(self) -> Optional[int]:
@@ -2103,7 +1862,7 @@ class ShardedExecutor:
         if self.resident_bytes is not None:
             self._pool = _InprocPool(shard_paths, spec, self.resident_bytes)
         else:
-            self._pool = _PipePool(shard_paths, spec, self.exchange)
+            self._pool = _PipePool(shard_paths, spec)
         self.spawn_count += 1
         self._graph = graph
         self._finalizer = weakref.finalize(

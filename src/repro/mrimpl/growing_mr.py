@@ -93,27 +93,25 @@ def apply_merged_candidates(
     dacc: np.ndarray,
     frozen: np.ndarray,
     changed: np.ndarray,
-    base: int = 0,
 ) -> Tuple[int, np.ndarray]:
     """Adopt per-target winning candidates into the state arrays.
 
-    ``keys`` are the distinct target node ids (ascending) and ``values``
-    the winning ``(nd, center, dacc)`` row per target, as produced by
-    the scatter-min merge.  State arrays are indexed locally; ``base``
-    is the global id of local node 0 (0 for whole-graph state).  Marks
-    adopted targets in ``changed`` and returns ``(newly_assigned,
-    adopted)`` — how many adopted targets were previously unassigned,
-    plus the adopted local indices themselves (ascending: the next
-    round's active frontier, so callers never rescan the full mask).
+    ``keys`` are the distinct targets as state-array indices (ascending;
+    node ids for whole-graph state, local rows for a shard worker) and
+    ``values`` the winning ``(nd, center, dacc)`` row per target, as
+    produced by the scatter-min merge.  Marks adopted targets in
+    ``changed`` and returns ``(newly_assigned, adopted)`` — how many
+    adopted targets were previously unassigned, plus the adopted local
+    indices themselves (ascending: the next round's active frontier, so
+    callers never rescan the full mask).
     """
     if not len(keys):
         return 0, np.empty(0, dtype=np.int64)
     nd = values[:, 0]
     ctr = values[:, 1].astype(np.int64)
     dc = values[:, 2]
-    idx = keys - base
-    adopt = (~frozen[idx]) & (nd < dist[idx])
-    tgt = idx[adopt]
+    adopt = (~frozen[keys]) & (nd < dist[keys])
+    tgt = keys[adopt]
     newly = int(np.count_nonzero(center[tgt] == NO_CENTER))
     center[tgt] = ctr[adopt]
     dist[tgt] = nd[adopt]

@@ -301,12 +301,10 @@ def run(
         # executor then finds a fresh manifest and reuses it.  Resolve
         # the partitioner the same way the executor will, so the two
         # agree on the cache leaf.
-        import os
-
-        from repro.mr.sharded import PARTITIONER_ENV
+        from repro.mr.sharded import partitioner_from_env
 
         (store if store is not None else default_store()).get_partitioned(
-            graph, workers, partitioner=os.environ.get(PARTITIONER_ENV) or "lp"
+            graph, workers, partitioner=partitioner_from_env()
         )
 
     if engine is not None:

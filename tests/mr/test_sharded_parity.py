@@ -26,7 +26,6 @@ from repro.errors import ConfigurationError
 from repro.generators import gnm_random_graph, mesh, path_graph
 from repro.graph.serialize import open_store, write_store
 from repro.mr.sharded import (
-    EXCHANGE_ENV,
     RESIDENT_ENV,
     ShardedExecutor,
     _check_fd_budget,
@@ -240,14 +239,15 @@ class TestShardedMachinery:
         reason="needs RLIMIT_NOFILE and /proc/self/fd",
     )
     def test_fd_limit_is_a_structured_error(self, tmp_path):
-        """A pipe mesh beyond RLIMIT_NOFILE is refused up front.
+        """A pipe pool beyond RLIMIT_NOFILE is refused up front.
 
-        K shards need K(K-1) mesh fds in the driver; past the soft
-        limit the spawn used to die with a raw ``[Errno 24] Too many
-        open files``.  Run under a lowered limit in a subprocess (the
-        limit is per process): a large K raises ConfigurationError
-        naming K, the need and the limit, and leaves no temp store
-        behind; a small K still runs.
+        K shards need 3K fds in the driver (a command pipe pair and a
+        process sentinel per worker); past the soft limit the spawn
+        used to die with a raw ``[Errno 24] Too many open files``.  Run
+        under a lowered limit in a subprocess (the limit is per
+        process): K=100 needs 300 > 256 and raises ConfigurationError
+        naming K, the need and the limit, before any worker exists,
+        and leaves no temp store behind; a small K still runs.
         """
         script = textwrap.dedent(
             """
@@ -260,7 +260,7 @@ class TestShardedMachinery:
             resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))
             graph = mesh(8, seed=1)
             try:
-                run("diameter", graph, tau=4, executor="sharded", shards=20)
+                run("diameter", graph, tau=4, executor="sharded", shards=100)
             except ConfigurationError as exc:
                 print("ERROR", exc)
             result = run("diameter", graph, tau=4, executor="sharded", shards=3)
@@ -282,8 +282,8 @@ class TestShardedMachinery:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         error = next(line for line in lines if line.startswith("ERROR"))
-        assert "20 shards" in error
-        assert "needs " in error and "380 for the worker pipe mesh" in error
+        assert "100 shards" in error
+        assert "needs " in error and "(300 for worker pipes" in error
         assert "is 256" in error
         assert any(line.startswith("OK") for line in lines)
         assert not list(tmp_path.iterdir()), "temp store leaked"
@@ -294,47 +294,50 @@ class TestShardedMachinery:
         reason="needs RLIMIT_NOFILE and /proc/self/fd",
     )
     @pytest.mark.parametrize(
-        "shards, mesh_on, soft, mesh_fds",
+        "shards, soft, refused",
         [
-            (20, True, 256, 380),  # the mesh alone overflows the limit
-            (3, True, 1 << 20, None),
-            (20, False, 1 << 20, None),  # sync exchange: no mesh
-            (2, False, 3, 0),  # worker pipes past an absurd limit
-            (50, True, "unlimited", None),
+            (100, 256, True),  # 300 worker-pipe fds alone overflow 256
+            (3, 1 << 20, False),
+            (300, 1 << 20, False),  # 900 fds: many shards, roomy limit
+            (2, 3, True),  # worker pipes past an absurd limit
+            (50, "unlimited", False),
         ],
-        ids=["mesh-over", "mesh-fits", "no-mesh", "pipes-over", "unlimited"],
+        ids=["over", "fits", "many-fit", "tiny-limit", "unlimited"],
     )
-    def test_fd_budget(self, monkeypatch, shards, mesh_on, soft, mesh_fds):
-        """The up-front check counts K(K-1) mesh ends (async exchange
-        only) plus three fds per worker on top of what is already open,
-        against the soft limit; an unlimited soft limit always passes."""
+    def test_fd_budget(self, monkeypatch, shards, soft, refused):
+        """The up-front check counts three fds per worker on top of what
+        is already open, against the soft limit; an unlimited soft limit
+        always passes."""
         import resource
 
         _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
         if soft == "unlimited":
             soft = resource.RLIM_INFINITY
         monkeypatch.setattr(resource, "getrlimit", lambda _which: (soft, hard))
-        if mesh_fds is None:
-            _check_fd_budget(shards, mesh_on)
+        if not refused:
+            _check_fd_budget(shards)
             return
         with pytest.raises(ConfigurationError) as excinfo:
-            _check_fd_budget(shards, mesh_on)
+            _check_fd_budget(shards)
         message = str(excinfo.value)
         assert f"with {shards} shards" in message
-        assert f"({mesh_fds} for the worker pipe mesh" in message
-        assert f"{3 * shards} for worker pipes" in message
+        assert f"({3 * shards} for worker pipes" in message
+        need = int(message.split(" needs ")[1].split()[0])
+        already_open = int(message.split("pipes, ")[1].split()[0])
+        assert need == 3 * shards + already_open > soft
         assert f"(RLIMIT_NOFILE) is {soft}" in message
 
 
-class TestAsyncExchangeParity:
-    """Compute/exchange overlap must be invisible in the results.
+class TestExchangeParity:
+    """The driver-routed exchange must be invisible in the results.
 
-    The async tier ships boundary candidates while interior emission is
-    still running; it is only admissible because every worker still
-    sees exactly the same merged blocks at the same step boundaries as
-    the lock-step serial exchange.  Full matrix: CLUSTER / CLUSTER2 /
-    CL-DIAM x 1/2/7 shards x push/pull/auto emit — clusterings AND
-    counters bit-identical.
+    Boundary candidates cross shards one step late, through the driver,
+    after map-side combining and halo filtering, while frozen replicas
+    regenerate ghost contributions locally — none of which the
+    whole-graph ``vector`` backend does.  Full matrix: CLUSTER /
+    CLUSTER2 / CL-DIAM x 1/2/7 shards x push/pull/auto emit — the
+    clustering AND the full counter snapshot bit-identical to
+    ``vector``.
     """
 
     @pytest.mark.parametrize("emit", ["push", "pull", "auto"])
@@ -344,49 +347,32 @@ class TestAsyncExchangeParity:
         self, graphs, monkeypatch, algo, shards, emit
     ):
         fn = mr_cluster if algo == "cluster" else mr_cluster2
-        cfg = CFG.with_(executor="sharded", shards=shards)
         monkeypatch.setenv("REPRO_EMIT_MODE", emit)
-        monkeypatch.setenv(EXCHANGE_ENV, "serial")
-        lockstep = fn(graphs["gnm"], config=cfg)
-        monkeypatch.setenv(EXCHANGE_ENV, "async")
-        overlapped = fn(graphs["gnm"], config=cfg)
-        assert_identical(overlapped, lockstep)
+        reference = fn(graphs["gnm"], config=CFG.with_(executor="vector"))
+        result = fn(
+            graphs["gnm"], config=CFG.with_(executor="sharded", shards=shards)
+        )
+        assert_identical(result, reference)
+        assert result.counters.snapshot() == reference.counters.snapshot()
 
+    @pytest.mark.parametrize("emit", ["push", "pull", "auto"])
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_diameter_matrix(self, graphs, monkeypatch, shards):
+    def test_diameter_matrix(self, graphs, monkeypatch, shards, emit):
         cfg = ClusterConfig(seed=3, stage_threshold_factor=1.0, tau=4)
-        monkeypatch.setenv(EXCHANGE_ENV, "serial")
-        lockstep = mr_approximate_diameter(
+        monkeypatch.setenv("REPRO_EMIT_MODE", emit)
+        reference = mr_approximate_diameter(
+            graphs["gnm"], config=cfg.with_(executor="vector")
+        )
+        result = mr_approximate_diameter(
             graphs["gnm"], config=cfg.with_(executor="sharded", shards=shards)
         )
-        monkeypatch.setenv(EXCHANGE_ENV, "async")
-        overlapped = mr_approximate_diameter(
-            graphs["gnm"], config=cfg.with_(executor="sharded", shards=shards)
+        assert result.value == reference.value
+        assert result.radius == reference.radius
+        assert result.num_clusters == reference.num_clusters
+        assert np.array_equal(
+            result.clustering.center, reference.clustering.center
         )
-        assert overlapped.value == lockstep.value
-        assert overlapped.radius == lockstep.radius
-        assert overlapped.num_clusters == lockstep.num_clusters
-
-    def test_exchange_actually_active(self, graphs):
-        """Guard against the matrix silently comparing serial to serial:
-        a multi-shard async run must bring the peer mesh up."""
-        executor = ShardedExecutor(num_shards=2, exchange="async")
-        from repro.mr.engine import MREngine
-        from repro.mr.model import MRSpec
-
-        engine = MREngine(
-            MRSpec(total_memory=10**9, local_memory=10**6, num_workers=2),
-            executor=executor,
-        )
-        try:
-            mr_cluster(graphs["gnm"], config=CFG, engine=engine)
-            assert executor.exchange_active
-        finally:
-            executor.close()
-
-    def test_invalid_exchange(self):
-        with pytest.raises(ValueError):
-            ShardedExecutor(num_shards=2, exchange="bogus")
+        assert result.counters.snapshot() == reference.counters.snapshot()
 
 
 class TestOutOfCoreParity:
@@ -415,16 +401,20 @@ class TestOutOfCoreParity:
             # A 1 KiB budget can never fit two shards: the LRU must
             # evict down to a single mapped store at all times.
             assert executor.max_open_shards == 1
-            assert not executor.exchange_active
         finally:
             executor.close()
 
-    def test_env_budget_and_forced_serial(self, monkeypatch):
+    def test_env_budget(self, monkeypatch):
         monkeypatch.setenv(RESIDENT_ENV, "0.25")
-        executor = ShardedExecutor(num_shards=2, exchange="async")
+        executor = ShardedExecutor(num_shards=2)
         assert executor.resident_bytes == 256 * 1024
-        assert executor.exchange == "serial"
         executor.close()
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-1", "nan", "inf"])
+    def test_malformed_env_budget(self, monkeypatch, raw):
+        monkeypatch.setenv(RESIDENT_ENV, raw)
+        with pytest.raises(ConfigurationError, match=RESIDENT_ENV):
+            ShardedExecutor(num_shards=2)
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):

@@ -219,6 +219,26 @@ class TestPartition:
         assert main(["partition", store_file, "--shards", "0"]) == 2
         assert "--shards must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            ("REPRO_SHARD_PARTITIONER", "bogus"),
+            ("REPRO_SHARD_RESIDENT_MB", "abc"),
+        ],
+    )
+    def test_malformed_sharded_env_is_clean(
+        self, store_file, capsys, monkeypatch, variable, value
+    ):
+        monkeypatch.setenv(variable, value)
+        rc = main(
+            ["run", "diameter", store_file, "--executor", "sharded",
+             "--shards", "2"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{variable}={value!r}" in err
+
 
 class TestConvert:
     def test_text_to_store(self, graph_file, tmp_path, capsys):
