@@ -95,6 +95,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.mr import native as _native
 
 __all__ = [
@@ -131,11 +132,18 @@ def emit_mode() -> str:
     """The active expansion direction: ``push``, ``pull`` or ``auto``.
 
     Read from :data:`EMIT_ENV` on every call so benchmarks and the CI
-    parity job can flip directions between runs in one process; unknown
-    values fall back to ``auto``.
+    parity job can flip directions between runs in one process.  Unset
+    or empty means ``auto``; any other value outside
+    :data:`EMIT_MODES` is a :class:`~repro.errors.ConfigurationError`
+    naming the variable.
     """
-    value = os.environ.get(EMIT_ENV, "auto")
-    return value if value in EMIT_MODES else "auto"
+    value = os.environ.get(EMIT_ENV) or "auto"
+    if value not in EMIT_MODES:
+        raise ConfigurationError(
+            f"{EMIT_ENV}={value!r} is not an emit mode "
+            f"(use one of {', '.join(EMIT_MODES)})"
+        )
+    return value
 
 
 class EmitBatch:
@@ -229,8 +237,9 @@ class EmitScratch:
     set is *not* contiguous — ``base`` must be 0 and ``localidx`` /
     ``owners`` (the partition sidecars, indexed by global id) and
     ``shard_id`` supply the reverse maps.  The mapped layout keeps the
-    native push expansion (its keys come straight from ``indices``) but
-    takes the NumPy pull and cache-maintenance branches, whose id
+    native push expansion (its keys come straight from ``indices``) and
+    the native frozen-emission cache kernels (which take the sidecars
+    as their ownership map), but takes the NumPy pull branch, whose id
     arithmetic assumes contiguity.
     """
 
@@ -878,9 +887,7 @@ class EmitScratch:
             self._cache_inert = 0
             self._cache_len = 0
             self._cache_delta = delta
-        if _native.use_native() and self.row_gids is None:
-            # The native maintenance kernels test ownership by the
-            # contiguous [lo, hi) range; mapped layouts stay in NumPy.
+        if _native.use_native():
             self._cache_update_native(frozen, delta, lo, hi)
             return
 
@@ -948,7 +955,10 @@ class EmitScratch:
         Same append/retire semantics as the NumPy branch, but the cache
         lives in preallocated capacity columns so forced rounds never
         reconcatenate it; ``_cache_keys``/``_cache_src``/``_cache_aidx``
-        become prefix views over those columns.
+        become prefix views over those columns.  Mapped layouts hand the
+        kernels their ``owners``/``localidx`` sidecars for the ownership
+        test and the key→row map; contiguous ones pass ``None`` and keep
+        the ``[lo, hi)`` range test.
         """
         if len(self._cache_keys) and (
             self._cbuf_k is None or self._cache_keys.base is not self._cbuf_k
@@ -978,6 +988,8 @@ class EmitScratch:
                 delta, lo, hi, self._cache_hist,
                 self._cbuf_k, self._cbuf_s, self._cbuf_a,
                 self._cache_len,
+                owners=self.owners, localidx=self.localidx,
+                shard_id=self.shard_id,
             )
             self._cache_inert += cnt - appended
             self._cache_len += appended
@@ -986,7 +998,7 @@ class EmitScratch:
         if self._cache_len:
             new_len = _native.cache_retire(
                 self._cbuf_k, self._cbuf_s, self._cbuf_a,
-                self._cache_len, frozen, lo,
+                self._cache_len, frozen, lo, localidx=self.localidx,
             )
             self._cache_inert += self._cache_len - new_len
             self._cache_len = new_len

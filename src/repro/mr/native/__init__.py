@@ -46,6 +46,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.mr.native.build import NATIVE_DIR_ENV, build_library
 
 __all__ = [
@@ -115,11 +116,14 @@ _SIGNATURES = {
     "rk_freeze_assigned": ([_P, _I, _I, _P, _P, _P], _I),
     "rk_forced_sets": ([_P, _P, _P, _P, _I, _D, _P, _P], _I),
     "rk_cache_append": ([_P, _P, _P, _I, _I, _I, _P, _P, _P, _P, _I], _I),
+    # indptr, indices, weights, src_ids, nsrc, delta, lo, hi, owners,
+    # localidx, shard, hist, ck, cs, ca, pos, total_out -> appended
     "rk_cache_emit": (
-        [_P, _P, _P, _P, _I, _D, _I, _I, _P, _P, _P, _P, _I, _P],
+        [_P, _P, _P, _P, _I, _D, _I, _I, _P, _P, _I,
+         _P, _P, _P, _P, _I, _P],
         _I,
     ),
-    "rk_cache_retire": ([_P, _P, _P, _I, _P, _I], _I),
+    "rk_cache_retire": ([_P, _P, _P, _I, _P, _I, _P], _I),
     "rk_partition_loads": ([_P, _I, _P, _I, _P], _I),
     "rk_cache_replay": ([_P, _P, _P, _I, _P, _P, _P, _P, _P, _P], _I),
     "rk_materialize": ([_P, _P, _I, _P, _P, _P, _P, _P], None),
@@ -170,9 +174,19 @@ def _load() -> Optional[ctypes.CDLL]:
 
 
 def requested_impl() -> str:
-    """The requested tier from :data:`KERNEL_IMPL_ENV` (``auto`` default)."""
-    value = os.environ.get(KERNEL_IMPL_ENV, "auto")
-    return value if value in ("py", "native") else "auto"
+    """The requested tier from :data:`KERNEL_IMPL_ENV` (``auto`` default).
+
+    Unset or empty means ``auto``; any other value outside
+    :data:`KERNEL_IMPLS` is a :class:`~repro.errors.ConfigurationError`
+    naming the variable.
+    """
+    value = os.environ.get(KERNEL_IMPL_ENV) or "auto"
+    if value not in KERNEL_IMPLS:
+        raise ConfigurationError(
+            f"{KERNEL_IMPL_ENV}={value!r} is not a kernel tier "
+            f"(use one of {', '.join(KERNEL_IMPLS)})"
+        )
+    return value
 
 
 def native_available() -> bool:
@@ -255,6 +269,15 @@ def _ptr(arr: Optional[np.ndarray]) -> int:
 def _col(arr: np.ndarray) -> Tuple[int, int]:
     """(pointer, element stride) of a float64 column, views included."""
     return arr.ctypes.data, arr.strides[0] // 8
+
+
+def _sidecar(arr: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """An lp partition sidecar as the kernels read it (C-contiguous int32)."""
+    if arr is None:
+        return None
+    if arr.dtype != np.int32 or not arr.flags.c_contiguous:
+        raise ValueError("partition sidecars must be C-contiguous int32")
+    return arr
 
 
 def _contig_i8(arr: np.ndarray) -> np.ndarray:
@@ -381,18 +404,23 @@ def cache_append(k, s, a, lo, hi, hist, ck, cs, ca, pos) -> int:
 
 
 def cache_emit(
-    indptr, indices, weights, src_ids, delta, lo, hi, hist, ck, cs, ca, pos
+    indptr, indices, weights, src_ids, delta, lo, hi, hist, ck, cs, ca, pos,
+    owners=None, localidx=None, shard_id=0,
 ):
     """Expand frozen sources straight into the cache columns.
 
     Returns ``(appended, total_emitted)`` — the light-arc multiset size
     minus the appended count is the externally-targeted (inert) mass.
+    Ownership is the contiguous ``[lo, hi)`` range unless the mapped
+    layout's int32 sidecars ``owners``/``localidx`` (indexed by global
+    id) and ``shard_id`` are given; ``hist`` is indexed by local row.
     """
     lib = _load()
     total = np.zeros(1, dtype=np.int64)
     appended = lib.rk_cache_emit(
         _ptr(indptr), _ptr(indices), _ptr(weights),
         _ptr(src_ids), len(src_ids), delta, lo, hi,
+        _ptr(_sidecar(owners)), _ptr(_sidecar(localidx)), shard_id,
         _ptr(hist), _ptr(ck), _ptr(cs), _ptr(ca), pos, _ptr(total),
     )
     return appended, int(total[0])
@@ -410,11 +438,16 @@ def partition_loads(keys, weights, nworkers, loads) -> int:
     )
 
 
-def cache_retire(ck, cs, ca, length, frozen, lo) -> int:
-    """In-place compaction dropping frozen targets; returns new length."""
+def cache_retire(ck, cs, ca, length, frozen, lo, localidx=None) -> int:
+    """In-place compaction dropping frozen targets; returns new length.
+
+    ``frozen`` is indexed by local row: ``key - lo``, or
+    ``localidx[key]`` under the mapped layout's sidecar.
+    """
     lib = _load()
     return lib.rk_cache_retire(
-        _ptr(ck), _ptr(cs), _ptr(ca), length, _ptr(frozen), lo
+        _ptr(ck), _ptr(cs), _ptr(ca), length, _ptr(frozen), lo,
+        _ptr(_sidecar(localidx)),
     )
 
 

@@ -3,7 +3,8 @@
  *
  * Compiled on demand by repro.mr.native.build (cc -O3 -fPIC -shared) and
  * loaded through ctypes; every entry point is a plain C function over
- * int64 / float64 / uint8 buffers so the Python wrappers can hand numpy
+ * int64 / float64 / uint8 buffers (plus the int32 lp partition sidecars)
+ * so the Python wrappers can hand numpy
  * array pointers straight through (ctypes releases the GIL for the
  * duration of each call, which is what lets the threaded emit path run
  * chunks concurrently from a ThreadPoolExecutor).
@@ -23,6 +24,7 @@
 #include <string.h>
 
 typedef int64_t i64;
+typedef int32_t i32;
 typedef uint8_t u8;
 
 /* The pull kernels stream arcs sequentially but gather per-source
@@ -400,12 +402,20 @@ i64 rk_cache_append(
 
 /* Fused frozen-source expansion straight into the cache columns: a
  * frozen source emits at effective distance 0, so nd == w and the
- * light and Δ tests coincide.  Owned targets ([lo, hi)) append at
- * `pos` and count into `hist`; returns the appended count, with
- * *total_out the full emitted multiset size (for inert accounting). */
+ * light and Δ tests coincide.  Owned targets append at `pos` and count
+ * into `hist` (indexed by local row); returns the appended count, with
+ * *total_out the full emitted multiset size (for inert accounting).
+ *
+ * Ownership: with `owners` NULL the shard is the contiguous range
+ * [lo, hi) and a key's local row is key - lo; otherwise (the mapped lp
+ * layout) `owners`/`localidx` are the partition sidecars indexed by
+ * global id, a key is owned when owners[key] == shard and its local
+ * row is localidx[key].  The test is loop-invariant, so the compiler
+ * unswitches it and the contiguous path keeps its plain range loop. */
 i64 rk_cache_emit(
     const i64 *indptr, const i64 *indices, const double *weights,
     const i64 *src_ids, i64 nsrc, double delta, i64 lo, i64 hi,
+    const i32 *owners, const i32 *localidx, i64 shard,
     i64 *hist, i64 *ck, i64 *cs, i64 *ca, i64 pos, i64 *total_out)
 {
     i64 t = pos;
@@ -418,9 +428,17 @@ i64 rk_cache_emit(
                 continue;
             ++total;
             i64 key = indices[a];
-            if (key < lo || key >= hi)
-                continue;
-            hist[key - lo] += 1;
+            i64 row;
+            if (owners) {
+                if (owners[key] != shard)
+                    continue;
+                row = localidx[key];
+            } else {
+                if (key < lo || key >= hi)
+                    continue;
+                row = key - lo;
+            }
+            hist[row] += 1;
             ck[t] = key;
             cs[t] = u;
             ca[t] = a;
@@ -458,16 +476,27 @@ i64 rk_partition_loads(
 /* Frozen-emission cache retire (step 2): drop rows whose target froze,
  * compacting the cache columns in place (order preserved).  Returns
  * the surviving length; the histogram keeps the retired rows' mass (it
- * accounts every cached row, inert included). */
+ * accounts every cached row, inert included).  Cached keys are owned,
+ * so their local row is localidx[key] when the lp map is given (see
+ * rk_cache_emit), else key - lo. */
 i64 rk_cache_retire(
-    i64 *ck, i64 *cs, i64 *ca, i64 n, const u8 *frozen, i64 lo)
+    i64 *ck, i64 *cs, i64 *ca, i64 n, const u8 *frozen, i64 lo,
+    const i32 *localidx)
 {
     i64 t = 0;
     for (i64 i = 0; i < n; ++i) {
-        if (i + RK_PF_DIST < n)
-            RK_PREFETCH(&frozen[ck[i + RK_PF_DIST] - lo]);
         i64 key = ck[i];
-        if (frozen[key - lo])
+        i64 row;
+        if (localidx) {
+            if (i + RK_PF_DIST < n)
+                RK_PREFETCH(&localidx[ck[i + RK_PF_DIST]]);
+            row = localidx[key];
+        } else {
+            if (i + RK_PF_DIST < n)
+                RK_PREFETCH(&frozen[ck[i + RK_PF_DIST] - lo]);
+            row = key - lo;
+        }
+        if (frozen[row])
             continue;
         if (t != i) {
             ck[t] = key;

@@ -172,6 +172,35 @@ def _candidate_bytes(blocks) -> int:
     return sum(sum(a.nbytes for a in block) for block in blocks)
 
 
+#: A dense mark over ``[0, domain)`` replaces the sort in
+#: :func:`_sorted_unique` while the domain is at most this many times
+#: the key count (plus a fixed slack for small inputs).
+_DENSE_UNIQUE_FACTOR = 8
+_DENSE_UNIQUE_SLACK = 65_536
+
+
+def _sorted_unique(keys: np.ndarray, domain: int, return_inverse=False):
+    """``np.unique(keys[, return_inverse=True])`` for keys in ``[0, domain)``.
+
+    When the domain is not much larger than the key count, a transient
+    bool mark (and, for the inverse, a transient rank table) replaces
+    the sort: O(domain + len(keys)) instead of O(k log k).  Both
+    transients are freed on return, so a shard worker built with this
+    keeps no array sized to the global id space.  Values and dtypes
+    match ``np.unique``'s.
+    """
+    if domain > _DENSE_UNIQUE_FACTOR * len(keys) + _DENSE_UNIQUE_SLACK:
+        return np.unique(keys, return_inverse=return_inverse)
+    mark = np.zeros(domain, dtype=bool)
+    mark[keys] = True
+    uniq = np.flatnonzero(mark).astype(keys.dtype, copy=False)
+    if not return_inverse:
+        return uniq
+    rank = np.empty(domain, dtype=np.intp)
+    rank[uniq] = np.arange(len(uniq))
+    return uniq, rank[keys]
+
+
 class _Ownership:
     """One shard's node-id geometry under either partitioner.
 
@@ -227,12 +256,15 @@ class _Ownership:
             self.num_shards = int(spec["num_shards"])
             self.num_nodes = int(spec["num_nodes"])
             shape = (self.num_nodes,)
+            # Plain ndarray views of the mappings (zero-copy; the view
+            # keeps the map alive): the per-step gathers in is_local /
+            # owner_of / to_local then skip memmap's subclass wrapping.
             self.owners = np.memmap(
                 spec["owners_path"], dtype=np.int32, mode="r", shape=shape
-            )
+            ).view(np.ndarray)
             self.localidx = np.memmap(
                 spec["localidx_path"], dtype=np.int32, mode="r", shape=shape
-            )
+            ).view(np.ndarray)
             self.row_gids = np.flatnonzero(
                 self.owners == np.int32(shard_id)
             ).astype(np.int64)
@@ -317,15 +349,20 @@ class _ShardWorker:
 
         # The halo: every external node this shard has an arc to — the
         # only possible sources of incoming (and targets of outgoing)
-        # cross-shard contributions, thanks to edge symmetry.
+        # cross-shard contributions, thanks to edge symmetry.  Nothing
+        # here sorts the boundary: rows come from a binary search of the
+        # boundary arcs in indptr, and the halo and boundary pairs are
+        # deduplicated by dense marks (see _sorted_unique).
         external = np.flatnonzero(~own.is_local(self.indices))
-        degrees = np.diff(self.indptr)
-        rows = np.repeat(np.arange(num_rows, dtype=np.int64), degrees)
-        self.ext_rows = rows[external]  # local target of the reverse arc
+        # local target of the reverse arc
+        self.ext_rows = (
+            np.searchsorted(self.indptr, external, side="right") - 1
+        )
         self.ext_nbrs = self.indices[external]  # external endpoint
         self.ext_w = self.weights[external]
-        self.halo = np.unique(self.ext_nbrs)
-        self.ext_halo_idx = np.searchsorted(self.halo, self.ext_nbrs)
+        self.halo, self.ext_halo_idx = _sorted_unique(
+            self.ext_nbrs, own.num_nodes, return_inverse=True
+        )
 
         #: Fused emit pipeline over this shard's rows: scratch-buffered
         #: push/pull expansion.  The reverse-CSR arc→row map memory-maps
@@ -356,17 +393,15 @@ class _ShardWorker:
 
         # Boundary incidence: for each local node with external arcs,
         # the distinct shards owning a neighbour — where its state must
-        # be replicated when it freezes.
-        if len(external):
-            owners = own.owner_of(self.ext_nbrs)
-            pairs = np.unique(
-                np.stack((self.ext_rows, owners), axis=1), axis=0
-            )
-            self.boundary_nodes = pairs[:, 0]  # local rows
-            self.boundary_dests = pairs[:, 1]
-        else:
-            self.boundary_nodes = np.empty(0, dtype=np.int64)
-            self.boundary_dests = np.empty(0, dtype=np.int64)
+        # be replicated when it freezes.  Distinct (row, owner) pairs in
+        # lexicographic order, as one packed key row·K + owner.
+        shards = own.num_shards
+        pairs = _sorted_unique(
+            self.ext_rows * shards + own.owner_of(self.ext_nbrs),
+            num_rows * shards,
+        )
+        self.boundary_nodes = pairs // shards  # local rows
+        self.boundary_dests = pairs % shards
 
         self.reset()
 
@@ -963,12 +998,38 @@ def _dispatch(worker: _ShardWorker, command: str, args):
 
 
 def _worker_timeout() -> float:
-    """Per-command deadline in seconds (``REPRO_WORKER_TIMEOUT_S``)."""
-    try:
-        timeout = float(os.environ.get(WORKER_TIMEOUT_ENV, "60"))
-    except ValueError:
+    """Per-command deadline in seconds (``REPRO_WORKER_TIMEOUT_S``, 60).
+
+    Anything but a positive finite number is a configuration error
+    naming the variable, not a silent fall-back to the default.
+    """
+    raw = os.environ.get(WORKER_TIMEOUT_ENV)
+    if not raw:
         return 60.0
-    return timeout if timeout > 0 else 60.0
+    try:
+        timeout = float(raw)
+    except ValueError:
+        timeout = None
+    if timeout is None or not 0 < timeout < float("inf"):
+        raise ConfigurationError(
+            f"{WORKER_TIMEOUT_ENV}={raw!r} is not a positive number of "
+            "seconds"
+        )
+    return timeout
+
+
+def _check_worker_env() -> None:
+    """Fail closed on the knobs shard workers read, before any fork.
+
+    A worker resolving a malformed value itself would surface it as a
+    worker traceback mid-run; the driver raises the
+    :class:`ConfigurationError` naming the variable up front instead.
+    """
+    from repro.mr.emit import emit_mode
+
+    _worker_timeout()
+    emit_mode()
+    _native.requested_impl()
 
 
 def _hb_interval(timeout: float) -> float:
@@ -1810,6 +1871,7 @@ class ShardedExecutor:
     def _ensure_workers(self, graph) -> None:
         if self._pool is not None and self._graph is graph:
             return
+        _check_worker_env()
         self.close()
         from repro.graph.partition import (
             ASSIGNMENT_NAME,

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.generators import rmat
 from repro.graph.ops import largest_connected_component
 from repro.mr import native
@@ -345,6 +346,9 @@ class TestDirectionPlanning:
         os.environ[EMIT_ENV] = "pull"
         assert emit_mode() == "pull"
         os.environ[EMIT_ENV] = "bogus"
+        with pytest.raises(ConfigurationError, match=f"{EMIT_ENV}='bogus'"):
+            emit_mode()
+        os.environ[EMIT_ENV] = ""
         assert emit_mode() == "auto"
         os.environ.pop(EMIT_ENV, None)
         assert emit_mode() == "auto"

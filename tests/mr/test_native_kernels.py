@@ -352,6 +352,65 @@ class TestCacheKernels:
             hist, np.bincount(np.array(ref_k), minlength=hi - lo)
         )
 
+    @pytest.mark.parametrize("shard_id", [0, 2])
+    def test_mapped_ownership_emit_and_retire(self, graph, shard_id):
+        """The lp ownership map (int32 owners/localidx sidecars) against a
+        Python oracle: owned keys append, hist counts by local row, and
+        retire reads frozen through localidx."""
+        rng = np.random.default_rng(shard_id)
+        n = graph.num_nodes
+        owners = rng.integers(0, 3, n).astype(np.int32)
+        localidx = np.zeros(n, dtype=np.int32)
+        for k in range(3):
+            mine = np.flatnonzero(owners == k)
+            localidx[mine] = np.arange(len(mine))
+        rows = int((owners == shard_id).sum())
+        delta = float(np.median(graph.weights))
+        newly = np.arange(1, n, 4, dtype=np.int64)
+        bound = int((graph.indptr[newly + 1] - graph.indptr[newly]).sum())
+        hist = np.zeros(rows, dtype=np.int64)
+        ck, cs, ca = (np.zeros(bound, np.int64) for _ in range(3))
+        appended, cnt = native.cache_emit(
+            graph.indptr, graph.indices, graph.weights, newly,
+            delta, 0, 0, hist, ck, cs, ca, 0,
+            owners=owners, localidx=localidx, shard_id=shard_id,
+        )
+        ref = [
+            (int(graph.indices[arc]), int(u), arc)
+            for u in newly
+            for arc in range(graph.indptr[u], graph.indptr[u + 1])
+            if graph.weights[arc] <= delta
+        ]
+        owned = [r for r in ref if owners[r[0]] == shard_id]
+        assert cnt == len(ref) and appended == len(owned)
+        np.testing.assert_array_equal(ck[:appended], [r[0] for r in owned])
+        np.testing.assert_array_equal(cs[:appended], [r[1] for r in owned])
+        np.testing.assert_array_equal(ca[:appended], [r[2] for r in owned])
+        np.testing.assert_array_equal(
+            hist,
+            np.bincount(localidx[ck[:appended]], minlength=rows),
+        )
+
+        frozen = rng.random(rows) < 0.4
+        keep = [r for r in owned if not frozen[localidx[r[0]]]]
+        nl = native.cache_retire(
+            ck, cs, ca, appended, frozen, 0, localidx=localidx
+        )
+        assert nl == len(keep)
+        np.testing.assert_array_equal(ck[:nl], [r[0] for r in keep])
+        np.testing.assert_array_equal(ca[:nl], [r[2] for r in keep])
+
+    def test_sidecars_must_be_int32(self, graph):
+        hist = np.zeros(graph.num_nodes, dtype=np.int64)
+        buf = np.zeros(1, np.int64)
+        with pytest.raises(ValueError, match="int32"):
+            native.cache_emit(
+                graph.indptr, graph.indices, graph.weights,
+                np.empty(0, np.int64), 1.0, 0, 0, hist, buf, buf, buf, 0,
+                owners=np.zeros(graph.num_nodes, np.int64),
+                localidx=np.zeros(graph.num_nodes, np.int32),
+            )
+
 
 # --------------------------------------------------------------------- #
 # quotient eccentricity: the CL-DIAM quotient-diameter kernel
@@ -493,6 +552,18 @@ class TestFallback:
         os.environ[native.KERNEL_IMPL_ENV] = "py"
         assert not native.use_native()
         assert native.kernel_impl() == "py"
+
+    @pytest.mark.parametrize("value", ["natvie", "PY", "none"])
+    def test_unknown_tier_is_a_configuration_error(self, impl_env, value):
+        os.environ[native.KERNEL_IMPL_ENV] = value
+        with pytest.raises(
+            ConfigurationError, match=f"{native.KERNEL_IMPL_ENV}={value!r}"
+        ):
+            native.use_native()
+
+    def test_empty_tier_means_auto(self, impl_env):
+        os.environ[native.KERNEL_IMPL_ENV] = ""
+        assert native.requested_impl() == "auto"
 
     def test_disable_env_wins_over_native_request(self, impl_env):
         os.environ[native.KERNEL_IMPL_ENV] = "native"

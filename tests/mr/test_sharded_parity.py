@@ -24,6 +24,7 @@ from repro.core.config import ClusterConfig
 from repro.core.diameter import approximate_diameter
 from repro.errors import ConfigurationError
 from repro.generators import gnm_random_graph, mesh, path_graph
+from repro.graph.builder import from_edge_list
 from repro.graph.serialize import open_store, write_store
 from repro.mr.sharded import (
     RESIDENT_ENV,
@@ -326,6 +327,270 @@ class TestShardedMachinery:
         already_open = int(message.split("pipes, ")[1].split()[0])
         assert need == 3 * shards + already_open > soft
         assert f"(RLIMIT_NOFILE) is {soft}" in message
+
+
+def _inproc_workers(graph, shards, partitioner):
+    """The shard workers of an in-process pool (all shards kept open)."""
+    executor = ShardedExecutor(
+        num_shards=shards, partitioner=partitioner, resident_mb=1024
+    )
+    executor._ensure_workers(graph)
+    return executor, executor._pool.workers
+
+
+def _geometry_oracle(graph, owner, shard):
+    """Brute-force halo / boundary sets of one shard from the whole graph."""
+    rows = [u for u in range(graph.num_nodes) if owner[u] == shard]
+    local = {u: r for r, u in enumerate(rows)}
+    ext_nbrs = []
+    pairs = set()
+    for u in rows:
+        for v in graph.indices[graph.indptr[u] : graph.indptr[u + 1]]:
+            v = int(v)
+            if owner[v] != shard:
+                ext_nbrs.append(v)
+                pairs.add((local[u], int(owner[v])))
+    halo = sorted(set(ext_nbrs))
+    rank = {v: i for i, v in enumerate(halo)}
+    pairs = sorted(pairs)
+    return {
+        "halo": halo,
+        "ext_halo_idx": [rank[v] for v in ext_nbrs],
+        "boundary_nodes": [r for r, _ in pairs],
+        "boundary_dests": [d for _, d in pairs],
+    }
+
+
+def _with_isolated_nodes():
+    """A mesh, a path and isolated nodes interleaved in the id space."""
+    edges = []
+    a, b = mesh(5, seed=2), path_graph(9, weights="uniform", seed=4)
+    for g, offset in ((a, 3), (b, 31)):
+        for u in range(g.num_nodes):
+            for arc in range(g.indptr[u], g.indptr[u + 1]):
+                v = int(g.indices[arc])
+                if u < v:
+                    edges.append((u + offset, v + offset, float(g.weights[arc])))
+    # ids 0-2, 28-30 and 40-43 have no arcs at all
+    return from_edge_list(edges, 44)
+
+
+def _two_islands():
+    """Two disconnected copies of one mesh: a 2-way split can cut nothing."""
+    g = mesh(4, seed=6)
+    edges = [
+        (u + off, int(g.indices[arc]) + off, float(g.weights[arc]))
+        for off in (0, g.num_nodes)
+        for u in range(g.num_nodes)
+        for arc in range(g.indptr[u], g.indptr[u + 1])
+        if u < g.indices[arc]
+    ]
+    return from_edge_list(edges, 2 * g.num_nodes)
+
+
+class TestShardGeometry:
+    """Each worker's halo and boundary incidence against a set oracle.
+
+    The worker builds them with dense marks and packed keys; the oracle
+    walks the whole graph's adjacency with Python sets.  Values and
+    dtypes must match for both layouts, isolated nodes included.
+    """
+
+    @pytest.mark.parametrize("partitioner", ["range", "lp"])
+    @pytest.mark.parametrize("shards", [1, 2, 7])
+    @pytest.mark.parametrize("name", ["gnm", "isolated"])
+    def test_matches_set_oracle(self, graphs, name, shards, partitioner):
+        graph = graphs["gnm"] if name == "gnm" else _with_isolated_nodes()
+        executor, workers = _inproc_workers(graph, shards, partitioner)
+        try:
+            plan = executor.plan
+            if plan.mode == "range":
+                owner = np.repeat(np.arange(shards), np.diff(plan.starts))
+            else:
+                owner = np.asarray(plan.assignment)
+            assert len(workers) == shards
+            for k, worker in enumerate(workers):
+                expected = _geometry_oracle(graph, owner, k)
+                for attr, values in expected.items():
+                    got = getattr(worker, attr)
+                    assert type(got) is np.ndarray, attr
+                    assert got.dtype == np.int64, attr
+                    assert got.tolist() == values, (attr, k)
+                if shards == 1:
+                    assert len(worker.ext_nbrs) == 0
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("partitioner", ["range", "lp"])
+    def test_no_global_sized_state_after_construction(self, partitioner):
+        """Construction's id-space marks are transient: on a sparse graph
+        split 7 ways, no array a worker keeps (besides the shared lp
+        sidecar maps) is as long as the global node count."""
+        graph = path_graph(700, weights="uniform", seed=1)
+        executor, workers = _inproc_workers(graph, 7, partitioner)
+        try:
+            for worker in workers:
+                shared = {id(worker.own.owners), id(worker.own.localidx)}
+                held = [
+                    (name, getattr(obj, name, None))
+                    for obj in (
+                        worker, worker.emit_scratch, worker.state, worker.own
+                    )
+                    for name in getattr(obj, "__dict__", None)
+                    or type(obj).__slots__
+                ]
+                held = [
+                    (name, value)
+                    for name, value in held
+                    if isinstance(value, np.ndarray) and id(value) not in shared
+                ]
+                assert len(held) > 20
+                for name, value in held:
+                    assert len(value) < graph.num_nodes, name
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("domain", [50, 10**7])
+    def test_sorted_unique_matches_numpy_on_both_branches(self, domain):
+        """The dense-mark branch (small domain) and the sort fallback
+        (domain far above the key count) equal ``np.unique``."""
+        from repro.mr.sharded import _sorted_unique
+
+        keys = np.random.default_rng(domain).integers(0, domain, 300)
+        for sample in (keys, keys[:0]):
+            uniq, inverse = _sorted_unique(sample, domain, return_inverse=True)
+            ref, ref_inverse = np.unique(sample, return_inverse=True)
+            assert uniq.dtype == ref.dtype and inverse.dtype == ref_inverse.dtype
+            assert np.array_equal(uniq, ref)
+            assert np.array_equal(inverse, ref_inverse)
+            assert np.array_equal(_sorted_unique(sample, domain), ref)
+
+    @pytest.mark.parametrize("partitioner", ["range", "lp"])
+    def test_shard_without_external_arcs(self, partitioner):
+        graph = _two_islands()
+        executor, workers = _inproc_workers(graph, 2, partitioner)
+        try:
+            sizes = [w.num_rows for w in workers]
+            assert sizes == [16, 16]
+            for worker in workers:
+                assert len(worker.ext_nbrs) == 0
+                for attr in (
+                    "halo", "ext_halo_idx", "boundary_nodes", "boundary_dests"
+                ):
+                    got = getattr(worker, attr)
+                    assert got.dtype == np.int64 and len(got) == 0, attr
+        finally:
+            executor.close()
+
+
+class TestMappedCacheTiers:
+    """The lp layout's frozen-emission cache on the native kernels.
+
+    Records every forced-round ``emit_raw`` of the mapped scratches
+    through a CLUSTER run, once per kernel tier: the replayed column
+    multisets and the ``emitted`` counts must agree, and the cache must
+    actually have been hit.
+    """
+
+    @staticmethod
+    def _record(monkeypatch, graph, impl):
+        """Forced-round columns (sorted) of the mapped scratches + hits."""
+        from repro.mr.emit import EmitScratch
+
+        calls = []
+        scratches = []
+        original = EmitScratch.emit_raw
+
+        def recording(self, **kwargs):
+            hits = self.cache_hits
+            out = original(self, **kwargs)
+            if kwargs["force"] and self.row_gids is not None:
+                keys, nd, src, aidx, emitted = out
+                replayed = self.cache_hits > hits
+                if not replayed:
+                    # Uncached rounds pick push or pull by tier; pull
+                    # names the reverse arc, so compare its weight.
+                    aidx = np.take(self.weights, aidx)
+                order = np.lexsort((nd, aidx, src, keys))
+                calls.append((
+                    self.shard_id, replayed, emitted, keys[order].tolist(),
+                    nd[order].tolist(), src[order].tolist(),
+                    aidx[order].tolist(),
+                ))
+                if self not in scratches:
+                    scratches.append(self)
+            return out
+
+        from repro.mr.engine import MREngine
+        from repro.mr.model import MRSpec
+
+        with monkeypatch.context() as patch:
+            patch.setattr(EmitScratch, "emit_raw", recording)
+            patch.setenv("REPRO_KERNEL_IMPL", impl)
+            executor = ShardedExecutor(
+                num_shards=3, partitioner="lp", resident_mb=1024
+            )
+            engine = MREngine(
+                MRSpec(total_memory=10**9, local_memory=10**6, num_workers=3),
+                executor=executor,
+            )
+            try:
+                mr_cluster(graph, config=CFG, engine=engine)
+            finally:
+                executor.close()
+        hits = sum(s.cache_hits for s in scratches)
+        return calls, hits
+
+    def test_native_matches_numpy_tier(self, graphs, monkeypatch):
+        from repro.mr import native
+
+        if not native.native_available():
+            pytest.skip("native kernel tier unavailable (no C toolchain)")
+        native_calls, native_hits = self._record(
+            monkeypatch, graphs["gnm"], "native"
+        )
+        py_calls, py_hits = self._record(monkeypatch, graphs["gnm"], "py")
+        assert native_hits > 0
+        assert native_hits == py_hits
+        assert any(call[1] for call in native_calls)
+        assert native_calls == py_calls
+
+
+class TestWorkerEnvChecks:
+    """Malformed worker knobs fail in the driver, before any fork."""
+
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            ("REPRO_WORKER_TIMEOUT_S", "abc"),
+            ("REPRO_WORKER_TIMEOUT_S", "0"),
+            ("REPRO_WORKER_TIMEOUT_S", "-1"),
+            ("REPRO_WORKER_TIMEOUT_S", "nan"),
+            ("REPRO_WORKER_TIMEOUT_S", "inf"),
+            ("REPRO_EMIT_MODE", "pusj"),
+            ("REPRO_KERNEL_IMPL", "natvie"),
+        ],
+    )
+    def test_rejected_before_spawn(self, graphs, monkeypatch, variable, value):
+        monkeypatch.setenv(variable, value)
+        executor = ShardedExecutor(num_shards=2)
+        try:
+            with pytest.raises(
+                ConfigurationError, match=f"{variable}={value!r}"
+            ):
+                executor._ensure_workers(graphs["mesh"])
+            assert executor._pool is None
+            assert executor.spawn_count == 0
+        finally:
+            executor.close()
+
+    def test_timeout_accepts_positive_seconds(self, monkeypatch):
+        from repro.mr.sharded import WORKER_TIMEOUT_ENV, _worker_timeout
+
+        monkeypatch.delenv(WORKER_TIMEOUT_ENV, raising=False)
+        assert _worker_timeout() == 60.0
+        monkeypatch.setenv(WORKER_TIMEOUT_ENV, "2.5")
+        assert _worker_timeout() == 2.5
 
 
 class TestExchangeParity:

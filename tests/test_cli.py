@@ -224,6 +224,12 @@ class TestPartition:
         [
             ("REPRO_SHARD_PARTITIONER", "bogus"),
             ("REPRO_SHARD_RESIDENT_MB", "abc"),
+            ("REPRO_WORKER_TIMEOUT_S", "abc"),
+            ("REPRO_WORKER_TIMEOUT_S", "0"),
+            ("REPRO_WORKER_TIMEOUT_S", "-1"),
+            ("REPRO_WORKER_TIMEOUT_S", "nan"),
+            ("REPRO_EMIT_MODE", "pusj"),
+            ("REPRO_KERNEL_IMPL", "natvie"),
         ],
     )
     def test_malformed_sharded_env_is_clean(
