@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-
 __all__ = ["ClusterState"]
 
 #: Sentinel for "no center assigned".
@@ -141,50 +139,3 @@ class ClusterState:
         if not assigned.any():
             return 0.0
         return float(self.dist_acc[assigned].max())
-
-    # ------------------------------------------------------------------ #
-    # Sharding: split/merge by contiguous node range
-    # ------------------------------------------------------------------ #
-
-    def slice_range(self, lo: int, hi: int) -> "ClusterState":
-        """Copy the state of the node range ``[lo, hi)`` as its own state.
-
-        The slice is independent (arrays are copied): a shard-owning
-        worker mutates its slice across rounds without touching the
-        original.  Node ``u`` of the slice is global node ``lo + u``;
-        ``center`` values stay *global* node ids, which is what lets
-        slices be merged back losslessly.
-        """
-        part = ClusterState.__new__(ClusterState)
-        part.center = self.center[lo:hi].copy()
-        part.dist = self.dist[lo:hi].copy()
-        part.dist_acc = self.dist_acc[lo:hi].copy()
-        part.frozen = self.frozen[lo:hi].copy()
-        part.frozen_iter = self.frozen_iter[lo:hi].copy()
-        return part
-
-    def split_by_ranges(self, starts) -> "list[ClusterState]":
-        """Split into per-shard slices along ``starts`` boundaries.
-
-        ``starts`` is a partition-plan boundary array (length
-        ``num_shards + 1``, covering ``[0, num_nodes)``); the returned
-        slices concatenate back to ``self`` via :meth:`concat`.
-        """
-        starts = np.asarray(starts, dtype=np.int64)
-        if starts[0] != 0 or starts[-1] != self.num_nodes:
-            raise ValueError("ranges must cover [0, num_nodes) exactly")
-        return [
-            self.slice_range(int(lo), int(hi))
-            for lo, hi in zip(starts[:-1], starts[1:])
-        ]
-
-    @classmethod
-    def concat(cls, slices: "list[ClusterState]") -> "ClusterState":
-        """Merge contiguous-range slices (in range order) into one state."""
-        merged = cls.__new__(cls)
-        merged.center = np.concatenate([s.center for s in slices])
-        merged.dist = np.concatenate([s.dist for s in slices])
-        merged.dist_acc = np.concatenate([s.dist_acc for s in slices])
-        merged.frozen = np.concatenate([s.frozen for s in slices])
-        merged.frozen_iter = np.concatenate([s.frozen_iter for s in slices])
-        return merged

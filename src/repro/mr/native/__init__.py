@@ -210,14 +210,23 @@ def kernel_impl() -> str:
 
 
 def emit_threads() -> int:
-    """Resolved emit thread count (env override, else CPU count, min 1)."""
+    """Resolved emit thread count: :data:`EMIT_THREADS_ENV` or the CPU count.
+
+    Unset or empty means the CPU count; anything but a positive integer
+    is a :class:`~repro.errors.ConfigurationError` naming the variable.
+    """
     raw = os.environ.get(EMIT_THREADS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigurationError(
+            f"{EMIT_THREADS_ENV}={raw!r} is not a positive thread count"
+        )
+    return threads
 
 
 @contextmanager
@@ -251,11 +260,17 @@ def impl_overrides(
 
 
 def resolved_info() -> Dict[str, object]:
-    """The resolved tier, attached to counters/results/bench records."""
+    """The resolved tier, attached to counters/results/bench records.
+
+    The ``py`` tier never builds or loads the library, so there
+    ``native_available`` is ``None`` (not probed).
+    """
     return {
         "kernel_impl": kernel_impl(),
         "emit_threads": emit_threads(),
-        "native_available": native_available(),
+        "native_available": (
+            None if requested_impl() == "py" else native_available()
+        ),
     }
 
 

@@ -27,10 +27,13 @@ import warnings
 from pathlib import Path
 from typing import Optional
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "NATIVE_DIR_ENV",
     "BUILD_TIMEOUT_ENV",
     "build_library",
+    "build_timeout",
     "library_path",
 ]
 
@@ -44,12 +47,25 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c11", "-fno-math-errno")
 
 
-def _build_timeout() -> float:
-    try:
-        timeout = float(os.environ.get(BUILD_TIMEOUT_ENV, "120"))
-    except ValueError:
+def build_timeout() -> float:
+    """The compiler deadline in seconds (:data:`BUILD_TIMEOUT_ENV`, 120).
+
+    Unset or empty means the default; anything but a positive finite
+    number is a :class:`~repro.errors.ConfigurationError` naming the
+    variable.
+    """
+    raw = os.environ.get(BUILD_TIMEOUT_ENV)
+    if not raw:
         return 120.0
-    return timeout if timeout > 0 else 120.0
+    try:
+        timeout = float(raw)
+    except ValueError:
+        timeout = None
+    if timeout is None or not 0 < timeout < float("inf"):
+        raise ConfigurationError(
+            f"{BUILD_TIMEOUT_ENV}={raw!r} is not a positive number of seconds"
+        )
+    return timeout
 
 
 def _cache_dir() -> Path:
@@ -106,7 +122,7 @@ def build_library() -> Optional[Path]:
         # Host tuning first (the cache is per-machine); a compiler that
         # rejects -march=native gets a second, portable attempt.
         proc = None
-        timeout = _build_timeout()
+        timeout = build_timeout()
         for extra in (("-march=native",), ()):
             cmd = [cc, *_CFLAGS, *extra, "-o", str(tmp), str(_SOURCE)]
             try:

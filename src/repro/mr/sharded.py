@@ -8,9 +8,10 @@ memory.  This module splits both across persistent workers:
   locality-aware lp assignment (:mod:`repro.graph.partition`) — and
   written as per-shard GraphStore files;
 * each **persistent worker** memory-maps its shard's CSR rows *once*
-  and keeps its slice of the growing state
-  (:class:`~repro.core.state.ClusterState` + a ``changed`` mask)
-  resident across rounds, stages, and even the two phases of CLUSTER2;
+  and is an :class:`~repro.mrimpl.growing_mr.ArrayGrowingState` over
+  those rows — the same node-state machine the ``vector`` backend runs
+  over the whole graph — resident across rounds, stages, and even the
+  two phases of CLUSTER2;
 * a Δ-growing step becomes: every worker merges the candidates that
   arrived for *its* nodes, adopts winners, expands its local frontier
   through its CSR rows, keeps the candidates whose targets it owns, and
@@ -47,12 +48,13 @@ On top of the candidate-volume reductions, two execution tiers:
   a time.  Per-shard growing state (O(nodes + cut)) stays resident;
   only the O(arcs) CSR pages page in and out.
 
-Bit-identical results are by construction, not luck: workers run the
-same :func:`~repro.mrimpl.growing_mr.apply_merged_candidates` and
-:class:`~repro.mr.emit.EmitScratch` kernels as the whole-graph array
-state, and the merge tie-break is the order-free
-equivalent of the engine's stable-first rule: builders deduplicate
-edges, so a target receives at most one candidate per source and
+Bit-identical results are by construction, not luck: workers inherit
+stage control, the apply half of the merge, freezing, singletons, and
+snapshots from the whole-graph array state and run the same
+:class:`~repro.mr.emit.EmitScratch` kernels, and the merge tie-break is
+the order-free equivalent of the engine's stable-first rule: builders
+deduplicate edges, so a target receives at most one candidate per
+source and
 "earliest arrival" equals "smallest source id" — the winner is simply
 the row minimizing ``(nd, center, source)``.  ``tests/mr/
 test_sharded_parity.py`` asserts equality against ``serial``/``vector``
@@ -75,6 +77,7 @@ import os
 import shutil
 import tempfile
 import threading
+import time
 import weakref
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -83,6 +86,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError, MemoryLimitExceeded, WorkerFailure
 from repro.mr import native as _native
+from repro.mr.emit import EmitScratch
+from repro.mr.kernels import ScatterScratch, scatter_min_rows
+from repro.mrimpl.growing_mr import NO_CENTER, ArrayGrowingState
 
 __all__ = [
     "ShardedExecutor",
@@ -160,13 +166,6 @@ _KERNEL_ENV_KEYS = (
 )
 
 
-def _empty_candidates() -> Tuple[np.ndarray, np.ndarray]:
-    return (
-        np.empty(0, dtype=np.int64),
-        np.empty((0, CANDIDATE_WIDTH), dtype=np.float64),
-    )
-
-
 def _candidate_bytes(blocks) -> int:
     """Payload bytes of a list of ``(keys, values, ...)`` array blocks."""
     return sum(sum(a.nbytes for a in block) for block in blocks)
@@ -209,17 +208,20 @@ class _Ownership:
     row space (state arrays):
 
     * ``range`` — local row ``r`` is global node ``lo + r``; ownership
-      and both maps are arithmetic on the ``starts`` boundaries.
-    * ``lp`` — local row ``r`` is global node ``row_gids[r]``; the maps
-      come from the partition's two memory-mapped int32 sidecars
-      (node→shard ``owners`` and node→local-row ``localidx``), shared
-      read-only across all forked workers through the page cache.
+      and the global→local map are arithmetic on the ``starts``
+      boundaries.
+    * ``lp`` — ownership and the global→local map come from the
+      partition's two memory-mapped int32 sidecars (node→shard
+      ``owners`` and node→local-row ``localidx``), shared read-only
+      across all forked workers through the page cache.
+
+    In both layouts local row ``r`` is global node ``row_gids[r]``.
 
     Both layouts keep ``localidx`` order-preserving (ascending global
     id ↔ ascending local row), which the merge relies on: converting
     ascending global group keys to local ids preserves ascending order,
     so the merge's first-maximum group is the ascending-first one and
-    ``apply_merged_candidates`` sees its documented ordering.
+    the inherited apply sees ascending target rows.
     """
 
     __slots__ = (
@@ -251,7 +253,7 @@ class _Ownership:
             self.num_rows = self.hi - self.lo
             self.owners = None
             self.localidx = None
-            self.row_gids = None
+            self.row_gids = np.arange(self.lo, self.hi, dtype=np.int64)
         elif self.mode == "lp":
             self.num_shards = int(spec["num_shards"])
             self.num_nodes = int(spec["num_nodes"])
@@ -291,25 +293,25 @@ class _Ownership:
             return gids - self.lo
         return self.localidx[gids].astype(np.int64)
 
-    def to_global(self, lids):
-        if self.mode == "range":
-            return lids + self.lo
-        return self.row_gids[lids]
-
 
 # --------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------- #
 
 
-class _ShardWorker:
-    """State and step logic of one shard-owning worker.
+class _ShardWorker(ArrayGrowingState):
+    """One shard-owning worker: :class:`ArrayGrowingState` over its rows.
 
     Lives in a forked worker process under :class:`_PipePool` (commands
     arrive over a pipe) or directly in the driver process under
-    :class:`_InprocPool` (the out-of-core tier).  All node ids crossing
-    a pipe are global; state arrays are local rows ``[0, num_rows)``
-    mapped to global ids by :class:`_Ownership`.
+    :class:`_InprocPool` (the out-of-core tier).  The node state, stage
+    control, freezing, singletons, and checkpoint snapshots are the
+    inherited whole-graph code over local rows ``[0, num_rows)``, with
+    ``row_gids`` mapping rows to the global ids that cross every pipe.
+    This class adds only what sharding needs: the shard geometry and
+    graph residency, the merge of resident and delivered candidates,
+    routing of cross-shard candidates through the map-side combine and
+    halo filter, and the frozen-replica ghosts.
     """
 
     def __init__(
@@ -320,7 +322,6 @@ class _ShardWorker:
         in_process: bool = False,
     ):
         from repro.graph.serialize import open_store
-        from repro.mr.emit import EmitScratch
 
         self.shard_path = shard_path
         self.shard_id = shard_id
@@ -332,20 +333,13 @@ class _ShardWorker:
         self.own = own
 
         shard = open_store(shard_path)  # local rows, global neighbour ids
-        self.indptr = shard.indptr
-        self.indices = shard.indices
-        self.weights = shard.weights
-        self._shard = shard  # keeps the mmap alive
         self._rsrc_from_store = shard.rsrc is not None
         self.graph_open = True
-        num_rows = len(self.indptr) - 1
-        if num_rows != own.num_rows:
+        if shard.num_nodes != own.num_rows:
             raise ValueError(
-                f"shard {shard_id}: store has {num_rows} rows, "
+                f"shard {shard_id}: store has {shard.num_nodes} rows, "
                 f"partition assigns {own.num_rows}"
             )
-        self.num_rows = num_rows
-        self.state = None  # allocated by the reset() below
 
         # The halo: every external node this shard has an arc to — the
         # only possible sources of incoming (and targets of outgoing)
@@ -353,42 +347,15 @@ class _ShardWorker:
         # here sorts the boundary: rows come from a binary search of the
         # boundary arcs in indptr, and the halo and boundary pairs are
         # deduplicated by dense marks (see _sorted_unique).
-        external = np.flatnonzero(~own.is_local(self.indices))
+        self.ext_aidx = np.flatnonzero(~own.is_local(shard.indices))
         # local target of the reverse arc
         self.ext_rows = (
-            np.searchsorted(self.indptr, external, side="right") - 1
+            np.searchsorted(shard.indptr, self.ext_aidx, side="right") - 1
         )
-        self.ext_nbrs = self.indices[external]  # external endpoint
-        self.ext_w = self.weights[external]
+        self.ext_nbrs = shard.indices[self.ext_aidx]  # external endpoint
+        self.ext_w = shard.weights[self.ext_aidx]
         self.halo, self.ext_halo_idx = _sorted_unique(
             self.ext_nbrs, own.num_nodes, return_inverse=True
-        )
-
-        #: Fused emit pipeline over this shard's rows: scratch-buffered
-        #: push/pull expansion.  The reverse-CSR arc→row map memory-maps
-        #: from the shard store's ``rsrc`` section when present
-        #: (partitions written by this version carry it), and the
-        #: boundary slice (outward arcs pull cannot reach target-major)
-        #: stays resident as ``ext_rows`` + arc positions.  Under lp the
-        #: scratch takes the mapped layout: ``base=0`` plus the sidecar
-        #: maps, candidate keys still global.
-        scratch_args = dict(
-            id_domain=own.num_nodes,
-            arc_sources=shard.rsrc,
-            boundary_rows=self.ext_rows,
-            boundary_aidx=external,
-        )
-        if own.mode == "range":
-            scratch_args["base"] = own.lo
-        else:
-            scratch_args.update(
-                row_gids=own.row_gids,
-                localidx=own.localidx,
-                owners=own.owners,
-                shard_id=shard_id,
-            )
-        self.emit_scratch = EmitScratch(
-            self.indptr, self.indices, self.weights, **scratch_args
         )
 
         # Boundary incidence: for each local node with external arcs,
@@ -398,12 +365,62 @@ class _ShardWorker:
         shards = own.num_shards
         pairs = _sorted_unique(
             self.ext_rows * shards + own.owner_of(self.ext_nbrs),
-            num_rows * shards,
+            own.num_rows * shards,
         )
         self.boundary_nodes = pairs // shards  # local rows
         self.boundary_dests = pairs % shards
 
-        self.reset()
+        super().__init__(shard, own.row_gids)
+
+        #: Halo-sized scatter buffers of the outgoing map-side combine
+        #: (ids are halo indices, not local rows).
+        self.halo_scratch = ScatterScratch()
+        #: Dense histogram of the merge's group accounting, kept
+        #: all-zero between rounds.
+        self.hist = np.zeros(self.num_rows, dtype=np.int64)
+        #: Best ``nd`` shipped per halo node this stage (halo filter).
+        self.halo_best = np.full(len(self.halo), np.inf)
+        #: This shard's candidates for its own rows, awaiting the next
+        #: merge: ``(keys, values)`` or ``None``.
+        self.pending = None
+        # Frozen-replica ("ghost") state of halo nodes, filled by freeze
+        # updates; immutable once set.  Only entries with ``r_frozen``
+        # set are ever read.
+        self.r_frozen = np.zeros(len(self.halo), dtype=bool)
+        self.r_center = np.full(len(self.halo), NO_CENTER, dtype=np.int64)
+        self.r_dist = np.full(len(self.halo), np.inf)
+        self.r_dacc = np.full(len(self.halo), np.inf)
+        self.r_frozen_iter = np.zeros(len(self.halo), dtype=np.int64)
+
+    def _make_emit_scratch(self, graph) -> EmitScratch:
+        """Fused emit pipeline over this shard's rows.
+
+        The reverse-CSR arc→row map memory-maps from the shard store's
+        ``rsrc`` section when present (partitions written by this
+        version carry it), and the boundary slice (outward arcs pull
+        cannot reach target-major) stays resident as ``ext_rows`` + arc
+        positions.  Under lp the scratch takes the mapped layout:
+        ``base=0`` plus the sidecar maps, candidate keys still global.
+        """
+        own = self.own
+        scratch_args = dict(
+            id_domain=own.num_nodes,
+            arc_sources=graph.rsrc,
+            boundary_rows=self.ext_rows,
+            boundary_aidx=self.ext_aidx,
+        )
+        if own.mode == "range":
+            scratch_args["base"] = own.lo
+        else:
+            scratch_args.update(
+                row_gids=own.row_gids,
+                localidx=own.localidx,
+                owners=own.owners,
+                shard_id=self.shard_id,
+            )
+        return EmitScratch(
+            graph.indptr, graph.indices, graph.weights, **scratch_args
+        )
 
     # -- graph residency (out-of-core tier) ----------------------------- #
 
@@ -411,16 +428,16 @@ class _ShardWorker:
         """Drop the CSR mmap and arc-domain scratch of this shard.
 
         Everything that survives (halo, boundary slices, frozen-emission
-        cache, state slice) is O(nodes + cut); the O(arcs) memory —
-        the ``indptr``/``indices``/``weights``/``rsrc`` maps *and* the
-        emit scratch's candidate banks — is released.  Releasing means
+        cache, state) is O(nodes + cut); the O(arcs) memory — the
+        ``indptr``/``indices``/``weights``/``rsrc`` maps *and* the emit
+        scratch's candidate banks — is released.  Releasing means
         actually unmapping/freeing — the address space, not just the
         pages, must shrink for a hard ``RLIMIT_AS`` (or a residency
         budget) to be satisfiable.
         """
         if not self.graph_open:
             return
-        scratch = self.emit_scratch
+        scratch = self._emit_scratch
         scratch.indptr = scratch.indices = scratch.weights = None
         if self._rsrc_from_store:
             scratch._arc_rows = None
@@ -428,8 +445,7 @@ class _ShardWorker:
         # keeping its candidate banks would pin O(its arcs) of anonymous
         # memory and the out-of-core peak would sum to O(graph) anyway.
         scratch.release_buffers()
-        self.indptr = self.indices = self.weights = None
-        self._shard = None
+        self.graph = None
         self.graph_open = False
 
     def acquire_graph(self) -> None:
@@ -439,11 +455,8 @@ class _ShardWorker:
         from repro.graph.serialize import open_store
 
         shard = open_store(self.shard_path)
-        self._shard = shard
-        self.indptr = shard.indptr
-        self.indices = shard.indices
-        self.weights = shard.weights
-        scratch = self.emit_scratch
+        self.graph = shard
+        scratch = self._emit_scratch
         scratch.indptr = shard.indptr
         scratch.indices = shard.indices
         scratch.weights = shard.weights
@@ -454,9 +467,6 @@ class _ShardWorker:
     # -- commands ------------------------------------------------------ #
 
     def reset(self, env: Optional[dict] = None):
-        from repro.core.state import ClusterState
-        from repro.mr.kernels import ScatterScratch
-
         if env is not None:
             # Sync the kernel-selection environment from the driver:
             # this worker may predate the driver's current overrides.
@@ -465,76 +475,20 @@ class _ShardWorker:
                     os.environ[key] = env[key]
                 else:
                     os.environ.pop(key, None)
-        if self.state is None:
-            # First reset (from __init__): allocate everything once.
-            self.state = ClusterState(self.num_rows)
-            self.changed = np.zeros(self.num_rows, dtype=bool)
-            #: Dense scatter buffers of the merge kernel, reused across
-            #: rounds (sized to this shard's node range).
-            self.scratch = ScatterScratch()
-            #: Halo-sized scatter buffers of the outgoing map-side
-            #: combine (ids are halo indices, not local rows).
-            self.halo_scratch = ScatterScratch()
-            #: Dense histogram of the merge's group accounting, kept
-            #: all-zero between rounds.
-            self.hist = np.zeros(self.num_rows, dtype=np.int64)
-            self.halo_best = np.full(len(self.halo), np.inf)
-            # Frozen-replica ("ghost") state of halo nodes, filled by
-            # freeze updates; immutable once set.
-            self.r_frozen = np.zeros(len(self.halo), dtype=bool)
-            self.r_center = np.full(len(self.halo), -1, dtype=np.int64)
-            self.r_dist = np.full(len(self.halo), np.inf)
-            self.r_dacc = np.full(len(self.halo), np.inf)
-            self.r_frozen_iter = np.zeros(len(self.halo), dtype=np.int64)
-        else:
-            # Later resets (CLUSTER2's second phase): refill in place —
-            # the state slice, scratch buffers, and candidate banks all
-            # survive the phase boundary instead of being reallocated.
-            s = self.state
-            s.center.fill(-1)
-            s.dist.fill(np.inf)
-            s.dist_acc.fill(np.inf)
-            s.frozen.fill(False)
-            s.frozen_iter.fill(0)
-            self.changed.fill(False)
-            self.halo_best.fill(np.inf)
-            self.r_frozen.fill(False)
-            self.r_center.fill(-1)
-            self.r_dist.fill(np.inf)
-            self.r_dacc.fill(np.inf)
-            self.r_frozen_iter.fill(0)
-            self.emit_scratch.reset()
-        #: Last merge's adopted local ids (ascending) — the live
-        #: frontier; lets every non-forced round run without an O(n)
-        #: mask rescan.
-        self.active = np.empty(0, dtype=np.int64)
-        self.pending = _empty_candidates()
+        super().reset()
+        self.r_frozen.fill(False)
         # The resolved kernel tier, as seen by the process that will
         # actually run the emit kernels; stamped into Counters.impl.
         return _native.resolved_info()
 
-    def uncovered(self):
-        return self.own.to_global(
-            np.flatnonzero(~self.state.frozen).astype(np.int64)
-        )
-
-    def begin_stage(self, picks):
-        s = self.state
-        live = ~s.frozen
-        s.center[live] = -1
-        s.dist[live] = np.inf
-        s.dist_acc[live] = np.inf
-        self.changed[live] = False
-        self.active = np.empty(0, dtype=np.int64)
-        s.frozen_iter[live] = 0
-        # Remote distances reset with the stage, so shipped-best history
-        # no longer implies anything about receiver state.
-        self.halo_best[:] = np.inf
-        picks = np.asarray(picks, dtype=np.int64)
-        local = self.own.to_local(picks)
-        s.center[local] = picks
-        s.dist[local] = 0.0
-        s.dist_acc[local] = 0.0
+    def discard_candidates(self) -> None:
+        super().discard_candidates()
+        self.pending = None
+        # Some shipped candidates may now never be merged (or, at a
+        # stage start, the receivers' distances were reset), so the
+        # shipped-best history no longer proves anything about receiver
+        # state; forget it (costs only redundant traffic later).
+        self.halo_best.fill(np.inf)
 
     def _merge(self, cand_keys, cand_values):
         """Per-target winner over this shard's resident candidate batch.
@@ -549,14 +503,12 @@ class _ShardWorker:
         come from one dense histogram, which also yields the
         memory-model extremes.
         """
-        from repro.mr.kernels import scatter_min_rows
-
         local = self.own.to_local(cand_keys)
         ids, rows = scatter_min_rows(
             local,
             (cand_values[:, 0], cand_values[:, 1], cand_values[:, 3]),
             domain=self.num_rows,
-            scratch=self.scratch,
+            scratch=self._merge_scratch,
         )
         # Group sizes via the reusable dense histogram (O(C + G), zero
         # allocation beyond the G-sized gather; the buffer keeps its
@@ -575,7 +527,7 @@ class _ShardWorker:
             ids,
             cand_values[rows],
             int(counts[at]),
-            int(self.own.to_global(int(ids[at]))),
+            int(self.row_gids[ids[at]]),
         )
 
     def apply_replicas(self, ids, center, dist, dacc, iteration):
@@ -586,21 +538,16 @@ class _ShardWorker:
         self.r_dacc[idx] = dacc
         self.r_frozen_iter[idx] = iteration
 
-    def step(
+    def exchange_step(
         self, delta, force, rescale, iteration, incoming, replicas, fault=None
     ):
-        from time import perf_counter
-
-        from repro.mrimpl.growing_mr import apply_merged_candidates
-
+        """One growing step of this shard (the ``step`` command)."""
         if fault == "kill":
             # REPRO_FAULT_PLAN injection: die exactly like a SIGKILL —
             # no unwinding, no pipe goodbye — so the supervision path
             # under test is the real one.  In-process "workers" raise a
             # simulated failure instead (they share the driver).
             if self.in_process:
-                from repro.errors import WorkerFailure
-
                 raise WorkerFailure(
                     "injected fault", shard=self.shard_id, command="step"
                 )
@@ -609,121 +556,40 @@ class _ShardWorker:
             # delay: injection — a deterministic stall inside the step,
             # the controlled way to trip REPRO_WORKER_TIMEOUT_S deadline
             # supervision without an actual hang.
-            import time as _time
-
-            _time.sleep(float(fault[1]))
+            time.sleep(float(fault[1]))
         for block in replicas:
             self.apply_replicas(*block)
 
         # Merge: this shard's resident candidates plus the delivered
         # cross-shard blocks; order is irrelevant (the merge is a min).
-        reduce_start = perf_counter()
-        blocks = [self.pending] + [(k, v) for k, v in incoming]
-        self.pending = _empty_candidates()
-        cand_keys = np.concatenate([b[0] for b in blocks])
-        cand_values = np.concatenate([b[1] for b in blocks])
-
-        merged = len(cand_keys)
+        reduce_start = time.perf_counter()
+        blocks = [] if self.pending is None else [self.pending]
+        blocks += incoming
+        self.pending = None
+        keys = np.empty(0, dtype=np.int64)
+        values = np.empty((0, CANDIDATE_WIDTH))
+        merged = sum(len(block[0]) for block in blocks)
         max_group = 0
         max_group_key = -1
-        num_groups = 0
-        newly = 0
-        adopted = np.empty(0, dtype=np.int64)
-        keys = values = None
         if merged:
             keys, values, max_group, max_group_key = self._merge(
-                cand_keys, cand_values
+                np.concatenate([b[0] for b in blocks]),
+                np.concatenate([b[1] for b in blocks]),
             )
-            num_groups = len(keys)
-        apply_start = perf_counter()
-        self.changed[self.active] = False  # O(frontier), not O(n)
-        if merged:
-            newly, adopted = apply_merged_candidates(
-                keys,
-                values[:, :3],
-                center=self.state.center,
-                dist=self.state.dist,
-                dacc=self.state.dist_acc,
-                frozen=self.state.frozen,
-                changed=self.changed,
-            )
-        self.active = adopted
-        updated = len(adopted)
+        apply_start = time.perf_counter()
+        updated, newly = self._apply(keys, values[:, :3])
 
         # Emit through the shard's CSR rows, then route by owner: the
         # cross-shard blocks return to the driver, which delivers them
         # with the next step.  The adopted frontier drives non-forced
         # rounds directly.
-        emit_start = perf_counter()
+        emit_start = time.perf_counter()
         emitted, outgoing, pending_blocks = self._emit_fused(
-            delta, force, rescale, iteration, None if force else self.active
+            delta, force, rescale, iteration, None if force else self._active
         )
-        # Regenerate incoming frozen-external contributions locally: on
-        # a forced round every frozen replica contributes over this
-        # shard's own (symmetric) boundary arcs, exactly as its owner
-        # would have emitted them.  Appended to the resident pending
-        # block for the next merge — the same timing as shipped
-        # candidates.
         if force and len(self.halo):
-            if not rescale:
-                # Fused fast path (Contract semantics): a ghost's
-                # candidate distance is just the arc weight, and ghost
-                # targets are locally owned — so one boolean sweep over
-                # the boundary arcs applies every filter, including the
-                # winner-preserving improvement pre-filter, *before*
-                # any large array is compressed.
-                li = self.ext_rows
-                ok = self.r_frozen[self.ext_halo_idx]
-                np.logical_and(ok, self.ext_w <= delta, out=ok)
-                np.logical_and(ok, ~self.state.frozen[li], out=ok)
-                np.logical_and(ok, self.ext_w < self.state.dist[li], out=ok)
-                if ok.any():
-                    hidx = self.ext_halo_idx[ok]
-                    w = self.ext_w[ok]
-                    ghost_keys = self.own.to_global(self.ext_rows[ok])
-                    ghost_values = np.column_stack(
-                        (
-                            w,  # nd = 0 + w for a frozen replica
-                            self.r_center[hidx].astype(np.float64),
-                            self.r_dacc[hidx] + w,
-                            self.halo[hidx].astype(np.float64),
-                        )
-                    )
-                    # Not added to ``emitted``: each ghost contribution
-                    # is the regeneration of a candidate its owner
-                    # already counted (and dropped from shipping).
-                    pending_blocks.append((ghost_keys, ghost_values))
-            else:
-                # Rescaled (Contract2): effective distances first, then
-                # the same filters, improvement pre-filter last.
-                r_eff = self.r_dist - rescale * (
-                    iteration - self.r_frozen_iter
-                )
-                emits = self.r_frozen & (r_eff < delta)
-                arc = emits[self.ext_halo_idx]
-                if arc.any():
-                    hidx = self.ext_halo_idx[arc]
-                    w = self.ext_w[arc]
-                    nd = r_eff[hidx] + w
-                    ghost_rows = self.ext_rows[arc]
-                    ok = (w <= delta) & (nd <= delta)
-                    ok &= ~self.state.frozen[ghost_rows]
-                    ok &= nd < self.state.dist[ghost_rows]
-                    hidx, w, nd = hidx[ok], w[ok], nd[ok]
-                    ghost_rows = ghost_rows[ok]
-                    if len(ghost_rows):
-                        ghost_values = np.column_stack(
-                            (
-                                nd,
-                                self.r_center[hidx].astype(np.float64),
-                                self.r_dacc[hidx] + w,
-                                self.halo[hidx].astype(np.float64),
-                            )
-                        )
-                        pending_blocks.append(
-                            (self.own.to_global(ghost_rows), ghost_values)
-                        )
-        emit_end = perf_counter()
+            pending_blocks += self._ghost_candidates(delta, rescale, iteration)
+        emit_end = time.perf_counter()
         if pending_blocks:
             self.pending = (
                 np.concatenate([b[0] for b in pending_blocks]),
@@ -739,7 +605,7 @@ class _ShardWorker:
             "newly": newly,
             "merged": merged,
             "emitted": emitted,
-            "groups": num_groups,
+            "groups": len(keys),
             "max_group": max_group,
             "max_group_key": max_group_key,
             "outgoing": outgoing,
@@ -747,6 +613,60 @@ class _ShardWorker:
         }
 
     # -- emission ------------------------------------------------------- #
+
+    def _ghost_candidates(self, delta, rescale, iteration):
+        """Regenerate incoming frozen-external contributions locally.
+
+        On a forced round every frozen replica contributes over this
+        shard's own (symmetric) boundary arcs, exactly as its owner
+        would have emitted them.  The blocks join the resident pending
+        block for the next merge — the same timing as shipped
+        candidates.  They are not added to ``emitted``: each ghost
+        contribution is the regeneration of a candidate its owner
+        already counted (and dropped from shipping).
+        """
+        if not rescale:
+            # Fused fast path (Contract semantics): a ghost's candidate
+            # distance is just the arc weight, and ghost targets are
+            # locally owned — so one boolean sweep over the boundary
+            # arcs applies every filter, including the winner-preserving
+            # improvement pre-filter, *before* any large array is
+            # compressed.
+            li = self.ext_rows
+            ok = self.r_frozen[self.ext_halo_idx]
+            np.logical_and(ok, self.ext_w <= delta, out=ok)
+            np.logical_and(ok, ~self.frozen[li], out=ok)
+            np.logical_and(ok, self.ext_w < self.dist[li], out=ok)
+            hidx = self.ext_halo_idx[ok]
+            w = self.ext_w[ok]
+            nd = w  # nd = 0 + w for a frozen replica
+            ghost_rows = li[ok]
+        else:
+            # Rescaled (Contract2): effective distances first, then the
+            # same filters, improvement pre-filter last.
+            r_eff = self.r_dist - rescale * (iteration - self.r_frozen_iter)
+            emits = self.r_frozen & (r_eff < delta)
+            arc = emits[self.ext_halo_idx]
+            hidx = self.ext_halo_idx[arc]
+            w = self.ext_w[arc]
+            nd = r_eff[hidx] + w
+            ghost_rows = self.ext_rows[arc]
+            ok = (w <= delta) & (nd <= delta)
+            ok &= ~self.frozen[ghost_rows]
+            ok &= nd < self.dist[ghost_rows]
+            hidx, w, nd = hidx[ok], w[ok], nd[ok]
+            ghost_rows = ghost_rows[ok]
+        if not len(ghost_rows):
+            return []
+        values = np.column_stack(
+            (
+                nd,
+                self.r_center[hidx].astype(np.float64),
+                self.r_dacc[hidx] + w,
+                self.halo[hidx].astype(np.float64),
+            )
+        )
+        return [(self.row_gids[ghost_rows], values)]
 
     def _emit_fused(self, delta, force, rescale, iteration, sources):
         """Scratch-buffered fused emission.
@@ -762,12 +682,11 @@ class _ShardWorker:
         so the ``messages`` counter stays bit-identical to every other
         backend.
         """
-        s = self.state
-        keys, nd, src_local, aidx, emitted = self.emit_scratch.emit_raw(
-            center=s.center,
-            dist=s.dist,
-            frozen=s.frozen,
-            frozen_iter=s.frozen_iter,
+        keys, nd, src_local, aidx, emitted = self._emit_scratch.emit_raw(
+            center=self.center,
+            dist=self.dist,
+            frozen=self.frozen,
+            frozen_iter=self.frozen_iter,
             delta=delta,
             force=force,
             rescale=rescale,
@@ -779,41 +698,38 @@ class _ShardWorker:
         if not emitted:
             return 0, outgoing, pending_blocks
         local = self.own.is_local(keys)
+        weights = self.graph.weights
 
         # Locally-owned targets: improvement pre-filter, then one
         # resident block with the value columns built per survivor.
         lk = keys[local]
         li = self.own.to_local(lk)
         lnd = nd[local]
-        imp = ~s.frozen[li] & (lnd < s.dist[li])
+        imp = ~self.frozen[li] & (lnd < self.dist[li])
         if imp.any():
             lk = lk[imp]
-            lnd = lnd[imp]
             lsrc = src_local[local][imp]
-            lw = np.take(self.weights, aidx[local][imp])
             block = np.empty((len(lk), CANDIDATE_WIDTH), dtype=np.float64)
-            block[:, 0] = lnd
-            block[:, 1] = s.center[lsrc]
-            block[:, 2] = s.dist_acc[lsrc]
-            block[:, 2] += lw
-            block[:, 3] = self.own.to_global(lsrc)
+            block[:, 0] = lnd[imp]
+            block[:, 1] = self.center[lsrc]
+            block[:, 2] = self.dacc[lsrc]
+            block[:, 2] += np.take(weights, aidx[local][imp])
+            block[:, 3] = self.row_gids[lsrc]
             pending_blocks.append((lk.copy(), block))
 
         # Cross-shard candidates: receiver state is unknown, ship the
         # live-source rows through the usual combine/halo filters.
         remote = ~local
-        remote &= ~s.frozen[src_local]
+        remote &= ~self.frozen[src_local]
         if remote.any():
             rk = keys[remote]
-            rnd = nd[remote]
             rsrc = src_local[remote]
-            rw = np.take(self.weights, aidx[remote])
             rvals = np.empty((len(rk), CANDIDATE_WIDTH), dtype=np.float64)
-            rvals[:, 0] = rnd
-            rvals[:, 1] = s.center[rsrc]
-            rvals[:, 2] = s.dist_acc[rsrc]
-            rvals[:, 2] += rw
-            rvals[:, 3] = self.own.to_global(rsrc)
+            rvals[:, 0] = nd[remote]
+            rvals[:, 1] = self.center[rsrc]
+            rvals[:, 2] = self.dacc[rsrc]
+            rvals[:, 2] += np.take(weights, aidx[remote])
+            rvals[:, 3] = self.row_gids[rsrc]
             owners = self.own.owner_of(rk)
             for dest in np.unique(owners):
                 mask = owners == dest
@@ -845,8 +761,6 @@ class _ShardWorker:
         indices; the halo is sorted, so the block stays in ascending
         target order.
         """
-        from repro.mr.kernels import scatter_min_rows
-
         idx, rows = scatter_min_rows(
             np.searchsorted(self.halo, keys),
             (values[:, 0], values[:, 1], values[:, 3]),
@@ -859,141 +773,76 @@ class _ShardWorker:
         rows = rows[keep]
         return keys[rows], values[rows]
 
-    # -- stage control -------------------------------------------------- #
+    # -- stage control and checkpoints ---------------------------------- #
 
-    def freeze_assigned(self, iteration):
-        s = self.state
-        sel = (s.center != -1) & ~s.frozen
-        s.frozen[sel] = True
-        self.changed[sel] = False
-        s.frozen_iter[sel] = iteration
-        # Ship the newly frozen boundary nodes' (now immutable) state to
-        # every shard holding them in its halo — once, ever.
+    def freeze_and_replicate(self, iteration):
+        """Contract, then the replica blocks of the newly frozen
+        boundary rows: their (now immutable) state ships once, ever, to
+        every shard holding them in its halo."""
+        nodes = self.boundary_nodes
+        newly = (self.center[nodes] != NO_CENTER) & ~self.frozen[nodes]
+        count = self.freeze_assigned(iteration)
+        nodes = nodes[newly]
+        dests = self.boundary_dests[newly]
         outgoing = []
-        if sel.any() and len(self.boundary_nodes):
-            newly = sel[self.boundary_nodes]
-            nodes = self.boundary_nodes[newly]
-            dests = self.boundary_dests[newly]
-            for dest in np.unique(dests):
-                mask = dests == dest
-                picked = nodes[mask]
-                outgoing.append(
+        for dest in np.unique(dests):
+            picked = nodes[dests == dest]
+            outgoing.append(
+                (
+                    int(dest),
                     (
-                        int(dest),
-                        (
-                            self.own.to_global(picked),
-                            s.center[picked].copy(),
-                            s.dist[picked].copy(),
-                            s.dist_acc[picked].copy(),
-                            iteration,
-                        ),
-                    )
+                        self.row_gids[picked],
+                        self.center[picked],
+                        self.dist[picked],
+                        self.dacc[picked],
+                        iteration,
+                    ),
                 )
-        return int(np.count_nonzero(sel)), outgoing
+            )
+        return count, outgoing
 
-    def make_singletons(self, iteration):
-        s = self.state
-        leftover = np.flatnonzero(~s.frozen)
-        s.center[leftover] = self.own.to_global(leftover)
-        s.dist[leftover] = 0.0
-        s.dist_acc[leftover] = 0.0
-        s.frozen[leftover] = True
-        self.changed[leftover] = False
-        s.frozen_iter[leftover] = iteration
-        # No replica shipping: the drivers only make singletons after
-        # the final growing step, so the replicas can never be read.
-        return len(leftover)
-
-    def discard_candidates(self):
-        self.pending = _empty_candidates()
-        # Some shipped candidates may now never be merged, so the
-        # shipped-best history no longer proves anything about receiver
-        # state; forget it (costs only redundant traffic later).
-        self.halo_best[:] = np.inf
-
-    def result(self):
-        return self.state
-
-    # -- checkpoint support --------------------------------------------- #
-
-    def snapshot_state(self):
-        """This shard's slice of the global state (read-only command).
-
-        Valid at safe points only (no resident pending candidates); the
-        driver stitches the slices into the global checkpoint arrays.
-        """
-        s = self.state
-        return (
-            s.center.copy(),
-            s.dist.copy(),
-            s.dist_acc.copy(),
-            s.frozen.copy(),
-            s.frozen_iter.copy(),
-            self.changed.copy(),
-        )
-
-    def restore_state(self, center, dist, dacc, frozen, frozen_iter, changed):
+    def restore_arrays(self, arrays):
         """Rehydrate this shard from the *global* checkpoint arrays.
 
-        The worker slices its own rows and rebuilds the frozen-replica
-        ghosts for every frozen halo node eagerly.  Eager install is
+        The inherited restore gathers this shard's rows; the frozen
+        halo nodes' replicas are rebuilt here eagerly.  Eager install is
         equivalent to the pending freeze-block delivery an uninterrupted
         run would perform: replicas are immutable once set and nothing
         reads ``r_*`` before the next step's replica-application point,
-        by which time the blocks would have arrived anyway.  The
-        shipped-best history and emit scratch are reset — both are pure
-        traffic/caching state, never results.
+        by which time the blocks would have arrived anyway.
         """
-        gids = self.own.to_global(np.arange(self.num_rows, dtype=np.int64))
-        s = self.state
-        s.center[:] = center[gids]
-        s.dist[:] = dist[gids]
-        s.dist_acc[:] = dacc[gids]
-        s.frozen[:] = frozen[gids]
-        s.frozen_iter[:] = frozen_iter[gids]
-        self.changed[:] = changed[gids]
-        h = self.halo
-        hf = frozen[h]
-        self.r_frozen[:] = hf
-        self.r_center.fill(-1)
-        self.r_dist.fill(np.inf)
-        self.r_dacc.fill(np.inf)
-        self.r_frozen_iter.fill(0)
-        idx = np.flatnonzero(hf)
-        if len(idx):
-            hg = h[idx]
-            self.r_center[idx] = center[hg]
-            self.r_dist[idx] = dist[hg]
-            self.r_dacc[idx] = dacc[hg]
-            self.r_frozen_iter[idx] = frozen_iter[hg]
-        self.halo_best[:] = np.inf
-        self.pending = _empty_candidates()
-        self.active = np.flatnonzero(self.changed).astype(np.int64)
-        self.emit_scratch.reset()
+        super().restore_arrays(arrays)
+        ghosts = self.halo[arrays["frozen"][self.halo]]
+        self.r_frozen.fill(False)
+        self.apply_replicas(
+            ghosts,
+            arrays["center"][ghosts],
+            arrays["dist"][ghosts],
+            arrays["dist_acc"][ghosts],
+            arrays["frozen_iter"][ghosts],
+        )
 
 
 def _dispatch(worker: _ShardWorker, command: str, args):
     """Run one driver command — shared by the pipe loop and _InprocPool."""
     if command == "step":
-        return worker.step(*args)
+        return worker.exchange_step(*args)
     if command == "uncovered":
         return worker.uncovered()
     if command == "begin_stage":
         return worker.begin_stage(*args)
     if command == "freeze_assigned":
-        return worker.freeze_assigned(*args)
+        return worker.freeze_and_replicate(*args)
     if command == "make_singletons":
         return worker.make_singletons(*args)
     if command == "discard":
         return worker.discard_candidates()
     if command == "reset":
         return worker.reset(*args)
-    if command == "result":
-        return worker.result()
     if command == "snapshot":
-        return worker.snapshot_state()
+        return worker.snapshot_arrays()
     if command == "restore":
-        return worker.restore_state(*args)
+        return worker.restore_arrays(*args)
     raise ValueError(f"unknown worker command {command!r}")
 
 
@@ -1026,10 +875,13 @@ def _check_worker_env() -> None:
     :class:`ConfigurationError` naming the variable up front instead.
     """
     from repro.mr.emit import emit_mode
+    from repro.mr.native.build import build_timeout
 
     _worker_timeout()
     emit_mode()
     _native.requested_impl()
+    _native.emit_threads()
+    build_timeout()
 
 
 def _hb_interval(timeout: float) -> float:
@@ -1292,10 +1144,8 @@ class _PipePool:
         its in-order turn); EOF or heartbeats-only means it died
         mid-command — whole-pool failure.
         """
-        from time import monotonic
-
         conn = self._conns[k]
-        deadline = monotonic() + timeout
+        deadline = time.monotonic() + timeout
         while True:
             early = self._early.pop(k, None)
             if early is not None:
@@ -1304,7 +1154,7 @@ class _PipePool:
                 if conn.poll(0.05):
                     message = conn.recv()
                     if message[0] == "hb":
-                        deadline = monotonic() + timeout
+                        deadline = time.monotonic() + timeout
                         continue
                     return message
             except (EOFError, OSError, InterruptedError) as exc:
@@ -1330,7 +1180,7 @@ class _PipePool:
                         shard=j,
                     )
                 self._early[j] = reply
-            if monotonic() > deadline:
+            if time.monotonic() > deadline:
                 raise WorkerFailure(
                     f"shard worker {k} missed its deadline "
                     f"({timeout:.0f}s without reply or heartbeat)",
@@ -1527,13 +1377,10 @@ class ShardedGrowingState:
         parts = self.executor._broadcast("uncovered")
         if not parts:
             return np.empty(0, np.int64)
-        out = np.concatenate(parts)
-        if self.plan.mode != "range":
-            # Each shard's block is ascending, but only the contiguous
-            # range layout makes the concatenation globally sorted —
-            # and the drivers' seeded sampling depends on the order.
-            out = np.sort(out, kind="stable")
-        return out
+        # Each shard's block is ascending, but only the contiguous range
+        # layout makes the concatenation globally sorted — and the
+        # drivers' seeded sampling depends on the order.
+        return np.sort(np.concatenate(parts))
 
     def begin_stage(self, picks: np.ndarray) -> None:
         picks = np.asarray(picks, dtype=np.int64)
@@ -1591,16 +1438,14 @@ class ShardedGrowingState:
         # Fixed per-worker command overhead (params + framing), so the
         # accounting never reads zero on an idle round.
         shipped += 64 * num_shards
-        from time import perf_counter
-
-        step_start = perf_counter()
+        step_start = time.perf_counter()
         try:
             replies = self.executor._broadcast("step", per_worker=per_worker)
         except WorkerFailure as exc:
             if exc.round is None:
                 exc.round = ordinal
             raise
-        step_wall = perf_counter() - step_start
+        step_wall = time.perf_counter() - step_start
         # Per-phase timers: the critical path (slowest shard) of each
         # worker-reported phase; everything else — pickling, pipe
         # transport, scheduling — is the exchange, booked as shuffle.
@@ -1681,69 +1526,38 @@ class ShardedGrowingState:
         )
 
     def result(self) -> Tuple[np.ndarray, np.ndarray]:
-        from repro.core.state import ClusterState
-
-        slices = self.executor._broadcast("result")
-        if self.plan.mode == "range":
-            full = ClusterState.concat(slices)
-            return full.center.copy(), full.dist_acc.copy()
-        # lp shards hold arbitrary row sets: scatter-stitch each
-        # shard's slice back to its global rows.
-        center = np.full(self.num_nodes, -1, dtype=np.int64)
-        dacc = np.full(self.num_nodes, np.inf)
-        for k, state in enumerate(slices):
-            rows = self.plan.shard_rows(k)
-            center[rows] = state.center
-            dacc[rows] = state.dist_acc
-        return center, dacc
+        arrays = self.snapshot_arrays()
+        return arrays["center"], arrays["dist_acc"]
 
     # -- checkpoint support --------------------------------------------- #
 
     def snapshot_arrays(self) -> Dict[str, np.ndarray]:
         """Stitch the workers' state slices into the global checkpoint arrays.
 
-        Safe points only (the drivers guarantee no in-flight candidates
-        and empty replica queues) — the snapshot is then portable to
-        any backend, including resuming a sharded run under ``vector``.
+        Shard ``k``'s rows are the global ids ``plan.shard_rows(k)``,
+        whichever the layout.  Safe points only (the drivers guarantee
+        no in-flight candidates and empty replica queues) — the
+        snapshot is then portable to any backend, including resuming a
+        sharded run under ``vector``.
         """
-        n = self.num_nodes
-        arrays = {
-            "center": np.full(n, -1, dtype=np.int64),
-            "dist": np.full(n, np.inf),
-            "dist_acc": np.full(n, np.inf),
-            "frozen": np.zeros(n, dtype=bool),
-            "frozen_iter": np.zeros(n, dtype=np.int64),
-            "changed": np.zeros(n, dtype=bool),
-        }
-        parts = self.executor._broadcast("snapshot")
-        names = ("center", "dist", "dist_acc", "frozen", "frozen_iter", "changed")
-        for k, part in enumerate(parts):
-            rows = (
-                slice(self.plan.starts[k], self.plan.starts[k + 1])
-                if self.plan.mode == "range"
-                else self.plan.shard_rows(k)
-            )
-            for name, column in zip(names, part):
+        arrays: Dict[str, np.ndarray] = {}
+        for k, part in enumerate(self.executor._broadcast("snapshot")):
+            rows = self.plan.shard_rows(k)
+            for name, column in part.items():
+                if name not in arrays:
+                    arrays[name] = np.empty(self.num_nodes, column.dtype)
                 arrays[name][rows] = column
         return arrays
 
     def restore_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
         """Rehydrate every worker from the global checkpoint arrays.
 
-        Each worker slices its own rows and rebuilds its frozen-replica
+        Each worker gathers its own rows and rebuilds its frozen-replica
         ghosts; the driver's in-flight routing state is cleared — at a
         safe point an uninterrupted run holds none either.
         """
-        args = (
-            arrays["center"],
-            arrays["dist"],
-            arrays["dist_acc"],
-            arrays["frozen"],
-            arrays["frozen_iter"],
-            arrays["changed"],
-        )
         self.executor._broadcast(
-            "restore", per_worker=[args] * self.executor.num_shards
+            "restore", per_worker=[(arrays,)] * self.executor.num_shards
         )
         self._remote = {}
         self._replica_updates = {}

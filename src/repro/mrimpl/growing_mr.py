@@ -38,6 +38,15 @@ emission half expands the adopted frontier, carried between rounds as
 an explicit index array, through the CSR arrays.  Step timing,
 tie-breaking, and the forced-broadcast semantics are identical to the
 per-key path, so one engine round still equals one growing step.
+
+:class:`ArrayGrowingState` is also the node-state machine of the
+``sharded`` backend: each shard worker of :mod:`repro.mr.sharded` is a
+subclass running it over the shard's own rows (mapped to global ids by
+``row_gids``) and adding only what sharding needs — the exchange of
+cross-shard candidates and the frozen-replica ghosts.  Stage control,
+the apply half of the merge, freezing, singletons, and checkpoint
+snapshots are this one class's code on every array-backed path, which
+is what makes the two backends bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -67,57 +76,9 @@ __all__ = [
     "make_growing_state",
     "default_engine",
     "owned_engine",
-    "apply_merged_candidates",
 ]
 
 NO_CENTER = -1
-
-# --------------------------------------------------------------------- #
-# Shared growing-step kernel
-#
-# One Δ-growing step is merge-then-emit.  The apply half of the merge is
-# factored out as a pure array function so every array-backed execution
-# path — the whole-graph ArrayGrowingState below and the per-shard
-# workers of repro.mr.sharded — runs the *identical* code on its node
-# range, which is what makes the sharded backend bit-identical by
-# construction.
-# --------------------------------------------------------------------- #
-
-
-def apply_merged_candidates(
-    keys: np.ndarray,
-    values: np.ndarray,
-    *,
-    center: np.ndarray,
-    dist: np.ndarray,
-    dacc: np.ndarray,
-    frozen: np.ndarray,
-    changed: np.ndarray,
-) -> Tuple[int, np.ndarray]:
-    """Adopt per-target winning candidates into the state arrays.
-
-    ``keys`` are the distinct targets as state-array indices (ascending;
-    node ids for whole-graph state, local rows for a shard worker) and
-    ``values`` the winning ``(nd, center, dacc)`` row per target, as
-    produced by the scatter-min merge.  Marks adopted targets in
-    ``changed`` and returns ``(newly_assigned, adopted)`` — how many
-    adopted targets were previously unassigned, plus the adopted local
-    indices themselves (ascending: the next round's active frontier, so
-    callers never rescan the full mask).
-    """
-    if not len(keys):
-        return 0, np.empty(0, dtype=np.int64)
-    nd = values[:, 0]
-    ctr = values[:, 1].astype(np.int64)
-    dc = values[:, 2]
-    adopt = (~frozen[keys]) & (nd < dist[keys])
-    tgt = keys[adopt]
-    newly = int(np.count_nonzero(center[tgt] == NO_CENTER))
-    center[tgt] = ctr[adopt]
-    dist[tgt] = nd[adopt]
-    dacc[tgt] = dc[adopt]
-    changed[tgt] = True
-    return newly, tgt
 
 
 def graph_to_pairs(graph: CSRGraph) -> List[Pair]:
@@ -413,6 +374,14 @@ class ArrayGrowingState:
     step for step — the backend-equivalence tests assert bit-identical
     clusterings.
 
+    The state rows are the nodes of ``graph``.  ``row_gids``, when
+    given, names the global node id of each row (ascending): a shard
+    worker of :mod:`repro.mr.sharded` runs this class over its own rows
+    only, and node ids crossing the interface — :meth:`uncovered`,
+    :meth:`begin_stage`'s picks, the center ids, the checkpoint arrays
+    of :meth:`restore_arrays` — stay global.  ``None`` is the identity
+    map: the whole-graph state.
+
     The merge-then-emit round runs the **fused pipeline** of
     :mod:`repro.mr.emit`: candidates are written into a per-state
     :class:`~repro.mr.emit.EmitScratch`, unadoptable rows are dropped
@@ -424,10 +393,11 @@ class ArrayGrowingState:
     push/pull/auto expansion.
     """
 
-    def __init__(self, graph: CSRGraph):
+    def __init__(self, graph: CSRGraph, row_gids: Optional[np.ndarray] = None):
         n = graph.num_nodes
         self.graph = graph
-        self.num_nodes = n
+        self.num_rows = n
+        self.row_gids = row_gids
         self.center = np.full(n, NO_CENTER, dtype=np.int64)
         self.dist = np.full(n, np.inf)
         self.frozen = np.zeros(n, dtype=bool)
@@ -436,16 +406,22 @@ class ArrayGrowingState:
         self.frozen_iter = np.zeros(n, dtype=np.int64)
         #: In-flight emission: the last step's :class:`EmitBatch`.
         self._pending: Optional[EmitBatch] = None
-        #: Last merge's adopted node ids (ascending) — the live frontier.
+        #: Last merge's adopted rows (ascending) — the live frontier.
         self._active = np.empty(0, dtype=np.int64)
-        self._emit_scratch = EmitScratch(
+        self._emit_scratch = self._make_emit_scratch(graph)
+        #: Dense buffers of the merge, reused across rounds and phases.
+        self._merge_scratch = ScatterScratch()
+
+    def _make_emit_scratch(self, graph: CSRGraph) -> EmitScratch:
+        return EmitScratch(
             graph.indptr,
             graph.indices,
             graph.weights,
             arc_sources=graph.rsrc,
         )
-        #: Dense buffers of the merge, reused across rounds and phases.
-        self._merge_scratch = ScatterScratch()
+
+    def _to_global(self, rows: np.ndarray) -> np.ndarray:
+        return rows if self.row_gids is None else self.row_gids[rows]
 
     def reset(self) -> None:
         """Return to the pristine post-``__init__`` state, keeping scratch.
@@ -461,14 +437,17 @@ class ArrayGrowingState:
         self.dacc.fill(np.inf)
         self.changed.fill(False)
         self.frozen_iter.fill(0)
-        self._pending = None
+        self.discard_candidates()
         self._active = np.empty(0, dtype=np.int64)
         self._emit_scratch.reset()
 
     def uncovered(self) -> np.ndarray:
-        return np.flatnonzero(~self.frozen).astype(np.int64)
+        return self._to_global(np.flatnonzero(~self.frozen).astype(np.int64))
 
     def begin_stage(self, picks: np.ndarray) -> None:
+        """Reset every live row and install ``picks`` (global ids of
+        this state's rows) as centers.  Nothing is in flight at a stage
+        boundary; :meth:`discard_candidates` makes that explicit."""
         if _native.use_native():
             # One C pass resets all five columns of the live rows.
             _native.begin_stage(
@@ -485,10 +464,16 @@ class ArrayGrowingState:
             np.copyto(self.changed, False, where=live)
             np.copyto(self.frozen_iter, 0, where=live)
         self._active = np.empty(0, dtype=np.int64)
+        self.discard_candidates()
         picks = np.asarray(picks, dtype=np.int64)
-        self.center[picks] = picks
-        self.dist[picks] = 0.0
-        self.dacc[picks] = 0.0
+        rows = (
+            picks
+            if self.row_gids is None
+            else np.searchsorted(self.row_gids, picks)
+        )
+        self.center[rows] = picks
+        self.dist[rows] = 0.0
+        self.dacc[rows] = 0.0
 
     def step(
         self,
@@ -505,17 +490,7 @@ class ArrayGrowingState:
         keys, values = self._merge_fused(engine, self._pending)
         self._pending = None
         apply_start = perf_counter()
-        self.changed[self._active] = False  # O(frontier), not O(n)
-        newly, self._active = apply_merged_candidates(
-            keys,
-            values,
-            center=self.center,
-            dist=self.dist,
-            dacc=self.dacc,
-            frozen=self.frozen,
-            changed=self.changed,
-        )
-        updated = len(self._active)
+        updated, newly = self._apply(keys, values)
         emit_start = perf_counter()
         engine.counters.add_time("apply", emit_start - apply_start)
 
@@ -540,6 +515,27 @@ class ArrayGrowingState:
         engine.counters.updates += updated
         engine.counters.growing_steps += 1
         return updated, newly
+
+    def _apply(self, keys: np.ndarray, values: np.ndarray) -> Tuple[int, int]:
+        """Adopt the merge's per-target winners into the state arrays.
+
+        ``keys`` are the distinct target rows (ascending) and ``values``
+        the winning ``(nd, center, dacc)`` row per target, as produced
+        by the scatter-min merge.  The adopted rows become the next
+        round's active frontier (ascending, so no caller rescans the
+        full mask).  Returns ``(updated, newly_assigned)``.
+        """
+        self.changed[self._active] = False  # O(frontier), not O(n)
+        nd = values[:, 0]
+        adopt = (~self.frozen[keys]) & (nd < self.dist[keys])
+        tgt = keys[adopt]
+        newly = int(np.count_nonzero(self.center[tgt] == NO_CENTER))
+        self.center[tgt] = values[adopt, 1].astype(np.int64)
+        self.dist[tgt] = nd[adopt]
+        self.dacc[tgt] = values[adopt, 2]
+        self.changed[tgt] = True
+        self._active = tgt
+        return len(tgt), newly
 
     def _merge_fused(
         self, engine: MREngine, batch: Optional[EmitBatch]
@@ -568,7 +564,7 @@ class ArrayGrowingState:
             out_keys, rows = scatter_min_rows(
                 batch.keys,
                 (batch.nd, batch.ctr, batch.srcf),
-                domain=self.num_nodes,
+                domain=self.num_rows,
                 scratch=self._merge_scratch,
             )
             out_values = np.empty((len(out_keys), 3), dtype=np.float64)
@@ -607,7 +603,7 @@ class ArrayGrowingState:
 
     def make_singletons(self, iteration: int = 0) -> int:
         leftover = np.flatnonzero(~self.frozen)
-        self.center[leftover] = leftover
+        self.center[leftover] = self._to_global(leftover)
         self.dist[leftover] = 0.0
         self.dacc[leftover] = 0.0
         self.frozen[leftover] = True
@@ -619,7 +615,8 @@ class ArrayGrowingState:
         return self.center.copy(), self.dacc.copy()
 
     def snapshot_arrays(self) -> Dict[str, np.ndarray]:
-        """Checkpoint payload (safe points only — ``_pending`` is empty)."""
+        """Checkpoint payload of this state's rows (safe points only —
+        ``_pending`` is empty)."""
         return {
             "center": self.center.copy(),
             "dist": self.dist.copy(),
@@ -630,20 +627,21 @@ class ArrayGrowingState:
         }
 
     def restore_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Rehydrate from a checkpoint payload.
+        """Rehydrate from a (global) checkpoint payload.
 
         The active frontier is exactly the ``changed`` set at a safe
         point (all-False in practice — the drivers only snapshot between
         growths), and any pending emission or cached frozen replay is
         invalid for the restored state, so scratch is reset.
         """
-        np.copyto(self.center, arrays["center"])
-        np.copyto(self.dist, arrays["dist"])
-        np.copyto(self.dacc, arrays["dist_acc"])
-        np.copyto(self.frozen, arrays["frozen"])
-        np.copyto(self.frozen_iter, arrays["frozen_iter"])
-        np.copyto(self.changed, arrays["changed"])
-        self._pending = None
+        rows = slice(None) if self.row_gids is None else self.row_gids
+        np.copyto(self.center, arrays["center"][rows])
+        np.copyto(self.dist, arrays["dist"][rows])
+        np.copyto(self.dacc, arrays["dist_acc"][rows])
+        np.copyto(self.frozen, arrays["frozen"][rows])
+        np.copyto(self.frozen_iter, arrays["frozen_iter"][rows])
+        np.copyto(self.changed, arrays["changed"][rows])
+        self.discard_candidates()
         self._active = np.flatnonzero(self.changed).astype(np.int64)
         self._emit_scratch.reset()
 

@@ -58,7 +58,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import CheckpointError, WorkerFailure
+from repro.errors import CheckpointError, ConfigurationError, WorkerFailure
 from repro.integrity import (
     preflight_free_space,
     quarantine_artifact,
@@ -795,10 +795,24 @@ def latest_metadata(directory: os.PathLike) -> Optional[Dict[str, Any]]:
 
 
 def worker_retries() -> int:
-    try:
-        return max(0, int(os.environ.get(WORKER_RETRIES_ENV, "2")))
-    except ValueError:
+    """Replay attempts after a failure (``REPRO_WORKER_RETRIES``, 2).
+
+    Unset or empty means the default; anything but a non-negative
+    integer is a :class:`~repro.errors.ConfigurationError` naming the
+    variable.
+    """
+    raw = os.environ.get(WORKER_RETRIES_ENV)
+    if not raw:
         return 2
+    try:
+        retries = int(raw)
+    except ValueError:
+        retries = -1
+    if retries < 0:
+        raise ConfigurationError(
+            f"{WORKER_RETRIES_ENV}={raw!r} is not a non-negative retry count"
+        )
+    return retries
 
 
 def recovery_loop(

@@ -33,7 +33,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
-from repro.errors import CorruptArtifact, GraphFormatError
+from repro.errors import ConfigurationError, CorruptArtifact, GraphFormatError
 from repro.graph.csr import CSRGraph
 from repro.graph.serialize import STORE_SUFFIX, is_store, write_store
 from repro.integrity import quarantine_artifact, sweep_orphan_tmps
@@ -54,6 +54,26 @@ def _default_cache_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro" / "graphstore"
+
+
+def _max_bytes_from_env() -> int:
+    """The ``REPRO_STORE_MAX_BYTES`` budget, 16 GiB when unset or empty.
+
+    Anything but a non-negative integer is a
+    :class:`~repro.errors.ConfigurationError` naming the variable.
+    """
+    raw = os.environ.get(MAX_BYTES_ENV)
+    if not raw:
+        return 16 * 1024**3
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ConfigurationError(
+            f"{MAX_BYTES_ENV}={raw!r} is not a non-negative byte count"
+        )
+    return value
 
 
 class GraphStore:
@@ -89,9 +109,7 @@ class GraphStore:
             Path(cache_dir) if cache_dir is not None else _default_cache_dir()
         )
         if max_cache_bytes == -1:
-            max_cache_bytes = int(
-                os.environ.get(MAX_BYTES_ENV, 16 * 1024**3)
-            )
+            max_cache_bytes = _max_bytes_from_env()
         self.max_cache_bytes = max_cache_bytes
         self.capacity = capacity
         self._lru: "OrderedDict[tuple, CSRGraph]" = OrderedDict()

@@ -115,48 +115,3 @@ class TestRadius:
         s.dist_acc[1] = 2.5
         assert s.radius() == 2.5
 
-
-class TestSplitMerge:
-    def _populated(self, n=10, seed=3):
-        rng = np.random.default_rng(seed)
-        s = ClusterState(n)
-        s.center[:] = rng.integers(-1, n, size=n)
-        s.dist[:] = rng.random(n)
-        s.dist_acc[:] = rng.random(n)
-        s.frozen[:] = rng.random(n) < 0.4
-        s.frozen_iter[:] = rng.integers(0, 5, size=n)
-        return s
-
-    def test_split_concat_round_trips(self):
-        s = self._populated()
-        starts = np.array([0, 3, 3, 7, 10])  # includes an empty range
-        merged = ClusterState.concat(s.split_by_ranges(starts))
-        assert np.array_equal(merged.center, s.center)
-        assert np.array_equal(merged.dist, s.dist)
-        assert np.array_equal(merged.dist_acc, s.dist_acc)
-        assert np.array_equal(merged.frozen, s.frozen)
-        assert np.array_equal(merged.frozen_iter, s.frozen_iter)
-
-    def test_slices_are_independent_copies(self):
-        s = ClusterState(8)
-        part = s.slice_range(2, 6)
-        part.center[0] = 99
-        part.frozen[1] = True
-        part.dist[2] = 0.25
-        assert s.center[2] == NO_CENTER
-        assert not s.frozen[3]
-        assert np.isinf(s.dist[4])
-
-    def test_slice_keeps_global_center_ids(self):
-        s = ClusterState(6)
-        s.center[4] = 1  # node 4 assigned to a center outside the slice
-        part = s.slice_range(3, 6)
-        assert part.center[1] == 1
-        assert part.num_nodes == 3
-
-    def test_split_rejects_partial_cover(self):
-        s = ClusterState(5)
-        with pytest.raises(ValueError):
-            s.split_by_ranges(np.array([0, 2, 4]))
-        with pytest.raises(ValueError):
-            s.split_by_ranges(np.array([1, 5]))

@@ -29,10 +29,10 @@ import pytest
 
 from repro.core.config import ClusterConfig
 from repro.errors import WorkerFailure
-from repro.generators import gnm_random_graph
+from repro.generators import gnm_random_graph, road_network
 from repro.graph.serialize import write_store
 from repro.mr.faults import FAULT_PLAN_ENV, get_fault_plan, reset_fault_plan
-from repro.mr.sharded import RESIDENT_ENV
+from repro.mr.sharded import PARTITIONER_ENV, RESIDENT_ENV
 from repro.mrimpl.cluster2_mr import mr_cluster2
 from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.diameter_mr import mr_approximate_diameter
@@ -45,6 +45,26 @@ from repro.runtime.checkpoint import (
 CFG = ClusterConfig(tau=3, seed=1, stage_threshold_factor=1.0)
 
 DRIVERS = {"cluster": mr_cluster, "cluster2": mr_cluster2}
+
+#: Backend variants of the checkpoint-portability matrix:
+#: ``(executor, shards, environment)``.
+BACKENDS = {
+    "vector": ("vector", None, {}),
+    "serial": ("serial", None, {}),
+    "sharded": ("sharded", 2, {}),
+    "sharded-range-7": ("sharded", 7, {PARTITIONER_ENV: "range"}),
+    "sharded-ooc": ("sharded", 2, {RESIDENT_ENV: "0.05"}),
+}
+
+
+def backend_config(monkeypatch, name):
+    """``CFG`` on backend variant ``name``, its environment applied."""
+    executor, shards, env = BACKENDS[name]
+    for key in (PARTITIONER_ENV, RESIDENT_ENV):
+        monkeypatch.delenv(key, raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    return CFG.with_(executor=executor, shards=shards)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +79,13 @@ def references(graph):
         name: driver(graph, config=CFG.with_(executor="vector"))
         for name, driver in DRIVERS.items()
     }
+
+
+@pytest.fixture(scope="module")
+def road():
+    """A road grid and its uninterrupted vector-backend clustering."""
+    g = road_network(24, seed=1)
+    return g, mr_cluster(g, config=CFG.with_(executor="vector"))
 
 
 def arm_plan(monkeypatch, plan):
@@ -190,26 +217,29 @@ class TestInprocPoolKill:
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("write_exec", ["vector", "sharded"])
-    @pytest.mark.parametrize("resume_exec", ["vector", "serial", "sharded"])
+    @pytest.mark.parametrize(
+        "write_exec", ["vector", "sharded", "sharded-range-7"]
+    )
+    @pytest.mark.parametrize(
+        "resume_exec",
+        ["vector", "serial", "sharded", "sharded-range-7", "sharded-ooc"],
+    )
     @pytest.mark.parametrize("algorithm", ["cluster", "cluster2"])
     def test_resume_is_bit_identical_across_backends(
-        self, graph, references, tmp_path, algorithm, write_exec, resume_exec
+        self, graph, references, tmp_path, monkeypatch, algorithm,
+        write_exec, resume_exec,
     ):
-        """A snapshot written under one backend resumes under any other."""
-        write_cfg = CFG.with_(
-            executor=write_exec, shards=2 if write_exec == "sharded" else None
-        )
+        """A snapshot written under one backend resumes under any other:
+        both shard layouts, several shard counts, and the out-of-core
+        pool stitch and restore the same global arrays."""
+        write_cfg = backend_config(monkeypatch, write_exec)
         writer = make_checkpointer(tmp_path, graph, algorithm, write_cfg)
         DRIVERS[algorithm](graph, config=write_cfg, checkpoint=writer)
         assert writer.saved_rounds  # the cadence actually fired
         payload = writer.load_latest()
         assert payload is not None
 
-        resume_cfg = CFG.with_(
-            executor=resume_exec,
-            shards=2 if resume_exec == "sharded" else None,
-        )
+        resume_cfg = backend_config(monkeypatch, resume_exec)
         # run_key drops backend fields, so the reader finds the rounds.
         reader = make_checkpointer(tmp_path, graph, algorithm, resume_cfg)
         assert reader.directory == writer.directory
@@ -219,9 +249,27 @@ class TestCheckpointResume:
         assert reader.resumed_round == payload["round"]
         assert_identical(result, references[algorithm])
 
-    def test_resume_from_every_retained_round(self, graph, references, tmp_path):
-        """Each retained round is an equally valid restart point."""
-        cfg = CFG.with_(executor="vector")
+    @pytest.mark.parametrize(
+        "which, backend",
+        [
+            ("gnm", "vector"),
+            ("road", "vector"),
+            ("road", "sharded"),
+            ("road", "sharded-range-7"),
+            ("road", "sharded-ooc"),
+        ],
+    )
+    def test_resume_from_every_retained_round(
+        self, graph, references, road, tmp_path, monkeypatch, which, backend
+    ):
+        """Each retained round is an equally valid restart point.  The
+        road grid's late rounds hold frozen cut nodes, so a sharded
+        restore must also rebuild their replica ghosts."""
+        if which == "road":
+            graph, reference = road
+        else:
+            reference = references["cluster"]
+        cfg = backend_config(monkeypatch, backend)
         writer = make_checkpointer(tmp_path, graph, "cluster", cfg, every=1)
         mr_cluster(graph, config=cfg, checkpoint=writer)
         rounds = sorted(
@@ -233,7 +281,7 @@ class TestCheckpointResume:
             payload = writer._load_round(r)
             assert payload is not None
             result = mr_cluster(graph, config=cfg, resume=payload)
-            assert_identical(result, references["cluster"])
+            assert_identical(result, reference)
 
 
 # --------------------------------------------------------------------- #

@@ -604,6 +604,58 @@ class TestFallback:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_py_tier_reports_library_unprobed(self, impl_env):
+        os.environ[native.KERNEL_IMPL_ENV] = "py"
+        info = native.resolved_info()
+        assert info["kernel_impl"] == "py"
+        assert info["native_available"] is None
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    @pytest.mark.parametrize("executor", ["vector", "sharded"])
+    def test_py_tier_builds_nothing(self, tmp_path, executor, how):
+        """A ``py`` run neither compiles nor loads the library: against
+        an empty native dir it leaves the dir empty, and it prints the
+        value the default tier prints."""
+        from repro.generators import mesh
+        from repro.graph import write_store
+
+        store = tmp_path / "g.rcsr"
+        write_store(mesh(8, seed=1), store)
+        native_dir = tmp_path / "native"
+        native_dir.mkdir()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        for key in (native.KERNEL_IMPL_ENV, native.NATIVE_DISABLE_ENV):
+            env.pop(key, None)
+        args = [
+            sys.executable, "-m", "repro", "run", "diameter", str(store),
+            "--tau", "8", "--seed", "1", "--executor", executor,
+        ]
+        if executor == "sharded":
+            args += ["--shards", "2"]
+
+        def value_line(args, env):
+            proc = subprocess.run(
+                args, env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr, proc.stderr
+            lines = proc.stdout.splitlines()
+            return [line for line in lines if line.startswith(
+                ("value ", "kernels "))]
+
+        reference = value_line(args, env)
+        py_env = dict(env, **{native.NATIVE_DIR_ENV: str(native_dir)})
+        if how == "flag":
+            got = value_line(args + ["--kernel-impl", "py"], py_env)
+        else:
+            got = value_line(
+                args, dict(py_env, **{native.KERNEL_IMPL_ENV: "py"})
+            )
+        assert list(native_dir.iterdir()) == []
+        assert got[0] == "kernels      : py"
+        assert got[1] == reference[1]
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             ClusterConfig(kernel_impl="fortran")

@@ -433,9 +433,7 @@ class TestShardGeometry:
                 shared = {id(worker.own.owners), id(worker.own.localidx)}
                 held = [
                     (name, getattr(obj, name, None))
-                    for obj in (
-                        worker, worker.emit_scratch, worker.state, worker.own
-                    )
+                    for obj in (worker, worker._emit_scratch, worker.own)
                     for name in getattr(obj, "__dict__", None)
                     or type(obj).__slots__
                 ]

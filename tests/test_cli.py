@@ -230,12 +230,25 @@ class TestPartition:
             ("REPRO_WORKER_TIMEOUT_S", "nan"),
             ("REPRO_EMIT_MODE", "pusj"),
             ("REPRO_KERNEL_IMPL", "natvie"),
+            ("REPRO_EMIT_THREADS", "abc"),
+            ("REPRO_EMIT_THREADS", "0"),
+            ("REPRO_WORKER_RETRIES", "abc"),
+            ("REPRO_WORKER_RETRIES", "-1"),
+            ("REPRO_NATIVE_BUILD_TIMEOUT_S", "abc"),
+            ("REPRO_NATIVE_BUILD_TIMEOUT_S", "0"),
+            ("REPRO_NATIVE_BUILD_TIMEOUT_S", "-1"),
+            ("REPRO_STORE_MAX_BYTES", "abc"),
         ],
     )
     def test_malformed_sharded_env_is_clean(
         self, store_file, capsys, monkeypatch, variable, value
     ):
+        from repro.runtime import store
+
         monkeypatch.setenv(variable, value)
+        # A fresh CLI process builds its process-wide graph store (which
+        # reads REPRO_STORE_MAX_BYTES) on first use.
+        monkeypatch.setattr(store, "_DEFAULT", None)
         rc = main(
             ["run", "diameter", store_file, "--executor", "sharded",
              "--shards", "2"]
