@@ -5,8 +5,9 @@ on both an R-MAT and a roads instance of comparable node counts.  Without
 a cluster, this reproduction measures the *simulated critical path* of
 the MR-engine execution: each round costs its most-loaded worker's load,
 so the per-round maximum — summed over rounds — is exactly the quantity
-that shrinks as machines are added.  The literal MR implementation of
-CLUSTER runs unchanged; only `num_workers` varies.
+that shrinks as machines are added.  The MR implementation of CLUSTER
+runs unchanged on the ``vector`` engine (batch rounds, hash-partitioned
+critical path); only `num_workers` varies.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _simulated_time(graph, workers: int) -> int:
         local_memory=ml,
         num_workers=workers,
     )
-    engine = MREngine(spec)
+    engine = MREngine(spec)  # no executor object: the vector engine
     mr_cluster(graph, config=CFG, engine=engine)
     return engine.simulated_time
 

@@ -1,14 +1,15 @@
 #!/usr/bin/env python
-"""The MR(M_T, M_L) engine: reducers, memory budgets, and the literal
-MapReduce implementation of CLUSTER.
+"""The MR(M_T, M_L) engine: batch rounds, memory budgets, and the MR
+implementation of CLUSTER.
 
 This example shows the substrate the paper's analysis runs on:
 
-1. a plain word-count round on the engine;
-2. the Fact 1 primitives (sort, prefix sum) meeting their
-   O(log_{M_L} n) round budgets under an enforced local memory;
-3. the *literal* MR implementation of Algorithm 1 producing the exact
-   same clustering as the vectorized production path;
+1. a word-count round on the engine — one batch round, integer keys and
+   a vectorized reducer over every group;
+2. the local-memory budget ``M_L`` refusing a reducer group too large
+   for one machine;
+3. the MR implementation of Algorithm 1 producing the exact same
+   clustering as the vectorized production path;
 4. the simulated critical path shrinking as machines are added
    (the Figure 4 scalability mechanism).
 
@@ -20,40 +21,36 @@ import numpy as np
 from repro import MREngine, MRSpec, mesh
 from repro.core.cluster import cluster
 from repro.core.config import ClusterConfig
-from repro.mr.primitives import mr_prefix_sum, mr_sort
+from repro.errors import MemoryLimitExceeded
+from repro.mr.batch import group_count
 from repro.mrimpl.cluster_mr import mr_cluster
-
-
-def wordcount_reducer(key, values):
-    return [(key, len(values))]
 
 
 def main() -> None:
     # --- 1. a classic MapReduce round -----------------------------------
-    engine = MREngine(MRSpec(total_memory=10_000, local_memory=100))
     words = "the quick brown fox jumps over the lazy dog the end".split()
-    counts = dict(engine.round([(w, 1) for w in words], wordcount_reducer))
+    vocab, keys = np.unique(words, return_inverse=True)
+    engine = MREngine(MRSpec(total_memory=10_000, local_memory=100))
+    out_keys, out_values = engine.round_batch(
+        keys, np.ones(len(keys)), group_count
+    )
+    counts = {str(vocab[k]): int(c) for k, c in zip(out_keys, out_values[:, 0])}
     print(f"word count: {counts}")
     print(f"rounds so far: {engine.counters.rounds}\n")
 
-    # --- 2. Fact 1 primitives under a tight M_L -------------------------
-    engine = MREngine(MRSpec(total_memory=100_000, local_memory=64))
-    data = list(np.random.default_rng(0).integers(0, 1000, 300))
-    assert mr_sort(engine, data) == sorted(data)
-    print(
-        f"sorted 300 items with M_L=64 in {engine.counters.rounds} rounds "
-        f"(budget O(log_ML n) = {engine.spec.sort_rounds(300)} base rounds)"
-    )
-    engine = MREngine(MRSpec(total_memory=100_000, local_memory=64))
-    sums = mr_prefix_sum(engine, [1] * 200)
-    assert sums[-1] == 200
-    print(f"prefix-summed 200 items in {engine.counters.rounds} rounds\n")
+    # --- 2. the local-memory budget -------------------------------------
+    # Each pair costs a key word plus a value word; "the" x3 = 6 > M_L.
+    engine = MREngine(MRSpec(total_memory=10_000, local_memory=4))
+    try:
+        engine.round_batch(keys, np.ones(len(keys)), group_count)
+    except MemoryLimitExceeded as exc:
+        print(f"M_L = 4 words refuses the hot key: {exc}\n")
 
-    # --- 3. literal MR CLUSTER == vectorized CLUSTER --------------------
+    # --- 3. MR CLUSTER == vectorized CLUSTER ----------------------------
     graph = mesh(10, seed=4)
     cfg = ClusterConfig(tau=3, seed=4, stage_threshold_factor=1.0)
     vec = cluster(graph, config=cfg)
-    mr = mr_cluster(graph, config=cfg)
+    mr = mr_cluster(graph, config=cfg.with_(executor="vector"))
     assert np.array_equal(vec.center, mr.center)
     print(
         f"CLUSTER on a 10x10 mesh: vectorized and MR-engine paths agree "

@@ -40,7 +40,6 @@ True
 from repro._version import __version__
 from repro.errors import (
     ConfigurationError,
-    ConvergenceError,
     GraphFormatError,
     GraphValidationError,
     MemoryLimitExceeded,
@@ -94,7 +93,6 @@ __all__ = [
     "GraphValidationError",
     "MemoryLimitExceeded",
     "ConfigurationError",
-    "ConvergenceError",
     # graphs
     "CSRGraph",
     "from_edges",

@@ -109,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=list(EXECUTOR_NAMES),
         default=None,
-        help="run the MR-engine code path on this backend: 'serial' is "
-        "the paper-literal per-key simulation, 'vector' the NumPy batch "
-        "engine, 'sharded' the owner-compute persistent-worker backend.  "
+        help="run the MR-engine code path on this backend: 'vector' is "
+        "the NumPy batch engine, 'sharded' the owner-compute "
+        "persistent-worker backend.  "
         "Default: the vectorized in-memory path (no MR engine).",
     )
     p_diam.add_argument(

@@ -72,15 +72,14 @@ class ClusterConfig:
         Node-count threshold for the exact quotient diameter in ``auto``.
     executor:
         MR execution backend the ``mrimpl`` drivers build their default
-        engine with: ``"serial"`` (paper-literal per-key simulation),
-        ``"vector"`` (vectorized batch engine, single process), or
-        ``"sharded"``
-        (owner-compute persistent shard workers with boundary-only
-        exchange).  All backends produce identical clusterings; they
-        differ only in wall-clock speed and in which per-round metrics
-        are literal vs simulated (see ``docs/mr_model.md`` and
-        ``docs/architecture.md``).  Ignored by the vectorized
-        ``repro.core`` path, which does not run an engine at all.
+        engine with: ``"vector"`` (vectorized batch engine, single
+        process) or ``"sharded"`` (owner-compute persistent shard
+        workers with boundary-only exchange).  Both run batch rounds
+        and produce identical clusterings and counters; they differ
+        only in wall-clock speed and memory placement (see
+        ``docs/mr_model.md`` and ``docs/architecture.md``).  Ignored by
+        the vectorized ``repro.core`` path, which does not run an
+        engine at all.
     shards:
         Shard count for the ``sharded`` executor (``None`` = CPU
         count).  Ignored by the other backends.
@@ -108,7 +107,7 @@ class ClusterConfig:
     target_quotient_nodes: int = 1000
     quotient_mode: str = "auto"
     quotient_exact_limit: int = 3000
-    executor: str = "serial"
+    executor: str = "vector"
     shards: Optional[int] = None
     kernel_impl: str = "auto"
     emit_threads: Optional[int] = None

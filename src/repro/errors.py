@@ -14,7 +14,6 @@ __all__ = [
     "CorruptArtifact",
     "MemoryLimitExceeded",
     "ConfigurationError",
-    "ConvergenceError",
     "WorkerFailure",
     "CheckpointError",
 ]
@@ -90,10 +89,6 @@ class MemoryLimitExceeded(ReproError):
 
 class ConfigurationError(ReproError):
     """Raised when algorithm parameters are invalid or inconsistent."""
-
-
-class ConvergenceError(ReproError):
-    """Raised when an iterative algorithm fails to converge within its budget."""
 
 
 class WorkerFailure(ReproError):

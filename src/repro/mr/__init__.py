@@ -8,18 +8,21 @@ budget ``M_L``.  This package provides:
 
 * :class:`~repro.mr.model.MRSpec` — the ``(M_T, M_L)`` parameters;
 * :class:`~repro.mr.engine.MREngine` — a round-by-round executor that
-  enforces the memory budgets and counts rounds and messages;
-* :mod:`~repro.mr.primitives` — the sorting and (segmented) prefix-sum
-  primitives of Fact 1, each running in ``O(log_{M_L} n)`` rounds;
+  runs batch rounds, enforces the memory budgets and counts rounds and
+  messages;
 * :mod:`~repro.mr.metrics` — the platform-independent counters the paper
   reports (rounds, work = node updates + messages);
 * :mod:`~repro.mr.batch` — the array-valued batch reducer protocol of the
   vectorized shuffle (``MREngine.round_batch``);
 * :mod:`~repro.mr.kernels` — the O(candidates) scatter-min merge kernel
   of the growing step;
-* :mod:`~repro.mr.executor` — the serial and vectorized backends, plus
-  ``make_executor`` for those and the owner-compute ``sharded`` backend
-  of :mod:`~repro.mr.sharded`.
+* :mod:`~repro.mr.executor` — ``make_executor`` for the two backends:
+  ``vector`` (the engine alone) and the owner-compute ``sharded``
+  backend of :mod:`~repro.mr.sharded`.
+
+The literal per-key simulation of the model (one Python reducer call
+per key) is a test oracle, not a backend: it lives in the test suite
+(``docs/mr_model.md`` §3).
 """
 
 from repro.mr.model import MRSpec
@@ -32,13 +35,7 @@ from repro.mr.partitioner import (
     range_partition,
     range_partition_array,
 )
-from repro.mr.primitives import mr_sort, mr_prefix_sum, mr_segmented_prefix_sum
-from repro.mr.executor import (
-    EXECUTOR_NAMES,
-    SerialExecutor,
-    VectorExecutor,
-    make_executor,
-)
+from repro.mr.executor import EXECUTOR_NAMES, make_executor
 
 __all__ = [
     "MRSpec",
@@ -50,11 +47,6 @@ __all__ = [
     "hash_partition_array",
     "range_partition",
     "range_partition_array",
-    "mr_sort",
-    "mr_prefix_sum",
-    "mr_segmented_prefix_sum",
-    "SerialExecutor",
-    "VectorExecutor",
     "make_executor",
     "EXECUTOR_NAMES",
 ]

@@ -63,7 +63,7 @@ def group_min_first(
     ``sort_cols=2`` over ``(distance, center, ...)`` rows this is exactly
     the paper's relaxation tie-break — smallest distance, then smallest
     center index, then arrival order — as implemented by both the
-    vectorized core path and the per-key ``_growing_reducer``.
+    vectorized core path and the test suite's per-key reducer.
 
     This is the **reference oracle**: the O(rows) scatter-min kernels of
     :mod:`repro.mr.kernels` implement the identical tie-break without

@@ -85,7 +85,8 @@ see :class:`repro.mr.sharded.ShardedGrowingState` for that contract.
 
 The plain expansion survives as the ``emit_frontier`` oracle of
 ``tests/mr/test_emit.py``; ``tests/mr/test_emit_parity.py`` pits every
-executor × emit-mode combination against the per-key ``serial`` path.
+executor × emit-mode combination against the test suite's per-key
+reference.
 """
 
 from __future__ import annotations

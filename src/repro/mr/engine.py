@@ -2,31 +2,29 @@
 
 A round transforms a multiset of ``(key, value)`` pairs by grouping on the
 key and applying a reducer function to every group independently.  The
-engine enforces the model's memory budgets, counts rounds and messages,
-and — through a pluggable executor — simulates the per-round critical path
-of a ``num_workers``-machine platform (the quantity Figure 4's scalability
+engine runs every round as a *batch* round — integer keys, float64 value
+rows, and a vectorized reducer over all groups at once (see
+:mod:`repro.mr.batch`) — enforces the model's memory budgets, counts
+rounds and messages, and simulates the per-round critical path of a
+``num_workers``-machine platform (the quantity Figure 4's scalability
 experiment measures).
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from repro.errors import MemoryLimitExceeded
 from repro.mr import native as _native
-from repro.mr.executor import SerialExecutor
 from repro.mr.metrics import Counters
 from repro.mr.model import MRSpec
-from repro.mr.partitioner import hash_partition, hash_partition_array
+from repro.mr.partitioner import hash_partition_array
 
-__all__ = ["MREngine", "Pair", "Reducer", "BatchReducer"]
+__all__ = ["MREngine", "BatchReducer"]
 
-Pair = Tuple[Hashable, object]
-#: A reducer maps ``(key, values)`` to an iterable of output pairs.
-Reducer = Callable[[Hashable, List[object]], Iterable[Pair]]
 #: A batch reducer maps grouped ``(keys, offsets, values)`` arrays to an
 #: output batch ``(out_keys, out_values, out_counts)`` — see
 #: :mod:`repro.mr.batch` for the full protocol.
@@ -54,18 +52,6 @@ def _group_batch(
     return sorted_keys[starts], offsets, values[order]
 
 
-def _pair_words(value: object) -> int:
-    """Approximate memory footprint of one pair in machine words.
-
-    A pair costs one word for the key plus one word per scalar in the
-    value.  Tuples/lists are costed by length; everything else is one word.
-    This coarse model is exactly what the MR(M_T, M_L) analysis assumes.
-    """
-    if isinstance(value, (tuple, list)):
-        return 1 + len(value)
-    return 2
-
-
 class MREngine:
     """Executes MR rounds under an :class:`MRSpec` with full accounting.
 
@@ -74,8 +60,10 @@ class MREngine:
     spec:
         Memory/worker parameters.
     executor:
-        Strategy that applies reducers to key groups; defaults to
-        :class:`~repro.mr.executor.SerialExecutor`.
+        ``None`` (the ``vector`` backend) or an executor that owns the
+        growing state of the Δ-growing steps, such as
+        :class:`~repro.mr.sharded.ShardedExecutor` (see
+        :func:`~repro.mrimpl.growing_mr.make_growing_state`).
     enforce_memory:
         When ``True`` (default) a reducer whose input exceeds ``M_L`` words,
         or a round whose pairs exceed ``M_T`` words, raises
@@ -101,7 +89,7 @@ class MREngine:
         enforce_memory: bool = True,
     ):
         self.spec = spec
-        self.executor = executor if executor is not None else SerialExecutor()
+        self.executor = executor
         self.enforce_memory = enforce_memory
         self.counters = Counters()
         self.simulated_time = 0
@@ -110,62 +98,6 @@ class MREngine:
         self._loads: np.ndarray = None
 
     # ------------------------------------------------------------------ #
-
-    def round(
-        self,
-        pairs: Sequence[Pair],
-        reducer: Reducer,
-        *,
-        combiner: Reducer = None,
-    ) -> List[Pair]:
-        """Execute one MR round and return the output multiset.
-
-        Grouping is stable: values arrive at the reducer in input order,
-        which lets deterministic algorithms avoid spurious tie-break
-        differences between runs.
-
-        ``combiner``, when given, is applied per key *before* the shuffle
-        (the classic map-side aggregation optimization): the engine counts
-        only the combined pairs as shuffled messages, and the local-memory
-        check applies to the combined groups.  The combiner must be
-        semantically idempotent with respect to the reducer
-        (``reducer ∘ combiner ≡ reducer``); word-count's ``sum`` is the
-        canonical example.
-        """
-        if combiner is not None:
-            pre: Dict[Hashable, List[object]] = {}
-            for key, value in pairs:
-                pre.setdefault(key, []).append(value)
-            combined: List[Pair] = []
-            for key, values in pre.items():
-                combined.extend(combiner(key, values))
-            pairs = combined
-
-        shuffle_start = perf_counter()
-        groups: Dict[Hashable, List[object]] = {}
-        total_words = 0
-        for key, value in pairs:
-            groups.setdefault(key, []).append(value)
-            total_words += _pair_words(value)
-
-        if self.enforce_memory and total_words > self.spec.total_memory:
-            raise MemoryLimitExceeded(total_words, self.spec.total_memory)
-        if self.enforce_memory:
-            for key, values in groups.items():
-                words = sum(_pair_words(v) for v in values)
-                if words > self.spec.local_memory:
-                    raise MemoryLimitExceeded(words, self.spec.local_memory, key)
-
-        reduce_start = perf_counter()
-        self.counters.add_time("shuffle", reduce_start - shuffle_start)
-        output, worker_loads = self.executor.run(
-            groups, reducer, self.spec.num_workers
-        )
-        self.counters.add_time("reduce", perf_counter() - reduce_start)
-
-        self.counters.record_round(messages=len(pairs), updates=0)
-        self.simulated_time += max(worker_loads) if worker_loads else 0
-        return output
 
     # -- batch-round cost model (shared by round_batch and the fused  -- #
     # -- growing pipeline of repro.mr.emit / mrimpl.growing_mr)       -- #
@@ -227,17 +159,6 @@ class MREngine:
             )
             self.simulated_time += int(loads.max())
 
-    @property
-    def supports_batch(self) -> bool:
-        """Whether drivers should use the array-valued batch layout.
-
-        True for executors marked ``batch_rounds`` (``VectorExecutor``,
-        ``ShardedExecutor``); the others keep the literal per-key pair
-        simulation.  ``round_batch`` itself works on every engine — the
-        batch reducer always runs in the engine's process.
-        """
-        return getattr(self.executor, "batch_rounds", False)
-
     def round_batch(
         self,
         keys: np.ndarray,
@@ -246,19 +167,16 @@ class MREngine:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Execute one MR round over an integer-keyed array batch.
 
-        The vectorized counterpart of :meth:`round`: ``keys`` is an
-        ``int64`` array of reducer keys (one per pair) and ``values`` a
-        ``float64`` matrix with the corresponding payload rows.  Values
-        reach the reducer grouped by key *in input order* (a stable
-        argsort shuffle), the same stability guarantee the dict-of-lists
-        grouping provides.  Returns the output batch as ``(out_keys,
-        out_values)``.
+        ``keys`` is an ``int64`` array of reducer keys (one per pair) and
+        ``values`` a ``float64`` matrix with the corresponding payload
+        rows.  Values reach the reducer grouped by key *in input order*
+        (a stable argsort shuffle).  Returns the output batch as
+        ``(out_keys, out_values)``.
 
-        Accounting matches :meth:`round` structurally: one round, one
-        message per input pair, a memory word per key plus one
-        per payload column (the tuple cost model of ``_pair_words``), and
-        a simulated critical path equal to the busiest worker's input +
-        output pairs under the same hash partitioner as the per-key path.
+        Accounting: one round, one message per input pair, a memory word
+        per key plus one per payload column, and a simulated critical
+        path equal to the busiest worker's input + output pairs under
+        the hash partitioner of :mod:`repro.mr.partitioner`.
         """
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -293,46 +211,3 @@ class MREngine:
 
         self.account_batch_round(len(keys), group_keys, counts, out_counts)
         return out_keys, out_values
-
-    def run_rounds(
-        self, pairs: Sequence[Pair], reducers: Sequence[Reducer]
-    ) -> List[Pair]:
-        """Thread ``pairs`` through a fixed pipeline of reducers."""
-        for reducer in reducers:
-            pairs = self.round(pairs, reducer)
-        return list(pairs)
-
-    def run_until_fixpoint(
-        self,
-        pairs: Sequence[Pair],
-        reducer: Reducer,
-        *,
-        max_rounds: int = 10_000,
-        key=None,
-    ) -> List[Pair]:
-        """Apply ``reducer`` repeatedly until the output stabilizes.
-
-        Stability is judged on the sorted pair multiset (using ``key`` for
-        ordering if pairs are not naturally comparable).  Raises
-        :class:`~repro.errors.ConvergenceError` after ``max_rounds``.
-        """
-        from repro.errors import ConvergenceError
-
-        def canon(ps):
-            return sorted(ps, key=key) if key else sorted(ps)
-
-        current = list(pairs)
-        current_canon = canon(current)
-        for _ in range(max_rounds):
-            nxt = self.round(current, reducer)
-            nxt_canon = canon(nxt)
-            if nxt_canon == current_canon:
-                return nxt
-            current, current_canon = nxt, nxt_canon
-        raise ConvergenceError(f"no fixpoint within {max_rounds} rounds")
-
-    # ------------------------------------------------------------------ #
-
-    def worker_of(self, key: Hashable) -> int:
-        """Worker a key would be routed to (exposed for tests/inspection)."""
-        return hash_partition(key, self.spec.num_workers)

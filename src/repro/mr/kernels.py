@@ -29,7 +29,7 @@ Candidates stay in arrival order and the reduction scatters into dense
 per-target buffers (:class:`ScatterScratch`, preallocated once and
 reset only on the touched targets, so rounds cost O(candidates)
 regardless of ``n``).  This is the merge of the vector backend's fused
-pipeline, the serial core step, and the sharded workers' resident
+pipeline, the core path's step, and the sharded workers' resident
 merge.
 """
 

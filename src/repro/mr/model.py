@@ -9,7 +9,6 @@ input and ``M_L`` polynomially sublinear (``M_L = Θ(n^ε)``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -61,14 +60,3 @@ class MRSpec:
         ml = max(int(slack * n**epsilon), 2)
         mt = max(int(slack * n), ml)
         return cls(total_memory=mt, local_memory=ml, num_workers=num_workers)
-
-    def sort_rounds(self, n: int) -> int:
-        """Round budget ``O(log_{M_L} n)`` of Fact 1 for input size ``n``.
-
-        Returned as ``ceil(log n / log M_L)`` with a floor of 1; used by
-        tests to check that the primitive implementations meet the bound.
-        """
-        n = max(int(n), 2)
-        if self.local_memory >= n:
-            return 1
-        return max(1, math.ceil(math.log(n) / math.log(self.local_memory)))

@@ -9,9 +9,9 @@ run never imports scipy).
 ``auto`` (the default) uses the native tier whenever the shared library
 can be built and loaded (see :mod:`repro.mr.native.build`), degrading
 silently to the pure NumPy tier otherwise — the pure implementations
-always remain and stay the parity oracle.  ``REPRO_NATIVE_DISABLE=1``
-force-disables the native tier even when a compiler exists (the
-no-toolchain CI job uses it to prove the fallback).
+always remain and stay the parity oracle.  ``REPRO_KERNEL_IMPL=py``
+is the one spelling of "use the pure tier": it never builds or loads
+the library (the no-toolchain CI job runs the suite under it).
 
 Like ``REPRO_EMIT_MODE``, the switches are read from the environment
 **per call**, so benchmarks and the parity suites flip tiers between
@@ -51,7 +51,6 @@ from repro.mr.native.build import NATIVE_DIR_ENV, build_library
 
 __all__ = [
     "KERNEL_IMPL_ENV",
-    "NATIVE_DISABLE_ENV",
     "EMIT_THREADS_ENV",
     "NATIVE_DIR_ENV",
     "KERNEL_IMPLS",
@@ -68,9 +67,6 @@ __all__ = [
 
 #: Implementation-tier switch: ``py`` | ``native`` | ``auto`` (default).
 KERNEL_IMPL_ENV = "REPRO_KERNEL_IMPL"
-
-#: Any non-empty value force-disables the native tier (no-toolchain CI).
-NATIVE_DISABLE_ENV = "REPRO_NATIVE_DISABLE"
 
 #: Thread count for the chunked emit expansion (default: CPU count).
 EMIT_THREADS_ENV = "REPRO_EMIT_THREADS"
@@ -144,8 +140,6 @@ _SIGNATURES = {
 def _load() -> Optional[ctypes.CDLL]:
     """The bound shared library, building it on first use; ``None`` on failure."""
     global _lib, _lib_failed
-    if os.environ.get(NATIVE_DISABLE_ENV):
-        return None
     if _lib is not None:
         return _lib
     if _lib_failed:
@@ -190,7 +184,7 @@ def requested_impl() -> str:
 
 
 def native_available() -> bool:
-    """Whether the native library is built, loadable, and not disabled."""
+    """Whether the native library is built and loadable."""
     return _load() is not None
 
 

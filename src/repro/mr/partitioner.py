@@ -13,7 +13,7 @@ fewer arcs cross shard boundaries than under the contiguous-range
 planner, while keeping per-shard arc loads within a configurable slack
 of perfect balance.  The output is an explicit node→shard assignment
 array — node ids are *never* relabeled, which is what keeps sharded
-results bit-identical to the serial engine (the merge tie-break
+results bit-identical to the ``vector`` backend (the merge tie-break
 ``(nd, center, source)`` is over global ids).
 """
 

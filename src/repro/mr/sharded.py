@@ -54,11 +54,11 @@ snapshots from the whole-graph array state and run the same
 :class:`~repro.mr.emit.EmitScratch` kernels, and the merge tie-break is
 the order-free equivalent of the engine's stable-first rule: builders
 deduplicate edges, so a target receives at most one candidate per
-source and
-"earliest arrival" equals "smallest source id" — the winner is simply
-the row minimizing ``(nd, center, source)``.  ``tests/mr/
-test_sharded_parity.py`` asserts equality against ``serial``/``vector``
-across shard counts, partitioners, and residency budgets.
+source and "earliest arrival" equals "smallest source id" — the winner
+is simply the row minimizing ``(nd, center, source)``.
+``tests/mr/test_sharded_parity.py`` asserts equality against ``vector``
+and the test suite's per-key reference across shard counts,
+partitioners, and residency budgets.
 
 The exchange is one protocol for both worker pools: each growing step
 is one ``step`` command per worker, and the cross-shard blocks a step
@@ -160,7 +160,6 @@ def _resident_mb_from_env() -> Optional[float]:
 #: these between runs), so the driver ships its snapshot along.
 _KERNEL_ENV_KEYS = (
     "REPRO_KERNEL_IMPL",
-    "REPRO_NATIVE_DISABLE",
     "REPRO_EMIT_THREADS",
     "REPRO_EMIT_MODE",
 )
@@ -1575,10 +1574,10 @@ class ShardedExecutor:
     :func:`repro.graph.partition.ensure_partitioned`; in-memory graphs
     are spilled to a private temp store first).
 
-    Engine integration: per-key rounds fall back to the serial loop and
-    batch rounds (e.g. the quotient construction) run vectorized
-    in-process, so a ``sharded`` engine executes every round kind; only
-    growing steps use the owner-compute protocol.
+    Engine integration: batch rounds other than the growing steps
+    (e.g. the quotient construction) run vectorized in the driver
+    process, as on every engine; only growing steps use the
+    owner-compute protocol.
 
     Parameters
     ----------
@@ -1614,11 +1613,6 @@ class ShardedExecutor:
     #: Marks this executor as building its own growing state
     #: (see :func:`repro.mrimpl.growing_mr.make_growing_state`).
     owns_growing_state = True
-
-    #: Non-growing batch rounds (e.g. the quotient construction) run
-    #: vectorized in the driver process (see
-    #: :attr:`repro.mr.engine.MREngine.supports_batch`).
-    batch_rounds = True
 
     def __init__(
         self,
@@ -1667,13 +1661,6 @@ class ShardedExecutor:
     def max_open_shards(self) -> Optional[int]:
         """Out-of-core pool's peak concurrently-mapped shard count."""
         return getattr(self._pool, "max_open_shards", None)
-
-    # -- engine executor protocol (non-growing rounds) ------------------ #
-
-    def run(self, groups, reducer, num_workers):
-        from repro.mr.executor import SerialExecutor
-
-        return SerialExecutor().run(groups, reducer, num_workers)
 
     # -- growing-state factory ----------------------------------------- #
 

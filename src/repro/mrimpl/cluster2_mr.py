@@ -10,9 +10,8 @@ the cross-validation tests assert; this closes the loop on the one piece
 of the paper's machinery (weight rescaling) the CLUSTER cross-check does
 not exercise.
 
-Like :func:`~repro.mrimpl.cluster_mr.mr_cluster`, the driver runs on
-either state backend: per-key pair rounds on the serial executors, batch
-array rounds on ``vector``/``sharded`` — same results either way.
+Like :func:`~repro.mrimpl.cluster_mr.mr_cluster`, the driver runs batch
+rounds on ``vector`` and ``sharded`` alike — same results either way.
 
 Fault tolerance mirrors the CLUSTER driver: the public entry wraps both
 phases in one :func:`~repro.runtime.checkpoint.recovery_loop` (phase 1

@@ -7,11 +7,12 @@ enforced.  From the same seed the two implementations must return the
 *identical* clustering (an integration test asserts this), which is the
 strongest evidence that the vectorized kernels implement the pseudocode.
 
-The driver is backend-agnostic: engines whose executor supports batch
-rounds (``vector``) run the array-valued hot path of
-:class:`~repro.mrimpl.growing_mr.ArrayGrowingState`, the per-key
-executors keep the literal pair simulation — with bit-identical results,
-which the backend-equivalence tests assert.
+The driver is backend-agnostic: it runs over whatever growing state
+:func:`~repro.mrimpl.growing_mr.make_growing_state` builds — the
+whole-graph :class:`~repro.mrimpl.growing_mr.ArrayGrowingState` on
+``vector``, the shard workers on ``sharded`` — with bit-identical
+results, which the backend-equivalence tests assert against the test
+suite's paper-literal per-key reducer program.
 
 Fault tolerance: the public entry wraps the driver in
 :func:`~repro.runtime.checkpoint.recovery_loop` — a
@@ -279,8 +280,8 @@ def _mr_cluster(
                     # Early exit: candidates emitted this round correspond
                     # to a growing step the vectorized algorithm never
                     # executes — discard them (see the off-by-one note in
-                    # mr_growing_step) so both implementations freeze the
-                    # same node set.
+                    # repro.mrimpl.growing_mr) so both implementations
+                    # freeze the same node set.
                     state.discard_candidates()
                     break
                 if (

@@ -6,9 +6,9 @@ reduce keeps the minimum reweighted copy, and the surviving edges — at
 most one per cluster pair, `O(τ² polylog)` total — fit a single reducer's
 local memory for the final diameter computation.  This module expresses
 exactly that pipeline on the engine, one
-:func:`~repro.mr.primitives.mr_reduce_by_key` round, and is checked
-against the vectorized :func:`~repro.core.quotient.quotient_graph` in
-tests.
+:meth:`~repro.mr.engine.MREngine.round_batch` reduce-by-key round, and
+is checked against the vectorized
+:func:`~repro.core.quotient.quotient_graph` in tests.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.graph.builder import from_edges, min_by_key, pair_keys
 from repro.graph.csr import CSRGraph
 from repro.mr.batch import group_min
 from repro.mr.engine import MREngine
-from repro.mr.primitives import mr_reduce_by_key
 
 __all__ = ["mr_quotient_graph"]
 
@@ -35,11 +34,10 @@ def _batch_quotient(
 
     Cluster pairs are packed into a single int64 key
     (``min·num_centers + max``, :func:`~repro.graph.builder.pair_keys`),
-    so the shuffle groups crossing edges by unordered cluster pair
-    exactly as the tuple keys do.  The map side combines before the
-    shuffle, to one pair per cluster pair
-    (:func:`~repro.graph.builder.min_by_key`: one sort, a ``min`` per
-    run): a popular cluster pair can own far more crossing edges than
+    so the shuffle groups crossing edges by unordered cluster pair.
+    The map side combines before the shuffle, to one pair per cluster
+    pair (:func:`~repro.graph.builder.min_by_key`: one sort, a ``min``
+    per run): a popular cluster pair can own far more crossing edges than
     any node has neighbours, so without combining its reducer group
     could exceed an ``M_L`` sized for the growing rounds.  ``min`` is
     order-free, so neither the sort nor the reducer needs a tie-break.
@@ -64,43 +62,15 @@ def mr_quotient_graph(
     """Build the weighted quotient graph with one reduce-by-key round.
 
     Map side (driver): every original edge ``(u, v)`` with
-    ``cluster(u) ≠ cluster(v)`` becomes a pair keyed by the ordered
+    ``cluster(u) ≠ cluster(v)`` becomes a pair keyed by the packed
     cluster-id pair carrying the reweighted value ``w + d_u + d_v``.
-    Reduce side: ``min`` per key.  Returns the same ``(G_C, centers)`` as
-    the vectorized constructor.
-
-    On a batch-capable engine the whole pipeline is array-valued: keys
-    are packed cluster pairs and the reduce is one
-    :meth:`~repro.mr.engine.MREngine.round_batch`; per-key engines run
-    the legacy tuple-keyed :func:`~repro.mr.primitives.mr_reduce_by_key`.
+    Reduce side: ``min`` per key, one
+    :meth:`~repro.mr.engine.MREngine.round_batch` on any engine.
+    Returns the same ``(G_C, centers)`` as the vectorized constructor.
     """
-    ids = clustering.cluster_ids()
-    d = clustering.dist_to_center
     centers = clustering.centers
-
-    if engine.supports_batch:
-        qu, qv, qw = _batch_quotient(engine, graph, ids, d, len(centers))
-        return from_edges(qu, qv, qw, len(centers)), centers
-
-    pairs = []
-    for u, v, w in graph.iter_edges():
-        cu, cv = int(ids[u]), int(ids[v])
-        if cu == cv:
-            continue
-        key = (cu, cv) if cu < cv else (cv, cu)
-        pairs.append((key, float(w + d[u] + d[v])))
-
-    reduced = mr_reduce_by_key(engine, pairs, min, combine=True)
-
-    if not reduced:
-        return (
-            from_edges(
-                np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0),
-                len(centers),
-            ),
-            centers,
-        )
-    qu = np.array([k[0] for k, _ in reduced], dtype=np.int64)
-    qv = np.array([k[1] for k, _ in reduced], dtype=np.int64)
-    qw = np.array([w for _, w in reduced], dtype=np.float64)
+    qu, qv, qw = _batch_quotient(
+        engine, graph, clustering.cluster_ids(), clustering.dist_to_center,
+        len(centers),
+    )
     return from_edges(qu, qv, qw, len(centers)), centers

@@ -21,8 +21,8 @@ candidates are in flight: the start of a stage, the start of each
 iteration.  At those points the drivers guarantee ``pending`` is empty,
 the ``changed`` mask is clear, and the last round's emission count is
 zero — so the snapshot is just the five state arrays plus scalars, and
-it restores onto *any* backend (serial pairs, vector arrays, sharded
-workers) without serializing in-flight emission batches.  The policy's
+it restores onto *any* backend (vector arrays, sharded workers)
+without serializing in-flight emission batches.  The policy's
 round/second cadence *arms* a save; the write happens at the next safe
 point.
 

@@ -20,7 +20,7 @@ The built-in registry covers the whole reproduction surface::
     unweighted-diameter   hop-diameter via the unweighted decomposition
 
 Specs with ``supports_executor=True`` honour ``RunContext.executor``
-(``serial``/``vector``/``sharded``) by routing
+(``vector``/``sharded``) by routing
 through the ``mrimpl`` engine drivers; with ``executor=None`` they run
 the vectorized :mod:`repro.core` path.  All paths are bit-identical
 from a shared seed — the integration tests assert it — so the executor

@@ -205,7 +205,7 @@ def run(
         config is built and ``seed``/``tau`` applied on top.
     executor, workers:
         MR-engine backend selection for specs that support it
-        (``serial``/``vector``/``sharded``);
+        (``vector``/``sharded``);
         ``None`` runs the vectorized core path.  Specs without executor
         support reject a non-``None`` value.
     shards:

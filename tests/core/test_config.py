@@ -38,11 +38,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ClusterConfig(quotient_mode="apsp")
 
-    @pytest.mark.parametrize("executor", ["serial", "vector", "sharded"])
+    @pytest.mark.parametrize("executor", ["vector", "sharded"])
     def test_valid_executor(self, executor):
         assert ClusterConfig(executor=executor).executor == executor
 
-    @pytest.mark.parametrize("executor", ["parallel", "mmap", "gpu"])
+    @pytest.mark.parametrize("executor", ["parallel", "mmap", "gpu", "serial"])
     def test_invalid_executor(self, executor):
         with pytest.raises(ConfigurationError):
             ClusterConfig(executor=executor)

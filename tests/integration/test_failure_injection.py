@@ -75,12 +75,15 @@ class TestMemoryStarvedEngine:
             )
 
     def test_total_memory_guard(self):
+        from repro.mr.batch import group_sum
         from repro.mr.engine import MREngine
         from repro.mr.model import MRSpec
 
         engine = MREngine(MRSpec(total_memory=16, local_memory=16))
         with pytest.raises(MemoryLimitExceeded):
-            engine.round([(i, i) for i in range(100)], lambda k, v: [])
+            engine.round_batch(
+                np.arange(100, dtype=np.int64), np.ones(100), group_sum
+            )
 
 
 class TestDegenerateTopologies:

@@ -6,10 +6,11 @@ legal) expansion.  This suite runs the full CLUSTER / CLUSTER2 / CL-DIAM
 drivers on a seeded R-MAT under every mode and across every executor,
 and asserts the strongest possible contract: bit-identical clusterings
 and bit-identical ``rounds`` / ``messages`` / ``updates`` /
-``growing_steps`` counters.  The fixed point is the per-key ``serial``
-path, which ignores the direction switch; it counts pair traffic, so
-its ``messages`` are not compared (``tests/mr/test_emit.py`` checks the
-fused emission counts against the ``emit_frontier`` oracle).  The CI
+``growing_steps`` counters.  The fixed point is the per-key oracle of
+``tests/oracle/mr_literal.py``, which ignores the direction switch; it
+counts pair traffic, so its ``messages`` are not compared
+(``tests/mr/test_emit.py`` checks the fused emission counts against the
+``emit_frontier`` oracle).  The CI
 ``bench-regression`` job runs this file before believing any benchmark.
 """
 
@@ -17,6 +18,7 @@ import os
 
 import numpy as np
 import pytest
+from mr_literal import literal_engine
 
 from repro.core.cluster import cluster
 from repro.core.config import ClusterConfig
@@ -28,7 +30,7 @@ from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.diameter_mr import mr_approximate_diameter
 from repro.mrimpl.growing_mr import default_engine
 
-EXECUTORS = ("serial", "vector", "sharded")
+EXECUTORS = ("vector", "sharded")
 MODES = ("push", "pull", "auto")
 CFG = ClusterConfig(seed=42, stage_threshold_factor=1.0, tau=16)
 
@@ -51,7 +53,10 @@ def mode_env():
 
 def run_mr(graph, algorithm, executor, mode):
     os.environ[EMIT_ENV] = mode
-    engine = default_engine(graph, executor=executor, num_workers=2)
+    if executor == "literal":
+        engine = literal_engine(graph, num_workers=2)
+    else:
+        engine = default_engine(graph, executor=executor, num_workers=2)
     try:
         return algorithm(graph, config=CFG, engine=engine)
     finally:
@@ -81,10 +86,10 @@ def test_modes_agree_on_every_executor(graph, executor, mode_env):
 
 @pytest.mark.parametrize("algorithm", [mr_cluster, mr_cluster2])
 @pytest.mark.parametrize("mode", MODES)
-def test_modes_match_serial_reference(graph, algorithm, mode, mode_env):
-    """Each direction equals the per-key serial path (which ignores the
+def test_modes_match_oracle(graph, algorithm, mode, mode_env):
+    """Each direction equals the per-key oracle (which ignores the
     direction switch — it *is* the fixed point)."""
-    reference = run_mr(graph, algorithm, "serial", "push")
+    reference = run_mr(graph, algorithm, "literal", "push")
     assert_identical(
         run_mr(graph, algorithm, "vector", mode), reference, messages=False
     )
@@ -115,7 +120,7 @@ def test_cl_diam_modes(graph, mode, mode_env):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_core_cluster_modes(graph, mode, mode_env):
-    """The serial core's direction-optimized step: all modes identical."""
+    """The core path's direction-optimized step: all modes identical."""
     os.environ[EMIT_ENV] = "push"
     reference = cluster(graph, config=CFG)
     os.environ[EMIT_ENV] = mode

@@ -1,35 +1,31 @@
-"""Executor parity: every backend must compute the same rounds.
+"""Executor parity: every backend must compute the same batch rounds.
 
-The engine's contract is that executors only change *where* reducers run,
-never *what* they compute: output pair multisets, ``Counters``, the
-simulated critical path, and memory-limit enforcement must be identical
-across ``SerialExecutor``, ``VectorExecutor``, and ``ShardedExecutor``
-— for per-key rounds and batch rounds alike (every batch reducer runs
-in the engine's process; the sharded backend only takes over growing
-steps).
+The engine's contract is that executors only change *where* the
+growing state lives, never *what* a round computes: output batches,
+``Counters``, the simulated critical path, and memory-limit enforcement
+must be identical on the ``vector`` engine, the ``sharded`` backend and
+the per-key oracle of ``tests/oracle/mr_literal.py`` (every batch
+reducer runs in the engine's process; the sharded backend and the
+oracle only take over growing steps).
 """
 
 from functools import partial
 
 import numpy as np
 import pytest
+from mr_literal import LiteralExecutor
 
 from repro.errors import MemoryLimitExceeded
 from repro.mr.batch import group_count, group_min_first, group_sum
 from repro.mr.engine import MREngine
-from repro.mr.executor import (
-    EXECUTOR_NAMES,
-    SerialExecutor,
-    VectorExecutor,
-    make_executor,
-)
+from repro.mr.executor import EXECUTOR_NAMES, make_executor
 from repro.mr.model import MRSpec
 from repro.mr.partitioner import hash_partition, hash_partition_array
 from repro.mr.sharded import ShardedExecutor
 
 EXECUTORS = {
-    "serial": SerialExecutor,
-    "vector": VectorExecutor,
+    "literal": LiteralExecutor,
+    "vector": lambda: make_executor("vector"),
     "sharded": lambda: ShardedExecutor(num_shards=2),
 }
 
@@ -37,11 +33,6 @@ EXECUTORS = {
 def _close(executor):
     if hasattr(executor, "close"):
         executor.close()
-
-
-def doubler(key, values):
-    """Module-level per-key reducer."""
-    return [(key, 2 * v) for v in values]
 
 
 def make_engine(executor, workers=3, mt=100_000, ml=1_000):
@@ -61,42 +52,8 @@ def batch_payload():
     return keys, values
 
 
-class TestLegacyRoundParity:
-    """Per-key rounds across all three backends."""
-
-    @pytest.fixture(params=list(EXECUTORS))
-    def backend(self, request):
-        executor = EXECUTORS[request.param]()
-        yield executor
-        _close(executor)
-
-    def test_same_pairs_counters_and_critical_path(self, backend):
-        pairs = [(i % 11, i) for i in range(200)]
-        reference = make_engine(SerialExecutor())
-        ref_out = reference.round(pairs, doubler)
-
-        engine = make_engine(backend)
-        out = engine.round(pairs, doubler)
-
-        assert sorted(out) == sorted(ref_out)
-        assert engine.counters.snapshot() == reference.counters.snapshot()
-        assert engine.simulated_time == reference.simulated_time
-
-    def test_local_memory_enforced(self, backend):
-        engine = make_engine(backend, ml=4)
-        pairs = [(0, i) for i in range(10)]  # one group of 10 > M_L = 4
-        with pytest.raises(MemoryLimitExceeded):
-            engine.round(pairs, doubler)
-
-    def test_total_memory_enforced(self, backend):
-        engine = make_engine(backend, mt=8, ml=8)
-        pairs = [(i, i) for i in range(10)]
-        with pytest.raises(MemoryLimitExceeded):
-            engine.round(pairs, doubler)
-
-
 class TestBatchRoundParity:
-    """Batch rounds across all three backends."""
+    """Batch rounds on both backends and the oracle."""
 
     @pytest.fixture(params=list(EXECUTORS))
     def backend(self, request):
@@ -111,7 +68,7 @@ class TestBatchRoundParity:
     )
     def test_same_batch_counters_and_critical_path(self, backend, reducer):
         keys, values = batch_payload()
-        reference = make_engine(SerialExecutor())
+        reference = make_engine(LiteralExecutor())
         ref_keys, ref_values = reference.round_batch(keys, values, reducer)
 
         engine = make_engine(backend)
@@ -169,23 +126,18 @@ class TestPartitionerConsistency:
 
 class TestFactory:
     def test_names(self):
-        assert EXECUTOR_NAMES == ("serial", "vector", "sharded")
-        for name in EXECUTOR_NAMES:
-            executor = make_executor(name)
-            batch = getattr(executor, "batch_rounds", False)
-            assert (name == "serial") == (not batch)
-            _close(executor)
+        assert EXECUTOR_NAMES == ("vector", "sharded")
+        # ``vector`` is the engine's default: no executor object.
+        assert make_executor("vector") is None
+        executor = make_executor("sharded")
+        assert isinstance(executor, ShardedExecutor)
+        _close(executor)
 
-    @pytest.mark.parametrize("name", ["parallel", "mmap"])
-    def test_removed_pool_names_rejected(self, name):
+    @pytest.mark.parametrize("name", ["parallel", "mmap", "serial"])
+    def test_removed_names_rejected(self, name):
         with pytest.raises(ValueError):
             make_executor(name)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_executor("gpu")
-
-    def test_supports_batch_property(self):
-        assert not make_engine(SerialExecutor()).supports_batch
-        assert make_engine(VectorExecutor()).supports_batch
-        assert make_engine(ShardedExecutor(num_shards=2)).supports_batch

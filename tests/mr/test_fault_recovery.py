@@ -11,7 +11,8 @@ durable checkpoint.  This suite is that claim as tests:
   real process pool (the worker ``os._exit(1)``\\ s, the driver sees a
   dead pipe) and the in-process pool (simulated ``WorkerFailure``);
 * driver-level checkpoint resume, same-backend and cross-backend (a
-  snapshot written under ``sharded`` resumed under ``vector``/``serial``);
+  snapshot written under ``sharded`` resumed under ``vector`` or the
+  per-key oracle of ``tests/oracle/mr_literal.py``);
 * the CLI flow: ``repro run --checkpoint`` killed by a scheduled driver
   ``os._exit`` in a subprocess, then ``repro run --resume`` completing
   with byte-identical output.
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mr_literal import literal_engine
 
 from repro.core.config import ClusterConfig
 from repro.errors import WorkerFailure
@@ -47,10 +49,12 @@ CFG = ClusterConfig(tau=3, seed=1, stage_threshold_factor=1.0)
 DRIVERS = {"cluster": mr_cluster, "cluster2": mr_cluster2}
 
 #: Backend variants of the checkpoint-portability matrix:
-#: ``(executor, shards, environment)``.
+#: ``(executor, shards, environment)``.  ``literal`` resumes on the
+#: per-key oracle's engine (its config names ``vector``, which a
+#: caller-supplied engine overrides).
 BACKENDS = {
     "vector": ("vector", None, {}),
-    "serial": ("serial", None, {}),
+    "literal": ("vector", None, {}),
     "sharded": ("sharded", 2, {}),
     "sharded-range-7": ("sharded", 7, {PARTITIONER_ENV: "range"}),
     "sharded-ooc": ("sharded", 2, {RESIDENT_ENV: "0.05"}),
@@ -222,7 +226,7 @@ class TestCheckpointResume:
     )
     @pytest.mark.parametrize(
         "resume_exec",
-        ["vector", "serial", "sharded", "sharded-range-7", "sharded-ooc"],
+        ["vector", "literal", "sharded", "sharded-range-7", "sharded-ooc"],
     )
     @pytest.mark.parametrize("algorithm", ["cluster", "cluster2"])
     def test_resume_is_bit_identical_across_backends(
@@ -243,8 +247,10 @@ class TestCheckpointResume:
         # run_key drops backend fields, so the reader finds the rounds.
         reader = make_checkpointer(tmp_path, graph, algorithm, resume_cfg)
         assert reader.directory == writer.directory
+        engine = literal_engine(graph) if resume_exec == "literal" else None
         result = DRIVERS[algorithm](
-            graph, config=resume_cfg, checkpoint=reader, resume=payload
+            graph, config=resume_cfg, checkpoint=reader, resume=payload,
+            engine=engine,
         )
         assert reader.resumed_round == payload["round"]
         assert_identical(result, references[algorithm])

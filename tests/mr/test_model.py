@@ -49,19 +49,3 @@ class TestForInputSize:
     def test_tiny_input(self):
         spec = MRSpec.for_input_size(1)
         assert spec.local_memory >= 2
-
-
-class TestSortRounds:
-    def test_fits_in_one_reducer(self):
-        spec = MRSpec(total_memory=1000, local_memory=1000)
-        assert spec.sort_rounds(500) == 1
-
-    def test_log_base_ml(self):
-        spec = MRSpec(total_memory=10**6, local_memory=10)
-        # log_10(10^6) = 6 rounds budget.
-        assert spec.sort_rounds(10**6) == 6
-
-    def test_monotone_in_n(self):
-        spec = MRSpec(total_memory=10**9, local_memory=8)
-        budgets = [spec.sort_rounds(n) for n in (10, 100, 10_000, 10**6)]
-        assert budgets == sorted(budgets)

@@ -10,7 +10,7 @@ The quotient-eccentricity kernel has no NumPy twin: scipy's csgraph
 Dijkstra is its oracle.
 
 The suite also locks down the degradation contract (``py`` requested,
-``REPRO_NATIVE_DISABLE``, no compiler).
+no compiler).
 """
 
 import os
@@ -57,7 +57,6 @@ def impl_env():
     """Restore every kernel-tier switch after each test."""
     keys = (
         native.KERNEL_IMPL_ENV,
-        native.NATIVE_DISABLE_ENV,
         native.EMIT_THREADS_ENV,
         EMIT_ENV,
     )
@@ -565,17 +564,10 @@ class TestFallback:
         os.environ[native.KERNEL_IMPL_ENV] = ""
         assert native.requested_impl() == "auto"
 
-    def test_disable_env_wins_over_native_request(self, impl_env):
-        os.environ[native.KERNEL_IMPL_ENV] = "native"
-        os.environ[native.NATIVE_DISABLE_ENV] = "1"
-        assert not native.use_native()
-        assert native.kernel_impl() == "py"
-        assert not native.native_available()
-
     def test_pure_tier_is_complete_without_native(self, graph, impl_env):
-        """The full pipeline runs (and agrees with itself) when the
-        native tier is force-disabled — the no-toolchain contract."""
-        os.environ[native.NATIVE_DISABLE_ENV] = "1"
+        """The full pipeline runs on the pure tier alone — the
+        no-toolchain contract."""
+        os.environ[native.KERNEL_IMPL_ENV] = "py"
         engine = default_engine(graph, executor="vector", num_workers=2)
         result = mr_cluster(graph, config=CFG, engine=engine)
         assert result.counters.rounds > 0
@@ -625,8 +617,7 @@ class TestFallback:
         native_dir.mkdir()
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        for key in (native.KERNEL_IMPL_ENV, native.NATIVE_DISABLE_ENV):
-            env.pop(key, None)
+        env.pop(native.KERNEL_IMPL_ENV, None)
         args = [
             sys.executable, "-m", "repro", "run", "diameter", str(store),
             "--tau", "8", "--seed", "1", "--executor", executor,
@@ -705,7 +696,7 @@ def _run_driver(graph, algorithm, executor, mode, impl, threads=None):
 
 @needs_native
 class TestEndToEndParity:
-    EXECUTORS = ("serial", "vector", "sharded")
+    EXECUTORS = ("vector", "sharded")
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_cluster_tiers_agree(self, graph, executor, impl_env):

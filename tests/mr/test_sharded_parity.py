@@ -7,8 +7,9 @@ one of those mechanisms is only admissible because it provably cannot
 change the result.  This suite is the enforcement: across shard counts
 (1 / 2 / 7), weighted and unweighted graphs, CLUSTER and CLUSTER2,
 capped and uncapped growth, the sharded clustering must be *bit
-identical* to the ``serial``/``vector`` backends — same centers, same
-distances, and the same round/message/update counters.
+identical* to the ``vector`` backend and the per-key oracle of
+``tests/oracle/mr_literal.py`` — same centers, same distances, and the
+same round/message/update counters.
 """
 
 import os
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mr_literal import literal_engine
 
 from repro.core.config import ClusterConfig
 from repro.core.diameter import approximate_diameter
@@ -53,8 +55,8 @@ def assert_identical(result, reference):
     """Full parity, message counters included.
 
     Only meaningful against the batch backend (``vector``):
-    the per-key ``serial`` simulation also counts its adjacency/state
-    pairs as shuffled messages, a known representation difference.
+    the per-key oracle also counts its adjacency/state pairs as
+    shuffled messages, a known representation difference.
     """
     assert_same_clustering(result, reference)
     assert result.counters.messages == reference.counters.messages
@@ -82,9 +84,9 @@ class TestClusterParity:
     @pytest.mark.parametrize(
         "name", ["mesh", "gnm", "mesh-unit", "path-unit"]
     )
-    def test_bit_identical_to_serial_and_vector(self, graphs, name, shards):
-        serial = mr_cluster(
-            graphs[name], config=CFG.with_(executor="serial")
+    def test_bit_identical_to_oracle_and_vector(self, graphs, name, shards):
+        literal = mr_cluster(
+            graphs[name], config=CFG, engine=literal_engine(graphs[name])
         )
         vector = mr_cluster(
             graphs[name], config=CFG.with_(executor="vector")
@@ -93,7 +95,7 @@ class TestClusterParity:
             graphs[name],
             config=CFG.with_(executor="sharded", shards=shards),
         )
-        assert_same_clustering(result, serial)
+        assert_same_clustering(result, literal)
         assert_identical(result, vector)
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
@@ -114,7 +116,8 @@ class TestClusterParity:
     def test_disconnected(self, disconnected_graph):
         cfg = ClusterConfig(tau=1, seed=7, stage_threshold_factor=0.1)
         reference = mr_cluster(
-            disconnected_graph, config=cfg.with_(executor="serial")
+            disconnected_graph, config=cfg,
+            engine=literal_engine(disconnected_graph),
         )
         result = mr_cluster(
             disconnected_graph,
@@ -125,11 +128,11 @@ class TestClusterParity:
 
 class TestCluster2Parity:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_bit_identical_to_serial(self, graphs, shards):
+    def test_bit_identical_to_oracle(self, graphs, shards):
         """CLUSTER2 adds Contract2 rescaling — frozen replicas must carry
         (dist, frozen_iter) so ghosts rescale identically."""
-        serial = mr_cluster2(
-            graphs["mesh"], config=CFG.with_(executor="serial")
+        literal = mr_cluster2(
+            graphs["mesh"], config=CFG, engine=literal_engine(graphs["mesh"])
         )
         vector = mr_cluster2(
             graphs["mesh"], config=CFG.with_(executor="vector")
@@ -138,7 +141,7 @@ class TestCluster2Parity:
             graphs["mesh"],
             config=CFG.with_(executor="sharded", shards=shards),
         )
-        assert_same_clustering(result, serial)
+        assert_same_clustering(result, literal)
         assert_identical(result, vector)
 
 

@@ -1,9 +1,9 @@
-"""Backend equivalence: serial / vector / sharded must agree exactly.
+"""Backend equivalence: vector / sharded / the per-key oracle agree exactly.
 
-The drivers pick their data layout from the engine's executor (literal
-pair rounds on ``serial``, array batch rounds on ``vector``/``sharded``)
-but the algorithm — RNG stream, growing-step timing, tie-breaks,
-Contract — is the same, so from one seed every backend must return the
+The drivers run over the growing state the engine's executor provides
+(array batch rounds on ``vector``/``sharded``, literal pair rounds on
+the oracle of ``tests/oracle/mr_literal.py``) but the algorithm — RNG
+stream, growing-step timing, tie-breaks, Contract — is the same, so from one seed every backend must return the
 *identical* clustering and diameter estimate, with identical round and
 growing-step counts.  This is the acceptance bar of the vectorized
 shuffle: speed may differ, results may not.
@@ -11,6 +11,7 @@ shuffle: speed may differ, results may not.
 
 import numpy as np
 import pytest
+from mr_literal import literal_engine
 
 from repro.core.cluster import cluster
 from repro.core.cluster2 import cluster2
@@ -23,7 +24,14 @@ from repro.mrimpl.diameter_mr import mr_approximate_diameter
 from repro.mrimpl.growing_mr import default_engine
 from repro.mrimpl.quotient_mr import mr_quotient_graph
 
-BACKENDS = ("serial", "vector", "sharded")
+BACKENDS = ("literal", "vector", "sharded")
+
+
+def run_on(driver, graph, cfg, backend):
+    """``driver`` on a named backend, or on the per-key oracle."""
+    if backend == "literal":
+        return driver(graph, config=cfg, engine=literal_engine(graph))
+    return driver(graph, config=cfg.with_(executor=backend))
 
 
 def assert_same_clustering(a, b):
@@ -47,20 +55,18 @@ class TestClusterBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", ["mesh", "gnm", "path"])
     def test_matches_vectorized_core(self, graphs, name, backend):
-        cfg = ClusterConfig(
-            tau=3, seed=1, stage_threshold_factor=1.0, executor=backend
-        )
+        cfg = ClusterConfig(tau=3, seed=1, stage_threshold_factor=1.0)
         assert_same_clustering(
-            cluster(graphs[name], config=cfg), mr_cluster(graphs[name], config=cfg)
+            cluster(graphs[name], config=cfg),
+            run_on(mr_cluster, graphs[name], cfg, backend),
         )
 
     def test_round_counts_identical(self, graphs):
         cfg = ClusterConfig(tau=4, seed=2, stage_threshold_factor=1.0)
         results = {
-            b: mr_cluster(graphs["gnm"], config=cfg.with_(executor=b))
-            for b in BACKENDS
+            b: run_on(mr_cluster, graphs["gnm"], cfg, b) for b in BACKENDS
         }
-        reference = results["serial"]
+        reference = results["literal"]
         for backend, result in results.items():
             assert_same_clustering(reference, result)
             assert result.counters.rounds == reference.counters.rounds
@@ -75,9 +81,7 @@ class TestClusterBackends:
         for backend in BACKENDS:
             assert_same_clustering(
                 cluster(disconnected_graph, config=cfg),
-                mr_cluster(
-                    disconnected_graph, config=cfg.with_(executor=backend)
-                ),
+                run_on(mr_cluster, disconnected_graph, cfg, backend),
             )
 
     def test_star_hub(self, star7):
@@ -85,19 +89,17 @@ class TestClusterBackends:
         for backend in BACKENDS:
             assert_same_clustering(
                 cluster(star7, config=cfg),
-                mr_cluster(star7, config=cfg.with_(executor=backend)),
+                run_on(mr_cluster, star7, cfg, backend),
             )
 
 
 class TestCluster2Backends:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_vectorized_core(self, graphs, backend):
-        cfg = ClusterConfig(
-            tau=3, seed=1, stage_threshold_factor=1.0, executor=backend
-        )
+        cfg = ClusterConfig(tau=3, seed=1, stage_threshold_factor=1.0)
         assert_same_clustering(
             cluster2(graphs["mesh"], config=cfg),
-            mr_cluster2(graphs["mesh"], config=cfg),
+            run_on(mr_cluster2, graphs["mesh"], cfg, backend),
         )
 
 
@@ -105,7 +107,9 @@ class TestQuotientHotKey:
     """A popular cluster pair can own far more crossing edges than any
     node has neighbours; the quotient reduce must map-side combine or it
     overflows an ``M_L`` sized for the growing rounds (regression: this
-    raised ``MemoryLimitExceeded`` on every backend)."""
+    raised ``MemoryLimitExceeded`` on every backend).  The oracle's
+    engine runs the same ``round_batch``, so only the backends are
+    parametrized."""
 
     def _bipartite_two_clusters(self):
         from repro.core.cluster import Clustering
@@ -131,7 +135,7 @@ class TestQuotientHotKey:
         )
         return graph, clustering
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ("vector", "sharded"))
     def test_hot_cluster_pair_fits_via_combining(self, backend):
         graph, clustering = self._bipartite_two_clusters()
         # All 400 edges cross the single cluster pair; max degree is 20,
@@ -149,25 +153,6 @@ class TestQuotientHotKey:
 
 
 class TestQuotientBackends:
-    def test_batch_equals_legacy(self, graphs):
-        cfg = ClusterConfig(tau=3, seed=4, stage_threshold_factor=1.0)
-        clustering = cluster(graphs["mesh"], config=cfg)
-        legacy_engine = default_engine(graphs["mesh"], executor="serial")
-        batch_engine = default_engine(graphs["mesh"], executor="vector")
-        legacy_q, legacy_centers = mr_quotient_graph(
-            legacy_engine, graphs["mesh"], clustering
-        )
-        batch_q, batch_centers = mr_quotient_graph(
-            batch_engine, graphs["mesh"], clustering
-        )
-        assert np.array_equal(legacy_centers, batch_centers)
-        assert legacy_q.num_nodes == batch_q.num_nodes
-        assert legacy_q.num_edges == batch_q.num_edges
-        assert np.array_equal(legacy_q.indptr, batch_q.indptr)
-        assert np.array_equal(legacy_q.indices, batch_q.indices)
-        assert np.array_equal(legacy_q.weights, batch_q.weights)
-        assert legacy_engine.counters.rounds == batch_engine.counters.rounds == 1
-
     @staticmethod
     def _tied_grid():
         """Unit-weight grid clustered on the core path: every crossing
@@ -199,7 +184,7 @@ class TestQuotientBackends:
             graph, clustering = TestQuotientHotKey()._bipartite_two_clusters()
         core_q, core_centers = quotient_graph(graph, clustering)
         accounting = {}
-        for backend in ("serial", "vector", "sharded"):
+        for backend in ("vector", "sharded"):
             engine = default_engine(graph, executor=backend, num_workers=2)
             try:
                 q, centers = mr_quotient_graph(engine, graph, clustering)
@@ -226,9 +211,7 @@ class TestDiameterBackends:
         cfg = ClusterConfig(seed=3, stage_threshold_factor=1.0, tau=4)
         reference = approximate_diameter(graphs["gnm"], config=cfg)
         results = {
-            b: mr_approximate_diameter(
-                graphs["gnm"], config=cfg.with_(executor=b)
-            )
+            b: run_on(mr_approximate_diameter, graphs["gnm"], cfg, b)
             for b in BACKENDS
         }
         rounds = {b: r.counters.rounds for b, r in results.items()}
@@ -244,7 +227,5 @@ class TestDiameterBackends:
         )
         reference = approximate_diameter(graphs["mesh"], config=cfg)
         for backend in BACKENDS:
-            result = mr_approximate_diameter(
-                graphs["mesh"], config=cfg.with_(executor=backend)
-            )
+            result = run_on(mr_approximate_diameter, graphs["mesh"], cfg, backend)
             assert result.value == pytest.approx(reference.value)

@@ -1,12 +1,12 @@
 """End-to-end parity of the growing-step merge on tie-heavy workloads.
 
 Every batch path (the ``vector`` and ``sharded`` backends and the
-serial core) resolves a growing step with the scatter-min kernel
-:func:`repro.mr.kernels.scatter_min_rows`.  The per-key ``serial``
-backend does not: its reducer picks each node's winning candidate with
-a plain Python comparison loop (smallest distance, then smallest
-center, then first arrival).  That reducer is an independent oracle
-for the kernel, so this suite runs CLUSTER, CLUSTER2 and CL-DIAM on an
+core path) resolves a growing step with the scatter-min kernel
+:func:`repro.mr.kernels.scatter_min_rows`.  The per-key oracle of
+``tests/oracle/mr_literal.py`` does not: its reducer picks each node's
+winning candidate with a plain Python comparison loop (smallest
+distance, then smallest center, then first arrival).  That reducer is an independent
+oracle for the kernel, so this suite runs CLUSTER, CLUSTER2 and CL-DIAM on an
 R-MAT and a road graph, plus unit-weight variants where equal
 distances are the rule, and asserts bit-identical clusterings and
 growing-step counters against it.  The ``messages`` counter is not
@@ -17,6 +17,7 @@ agree on the whole ``Counters.snapshot()``.
 
 import numpy as np
 import pytest
+from mr_literal import literal_engine
 
 from repro.core.cluster import cluster
 from repro.core.cluster2 import cluster2
@@ -57,7 +58,7 @@ def workloads():
 
 @pytest.fixture(scope="module")
 def per_key_reference(workloads):
-    """The per-key ``serial`` runs, computed once per (graph, algorithm)."""
+    """The per-key oracle runs, computed once per (graph, algorithm)."""
     cache = {}
 
     def get(name, algo):
@@ -65,7 +66,7 @@ def per_key_reference(workloads):
             graph, cfg = workloads[name]
             mr_algorithm = ALGORITHMS[algo][0]
             cache[name, algo] = mr_algorithm(
-                graph, config=cfg.with_(executor="serial")
+                graph, config=cfg, engine=literal_engine(graph)
             )
         return cache[name, algo]
 
@@ -111,12 +112,19 @@ def test_batch_backends_share_counters(workloads, name, algo):
     assert sharded.counters.snapshot() == vector.counters.snapshot()
 
 
-@pytest.mark.parametrize("executor", ["serial", "vector", "sharded"])
+@pytest.mark.parametrize("executor", ["literal", "vector", "sharded"])
 @pytest.mark.parametrize("name", GRAPHS)
 def test_diameter_estimate_identical(workloads, name, executor):
     graph, cfg = workloads[name]
     reference = approximate_diameter(graph, config=cfg)
-    result = mr_approximate_diameter(graph, config=cfg.with_(executor=executor))
+    if executor == "literal":
+        result = mr_approximate_diameter(
+            graph, config=cfg, engine=literal_engine(graph)
+        )
+    else:
+        result = mr_approximate_diameter(
+            graph, config=cfg.with_(executor=executor)
+        )
     assert result.value == reference.value
     assert result.quotient_diameter == reference.quotient_diameter
     assert result.radius == reference.radius

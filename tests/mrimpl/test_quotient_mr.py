@@ -1,62 +1,11 @@
-"""Tests for mr_reduce_by_key / mr_join and the MR quotient construction."""
+"""Tests for the MR quotient construction (one batch reduce-by-key round)."""
 
-import pytest
-
-from repro.errors import MemoryLimitExceeded
 from repro.mr.engine import MREngine
 from repro.mr.model import MRSpec
-from repro.mr.primitives import mr_join, mr_reduce_by_key
 
 
 def make_engine(ml=1000):
     return MREngine(MRSpec(total_memory=1_000_000, local_memory=ml))
-
-
-class TestReduceByKey:
-    def test_min(self):
-        engine = make_engine()
-        out = mr_reduce_by_key(engine, [("a", 3), ("b", 1), ("a", 2)], min)
-        assert sorted(out) == [("a", 2), ("b", 1)]
-
-    def test_sum(self):
-        engine = make_engine()
-        out = mr_reduce_by_key(engine, [(1, 10), (1, 5), (2, 1)], lambda a, b: a + b)
-        assert sorted(out) == [(1, 15), (2, 1)]
-
-    def test_single_round(self):
-        engine = make_engine()
-        mr_reduce_by_key(engine, [("k", 1)] * 50, min)
-        assert engine.counters.rounds == 1
-
-    def test_hot_key_respects_ml(self):
-        engine = make_engine(ml=8)
-        with pytest.raises(MemoryLimitExceeded):
-            mr_reduce_by_key(engine, [("hot", i) for i in range(100)], min)
-
-    def test_empty(self):
-        assert mr_reduce_by_key(make_engine(), [], min) == []
-
-
-class TestJoin:
-    def test_inner_join(self):
-        engine = make_engine()
-        left = [("a", 1), ("b", 2)]
-        right = [("a", "x"), ("c", "y")]
-        out = mr_join(engine, left, right)
-        assert out == [("a", (1, "x"))]
-
-    def test_cross_product_per_key(self):
-        engine = make_engine()
-        left = [("k", 1), ("k", 2)]
-        right = [("k", "a"), ("k", "b")]
-        out = mr_join(engine, left, right)
-        assert sorted(out) == [
-            ("k", (1, "a")), ("k", (1, "b")), ("k", (2, "a")), ("k", (2, "b")),
-        ]
-
-    def test_disjoint_keys_empty(self):
-        out = mr_join(make_engine(), [("a", 1)], [("b", 2)])
-        assert out == []
 
 
 class TestMrQuotient:

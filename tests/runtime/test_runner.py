@@ -84,7 +84,7 @@ class TestDispatch:
 
 
 class TestExecutorDispatch:
-    @pytest.mark.parametrize("executor", ["serial", "vector", "sharded"])
+    @pytest.mark.parametrize("executor", ["vector", "sharded"])
     def test_backends_match_core_path(self, graph, executor):
         baseline = run("diameter", graph, tau=3, seed=1)
         kwargs = {"workers": 2} if executor == "sharded" else {}

@@ -55,7 +55,7 @@ class TestParseQuery:
         )
         assert (req.executor, req.workers, req.shards) == ("sharded", 2, 2)
 
-    @pytest.mark.parametrize("name", ["serial", "vector", "sharded"])
+    @pytest.mark.parametrize("name", ["vector", "sharded"])
     def test_every_executor_name_accepted(self, name):
         # Top level and inside the config block, as the CLI spells it.
         assert parse_query(_query(executor=name)).executor == name
@@ -78,6 +78,7 @@ class TestParseQuery:
             _query(executor=3),
             _query(executor="parallel"),
             _query(executor="gpu"),
+            _query(executor="serial"),
             _query(workers="two"),
             _query(workers=True),
             _query(options={"arr": [1, 2]}),

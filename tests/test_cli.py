@@ -80,7 +80,7 @@ class TestDiameter:
         lb = float(out.split("lower bound  : ")[1].splitlines()[0])
         assert est >= lb - 1e-9
 
-    @pytest.mark.parametrize("executor", ["serial", "vector", "sharded"])
+    @pytest.mark.parametrize("executor", ["vector", "sharded"])
     def test_executor_backends_agree(self, graph_file, capsys, executor):
         main(["diameter", graph_file, "--tau", "3"])
         baseline = capsys.readouterr().out
@@ -94,7 +94,7 @@ class TestDiameter:
         ref = float(baseline.split("estimate     : ")[1].splitlines()[0])
         assert est == pytest.approx(ref)
 
-    @pytest.mark.parametrize("executor", ["gpu", "parallel", "mmap"])
+    @pytest.mark.parametrize("executor", ["gpu", "parallel", "mmap", "serial"])
     def test_bad_executor_rejected(self, graph_file, executor):
         with pytest.raises(SystemExit):
             main(["diameter", graph_file, "--executor", executor])

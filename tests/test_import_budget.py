@@ -68,12 +68,11 @@ def store(tmp_path_factory):
     return str(path)
 
 
-def _python(code, *args, disable_native=False):
+def _python(code, *args, py_tier=False):
     env = dict(os.environ)
     env.pop(native.KERNEL_IMPL_ENV, None)
-    env.pop(native.NATIVE_DISABLE_ENV, None)
-    if disable_native:
-        env[native.NATIVE_DISABLE_ENV] = "1"
+    if py_tier:
+        env[native.KERNEL_IMPL_ENV] = "py"
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
@@ -112,7 +111,7 @@ def test_serve_boot_and_query_never_load_scipy(store, tmp_path):
 
 def test_py_tier_prints_the_same_answer(store):
     native_out = _python(_RUN, store)
-    py_out = _python(_RUN, store, disable_native=True)
+    py_out = _python(_RUN, store, py_tier=True)
     assert "kernels      : py" in py_out
     assert len(_answer(py_out)) == len(_ANSWER_KEYS)
     assert _answer(native_out) == _answer(py_out)
