@@ -69,8 +69,9 @@ BIG_SCALE = int(
 )
 
 #: All tests in this module accumulate into one BENCH_sharded.json so
-#: the exchange, partitioner A/B, kernel-tier, and big-graph records
-#: land in a single artifact (tests append in file order).
+#: the exchange, partitioner A/B, kernel-tier, partition-tier and
+#: big-graph records land in a single artifact (tests append in file
+#: order).
 _BENCH_ROWS: list = []
 
 
@@ -304,6 +305,54 @@ def test_kernel_tier_report(stored_workload, monkeypatch):
                 impl=impl,
             )
         )
+    _flush_records(bench_rows)
+
+
+#: Timed ``plan_partition`` calls per kernel tier; the row keeps the best.
+PARTITION_REPEATS = 3
+
+
+def test_partition_tier_report(stored_workload, monkeypatch):
+    """The lp partitioner on the NumPy tier vs the native row scans.
+
+    ``plan_partition(..., "lp")`` is the sharded path's set-up cost.
+    Both tiers must return the byte-identical assignment; each row's
+    ``wall_s`` is the best of :data:`PARTITION_REPEATS` plans, so the
+    vector-normalised gate guards the native speedup.
+    """
+    from repro.graph.partition import plan_partition
+    from repro.mr import native
+
+    graph = stored_workload
+    tiers = ["py"]
+    if native.native_available():
+        tiers.append("native")
+    bench_rows = []
+    assignments = {}
+    for tier in tiers:
+        monkeypatch.setenv("REPRO_KERNEL_IMPL", tier)
+        walls = []
+        for _ in range(PARTITION_REPEATS):
+            start = time.perf_counter()
+            plan = plan_partition(graph, SHARDS, partitioner="lp")
+            walls.append(time.perf_counter() - start)
+        assignments[tier] = plan.assignment
+        bench_rows.append(
+            bench_record(
+                workload=f"rmat{SCALE}_lcc_partition_stored",
+                n=graph.num_nodes,
+                m=graph.num_edges,
+                backend=f"partition-lp-{tier}",
+                wall_s=min(walls),
+                rounds=0,
+                bytes_shipped=0,
+                shards=SHARDS,
+                cut_fraction=round(plan.cut_fraction, 4),
+                impl={"kernel_impl": tier},
+            )
+        )
+    for tier in tiers:
+        assert np.array_equal(assignments[tier], assignments["py"])
     _flush_records(bench_rows)
 
 

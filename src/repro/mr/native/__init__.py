@@ -3,9 +3,14 @@
 ``REPRO_KERNEL_IMPL=py|native|auto`` selects the implementation tier for
 the Δ-growing hot kernels (push/pull emit with the improvement
 pre-filter, ``scatter_min_rows``, the distinct-key count, and the
-frozen-replay histogram) and for CL-DIAM's quotient-diameter Dijkstra
+frozen-replay histogram), for CL-DIAM's quotient-diameter Dijkstra
 (:func:`quotient_ecc`, whose pure tier is scipy's — so a native-tier
-run never imports scipy).
+run never imports scipy), and for the ``lp`` shard partitioner's three
+passes over every arc (:func:`lp_best_label`, :func:`lp_affinity`,
+:func:`lp_contract`: O(arcs) row scans whose pure tier is
+:mod:`repro.mr.partitioner`'s sort/bincount NumPy code, so
+``lp_assignment`` returns the byte-identical assignment on both tiers;
+on the R-MAT(16) LCC with K=2 it drops from ~1.8 s to ~0.43 s).
 ``auto`` (the default) uses the native tier whenever the shared library
 can be built and loaded (see :mod:`repro.mr.native.build`), degrading
 silently to the pure NumPy tier otherwise — the pure implementations
@@ -63,6 +68,9 @@ __all__ = [
     "impl_overrides",
     "resolved_info",
     "quotient_ecc",
+    "lp_best_label",
+    "lp_affinity",
+    "lp_contract",
 ]
 
 #: Implementation-tier switch: ``py`` | ``native`` | ``auto`` (default).
@@ -134,6 +142,16 @@ _SIGNATURES = {
     # indptr, indices, weights, sources, nsources, skip_reached, dist,
     # touched, heap_d, heap_v -> largest finite distance
     "rk_quotient_ecc": ([_P, _P, _P, _P, _I, _I, _P, _P, _P, _P], _D),
+    # indptr, indices, arc_w, label, n, acc, mark, touched,
+    # best_lab, best_w, own_w
+    "rk_lp_best_label": ([_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _P], None),
+    "rk_lp_affinity": ([_P, _P, _P, _P, _I, _I, _P], None),
+    # indptr, indices, arc_w, cid, n, nc, members, mstart, acc, mark,
+    # touched, cindptr, cd, uw -> pairs
+    "rk_lp_contract": (
+        [_P, _P, _P, _P, _I, _I, _P, _P, _P, _P, _P, _P, _P, _P],
+        _I,
+    ),
 }
 
 
@@ -683,3 +701,84 @@ def quotient_ecc(indptr, indices, weights, sources, *, skip_reached) -> float:
         _ptr(sources), len(sources), 1 if skip_reached else 0,
         _ptr(dist), _ptr(touched), _ptr(heap_d), _ptr(heap_v),
     )
+
+
+# -- lp partitioner ------------------------------------------------------ #
+#
+# Row-scan forms of repro.mr.partitioner's label-propagation passes over
+# a CSR (int64 indptr/indices, optional float64 arc weights; ``None``
+# means unit weights).  Each returns exactly what its NumPy counterpart
+# there returns.
+
+
+def _lp_csr(indptr, indices, arc_w):
+    indptr = _contig_i8(indptr)
+    indices = _contig_i8(indices)
+    if arc_w is not None:
+        arc_w = np.ascontiguousarray(arc_w, dtype=np.float64)
+    return indptr, indices, arc_w
+
+
+def lp_best_label(indptr, indices, arc_w, label):
+    """Per row, ``(best_label, best_weight, own_weight)`` over its arcs.
+
+    The best label has the largest summed weight, ties going to the
+    larger label (``-1``/``0.0`` for an arc-less row); ``own_weight`` is
+    the weight toward the row's own label.  Labels lie in ``[0, n)``.
+    """
+    lib = _load()
+    indptr, indices, arc_w = _lp_csr(indptr, indices, arc_w)
+    label = _contig_i8(label)
+    n = len(indptr) - 1
+    best_lab = np.empty(n, dtype=np.int64)
+    best_w = np.empty(n)
+    own_w = np.empty(n)
+    acc = np.zeros(n)
+    mark = np.zeros(n, dtype=np.uint8)
+    touched = np.empty(n, dtype=np.int64)
+    lib.rk_lp_best_label(
+        _ptr(indptr), _ptr(indices), _ptr(arc_w), _ptr(label), n,
+        _ptr(acc), _ptr(mark), _ptr(touched),
+        _ptr(best_lab), _ptr(best_w), _ptr(own_w),
+    )
+    return best_lab, best_w, own_w
+
+
+def lp_affinity(indptr, indices, arc_w, owner, num_shards):
+    """The ``(n, num_shards)`` matrix of each row's arc weight per shard."""
+    lib = _load()
+    indptr, indices, arc_w = _lp_csr(indptr, indices, arc_w)
+    owner = _contig_i8(owner)
+    n = len(indptr) - 1
+    aff = np.zeros((n, num_shards))
+    lib.rk_lp_affinity(
+        _ptr(indptr), _ptr(indices), _ptr(arc_w), _ptr(owner), n,
+        num_shards, _ptr(aff),
+    )
+    return aff
+
+
+def lp_contract(indptr, indices, arc_w, cid, num_clusters):
+    """The cluster graph ``(cindptr, targets, weights)`` under ``cid``.
+
+    Self-arcs drop; each cluster's targets ascend, weights summed.
+    """
+    lib = _load()
+    indptr, indices, arc_w = _lp_csr(indptr, indices, arc_w)
+    cid = _contig_i8(cid)
+    n = len(indptr) - 1
+    nc = int(num_clusters)
+    cindptr = np.empty(nc + 1, dtype=np.int64)
+    cd = np.empty(len(indices), dtype=np.int64)
+    uw = np.empty(len(indices))
+    members = np.empty(n, dtype=np.int64)
+    mstart = np.zeros(nc + 1, dtype=np.int64)
+    acc = np.zeros(nc)
+    mark = np.zeros(nc, dtype=np.uint8)
+    touched = np.empty(nc, dtype=np.int64)
+    pairs = lib.rk_lp_contract(
+        _ptr(indptr), _ptr(indices), _ptr(arc_w), _ptr(cid), n, nc,
+        _ptr(members), _ptr(mstart), _ptr(acc), _ptr(mark), _ptr(touched),
+        _ptr(cindptr), _ptr(cd), _ptr(uw),
+    )
+    return cindptr, cd[:pairs].copy(), uw[:pairs].copy()

@@ -1,5 +1,5 @@
-/* Native kernel tier for the Δ-growing hot paths and CL-DIAM's final
- * quotient-diameter step.
+/* Native kernel tier for the Δ-growing hot paths, CL-DIAM's final
+ * quotient-diameter step and the lp partitioner's label propagation.
  *
  * Compiled on demand by repro.mr.native.build (cc -O3 -fPIC -shared) and
  * loaded through ctypes; every entry point is a plain C function over
@@ -719,4 +719,124 @@ double rk_quotient_ecc(
                 dist[touched[t]] = INFINITY;
     }
     return best;
+}
+
+/* Label-propagation row scans for repro.mr.partitioner (the lp shard
+ * partitioner).  Each replaces a sort- or bincount-based NumPy pass
+ * over all arcs with one pass over the CSR rows, accumulating into a
+ * dense scratch (acc, all-zero on entry and exit) with a mark/touched
+ * list.  Sums are added in arc order starting from 0.0, which is the
+ * order np.bincount adds them in, so the results are bit-identical. */
+
+/* Per row u: the neighbour label with the largest incident weight (ties
+ * to the larger label, as the NumPy lexsort picks it; -1 and 0.0 for an
+ * arc-less row), and the weight toward u's own label (0.0 if none).
+ * arc_w NULL means unit weights.  acc/mark need the label domain n;
+ * touched needs n. */
+void rk_lp_best_label(
+    const i64 *indptr, const i64 *indices, const double *arc_w,
+    const i64 *label, i64 n,
+    double *acc, u8 *mark, i64 *touched,
+    i64 *best_lab, double *best_w, double *own_w)
+{
+    for (i64 u = 0; u < n; ++u) {
+        i64 t = 0;
+        i64 hi = indptr[u + 1];
+        for (i64 a = indptr[u]; a < hi; ++a) {
+            i64 l = label[indices[a]];
+            if (!mark[l]) {
+                mark[l] = 1;
+                touched[t++] = l;
+            }
+            acc[l] += arc_w ? arc_w[a] : 1.0;
+        }
+        i64 bl = -1;
+        double bw = 0.0;
+        for (i64 j = 0; j < t; ++j) {
+            i64 l = touched[j];
+            double w = acc[l];
+            if (bl < 0 || w > bw || (w == bw && l > bl)) {
+                bl = l;
+                bw = w;
+            }
+        }
+        own_w[u] = acc[label[u]]; /* 0.0 unless touched */
+        best_lab[u] = bl;
+        best_w[u] = bw;
+        for (i64 j = 0; j < t; ++j) {
+            acc[touched[j]] = 0.0;
+            mark[touched[j]] = 0;
+        }
+    }
+}
+
+/* The (n, K) affinity matrix of the balanced refinement: aff[u*K + k]
+ * is the weight of u's arcs into shard k.  aff must be all-zero. */
+void rk_lp_affinity(
+    const i64 *indptr, const i64 *indices, const double *arc_w,
+    const i64 *owner, i64 n, i64 nshards, double *aff)
+{
+    for (i64 u = 0; u < n; ++u) {
+        double *row = aff + u * nshards;
+        i64 hi = indptr[u + 1];
+        for (i64 a = indptr[u]; a < hi; ++a) {
+            if (a + RK_PF_DIST < hi)
+                RK_PREFETCH(&owner[indices[a + RK_PF_DIST]]);
+            row[owner[indices[a]]] += arc_w ? arc_w[a] : 1.0;
+        }
+    }
+}
+
+/* Contract clusters into super-nodes: cluster c's targets are the
+ * distinct cid of its members' arcs (self-arcs dropped), written in
+ * ascending order with their summed weights — the CSR np.unique over
+ * (c, d) pair codes produces.  Members are visited in ascending row
+ * order (a stable counting sort by cid), so each pair's weights add in
+ * global arc order.  Scratch: members (n), mstart (nc + 1, all-zero),
+ * acc (nc, all-zero), mark (nc, all-zero), touched (nc).  cd/uw need
+ * room for every arc.  Returns the pair count. */
+i64 rk_lp_contract(
+    const i64 *indptr, const i64 *indices, const double *arc_w,
+    const i64 *cid, i64 n, i64 nc,
+    i64 *members, i64 *mstart, double *acc, u8 *mark, i64 *touched,
+    i64 *cindptr, i64 *cd, double *uw)
+{
+    for (i64 u = 0; u < n; ++u)
+        mstart[cid[u] + 1] += 1;
+    for (i64 c = 0; c < nc; ++c)
+        mstart[c + 1] += mstart[c];
+    /* cindptr doubles as the fill cursor until the pairs overwrite it */
+    memcpy(cindptr, mstart, (size_t)nc * sizeof(i64));
+    for (i64 u = 0; u < n; ++u)
+        members[cindptr[cid[u]]++] = u;
+    i64 t = 0;
+    cindptr[0] = 0;
+    for (i64 c = 0; c < nc; ++c) {
+        i64 nt = 0;
+        for (i64 m = mstart[c]; m < mstart[c + 1]; ++m) {
+            i64 u = members[m];
+            i64 hi = indptr[u + 1];
+            for (i64 a = indptr[u]; a < hi; ++a) {
+                i64 d = cid[indices[a]];
+                if (d == c)
+                    continue;
+                if (!mark[d]) {
+                    mark[d] = 1;
+                    touched[nt++] = d;
+                }
+                acc[d] += arc_w ? arc_w[a] : 1.0;
+            }
+        }
+        qsort(touched, (size_t)nt, sizeof(i64), cmp_i64);
+        for (i64 j = 0; j < nt; ++j) {
+            i64 d = touched[j];
+            cd[t] = d;
+            uw[t] = acc[d];
+            ++t;
+            acc[d] = 0.0;
+            mark[d] = 0;
+        }
+        cindptr[c + 1] = t;
+    }
+    return t;
 }

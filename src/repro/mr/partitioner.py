@@ -19,10 +19,13 @@ results bit-identical to the ``vector`` backend (the merge tie-break
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from typing import Hashable, List, Optional, Sequence
 
 import numpy as np
+
+from repro.mr import native as _native
 
 __all__ = [
     "hash_partition",
@@ -133,6 +136,11 @@ def make_splitters(sorted_sample: Sequence, num_workers: int) -> List:
 # locality-aware mode can never lose to the planner it replaces (on
 # lattice-like graphs where contiguous ranges are already near-optimal,
 # the range candidate simply wins).
+#
+# The three passes over every arc (best neighbour label, shard affinity,
+# contraction) run as O(arcs) row scans on the native kernel tier
+# (``rk_lp_*``); the NumPy passes below are the ``py`` tier and return
+# bit-identical arrays, so the assignment is the same on both tiers.
 
 #: Per-cluster weight cap during coarsening, as a fraction of the ideal
 #: shard load ``arcs / K``.  Clusters must stay well below one shard so
@@ -179,8 +187,10 @@ def _best_neighbor_label(
     Labels are arbitrary ints in ``[0, num_nodes)``.  One combined-key
     argsort groups ``(src, label)`` pairs (ids fit ``src * n + lab`` in
     int64 for any graph this library handles); a second, much smaller
-    sort ranks each source's segments by weight.  Returns ``(best_label,
-    best_weight)`` with label ``-1`` for arc-less nodes.
+    sort ranks each source's segments by weight, so among equal weights
+    the larger label wins.  Returns ``(best_label, best_weight)`` with
+    label ``-1`` for arc-less nodes.  The ``py`` tier of
+    :func:`repro.mr.native.lp_best_label`.
     """
     n = num_nodes
     code = arc_src * n + arc_lab
@@ -217,20 +227,31 @@ def _lp_cluster(
     node_w: np.ndarray,
     cap: float,
     rounds: int,
+    native: bool,
 ) -> np.ndarray:
     """Size-constrained label propagation clustering (coarsening step)."""
     n = len(indptr) - 1
     label = np.arange(n, dtype=np.int64)
-    arc_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    if not native:
+        arc_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     for _ in range(rounds):
-        best_lab, best_w = _best_neighbor_label(
-            arc_src, label[indices], arc_w, n
-        )
-        own = label[arc_src] == label[indices]
-        if arc_w is None:
-            cur_w = np.bincount(arc_src[own], minlength=n).astype(np.float64)
+        if native:
+            best_lab, best_w, cur_w = _native.lp_best_label(
+                indptr, indices, arc_w, label
+            )
         else:
-            cur_w = np.bincount(arc_src[own], weights=arc_w[own], minlength=n)
+            best_lab, best_w = _best_neighbor_label(
+                arc_src, label[indices], arc_w, n
+            )
+            own = label[arc_src] == label[indices]
+            if arc_w is None:
+                cur_w = np.bincount(
+                    arc_src[own], minlength=n
+                ).astype(np.float64)
+            else:
+                cur_w = np.bincount(
+                    arc_src[own], weights=arc_w[own], minlength=n
+                )
         movers = np.flatnonzero(
             (best_lab >= 0) & (best_lab != label) & (best_w > cur_w)
         )
@@ -250,11 +271,18 @@ def _lp_cluster(
     return label
 
 
-def _contract(indptr, indices, arc_w, node_w, label):
-    """Contract clusters into super-nodes; arc weights sum per pair."""
+def _contract(indptr, indices, arc_w, node_w, label, native: bool):
+    """Contract clusters into super-nodes; arc weights sum per pair.
+
+    Each super-node's targets ascend (the order ``np.unique`` gives the
+    pair codes); the native tier writes the same CSR in one row scan.
+    """
     uniq, cid = np.unique(label, return_inverse=True)
     nc = len(uniq)
     cw = np.bincount(cid, weights=node_w.astype(np.float64), minlength=nc)
+    if native:
+        cindptr, cd, uw = _native.lp_contract(indptr, indices, arc_w, cid, nc)
+        return cindptr, cd, uw, cw, cid
     n = len(indptr) - 1
     src = cid[np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))]
     dst = cid[indices]
@@ -268,20 +296,23 @@ def _contract(indptr, indices, arc_w, node_w, label):
     cs = (up // nc).astype(np.int64)
     cd = (up % nc).astype(np.int64)
     cindptr = np.zeros(nc + 1, dtype=np.int64)
-    np.add.at(cindptr, cs + 1, 1)
+    cindptr[1:] = np.bincount(cs, minlength=nc)
     np.cumsum(cindptr, out=cindptr)
     return cindptr, cd, uw, cw, cid
 
 
 def _lpt_seed(node_w: np.ndarray, num_shards: int) -> np.ndarray:
-    """Longest-processing-time greedy: heaviest cluster → lightest shard."""
+    """Longest-processing-time greedy: heaviest cluster → lightest shard.
+
+    A heap keyed ``(load, shard)`` breaks load ties to the lowest shard.
+    """
     order = np.argsort(-node_w, kind="stable")
     owner = np.zeros(len(node_w), dtype=np.int64)
-    loads = np.zeros(num_shards)
-    for i in order:
-        k = int(np.argmin(loads))
+    heap = [(0.0, k) for k in range(num_shards)]
+    for i, w in zip(order.tolist(), node_w[order].tolist()):
+        load, k = heapq.heappop(heap)
         owner[i] = k
-        loads[k] += node_w[i]
+        heapq.heappush(heap, (load + w, k))
     return owner
 
 
@@ -296,6 +327,7 @@ def _lp_refine(
     rounds: int,
     slack: float,
     rng: np.random.Generator,
+    native: bool,
 ) -> np.ndarray:
     """Balanced label propagation refinement of a K-way assignment.
 
@@ -306,17 +338,21 @@ def _lp_refine(
     """
     n = len(indptr) - 1
     K = num_shards
-    arc_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    if not native:
+        arc_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     cap_hi = (1.0 + slack) * total_w / K
     idx = np.arange(n)
     node_wf = node_w.astype(np.float64)
     for _ in range(rounds):
-        code = arc_src * K + owner[indices]
-        if arc_w is None:
-            aff = np.bincount(code, minlength=n * K).astype(np.float64)
+        if native:
+            aff = _native.lp_affinity(indptr, indices, arc_w, owner, K)
         else:
-            aff = np.bincount(code, weights=arc_w, minlength=n * K)
-        aff = aff.reshape(n, K)
+            code = arc_src * K + owner[indices]
+            if arc_w is None:
+                aff = np.bincount(code, minlength=n * K).astype(np.float64)
+            else:
+                aff = np.bincount(code, weights=arc_w, minlength=n * K)
+            aff = aff.reshape(n, K)
         cur = aff[idx, owner]
         pref = np.argmax(aff, axis=1)
         gain = aff[idx, pref] - cur
@@ -388,19 +424,23 @@ def lp_assignment(
         return range_owner.astype(np.int32)
     rng = np.random.default_rng(seed)
     K = num_shards
+    native = _native.use_native()
     degs = np.diff(graph.indptr).astype(np.float64)
     total_w = float(graph.num_arcs)
+    indptr = np.asarray(graph.indptr, dtype=np.int64)
+    indices = np.asarray(graph.indices, dtype=np.int64)
 
     # Coarsening: size-constrained LP clustering, contracted per level.
     cap_cluster = total_w / K * _CLUSTER_CAP_FRACTION
-    ip = np.asarray(graph.indptr, dtype=np.int64)
-    ix = np.asarray(graph.indices, dtype=np.int64)
+    ip, ix = indptr, indices
     aw: Optional[np.ndarray] = None  # unit weights at the finest level
     nw = degs
     projections = []
     while len(ip) - 1 > max(4 * K, _COARSEST_NODES):
-        label = _lp_cluster(ip, ix, aw, nw, cap_cluster, cluster_rounds)
-        cip, cix, cuw, cnw, cid = _contract(ip, ix, aw, nw, label)
+        label = _lp_cluster(
+            ip, ix, aw, nw, cap_cluster, cluster_rounds, native
+        )
+        cip, cix, cuw, cnw, cid = _contract(ip, ix, aw, nw, label, native)
         if len(cip) - 1 >= len(ip) - 1:
             break  # no contraction progress: coarsest level reached
         projections.append(cid)
@@ -409,36 +449,21 @@ def lp_assignment(
     # Initial partition at the coarsest level, then refine + project.
     owner = _lpt_seed(nw, K)
     owner = _lp_refine(
-        ip, ix, aw, nw, owner, K, total_w, refine_rounds, slack, rng
+        ip, ix, aw, nw, owner, K, total_w, refine_rounds, slack, rng, native
     )
     for cid in reversed(projections):
         owner = owner[cid]
+    fine_rounds = max(4, refine_rounds // 2)
     multilevel_owner = _lp_refine(
-        np.asarray(graph.indptr, dtype=np.int64),
-        np.asarray(graph.indices, dtype=np.int64),
-        None,
-        degs,
-        owner.copy(),
-        K,
-        total_w,
-        max(4, refine_rounds // 2),
-        slack,
-        rng,
+        indptr, indices, None, degs, owner.copy(), K, total_w,
+        fine_rounds, slack, rng, native,
     )
 
     # Second candidate: the range plan refined in place (wins on
     # lattice-like graphs where contiguity is already near-optimal).
     refined_range = _lp_refine(
-        np.asarray(graph.indptr, dtype=np.int64),
-        np.asarray(graph.indices, dtype=np.int64),
-        None,
-        degs,
-        range_owner.copy(),
-        K,
-        total_w,
-        max(4, refine_rounds // 2),
-        slack,
-        rng,
+        indptr, indices, None, degs, range_owner.copy(), K, total_w,
+        fine_rounds, slack, rng, native,
     )
 
     candidates = [range_owner, refined_range, multilevel_owner]
