@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.state import NO_CENTER, ClusterState
 from repro.graph.csr import CSRGraph
 from repro.mr import native as _native
-from repro.mr.emit import PULL_DEGREE_FRACTION, emit_mode
+from repro.mr.emit import use_pull
 from repro.mr.kernels import ScatterScratch, scatter_min_rows
 from repro.mr.metrics import Counters
 from repro.util import expand_ranges
@@ -106,68 +106,42 @@ def delta_growing_step(
         return np.empty(0, dtype=np.int64), 0
 
     emit_start = perf_counter()
-    # Direction-optimizing expansion (mirrors repro.mr.emit): push
-    # gathers the frontier's CSR rows; pull streams every arc
-    # target-major once the frontier degree-sum crosses the threshold.
-    # Both produce the identical candidate multiset with ascending
-    # sources inside each target group, so winners cannot differ.
-    mode = emit_mode()
-    if mode == "auto":
-        if _native.use_native():
-            # The fused C push scans exactly the frontier's arcs with no
-            # intermediate materialization — it never loses to the
-            # full-arc pull scan, so auto resolves to push on the
-            # native tier (both directions produce the identical
-            # candidate multiset and message count).
-            pull = False
-        else:
-            degree_sum = int((graph.indptr[srcs + 1] - graph.indptr[srcs]).sum())
-            pull = graph.num_arcs and degree_sum > PULL_DEGREE_FRACTION * graph.num_arcs
-    else:
-        pull = mode == "pull"
-
-    if pull:
+    # Direction-optimizing expansion, under the one policy of
+    # repro.mr.emit.use_pull: push gathers the frontier's CSR rows; the
+    # NumPy tier pulls (streams every arc target-major) once the
+    # frontier degree-sum crosses the threshold.  Both produce the
+    # identical candidate multiset with ascending sources inside each
+    # target group, so winners cannot differ.
+    degs = graph.indptr[srcs + 1] - graph.indptr[srcs]
+    if use_pull(int(degs.sum()), graph.num_arcs):
         n = graph.num_nodes
         effd = np.zeros(n)
         emitting = np.zeros(n, dtype=bool)
         emitting[srcs] = True
         effd[srcs] = eff
         rows = graph.arc_sources_view()  # reverse-CSR arc→row map
-        if _native.use_native():
-            cand_t, cand_d, cand_s, cand_w, messages = _native.core_emit_pull(
-                rows, graph.indices, graph.weights, emitting, effd,
-                delta, state.frozen, state.dist,
-            )
-            if not len(cand_t):
-                counters.record_round(messages=messages, updates=0)
-                counters.add_time("emit", perf_counter() - emit_start)
-                return np.empty(0, dtype=np.int64), 0
-            cand_c = state.center[cand_s]
-            cand_acc = state.dist_acc[cand_s] + cand_w
-        else:
-            em = emitting[graph.indices]
-            w_all = graph.weights
-            light_all = w_all <= delta
-            open_all = ~state.frozen[rows]
-            msg_mask = em & light_all & open_all
-            messages = int(np.count_nonzero(msg_mask))
-            nd_all = effd[graph.indices] + w_all
-            ok_all = msg_mask & (nd_all <= delta) & (nd_all < state.dist[rows])
-            if not ok_all.any():
-                counters.record_round(messages=messages, updates=0)
-                counters.add_time("emit", perf_counter() - emit_start)
-                return np.empty(0, dtype=np.int64), 0
-            cand_t = rows[ok_all]
-            cand_d = nd_all[ok_all]
-            cand_s = graph.indices[ok_all]
-            cand_c = state.center[cand_s]
-            cand_acc = state.dist_acc[cand_s] + w_all[ok_all]
+        em = emitting[graph.indices]
+        w_all = graph.weights
+        light_all = w_all <= delta
+        open_all = ~state.frozen[rows]
+        msg_mask = em & light_all & open_all
+        messages = int(np.count_nonzero(msg_mask))
+        nd_all = effd[graph.indices] + w_all
+        ok_all = msg_mask & (nd_all <= delta) & (nd_all < state.dist[rows])
+        if not ok_all.any():
+            counters.record_round(messages=messages, updates=0)
+            counters.add_time("emit", perf_counter() - emit_start)
+            return np.empty(0, dtype=np.int64), 0
+        cand_t = rows[ok_all]
+        cand_d = nd_all[ok_all]
+        cand_s = graph.indices[ok_all]
+        cand_c = state.center[cand_s]
+        cand_acc = state.dist_acc[cand_s] + w_all[ok_all]
     elif _native.use_native():
         # Fused push expansion + message count + Δ/improvement filter in
         # one C pass over the frontier's arcs (same semantics as the
         # NumPy cascade below, including the message count's exclusion
         # of the Δ and improvement tests).
-        degs = graph.indptr[srcs + 1] - graph.indptr[srcs]
         cand_t, cand_d, cand_s, cand_w, messages = _native.core_emit_push(
             graph.indptr, graph.indices, graph.weights, srcs, eff,
             delta, state.frozen, state.dist, int(degs.sum()),
@@ -180,13 +154,11 @@ def delta_growing_step(
         cand_acc = state.dist_acc[cand_s] + cand_w
     else:
         # Gather all arcs out of the active sources.
-        starts = graph.indptr[srcs]
-        counts = graph.indptr[srcs + 1] - starts
-        arc_idx = expand_ranges(starts, counts)
+        arc_idx = expand_ranges(graph.indptr[srcs], degs)
         tgt = graph.indices[arc_idx]
         w = graph.weights[arc_idx]
-        src_rep = np.repeat(srcs, counts)
-        eff_rep = np.repeat(eff, counts)
+        src_rep = np.repeat(srcs, degs)
+        eff_rep = np.repeat(eff, degs)
 
         # Messages = light arcs that exist in the *contracted* graph:
         # arcs into frozen targets were removed by Contract (both

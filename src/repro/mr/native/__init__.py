@@ -1,7 +1,7 @@
 """Native kernel tier: compiled hot kernels + threaded emit.
 
 ``REPRO_KERNEL_IMPL=py|native|auto`` selects the implementation tier for
-the Δ-growing hot kernels (push/pull emit with the improvement
+the Δ-growing hot kernels (push emit with the improvement
 pre-filter, ``scatter_min_rows``, the distinct-key count, and the
 frozen-replay histogram), for CL-DIAM's quotient-diameter Dijkstra
 (:func:`quotient_ecc`, whose pure tier is scipy's — so a native-tier
@@ -18,10 +18,10 @@ always remain and stay the parity oracle.  ``REPRO_KERNEL_IMPL=py``
 is the one spelling of "use the pure tier": it never builds or loads
 the library (the no-toolchain CI job runs the suite under it).
 
-Like ``REPRO_EMIT_MODE``, the switches are read from the environment
-**per call**, so benchmarks and the parity suites flip tiers between
-runs in one process, and forked shard workers receive the active tier
-through the environment snapshot the driver ships on every reset.
+The switches are read from the environment **per call**, so benchmarks
+and the parity suites flip tiers between runs in one process, and
+forked shard workers receive the active tier through the environment
+snapshot the driver ships on every reset.
 :func:`impl_overrides` is the config-plumbing entry (used by
 ``repro.runtime.runner``): it applies :class:`ClusterConfig` overrides
 by setting the environment for the run's duration, which is what makes
@@ -31,9 +31,9 @@ Threaded emit
 -------------
 ``ClusterConfig.emit_threads`` / ``REPRO_EMIT_THREADS`` (default
 ``os.cpu_count()``) set how many threads the native emit expansion may
-use.  The model is deterministic by construction: the frontier (push)
-or arc range (pull) is split into contiguous chunks, each chunk's
-kernel writes into a **disjoint region** of the shared output banks
+use.  The model is deterministic by construction: the frontier is
+split into contiguous chunks, each chunk's kernel writes into a
+**disjoint region** of the shared output banks
 (regions sized by the chunk's degree-sum upper bound), and a final
 order-preserving compaction (``rk_compact``) packs the regions — so the
 candidate columns are bit-identical to the single-threaded pass for
@@ -103,23 +103,21 @@ _SIGNATURES = {
     "rk_count_keys": ([_P, _I, _P, _P, _P], _I),
     "rk_bincount": ([_P, _I, _P], None),
     "rk_emit_push": ([_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _P], _I),
-    "rk_emit_pull": ([_P, _P, _P, _I, _I, _P, _P, _D, _I, _P, _P, _P, _P], _I),
     "rk_compact": ([_P, _P, _P, _P, _P, _P, _I], _I),
     "rk_filter_improve": (
         [_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P],
         _I,
     ),
     # keys, nd, src, aidx, n, dist, frozen, weights, center,
-    # hist, gk, gc, do_acct, ngroups, f_* banks -> kept
+    # hist, gk, gc, ngroups, f_* banks -> kept
     "rk_finish_batch": (
-        [_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _I, _P,
+        [_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P,
          _P, _P, _P, _P, _P, _P],
         _I,
     ),
     "rk_begin_stage": ([_P, _I, _P, _P, _P, _P, _P], None),
     "rk_freeze_assigned": ([_P, _I, _I, _P, _P, _P], _I),
     "rk_forced_sets": ([_P, _P, _P, _P, _I, _D, _P, _P], _I),
-    "rk_cache_append": ([_P, _P, _P, _I, _I, _I, _P, _P, _P, _P, _I], _I),
     # indptr, indices, weights, src_ids, nsrc, delta, lo, hi, owners,
     # localidx, shard, hist, ck, cs, ca, pos, total_out -> appended
     "rk_cache_emit": (
@@ -133,10 +131,6 @@ _SIGNATURES = {
     "rk_materialize": ([_P, _P, _I, _P, _P, _P, _P, _P], None),
     "rk_core_emit_push": (
         [_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _P, _P, _P, _P],
-        _I,
-    ),
-    "rk_core_emit_pull": (
-        [_P, _P, _P, _I, _P, _P, _D, _P, _P, _P, _P, _P, _P, _P],
         _I,
     ),
     # indptr, indices, weights, sources, nsources, skip_reached, dist,
@@ -372,22 +366,20 @@ def filter_improve(
 
 def finish_batch(
     keys, nd, src, aidx, dist, frozen, weights, center,
-    hist, gk, gc, do_acct,
+    hist, gk, gc,
     f_keys, f_nd, f_src, f_w, f_ctr, f_srcf,
 ):
     """One fused stream over the unfiltered candidate columns: stamped
     accounting histogram (ascending distinct keys + counts, hist left
     all-zero) plus the improvement filter + materialization of
-    :func:`filter_improve`.  Returns ``(kept, ngroups)``; ``ngroups``
-    is 0 when ``do_acct`` is false.
+    :func:`filter_improve`.  Returns ``(kept, ngroups)``.
     """
     lib = _load()
     ngroups = np.zeros(1, dtype=np.int64)
     kept = lib.rk_finish_batch(
         _ptr(keys), _ptr(nd), _ptr(src), _ptr(aidx), len(keys),
         _ptr(dist), _ptr(frozen), _ptr(weights), _ptr(center),
-        _ptr(hist), _ptr(gk), _ptr(gc), 1 if do_acct else 0,
-        _ptr(ngroups),
+        _ptr(hist), _ptr(gk), _ptr(gc), _ptr(ngroups),
         _ptr(f_keys), _ptr(f_nd), _ptr(f_src),
         _ptr(f_w), _ptr(f_ctr), _ptr(f_srcf),
     )
@@ -418,15 +410,6 @@ def forced_sets(center, dist, frozen, degs, delta, mask, eff) -> int:
     return lib.rk_forced_sets(
         _ptr(center), _ptr(dist), _ptr(frozen), _ptr(degs),
         len(center), delta, _ptr(mask), _ptr(eff),
-    )
-
-
-def cache_append(k, s, a, lo, hi, hist, ck, cs, ca, pos) -> int:
-    """Append locally-owned rows to the cache columns; returns appended."""
-    lib = _load()
-    return lib.rk_cache_append(
-        _ptr(k), _ptr(s), _ptr(a), len(k), lo, hi, _ptr(hist),
-        _ptr(ck), _ptr(cs), _ptr(ca), pos,
     )
 
 
@@ -593,43 +576,6 @@ def emit_push_into(
     )
 
 
-def emit_pull_into(
-    arc_rows, indices, weights, mask, eff, delta, base,
-    out_keys, out_nd, out_src, out_aidx, threads,
-) -> int:
-    """Fused pull expansion over all arcs into the given banks.
-
-    Threading splits the arc range into contiguous chunks; chunk c's
-    region is based at its arc offset (a trivially exact upper bound),
-    then ``rk_compact`` packs the regions — bit-identical for any
-    thread count.
-    """
-    lib = _load()
-    narcs = len(indices)
-
-    def chunk(lo: int, hi: int, out_base: int) -> int:
-        return lib.rk_emit_pull(
-            _ptr(arc_rows), _ptr(indices), _ptr(weights), lo, hi,
-            _ptr(mask), _ptr(eff), delta, base,
-            _ptr(out_keys[out_base:]), _ptr(out_nd[out_base:]),
-            _ptr(out_src[out_base:]), _ptr(out_aidx[out_base:]),
-        )
-
-    if threads <= 1 or narcs < THREAD_MIN_ARCS:
-        return chunk(0, narcs, 0)
-    nchunks = min(threads, narcs)
-    bounds = np.linspace(0, narcs, nchunks + 1).astype(np.int64)
-    pool = _get_pool(nchunks)
-    futures = [
-        pool.submit(chunk, int(lo), int(hi), int(lo))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    chunk_counts = [f.result() for f in futures]
-    return _compact(
-        lib, out_keys, out_nd, out_src, out_aidx, bounds[:-1], chunk_counts
-    )
-
-
 def core_emit_push(
     indptr, indices, weights, srcs, eff, delta, frozen, dist, total,
 ):
@@ -643,28 +589,6 @@ def core_emit_push(
     t = lib.rk_core_emit_push(
         _ptr(indptr), _ptr(indices), _ptr(weights),
         _ptr(srcs), _ptr(eff), len(srcs), delta,
-        _ptr(frozen), _ptr(dist), _ptr(messages),
-        _ptr(cand_t), _ptr(cand_d), _ptr(cand_s), _ptr(cand_w),
-    )
-    return (
-        cand_t[:t], cand_d[:t], cand_s[:t], cand_w[:t], int(messages[0])
-    )
-
-
-def core_emit_pull(
-    arc_rows, indices, weights, emitting, effd, delta, frozen, dist,
-):
-    """Serial-core pull candidates: ``(cand_t, cand_d, cand_s, cand_w, messages)``."""
-    lib = _load()
-    narcs = len(indices)
-    cand_t = np.empty(narcs, dtype=np.int64)
-    cand_d = np.empty(narcs)
-    cand_s = np.empty(narcs, dtype=np.int64)
-    cand_w = np.empty(narcs)
-    messages = np.zeros(1, dtype=np.int64)
-    t = lib.rk_core_emit_pull(
-        _ptr(arc_rows), _ptr(indices), _ptr(weights), narcs,
-        _ptr(emitting), _ptr(effd), delta,
         _ptr(frozen), _ptr(dist), _ptr(messages),
         _ptr(cand_t), _ptr(cand_d), _ptr(cand_s), _ptr(cand_w),
     )

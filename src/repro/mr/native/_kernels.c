@@ -13,7 +13,7 @@
  * counterpart computes — same IEEE double arithmetic (one add per
  * candidate), same strict-less lexicographic tie-breaks, same output
  * ordering (ascending ids from a qsort over the touched list; push
- * candidates in source-major CSR order; pull candidates in arc order).
+ * candidates in source-major CSR order).
  * The pure tier stays the oracle: tests/mr/test_native_kernels.py pits
  * every function here against it.
  */
@@ -27,10 +27,11 @@ typedef int64_t i64;
 typedef int32_t i32;
 typedef uint8_t u8;
 
-/* The pull kernels stream arcs sequentially but gather per-source
- * state through indices[a] — a dependent random access that stalls the
- * whole loop.  indices itself streams, so the gather address is known
- * well ahead: prefetching it ~64 arcs out overlaps the misses. */
+/* The candidate-stream kernels read their columns sequentially but
+ * gather per-target state through keys[i] — a dependent random access
+ * that stalls the whole loop.  The keys themselves stream, so the
+ * gather address is known well ahead: prefetching it ~64 rows out
+ * overlaps the misses. */
 #if defined(__GNUC__) || defined(__clang__)
 #define RK_PREFETCH(p) __builtin_prefetch((p), 0, 1)
 #define RK_PREFETCH_W(p) __builtin_prefetch((p), 1, 1)
@@ -173,38 +174,6 @@ i64 rk_emit_push(
     return t;
 }
 
-/* Fused pull expansion over the arc range [lo, hi) of the reverse CSR
- * (EmitScratch._emit_pull's local-target block): keep arcs whose source
- * is marked in the dense mask, with the same light/Δ filter.  Arc-major
- * order == target-major with ascending sources per target. */
-i64 rk_emit_pull(
-    const i64 *arc_rows, const i64 *indices, const double *weights,
-    i64 lo, i64 hi,
-    const u8 *mask, const double *eff, double delta, i64 base,
-    i64 *out_keys, double *out_nd, i64 *out_src, i64 *out_aidx)
-{
-    i64 t = 0;
-    for (i64 a = lo; a < hi; ++a) {
-        if (a + RK_PF_DIST < hi)
-            RK_PREFETCH(&mask[indices[a + RK_PF_DIST]]);
-        i64 s = indices[a];
-        if (!mask[s])
-            continue;
-        double w = weights[a];
-        if (w > delta)
-            continue;
-        double nd = eff[s] + w;
-        if (nd > delta)
-            continue;
-        out_keys[t] = arc_rows[a] + base;
-        out_nd[t] = nd;
-        out_src[t] = s - base;
-        out_aidx[t] = a;
-        ++t;
-    }
-    return t;
-}
-
 /* Order-preserving compaction of the threaded emit's disjoint chunk
  * regions: chunk c wrote counts[c] rows starting at bases[c] (bases
  * ascend and regions never overlap their final position from the
@@ -269,15 +238,14 @@ i64 rk_filter_improve(
  * unfiltered candidate columns doing BOTH the accounting histogram
  * (stamped distinct-key collection, ascending like rk_count_keys, hist
  * restored to zero) and the improvement filter + materialization of
- * rk_filter_improve.  Replaces two full passes with one; do_acct == 0
- * skips the histogram half (ngroups untouched).  Returns the kept
- * count and writes the distinct-group count through ngroups. */
+ * rk_filter_improve.  Replaces two full passes with one.  Returns the
+ * kept count and writes the distinct-group count through ngroups. */
 i64 rk_finish_batch(
     const i64 *keys, const double *nd, const i64 *src, const i64 *aidx,
     i64 n,
     const double *dist, const u8 *frozen,
     const double *weights, const i64 *center,
-    i64 *hist, i64 *gk, i64 *gc, i64 do_acct, i64 *ngroups,
+    i64 *hist, i64 *gk, i64 *gc, i64 *ngroups,
     i64 *f_keys, double *f_nd, i64 *f_src,
     double *f_w, double *f_ctr, double *f_srcf)
 {
@@ -286,14 +254,11 @@ i64 rk_finish_batch(
         if (i + RK_PF_DIST < n) {
             RK_PREFETCH(&frozen[keys[i + RK_PF_DIST]]);
             RK_PREFETCH(&dist[keys[i + RK_PF_DIST]]);
-            if (do_acct)
-                RK_PREFETCH_W(&hist[keys[i + RK_PF_DIST]]);
+            RK_PREFETCH_W(&hist[keys[i + RK_PF_DIST]]);
         }
         i64 k = keys[i];
-        if (do_acct) {
-            if (hist[k]++ == 0)
-                gk[g++] = k;
-        }
+        if (hist[k]++ == 0)
+            gk[g++] = k;
         double d = nd[i];
         if (frozen[k] || !(d < dist[k]))
             continue;
@@ -306,14 +271,12 @@ i64 rk_finish_batch(
         f_srcf[t] = (double)s;
         ++t;
     }
-    if (do_acct) {
-        qsort(gk, (size_t)g, sizeof(i64), cmp_i64);
-        for (i64 j = 0; j < g; ++j) {
-            gc[j] = hist[gk[j]];
-            hist[gk[j]] = 0;
-        }
-        *ngroups = g;
+    qsort(gk, (size_t)g, sizeof(i64), cmp_i64);
+    for (i64 j = 0; j < g; ++j) {
+        gc[j] = hist[gk[j]];
+        hist[gk[j]] = 0;
     }
+    *ngroups = g;
     return t;
 }
 
@@ -374,30 +337,6 @@ i64 rk_forced_sets(
             degree_sum += degs[i];
     }
     return degree_sum;
-}
-
-/* Frozen-emission cache append (EmitScratch._cache_update step 1):
- * filter freshly-frozen emissions to locally-owned targets, add their
- * histogram mass, and append them at position pos of the preallocated
- * cache columns.  Returns the appended count (rows outside [lo, hi)
- * are the caller's inert count). */
-i64 rk_cache_append(
-    const i64 *k, const i64 *s, const i64 *a, i64 n,
-    i64 lo, i64 hi, i64 *hist,
-    i64 *ck, i64 *cs, i64 *ca, i64 pos)
-{
-    i64 t = pos;
-    for (i64 i = 0; i < n; ++i) {
-        i64 key = k[i];
-        if (key < lo || key >= hi)
-            continue;
-        hist[key - lo] += 1;
-        ck[t] = key;
-        cs[t] = s[i];
-        ca[t] = a[i];
-        ++t;
-    }
-    return t - pos;
 }
 
 /* Fused frozen-source expansion straight into the cache columns: a
@@ -584,46 +523,6 @@ i64 rk_core_emit_push(
             cand_w[t] = w;
             ++t;
         }
-    }
-    *messages = msg;
-    return t;
-}
-
-/* Serial-core pull expansion: stream every arc target-major through the
- * reverse CSR, testing the arc's source against the dense emitting
- * mask; same message/candidate semantics as rk_core_emit_push. */
-i64 rk_core_emit_pull(
-    const i64 *arc_rows, const i64 *indices, const double *weights,
-    i64 narcs,
-    const u8 *emitting, const double *effd, double delta,
-    const u8 *frozen, const double *dist,
-    i64 *messages,
-    i64 *cand_t, double *cand_d, i64 *cand_s, double *cand_w)
-{
-    i64 t = 0, msg = 0;
-    for (i64 a = 0; a < narcs; ++a) {
-        if (a + RK_PF_DIST < narcs)
-            RK_PREFETCH(&emitting[indices[a + RK_PF_DIST]]);
-        i64 s = indices[a];
-        if (!emitting[s])
-            continue;
-        double w = weights[a];
-        if (w > delta)
-            continue;
-        i64 r = arc_rows[a];
-        if (frozen[r])
-            continue;
-        ++msg;
-        double nd = effd[s] + w;
-        if (nd > delta)
-            continue;
-        if (!(nd < dist[r]))
-            continue;
-        cand_t[t] = r;
-        cand_d[t] = nd;
-        cand_s[t] = s;
-        cand_w[t] = w;
-        ++t;
     }
     *messages = msg;
     return t;

@@ -161,7 +161,6 @@ def _resident_mb_from_env() -> Optional[float]:
 _KERNEL_ENV_KEYS = (
     "REPRO_KERNEL_IMPL",
     "REPRO_EMIT_THREADS",
-    "REPRO_EMIT_MODE",
 )
 
 
@@ -873,11 +872,9 @@ def _check_worker_env() -> None:
     worker traceback mid-run; the driver raises the
     :class:`ConfigurationError` naming the variable up front instead.
     """
-    from repro.mr.emit import emit_mode
     from repro.mr.native.build import build_timeout
 
     _worker_timeout()
-    emit_mode()
     _native.requested_impl()
     _native.emit_threads()
     build_timeout()

@@ -86,8 +86,9 @@ class ArrayGrowingState:
     memory-model checks still see the full multiset), and the surviving
     rows go straight to :func:`~repro.mr.kernels.scatter_min_rows` — no
     intermediate copy, key materialization, or sort, and zero O(n)/O(m)
-    allocations on non-forced rounds.  ``REPRO_EMIT_MODE`` selects
-    push/pull/auto expansion.
+    allocations on non-forced rounds.  The expansion direction (push,
+    pull or frozen-emission replay) is the scratch's own per-round
+    choice, never an option.
     """
 
     def __init__(self, graph: CSRGraph, row_gids: Optional[np.ndarray] = None):

@@ -5,7 +5,11 @@ import pytest
 
 from repro.core.growing import delta_growing_step, partial_growth
 from repro.core.state import NO_CENTER, ClusterState
+from repro.generators import rmat
 from repro.graph.builder import from_edge_list
+from repro.graph.ops import largest_connected_component
+from repro.mr import emit as emit_module
+from repro.mr import native
 from repro.mr.metrics import Counters
 
 
@@ -178,3 +182,64 @@ class TestDistanceInvariants:
         partial_growth(random_connected, s, delta, Counters())
         assigned = s.assigned_mask()
         assert np.all(s.dist[assigned] <= delta + 1e-12)
+
+
+def random_cluster_state(n, rng, iteration):
+    """A mid-stage state: most nodes assigned, some frozen in earlier
+    iterations (their effective distance rescales under Contract2)."""
+    s = ClusterState(n)
+    assigned = rng.random(n) < 0.7
+    s.center[assigned] = rng.integers(0, n, int(assigned.sum()))
+    s.dist[assigned] = rng.random(int(assigned.sum()))
+    s.dist_acc[assigned] = rng.random(int(assigned.sum()))
+    s.frozen[:] = assigned & (rng.random(n) < 0.3)
+    s.frozen_iter[:] = rng.integers(0, iteration + 1, n)
+    return s
+
+
+class TestDirections:
+    """The step's pull direction (the NumPy tier's heavy-frontier
+    expansion) computes exactly what push computes: the direction is
+    pinned through ``PULL_DEGREE_FRACTION`` (``inf``: always push,
+    ``-1``: always pull), and the native tier — which always pushes —
+    must agree too."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("rescale", [0.0, 0.05])
+    @pytest.mark.parametrize("frontier", [False, True])
+    def test_pull_equals_push(self, monkeypatch, seed, rescale, frontier):
+        graph = largest_connected_component(
+            rmat(8, edge_factor=6, seed=seed)
+        )[0]
+        n = graph.num_nodes
+        rng = np.random.default_rng(seed)
+        base = random_cluster_state(n, rng, iteration=4)
+        sources = np.sort(rng.choice(n, size=n // 3, replace=False))
+        runs = [("py", np.inf), ("py", -1.0)]
+        if native.native_available():
+            runs.append(("native", -1.0))
+        results = []
+        for impl, fraction in runs:
+            monkeypatch.setattr(emit_module, "PULL_DEGREE_FRACTION", fraction)
+            state = ClusterState(n)
+            for name in ("center", "dist", "dist_acc", "frozen", "frozen_iter"):
+                getattr(state, name)[:] = getattr(base, name)
+            counters = Counters()
+            with native.impl_overrides(impl, None):
+                upd, newly = delta_growing_step(
+                    graph, state, 0.8, counters,
+                    sources=sources if frontier else None,
+                    iteration=4, rescale=rescale,
+                )
+            results.append((
+                upd, newly, state.center, state.dist, state.dist_acc,
+                counters.snapshot(),
+            ))
+        push = results[0]
+        assert len(push[0])
+        for other in results[1:]:
+            np.testing.assert_array_equal(other[0], push[0])
+            assert other[1] == push[1]
+            for got, want in zip(other[2:5], push[2:5]):
+                np.testing.assert_array_equal(got, want)
+            assert other[5] == push[5]

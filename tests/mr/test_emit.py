@@ -3,35 +3,24 @@
 The contract under test: for any state, :meth:`EmitScratch.emit` must
 report the *unfiltered* emission (count and per-target histogram) of the
 plain ``emit_frontier`` oracle below while materializing exactly the
-candidates that could be adopted — and this must hold in every
-direction (push / pull / auto), across reused buffers, and across the
-frozen-emission cache's append/prune/invalidate transitions.
+candidates that could be adopted — and this must hold for both
+expansion directions (push and pull, driven directly through the
+scratch's ``_emit_push`` / ``_emit_pull``), across reused buffers, and
+across the frozen-emission cache's append/prune/invalidate transitions.
 """
-
-import os
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.generators import rmat
 from repro.graph.ops import largest_connected_component
+from repro.mr import emit as emit_module
 from repro.mr import native
 from repro.mr.batch import group_min_first
-from repro.mr.emit import EMIT_ENV, EmitScratch, emit_mode
+from repro.mr.emit import EmitBatch, EmitScratch, use_pull
 from repro.mr.kernels import scatter_min_rows
 from repro.mrimpl.growing_mr import NO_CENTER
 from repro.util import expand_ranges
-
-
-@pytest.fixture(autouse=True)
-def _restore_emit_mode():
-    before = os.environ.get(EMIT_ENV)
-    yield
-    if before is None:
-        os.environ.pop(EMIT_ENV, None)
-    else:
-        os.environ[EMIT_ENV] = before
 
 
 def emit_frontier(
@@ -148,6 +137,25 @@ def legacy_reference(graph, state, delta, force, sources=None, rescale=0.0, iter
     return keys, values, imp
 
 
+def forced_batch(graph, state, delta, direction):
+    """One forced round expanded in a fixed ``direction`` on a fresh
+    scratch, bypassing the frozen-emission cache and the direction
+    policy: the plain push or pull expansion plus the shared
+    filter/accounting tail."""
+    center, dist, frozen, _, _, frozen_iter = state
+    scratch = EmitScratch(graph.indptr, graph.indices, graph.weights)
+    m_loc, e_loc, _ = scratch._forced_sets(
+        center, dist, frozen, frozen_iter, delta, 0.0, 0
+    )
+    if direction == "pull":
+        eff, mask = scratch._pull_dense(m_loc, e_loc)
+        cols = scratch._emit_pull(mask, eff, delta)
+    else:
+        src = np.flatnonzero(m_loc)
+        cols = scratch._emit_push(src, e_loc[src], delta)
+    return scratch._finish(EmitBatch(), cols, center, dist, frozen)
+
+
 def sorted_rows(keys, nd, ctr, src):
     order = np.lexsort((src, ctr, nd, keys))
     return keys[order], nd[order], ctr[order], src[order]
@@ -178,10 +186,8 @@ def assert_batch_matches_oracle(batch, graph, state, delta, force, sources=None)
 
 
 class TestEmitMatchesOracle:
-    @pytest.mark.parametrize("mode", ["push", "pull", "auto"])
     @pytest.mark.parametrize("force", [True, False])
-    def test_random_states(self, mode, force):
-        os.environ[EMIT_ENV] = mode
+    def test_random_states(self, force):
         graph = small_graph()
         rng = np.random.default_rng(3)
         for trial in range(8):
@@ -214,15 +220,10 @@ class TestEmitMatchesOracle:
         state = random_state(graph, rng)
         delta = 0.7
         results = {}
-        for mode in ("push", "pull"):
-            os.environ[EMIT_ENV] = mode
-            scratch = EmitScratch(graph.indptr, graph.indices, graph.weights)
-            b = scratch.emit(
-                center=state[0], dist=state[1], dacc=state[3],
-                frozen=state[2], frozen_iter=state[5],
-                delta=delta, force=True,
-            )
-            results[mode] = (
+        for direction in ("push", "pull"):
+            b = forced_batch(graph, state, delta, direction)
+            assert_batch_matches_oracle(b, graph, state, delta, True)
+            results[direction] = (
                 b.emitted,
                 sorted_rows(b.keys, b.nd, b.ctr, b.srcf),
                 b.group_keys.copy(),
@@ -235,10 +236,129 @@ class TestEmitMatchesOracle:
         np.testing.assert_array_equal(results["push"][3], results["pull"][3])
 
 
+def shard_scratch(graph, layout, shard, num_shards=3):
+    """An :class:`EmitScratch` over one shard's rows, shaped the way the
+    sharded workers build it: ``range`` is a contiguous row slice
+    (``base``), ``mapped`` an interleaved row set with the lp sidecars
+    (``row_gids``/``localidx``/``owners``).  Both keep global neighbour
+    ids and the boundary slice of outward arcs.  Returns the scratch
+    and the global ids of its rows."""
+    n = graph.num_nodes
+    if layout == "whole":
+        scratch = EmitScratch(graph.indptr, graph.indices, graph.weights)
+        return scratch, np.arange(n, dtype=np.int64)
+    if layout == "range":
+        bounds = np.linspace(0, n, num_shards + 1).astype(np.int64)
+        owners = np.repeat(np.arange(num_shards), np.diff(bounds))
+    else:
+        owners = np.arange(n) % num_shards
+    rows = np.flatnonzero(owners == shard).astype(np.int64)
+    degs = graph.indptr[rows + 1] - graph.indptr[rows]
+    aidx = expand_ranges(graph.indptr[rows], degs)
+    indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
+    indices = graph.indices[aidx]
+    b_aidx = np.flatnonzero(owners[indices] != shard).astype(np.int64)
+    kwargs = dict(
+        id_domain=n,
+        boundary_rows=np.searchsorted(indptr, b_aidx, side="right") - 1,
+        boundary_aidx=b_aidx,
+    )
+    if layout == "range":
+        kwargs["base"] = int(rows[0])
+    else:
+        localidx = np.zeros(n, dtype=np.int32)
+        for k in range(num_shards):
+            mine = owners == k
+            localidx[mine] = np.arange(int(mine.sum()))
+        kwargs.update(
+            row_gids=rows, localidx=localidx,
+            owners=owners.astype(np.int32), shard_id=shard,
+        )
+    scratch = EmitScratch(indptr, indices, graph.weights[aidx], **kwargs)
+    return scratch, rows
+
+
+def canonical_columns(scratch, cols):
+    """Raw expansion columns in (target, arrival) order: a stable sort
+    by key keeps each target group's arrival order, which must be
+    ascending source in both directions.  Arc weights stand in for the
+    arc index, which names the arc in its own direction's row."""
+    keys, nd, src, aidx, count = cols
+    order = np.argsort(keys[:count], kind="stable")
+    return (
+        keys[:count][order].copy(),
+        src[:count][order].copy(),
+        nd[:count][order].copy(),
+        scratch.weights[aidx[:count][order]],
+    )
+
+
+LAYOUTS = [("whole", 0)] + [
+    (layout, shard) for layout in ("range", "mapped") for shard in range(3)
+]
+
+
+class TestDirectionsAgree:
+    """Push and pull expand the identical candidate columns, in the
+    identical within-target order, on every scratch layout — whole
+    graph, contiguous shard slices and mapped (lp) shards, boundary
+    arcs included."""
+
+    @pytest.mark.parametrize("layout, shard", LAYOUTS)
+    def test_forced_round(self, layout, shard):
+        graph = small_graph(seed=41)
+        scratch, rows = shard_scratch(graph, layout, shard)
+        center, dist, frozen, _, _, frozen_iter = random_state(
+            graph, np.random.default_rng(shard)
+        )
+        m_loc, e_loc, _ = scratch._forced_sets(
+            center[rows], dist[rows], frozen[rows], frozen_iter[rows],
+            0.6, 0.0, 0,
+        )
+        src = np.flatnonzero(m_loc)
+        push = canonical_columns(
+            scratch, scratch._emit_push(src, e_loc[src], 0.6)
+        )
+        eff, mask = scratch._pull_dense(m_loc, e_loc)
+        pull = canonical_columns(scratch, scratch._emit_pull(mask, eff, 0.6))
+        assert len(push[0])
+        for got, want in zip(pull, push):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("layout, shard", LAYOUTS)
+    @pytest.mark.parametrize("force", [True, False])
+    def test_policy_pinned_by_threshold(self, monkeypatch, layout, shard, force):
+        """``emit_raw`` on the py tier, its direction pinned through
+        :data:`PULL_DEGREE_FRACTION`: a rescaled forced round (the
+        cache-ineligible branch) and a frontier round."""
+        graph = small_graph(seed=43)
+        rng = np.random.default_rng(10 + shard)
+        center, dist, frozen, _, _, frozen_iter = random_state(graph, rng)
+        frozen_iter = rng.integers(0, 3, graph.num_nodes)
+        assigned = np.flatnonzero(center != NO_CENTER)
+        sources = np.sort(rng.choice(assigned, size=60, replace=False))
+        results = {}
+        for direction, fraction in (("push", np.inf), ("pull", -1.0)):
+            monkeypatch.setattr(emit_module, "PULL_DEGREE_FRACTION", fraction)
+            scratch, rows = shard_scratch(graph, layout, shard)
+            local = np.flatnonzero(np.isin(rows, sources))
+            with native.impl_overrides("py", None):
+                assert use_pull(1, 1) == (direction == "pull")
+                cols = scratch.emit_raw(
+                    center=center[rows], dist=dist[rows],
+                    frozen=frozen[rows], frozen_iter=frozen_iter[rows],
+                    delta=0.7, force=force, rescale=0.05 if force else 0.0,
+                    iteration=3, sources=None if force else local,
+                )
+            results[direction] = canonical_columns(scratch, cols)
+        assert len(results["push"][0])
+        for got, want in zip(results["pull"], results["push"]):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestScratchReuse:
     def test_no_stale_rows_across_rounds(self):
         """A big emission followed by small ones must not leak rows."""
-        os.environ[EMIT_ENV] = "auto"
         graph = small_graph(seed=21)
         rng = np.random.default_rng(11)
         scratch = EmitScratch(graph.indptr, graph.indices, graph.weights)
@@ -304,15 +424,12 @@ class TestScratchReuse:
             dacc[picks] = 0.0
             if stage == 3:
                 delta *= 2  # invalidates the cache wholesale
-            os.environ[EMIT_ENV] = "auto"
             batch = scratch.emit(
                 center=center, dist=dist, dacc=dacc, frozen=frozen,
                 frozen_iter=fit, delta=delta, force=True,
             )
-            os.environ[EMIT_ENV] = "push"
-            ref = EmitScratch(graph.indptr, graph.indices, graph.weights).emit(
-                center=center, dist=dist, dacc=dacc, frozen=frozen,
-                frozen_iter=fit, delta=delta, force=True,
+            ref = forced_batch(
+                graph, (center, dist, frozen, dacc, None, fit), delta, "push"
             )
             assert batch.emitted == ref.emitted
             assert batch.count == ref.count
@@ -333,7 +450,6 @@ class TestScratchReuse:
             center=state[0], dist=state[1], dacc=state[3], frozen=state[2],
             frozen_iter=state[5], delta=0.6, force=True,
         )
-        os.environ[EMIT_ENV] = "auto"
         first = scratch.emit(**kwargs)
         scratch.reset()
         again = scratch.emit(**kwargs)
@@ -342,31 +458,25 @@ class TestScratchReuse:
 
 
 class TestDirectionPlanning:
-    def test_env_modes(self):
-        os.environ[EMIT_ENV] = "pull"
-        assert emit_mode() == "pull"
-        os.environ[EMIT_ENV] = "bogus"
-        with pytest.raises(ConfigurationError, match=f"{EMIT_ENV}='bogus'"):
-            emit_mode()
-        os.environ[EMIT_ENV] = ""
-        assert emit_mode() == "auto"
-        os.environ.pop(EMIT_ENV, None)
-        assert emit_mode() == "auto"
-
-    def test_auto_threshold(self):
-        graph = small_graph()
-        scratch = EmitScratch(graph.indptr, graph.indices, graph.weights)
-        assert scratch.plan_direction(0, "auto") == "push"
-        # auto resolves by tier: the NumPy pull scan beats NumPy push
-        # on heavy frontiers, while the C push never loses (it scans
-        # exactly the frontier's arcs), so native auto stays push.
+    def test_auto_threshold(self, monkeypatch):
+        arcs = small_graph().num_arcs
+        assert not use_pull(0, arcs)
+        # The policy resolves by tier: the NumPy pull scan beats NumPy
+        # push on heavy frontiers, while the C push never loses (it
+        # scans exactly the frontier's arcs), so native stays push.
         with native.impl_overrides("py", None):
-            assert scratch.plan_direction(graph.num_arcs, "auto") == "pull"
+            assert use_pull(arcs, arcs)
+            bound = int(emit_module.PULL_DEGREE_FRACTION * arcs)
+            assert not use_pull(bound, arcs)
+            assert use_pull(bound + 1, arcs)
+            assert not use_pull(0, 0)
+            # The threshold is read per call: tests pin a direction by
+            # patching it (forked shard workers inherit the patch).
+            monkeypatch.setattr(emit_module, "PULL_DEGREE_FRACTION", 2.0)
+            assert not use_pull(arcs, arcs)
         if native.native_available():
             with native.impl_overrides("native", None):
-                assert scratch.plan_direction(graph.num_arcs, "auto") == "push"
-        assert scratch.plan_direction(graph.num_arcs, "push") == "push"
-        assert scratch.plan_direction(0, "pull") == "pull"
+                assert not use_pull(arcs, arcs)
 
 
 class TestOrderFreeReducer:

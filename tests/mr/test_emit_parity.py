@@ -1,38 +1,51 @@
-"""End-to-end A/B parity of the emit pipeline directions.
+"""End-to-end parity of the emit pipeline's expansion directions.
 
-``REPRO_EMIT_MODE`` switches every fused execution path between push,
-pull, and auto (direction by degree-sum, frozen-emission cache where
-legal) expansion.  This suite runs the full CLUSTER / CLUSTER2 / CL-DIAM
-drivers on a seeded R-MAT under every mode and across every executor,
-and asserts the strongest possible contract: bit-identical clusterings
-and bit-identical ``rounds`` / ``messages`` / ``updates`` /
+Each Δ-growing round expands its candidates push-style (the frontier's
+rows), pull-style (every arc, target-major) or by replaying the
+frozen-emission cache; :func:`repro.mr.emit.use_pull` picks per round
+and per kernel tier.  The native tier always pushes, while the py tier
+mixes push, pull and cache replay (``test_py_tier_pulls`` proves it
+pulls on this graph), so running every driver on both tiers is the
+direction check.  This suite runs the full CLUSTER / CLUSTER2 / CL-DIAM
+drivers on a seeded R-MAT on each tier and across every executor, and
+asserts the strongest possible contract: bit-identical clusterings and
+bit-identical ``rounds`` / ``messages`` / ``updates`` /
 ``growing_steps`` counters.  The fixed point is the per-key oracle of
-``tests/oracle/mr_literal.py``, which ignores the direction switch; it
+``tests/oracle/mr_literal.py``, which has no expansion direction; it
 counts pair traffic, so its ``messages`` are not compared
 (``tests/mr/test_emit.py`` checks the fused emission counts against the
-``emit_frontier`` oracle).  The CI
+``emit_frontier`` oracle, and ``tests/mr/test_native_kernels.py`` the
+tiers' full counter snapshots against each other).  The CI
 ``bench-regression`` job runs this file before believing any benchmark.
 """
-
-import os
 
 import numpy as np
 import pytest
 from mr_literal import literal_engine
 
+import repro.core.growing as core_growing
 from repro.core.cluster import cluster
 from repro.core.config import ClusterConfig
 from repro.generators import rmat
 from repro.graph.ops import largest_connected_component
-from repro.mr.emit import EMIT_ENV
+from repro.mr import native
+from repro.mr.emit import EmitScratch
 from repro.mrimpl.cluster2_mr import mr_cluster2
 from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.diameter_mr import mr_approximate_diameter
 from repro.mrimpl.growing_mr import default_engine
 
-EXECUTORS = ("vector", "sharded")
-MODES = ("push", "pull", "auto")
 CFG = ClusterConfig(seed=42, stage_threshold_factor=1.0, tau=16)
+TIERS = (
+    "py",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native.native_available(),
+            reason="native kernel tier unavailable (no C toolchain)",
+        ),
+    ),
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,28 +53,17 @@ def graph():
     return largest_connected_component(rmat(9, edge_factor=8, seed=11))[0]
 
 
-@pytest.fixture()
-def mode_env():
-    """Restore the direction switch after each test."""
-    before = os.environ.get(EMIT_ENV)
-    yield
-    if before is None:
-        os.environ.pop(EMIT_ENV, None)
-    else:
-        os.environ[EMIT_ENV] = before
-
-
-def run_mr(graph, algorithm, executor, mode):
-    os.environ[EMIT_ENV] = mode
-    if executor == "literal":
-        engine = literal_engine(graph, num_workers=2)
-    else:
-        engine = default_engine(graph, executor=executor, num_workers=2)
-    try:
-        return algorithm(graph, config=CFG, engine=engine)
-    finally:
-        if hasattr(engine.executor, "close"):
-            engine.executor.close()
+def run_mr(graph, algorithm, executor, impl):
+    with native.impl_overrides(impl, None):
+        if executor == "literal":
+            engine = literal_engine(graph, num_workers=2)
+        else:
+            engine = default_engine(graph, executor=executor, num_workers=2)
+        try:
+            return algorithm(graph, config=CFG, engine=engine)
+        finally:
+            if hasattr(engine.executor, "close"):
+                engine.executor.close()
 
 
 def assert_identical(a, b, *, messages=True):
@@ -74,63 +76,83 @@ def assert_identical(a, b, *, messages=True):
     assert a.counters.growing_steps == b.counters.growing_steps
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_modes_agree_on_every_executor(graph, executor, mode_env):
-    """CLUSTER: push == pull == auto on each executor."""
-    results = {
-        mode: run_mr(graph, mr_cluster, executor, mode) for mode in MODES
-    }
-    assert_identical(results["push"], results["pull"])
-    assert_identical(results["push"], results["auto"])
-
-
+@pytest.mark.parametrize("impl", TIERS)
 @pytest.mark.parametrize("algorithm", [mr_cluster, mr_cluster2])
-@pytest.mark.parametrize("mode", MODES)
-def test_modes_match_oracle(graph, algorithm, mode, mode_env):
-    """Each direction equals the per-key oracle (which ignores the
-    direction switch — it *is* the fixed point)."""
-    reference = run_mr(graph, algorithm, "literal", "push")
+def test_executors_agree(graph, algorithm, impl):
+    """``sharded`` == ``vector`` on each tier; CLUSTER2 exercises
+    rescaling (the cache-ineligible branch)."""
     assert_identical(
-        run_mr(graph, algorithm, "vector", mode), reference, messages=False
+        run_mr(graph, algorithm, "sharded", impl),
+        run_mr(graph, algorithm, "vector", impl),
     )
 
 
-@pytest.mark.parametrize("executor", ("vector", "sharded"))
-@pytest.mark.parametrize("mode", MODES)
-def test_cluster2_modes_across_backends(graph, executor, mode, mode_env):
-    """CLUSTER2 exercises rescaling (the cache-ineligible branch)."""
-    reference = run_mr(graph, mr_cluster2, "vector", "push")
-    assert_identical(run_mr(graph, mr_cluster2, executor, mode), reference)
+@pytest.mark.parametrize("impl", TIERS)
+@pytest.mark.parametrize("algorithm", [mr_cluster, mr_cluster2])
+def test_matches_oracle(graph, algorithm, impl):
+    """Each tier's direction mix equals the per-key oracle (which has
+    no direction — it *is* the fixed point)."""
+    reference = run_mr(graph, algorithm, "literal", "py")
+    assert_identical(
+        run_mr(graph, algorithm, "vector", impl), reference, messages=False
+    )
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_cl_diam_modes(graph, mode, mode_env):
+@pytest.mark.parametrize("impl", TIERS)
+def test_cl_diam_matches_oracle(graph, impl):
     """CL-DIAM end to end: estimates and counters survive the pipeline."""
-    os.environ[EMIT_ENV] = "push"
-    engine = default_engine(graph, executor="vector", num_workers=2)
+    engine = literal_engine(graph, num_workers=2)
     reference = mr_approximate_diameter(graph, config=CFG, engine=engine)
-    os.environ[EMIT_ENV] = mode
-    engine2 = default_engine(graph, executor="vector", num_workers=2)
-    result = mr_approximate_diameter(graph, config=CFG, engine=engine2)
+    with native.impl_overrides(impl, None):
+        engine2 = default_engine(graph, executor="vector", num_workers=2)
+        result = mr_approximate_diameter(graph, config=CFG, engine=engine2)
     assert result.value == reference.value
     assert engine2.counters.rounds == engine.counters.rounds
-    assert engine2.counters.messages == engine.counters.messages
     assert engine2.counters.updates == engine.counters.updates
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_core_cluster_modes(graph, mode, mode_env):
-    """The core path's direction-optimized step: all modes identical."""
-    os.environ[EMIT_ENV] = "push"
-    reference = cluster(graph, config=CFG)
-    os.environ[EMIT_ENV] = mode
-    result = cluster(graph, config=CFG)
-    assert_identical(result, reference)
+@pytest.mark.parametrize("impl", TIERS)
+def test_core_cluster_matches_vector(graph, impl):
+    """The core path's direction-optimized step lands on the same
+    clustering as the MR drivers."""
+    with native.impl_overrides(impl, None):
+        result = cluster(graph, config=CFG)
+    reference = run_mr(graph, mr_cluster, "vector", impl)
+    np.testing.assert_array_equal(result.center, reference.center)
+    np.testing.assert_array_equal(
+        result.dist_to_center, reference.dist_to_center
+    )
 
 
-def test_timings_recorded(graph, mode_env):
+def test_py_tier_pulls(graph, monkeypatch):
+    """Without this the tier parity could pass without ever pulling:
+    on this graph the py tier takes the pull direction on ``vector``
+    and on the core path."""
+    pulls = []
+    emit_pull = EmitScratch._emit_pull
+
+    def spy_pull(self, *args):
+        pulls.append(1)
+        return emit_pull(self, *args)
+
+    core_choices = []
+    use_pull = core_growing.use_pull
+
+    def spy_policy(*args):
+        core_choices.append(use_pull(*args))
+        return core_choices[-1]
+
+    monkeypatch.setattr(EmitScratch, "_emit_pull", spy_pull)
+    monkeypatch.setattr(core_growing, "use_pull", spy_policy)
+    run_mr(graph, mr_cluster, "vector", "py")
+    assert pulls
+    with native.impl_overrides("py", None):
+        cluster(graph, config=CFG)
+    assert any(core_choices)
+
+
+def test_timings_recorded(graph):
     """The per-phase timers accumulate on every fused round."""
-    os.environ[EMIT_ENV] = "auto"
     engine = default_engine(graph, executor="vector", num_workers=2)
     mr_cluster(graph, config=CFG, engine=engine)
     snap = engine.counters.timing_snapshot()

@@ -30,7 +30,7 @@ from repro.generators import rmat
 from repro.graph.builder import from_edges
 from repro.graph.ops import largest_connected_component
 from repro.mr import native
-from repro.mr.emit import EMIT_ENV, EmitScratch
+from repro.mr.emit import EmitScratch
 from repro.mr.kernels import ScatterScratch, scatter_min_rows
 from repro.mr.partitioner import hash_partition_array
 from repro.mrimpl.cluster2_mr import mr_cluster2
@@ -55,11 +55,7 @@ def graph():
 @pytest.fixture()
 def impl_env():
     """Restore every kernel-tier switch after each test."""
-    keys = (
-        native.KERNEL_IMPL_ENV,
-        native.EMIT_THREADS_ENV,
-        EMIT_ENV,
-    )
+    keys = (native.KERNEL_IMPL_ENV, native.EMIT_THREADS_ENV)
     before = {k: os.environ.get(k) for k in keys}
     yield
     for key, value in before.items():
@@ -229,36 +225,10 @@ class TestThreadedEmit:
         )
         return [b[:cnt].copy() for b in banks]
 
-    def _pull_once(self, graph, threads):
-        narcs = graph.num_arcs
-        mask = np.zeros(graph.num_nodes, dtype=bool)
-        mask[:: 3] = True
-        eff = np.zeros(graph.num_nodes)
-        arc_rows = graph.arc_sources_view()
-        banks = [
-            np.empty(narcs, dtype=np.int64),
-            np.empty(narcs),
-            np.empty(narcs, dtype=np.int64),
-            np.empty(narcs, dtype=np.int64),
-        ]
-        cnt = native.emit_pull_into(
-            arc_rows, graph.indices, graph.weights, mask, eff,
-            float(np.median(graph.weights)), 0,
-            banks[0], banks[1], banks[2], banks[3], threads,
-        )
-        return [b[:cnt].copy() for b in banks]
-
     @pytest.mark.parametrize("threads", [2, 3, 7])
     def test_push_bit_identical_across_threads(self, graph, threads):
         ref = self._push_once(graph, 1)
         got = self._push_once(graph, threads)
-        for a, b in zip(got, ref):
-            np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("threads", [2, 3, 7])
-    def test_pull_bit_identical_across_threads(self, graph, threads):
-        ref = self._pull_once(graph, 1)
-        got = self._pull_once(graph, threads)
         for a, b in zip(got, ref):
             np.testing.assert_array_equal(a, b)
 
@@ -283,19 +253,36 @@ class TestCacheKernels:
     def test_cache_append_retire_replay(self):
         rng = np.random.default_rng(6)
         for _ in range(40):
-            n = int(rng.integers(0, 60))
+            # Random frozen sources (rows of a small CSR over 40 ids),
+            # appended the way _cache_update_native fills the cache.
+            rows = int(rng.integers(1, 12))
+            degs = rng.integers(0, 8, rows)
+            indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
+            narcs = int(indptr[-1])
+            indices = rng.integers(0, 40, narcs).astype(np.int64)
+            arc_w = rng.random(narcs)
+            delta = 0.7
             lo, hi = 10, 30
-            k = rng.integers(0, 40, n).astype(np.int64)
-            s = rng.integers(0, 99, n).astype(np.int64)
-            a = rng.integers(0, 99, n).astype(np.int64)
+            # Reference: frozen sources emit at effective distance 0,
+            # so exactly their light arcs, source-major in CSR order.
+            light = arc_w <= delta
+            k = indices[light]
+            s = np.repeat(np.arange(rows, dtype=np.int64), degs)[light]
+            a = np.flatnonzero(light).astype(np.int64)
             hist = np.zeros(hi - lo, dtype=np.int64)
-            ck = np.zeros(n + 8, np.int64)
-            cs = np.zeros(n + 8, np.int64)
-            ca = np.zeros(n + 8, np.int64)
-            app = native.cache_append(k, s, a, lo, hi, hist, ck, cs, ca, 0)
+            ck = np.zeros(narcs + 8, np.int64)
+            cs = np.zeros(narcs + 8, np.int64)
+            ca = np.zeros(narcs + 8, np.int64)
+            app, total = native.cache_emit(
+                indptr, indices, arc_w, np.arange(rows, dtype=np.int64),
+                delta, lo, hi, hist, ck, cs, ca, 0,
+            )
+            assert total == len(k)
             owned = (k >= lo) & (k < hi)
             assert app == int(owned.sum())
             np.testing.assert_array_equal(ck[:app], k[owned])
+            np.testing.assert_array_equal(cs[:app], s[owned])
+            np.testing.assert_array_equal(ca[:app], a[owned])
             np.testing.assert_array_equal(
                 hist, np.bincount(k[owned] - lo, minlength=hi - lo)
             )
@@ -666,7 +653,7 @@ class TestFallback:
 
 
 # --------------------------------------------------------------------- #
-# end-to-end: every driver x executor x mode x tier is bit-identical
+# end-to-end: every driver x executor x tier is bit-identical
 # --------------------------------------------------------------------- #
 
 
@@ -678,8 +665,7 @@ def _signature(result, counters):
     )
 
 
-def _run_driver(graph, algorithm, executor, mode, impl, threads=None):
-    os.environ[EMIT_ENV] = mode
+def _run_driver(graph, algorithm, executor, impl, threads=None):
     os.environ[native.KERNEL_IMPL_ENV] = impl
     if threads is None:
         os.environ.pop(native.EMIT_THREADS_ENV, None)
@@ -696,44 +682,40 @@ def _run_driver(graph, algorithm, executor, mode, impl, threads=None):
 
 @needs_native
 class TestEndToEndParity:
+    """The native tier always pushes; the py tier mixes push, pull and
+    cache replay (``tests/mr/test_emit_parity.py::test_py_tier_pulls``
+    proves it pulls on this graph) — so tier parity is also the
+    expansion-direction check."""
+
     EXECUTORS = ("vector", "sharded")
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_cluster_tiers_agree(self, graph, executor, impl_env):
-        ref = _run_driver(graph, mr_cluster, executor, "push", "py")
-        for mode in ("push", "pull", "auto"):
-            assert _run_driver(
-                graph, mr_cluster, executor, mode, "native"
-            ) == ref, (executor, mode)
+        ref = _run_driver(graph, mr_cluster, executor, "py")
+        assert _run_driver(graph, mr_cluster, executor, "native") == ref
 
-    @pytest.mark.parametrize("mode", ("push", "pull", "auto"))
-    def test_cluster2_tiers_agree(self, graph, mode, impl_env):
-        ref = _run_driver(graph, mr_cluster2, "vector", mode, "py")
-        assert _run_driver(graph, mr_cluster2, "vector", mode, "native") == ref
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_cluster2_tiers_agree(self, graph, executor, impl_env):
+        ref = _run_driver(graph, mr_cluster2, executor, "py")
+        assert _run_driver(graph, mr_cluster2, executor, "native") == ref
 
     @pytest.mark.parametrize("threads", (1, 2, 7))
     def test_thread_count_is_invisible(self, graph, threads, impl_env):
-        ref = _run_driver(graph, mr_cluster, "vector", "auto", "py")
+        ref = _run_driver(graph, mr_cluster, "vector", "py")
         assert _run_driver(
-            graph, mr_cluster, "vector", "auto", "native", threads
+            graph, mr_cluster, "vector", "native", threads
         ) == ref
 
     def test_core_cluster_tiers_agree(self, graph, impl_env):
-        os.environ[EMIT_ENV] = "auto"
         os.environ[native.KERNEL_IMPL_ENV] = "py"
         ref = cluster(graph, config=CFG)
         os.environ[native.KERNEL_IMPL_ENV] = "native"
-        for mode in ("push", "pull", "auto"):
-            os.environ[EMIT_ENV] = mode
-            got = cluster(graph, config=CFG)
-            np.testing.assert_array_equal(got.center, ref.center)
-            np.testing.assert_array_equal(
-                got.dist_to_center, ref.dist_to_center
-            )
-            assert got.counters.snapshot() == ref.counters.snapshot()
+        got = cluster(graph, config=CFG)
+        np.testing.assert_array_equal(got.center, ref.center)
+        np.testing.assert_array_equal(got.dist_to_center, ref.dist_to_center)
+        assert got.counters.snapshot() == ref.counters.snapshot()
 
     def test_cl_diam_tiers_agree(self, graph, impl_env):
-        os.environ[EMIT_ENV] = "auto"
         os.environ[native.KERNEL_IMPL_ENV] = "py"
         e1 = default_engine(graph, executor="vector", num_workers=2)
         ref = mr_approximate_diameter(graph, config=CFG, engine=e1)

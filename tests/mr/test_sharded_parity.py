@@ -28,6 +28,7 @@ from repro.errors import ConfigurationError
 from repro.generators import gnm_random_graph, mesh, path_graph
 from repro.graph.builder import from_edge_list
 from repro.graph.serialize import open_store, write_store
+from repro.mr import native
 from repro.mr.sharded import (
     RESIDENT_ENV,
     ShardedExecutor,
@@ -38,6 +39,16 @@ from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.diameter_mr import mr_approximate_diameter
 
 SHARD_COUNTS = (1, 2, 7)
+TIERS = (
+    "py",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native.native_available(),
+            reason="native kernel tier unavailable (no C toolchain)",
+        ),
+    ),
+)
 
 
 def assert_same_clustering(result, reference):
@@ -543,8 +554,6 @@ class TestMappedCacheTiers:
         return calls, hits
 
     def test_native_matches_numpy_tier(self, graphs, monkeypatch):
-        from repro.mr import native
-
         if not native.native_available():
             pytest.skip("native kernel tier unavailable (no C toolchain)")
         native_calls, native_hits = self._record(
@@ -568,7 +577,6 @@ class TestWorkerEnvChecks:
             ("REPRO_WORKER_TIMEOUT_S", "-1"),
             ("REPRO_WORKER_TIMEOUT_S", "nan"),
             ("REPRO_WORKER_TIMEOUT_S", "inf"),
-            ("REPRO_EMIT_MODE", "pusj"),
             ("REPRO_KERNEL_IMPL", "natvie"),
         ],
     )
@@ -601,37 +609,39 @@ class TestExchangeParity:
     after map-side combining and halo filtering, while frozen replicas
     regenerate ghost contributions locally — none of which the
     whole-graph ``vector`` backend does.  Full matrix: CLUSTER /
-    CLUSTER2 / CL-DIAM x 1/2/7 shards x push/pull/auto emit — the
-    clustering AND the full counter snapshot bit-identical to
-    ``vector``.
+    CLUSTER2 / CL-DIAM x 1/2/7 shards x kernel tier — the clustering
+    AND the full counter snapshot bit-identical to ``vector`` on the
+    same tier.  The tier decides the expansion directions: native
+    workers always push, py workers also pull (through their boundary
+    slices) on heavy rounds.
     """
 
-    @pytest.mark.parametrize("emit", ["push", "pull", "auto"])
+    @pytest.mark.parametrize("impl", TIERS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("algo", ["cluster", "cluster2"])
-    def test_matrix_bit_identical(
-        self, graphs, monkeypatch, algo, shards, emit
-    ):
+    def test_matrix_bit_identical(self, graphs, algo, shards, impl):
         fn = mr_cluster if algo == "cluster" else mr_cluster2
-        monkeypatch.setenv("REPRO_EMIT_MODE", emit)
-        reference = fn(graphs["gnm"], config=CFG.with_(executor="vector"))
-        result = fn(
-            graphs["gnm"], config=CFG.with_(executor="sharded", shards=shards)
-        )
+        with native.impl_overrides(impl, None):
+            reference = fn(graphs["gnm"], config=CFG.with_(executor="vector"))
+            result = fn(
+                graphs["gnm"],
+                config=CFG.with_(executor="sharded", shards=shards),
+            )
         assert_identical(result, reference)
         assert result.counters.snapshot() == reference.counters.snapshot()
 
-    @pytest.mark.parametrize("emit", ["push", "pull", "auto"])
+    @pytest.mark.parametrize("impl", TIERS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_diameter_matrix(self, graphs, monkeypatch, shards, emit):
+    def test_diameter_matrix(self, graphs, shards, impl):
         cfg = ClusterConfig(seed=3, stage_threshold_factor=1.0, tau=4)
-        monkeypatch.setenv("REPRO_EMIT_MODE", emit)
-        reference = mr_approximate_diameter(
-            graphs["gnm"], config=cfg.with_(executor="vector")
-        )
-        result = mr_approximate_diameter(
-            graphs["gnm"], config=cfg.with_(executor="sharded", shards=shards)
-        )
+        with native.impl_overrides(impl, None):
+            reference = mr_approximate_diameter(
+                graphs["gnm"], config=cfg.with_(executor="vector")
+            )
+            result = mr_approximate_diameter(
+                graphs["gnm"],
+                config=cfg.with_(executor="sharded", shards=shards),
+            )
         assert result.value == reference.value
         assert result.radius == reference.radius
         assert result.num_clusters == reference.num_clusters

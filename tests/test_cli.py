@@ -228,7 +228,6 @@ class TestPartition:
             ("REPRO_WORKER_TIMEOUT_S", "0"),
             ("REPRO_WORKER_TIMEOUT_S", "-1"),
             ("REPRO_WORKER_TIMEOUT_S", "nan"),
-            ("REPRO_EMIT_MODE", "pusj"),
             ("REPRO_KERNEL_IMPL", "natvie"),
             ("REPRO_EMIT_THREADS", "abc"),
             ("REPRO_EMIT_THREADS", "0"),
