@@ -2,13 +2,12 @@
 
 PR 4 moved the reduce side to O(candidates); this bench measures the
 emit side's fused pipeline (``repro.mr.emit``): scratch-buffered
-candidate generation, direction-optimizing push/pull expansion, the
-improvement pre-filter, and the frozen-emission cache that replays
-forced rounds.  A Figure-4-family workload (R-MAT LCC, CLUSTER with
-capped growth) runs on every fused backend (``<backend>-auto`` rows:
-per-round direction by frontier degree-sum, forced rounds replayed from
-the frozen-emission cache; the native tier always pushes, the py tier
-mixes push and pull) and on the serial core (``serial-core``).
+candidate generation, push expansion, the improvement pre-filter, and
+the frozen-emission cache that replays forced rounds.  A
+Figure-4-family workload (R-MAT LCC, CLUSTER with capped growth) runs
+on every fused backend (``<backend>-auto`` rows: push expansion, forced
+rounds replayed from the frozen-emission cache) and on the serial core
+(``serial-core``).
 
 Every row runs once on the pure-NumPy tier (``py`` — rows keep their
 PR 5 names) and once on the native C tier (``-native`` suffix) when a
@@ -141,7 +140,7 @@ def test_emit_pipeline_report(benchmark, workload):
     core_time = results[("serial-core", "py")][2]
     for (backend, impl), (clustering, engine, elapsed) in results.items():
         if backend != "serial-core":
-            # Backends and kernel tiers (hence directions) may only
+            # Backends and kernel tiers may only
             # move time, never results: identical clustering AND
             # identical counters on every combination.
             assert np.array_equal(clustering.center, reference.center)
@@ -196,7 +195,7 @@ def test_emit_pipeline_report(benchmark, workload):
                 f"Fused emit pipeline on R-MAT({SCALE}) LCC "
                 f"(n={workload.num_nodes}, m={workload.num_edges}, "
                 f"{WORKERS} workers; serial-core wall {core_time:.2f}s; "
-                f"auto = direction-optimized + frozen-emission cache)"
+                f"auto = push + frozen-emission cache)"
             ),
         ),
     )

@@ -68,7 +68,7 @@ SHED_LATENCY_BAR_S = 0.25
 def stored_workload(tmp_path_factory):
     graph = largest_connected_component(rmat(SCALE, edge_factor=8, seed=11))[0]
     path = tmp_path_factory.mktemp("integrity-bench") / f"rmat{SCALE}.rcsr"
-    write_store(graph, path, reverse=True)
+    write_store(graph, path)
     return graph, path
 
 

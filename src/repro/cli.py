@@ -77,11 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_conv.add_argument("input")
     p_conv.add_argument("output")
-    p_conv.add_argument(
-        "--reverse", action="store_true",
-        help="also write the reverse-CSR (rsrc) section pull-mode "
-             "growing steps memory-map (.rcsr outputs only)",
-    )
 
     p_gen = sub.add_parser("generate", help="generate a benchmark graph")
     p_gen.add_argument(
@@ -338,13 +333,10 @@ def _cmd_info(args) -> int:
         print(f"edges        : {header.num_edges}")
         print(f"arcs         : {header.num_arcs}")
         print(f"file size    : {header.file_size} bytes")
-        sections = (f"indptr@{header.indptr_offset} "
-                    f"indices@{header.indices_offset} "
-                    f"weights@{header.weights_offset}")
-        if header.has_reverse:
-            sections += f" rsrc@{header.rsrc_offset}"
+        sections = " ".join(
+            f"{name}@{offset}" for name, offset, _ in header.sections()
+        )
         print(f"sections     : {sections}")
-        print(f"reverse csr  : {'yes' if header.has_reverse else 'no'}")
         _print_partitions(args.file)
         return 0
 
@@ -396,16 +388,8 @@ def _cmd_convert(args) -> int:
     if Path(args.output).suffix == STORE_SUFFIX:
         from repro.runtime import default_store
 
-        graph = default_store().convert(
-            args.input, args.output, reverse=args.reverse
-        )
+        graph = default_store().convert(args.input, args.output)
     else:
-        if args.reverse:
-            print(
-                "error: --reverse only applies to .rcsr outputs",
-                file=sys.stderr,
-            )
-            return 2
         from repro.graph.io import read_auto, write_auto
 
         graph = read_auto(args.input)

@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.state import NO_CENTER, ClusterState
 from repro.graph.csr import CSRGraph
 from repro.mr import native as _native
-from repro.mr.emit import use_pull
 from repro.mr.kernels import ScatterScratch, scatter_min_rows
 from repro.mr.metrics import Counters
 from repro.util import expand_ranges
@@ -106,38 +105,8 @@ def delta_growing_step(
         return np.empty(0, dtype=np.int64), 0
 
     emit_start = perf_counter()
-    # Direction-optimizing expansion, under the one policy of
-    # repro.mr.emit.use_pull: push gathers the frontier's CSR rows; the
-    # NumPy tier pulls (streams every arc target-major) once the
-    # frontier degree-sum crosses the threshold.  Both produce the
-    # identical candidate multiset with ascending sources inside each
-    # target group, so winners cannot differ.
     degs = graph.indptr[srcs + 1] - graph.indptr[srcs]
-    if use_pull(int(degs.sum()), graph.num_arcs):
-        n = graph.num_nodes
-        effd = np.zeros(n)
-        emitting = np.zeros(n, dtype=bool)
-        emitting[srcs] = True
-        effd[srcs] = eff
-        rows = graph.arc_sources_view()  # reverse-CSR arc→row map
-        em = emitting[graph.indices]
-        w_all = graph.weights
-        light_all = w_all <= delta
-        open_all = ~state.frozen[rows]
-        msg_mask = em & light_all & open_all
-        messages = int(np.count_nonzero(msg_mask))
-        nd_all = effd[graph.indices] + w_all
-        ok_all = msg_mask & (nd_all <= delta) & (nd_all < state.dist[rows])
-        if not ok_all.any():
-            counters.record_round(messages=messages, updates=0)
-            counters.add_time("emit", perf_counter() - emit_start)
-            return np.empty(0, dtype=np.int64), 0
-        cand_t = rows[ok_all]
-        cand_d = nd_all[ok_all]
-        cand_s = graph.indices[ok_all]
-        cand_c = state.center[cand_s]
-        cand_acc = state.dist_acc[cand_s] + w_all[ok_all]
-    elif _native.use_native():
+    if _native.use_native():
         # Fused push expansion + message count + Δ/improvement filter in
         # one C pass over the frontier's arcs (same semantics as the
         # NumPy cascade below, including the message count's exclusion
@@ -185,8 +154,7 @@ def delta_growing_step(
 
     # Winner per target: smallest distance, then smallest center index
     # (any remaining tie is a duplicate (target, distance, center) row;
-    # the kernel keeps the earliest arrival — which is the same row in
-    # push and pull order, as sources ascend within each target group).
+    # the kernel keeps the earliest arrival).
     upd, sel = scatter_min_rows(
         cand_t,
         (cand_d, cand_c.astype(np.float64)),

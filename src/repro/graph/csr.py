@@ -53,7 +53,6 @@ class CSRGraph:
         "_num_nodes",
         "_num_directed_edges",
         "_mmap",
-        "_rsrc",
         "store_path",
     )
 
@@ -93,7 +92,6 @@ class CSRGraph:
         self._num_nodes = n
         self._num_directed_edges = len(indices)
         self._mmap = None
-        self._rsrc = None
         self.store_path = None
 
     # ------------------------------------------------------------------ #
@@ -163,14 +161,6 @@ class CSRGraph:
         graph = cls(indptr, indices, weights, validate=validate)
         graph._mmap = buf
         graph.store_path = header.path
-        if header.rsrc_offset:
-            # Reverse-CSR section: the source row of every arc slot,
-            # i.e. the arc→row map the pull-mode growing step gathers
-            # by (see repro.graph.serialize for the layout).
-            graph._rsrc = np.frombuffer(
-                buf, dtype=np.int64, count=header.num_arcs,
-                offset=header.rsrc_offset,
-            )
         return graph
 
     @property
@@ -255,32 +245,6 @@ class CSRGraph:
     def arc_sources(self) -> np.ndarray:
         """Source node of every stored arc (length ``num_arcs``)."""
         return np.repeat(np.arange(self._num_nodes, dtype=np.int64), self.degrees)
-
-    @property
-    def rsrc(self):
-        """The reverse-CSR arc→row map, if one is attached (else ``None``).
-
-        For the symmetric graphs this library stores, the reverse CSR
-        shares ``indptr``/``indices``/``weights`` with the forward one;
-        the arc→row map (source node per arc slot) is the only extra
-        structure, and is what the ``rsrc`` store section persists.
-        Populated by :meth:`open_mmap` when the store carries the
-        section, or by :meth:`arc_sources_view` on first use.
-        """
-        return self._rsrc
-
-    def arc_sources_view(self) -> np.ndarray:
-        """Cached, read-only :meth:`arc_sources` (the reverse-CSR map).
-
-        Memory-mapped from the store's ``rsrc`` section when present;
-        otherwise computed once and kept on the graph, so every growing
-        state (and its pull-mode expansion) shares one copy.
-        """
-        if self._rsrc is None:
-            rsrc = self.arc_sources()
-            rsrc.setflags(write=False)
-            self._rsrc = rsrc
-        return self._rsrc
 
     # ------------------------------------------------------------------ #
     # Conversions

@@ -415,15 +415,12 @@ def write_partitioned_store(
     shard_digests: List[str] = []
     for k in range(num_shards):
         path = directory / f"part-{k}{STORE_SUFFIX}"
-        # Shard stores carry the reverse-CSR section up front: workers
-        # memory-map their local arc→row map instead of rebuilding it,
-        # and the pull-mode growing step starts warm.
         if plan.mode == "range":
             lo, hi = plan.shard_range(k)
             shard = _shard_graph(graph, lo, hi)
         else:
             shard = _shard_graph_rows(graph, plan.shard_rows(k))
-        write_store(shard, path, reverse=True)
+        write_store(shard, path)
         # Whole-file digest over the bytes just written (page cache is
         # warm): lets a deep verify catch a shard file swapped for a
         # different-but-self-consistent store, which the shard's own

@@ -18,19 +18,20 @@ GraphStore on-disk layout (version 2, little-endian)::
     ------  ------------  ---------------------------------------------
     0       8             magic ``b"REPROCSR"``
     8       4             format version (uint32, currently 2)
-    12      4             flags (uint32; bit 0 = reverse section present,
-                          bit 1 = trailing digest block present)
+    12      4             flags (uint32; bit 0 = legacy ``rsrc`` section
+                          present, bit 1 = trailing digest block present)
     16      8             num_nodes n (int64)
     24      8             num_arcs 2m (int64)
     32      8             indptr section offset (int64)
     40      8             indices section offset (int64)
     48      8             weights section offset (int64)
-    56      8             rsrc section offset (int64, 0 when absent)
+    56      8             legacy rsrc section offset (int64; 0 in
+                          stores written today)
     ...                   sections, each 64-byte aligned:
                           indptr  (n+1) x int64
                           indices (2m)  x int64
                           weights (2m)  x float64
-                          rsrc    (2m)  x int64   [optional]
+                          rsrc    (2m)  x int64   [legacy, flag bit 0]
     ...                   digest block (64-byte aligned, flag bit 1)::
 
                               0   8    magic ``b"RCSRDIG1"``
@@ -50,17 +51,13 @@ open pays for: ``header`` (default) re-hashes only the 64 header bytes
 and bounds-checks the block, which is O(1) yet catches torn headers and
 any tail truncation; ``full`` streams every section.
 
-The optional **reverse-CSR section** (``rsrc``, flag bit 0) stores the
-source row of every arc slot.  Stored graphs are symmetric with sorted
-rows, so the reverse CSR shares ``indptr``/``indices``/``weights`` with
-the forward one — reading row ``t`` target-major lists exactly ``t``'s
-in-arcs with ascending sources — and the arc→row map is the only
-structure the pull-mode growing step (:mod:`repro.mr.emit`) needs to
-gather by.  The section is written by ``write_store(...,
-reverse=True)`` or appended lazily by
-:meth:`repro.runtime.store.GraphStore.ensure_reverse`; readers that
-predate it ignore the flag and the trailing section (the field was
-reserved-zero before).
+The **legacy ``rsrc`` section** (flag bit 0) held the source row of
+every arc slot, for a pull-direction growing step that no longer
+exists.  Nothing writes it any more and nothing maps it, but stores
+that carry it stay valid: :func:`read_store_header` still parses the
+flag so that the section is bounds-checked, the digest block (placed
+after the last section) is found, and ``verify_store`` at ``full``
+level re-hashes the section against its digest entry.
 
 Clusterings keep the npz form (:func:`save_clustering`), so a
 decomposition computed once (expensive at scale) can be re-analyzed
@@ -88,7 +85,6 @@ __all__ = [
     "save_clustering",
     "load_clustering",
     "write_store",
-    "ensure_reverse_section",
     "read_store_header",
     "open_store",
     "verify_store",
@@ -96,7 +92,6 @@ __all__ = [
     "StoreHeader",
     "STORE_SUFFIX",
     "STORE_VERSION",
-    "FLAG_REVERSE",
     "FLAG_DIGESTS",
 ]
 
@@ -116,8 +111,9 @@ _STORE_MAGIC = b"REPROCSR"
 _HEADER_SIZE = 64
 _HEADER_FMT = "<8sII6q"  # magic, version, flags, n, arcs, 4 section offsets
 
-#: Header flag bit: the reverse-CSR (``rsrc``) section is present.
-FLAG_REVERSE = 0x1
+#: Header flag bit: a legacy ``rsrc`` section follows ``weights``.
+#: Parsed (to place the digest block), never written.
+_FLAG_LEGACY_RSRC = 0x1
 #: Header flag bit: the trailing per-section digest block is present.
 FLAG_DIGESTS = 0x2
 
@@ -167,7 +163,10 @@ class StoreHeader:
 
     ``repro info`` prints these fields for ``.rcsr`` files without
     touching the data sections, and :meth:`CSRGraph.open_mmap` uses the
-    offsets to build its zero-copy views.
+    offsets to build its zero-copy views.  ``rsrc_offset`` is non-zero
+    only for a legacy store that carries the ``rsrc`` section; it is
+    listed by :meth:`sections` so integrity checks cover it, and never
+    mapped.
     """
 
     path: Path
@@ -187,11 +186,6 @@ class StoreHeader:
         return self.num_arcs // 2
 
     @property
-    def has_reverse(self) -> bool:
-        """Whether the reverse-CSR (``rsrc``) section is present."""
-        return bool(self.flags & FLAG_REVERSE) and self.rsrc_offset > 0
-
-    @property
     def has_digests(self) -> bool:
         """Whether the trailing digest block is present (flag bit 1)."""
         return bool(self.flags & FLAG_DIGESTS)
@@ -199,10 +193,7 @@ class StoreHeader:
     @property
     def data_bytes(self) -> int:
         """Bytes occupied by the array sections (without padding)."""
-        base = 8 * (self.num_nodes + 1) + 16 * self.num_arcs
-        if self.has_reverse:
-            base += 8 * self.num_arcs
-        return base
+        return sum(nbytes for _, _, nbytes in self.sections())
 
     def sections(self) -> List[Tuple[str, int, int]]:
         """``(name, offset, nbytes)`` of every section in file order."""
@@ -211,7 +202,7 @@ class StoreHeader:
             ("indices", self.indices_offset, 8 * self.num_arcs),
             ("weights", self.weights_offset, 8 * self.num_arcs),
         ]
-        if self.has_reverse:
+        if self.rsrc_offset:
             out.append(("rsrc", self.rsrc_offset, 8 * self.num_arcs))
         return out
 
@@ -284,7 +275,6 @@ def write_store(
     graph: CSRGraph,
     path: PathLike,
     *,
-    reverse: bool = False,
     digests: bool = True,
 ) -> Path:
     """Write ``graph`` as a GraphStore file and return its path.
@@ -294,11 +284,6 @@ def write_store(
     file or the complete new one, never a torn header.  Free space is
     preflighted so an ENOSPC surfaces before any byte lands, and the
     temp file is always unlinked on failure.
-
-    ``reverse=True`` additionally writes the reverse-CSR ``rsrc``
-    section (the source row of every arc slot) so pull-mode growing
-    steps can memory-map their gather index instead of rebuilding it
-    per process.
 
     ``digests=True`` (the default) writes a version-2 store with the
     trailing sha256 digest block; ``digests=False`` writes the legacy
@@ -310,10 +295,7 @@ def write_store(
     indptr_off = _align64(_HEADER_SIZE)
     indices_off = _align64(indptr_off + 8 * (n + 1))
     weights_off = _align64(indices_off + 8 * arcs)
-    rsrc_off = _align64(weights_off + 8 * arcs) if reverse else 0
-    flags = FLAG_REVERSE if reverse else 0
-    if digests:
-        flags |= FLAG_DIGESTS
+    flags = FLAG_DIGESTS if digests else 0
     header = struct.pack(
         _HEADER_FMT,
         _STORE_MAGIC,
@@ -324,7 +306,7 @@ def write_store(
         indptr_off,
         indices_off,
         weights_off,
-        rsrc_off,
+        0,
     ).ljust(_HEADER_SIZE, b"\x00")
 
     sections = [
@@ -332,9 +314,6 @@ def write_store(
         ("indices", indices_off, graph.indices),
         ("weights", weights_off, graph.weights),
     ]
-    if reverse:
-        rsrc = graph.rsrc if graph.rsrc is not None else graph.arc_sources()
-        sections.append(("rsrc", rsrc_off, rsrc))
 
     end = sections[-1][1] + np.ascontiguousarray(sections[-1][2]).nbytes
     total = _align64(end) + _digest_block_size(len(sections)) if digests else end
@@ -385,22 +364,6 @@ def _flip_store_byte(path: Path) -> None:
         fh.write(bytes([byte[0] ^ 0xFF]))
 
 
-def ensure_reverse_section(path: PathLike) -> StoreHeader:
-    """Make sure ``path`` carries the reverse-CSR section; return its header.
-
-    A store that already has the section is untouched (O(1) header
-    read); otherwise the file is atomically rewritten with the ``rsrc``
-    section appended.  This is the lazy builder
-    :meth:`repro.runtime.store.GraphStore.ensure_reverse` delegates to.
-    """
-    header = read_store_header(path)
-    if header.has_reverse:
-        return header
-    graph = open_store(path)
-    write_store(graph, path, reverse=True)
-    return read_store_header(path)
-
-
 def read_store_header(path: PathLike) -> StoreHeader:
     """Read and validate a GraphStore header (64 bytes, no array I/O).
 
@@ -435,7 +398,7 @@ def read_store_header(path: PathLike) -> StoreHeader:
         (indices_off, 8 * arcs),
         (weights_off, 8 * arcs),
     ]
-    if flags & FLAG_REVERSE:
+    if flags & _FLAG_LEGACY_RSRC:
         sections.append((rsrc_off, 8 * arcs))
     for offset, length in sections:
         if offset < _HEADER_SIZE or offset + length > file_size:
@@ -456,7 +419,7 @@ def read_store_header(path: PathLike) -> StoreHeader:
         weights_offset=weights_off,
         file_size=file_size,
         flags=flags,
-        rsrc_offset=rsrc_off if flags & FLAG_REVERSE else 0,
+        rsrc_offset=rsrc_off if flags & _FLAG_LEGACY_RSRC else 0,
     )
     if header.has_digests:
         # O(1) truncation guard: the digest block is the last thing in

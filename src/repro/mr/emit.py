@@ -1,4 +1,4 @@
-"""Fused zero-allocation emit pipeline with direction-optimizing expansion.
+"""Fused zero-allocation emit pipeline for the Δ-growing step's push expansion.
 
 The scatter-min merge (:mod:`repro.mr.kernels`) makes the *reduce* side
 of a Δ-growing step frontier-proportional; the *map* side — per round
@@ -9,10 +9,10 @@ structural costs:
 
 1. **allocation churn** — a fresh ``(C, 3)`` float64 matrix plus
    several index temporaries every round;
-2. **push-only expansion** — a forced round (stage start, Δ change)
-   re-expands *every* assigned node through ``indptr`` gathers and two
-   ``np.repeat`` calls, even though late-stage forced rounds are almost
-   entirely frozen nodes re-emitting contributions that cannot win;
+2. **full forced-round re-expansion** — a forced round (stage start,
+   Δ change) re-expands *every* assigned node through ``indptr``
+   gathers, even though late-stage forced rounds are almost entirely
+   frozen nodes re-emitting contributions that cannot win;
 3. **eager materialization** — all C candidate rows (center and
    accumulated-distance columns included) travelled through the shuffle,
    although the merge discards every candidate that does not improve
@@ -27,31 +27,18 @@ workers *actually* merge, which the improvement pre-filter shrinks —
 see :class:`repro.mr.sharded.ShardedGrowingState` for that contract.
 
 * :class:`EmitScratch` owns preallocated, monotonically grown buffers
-  (dense id-domain scratch, arc-domain scratch bounded by the graph's
+  (dense per-row scratch, arc-domain scratch bounded by the graph's
   maximum frontier degree-sum — its arc count — and candidate banks),
   so a non-forced round performs **zero O(n) or O(m) allocations**:
   candidate columns are written straight into the banks and handed to
   :func:`~repro.mr.kernels.scatter_min_rows` with no intermediate copy,
   key materialization, or sort.
 
-* **Direction-optimizing expansion** (cf. Beamer et al.'s push/pull
-  BFS): when the emitting frontier's degree-sum exceeds
-  :data:`PULL_DEGREE_FRACTION` of the arc count, the expansion switches
-  from *push* (gather the frontier's CSR rows, repeat sources over
-  their arcs) to *pull* (stream every arc target-major through the
-  reverse CSR, testing each arc's source against a dense emitting
-  mask).  For the symmetric graphs this library builds, the reverse CSR
-  shares ``indptr``/``indices``/``weights`` with the forward one — row
-  ``t`` read target-major lists exactly ``t``'s in-arcs — so the only
-  new structure pull needs is the arc→row map (the source row of every
-  arc slot), memory-mapped from the ``rsrc`` section of the ``.rcsr``
-  store format when present (see :mod:`repro.graph.serialize`) or
-  computed once per scratch.  :func:`use_pull` is the one direction
-  policy, shared with the core path: the native tier always pushes,
-  the NumPy tier pulls past the threshold.  Both directions produce
-  the identical candidate multiset with identical within-target
-  arrival order (ascending source id — builders deduplicate and sort
-  arcs), so results and counters cannot differ.
+* **Push expansion** is the only direction: each round gathers the
+  emitting frontier's CSR rows — one fused C pass on the native tier,
+  a buffered ``indptr`` gather cascade on the NumPy tier — so a round
+  costs O(frontier arcs) and emits candidates source-major, sources
+  ascending.
 
 * **Improvement pre-filter**: candidates that cannot be adopted —
   target frozen, or candidate distance not below the target's current
@@ -81,12 +68,11 @@ see :class:`repro.mr.sharded.ShardedGrowingState` for that contract.
   block first), which only an order-free merge may consume — every
   merge (the whole-graph scatter and the sharded workers) breaks ties
   by ``(nd, center, source)``, provably equal to arrival order for
-  deduplicated edges.  Contract2 rescaling uses the plain push/pull
-  paths.
+  deduplicated edges.  Contract2 rescaling uses the plain push path.
 
 The plain expansion survives as the ``emit_frontier`` oracle of
-``tests/mr/test_emit.py``, which also pits the two directions against
-each other; ``tests/mr/test_emit_parity.py`` pits every executor and
+``tests/mr/test_emit.py``, which also checks shard-slice layouts
+against it; ``tests/mr/test_emit_parity.py`` pits every executor and
 kernel tier against the test suite's per-key reference.
 """
 
@@ -99,43 +85,21 @@ import numpy as np
 from repro.mr import native as _native
 
 __all__ = [
-    "PULL_DEGREE_FRACTION",
-    "use_pull",
+    "CACHE_LIVE_FRACTION",
     "EmitBatch",
     "EmitScratch",
 ]
 
 NO_CENTER = -1
 
-#: The NumPy tier switches to pull when the emitting frontier's
-#: degree-sum exceeds this fraction of the graph's arcs.  Push costs
-#: O(frontier arcs) with expansion/repeat overhead per arc; pull costs
-#: O(m) in cheaper streaming passes — on the R-MAT measurements the
-#: crossover sits near a quarter of the arcs.  The same bound decides
-#: when a forced round's live frontier is small enough to answer from
-#: the frozen-emission cache.
-PULL_DEGREE_FRACTION = 0.25
+#: A forced round is answered from the frozen-emission cache only when
+#: its live (unfrozen) emitting rows span at most this fraction of the
+#: arcs: those rows still expand push-style next to the replay, and a
+#: larger live frontier gains little from replaying the frozen rest.
+CACHE_LIVE_FRACTION = 0.25
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
-
-
-def use_pull(degree_sum: int, num_arcs: int) -> bool:
-    """Whether a round whose emitting frontier spans ``degree_sum`` of
-    ``num_arcs`` arcs expands pull-style (target-major) instead of push.
-
-    The native tier always pushes: its C push expansion scans exactly
-    the frontier's arcs with zero allocation, so it never loses to a
-    full-arc pull scan.  The NumPy tier, where push pays for
-    expand/repeat materialization, pulls past
-    :data:`PULL_DEGREE_FRACTION` of the arcs.  Both directions emit the
-    identical candidate multiset, so the choice cannot perturb results
-    or counters.  Used by :class:`EmitScratch` and by the core path's
-    :func:`~repro.core.growing.delta_growing_step`.
-    """
-    if _native.use_native():
-        return False
-    return bool(num_arcs) and degree_sum > PULL_DEGREE_FRACTION * num_arcs
 
 
 class EmitBatch:
@@ -212,27 +176,19 @@ class EmitScratch:
 
     Bound to one CSR slice: local rows ``[0, num_rows)`` whose
     ``indices`` may carry global neighbour ids (shard slices do);
-    ``base`` is the global id of local row 0 and ``id_domain`` the size
-    of the global id space (defaults to ``base + num_rows``, i.e. the
-    whole-graph layout).  All buffers are allocated lazily and grown
-    monotonically; :meth:`reset` clears the frozen-emission cache but
-    keeps every buffer, so CLUSTER2's second phase (and the sharded
-    workers' ``reset`` command) re-run on warm scratch.
-
-    ``arc_sources``, when given, is the arc→row map of the reverse CSR
-    (:meth:`repro.graph.csr.CSRGraph.arc_sources_view` — memory-mapped
-    from the store's ``rsrc`` section when present); otherwise it is
-    computed once on first pull use.
+    ``base`` is the global id of local row 0.  All buffers are allocated
+    lazily and grown monotonically; :meth:`reset` clears the
+    frozen-emission cache but keeps every buffer, so CLUSTER2's second
+    phase (and the sharded workers' ``reset`` command) re-run on warm
+    scratch.
 
     **Mapped layout** (lp-partitioned shards): when ``row_gids`` is
     given, local row ``r`` is global node ``row_gids[r]`` and the row
     set is *not* contiguous — ``base`` must be 0 and ``localidx`` /
     ``owners`` (the partition sidecars, indexed by global id) and
-    ``shard_id`` supply the reverse maps.  The mapped layout keeps the
-    native push expansion (its keys come straight from ``indices``) and
-    the native frozen-emission cache kernels (which take the sidecars
-    as their ownership map); its NumPy pull maps rows through
-    ``row_gids``/``localidx``.
+    ``shard_id`` supply the reverse maps.  Push expansion needs none of
+    them (its keys come straight from ``indices``); the frozen-emission
+    cache uses the sidecars as its ownership map.
     """
 
     def __init__(
@@ -242,10 +198,6 @@ class EmitScratch:
         weights: np.ndarray,
         *,
         base: int = 0,
-        id_domain: Optional[int] = None,
-        arc_sources: Optional[np.ndarray] = None,
-        boundary_rows: Optional[np.ndarray] = None,
-        boundary_aidx: Optional[np.ndarray] = None,
         row_gids: Optional[np.ndarray] = None,
         localidx: Optional[np.ndarray] = None,
         owners: Optional[np.ndarray] = None,
@@ -259,35 +211,18 @@ class EmitScratch:
         self.base = base
         self.num_rows = len(indptr) - 1
         self.num_arcs = len(indices)
-        self.id_domain = (
-            int(id_domain) if id_domain is not None else base + self.num_rows
-        )
         self.row_gids = row_gids
         self.localidx = localidx
         self.owners = owners
         self.shard_id = shard_id
-        # Mapped layouts keep forced-round mask/eff in dedicated local
-        # buffers (the contiguous layouts use dense-window views).
+        # Forced-round per-row emitting mask and effective distances.
         self._m_loc: Optional[np.ndarray] = None
         self._e_loc: Optional[np.ndarray] = None
-        self._arc_rows = arc_sources  # local row of every arc slot
-        # Boundary slice of a shard: arcs whose target lives on another
-        # shard (local source row + absolute arc index per arc).  The
-        # pull direction streams local rows target-major — which covers
-        # exactly the arcs *into* local targets — so these outward arcs
-        # are expanded push-style and appended (see _emit_pull).  Whole-
-        # graph layouts have no boundary and leave these None.
-        self._b_rows = boundary_rows
-        self._b_aidx = boundary_aidx
         self._i8 = _Bank(np.int64)
         self._f8 = _Bank(np.float64)
         self._b1 = _Bank(bool)
-        # Dense id-domain buffers (sized to the global id space so shard
-        # slices can test global neighbour ids directly).
-        self._eff: Optional[np.ndarray] = None
-        self._mask: Optional[np.ndarray] = None
         # Dense all-zero histogram for the native accounting pass
-        # (rk_count_keys restores the invariant in-kernel).
+        # (rk_finish_batch restores the invariant in-kernel).
         self._hist0: Optional[np.ndarray] = None
         # Frozen-emission cache (rescale == 0, forced rounds).
         self._cache_delta: Optional[float] = None
@@ -305,7 +240,6 @@ class EmitScratch:
         self._cbuf_k: Optional[np.ndarray] = None
         self._cbuf_s: Optional[np.ndarray] = None
         self._cbuf_a: Optional[np.ndarray] = None
-        self._degs: Optional[np.ndarray] = None  # static out-degrees
         #: Forced rounds answered from the frozen-emission cache.
         self.cache_hits = 0
 
@@ -325,38 +259,23 @@ class EmitScratch:
         self._cache_len = 0
 
     def release_buffers(self) -> None:
-        """Free the per-round scratch: banks and dense id-domain buffers.
+        """Free the per-round scratch: banks and dense per-row buffers.
 
         Everything dropped here is reallocated on next use with its
-        zero-invariant intact (``_dense``/``_hist0`` allocate zeros,
-        banks are write-before-read), so correctness is untouched —
-        only the high-water allocation is surrendered.  What carries
-        cross-round state survives: the frozen-emission cache columns
-        and masks, and the static degree column.  The out-of-core
-        sharded tier calls this when a shard is evicted so an evicted
-        worker's footprint is O(state + cache), not O(its arcs).
+        zero-invariant intact (``_hist0`` allocates zeros, banks and the
+        forced-round sets are write-before-read), so correctness is
+        untouched — only the high-water allocation is surrendered.  What
+        carries cross-round state survives: the frozen-emission cache
+        columns and masks.  The out-of-core sharded tier calls this when
+        a shard is evicted so an evicted worker's footprint is
+        O(state + cache), not O(its arcs).
         """
         self._i8 = _Bank(np.int64)
         self._f8 = _Bank(np.float64)
         self._b1 = _Bank(bool)
-        self._eff = None
-        self._mask = None
         self._hist0 = None
         self._m_loc = None
         self._e_loc = None
-
-    def _arc_rows_view(self) -> np.ndarray:
-        if self._arc_rows is None:
-            self._arc_rows = np.repeat(
-                np.arange(self.num_rows, dtype=np.int64), np.diff(self.indptr)
-            )
-        return self._arc_rows
-
-    def _dense(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._eff is None or len(self._eff) < self.id_domain:
-            self._eff = np.zeros(self.id_domain, dtype=np.float64)
-            self._mask = np.zeros(self.id_domain, dtype=bool)
-        return self._eff[: self.id_domain], self._mask[: self.id_domain]
 
     # -- raw expansion: unfiltered candidate columns -------------------- #
 
@@ -426,79 +345,6 @@ class EmitScratch:
         src_c = np.take(src_ids, gid_c, out=self._i8.get("full_src", count))
         return keys_c, nd_c, src_c, aidx_c, count
 
-    def _emit_pull(self, mask: np.ndarray, eff: np.ndarray, delta: float):
-        """Stream every arc target-major, keeping arcs whose source emits.
-
-        The NumPy tier's heavy-frontier direction (see :func:`use_pull`).
-        ``mask``/``eff`` are dense over the global id space.  Candidate
-        order is target-major with ascending sources inside each target
-        group — the same *within-group* arrival order as push, which is
-        the only order the merge tie-break depends on.  Returned
-        ``src_local`` assumes emitting sources are local (callers mark
-        only local rows in ``mask``).
-        """
-        arcs = self.num_arcs
-        if arcs == 0:
-            return _EMPTY_I8, _EMPTY_F8, _EMPTY_I8, _EMPTY_I8, 0
-        indices = self.indices
-        weights = self.weights
-        em = np.take(mask, indices, out=self._b1.get("pull_em", arcs))
-        nd = np.take(eff, indices, out=self._f8.get("pull_nd", arcs))
-        nd += weights
-        ok = np.less_equal(weights, delta, out=self._b1.get("pull_ok", arcs))
-        np.logical_and(ok, em, out=ok)
-        np.logical_and(ok, nd <= delta, out=ok)
-        count = int(np.count_nonzero(ok))
-
-        # Boundary slice (shard layouts): outward arcs are not rows of
-        # this slice, so pull cannot reach them target-major — expand
-        # them push-style and append after the local-target block.
-        bk = bnd = bsrc = baidx = None
-        bcount = 0
-        if self._b_aidx is not None and len(self._b_aidx):
-            bw = np.take(weights, self._b_aidx)
-            if self.row_gids is not None:
-                bsrc_g = self.row_gids[self._b_rows]
-            else:
-                bsrc_g = self._b_rows + self.base if self.base else self._b_rows
-            bem = mask[bsrc_g]
-            bnd_all = eff[bsrc_g]
-            bnd_all = bnd_all + bw
-            bok = bem & (bw <= delta) & (bnd_all <= delta)
-            bcount = int(np.count_nonzero(bok))
-            if bcount:
-                bk = np.take(indices, self._b_aidx)[bok]
-                bnd = bnd_all[bok]
-                bsrc = self._b_rows[bok]
-                baidx = self._b_aidx[bok]
-
-        total = count + bcount
-        if total == 0:
-            return _EMPTY_I8, _EMPTY_F8, _EMPTY_I8, _EMPTY_I8, 0
-        keys_c = self._i8.get("full_keys", total)
-        nd_c = self._f8.get("full_nd", total)
-        src_c = self._i8.get("full_src", total)
-        aidx_c = self._i8.get("full_aidx", total)
-        if count:
-            np.compress(ok, self._arc_rows_view(), out=keys_c[:count])
-            if self.row_gids is not None:
-                keys_c[:count] = self.row_gids[keys_c[:count]]
-            elif self.base:
-                keys_c[:count] += self.base
-            np.compress(ok, nd, out=nd_c[:count])
-            np.compress(ok, indices, out=src_c[:count])
-            if self.row_gids is not None:
-                src_c[:count] = self.localidx[src_c[:count]]
-            elif self.base:
-                src_c[:count] -= self.base
-            np.compress(ok, self._arange(arcs), out=aidx_c[:count])
-        if bcount:
-            keys_c[count:total] = bk
-            nd_c[count:total] = bnd
-            src_c[count:total] = bsrc
-            aidx_c[count:total] = baidx
-        return keys_c, nd_c, src_c, aidx_c, total
-
     def _arange(self, size: int) -> np.ndarray:
         buf = self._i8._bufs.get("arange")
         if buf is None or len(buf) < size:
@@ -523,8 +369,8 @@ class EmitScratch:
     ):
         """Unfiltered fused expansion: ``(keys, nd, src_local, aidx, emitted)``.
 
-        The scratch-buffered, direction-optimized plain expansion
-        (candidate keys, distances and source ids) minus the value-matrix
+        The scratch-buffered plain push expansion (candidate keys,
+        distances and source ids) minus the value-matrix
         materialization; sharded workers route and filter the columns
         themselves (only locally-owned targets can be improvement-
         tested).  State arrays are local; ``keys`` follow ``indices``'
@@ -533,12 +379,12 @@ class EmitScratch:
         merge order-free (the sharded merge does).
         """
         if force:
-            m_loc, e_loc, degree_sum = self._forced_sets(
+            m_loc, e_loc = self._forced_sets(
                 center, dist, frozen, frozen_iter, delta, rescale, iteration
             )
             live_ids = self._cached_live_ids(m_loc, frozen, rescale)
             if live_ids is None:
-                return self._expand_forced(m_loc, e_loc, degree_sum, delta)
+                return self._expand_forced(m_loc, e_loc, delta)
             # Replay frozen emissions from the cache; only the live
             # frontier expands.  ``emitted`` includes the inert rows
             # (frozen or external targets) that are replayed as counts,
@@ -566,19 +412,6 @@ class EmitScratch:
             eff_vals = eff_vals[keep]
         if not len(src):
             return _EMPTY_I8, _EMPTY_F8, _EMPTY_I8, _EMPTY_I8, 0
-        degs = self.indptr[src + 1] - self.indptr[src]
-        if use_pull(int(degs.sum()), self.num_arcs):
-            eff, mask = self._dense()
-            if self.row_gids is None:
-                mask[self.base : self.base + self.num_rows].fill(False)
-                mask[src + self.base] = True
-                eff[src + self.base] = eff_vals
-            else:
-                mask[self.row_gids] = False
-                gsrc = self.row_gids[src]
-                mask[gsrc] = True
-                eff[gsrc] = eff_vals
-            return self._emit_pull(mask, eff, delta)
         return self._emit_push(src, eff_vals, delta)
 
     def _cached_live_ids(
@@ -587,7 +420,7 @@ class EmitScratch:
         """Live (unfrozen emitting) rows of a forced round the
         frozen-emission cache can answer, else ``None``: the cache needs
         Contract semantics and a live degree-sum within
-        :data:`PULL_DEGREE_FRACTION` of the arcs (live rows expand
+        :data:`CACHE_LIVE_FRACTION` of the arcs (live rows expand
         push-style next to the replay)."""
         if rescale != 0.0:
             return None
@@ -595,61 +428,27 @@ class EmitScratch:
         live_sum = int(
             (self.indptr[live_ids + 1] - self.indptr[live_ids]).sum()
         )
-        if live_sum > PULL_DEGREE_FRACTION * self.num_arcs:
+        if live_sum > CACHE_LIVE_FRACTION * self.num_arcs:
             return None
         return live_ids
 
-    def _expand_forced(self, m_loc, e_loc, degree_sum, delta):
+    def _expand_forced(self, m_loc, e_loc, delta):
         """Plain (uncached) expansion of a forced round's emitting rows."""
-        if use_pull(degree_sum, self.num_arcs):
-            eff, mask = self._pull_dense(m_loc, e_loc)
-            return self._emit_pull(mask, eff, delta)
         src = np.flatnonzero(m_loc)
         return self._emit_push(src, e_loc[src], delta)
-
-    def _local_sets(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row (mask, eff) buffers — dense-window views when the row
-        set is contiguous, dedicated local arrays when mapped."""
-        if self.row_gids is None:
-            eff, mask = self._dense()
-            lo, hi = self.base, self.base + self.num_rows
-            return mask[lo:hi], eff[lo:hi]
-        if self._m_loc is None:
-            self._m_loc = np.zeros(self.num_rows, dtype=bool)
-            self._e_loc = np.zeros(self.num_rows, dtype=np.float64)
-        return self._m_loc, self._e_loc
-
-    def _pull_dense(
-        self, m_loc: np.ndarray, e_loc: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense global (eff, mask) for the pull direction.
-
-        Contiguous layouts already maintained the dense window in place;
-        mapped layouts scatter their local buffers to the rows' global
-        positions (clearing only previously-written positions — every
-        dense write in mapped mode lands on a ``row_gids`` entry).
-        """
-        eff, mask = self._dense()
-        if self.row_gids is not None:
-            mask[self.row_gids] = False
-            on = self.row_gids[m_loc]
-            mask[on] = True
-            eff[on] = e_loc[m_loc]
-        return eff, mask
 
     def _forced_sets(
         self, center, dist, frozen, frozen_iter, delta, rescale, iteration
     ):
         """Per-row emitting mask + effective distances for a forced round."""
-        m_loc, e_loc = self._local_sets()
-        if self._degs is None:
-            self._degs = self.indptr[1:] - self.indptr[:-1]
+        if self._m_loc is None:
+            self._m_loc = np.zeros(self.num_rows, dtype=bool)
+            self._e_loc = np.zeros(self.num_rows, dtype=np.float64)
+        m_loc, e_loc = self._m_loc, self._e_loc
         if rescale == 0.0 and _native.use_native():
-            # One C pass builds mask, eff, and the degree sum together.
-            degree_sum = _native.forced_sets(
-                center, dist, frozen, self._degs, delta, m_loc, e_loc
-            )
-            return m_loc, e_loc, degree_sum
+            # One C pass builds mask and eff together.
+            _native.forced_sets(center, dist, frozen, delta, m_loc, e_loc)
+            return m_loc, e_loc
         np.not_equal(center, NO_CENTER, out=m_loc)
         np.copyto(e_loc, dist)
         if rescale:
@@ -658,8 +457,7 @@ class EmitScratch:
         else:
             np.copyto(e_loc, 0.0, where=frozen)
         np.logical_and(m_loc, e_loc < delta, out=m_loc)
-        degree_sum = int(np.sum(self._degs, where=m_loc, initial=0))
-        return m_loc, e_loc, degree_sum
+        return m_loc, e_loc
 
     # -- the fused emit: filter + accounting (whole-graph layout) ------- #
 
@@ -703,7 +501,7 @@ class EmitScratch:
             )
             return self._finish(batch, cols, center, dist, frozen)
 
-        m_loc, e_loc, degree_sum = self._forced_sets(
+        m_loc, e_loc = self._forced_sets(
             center, dist, frozen, frozen_iter, delta, rescale, iteration
         )
         live_ids = self._cached_live_ids(m_loc, frozen, rescale)
@@ -711,7 +509,7 @@ class EmitScratch:
             return self._emit_forced_cached(
                 batch, live_ids, e_loc, center, dist, frozen, delta
             )
-        cols = self._expand_forced(m_loc, e_loc, degree_sum, delta)
+        cols = self._expand_forced(m_loc, e_loc, delta)
         return self._finish(batch, cols, center, dist, frozen)
 
     def _finish(self, batch, cols, center, dist, frozen):
@@ -1038,15 +836,6 @@ class EmitScratch:
     def _histogram(self, keys_c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Full-multiset per-target histogram ``(group_keys, counts)``."""
         domain = self.num_rows
-        if _native.use_native():
-            # One stamped C pass, O(batch + distinct·log distinct): the
-            # same (group_keys, counts) values as either branch below.
-            if self._hist0 is None or len(self._hist0) < domain:
-                self._hist0 = np.zeros(domain, dtype=np.int64)
-            gk_b = self._i8.get("hist_gk", len(keys_c))
-            gc_b = self._i8.get("hist_gc", len(keys_c))
-            g = _native.count_keys(keys_c, self._hist0, gk_b, gc_b)
-            return gk_b[:g].copy(), gc_b[:g].copy()
         if domain <= 4 * len(keys_c) + self._HIST_SLACK:
             dense = np.bincount(keys_c, minlength=domain)
             gk = np.flatnonzero(dense)

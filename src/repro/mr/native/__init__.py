@@ -100,7 +100,6 @@ _SIGNATURES = {
         [_P, _I, _P, _I, _P, _I, _P, _I, _I, _P, _P, _P, _P, _P, _I, _P, _P],
         _I,
     ),
-    "rk_count_keys": ([_P, _I, _P, _P, _P], _I),
     "rk_bincount": ([_P, _I, _P], None),
     "rk_emit_push": ([_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _P], _I),
     "rk_compact": ([_P, _P, _P, _P, _P, _P, _I], _I),
@@ -117,7 +116,7 @@ _SIGNATURES = {
     ),
     "rk_begin_stage": ([_P, _I, _P, _P, _P, _P, _P], None),
     "rk_freeze_assigned": ([_P, _I, _I, _P, _P, _P], _I),
-    "rk_forced_sets": ([_P, _P, _P, _P, _I, _D, _P, _P], _I),
+    "rk_forced_sets": ([_P, _P, _P, _I, _D, _P, _P], None),
     # indptr, indices, weights, src_ids, nsrc, delta, lo, hi, owners,
     # localidx, shard, hist, ck, cs, ca, pos, total_out -> appended
     "rk_cache_emit": (
@@ -334,15 +333,6 @@ def scatter_min_rows(ids, cols, *, domain, scratch):
     return out_ids[:t].copy(), out_rows[:t].copy()
 
 
-def count_keys(keys, hist, out_keys, out_counts):
-    """Distinct ascending keys + counts; ``hist`` all-zero in and out."""
-    lib = _load()
-    keys = _contig_i8(keys)
-    return lib.rk_count_keys(
-        _ptr(keys), len(keys), _ptr(hist), _ptr(out_keys), _ptr(out_counts)
-    )
-
-
 def bincount_into(keys, hist) -> None:
     """``np.add.at(hist, keys, 1)`` without the buffered-ufunc overhead."""
     lib = _load()
@@ -404,11 +394,11 @@ def freeze_assigned(center, iteration, frozen, changed, frozen_iter) -> int:
     )
 
 
-def forced_sets(center, dist, frozen, degs, delta, mask, eff) -> int:
-    """Forced-round mask/eff build (rescale == 0); returns degree sum."""
+def forced_sets(center, dist, frozen, delta, mask, eff) -> None:
+    """Forced-round mask/eff build (rescale == 0)."""
     lib = _load()
-    return lib.rk_forced_sets(
-        _ptr(center), _ptr(dist), _ptr(frozen), _ptr(degs),
+    lib.rk_forced_sets(
+        _ptr(center), _ptr(dist), _ptr(frozen),
         len(center), delta, _ptr(mask), _ptr(eff),
     )
 

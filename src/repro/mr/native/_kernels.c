@@ -109,28 +109,6 @@ i64 rk_scatter_min_rows(
     return t;
 }
 
-/* Counting shuffle: histogram bounded keys into `hist` (all-zero on
- * entry, restored to all-zero on exit), emitting the distinct keys
- * ascending plus their counts.  Returns the distinct count. */
-i64 rk_count_keys(
-    const i64 *keys, i64 n, i64 *hist, i64 *out_keys, i64 *out_counts)
-{
-    i64 t = 0;
-    for (i64 i = 0; i < n; ++i) {
-        if (i + RK_PF_DIST < n)
-            RK_PREFETCH_W(&hist[keys[i + RK_PF_DIST]]);
-        i64 k = keys[i];
-        if (hist[k]++ == 0)
-            out_keys[t++] = k;
-    }
-    qsort(out_keys, (size_t)t, sizeof(i64), cmp_i64);
-    for (i64 j = 0; j < t; ++j) {
-        out_counts[j] = hist[out_keys[j]];
-        hist[out_keys[j]] = 0;
-    }
-    return t;
-}
-
 /* Plain bincount accumulation (hist is NOT reset). */
 void rk_bincount(const i64 *keys, i64 n, i64 *hist)
 {
@@ -236,8 +214,8 @@ i64 rk_filter_improve(
 
 /* Fused batch finish (EmitScratch._finish): one stream over the
  * unfiltered candidate columns doing BOTH the accounting histogram
- * (stamped distinct-key collection, ascending like rk_count_keys, hist
- * restored to zero) and the improvement filter + materialization of
+ * (stamped distinct-key collection, emitted ascending, hist restored
+ * to zero) and the improvement filter + materialization of
  * rk_filter_improve.  Replaces two full passes with one.  Returns the
  * kept count and writes the distinct-group count through ngroups. */
 i64 rk_finish_batch(
@@ -319,24 +297,17 @@ i64 rk_freeze_assigned(
 }
 
 /* Forced-round emitting sets (EmitScratch._forced_sets, rescale == 0):
- * mask = assigned && eff < delta, eff = frozen ? 0 : dist, plus the
- * emitting frontier's degree sum — one pass instead of five masked
- * array sweeps.  degs is the per-row degree column. */
-i64 rk_forced_sets(
+ * mask = assigned && eff < delta, eff = frozen ? 0 : dist — one pass
+ * instead of four masked array sweeps. */
+void rk_forced_sets(
     const i64 *center, const double *dist, const u8 *frozen,
-    const i64 *degs, i64 n, double delta,
-    u8 *mask, double *eff)
+    i64 n, double delta, u8 *mask, double *eff)
 {
-    i64 degree_sum = 0;
     for (i64 i = 0; i < n; ++i) {
         double e = frozen[i] ? 0.0 : dist[i];
         eff[i] = e;
-        u8 m = (center[i] != -1) && (e < delta);
-        mask[i] = m;
-        if (m)
-            degree_sum += degs[i];
+        mask[i] = (center[i] != -1) && (e < delta);
     }
-    return degree_sum;
 }
 
 /* Fused frozen-source expansion straight into the cache columns: a

@@ -331,7 +331,6 @@ class _ShardWorker(ArrayGrowingState):
         self.own = own
 
         shard = open_store(shard_path)  # local rows, global neighbour ids
-        self._rsrc_from_store = shard.rsrc is not None
         self.graph_open = True
         if shard.num_nodes != own.num_rows:
             raise ValueError(
@@ -345,13 +344,13 @@ class _ShardWorker(ArrayGrowingState):
         # here sorts the boundary: rows come from a binary search of the
         # boundary arcs in indptr, and the halo and boundary pairs are
         # deduplicated by dense marks (see _sorted_unique).
-        self.ext_aidx = np.flatnonzero(~own.is_local(shard.indices))
+        ext_aidx = np.flatnonzero(~own.is_local(shard.indices))
         # local target of the reverse arc
         self.ext_rows = (
-            np.searchsorted(shard.indptr, self.ext_aidx, side="right") - 1
+            np.searchsorted(shard.indptr, ext_aidx, side="right") - 1
         )
-        self.ext_nbrs = shard.indices[self.ext_aidx]  # external endpoint
-        self.ext_w = shard.weights[self.ext_aidx]
+        self.ext_nbrs = shard.indices[ext_aidx]  # external endpoint
+        self.ext_w = shard.weights[ext_aidx]
         self.halo, self.ext_halo_idx = _sorted_unique(
             self.ext_nbrs, own.num_nodes, return_inverse=True
         )
@@ -393,20 +392,11 @@ class _ShardWorker(ArrayGrowingState):
     def _make_emit_scratch(self, graph) -> EmitScratch:
         """Fused emit pipeline over this shard's rows.
 
-        The reverse-CSR arc→row map memory-maps from the shard store's
-        ``rsrc`` section when present (partitions written by this
-        version carry it), and the boundary slice (outward arcs pull
-        cannot reach target-major) stays resident as ``ext_rows`` + arc
-        positions.  Under lp the scratch takes the mapped layout:
-        ``base=0`` plus the sidecar maps, candidate keys still global.
+        Under lp the scratch takes the mapped layout: ``base=0`` plus the
+        sidecar maps, candidate keys still global.
         """
         own = self.own
-        scratch_args = dict(
-            id_domain=own.num_nodes,
-            arc_sources=graph.rsrc,
-            boundary_rows=self.ext_rows,
-            boundary_aidx=self.ext_aidx,
-        )
+        scratch_args = {}
         if own.mode == "range":
             scratch_args["base"] = own.lo
         else:
@@ -427,7 +417,7 @@ class _ShardWorker(ArrayGrowingState):
 
         Everything that survives (halo, boundary slices, frozen-emission
         cache, state) is O(nodes + cut); the O(arcs) memory — the
-        ``indptr``/``indices``/``weights``/``rsrc`` maps *and* the emit
+        ``indptr``/``indices``/``weights`` maps *and* the emit
         scratch's candidate banks — is released.  Releasing means
         actually unmapping/freeing — the address space, not just the
         pages, must shrink for a hard ``RLIMIT_AS`` (or a residency
@@ -437,8 +427,6 @@ class _ShardWorker(ArrayGrowingState):
             return
         scratch = self._emit_scratch
         scratch.indptr = scratch.indices = scratch.weights = None
-        if self._rsrc_from_store:
-            scratch._arc_rows = None
         # Also surrender the arc-domain emit scratch: an evicted shard
         # keeping its candidate banks would pin O(its arcs) of anonymous
         # memory and the out-of-core peak would sum to O(graph) anyway.
@@ -458,8 +446,6 @@ class _ShardWorker(ArrayGrowingState):
         scratch.indptr = shard.indptr
         scratch.indices = shard.indices
         scratch.weights = shard.weights
-        if self._rsrc_from_store:
-            scratch._arc_rows = shard.rsrc
         self.graph_open = True
 
     # -- commands ------------------------------------------------------ #
@@ -669,7 +655,7 @@ class _ShardWorker(ArrayGrowingState):
     def _emit_fused(self, delta, force, rescale, iteration, sources):
         """Scratch-buffered fused emission.
 
-        Runs the direction-optimized expansion of
+        Runs the push expansion (or frozen-emission replay) of
         :class:`~repro.mr.emit.EmitScratch` over the shard's rows, then
         routes: locally-owned targets pass the improvement pre-filter
         (their ``dist``/``frozen`` state is resident, so unadoptable
@@ -721,13 +707,13 @@ class _ShardWorker(ArrayGrowingState):
         remote &= ~self.frozen[src_local]
         if remote.any():
             rk = keys[remote]
-            rsrc = src_local[remote]
+            rem_src = src_local[remote]
             rvals = np.empty((len(rk), CANDIDATE_WIDTH), dtype=np.float64)
             rvals[:, 0] = nd[remote]
-            rvals[:, 1] = self.center[rsrc]
-            rvals[:, 2] = self.dacc[rsrc]
+            rvals[:, 1] = self.center[rem_src]
+            rvals[:, 2] = self.dacc[rem_src]
             rvals[:, 2] += np.take(weights, aidx[remote])
-            rvals[:, 3] = self.row_gids[rsrc]
+            rvals[:, 3] = self.row_gids[rem_src]
             owners = self.own.owner_of(rk)
             for dest in np.unique(owners):
                 mask = owners == dest

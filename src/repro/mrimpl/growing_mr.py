@@ -86,8 +86,8 @@ class ArrayGrowingState:
     memory-model checks still see the full multiset), and the surviving
     rows go straight to :func:`~repro.mr.kernels.scatter_min_rows` — no
     intermediate copy, key materialization, or sort, and zero O(n)/O(m)
-    allocations on non-forced rounds.  The expansion direction (push,
-    pull or frozen-emission replay) is the scratch's own per-round
+    allocations on non-forced rounds.  Whether a forced round expands
+    or replays the frozen-emission cache is the scratch's own per-round
     choice, never an option.
     """
 
@@ -111,12 +111,7 @@ class ArrayGrowingState:
         self._merge_scratch = ScatterScratch()
 
     def _make_emit_scratch(self, graph: CSRGraph) -> EmitScratch:
-        return EmitScratch(
-            graph.indptr,
-            graph.indices,
-            graph.weights,
-            arc_sources=graph.rsrc,
-        )
+        return EmitScratch(graph.indptr, graph.indices, graph.weights)
 
     def _to_global(self, rows: np.ndarray) -> np.ndarray:
         return rows if self.row_gids is None else self.row_gids[rows]

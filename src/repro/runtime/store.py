@@ -389,42 +389,6 @@ class GraphStore:
                 continue
             self._remove_shards(victim)
 
-    def ensure_reverse(self, path: PathLike) -> CSRGraph:
-        """Return ``path``'s graph with its reverse-CSR section attached.
-
-        Resolves ``path`` through the cache as :meth:`get` does, then
-        lazily appends the ``rsrc`` section (the arc→row map pull-mode
-        growing steps gather by — see :mod:`repro.graph.serialize`) to
-        the store file if it is missing.  The rewrite is atomic and
-        signature-keyed like every other store mutation, so concurrent
-        readers keep their old mapping and the in-process LRU refreshes
-        itself.  Falls back to the unmodified graph (whose reverse map
-        is then computed in memory on first use) when the store file is
-        not writable — read-only datasets stay read-only.
-        """
-        from repro.graph.serialize import ensure_reverse_section, read_store_header
-
-        store_file = self.store_path(path)
-        if not store_file.exists():
-            self._convert(Path(path), store_file)
-        # Rewriting replaces the file (and resets its permissions), so a
-        # store the user marked read-only is left untouched even though
-        # the directory rename would technically succeed.  The mode bits
-        # are checked besides os.access because a privileged process can
-        # write files whose owner deliberately cleared the write bits.
-        import stat
-
-        mode = store_file.stat().st_mode
-        writable = bool(
-            mode & (stat.S_IWUSR | stat.S_IWGRP | stat.S_IWOTH)
-        ) and os.access(store_file, os.W_OK)
-        if read_store_header(store_file).has_reverse or writable:
-            try:
-                ensure_reverse_section(store_file)
-            except OSError:
-                pass
-        return self.get(path)
-
     def get_partitioned(
         self,
         path: PathLike,
@@ -461,15 +425,12 @@ class GraphStore:
 
     # ------------------------------------------------------------------ #
 
-    def convert(
-        self, source: PathLike, destination: PathLike, *, reverse: bool = False
-    ) -> CSRGraph:
+    def convert(self, source: PathLike, destination: PathLike) -> CSRGraph:
         """Explicitly convert ``source`` into a store file at ``destination``.
 
         Unlike :meth:`get`, the output goes exactly where asked (e.g. a
         sidecar ``graph.rcsr`` you commit next to a dataset) and the
-        returned graph memory-maps it.  ``reverse=True`` includes the
-        reverse-CSR ``rsrc`` section in the same single write.
+        returned graph memory-maps it.
         """
         from repro.graph.io import read_auto
 
@@ -478,7 +439,7 @@ class GraphStore:
             raise GraphFormatError(
                 f"store files use the {STORE_SUFFIX!r} suffix: {destination}"
             )
-        write_store(read_auto(source), destination, reverse=reverse)
+        write_store(read_auto(source), destination)
         return self.get(destination)
 
     def clear(self) -> None:

@@ -4,9 +4,8 @@ The scheduler bounds *concurrency* (worker slots, queue depths); this
 module bounds *resources*:
 
 * **Memory budget** (``--memory-budget``): before a cold query is
-  scheduled, its resident cost is estimated — store bytes as mapped,
-  the reverse-CSR section the residency path would build if missing,
-  and the engine's per-node scratch model — and checked against the
+  scheduled, its resident cost is estimated — store bytes as mapped
+  plus the engine's per-node scratch model — and checked against the
   budget minus what is already resident.  An over-budget query is shed
   with a structured 503 (``over-budget``) carrying ``retry_after_s``,
   so a load balancer can back off instead of OOM-killing the daemon.
@@ -24,9 +23,6 @@ Cost model
     The mapped file size; for a not-yet-converted text graph, a
     conservative 2x of the source size (conversion is the expensive
     path — overestimating sheds earlier, which is the safe direction).
-``reverse_bytes``
-    ``8 * num_arcs`` when the store lacks its ``rsrc`` section and the
-    server ensures reverse sections at residency time, else 0.
 ``scratch_bytes``
     ``66 * num_nodes``: the growing-state arrays (center i64, dist +
     dist_acc f64, frozen_iter i64, frozen + changed bool ≈ 34 B/node)
@@ -57,9 +53,7 @@ TEXT_STORE_FACTOR = 2.0
 OVER_BUDGET_RETRY_S = 2.0
 
 
-def estimate_query_cost(
-    store_file, *, ensure_reverse: bool = True
-) -> Optional[int]:
+def estimate_query_cost(store_file) -> Optional[int]:
     """Estimated resident bytes of running one query against a store.
 
     Returns ``None`` when nothing about the file can be learned (it
@@ -78,16 +72,7 @@ def estimate_query_cost(
     try:
         if is_store(store_file):
             header = read_store_header(store_file)
-            reverse = (
-                0
-                if header.has_reverse or not ensure_reverse
-                else 8 * header.num_arcs
-            )
-            return (
-                header.file_size
-                + reverse
-                + SCRATCH_BYTES_PER_NODE * header.num_nodes
-            )
+            return header.file_size + SCRATCH_BYTES_PER_NODE * header.num_nodes
     except Exception:
         return None  # corrupt store: let the open path diagnose it
     return int(size * TEXT_STORE_FACTOR)

@@ -1,9 +1,9 @@
 """The ``repro serve`` daemon: a persistent graph-analytics server.
 
 One asyncio process holds everything a one-shot CLI run rebuilds from
-scratch — mmap'd :class:`CSRGraph` stores with their reverse-CSR
-sections, warm MR engines (scratch banks, resident shard workers), and
-a result cache — behind a concurrent query scheduler:
+scratch — mmap'd :class:`CSRGraph` stores, warm MR engines (scratch
+banks, resident shard workers), and a result cache — behind a
+concurrent query scheduler:
 
 * connections arrive on a unix socket (``--socket``) and/or a TCP port
   (``--port``); the first request line is sniffed, so **both** surfaces
@@ -91,7 +91,6 @@ class ServerConfig:
     engine_capacity: int = 4
     max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES
     store_dir: Optional[str] = None
-    ensure_reverse: bool = True
     allow_shutdown: bool = True
     preload: Tuple[str, ...] = field(default_factory=tuple)
     #: Default per-query wall-clock budget in seconds (``None`` = no
@@ -139,7 +138,6 @@ class ReproServer:
             self.store,
             capacity=config.graph_capacity,
             engine_capacity=config.engine_capacity,
-            ensure_reverse=config.ensure_reverse,
         )
         self.cache = ResultCache(capacity=config.cache_entries)
         self.scheduler = QueryScheduler(
@@ -446,15 +444,11 @@ class ReproServer:
         # what is already resident (cache hits above cost nothing, so
         # they are never shed).
         if self.admission.memory_budget is not None:
-            cost = estimate_query_cost(
-                key, ensure_reverse=self.config.ensure_reverse
-            )
+            cost = estimate_query_cost(key)
             if cost is None:
                 # No binary store yet: estimate from the source file
                 # the residency path would convert.
-                cost = estimate_query_cost(
-                    request.graph, ensure_reverse=self.config.ensure_reverse
-                )
+                cost = estimate_query_cost(request.graph)
             self.admission.check_memory(
                 cost, self.graphs.resident_bytes(exclude=key)
             )

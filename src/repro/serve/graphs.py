@@ -1,7 +1,7 @@
 """Resident graphs: mmap'd stores held warm with their engine state.
 
-A one-shot CLI run pays graph open + reverse-CSR build + scratch
-allocation + executor start-up on *every* query; the daemon pays them
+A one-shot CLI run pays graph open + scratch allocation + executor
+start-up on *every* query; the daemon pays them
 once per resident graph.  :class:`GraphPool` keeps a bounded LRU of
 :class:`ResidentGraph` entries, each holding
 
@@ -9,8 +9,6 @@ once per resident graph.  :class:`GraphPool` keeps a bounded LRU of
   :class:`~repro.runtime.store.GraphStore` (see ``GraphStore.pin``) so
   store-level eviction can never change the graph's object identity
   while it is resident — warm engine state is keyed by that identity;
-* the store's ``rsrc`` reverse-CSR section, ensured once at residency
-  time so pull-mode growing steps never rebuild the arc→row map;
 * a small LRU of warm :class:`~repro.mr.engine.MREngine` instances per
   (executor, workers, shards) — their scratch banks, cached growing
   state, and shard workers survive across queries.
@@ -59,14 +57,9 @@ class ResidentGraph:
         self.lock = threading.Lock()
         self.queries = 0
         #: Resident bytes this entry accounts for against the server's
-        #: memory budget: the mapped CSR arrays plus an rsrc-sized
-        #: headroom (the reverse section is ensured at residency time,
-        #: so it is resident whether or not this mapping loaded it yet).
+        #: memory budget: the mapped CSR arrays.
         self.resident_cost = int(
-            graph.indptr.nbytes
-            + graph.indices.nbytes
-            + graph.weights.nbytes
-            + 8 * len(graph.indices)
+            graph.indptr.nbytes + graph.indices.nbytes + graph.weights.nbytes
         )
 
     # ------------------------------------------------------------------ #
@@ -160,14 +153,12 @@ class GraphPool:
         *,
         capacity: int = 8,
         engine_capacity: int = 4,
-        ensure_reverse: bool = True,
     ):
         if capacity < 1:
             raise ValueError("GraphPool capacity must be >= 1")
         self.store = store
         self.capacity = capacity
         self.engine_capacity = engine_capacity
-        self.ensure_reverse = ensure_reverse
         self._entries: "OrderedDict[str, ResidentGraph]" = OrderedDict()
         self._lock = threading.Lock()
         self.admissions = 0
@@ -220,14 +211,8 @@ class GraphPool:
                 self._entries.move_to_end(key)
                 return entry, None
 
-        # (Re)build outside the pool lock — conversion and reverse-CSR
-        # ensurance touch the filesystem.
-        if self.ensure_reverse:
-            try:
-                self.store.ensure_reverse(path)
-            except Exception:
-                pass  # read-only stores stay pull-mode-lazy
-            signature = self.store.signature(path)
+        # (Re)build outside the pool lock — a first-time conversion
+        # touches the filesystem.
         pin_cm = self.store.pin(path)
         graph = pin_cm.__enter__()
         fresh = ResidentGraph(

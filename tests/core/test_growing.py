@@ -8,7 +8,6 @@ from repro.core.state import NO_CENTER, ClusterState
 from repro.generators import rmat
 from repro.graph.builder import from_edge_list
 from repro.graph.ops import largest_connected_component
-from repro.mr import emit as emit_module
 from repro.mr import native
 from repro.mr.metrics import Counters
 
@@ -197,17 +196,14 @@ def random_cluster_state(n, rng, iteration):
     return s
 
 
-class TestDirections:
-    """The step's pull direction (the NumPy tier's heavy-frontier
-    expansion) computes exactly what push computes: the direction is
-    pinned through ``PULL_DEGREE_FRACTION`` (``inf``: always push,
-    ``-1``: always pull), and the native tier — which always pushes —
-    must agree too."""
+class TestTiers:
+    """The native tier's fused push step computes exactly what the
+    NumPy cascade computes: updates, state and counters."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("rescale", [0.0, 0.05])
     @pytest.mark.parametrize("frontier", [False, True])
-    def test_pull_equals_push(self, monkeypatch, seed, rescale, frontier):
+    def test_native_equals_py(self, seed, rescale, frontier):
         graph = largest_connected_component(
             rmat(8, edge_factor=6, seed=seed)
         )[0]
@@ -215,12 +211,11 @@ class TestDirections:
         rng = np.random.default_rng(seed)
         base = random_cluster_state(n, rng, iteration=4)
         sources = np.sort(rng.choice(n, size=n // 3, replace=False))
-        runs = [("py", np.inf), ("py", -1.0)]
+        runs = ["py"]
         if native.native_available():
-            runs.append(("native", -1.0))
+            runs.append("native")
         results = []
-        for impl, fraction in runs:
-            monkeypatch.setattr(emit_module, "PULL_DEGREE_FRACTION", fraction)
+        for impl in runs:
             state = ClusterState(n)
             for name in ("center", "dist", "dist_acc", "frozen", "frozen_iter"):
                 getattr(state, name)[:] = getattr(base, name)
@@ -235,11 +230,11 @@ class TestDirections:
                 upd, newly, state.center, state.dist, state.dist_acc,
                 counters.snapshot(),
             ))
-        push = results[0]
-        assert len(push[0])
+        ref = results[0]
+        assert len(ref[0])
         for other in results[1:]:
-            np.testing.assert_array_equal(other[0], push[0])
-            assert other[1] == push[1]
-            for got, want in zip(other[2:5], push[2:5]):
+            np.testing.assert_array_equal(other[0], ref[0])
+            assert other[1] == ref[1]
+            for got, want in zip(other[2:5], ref[2:5]):
                 np.testing.assert_array_equal(got, want)
-            assert other[5] == push[5]
+            assert other[5] == ref[5]

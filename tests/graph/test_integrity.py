@@ -11,6 +11,8 @@ but anything raised is a :class:`ReproError`).
 from __future__ import annotations
 
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,11 +40,25 @@ from repro.graph.serialize import (
 from repro.integrity import VERIFY_ENV, verify_level
 
 
+#: A store written before the ``rsrc`` section was retired: flag bit 0,
+#: the section after ``weights``, and its entry in the v2 digest block.
+LEGACY_STORE = Path(__file__).parent / "data" / "mesh6_seed5_rsrc_v2.rcsr"
+FRESH_SECTIONS = ["header", "indptr", "indices", "weights"]
+
+
 @pytest.fixture()
 def stored(tmp_path, small_mesh):
     path = tmp_path / "g.rcsr"
-    write_store(small_mesh, path, reverse=True)
+    write_store(small_mesh, path)
     return small_mesh, path
+
+
+@pytest.fixture()
+def legacy(tmp_path):
+    """A private copy of the legacy store (tests flip its bytes)."""
+    path = tmp_path / "legacy.rcsr"
+    shutil.copyfile(LEGACY_STORE, path)
+    return mesh(6, seed=5), path
 
 
 def flip_byte(path, offset):
@@ -65,9 +81,15 @@ class TestDigestBlock:
         assert header.version == STORE_VERSION == 2
         assert header.has_digests
         digests = read_store_digests(path, header)
-        assert set(digests) == {
-            "header", "indptr", "indices", "weights", "rsrc"
-        }
+        assert set(digests) == set(FRESH_SECTIONS)
+        assert open_store(path) == graph
+
+    def test_legacy_store_digests_cover_rsrc(self, legacy):
+        graph, path = legacy
+        header = read_store_header(path)
+        assert header.has_digests and header.flags & 0x1
+        digests = read_store_digests(path, header)
+        assert set(digests) == set(FRESH_SECTIONS) | {"rsrc"}
         assert open_store(path) == graph
 
     def test_digests_false_writes_legacy_v1(self, tmp_path, small_mesh):
@@ -84,9 +106,12 @@ class TestDigestBlock:
     def test_full_verify_checks_every_section(self, stored):
         _, path = stored
         report = verify_store(path, level="full")
-        assert report["checked"] == [
-            "header", "indptr", "indices", "weights", "rsrc"
-        ]
+        assert report["checked"] == FRESH_SECTIONS
+
+    def test_full_verify_checks_legacy_rsrc(self, legacy):
+        _, path = legacy
+        report = verify_store(path, level="full")
+        assert report["checked"] == FRESH_SECTIONS + ["rsrc"]
 
     def test_verify_level_env(self, monkeypatch):
         monkeypatch.delenv(VERIFY_ENV, raising=False)
@@ -107,10 +132,14 @@ class TestDigestBlock:
 
 class TestSectionCorruption:
     @pytest.mark.parametrize(
-        "section", ["indptr", "indices", "weights", "rsrc"]
+        "kind, section",
+        [("fresh", "indptr"), ("fresh", "indices"), ("fresh", "weights"),
+         ("legacy", "rsrc")],
     )
-    def test_full_detects_any_section_flip(self, stored, section):
-        _, path = stored
+    def test_full_detects_any_section_flip(self, request, kind, section):
+        _, path = request.getfixturevalue(
+            "stored" if kind == "fresh" else "legacy"
+        )
         header = read_store_header(path)
         offsets = dict(
             (name, (off, size)) for name, off, size in header.sections()
@@ -181,7 +210,7 @@ def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("integrity-corpus")
     graph = gnm_random_graph(60, 180, seed=7, connect=True)
     path = root / "corpus.rcsr"
-    write_store(graph, path, reverse=True)
+    write_store(graph, path)
     return graph, path, path.read_bytes()
 
 

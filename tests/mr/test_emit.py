@@ -3,10 +3,11 @@
 The contract under test: for any state, :meth:`EmitScratch.emit` must
 report the *unfiltered* emission (count and per-target histogram) of the
 plain ``emit_frontier`` oracle below while materializing exactly the
-candidates that could be adopted — and this must hold for both
-expansion directions (push and pull, driven directly through the
-scratch's ``_emit_push`` / ``_emit_pull``), across reused buffers, and
-across the frozen-emission cache's append/prune/invalidate transitions.
+candidates that could be adopted — on both kernel tiers, across reused
+buffers, and across the frozen-emission cache's append/prune/invalidate
+transitions.  The raw push expansion of shard-slice scratches
+(contiguous and lp-mapped rows, boundary arcs included) is checked
+against the same oracle run on the slice's own CSR.
 """
 
 import numpy as np
@@ -14,10 +15,9 @@ import pytest
 
 from repro.generators import rmat
 from repro.graph.ops import largest_connected_component
-from repro.mr import emit as emit_module
 from repro.mr import native
 from repro.mr.batch import group_min_first
-from repro.mr.emit import EmitBatch, EmitScratch, use_pull
+from repro.mr.emit import EmitBatch, EmitScratch
 from repro.mr.kernels import scatter_min_rows
 from repro.mrimpl.growing_mr import NO_CENTER
 from repro.util import expand_ranges
@@ -137,22 +137,17 @@ def legacy_reference(graph, state, delta, force, sources=None, rescale=0.0, iter
     return keys, values, imp
 
 
-def forced_batch(graph, state, delta, direction):
-    """One forced round expanded in a fixed ``direction`` on a fresh
-    scratch, bypassing the frozen-emission cache and the direction
-    policy: the plain push or pull expansion plus the shared
+def forced_batch(graph, state, delta):
+    """One forced round on a fresh scratch, bypassing the
+    frozen-emission cache: the plain push expansion plus the shared
     filter/accounting tail."""
     center, dist, frozen, _, _, frozen_iter = state
     scratch = EmitScratch(graph.indptr, graph.indices, graph.weights)
-    m_loc, e_loc, _ = scratch._forced_sets(
+    m_loc, e_loc = scratch._forced_sets(
         center, dist, frozen, frozen_iter, delta, 0.0, 0
     )
-    if direction == "pull":
-        eff, mask = scratch._pull_dense(m_loc, e_loc)
-        cols = scratch._emit_pull(mask, eff, delta)
-    else:
-        src = np.flatnonzero(m_loc)
-        cols = scratch._emit_push(src, e_loc[src], delta)
+    src = np.flatnonzero(m_loc)
+    cols = scratch._emit_push(src, e_loc[src], delta)
     return scratch._finish(EmitBatch(), cols, center, dist, frozen)
 
 
@@ -185,9 +180,24 @@ def assert_batch_matches_oracle(batch, graph, state, delta, force, sources=None)
     np.testing.assert_allclose(np.sort(dacc_col), np.sort(rv[:, 2]))
 
 
+TIERS = (
+    "py",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native.native_available(),
+            reason="native kernel tier unavailable (no C toolchain)",
+        ),
+    ),
+)
+
+
 class TestEmitMatchesOracle:
+    @pytest.mark.parametrize("impl", TIERS)
     @pytest.mark.parametrize("force", [True, False])
-    def test_random_states(self, force):
+    def test_random_states(self, force, impl):
+        """Each tier's fused finish — ``rk_finish_batch`` on the native
+        tier — reports the oracle's dense histogram and adoptable rows."""
         graph = small_graph()
         rng = np.random.default_rng(3)
         for trial in range(8):
@@ -202,38 +212,18 @@ class TestEmitMatchesOracle:
                     assigned, size=min(20, len(assigned)), replace=False
                 )
                 sources.sort()
-            batch = scratch.emit(
-                center=state[0],
-                dist=state[1],
-                dacc=state[3],
-                frozen=state[2],
-                frozen_iter=state[5],
-                delta=delta,
-                force=force,
-                sources=sources,
-            )
+            with native.impl_overrides(impl, None):
+                batch = scratch.emit(
+                    center=state[0],
+                    dist=state[1],
+                    dacc=state[3],
+                    frozen=state[2],
+                    frozen_iter=state[5],
+                    delta=delta,
+                    force=force,
+                    sources=sources,
+                )
             assert_batch_matches_oracle(batch, graph, state, delta, force, sources)
-
-    def test_push_pull_identical_columns(self):
-        graph = small_graph(seed=13)
-        rng = np.random.default_rng(5)
-        state = random_state(graph, rng)
-        delta = 0.7
-        results = {}
-        for direction in ("push", "pull"):
-            b = forced_batch(graph, state, delta, direction)
-            assert_batch_matches_oracle(b, graph, state, delta, True)
-            results[direction] = (
-                b.emitted,
-                sorted_rows(b.keys, b.nd, b.ctr, b.srcf),
-                b.group_keys.copy(),
-                b.group_counts.copy(),
-            )
-        assert results["push"][0] == results["pull"][0]
-        for a, b in zip(results["push"][1], results["pull"][1]):
-            np.testing.assert_allclose(a, b)
-        np.testing.assert_array_equal(results["push"][2], results["pull"][2])
-        np.testing.assert_array_equal(results["push"][3], results["pull"][3])
 
 
 def shard_scratch(graph, layout, shard, num_shards=3):
@@ -241,8 +231,8 @@ def shard_scratch(graph, layout, shard, num_shards=3):
     sharded workers build it: ``range`` is a contiguous row slice
     (``base``), ``mapped`` an interleaved row set with the lp sidecars
     (``row_gids``/``localidx``/``owners``).  Both keep global neighbour
-    ids and the boundary slice of outward arcs.  Returns the scratch
-    and the global ids of its rows."""
+    ids, so arcs into other shards' rows stay in the slice.  Returns
+    the scratch and the global ids of its rows."""
     n = graph.num_nodes
     if layout == "whole":
         scratch = EmitScratch(graph.indptr, graph.indices, graph.weights)
@@ -257,12 +247,8 @@ def shard_scratch(graph, layout, shard, num_shards=3):
     aidx = expand_ranges(graph.indptr[rows], degs)
     indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
     indices = graph.indices[aidx]
-    b_aidx = np.flatnonzero(owners[indices] != shard).astype(np.int64)
-    kwargs = dict(
-        id_domain=n,
-        boundary_rows=np.searchsorted(indptr, b_aidx, side="right") - 1,
-        boundary_aidx=b_aidx,
-    )
+    assert np.any(owners[indices] != shard)  # the slice has boundary arcs
+    kwargs = {}
     if layout == "range":
         kwargs["base"] = int(rows[0])
     else:
@@ -279,10 +265,9 @@ def shard_scratch(graph, layout, shard, num_shards=3):
 
 
 def canonical_columns(scratch, cols):
-    """Raw expansion columns in (target, arrival) order: a stable sort
-    by key keeps each target group's arrival order, which must be
-    ascending source in both directions.  Arc weights stand in for the
-    arc index, which names the arc in its own direction's row."""
+    """Raw expansion columns ``(keys, src, nd, w)`` in (target, arrival)
+    order: a stable sort by key keeps each target group's arrival order,
+    which must be ascending source."""
     keys, nd, src, aidx, count = cols
     order = np.argsort(keys[:count], kind="stable")
     return (
@@ -293,67 +278,88 @@ def canonical_columns(scratch, cols):
     )
 
 
+def oracle_columns(scratch, state, delta, force, **kwargs):
+    """``emit_frontier`` on the scratch's own (slice) CSR, as canonical
+    raw columns.  Each assigned row is made its own center and ``dacc``
+    is zero, so the oracle's value columns read back as the source row
+    and the arc weight."""
+    center, dist, frozen, frozen_iter = state
+    rows = np.arange(len(center), dtype=np.int64)
+    keys, values = emit_frontier(
+        scratch.indptr, scratch.indices, scratch.weights,
+        center=np.where(center != NO_CENTER, rows, NO_CENTER),
+        dist=dist, dacc=np.zeros(len(center)), frozen=frozen,
+        changed=np.zeros(len(center), dtype=bool), frozen_iter=frozen_iter,
+        delta=delta, force=force, **kwargs,
+    )
+    order = np.argsort(keys, kind="stable")
+    return (
+        keys[order],
+        values[order, 1].astype(np.int64),
+        values[order, 0],
+        values[order, 2],
+    )
+
+
 LAYOUTS = [("whole", 0)] + [
     (layout, shard) for layout in ("range", "mapped") for shard in range(3)
 ]
 
 
-class TestDirectionsAgree:
-    """Push and pull expand the identical candidate columns, in the
-    identical within-target order, on every scratch layout — whole
+class TestShardSlicesMatchOracle:
+    """The push expansion emits the oracle's candidate columns, in the
+    oracle's within-target order, on every scratch layout — whole
     graph, contiguous shard slices and mapped (lp) shards, boundary
-    arcs included."""
+    arcs included — on both kernel tiers."""
 
+    @pytest.mark.parametrize("impl", TIERS)
     @pytest.mark.parametrize("layout, shard", LAYOUTS)
-    def test_forced_round(self, layout, shard):
+    def test_forced_round(self, layout, shard, impl):
         graph = small_graph(seed=41)
         scratch, rows = shard_scratch(graph, layout, shard)
         center, dist, frozen, _, _, frozen_iter = random_state(
             graph, np.random.default_rng(shard)
         )
-        m_loc, e_loc, _ = scratch._forced_sets(
-            center[rows], dist[rows], frozen[rows], frozen_iter[rows],
-            0.6, 0.0, 0,
-        )
-        src = np.flatnonzero(m_loc)
-        push = canonical_columns(
-            scratch, scratch._emit_push(src, e_loc[src], 0.6)
-        )
-        eff, mask = scratch._pull_dense(m_loc, e_loc)
-        pull = canonical_columns(scratch, scratch._emit_pull(mask, eff, 0.6))
-        assert len(push[0])
-        for got, want in zip(pull, push):
-            np.testing.assert_array_equal(got, want)
+        state = (center[rows], dist[rows], frozen[rows], frozen_iter[rows])
+        with native.impl_overrides(impl, None):
+            m_loc, e_loc = scratch._forced_sets(*state, 0.6, 0.0, 0)
+            src = np.flatnonzero(m_loc)
+            push = canonical_columns(
+                scratch, scratch._emit_push(src, e_loc[src], 0.6)
+            )
+        want = oracle_columns(scratch, state, 0.6, True)
+        assert len(want[0])
+        for got, ref in zip(push, want):
+            np.testing.assert_array_equal(got, ref)
 
+    @pytest.mark.parametrize("impl", TIERS)
     @pytest.mark.parametrize("layout, shard", LAYOUTS)
     @pytest.mark.parametrize("force", [True, False])
-    def test_policy_pinned_by_threshold(self, monkeypatch, layout, shard, force):
-        """``emit_raw`` on the py tier, its direction pinned through
-        :data:`PULL_DEGREE_FRACTION`: a rescaled forced round (the
-        cache-ineligible branch) and a frontier round."""
+    def test_emit_raw(self, layout, shard, force, impl):
+        """``emit_raw``: a rescaled forced round (the cache-ineligible
+        branch) and a frontier round."""
         graph = small_graph(seed=43)
         rng = np.random.default_rng(10 + shard)
         center, dist, frozen, _, _, frozen_iter = random_state(graph, rng)
         frozen_iter = rng.integers(0, 3, graph.num_nodes)
         assigned = np.flatnonzero(center != NO_CENTER)
         sources = np.sort(rng.choice(assigned, size=60, replace=False))
-        results = {}
-        for direction, fraction in (("push", np.inf), ("pull", -1.0)):
-            monkeypatch.setattr(emit_module, "PULL_DEGREE_FRACTION", fraction)
-            scratch, rows = shard_scratch(graph, layout, shard)
-            local = np.flatnonzero(np.isin(rows, sources))
-            with native.impl_overrides("py", None):
-                assert use_pull(1, 1) == (direction == "pull")
-                cols = scratch.emit_raw(
-                    center=center[rows], dist=dist[rows],
-                    frozen=frozen[rows], frozen_iter=frozen_iter[rows],
-                    delta=0.7, force=force, rescale=0.05 if force else 0.0,
-                    iteration=3, sources=None if force else local,
-                )
-            results[direction] = canonical_columns(scratch, cols)
-        assert len(results["push"][0])
-        for got, want in zip(results["pull"], results["push"]):
-            np.testing.assert_array_equal(got, want)
+        scratch, rows = shard_scratch(graph, layout, shard)
+        local = np.flatnonzero(np.isin(rows, sources))
+        state = (center[rows], dist[rows], frozen[rows], frozen_iter[rows])
+        kwargs = dict(
+            rescale=0.05 if force else 0.0, iteration=3,
+            sources=None if force else local,
+        )
+        with native.impl_overrides(impl, None):
+            cols = scratch.emit_raw(
+                center=state[0], dist=state[1], frozen=state[2],
+                frozen_iter=state[3], delta=0.7, force=force, **kwargs,
+            )
+        want = oracle_columns(scratch, state, 0.7, force, **kwargs)
+        assert len(want[0])
+        for got, ref in zip(canonical_columns(scratch, cols), want):
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestScratchReuse:
@@ -428,9 +434,7 @@ class TestScratchReuse:
                 center=center, dist=dist, dacc=dacc, frozen=frozen,
                 frozen_iter=fit, delta=delta, force=True,
             )
-            ref = forced_batch(
-                graph, (center, dist, frozen, dacc, None, fit), delta, "push"
-            )
+            ref = forced_batch(graph, (center, dist, frozen, dacc, None, fit), delta)
             assert batch.emitted == ref.emitted
             assert batch.count == ref.count
             np.testing.assert_array_equal(batch.group_keys, ref.group_keys)
@@ -455,28 +459,6 @@ class TestScratchReuse:
         again = scratch.emit(**kwargs)
         assert first.emitted == again.emitted
         assert first.count == again.count
-
-
-class TestDirectionPlanning:
-    def test_auto_threshold(self, monkeypatch):
-        arcs = small_graph().num_arcs
-        assert not use_pull(0, arcs)
-        # The policy resolves by tier: the NumPy pull scan beats NumPy
-        # push on heavy frontiers, while the C push never loses (it
-        # scans exactly the frontier's arcs), so native stays push.
-        with native.impl_overrides("py", None):
-            assert use_pull(arcs, arcs)
-            bound = int(emit_module.PULL_DEGREE_FRACTION * arcs)
-            assert not use_pull(bound, arcs)
-            assert use_pull(bound + 1, arcs)
-            assert not use_pull(0, 0)
-            # The threshold is read per call: tests pin a direction by
-            # patching it (forked shard workers inherit the patch).
-            monkeypatch.setattr(emit_module, "PULL_DEGREE_FRACTION", 2.0)
-            assert not use_pull(arcs, arcs)
-        if native.native_available():
-            with native.impl_overrides("native", None):
-                assert not use_pull(arcs, arcs)
 
 
 class TestOrderFreeReducer:

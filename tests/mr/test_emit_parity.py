@@ -1,18 +1,15 @@
-"""End-to-end parity of the emit pipeline's expansion directions.
+"""End-to-end parity of the emit pipeline across kernel tiers.
 
 Each Δ-growing round expands its candidates push-style (the frontier's
-rows), pull-style (every arc, target-major) or by replaying the
-frozen-emission cache; :func:`repro.mr.emit.use_pull` picks per round
-and per kernel tier.  The native tier always pushes, while the py tier
-mixes push, pull and cache replay (``test_py_tier_pulls`` proves it
-pulls on this graph), so running every driver on both tiers is the
-direction check.  This suite runs the full CLUSTER / CLUSTER2 / CL-DIAM
-drivers on a seeded R-MAT on each tier and across every executor, and
-asserts the strongest possible contract: bit-identical clusterings and
+rows) or, on a forced round, by replaying the frozen-emission cache;
+each kernel tier has its own push expansion and cache kernels.  This
+suite runs the full CLUSTER / CLUSTER2 / CL-DIAM drivers on a seeded
+R-MAT on each tier and across every executor, and asserts the
+strongest possible contract: bit-identical clusterings and
 bit-identical ``rounds`` / ``messages`` / ``updates`` /
 ``growing_steps`` counters.  The fixed point is the per-key oracle of
-``tests/oracle/mr_literal.py``, which has no expansion direction; it
-counts pair traffic, so its ``messages`` are not compared
+``tests/oracle/mr_literal.py``, which has no fused pipeline; it counts
+pair traffic, so its ``messages`` are not compared
 (``tests/mr/test_emit.py`` checks the fused emission counts against the
 ``emit_frontier`` oracle, and ``tests/mr/test_native_kernels.py`` the
 tiers' full counter snapshots against each other).  The CI
@@ -23,13 +20,11 @@ import numpy as np
 import pytest
 from mr_literal import literal_engine
 
-import repro.core.growing as core_growing
 from repro.core.cluster import cluster
 from repro.core.config import ClusterConfig
 from repro.generators import rmat
 from repro.graph.ops import largest_connected_component
 from repro.mr import native
-from repro.mr.emit import EmitScratch
 from repro.mrimpl.cluster2_mr import mr_cluster2
 from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.diameter_mr import mr_approximate_diameter
@@ -90,8 +85,8 @@ def test_executors_agree(graph, algorithm, impl):
 @pytest.mark.parametrize("impl", TIERS)
 @pytest.mark.parametrize("algorithm", [mr_cluster, mr_cluster2])
 def test_matches_oracle(graph, algorithm, impl):
-    """Each tier's direction mix equals the per-key oracle (which has
-    no direction — it *is* the fixed point)."""
+    """Each tier's fused pipeline equals the per-key oracle (which has
+    no fused pipeline — it *is* the fixed point)."""
     reference = run_mr(graph, algorithm, "literal", "py")
     assert_identical(
         run_mr(graph, algorithm, "vector", impl), reference, messages=False
@@ -113,8 +108,8 @@ def test_cl_diam_matches_oracle(graph, impl):
 
 @pytest.mark.parametrize("impl", TIERS)
 def test_core_cluster_matches_vector(graph, impl):
-    """The core path's direction-optimized step lands on the same
-    clustering as the MR drivers."""
+    """The core path's growing step lands on the same clustering as the
+    MR drivers."""
     with native.impl_overrides(impl, None):
         result = cluster(graph, config=CFG)
     reference = run_mr(graph, mr_cluster, "vector", impl)
@@ -122,33 +117,6 @@ def test_core_cluster_matches_vector(graph, impl):
     np.testing.assert_array_equal(
         result.dist_to_center, reference.dist_to_center
     )
-
-
-def test_py_tier_pulls(graph, monkeypatch):
-    """Without this the tier parity could pass without ever pulling:
-    on this graph the py tier takes the pull direction on ``vector``
-    and on the core path."""
-    pulls = []
-    emit_pull = EmitScratch._emit_pull
-
-    def spy_pull(self, *args):
-        pulls.append(1)
-        return emit_pull(self, *args)
-
-    core_choices = []
-    use_pull = core_growing.use_pull
-
-    def spy_policy(*args):
-        core_choices.append(use_pull(*args))
-        return core_choices[-1]
-
-    monkeypatch.setattr(EmitScratch, "_emit_pull", spy_pull)
-    monkeypatch.setattr(core_growing, "use_pull", spy_policy)
-    run_mr(graph, mr_cluster, "vector", "py")
-    assert pulls
-    with native.impl_overrides("py", None):
-        cluster(graph, config=CFG)
-    assert any(core_choices)
 
 
 def test_timings_recorded(graph):

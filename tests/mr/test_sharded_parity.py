@@ -519,10 +519,6 @@ class TestMappedCacheTiers:
             if kwargs["force"] and self.row_gids is not None:
                 keys, nd, src, aidx, emitted = out
                 replayed = self.cache_hits > hits
-                if not replayed:
-                    # Uncached rounds pick push or pull by tier; pull
-                    # names the reverse arc, so compare its weight.
-                    aidx = np.take(self.weights, aidx)
                 order = np.lexsort((nd, aidx, src, keys))
                 calls.append((
                     self.shard_id, replayed, emitted, keys[order].tolist(),
@@ -611,9 +607,7 @@ class TestExchangeParity:
     whole-graph ``vector`` backend does.  Full matrix: CLUSTER /
     CLUSTER2 / CL-DIAM x 1/2/7 shards x kernel tier — the clustering
     AND the full counter snapshot bit-identical to ``vector`` on the
-    same tier.  The tier decides the expansion directions: native
-    workers always push, py workers also pull (through their boundary
-    slices) on heavy rounds.
+    same tier.
     """
 
     @pytest.mark.parametrize("impl", TIERS)

@@ -359,7 +359,7 @@ class TestVerifyTree:
     def test_clean_tree(self, tmp_path):
         graph = mesh(6, seed=5)
         store_file = tmp_path / "v.rcsr"
-        write_store(graph, store_file, reverse=True)
+        write_store(graph, store_file)
         reports = verify_tree(store_file, deep=True)
         assert all(r["ok"] for r in reports)
         kinds = {r["kind"] for r in reports}

@@ -67,15 +67,8 @@ class TestCostModel:
         path = stored_graphs["gnm"]
         header = read_store_header(path)
         cost = estimate_query_cost(path)
-        expected = (
-            header.file_size
-            + (0 if header.has_reverse else 8 * header.num_arcs)
-            + SCRATCH_BYTES_PER_NODE * header.num_nodes
-        )
-        assert cost == expected
-        no_reverse = estimate_query_cost(path, ensure_reverse=False)
-        assert no_reverse == header.file_size + (
-            SCRATCH_BYTES_PER_NODE * header.num_nodes
+        assert cost == (
+            header.file_size + SCRATCH_BYTES_PER_NODE * header.num_nodes
         )
 
     def test_text_source_uses_size_factor(self, tmp_path):
