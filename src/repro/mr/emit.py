@@ -600,11 +600,16 @@ class EmitScratch:
             self._cache_inert = 0
             self._cache_len = 0
             self._cache_delta = delta
+        # Sources frozen since the last replay, masked in a reused
+        # buffer (no n-sized temporaries per forced round).
+        fresh = self._b1.get("cache_fresh", self.num_rows)
+        np.logical_not(self._cache_in, out=fresh)
+        np.logical_and(fresh, frozen, out=fresh)
+        newly = np.flatnonzero(fresh)
         if _native.use_native():
-            self._cache_update_native(frozen, delta, lo, hi)
+            self._cache_update_native(newly, frozen, delta, lo, hi)
             return
 
-        newly = np.flatnonzero(frozen & ~self._cache_in)
         if len(newly):
             k, nd, s, a, cnt = self._emit_push(
                 newly, np.zeros(len(newly)), delta
@@ -656,7 +661,7 @@ class EmitScratch:
                 buf[: self._cache_len] = old[: self._cache_len]
             setattr(self, name, buf)
 
-    def _cache_update_native(self, frozen, delta, lo, hi) -> None:
+    def _cache_update_native(self, newly, frozen, delta, lo, hi) -> None:
         """Native cache maintenance: append + retire in place.
 
         Same append/retire semantics as the NumPy branch, but the cache
@@ -680,7 +685,6 @@ class EmitScratch:
             self._cbuf_a[:n] = self._cache_aidx
             self._cache_len = n
 
-        newly = np.flatnonzero(frozen & ~self._cache_in)
         if len(newly):
             # Fused expansion: frozen sources emit at effective distance
             # 0, so the light/Δ filter and the owned-range append run in
@@ -735,7 +739,10 @@ class EmitScratch:
         if batch.emitted == 0:
             return batch
 
-        hist = self._cache_hist.copy()
+        # The cached histogram plus the live rows, in a reused buffer
+        # (the cache's own histogram must stay cached-rows-only).
+        hist = self._i8.get("fc_hist", self.num_rows)
+        np.copyto(hist, self._cache_hist)
         if lcnt:
             if _native.use_native():
                 _native.bincount_into(lk, hist)
@@ -752,7 +759,6 @@ class EmitScratch:
             b_keys = self._i8.get("fc_keys", cap)
             b_nd = self._f8.get("fc_nd", cap)
             b_src = self._i8.get("fc_src", cap)
-            b_aidx = self._i8.get("fc_aidx", cap)
             b_w = self._f8.get("fc_w", cap)
             b_ctr = self._f8.get("fc_ctr", cap)
             b_srcf = self._f8.get("fc_srcf", cap)
@@ -762,14 +768,16 @@ class EmitScratch:
                 # the target; nd is the weight itself (eff = 0).
                 fcnt = _native.cache_replay(
                     self._cache_keys, self._cache_src, self._cache_aidx,
-                    f_active, self.weights, dist,
-                    b_keys, b_nd, b_src, b_aidx,
+                    f_active, self.weights, dist, center,
+                    b_keys, b_nd, b_src, b_w, b_ctr, b_srcf,
                 )
             lkept = 0
             if lcnt:
-                lkept = _native.filter_improve(
+                # The finish kernel without its accounting (hist None):
+                # the histogram above already covers the live rows.
+                lkept, _ = _native.finish_batch(
                     lk, lnd, lsrc, laidx, dist, frozen,
-                    self.weights, center,
+                    self.weights, center, None, None, None,
                     b_keys[fcnt:], b_nd[fcnt:], b_src[fcnt:],
                     b_w[fcnt:], b_ctr[fcnt:], b_srcf[fcnt:],
                 )
@@ -777,13 +785,6 @@ class EmitScratch:
             batch.count = kept
             if kept == 0:
                 return batch
-            if fcnt:
-                # Fill the cache block's materialized columns (the live
-                # block's were produced by filter_improve above).
-                _native.materialize(
-                    b_src[:fcnt], b_aidx[:fcnt], self.weights, center,
-                    b_w[:fcnt], b_ctr[:fcnt], b_srcf[:fcnt],
-                )
             batch.keys = b_keys[:kept]
             batch.nd = b_nd[:kept]
             batch.src = b_src[:kept]

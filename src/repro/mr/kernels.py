@@ -28,9 +28,11 @@ growing step only produces finite candidate rows.
 Candidates stay in arrival order and the reduction scatters into dense
 per-target buffers (:class:`ScatterScratch`, preallocated once and
 reset only on the touched targets, so rounds cost O(candidates)
-regardless of ``n``).  This is the merge of the vector backend's fused
-pipeline, the core path's step, and the sharded workers' resident
-merge.
+regardless of ``n``).  The native tier (``rk_scatter_min_rows``)
+computes the same winners in one pass over a per-id ``(stamp, winner
+row)`` table and returns the distinct ids through an O(ids) radix sort.
+This is the merge of the vector backend's fused pipeline, the core
+path's step, and the sharded workers' resident merge.
 """
 
 from __future__ import annotations
@@ -53,25 +55,27 @@ _ROW_SENTINEL = np.iinfo(np.int64).max
 class ScatterScratch:
     """Reusable dense buffers for the ungrouped scatter-min kernels.
 
-    One buffer per tie-break column plus one int64 row buffer, each of
-    the id-domain size.  Buffers are allocated (``np.empty`` — contents
-    are irrelevant, every kernel call writes its touched ids before
-    reading them) on first use and grown monotonically, so a state that
-    keeps one scratch across rounds performs zero per-round allocation
-    on the dense side.
+    The pure tier keeps one buffer per tie-break column plus one int64
+    row buffer, each of the id-domain size.  The native tier keeps none
+    of those: its single pass reads one interleaved ``(stamp, winner
+    row)`` int64 table per id (``2 * domain`` entries; a stamp equal
+    to the call's generation marks an id seen this call, so the table
+    never needs a reset) and compares incoming rows against the winner
+    row's own columns, plus the distinct-id/row output buffers its
+    radix sort ping-pongs through.  Buffers are allocated on first use
+    by the tier that needs them and grown monotonically (the pure
+    tier's with ``np.empty`` — every call writes its touched ids before
+    reading them), so a state that keeps one scratch across rounds
+    performs zero per-round allocation on the dense side.
     """
 
-    __slots__ = ("_cols", "_rows", "_size", "_stamp", "_gen", "_out")
+    __slots__ = ("_cols", "_rows", "_size", "_table", "_gen", "_out")
 
     def __init__(self) -> None:
         self._cols: List[np.ndarray] = []
         self._rows: Optional[np.ndarray] = None
         self._size = 0
-        # Native-tier extras (allocated on first native dispatch): a
-        # generation-stamp buffer that lets the single-pass C kernel
-        # skip the per-call dense reset, plus the distinct-id/row output
-        # buffers it sorts into.
-        self._stamp: Optional[np.ndarray] = None
+        self._table: Optional[np.ndarray] = None
         self._gen = 0
         self._out: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -89,18 +93,17 @@ class ScatterScratch:
             self._rows = np.empty(self._size, dtype=np.int64)
         return self._cols[:ncols], self._rows
 
-    def ensure_native(self, domain: int, ncols: int):
-        """Buffers + stamp generation for the native single-pass kernel."""
-        cols, rows = self.ensure(domain, ncols)
-        if self._stamp is None or len(self._stamp) < self._size:
-            self._stamp = np.zeros(self._size, dtype=np.int64)
+    def ensure_native(self, domain: int):
+        """``(table, gen, out_ids, out_rows)`` for the native kernel."""
+        if self._table is None or len(self._table) < 2 * domain:
+            self._table = np.zeros(2 * int(domain), dtype=np.int64)
             self._gen = 0  # fresh zeros can never equal a positive gen
             self._out = (
-                np.empty(self._size, dtype=np.int64),
-                np.empty(self._size, dtype=np.int64),
+                np.empty(domain, dtype=np.int64),
+                np.empty(domain, dtype=np.int64),
             )
         self._gen += 1
-        return cols, rows, self._stamp, self._gen, self._out[0], self._out[1]
+        return self._table, self._gen, self._out[0], self._out[1]
 
 
 def scatter_min_rows(

@@ -2,8 +2,9 @@
 
 ``REPRO_KERNEL_IMPL=py|native|auto`` selects the implementation tier for
 the Δ-growing hot kernels (push emit with the improvement
-pre-filter, ``scatter_min_rows``, the distinct-key count, and the
-frozen-replay histogram), for CL-DIAM's quotient-diameter Dijkstra
+pre-filter, ``scatter_min_rows``, the merge's apply, the distinct-key
+count, and the frozen-replay histogram), for CL-DIAM's
+quotient-diameter Dijkstra
 (:func:`quotient_ecc`, whose pure tier is scipy's — so a native-tier
 run never imports scipy), and for the ``lp`` shard partitioner's three
 passes over every arc (:func:`lp_best_label`, :func:`lp_affinity`,
@@ -94,24 +95,27 @@ _I = ctypes.c_int64
 _D = ctypes.c_double
 
 _SIGNATURES = {
-    # ids, n, c0, s0, c1, s1, c2, s2, ncols, b0, b1, b2, brow, stamp,
-    # gen, out_ids, out_rows -> distinct
+    # ids, n, c0, s0, c1, s1, c2, s2, ncols, table, gen, out_ids,
+    # out_rows -> distinct
     "rk_scatter_min_rows": (
-        [_P, _I, _P, _I, _P, _I, _P, _I, _I, _P, _P, _P, _P, _P, _I, _P, _P],
+        [_P, _I, _P, _I, _P, _I, _P, _I, _I, _P, _I, _P, _P],
         _I,
     ),
     "rk_bincount": ([_P, _I, _P], None),
     "rk_emit_push": ([_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _P], _I),
     "rk_compact": ([_P, _P, _P, _P, _P, _P, _I], _I),
-    "rk_filter_improve": (
-        [_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P],
-        _I,
-    ),
     # keys, nd, src, aidx, n, dist, frozen, weights, center,
-    # hist, gk, gc, ngroups, f_* banks -> kept
+    # hist (NULL: no accounting), gk, gc, ngroups, f_* banks -> kept
     "rk_finish_batch": (
         [_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P,
          _P, _P, _P, _P, _P, _P],
+        _I,
+    ),
+    # keys, g, rows, nd, ctr, dv, src, last, nlast, frozen, center,
+    # dist, dacc, changed, tmp, out, newly -> adopted
+    "rk_apply": (
+        [_P, _I, _P, _P, _P, _P, _P, _P, _I,
+         _P, _P, _P, _P, _P, _P, _P, _P],
         _I,
     ),
     "rk_begin_stage": ([_P, _I, _P, _P, _P, _P, _P], None),
@@ -126,8 +130,11 @@ _SIGNATURES = {
     ),
     "rk_cache_retire": ([_P, _P, _P, _I, _P, _I, _P], _I),
     "rk_partition_loads": ([_P, _I, _P, _I, _P], _I),
-    "rk_cache_replay": ([_P, _P, _P, _I, _P, _P, _P, _P, _P, _P], _I),
-    "rk_materialize": ([_P, _P, _I, _P, _P, _P, _P, _P], None),
+    # ck, cs, ca, n, weights, dist, center, fk, fnd, fs, fw, fctr,
+    # fsrcf -> kept
+    "rk_cache_replay": (
+        [_P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P], _I
+    ),
     "rk_core_emit_push": (
         [_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _P, _P, _P, _P],
         _I,
@@ -312,23 +319,15 @@ def _contig_i8(arr: np.ndarray) -> np.ndarray:
 def scatter_min_rows(ids, cols, *, domain, scratch):
     """Native :func:`repro.mr.kernels.scatter_min_rows` (same contract)."""
     lib = _load()
-    n = len(ids)
     ids = _contig_i8(ids)
-    col_bufs, row_buf, stamp, gen, out_ids, out_rows = scratch.ensure_native(
-        domain, len(cols)
-    )
-    ncols = len(cols)
+    table, gen, out_ids, out_rows = scratch.ensure_native(domain)
     c = [(0, 0)] * 3
-    b = [None] * 3
-    for i in range(ncols):
-        c[i] = _col(cols[i])
-        b[i] = col_bufs[i]
+    for i, col in enumerate(cols):
+        c[i] = _col(col)
     t = lib.rk_scatter_min_rows(
-        _ptr(ids), n,
-        c[0][0], c[0][1], c[1][0], c[1][1], c[2][0], c[2][1], ncols,
-        _ptr(b[0]), _ptr(b[1]), _ptr(b[2]),
-        _ptr(row_buf), _ptr(stamp), gen,
-        _ptr(out_ids), _ptr(out_rows),
+        _ptr(ids), len(ids),
+        c[0][0], c[0][1], c[1][0], c[1][1], c[2][0], c[2][1], len(cols),
+        _ptr(table), gen, _ptr(out_ids), _ptr(out_rows),
     )
     return out_ids[:t].copy(), out_rows[:t].copy()
 
@@ -340,29 +339,17 @@ def bincount_into(keys, hist) -> None:
     lib.rk_bincount(_ptr(keys), len(keys), _ptr(hist))
 
 
-def filter_improve(
-    keys, nd, src, aidx, dist, frozen, weights, center,
-    f_keys, f_nd, f_src, f_w, f_ctr, f_srcf,
-) -> int:
-    """Fused improvement filter + column materialization (_finish tail)."""
-    lib = _load()
-    return lib.rk_filter_improve(
-        _ptr(keys), _ptr(nd), _ptr(src), _ptr(aidx), len(keys),
-        _ptr(dist), _ptr(frozen), _ptr(weights), _ptr(center),
-        _ptr(f_keys), _ptr(f_nd), _ptr(f_src),
-        _ptr(f_w), _ptr(f_ctr), _ptr(f_srcf),
-    )
-
-
 def finish_batch(
     keys, nd, src, aidx, dist, frozen, weights, center,
     hist, gk, gc,
     f_keys, f_nd, f_src, f_w, f_ctr, f_srcf,
 ):
-    """One fused stream over the unfiltered candidate columns: stamped
-    accounting histogram (ascending distinct keys + counts, hist left
-    all-zero) plus the improvement filter + materialization of
-    :func:`filter_improve`.  Returns ``(kept, ngroups)``.
+    """One fused stream over the unfiltered candidate columns: the
+    stamped accounting histogram (ascending distinct keys + counts into
+    ``gk``/``gc``, hist left all-zero) plus the improvement filter,
+    gathering the kept rows' w/center/float-source columns.  ``hist``
+    ``None`` skips the accounting (``gk``/``gc`` unused).  Returns
+    ``(kept, ngroups)``.
     """
     lib = _load()
     ngroups = np.zeros(1, dtype=np.int64)
@@ -374,6 +361,38 @@ def finish_batch(
         _ptr(f_w), _ptr(f_ctr), _ptr(f_srcf),
     )
     return kept, int(ngroups[0])
+
+
+def apply_winners(
+    keys, rows, nd, ctr, dv, src, last, frozen, center, dist, dacc, changed,
+):
+    """Native ``ArrayGrowingState._apply``: ``(adopted keys, newly)``.
+
+    The winner of ``keys[j]`` is row ``rows[j]`` of the float64 columns
+    ``nd``/``ctr``/``dv``.  With ``src`` ``None``, ``dv`` is the
+    winner's accumulated distance; otherwise it is the arc weight,
+    added to the source's pre-apply ``dacc``.  ``changed`` is cleared
+    on ``last`` first.
+    """
+    lib = _load()
+    g = len(keys)
+    # Bound to names: a temporary copy must outlive the call.
+    keys, rows, last = _contig_i8(keys), _contig_i8(rows), _contig_i8(last)
+    nd, ctr, dv = (np.ascontiguousarray(c, dtype=np.float64)
+                   for c in (nd, ctr, dv))
+    if src is not None:
+        src = _contig_i8(src)
+    tmp = np.empty(g)
+    out = np.empty(g, dtype=np.int64)
+    newly = np.zeros(1, dtype=np.int64)
+    adopted = lib.rk_apply(
+        _ptr(keys), g, _ptr(rows),
+        _ptr(nd), _ptr(ctr), _ptr(dv), _ptr(src),
+        _ptr(last), len(last),
+        _ptr(frozen), _ptr(center), _ptr(dist), _ptr(dacc), _ptr(changed),
+        _ptr(tmp), _ptr(out), _ptr(newly),
+    )
+    return out[:adopted], int(newly[0])
 
 
 def begin_stage(frozen, center, dist, dacc, changed, frozen_iter) -> None:
@@ -451,21 +470,16 @@ def cache_retire(ck, cs, ca, length, frozen, lo, localidx=None) -> int:
     )
 
 
-def cache_replay(ck, cs, ca, length, weights, dist, fk, fnd, fs, fa) -> int:
-    """Improvement-filtered cache replay; returns the surviving count."""
+def cache_replay(
+    ck, cs, ca, length, weights, dist, center, fk, fnd, fs, fw, fctr, fsrcf,
+) -> int:
+    """Improvement-filtered cache replay with the survivors'
+    w/center/float-source columns; returns the surviving count."""
     lib = _load()
     return lib.rk_cache_replay(
         _ptr(ck), _ptr(cs), _ptr(ca), length, _ptr(weights), _ptr(dist),
-        _ptr(fk), _ptr(fnd), _ptr(fs), _ptr(fa),
-    )
-
-
-def materialize(src, aidx, weights, center, w, ctr, srcf) -> None:
-    """Gather w/center/float-source columns for filtered rows."""
-    lib = _load()
-    lib.rk_materialize(
-        _ptr(src), _ptr(aidx), len(src), _ptr(weights), _ptr(center),
-        _ptr(w), _ptr(ctr), _ptr(srcf),
+        _ptr(center), _ptr(fk), _ptr(fnd), _ptr(fs),
+        _ptr(fw), _ptr(fctr), _ptr(fsrcf),
     )
 
 

@@ -12,13 +12,12 @@
  * Parity contract: each kernel computes bit-for-bit what its NumPy
  * counterpart computes — same IEEE double arithmetic (one add per
  * candidate), same strict-less lexicographic tie-breaks, same output
- * ordering (ascending ids from a qsort over the touched list; push
- * candidates in source-major CSR order).
+ * ordering (ascending ids from an LSD radix sort of the touched list;
+ * push candidates in source-major CSR order).
  * The pure tier stays the oracle: tests/mr/test_native_kernels.py pits
  * every function here against it.
  */
 
-#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -41,71 +40,107 @@ typedef uint8_t u8;
 #endif
 #define RK_PF_DIST 64
 
+/* +inf as a constant expression; <math.h> (INFINITY) is the costliest
+ * header to parse, and the build is part of every cold start. */
+#define RK_INF (1.0 / 0.0)
+
 static int cmp_i64(const void *pa, const void *pb)
 {
     i64 a = *(const i64 *)pa, b = *(const i64 *)pb;
     return (a > b) - (a < b);
 }
 
+/* LSD radix sort of n non-negative ids, all <= maxid, in
+ * RK_RADIX_BITS-bit digits: one counting pass per digit of maxid, so
+ * the cost is O(n) per pass and a batch of small ids sorts in one pass.
+ * tmp (n entries) is the ping-pong space; returns whichever of a / tmp
+ * holds the ascending result. */
+#define RK_RADIX_BITS 11
+#define RK_RADIX (1 << RK_RADIX_BITS)
+
+static i64 *rk_radix_sort(i64 *a, i64 *tmp, i64 n, i64 maxid)
+{
+    i64 count[RK_RADIX];
+    for (int shift = 0; shift < 64 && (maxid >> shift) > 0;
+         shift += RK_RADIX_BITS) {
+        memset(count, 0, sizeof count);
+        for (i64 i = 0; i < n; ++i)
+            count[(a[i] >> shift) & (RK_RADIX - 1)] += 1;
+        i64 sum = 0;
+        for (int d = 0; d < RK_RADIX; ++d) {
+            i64 c = count[d];
+            count[d] = sum;
+            sum += c;
+        }
+        for (i64 i = 0; i < n; ++i)
+            tmp[count[(a[i] >> shift) & (RK_RADIX - 1)]++] = a[i];
+        i64 *swap = a;
+        a = tmp;
+        tmp = swap;
+    }
+    return a;
+}
+
 /* Winner row per distinct id under the (c0, c1, c2, arrival) tie-break.
  *
- * Single pass with generation-stamped dense buffers: `stamp[id] == gen`
- * marks ids seen this call, so the domain-sized scratch never needs a
- * reset.  Columns are strided (element strides s0/s1/s2) so 2-D column
- * views pass through without a copy.  Writes the distinct ids
- * (ascending) into out_ids and their winner rows into out_rows; returns
- * the distinct count.  Matches kernels.scatter_min_rows: the strict
- * "less" comparison keeps the earliest row among full ties.
+ * Single pass over one interleaved per-id table: tab[2 * id] is a
+ * generation stamp (== gen marks ids seen this call, so the
+ * domain-sized table never needs a reset) and tab[2 * id + 1] the
+ * current winner row, whose own columns the incoming row is compared
+ * against — one cache line per id instead of five dense arrays.
+ * Columns are strided (element strides s0/s1/s2) so 2-D column views
+ * pass through without a copy.  Writes the distinct ids (ascending)
+ * into out_ids and their winner rows into out_rows, which doubles as
+ * the radix sort's ping-pong space; returns the distinct count.
+ * Matches kernels.scatter_min_rows: the strict "less" comparison keeps
+ * the earliest row among full ties.
  */
 i64 rk_scatter_min_rows(
     const i64 *ids, i64 n,
     const double *c0, i64 s0,
     const double *c1, i64 s1,
     const double *c2, i64 s2,
-    i64 ncols,
-    double *b0, double *b1, double *b2,
-    i64 *brow, i64 *stamp, i64 gen,
+    i64 ncols, i64 *tab, i64 gen,
     i64 *out_ids, i64 *out_rows)
 {
-    i64 t = 0;
+    i64 t = 0, maxid = 0;
     for (i64 i = 0; i < n; ++i) {
         if (i + RK_PF_DIST < n)
-            RK_PREFETCH_W(&stamp[ids[i + RK_PF_DIST]]);
+            RK_PREFETCH_W(&tab[2 * ids[i + RK_PF_DIST]]);
         i64 id = ids[i];
-        if (stamp[id] != gen) {
-            stamp[id] = gen;
+        i64 *e = tab + 2 * id;
+        if (e[0] != gen) {
+            e[0] = gen;
+            e[1] = i;
             out_ids[t++] = id;
-            if (ncols > 0) b0[id] = c0[i * s0];
-            if (ncols > 1) b1[id] = c1[i * s1];
-            if (ncols > 2) b2[id] = c2[i * s2];
-            brow[id] = i;
+            if (id > maxid)
+                maxid = id;
             continue;
         }
+        i64 w = e[1];
         if (ncols > 0) {
-            double v = c0[i * s0];
-            if (v > b0[id]) continue;
-            if (v < b0[id]) goto take;
+            double v = c0[i * s0], b = c0[w * s0];
+            if (v > b) continue;
+            if (v < b) goto take;
         }
         if (ncols > 1) {
-            double v = c1[i * s1];
-            if (v > b1[id]) continue;
-            if (v < b1[id]) goto take;
+            double v = c1[i * s1], b = c1[w * s1];
+            if (v > b) continue;
+            if (v < b) goto take;
         }
         if (ncols > 2) {
-            double v = c2[i * s2];
-            if (v > b2[id]) continue;
-            if (v < b2[id]) goto take;
+            double v = c2[i * s2], b = c2[w * s2];
+            if (v > b) continue;
+            if (v < b) goto take;
         }
         continue; /* full tie: the earlier arrival stays */
     take:
-        if (ncols > 0) b0[id] = c0[i * s0];
-        if (ncols > 1) b1[id] = c1[i * s1];
-        if (ncols > 2) b2[id] = c2[i * s2];
-        brow[id] = i;
+        e[1] = i;
     }
-    qsort(out_ids, (size_t)t, sizeof(i64), cmp_i64);
+    if (rk_radix_sort(out_ids, out_rows, t, maxid) == out_rows)
+        memcpy(out_ids, out_rows, (size_t)t * sizeof(i64));
     for (i64 j = 0; j < t; ++j)
-        out_rows[j] = brow[out_ids[j]];
+        out_rows[j] = tab[2 * out_ids[j] + 1];
     return t;
 }
 
@@ -176,48 +211,15 @@ i64 rk_compact(
     return pos;
 }
 
-/* The improvement pre-filter + column materialization of
- * EmitScratch._finish: keep rows whose target is open and strictly
- * improved, gathering w (from the arc index), the source's center and
- * the float source column in the same pass. */
-i64 rk_filter_improve(
-    const i64 *keys, const double *nd, const i64 *src, const i64 *aidx,
-    i64 n,
-    const double *dist, const u8 *frozen,
-    const double *weights, const i64 *center,
-    i64 *f_keys, double *f_nd, i64 *f_src,
-    double *f_w, double *f_ctr, double *f_srcf)
-{
-    i64 t = 0;
-    for (i64 i = 0; i < n; ++i) {
-        if (i + RK_PF_DIST < n) {
-            RK_PREFETCH(&frozen[keys[i + RK_PF_DIST]]);
-            RK_PREFETCH(&dist[keys[i + RK_PF_DIST]]);
-        }
-        i64 k = keys[i];
-        if (frozen[k])
-            continue;
-        double d = nd[i];
-        if (!(d < dist[k]))
-            continue;
-        i64 s = src[i];
-        f_keys[t] = k;
-        f_nd[t] = d;
-        f_src[t] = s;
-        f_w[t] = weights[aidx[i]];
-        f_ctr[t] = (double)center[s];
-        f_srcf[t] = (double)s;
-        ++t;
-    }
-    return t;
-}
-
 /* Fused batch finish (EmitScratch._finish): one stream over the
- * unfiltered candidate columns doing BOTH the accounting histogram
- * (stamped distinct-key collection, emitted ascending, hist restored
- * to zero) and the improvement filter + materialization of
- * rk_filter_improve.  Replaces two full passes with one.  Returns the
- * kept count and writes the distinct-group count through ngroups. */
+ * unfiltered candidate columns doing the accounting histogram (stamped
+ * distinct-key collection, radix-sorted ascending with gc as the
+ * ping-pong space, hist restored to zero) and the improvement filter:
+ * keep rows whose target is open and strictly improved, gathering w
+ * (from the arc index), the source's center and the float source
+ * column in the same pass.  A NULL hist skips the accounting (gk, gc
+ * and ngroups are then unused).  Returns the kept count and writes the
+ * distinct-group count through ngroups. */
 i64 rk_finish_batch(
     const i64 *keys, const double *nd, const i64 *src, const i64 *aidx,
     i64 n,
@@ -227,16 +229,20 @@ i64 rk_finish_batch(
     i64 *f_keys, double *f_nd, i64 *f_src,
     double *f_w, double *f_ctr, double *f_srcf)
 {
-    i64 g = 0, t = 0;
+    i64 g = 0, t = 0, maxk = 0;
     for (i64 i = 0; i < n; ++i) {
         if (i + RK_PF_DIST < n) {
             RK_PREFETCH(&frozen[keys[i + RK_PF_DIST]]);
             RK_PREFETCH(&dist[keys[i + RK_PF_DIST]]);
-            RK_PREFETCH_W(&hist[keys[i + RK_PF_DIST]]);
+            if (hist)
+                RK_PREFETCH_W(&hist[keys[i + RK_PF_DIST]]);
         }
         i64 k = keys[i];
-        if (hist[k]++ == 0)
+        if (hist && hist[k]++ == 0) {
             gk[g++] = k;
+            if (k > maxk)
+                maxk = k;
+        }
         double d = nd[i];
         if (frozen[k] || !(d < dist[k]))
             continue;
@@ -249,12 +255,58 @@ i64 rk_finish_batch(
         f_srcf[t] = (double)s;
         ++t;
     }
-    qsort(gk, (size_t)g, sizeof(i64), cmp_i64);
+    if (!hist)
+        return t;
+    if (rk_radix_sort(gk, gc, g, maxk) == gc)
+        memcpy(gk, gc, (size_t)g * sizeof(i64));
     for (i64 j = 0; j < g; ++j) {
         gc[j] = hist[gk[j]];
         hist[gk[j]] = 0;
     }
     *ngroups = g;
+    return t;
+}
+
+/* The apply half of the merge (ArrayGrowingState._apply): clear
+ * `changed` on the last frontier, then adopt each per-target winner
+ * whose target is open and strictly improved.  The winner of keys[j]
+ * is candidate row rows[j] of the nd / ctr / dv columns.  With src
+ * NULL, dv is the winner's accumulated distance; otherwise dv is the
+ * arc weight and the accumulated distance is dacc[src[row]] + w —
+ * read in a first pass, before any row is written, because a winner's
+ * source may itself be adopted by this merge.  The second pass writes
+ * center/dist/dacc/changed.  tmp needs g doubles; out (g entries)
+ * receives the adopted keys in ascending order (keys ascend).  Returns
+ * the adopted count and writes how many of them had no center
+ * (NO_CENTER == -1) through newly. */
+i64 rk_apply(
+    const i64 *keys, i64 g, const i64 *rows,
+    const double *nd, const double *ctr, const double *dv,
+    const i64 *src, const i64 *last, i64 nlast,
+    const u8 *frozen, i64 *center, double *dist, double *dacc,
+    u8 *changed, double *tmp, i64 *out, i64 *newly)
+{
+    for (i64 j = 0; j < nlast; ++j)
+        changed[last[j]] = 0;
+    i64 t = 0;
+    for (i64 j = 0; j < g; ++j) {
+        i64 k = keys[j], r = rows[j];
+        if (frozen[k] || !(nd[r] < dist[k]))
+            continue;
+        tmp[t] = src ? dacc[src[r]] + dv[r] : dv[r];
+        out[t++] = j;
+    }
+    i64 fresh = 0;
+    for (i64 a = 0; a < t; ++a) {
+        i64 j = out[a], k = keys[j], r = rows[j];
+        fresh += center[k] == -1;
+        center[k] = (i64)ctr[r];
+        dist[k] = nd[r];
+        dacc[k] = tmp[a];
+        changed[k] = 1;
+        out[a] = k;
+    }
+    *newly = fresh;
     return t;
 }
 
@@ -266,13 +318,12 @@ void rk_begin_stage(
     i64 *center, double *dist, double *dacc, u8 *changed,
     i64 *frozen_iter)
 {
-    const double inf = 1.0 / 0.0;
     for (i64 i = 0; i < n; ++i) {
         if (frozen[i])
             continue;
         center[i] = -1;
-        dist[i] = inf;
-        dacc[i] = inf;
+        dist[i] = RK_INF;
+        dacc[i] = RK_INF;
         changed[i] = 0;
         frozen_iter[i] = 0;
     }
@@ -421,11 +472,13 @@ i64 rk_cache_retire(
 /* Cache replay improvement filter (EmitScratch._emit_forced_cached):
  * a cached frozen emission's candidate distance is its arc weight;
  * keep rows that strictly improve their (open, by the retire pass)
- * target. */
+ * target, gathering the w / source-center / float-source columns of
+ * the survivors in the same pass (fnd and fw both hold the weight). */
 i64 rk_cache_replay(
     const i64 *ck, const i64 *cs, const i64 *ca, i64 n,
-    const double *weights, const double *dist,
-    i64 *fk, double *fnd, i64 *fs, i64 *fa)
+    const double *weights, const double *dist, const i64 *center,
+    i64 *fk, double *fnd, i64 *fs,
+    double *fw, double *fctr, double *fsrcf)
 {
     i64 t = 0;
     for (i64 i = 0; i < n; ++i) {
@@ -436,27 +489,16 @@ i64 rk_cache_replay(
         double w = weights[ca[i]];
         if (!(w < dist[ck[i]]))
             continue;
+        i64 s = cs[i];
         fk[t] = ck[i];
         fnd[t] = w;
-        fs[t] = cs[i];
-        fa[t] = ca[i];
+        fs[t] = s;
+        fw[t] = w;
+        fctr[t] = (double)center[s];
+        fsrcf[t] = (double)s;
         ++t;
     }
     return t;
-}
-
-/* Gather the trailing candidate columns (w from the arc index, the
- * source's center, the float source) for already-filtered rows. */
-void rk_materialize(
-    const i64 *src, const i64 *aidx, i64 n,
-    const double *weights, const i64 *center,
-    double *w, double *ctr, double *srcf)
-{
-    for (i64 i = 0; i < n; ++i) {
-        w[i] = weights[aidx[i]];
-        ctr[i] = (double)center[src[i]];
-        srcf[i] = (double)src[i];
-    }
 }
 
 /* Serial-core push expansion (core.growing.delta_growing_step): the
@@ -526,7 +568,7 @@ double rk_quotient_ecc(
     double best = 0.0;
     for (i64 s = 0; s < nsources; ++s) {
         i64 src = sources[s];
-        if (skip_reached && dist[src] < INFINITY)
+        if (skip_reached && dist[src] < RK_INF)
             continue;
         i64 ntouched = 1, size = 1;
         dist[src] = 0.0;
@@ -567,7 +609,7 @@ double rk_quotient_ecc(
                 double nd = d + weights[a];
                 if (!(nd < dist[v]))
                     continue;
-                if (dist[v] == INFINITY)
+                if (dist[v] == RK_INF)
                     touched[ntouched++] = v;
                 dist[v] = nd;
                 /* push: sift the new entry up from the end */
@@ -586,7 +628,7 @@ double rk_quotient_ecc(
         }
         if (!skip_reached)
             for (i64 t = 0; t < ntouched; ++t)
-                dist[touched[t]] = INFINITY;
+                dist[touched[t]] = RK_INF;
     }
     return best;
 }

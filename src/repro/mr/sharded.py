@@ -480,6 +480,8 @@ class _ShardWorker(ArrayGrowingState):
         Wire keys are global; the returned group keys are **local**
         (the state arrays' index space) and stay ascending because both
         ownership layouts keep the global→local map order-preserving.
+        Each key comes with its winning row of ``cand_values``, which
+        the apply reads in place.
         :func:`~repro.mr.kernels.scatter_min_rows` passes over dense
         per-node buffers (``(nd, center, source)`` tie-break, all three
         columns unique per target — see the module docstring), reusing
@@ -507,12 +509,7 @@ class _ShardWorker(ArrayGrowingState):
         counts = hist[ids]
         hist[ids] = 0
         at = int(np.argmax(counts))
-        return (
-            ids,
-            cand_values[rows],
-            int(counts[at]),
-            int(self.row_gids[ids[at]]),
-        )
+        return ids, rows, int(counts[at]), int(self.row_gids[ids[at]])
 
     def apply_replicas(self, ids, center, dist, dacc, iteration):
         idx = np.searchsorted(self.halo, ids)
@@ -550,24 +547,32 @@ class _ShardWorker(ArrayGrowingState):
         blocks = [] if self.pending is None else [self.pending]
         blocks += incoming
         self.pending = None
-        keys = np.empty(0, dtype=np.int64)
+        keys = rows = np.empty(0, dtype=np.int64)
         values = np.empty((0, CANDIDATE_WIDTH))
         merged = sum(len(block[0]) for block in blocks)
         max_group = 0
         max_group_key = -1
         if merged:
-            keys, values, max_group, max_group_key = self._merge(
-                np.concatenate([b[0] for b in blocks]),
-                np.concatenate([b[1] for b in blocks]),
+            # Column-major, so the merge and the apply read contiguous
+            # value columns.
+            values = np.concatenate(
+                [b[1] for b in blocks],
+                out=np.empty((merged, CANDIDATE_WIDTH), order="F"),
+            )
+            keys, rows, max_group, max_group_key = self._merge(
+                np.concatenate([b[0] for b in blocks]), values
             )
         apply_start = time.perf_counter()
-        updated, newly = self._apply(keys, values[:, :3])
+        updated, newly = self._apply(
+            keys, rows, values[:, 0], values[:, 1], values[:, 2]
+        )
 
         # Emit through the shard's CSR rows, then route by owner: the
         # cross-shard blocks return to the driver, which delivers them
         # with the next step.  The adopted frontier drives non-forced
         # rounds directly.
         emit_start = time.perf_counter()
+        hits = self.cache_hits
         emitted, outgoing, pending_blocks = self._emit_fused(
             delta, force, rescale, iteration, None if force else self._active
         )
@@ -594,6 +599,7 @@ class _ShardWorker(ArrayGrowingState):
             "max_group_key": max_group_key,
             "outgoing": outgoing,
             "times": times,
+            "cache_hits": self.cache_hits - hits,
         }
 
     # -- emission ------------------------------------------------------- #
@@ -1352,6 +1358,10 @@ class ShardedGrowingState:
         # replica_updates[dest] -> list of freeze blocks to deliver.
         self._replica_updates: Dict[int, List] = {}
         self._emitted_last = 0
+        #: Forced rounds the workers answered from their frozen-emission
+        #: caches, summed over shards (kept out of the counters, like
+        #: the vector state's count).
+        self.cache_hits = 0
 
     # -- growing-state interface --------------------------------------- #
 
@@ -1440,6 +1450,7 @@ class ShardedGrowingState:
 
         merged = sum(r["merged"] for r in replies)
         updated = sum(r["updated"] for r in replies)
+        self.cache_hits += sum(r["cache_hits"] for r in replies)
         newly = sum(r["newly"] for r in replies)
         produced = 0
         for reply in replies:

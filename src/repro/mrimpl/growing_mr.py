@@ -62,6 +62,8 @@ __all__ = [
 
 NO_CENTER = -1
 
+_EMPTY_I8 = np.empty(0, dtype=np.int64)
+
 
 class ArrayGrowingState:
     """Driver state over NumPy arrays (batch reducer path).
@@ -112,6 +114,11 @@ class ArrayGrowingState:
 
     def _make_emit_scratch(self, graph: CSRGraph) -> EmitScratch:
         return EmitScratch(graph.indptr, graph.indices, graph.weights)
+
+    @property
+    def cache_hits(self) -> int:
+        """Forced rounds answered from the frozen-emission cache."""
+        return self._emit_scratch.cache_hits
 
     def _to_global(self, rows: np.ndarray) -> np.ndarray:
         return rows if self.row_gids is None else self.row_gids[rows]
@@ -178,12 +185,17 @@ class ArrayGrowingState:
         iteration: int = 0,
     ) -> Tuple[int, int]:
         # Merge: reduce last step's surviving candidates to the winning
-        # (nd, center, dacc) per target, with the accounting of the full
-        # emission (the batch carries it).
-        keys, values = self._merge_fused(engine, self._pending)
+        # row per target, with the accounting of the full emission (the
+        # batch carries it); the apply reads the winners in place.
+        batch = self._pending
+        keys, rows = self._merge_fused(engine, batch)
         self._pending = None
+        if batch is None:
+            batch = EmitBatch()  # nothing in flight: empty columns
         apply_start = perf_counter()
-        updated, newly = self._apply(keys, values)
+        updated, newly = self._apply(
+            keys, rows, batch.nd, batch.ctr, batch.w, src=batch.src
+        )
         emit_start = perf_counter()
         engine.counters.add_time("apply", emit_start - apply_start)
 
@@ -209,23 +221,53 @@ class ArrayGrowingState:
         engine.counters.growing_steps += 1
         return updated, newly
 
-    def _apply(self, keys: np.ndarray, values: np.ndarray) -> Tuple[int, int]:
+    def _apply(
+        self,
+        keys: np.ndarray,
+        rows: np.ndarray,
+        nd: np.ndarray,
+        ctr: np.ndarray,
+        dv: np.ndarray,
+        *,
+        src: Optional[np.ndarray] = None,
+    ) -> Tuple[int, int]:
         """Adopt the merge's per-target winners into the state arrays.
 
-        ``keys`` are the distinct target rows (ascending) and ``values``
-        the winning ``(nd, center, dacc)`` row per target, as produced
-        by the scatter-min merge.  The adopted rows become the next
-        round's active frontier (ascending, so no caller rescans the
-        full mask).  Returns ``(updated, newly_assigned)``.
+        ``keys`` are the distinct target rows (ascending).  The winner
+        of ``keys[j]`` is candidate row ``rows[j]`` of the float64
+        columns ``nd`` (distance), ``ctr`` (center) and ``dv``.
+        Without ``src``, ``dv`` is the winner's accumulated distance
+        (the sharded wire format carries it); with ``src``, ``dv`` is
+        the arc weight and the accumulated distance is
+        ``dacc[src[row]] + w``, read before any row is written — a
+        winner's source may itself be adopted by this merge.  A target
+        adopts when it is open and strictly improved.  The adopted rows
+        become the next round's active frontier (ascending, so no
+        caller rescans the full mask).  Returns
+        ``(updated, newly_assigned)``.
         """
+        if _native.use_native():
+            # One C pass: clear the last frontier, adopt test, NO_CENTER
+            # count and the state writes.
+            tgt, newly = _native.apply_winners(
+                keys, rows, nd, ctr, dv, src, self._active,
+                self.frozen, self.center, self.dist, self.dacc, self.changed,
+            )
+            self._active = tgt
+            return len(tgt), newly
         self.changed[self._active] = False  # O(frontier), not O(n)
-        nd = values[:, 0]
-        adopt = (~self.frozen[keys]) & (nd < self.dist[keys])
+        win_nd = nd[rows]
+        adopt = (~self.frozen[keys]) & (win_nd < self.dist[keys])
         tgt = keys[adopt]
+        win = rows[adopt]
+        if src is None:
+            new_dacc = dv[win]
+        else:
+            new_dacc = self.dacc[src[win]] + dv[win]
         newly = int(np.count_nonzero(self.center[tgt] == NO_CENTER))
-        self.center[tgt] = values[adopt, 1].astype(np.int64)
-        self.dist[tgt] = nd[adopt]
-        self.dacc[tgt] = values[adopt, 2]
+        self.center[tgt] = ctr[win].astype(np.int64)
+        self.dist[tgt] = win_nd[adopt]
+        self.dacc[tgt] = new_dacc
         self.changed[tgt] = True
         self._active = tgt
         return len(tgt), newly
@@ -235,7 +277,9 @@ class ArrayGrowingState:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One merge round over a fused batch, with ``round_batch``'s
         exact accounting — the shared engine cost-model helpers, fed
-        the *unfiltered* multiset the batch recorded at emit time."""
+        the *unfiltered* multiset the batch recorded at emit time.
+        Returns the distinct target rows (ascending) and each one's
+        winning row in the batch."""
         emitted = batch.emitted if batch is not None else 0
         words_per_pair = 4  # 1 key word + 3 payload words
         engine.check_total_memory(emitted, words_per_pair)
@@ -247,8 +291,7 @@ class ArrayGrowingState:
 
         reduce_start = perf_counter()
         if batch is None or batch.count == 0:
-            out_keys = np.empty(0, dtype=np.int64)
-            out_values = np.empty((0, 3), dtype=np.float64)
+            out_keys = rows = _EMPTY_I8
         else:
             # No shuffle at all: the ungrouped scatter consumes the
             # scratch banks directly; the (nd, center, source)
@@ -260,11 +303,6 @@ class ArrayGrowingState:
                 domain=self.num_rows,
                 scratch=self._merge_scratch,
             )
-            out_values = np.empty((len(out_keys), 3), dtype=np.float64)
-            out_values[:, 0] = batch.nd[rows]
-            out_values[:, 1] = batch.ctr[rows]
-            out_values[:, 2] = self.dacc[batch.src[rows]]
-            out_values[:, 2] += batch.w[rows]
         engine.counters.add_time("shuffle", reduce_start - shuffle_start)
         engine.counters.add_time("reduce", perf_counter() - reduce_start)
 
@@ -274,7 +312,7 @@ class ArrayGrowingState:
             batch.group_counts if batch is not None else None,
             1,  # the merge outputs one row per (full-multiset) group
         )
-        return out_keys, out_values
+        return out_keys, rows
 
     def in_flight(self) -> bool:
         return self._pending is not None and self._pending.emitted > 0

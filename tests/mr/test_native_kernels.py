@@ -36,7 +36,7 @@ from repro.mr.partitioner import hash_partition_array
 from repro.mrimpl.cluster2_mr import mr_cluster2
 from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.diameter_mr import mr_approximate_diameter
-from repro.mrimpl.growing_mr import default_engine
+from repro.mrimpl.growing_mr import NO_CENTER, ArrayGrowingState, default_engine
 from repro.runtime.runner import run as runtime_run
 
 NATIVE = native.native_available()
@@ -77,6 +77,19 @@ def _random_batch(rng, *, ncols, n, domain, ties=False):
             col[rng.random(n) < 0.1] = np.inf
         cols.append(col)
     return ids, tuple(cols)
+
+
+def _assert_scatter_parity(ids, cols, domain):
+    """Native winners equal the pure tier's for one batch."""
+    with native.impl_overrides("py", None):
+        ref_ids, ref_rows = scatter_min_rows(
+            ids, cols, domain=domain, scratch=ScatterScratch()
+        )
+    got_ids, got_rows = native.scatter_min_rows(
+        ids, cols, domain=domain, scratch=ScatterScratch()
+    )
+    np.testing.assert_array_equal(got_ids, ref_ids)
+    np.testing.assert_array_equal(got_rows, ref_rows)
 
 
 # --------------------------------------------------------------------- #
@@ -143,6 +156,68 @@ class TestScatterMinRows:
         np.testing.assert_array_equal(got_ids, [3])
         np.testing.assert_array_equal(got_rows, [0])
 
+    @pytest.mark.parametrize("ncols", [1, 2, 3])
+    def test_candidate_matrix_column_views(self, ncols):
+        """The sharded merge's strided ``cand_values[:, k]`` columns,
+        quantized so ties run down to the last column."""
+        rng = np.random.default_rng(40 + ncols)
+        values = np.round(rng.random((300, 4)) * 2.0) / 2.0
+        ids = rng.integers(0, 25, 300).astype(np.int64)
+        cols = tuple(values[:, k] for k in (0, 1, 3)[:ncols])
+        _assert_scatter_parity(ids, cols, 25)
+
+    def test_full_ties_keep_earliest_on_every_column(self):
+        ids = np.array([4, 2, 4, 2, 4], dtype=np.int64)
+        cols = tuple(np.full(5, 1.5) for _ in range(3))
+        got_ids, got_rows = native.scatter_min_rows(
+            ids, cols, domain=5, scratch=ScatterScratch()
+        )
+        np.testing.assert_array_equal(got_ids, [2, 4])
+        np.testing.assert_array_equal(got_rows, [1, 0])
+        _assert_scatter_parity(ids, cols, 5)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_batches(self, n):
+        ids = np.zeros(n, dtype=np.int64)
+        cols = (np.ones(n), np.zeros(n))
+        got = native.scatter_min_rows(
+            ids, cols, domain=1, scratch=ScatterScratch()
+        )
+        np.testing.assert_array_equal(got[0], np.zeros(n))
+        np.testing.assert_array_equal(got[1], np.zeros(n))
+        _assert_scatter_parity(ids, cols, 1)
+
+    @pytest.mark.parametrize(
+        "largest",
+        # 11-bit radix digits: no pass (all ids 0), one pass (largest id
+        # below 2**11), two passes (up to 2**22 - 1).
+        [0, 1, 2047, 2048, 5000, (1 << 20) + 3],
+    )
+    @pytest.mark.parametrize("order", ["random", "descending"])
+    def test_radix_order_over_id_widths(self, largest, order):
+        """Distinct ids come back ascending whatever the digit count of
+        the largest id, with duplicates and a scratch reused across
+        calls (the stamp generation must isolate them)."""
+        rng = np.random.default_rng(largest)
+        domain = largest + 1
+        scratch = ScatterScratch()
+        for trial in range(3):
+            ids = rng.integers(0, domain, 400).astype(np.int64)
+            ids[:2] = largest  # the largest id, duplicated
+            if order == "descending":
+                ids = np.sort(ids)[::-1].copy()
+            cols = (np.round(rng.random(400) * 4.0), rng.random(400))
+            with native.impl_overrides("py", None):
+                ref = scatter_min_rows(
+                    ids, cols, domain=domain, scratch=ScatterScratch()
+                )
+            got = native.scatter_min_rows(
+                ids, cols, domain=domain, scratch=scratch
+            )
+            np.testing.assert_array_equal(got[0], ref[0])
+            np.testing.assert_array_equal(got[1], ref[1])
+            assert got[0][-1] == largest
+
     def test_dispatching_wrapper_empty_batch(self, impl_env):
         os.environ[native.KERNEL_IMPL_ENV] = "native"
         ids = np.empty(0, dtype=np.int64)
@@ -180,6 +255,231 @@ class TestCountingKernels:
             )
             assert got == ref
             assert not loads.any(), "loads scratch must be zeroed"
+
+
+def _finish_inputs(rng, n, domain):
+    """Candidate columns plus target state for ``finish_batch``."""
+    keys = rng.integers(0, domain, n).astype(np.int64)
+    if n:
+        keys[rng.integers(0, n)] = domain - 1
+    nd = np.round(rng.random(n) * 4.0) / 4.0
+    src = rng.integers(0, 50, n).astype(np.int64)
+    aidx = rng.integers(0, 80, n).astype(np.int64)
+    dist = np.full(domain, 0.5)
+    frozen = np.zeros(domain, dtype=bool)
+    dist[keys] = np.round(rng.random(n) * 4.0) / 4.0
+    frozen[keys[rng.random(n) < 0.3]] = True
+    weights = rng.random(80)
+    center = rng.integers(-1, 50, 50).astype(np.int64)
+    return keys, nd, src, aidx, dist, frozen, weights, center
+
+
+def _finish(inputs, hist):
+    n = len(inputs[0])
+    banks = (
+        np.empty(n, np.int64), np.empty(n), np.empty(n, np.int64),
+        np.empty(n), np.empty(n), np.empty(n),
+    )
+    gk = gc = None
+    if hist is not None:
+        gk, gc = np.empty(n, np.int64), np.empty(n, np.int64)
+    kept, g = native.finish_batch(*inputs, hist, gk, gc, *banks)
+    return kept, g, gk, gc, banks
+
+
+@needs_native
+class TestFinishBatch:
+    @pytest.mark.parametrize(
+        "domain",
+        # one, two and three 11-bit radix passes over the largest key
+        [1, 3, 2048, 5000, (1 << 22) + 5],
+    )
+    def test_groups_equal_unique(self, domain):
+        rng = np.random.default_rng(domain)
+        for n in (0, 1, 7, 900):
+            inputs = _finish_inputs(rng, n, domain)
+            keys = inputs[0]
+            if n > 1 and domain > 1:
+                inputs = (np.sort(keys)[::-1].copy(),) + inputs[1:]
+                keys = inputs[0]
+            hist = np.zeros(domain, dtype=np.int64)
+            kept, g, gk, gc, _ = _finish(inputs, hist)
+            ref_keys, ref_counts = np.unique(keys, return_counts=True)
+            np.testing.assert_array_equal(gk[:g], ref_keys)
+            np.testing.assert_array_equal(gc[:g], ref_counts)
+            assert not hist.any(), "hist must be restored to all-zero"
+
+    def test_filter_columns_and_null_hist(self):
+        """The improvement filter keeps open, strictly improved targets
+        and gathers w/center/float-source; a NULL histogram skips the
+        accounting but filters identically."""
+        rng = np.random.default_rng(12)
+        inputs = _finish_inputs(rng, 500, 120)
+        keys, nd, src, aidx, dist, frozen, weights, center = inputs
+        kept, g, _, _, banks = _finish(inputs, np.zeros(120, np.int64))
+        imp = ~frozen[keys] & (nd < dist[keys])
+        assert kept == int(imp.sum()) and g > 0
+        expect = (
+            keys[imp], nd[imp], src[imp], weights[aidx[imp]],
+            center[src[imp]].astype(np.float64), src[imp].astype(np.float64),
+        )
+        for got, ref in zip(banks, expect):
+            np.testing.assert_array_equal(got[:kept], ref)
+        kept2, g2, _, _, banks2 = _finish(inputs, None)
+        assert (kept2, g2) == (kept, 0)
+        for got, ref in zip(banks2, banks):
+            np.testing.assert_array_equal(got[:kept], ref[:kept])
+
+
+# --------------------------------------------------------------------- #
+# the apply half of the merge
+# --------------------------------------------------------------------- #
+
+
+def _line_graph(n):
+    u = np.arange(n - 1, dtype=np.int64)
+    return from_edges(u, u + 1, np.ones(n - 1), n)
+
+
+def _apply_tiers(graph, arrays, active, keys, rows, cols, src):
+    """``_apply`` of one merge on both tiers, from the same state:
+    ``[(returned, state arrays, new frontier)]`` for py then native."""
+    out = []
+    for impl in ("py", "native"):
+        state = ArrayGrowingState(graph)
+        for name, value in arrays.items():
+            getattr(state, name)[:] = value
+        state._active = active.copy()
+        with native.impl_overrides(impl, None):
+            returned = state._apply(keys, rows, *cols, src=src)
+        out.append((returned, state.snapshot_arrays(), state._active.copy()))
+    return out
+
+
+def _assert_tiers_agree(results):
+    (ref_ret, ref_arrays, ref_active), (ret, arrays, active) = results
+    assert ret == ref_ret
+    np.testing.assert_array_equal(active, ref_active)
+    for name, value in ref_arrays.items():
+        np.testing.assert_array_equal(arrays[name], value, err_msg=name)
+
+
+@needs_native
+class TestApply:
+    """Native ``_apply`` (``rk_apply``) against the NumPy ``_apply``."""
+
+    def _random_merge(self, rng, n):
+        frozen = rng.random(n) < 0.25
+        center = np.where(
+            rng.random(n) < 0.5, NO_CENTER, rng.integers(0, n, n)
+        ).astype(np.int64)
+        dist = np.round(rng.random(n) * 4.0) / 4.0
+        dist[center == NO_CENTER] = np.inf
+        changed = rng.random(n) < 0.3
+        arrays = {
+            "frozen": frozen, "center": center, "dist": dist,
+            "dacc": rng.random(n) * 10.0, "changed": changed,
+        }
+        active = np.flatnonzero(changed).astype(np.int64)
+        c = 3 * n
+        keys_all = rng.integers(0, n, c).astype(np.int64)
+        nd = np.round(rng.random(c) * 4.0) / 4.0  # ties with dist
+        ctr = rng.integers(0, n, c).astype(np.float64)
+        w = rng.random(c)
+        src = rng.integers(0, n, c).astype(np.int64)  # often adopted too
+        with native.impl_overrides("py", None):
+            keys, rows = scatter_min_rows(
+                keys_all, (nd, ctr, src.astype(np.float64)), domain=n
+            )
+        return arrays, active, keys, rows, (nd, ctr, w), src
+
+    def test_random_merges_match(self):
+        rng = np.random.default_rng(21)
+        graph = _line_graph(60)
+        for trial in range(30):
+            arrays, active, keys, rows, cols, src = self._random_merge(
+                rng, 60
+            )
+            results = _apply_tiers(
+                graph, arrays, active, keys, rows, cols, src
+            )
+            _assert_tiers_agree(results)
+            assert results[0][0][0] > 0
+
+    def test_wire_format_dacc_column(self):
+        """The sharded form: no ``src``, the accumulated distance read
+        from the strided ``values[:, 2]`` column of the candidate matrix."""
+        rng = np.random.default_rng(22)
+        graph = _line_graph(60)
+        arrays, active, keys, rows, cols, _ = self._random_merge(rng, 60)
+        values = np.column_stack((cols[0], cols[1], cols[2] * 7.0, cols[1]))
+        strided = (values[:, 0], values[:, 1], values[:, 2])
+        results = _apply_tiers(
+            graph, arrays, active, keys, rows, strided, None
+        )
+        _assert_tiers_agree(results)
+        adopted = results[1][2]
+        win = rows[np.searchsorted(keys, adopted)]
+        np.testing.assert_array_equal(
+            results[1][1]["dist_acc"][adopted], values[win, 2]
+        )
+
+    def test_frozen_non_improving_and_no_center(self):
+        """Target 0 is frozen, 1 ties its distance (not strictly
+        improved), 2 improves an assigned row, 3 and 4 get their first
+        center: three updates, two of them new."""
+        graph = _line_graph(5)
+        arrays = {
+            "frozen": np.array([1, 0, 0, 0, 0], dtype=bool),
+            "center": np.array([0, 1, 1, NO_CENTER, NO_CENTER]),
+            "dist": np.array([0.0, 1.0, 2.0, np.inf, np.inf]),
+            "dacc": np.array([0.0, 1.0, 2.0, np.inf, np.inf]),
+            "changed": np.array([0, 1, 0, 0, 1], dtype=bool),
+        }
+        keys = np.arange(5, dtype=np.int64)
+        rows = np.array([4, 3, 2, 1, 0], dtype=np.int64)
+        nd = np.array([0.5, 0.5, 1.5, 1.0, 0.1])
+        ctr = np.array([3.0, 3.0, 3.0, 3.0, 3.0])
+        w = np.full(5, 0.25)
+        src = np.zeros(5, dtype=np.int64)
+        results = _apply_tiers(
+            graph, arrays, np.array([1, 4]), keys, rows, (nd, ctr, w), src
+        )
+        _assert_tiers_agree(results)
+        (updated, newly), state, active = results[1]
+        assert (updated, newly) == (3, 2)
+        np.testing.assert_array_equal(active, [2, 3, 4])
+        np.testing.assert_array_equal(state["center"], [0, 1, 3, 3, 3])
+        np.testing.assert_array_equal(
+            state["changed"], [False, False, True, True, True]
+        )
+
+    def test_winner_source_adopted_in_the_same_merge(self):
+        """A chain: node 1's winner comes from node 0 and node 2's from
+        node 1, and nodes 1 and 2 both adopt.  Node 2's accumulated
+        distance must use node 1's dacc *before* this merge wrote it."""
+        graph = _line_graph(4)
+        arrays = {
+            "frozen": np.zeros(4, dtype=bool),
+            "center": np.array([0, 0, 0, 0]),
+            "dist": np.array([0.0, 5.0, 9.0, 9.0]),
+            "dacc": np.array([0.0, 5.0, 9.0, 9.0]),
+            "changed": np.zeros(4, dtype=bool),
+        }
+        keys = np.array([1, 2, 3], dtype=np.int64)
+        rows = np.array([0, 1, 2], dtype=np.int64)
+        nd = np.array([1.0, 2.0, 3.0])
+        ctr = np.zeros(3)
+        w = np.array([1.0, 2.0, 3.0])
+        src = np.array([0, 1, 2], dtype=np.int64)
+        results = _apply_tiers(
+            graph, arrays, np.empty(0, np.int64), keys, rows,
+            (nd, ctr, w), src,
+        )
+        _assert_tiers_agree(results)
+        np.testing.assert_array_equal(
+            results[1][1]["dist_acc"], [0.0, 1.0, 7.0, 12.0]
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -280,17 +580,23 @@ class TestCacheKernels:
 
             weights = rng.random(100)
             dist = rng.random(40) * 0.8
+            center = rng.integers(-1, 40, rows).astype(np.int64)
             fk = np.zeros(nl + 1, np.int64)
-            fnd = np.zeros(nl + 1)
             fs = np.zeros(nl + 1, np.int64)
-            fa = np.zeros(nl + 1, np.int64)
+            fnd, fw, fctr, fsrcf = (np.zeros(nl + 1) for _ in range(4))
             t = native.cache_replay(
-                ck, cs, ca, nl, weights, dist, fk, fnd, fs, fa
+                ck, cs, ca, nl, weights, dist, center,
+                fk, fnd, fs, fw, fctr, fsrcf,
             )
-            fw = weights[ca[:nl]]
-            imp = fw < dist[ck[:nl]]
+            ref_w = weights[ca[:nl]]
+            imp = ref_w < dist[ck[:nl]]
             assert t == int(imp.sum())
-            np.testing.assert_array_equal(fnd[:t], fw[imp])
+            np.testing.assert_array_equal(fk[:t], ck[:nl][imp])
+            np.testing.assert_array_equal(fnd[:t], ref_w[imp])
+            np.testing.assert_array_equal(fs[:t], cs[:nl][imp])
+            np.testing.assert_array_equal(fw[:t], ref_w[imp])
+            np.testing.assert_array_equal(fctr[:t], center[cs[:nl][imp]])
+            np.testing.assert_array_equal(fsrcf[:t], cs[:nl][imp])
 
     def test_cache_emit_matches_push_plus_append(self, graph):
         delta = float(np.median(graph.weights))

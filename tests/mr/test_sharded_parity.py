@@ -562,6 +562,47 @@ class TestMappedCacheTiers:
         assert native_calls == py_calls
 
 
+class TestWorkerCacheHits:
+    """Shard workers report their frozen-emission cache hits with each
+    step reply; the driver state sums them, outside the counters."""
+
+    def _run(self, monkeypatch, graph, resident_mb):
+        from repro.mr.engine import MREngine
+        from repro.mr.model import MRSpec
+
+        states = []
+        original = ShardedExecutor.growing_state
+
+        def recording(self, graph, engine):
+            state = original(self, graph, engine)
+            states.append(state)
+            return state
+
+        monkeypatch.setattr(ShardedExecutor, "growing_state", recording)
+        executor = ShardedExecutor(
+            num_shards=2, partitioner="lp", resident_mb=resident_mb
+        )
+        engine = MREngine(
+            MRSpec(total_memory=10**9, local_memory=10**6, num_workers=2),
+            executor=executor,
+        )
+        try:
+            result = mr_approximate_diameter(graph, config=CFG, engine=engine)
+        finally:
+            executor.close()
+        assert len(states) == 1
+        assert "cache_hits" not in engine.counters.snapshot()
+        return states[0].cache_hits, result.value
+
+    def test_pipe_pool_count_equals_in_process_pool(
+        self, graphs, monkeypatch
+    ):
+        piped = self._run(monkeypatch, graphs["gnm"], None)
+        in_process = self._run(monkeypatch, graphs["gnm"], 1024)
+        assert piped[0] > 0
+        assert piped == in_process
+
+
 class TestWorkerEnvChecks:
     """Malformed worker knobs fail in the driver, before any fork."""
 
