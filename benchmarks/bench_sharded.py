@@ -69,7 +69,7 @@ BIG_SCALE = int(
 )
 
 #: All tests in this module accumulate into one BENCH_sharded.json so
-#: the exchange, partitioner A/B, kernel-tier, partition-tier and
+#: the exchange, partition-locality, kernel-tier, partition-tier and
 #: big-graph records land in a single artifact (tests append in file
 #: order).
 _BENCH_ROWS: list = []
@@ -184,78 +184,61 @@ def test_boundary_exchange_report(benchmark, stored_workload):
         )
 
 
-def test_partitioner_locality_report(stored_workload, monkeypatch):
-    """Range vs locality-aware (lp) partitioning, same workload.
+def test_partitioner_locality_report(stored_workload):
+    """The lp partition's locality, against a contiguous split.
 
-    The contiguous plan's cut on an R-MAT ordering is close to random;
-    the multilevel LP plan assigns whole communities to shards.  Both
-    runs must produce identical clusterings (ownership is invisible to
-    the result); the lp cut must never exceed range's, and at bench
-    scale must beat it by a real margin.
+    The contiguous arc-balanced split's cut on an R-MAT ordering is
+    close to random; the multilevel LP plan assigns whole communities
+    to shards.  The contiguous cut is computed, not run: it is one of
+    lp's own candidates, so lp can never cut more, and at bench scale
+    it must cut less by a real margin.
     """
+    from repro.mr.partitioner import _range_owner, assignment_cut_fraction
+
     graph = stored_workload
-    runs = {}
-    for partitioner in ("range", "lp"):
-        monkeypatch.setenv("REPRO_SHARD_PARTITIONER", partitioner)
-        clustering, engine, elapsed = _run_backend(graph, "sharded")
-        moved = _moved_bytes_per_round(engine.executor)
-        runs[partitioner] = {
-            "clustering": clustering,
-            "cut": engine.executor.plan.cut_fraction,
-            "elapsed": elapsed,
-            "moved": moved,
-        }
-
-    base, lp = runs["range"], runs["lp"]
-    assert np.array_equal(
-        base["clustering"].center, lp["clustering"].center
-    )
-    assert base["clustering"].counters.rounds == (
-        lp["clustering"].counters.rounds
-    )
-    assert lp["cut"] <= base["cut"] + 1e-12
+    clustering, engine, elapsed = _run_backend(graph, "sharded")
+    moved = _moved_bytes_per_round(engine.executor)
+    cut = engine.executor.plan.cut_fraction
+    range_cut = assignment_cut_fraction(graph, _range_owner(graph, SHARDS))
+    assert cut <= range_cut + 1e-12
     if SCALE >= 14:
-        assert lp["cut"] <= base["cut"] - 0.10, (
-            f"lp cut {lp['cut']:.1%} not meaningfully below "
-            f"range's {base['cut']:.1%}"
+        assert cut <= range_cut - 0.10, (
+            f"lp cut {cut:.1%} not meaningfully below the contiguous "
+            f"split's {range_cut:.1%}"
         )
 
-    rows = []
-    bench_rows = []
-    for partitioner in ("range", "lp"):
-        run = runs[partitioner]
-        rows.append(
-            {
-                "partitioner": partitioner,
-                "edge_cut": f"{run['cut']:.1%}",
-                "wall_s": round(run["elapsed"], 2),
-                "moved_total": sum(run["moved"]),
-                "moved_after_warmup": sum(run["moved"][WARMUP_ROUNDS:]),
-            }
-        )
-        bench_rows.append(
+    _flush_records(
+        [
             bench_record(
                 workload=f"rmat{SCALE}_lcc_cluster_stored",
                 n=graph.num_nodes,
                 m=graph.num_edges,
-                backend=f"sharded-{partitioner}",
-                wall_s=run["elapsed"],
-                rounds=run["clustering"].counters.rounds,
-                bytes_shipped=sum(run["moved"]),
-                bytes_shipped_after_warmup=sum(
-                    run["moved"][WARMUP_ROUNDS:]
-                ),
+                backend="sharded-lp",
+                wall_s=elapsed,
+                rounds=clustering.counters.rounds,
+                bytes_shipped=sum(moved),
+                bytes_shipped_after_warmup=sum(moved[WARMUP_ROUNDS:]),
                 shards=SHARDS,
-                cut_fraction=round(run["cut"], 4),
+                cut_fraction=round(cut, 4),
+                range_cut_fraction=round(range_cut, 4),
             )
-        )
-    _flush_records(bench_rows)
+        ]
+    )
     write_result(
         "sharded_partitioner.txt",
         format_table(
-            rows,
+            [
+                {
+                    "partitioner": "lp",
+                    "edge_cut": f"{cut:.1%}",
+                    "contiguous_cut": f"{range_cut:.1%}",
+                    "wall_s": round(elapsed, 2),
+                    "moved_total": sum(moved),
+                    "moved_after_warmup": sum(moved[WARMUP_ROUNDS:]),
+                }
+            ],
             title=(
-                f"Partitioner A/B on stored R-MAT({SCALE}) LCC "
+                f"lp partition locality on stored R-MAT({SCALE}) LCC "
                 f"({SHARDS} shards)"
             ),
         ),
@@ -315,7 +298,7 @@ PARTITION_REPEATS = 3
 def test_partition_tier_report(stored_workload, monkeypatch):
     """The lp partitioner on the NumPy tier vs the native row scans.
 
-    ``plan_partition(..., "lp")`` is the sharded path's set-up cost.
+    ``plan_partition`` is the sharded path's set-up cost.
     Both tiers must return the byte-identical assignment; each row's
     ``wall_s`` is the best of :data:`PARTITION_REPEATS` plans, so the
     vector-normalised gate guards the native speedup.
@@ -334,7 +317,7 @@ def test_partition_tier_report(stored_workload, monkeypatch):
         walls = []
         for _ in range(PARTITION_REPEATS):
             start = time.perf_counter()
-            plan = plan_partition(graph, SHARDS, partitioner="lp")
+            plan = plan_partition(graph, SHARDS)
             walls.append(time.perf_counter() - start)
         assignments[tier] = plan.assignment
         bench_rows.append(
@@ -403,7 +386,7 @@ def test_big_graph_out_of_core(tmp_path_factory):
     # the cached shards and walls compare transport, not planning.
     from repro.graph.partition import ensure_partitioned
 
-    ensure_partitioned(path, SHARDS, graph=stored, partitioner="lp")
+    ensure_partitioned(path, SHARDS, graph=stored)
     shard_dir = Path(str(path) + ".shards") / f"{SHARDS}-lp"
     shard_sizes = [
         os.path.getsize(p) for p in shard_dir.glob("part-*.rcsr")

@@ -19,13 +19,11 @@ Commands
     Run Δ-stepping SSSP and report eccentricity/rounds/work.
 ``compare <file> [--tau N]``
     One Table-2-style row: CL-DIAM vs best-Δ Δ-stepping.
-``partition <file> [--shards K] [--partitioner lp|range] [--report]``
-    Write (or refresh) the graph's owner-compute shard partition —
-    ``<store>.rcsr.shards/<K>[-lp]/part-*.rcsr`` + manifest — and print
-    the edge-cut summary (``--report`` adds the per-shard table).
-    ``--executor sharded`` reuses it; the default partitioner mirrors
-    the backend's (``REPRO_SHARD_PARTITIONER`` or the locality-aware
-    ``lp``), while ``range`` keeps the contiguous planner for A/B.
+``partition <file> [--shards K] [--report]``
+    Write (or refresh) the graph's locality-aware (lp) owner-compute
+    shard partition — ``<store>.rcsr.shards/<K>-lp/part-*.rcsr`` +
+    sidecars + manifest — and print the edge-cut summary (``--report``
+    adds the per-shard table).  ``--executor sharded`` reuses it.
 ``run <algorithm> <file> [options]``
     Dispatch any registered algorithm through the runtime layer
     (``repro algorithms`` lists them) and print its metrics.
@@ -126,11 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("file")
     p_part.add_argument("--shards", type=int, default=4,
                         help="number of shards")
-    p_part.add_argument(
-        "--partitioner", choices=("lp", "range"), default=None,
-        help="node-to-shard assignment: locality-aware 'lp' (default, "
-        "env REPRO_SHARD_PARTITIONER) or contiguous 'range'",
-    )
     p_part.add_argument(
         "--report", action="store_true",
         help="print the per-shard edge-cut table",
@@ -376,7 +369,7 @@ def _print_partitions(store_file) -> None:
         cut = sum(manifest.get("cut_arcs", [])) / num_arcs if num_arcs else 0.0
         lines.append(
             f"{manifest.get('num_shards')}-way "
-            f"{manifest.get('partitioner', 'range')} (cut {cut:.1%})"
+            f"{manifest.get('partitioner', '?')} (cut {cut:.1%})"
         )
     if lines:
         print(f"partitions   : {', '.join(lines)}")
@@ -474,16 +467,7 @@ def _cmd_partition(args) -> int:
     if args.shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
         return 2
-    partitioner = args.partitioner
-    if partitioner is None:
-        # Mirror the sharded backend's resolution, so the partition
-        # written here is the one ``--executor sharded`` memory-maps.
-        from repro.mr.sharded import partitioner_from_env
-
-        partitioner = partitioner_from_env()
-    partitioned = default_store().get_partitioned(
-        args.file, args.shards, partitioner=partitioner
-    )
+    partitioned = default_store().get_partitioned(args.file, args.shards)
     plan = partitioned.plan
     shard_nodes = plan.shard_nodes
     balance = (
@@ -492,23 +476,22 @@ def _cmd_partition(args) -> int:
         else 1.0
     )
     print(
-        f"{plan.num_shards}-way {plan.mode} partition of {args.file}: "
+        f"{plan.num_shards}-way lp partition of {args.file}: "
         f"n={plan.num_nodes}, arcs={plan.num_arcs}, "
         f"cut={plan.cut_fraction:.2%}, arc balance={balance:.2f}x"
     )
     if args.report:
         rows = []
         for k in range(plan.num_shards):
-            row = {"shard": k, "nodes": int(shard_nodes[k])}
-            if plan.mode == "range":
-                lo, hi = plan.shard_range(k)
-                row["range"] = f"[{lo}, {hi})"
-            row.update(
-                arcs=int(plan.shard_arcs[k]),
-                cut_arcs=int(plan.cut_arcs[k]),
-                boundary_nodes=int(plan.boundary_nodes[k]),
+            rows.append(
+                {
+                    "shard": k,
+                    "nodes": int(shard_nodes[k]),
+                    "arcs": int(plan.shard_arcs[k]),
+                    "cut_arcs": int(plan.cut_arcs[k]),
+                    "boundary_nodes": int(plan.boundary_nodes[k]),
+                }
             )
-            rows.append(row)
         print(format_table(rows, title="per-shard edge-cut report"))
     print(f"shards       : {partitioned.directory}")
     return 0

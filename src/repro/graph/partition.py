@@ -1,50 +1,45 @@
-"""Owner-compute graph partitioning on disk: range and locality-aware.
+"""Owner-compute graph partitioning on disk.
 
 The paper's MR algorithms assume each machine holds a fixed subgraph and
 that a round exchanges only the messages crossing machine boundaries.
 This module provides the storage half of that contract:
 
 * :func:`plan_partition` — assign every node to one of ``num_shards``
-  shards and report the edge cut (per-shard internal/cut arcs and
-  boundary-node counts).  Two partitioners:
-
-  - ``"range"`` — contiguous node ranges balanced by arc count; shard
-    ownership of a node id is one
-    :func:`~repro.mr.partitioner.range_partition_array` call against the
-    plan's interior boundaries.
-  - ``"lp"`` — the locality-aware multilevel label-propagation pipeline
-    (:func:`~repro.mr.partitioner.lp_assignment`); ownership is an
-    explicit node→shard ``assignment`` array.  Node ids are *never*
-    relabeled — a shard simply owns a non-contiguous row set — which is
-    what keeps sharded results bit-identical across partitioners.
+  shards with the locality-aware multilevel label-propagation pipeline
+  (:func:`~repro.mr.partitioner.lp_assignment`) and report the edge cut
+  (per-shard internal/cut arcs and boundary-node counts).  Ownership is
+  an explicit node→shard ``assignment`` array.  Node ids are *never*
+  relabeled — a shard simply owns a (generally non-contiguous) row set
+  — which is what keeps sharded results bit-identical to the
+  whole-graph backends.
 * :func:`write_partitioned_store` / :func:`ensure_partitioned` — the
   partitioned on-disk layout next to a GraphStore file::
 
       graph.rcsr                     the (unsharded) store
-      graph.rcsr.shards/<K>/         range partition (K shards)
-      graph.rcsr.shards/<K>-lp/      locality-aware partition
+      graph.rcsr.shards/<K>-lp/      the K-way partition
           manifest.json              plan + source signature (commit point)
           part-0.rcsr … part-K-1.rcsr
-          assignment.i32             lp only: node → owning shard
-          localidx.i32               lp only: node → dense local row
+          assignment.i32             node → owning shard
+          localidx.i32               node → dense local row
 
   Each ``part-k.rcsr`` is a GraphStore container (written through the
   same atomic :func:`~repro.graph.serialize.write_store` path) holding
-  the CSR *rows* of shard ``k``'s node set: a local ``indptr`` of
-  length ``num_rows + 1`` whose ``indices`` keep **global** node ids.
-  Under ``lp`` the row set is non-contiguous; the two int32 sidecars
-  (memory-mapped, so forked workers share their pages) give the
-  node→shard and node→local-row maps workers route by.
-  A shard-owning worker memory-maps exactly its rows — O(shard) pages,
-  never the whole graph — and routes emitted messages by comparing the
-  global neighbour ids against the plan's boundaries.
+  the CSR *rows* of shard ``k``'s node set, ascending: a local
+  ``indptr`` of length ``num_rows + 1`` whose ``indices`` keep
+  **global** node ids.  The two int32 sidecars (memory-mapped, so
+  forked workers share their pages) give the node→shard and
+  node→local-row maps workers route by.  A shard-owning worker
+  memory-maps exactly its rows — O(shard) pages, never the whole graph.
 
   ``manifest.json`` records the source store's (mtime, size) signature;
   :func:`ensure_partitioned` re-partitions whenever the signature (or
   requested shard count) no longer matches, so editing a store
   invalidates its shards the same way editing a text graph invalidates
   its cached conversion.  The manifest is written last, atomically: a
-  reader either sees a complete partition or none.
+  reader either sees a complete partition or none.  A ``<K>/`` directory
+  left by the retired contiguous-range planner is a foreign layout:
+  :func:`load_partitioned` rejects its manifest, and ``repro info`` /
+  ``repro verify`` still list and check it.
 
 Shard files reuse :class:`~repro.graph.csr.CSRGraph` purely as an array
 container (``validate=False`` — global neighbour ids are out of range
@@ -58,11 +53,11 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.errors import CorruptArtifact, GraphFormatError
+from repro.errors import ConfigurationError, CorruptArtifact, GraphFormatError
 from repro.graph.csr import CSRGraph
 from repro.graph.serialize import STORE_SUFFIX, open_store, write_store
 from repro.integrity import (
@@ -73,7 +68,7 @@ from repro.integrity import (
     sweep_orphan_tmps,
     verify_level,
 )
-from repro.mr.partitioner import lp_assignment, range_partition_array
+from repro.mr.partitioner import lp_assignment
 
 __all__ = [
     "PartitionPlan",
@@ -87,8 +82,7 @@ __all__ = [
     "MANIFEST_NAME",
     "SHARDS_DIR_SUFFIX",
     "PARTITION_VERSION",
-    "PARTITIONERS",
-    "DEFAULT_PARTITIONER",
+    "PARTITIONER",
     "ASSIGNMENT_NAME",
     "LOCALIDX_NAME",
 ]
@@ -106,14 +100,15 @@ SHARDS_DIR_SUFFIX = ".shards"
 #: manifest self-digest).  A v2 layout is simply considered stale and
 #: rewritten on the next :func:`ensure_partitioned`.
 PARTITION_VERSION = 3
-#: Supported partitioner names.
-PARTITIONERS = ("range", "lp")
-#: Partitioner used when none is requested (kept as the library default
-#: so existing range-based callers and caches stay valid).
-DEFAULT_PARTITIONER = "range"
-#: Sidecar file names for lp partitions (int32, one entry per node).
+#: The partitioner a manifest must name to load; also the suffix of
+#: the ``<K>-lp`` cache leaf.
+PARTITIONER = "lp"
+#: Sidecar file names (int32, one entry per node).
 ASSIGNMENT_NAME = "assignment.i32"
 LOCALIDX_NAME = "localidx.i32"
+#: Most rows one shard may own: ``localidx.i32`` stores local rows as
+#: int32.
+MAX_SHARD_ROWS = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
@@ -125,13 +120,10 @@ class PartitionPlan:
     num_nodes, num_arcs:
         Shape of the partitioned graph.
     starts:
-        int64 array of length ``num_shards + 1``.  Under ``range`` mode
-        shard ``k`` owns the contiguous node range
-        ``[starts[k], starts[k+1])``; under ``lp`` mode the entries are
-        the prefix sums of per-shard node counts (``np.diff(starts)`` is
-        the shard-size vector in both modes, but lp row sets are not
-        contiguous).  ``starts[0] == 0`` and ``starts[-1] == num_nodes``
-        always hold.
+        int64 array of length ``num_shards + 1``: the prefix sums of
+        per-shard node counts (``np.diff(starts)`` is the shard-size
+        vector; row sets are generally not contiguous).
+        ``starts[0] == 0`` and ``starts[-1] == num_nodes`` always hold.
     shard_arcs:
         Arcs whose *source* lies in each shard (these are the rows the
         shard stores; they sum to ``num_arcs``).
@@ -142,10 +134,8 @@ class PartitionPlan:
     boundary_nodes:
         Nodes per shard with at least one cut arc — the set whose
         updates can ever need to cross a shard boundary.
-    mode:
-        ``"range"`` or ``"lp"``.
     assignment:
-        ``lp`` only: int32 node→shard map (``None`` for range plans).
+        int32 node→shard map.
     """
 
     num_nodes: int
@@ -154,23 +144,15 @@ class PartitionPlan:
     shard_arcs: np.ndarray
     cut_arcs: np.ndarray
     boundary_nodes: np.ndarray
-    mode: str = "range"
-    assignment: Optional[np.ndarray] = None
+    assignment: np.ndarray
 
     @property
     def num_shards(self) -> int:
         return len(self.starts) - 1
 
     @property
-    def splitters(self) -> np.ndarray:
-        """Interior boundaries, in :func:`range_partition_array` form."""
-        if self.mode != "range":
-            raise ValueError("splitters are defined for range plans only")
-        return self.starts[1:-1]
-
-    @property
     def shard_nodes(self) -> np.ndarray:
-        """Nodes owned per shard (valid in both modes)."""
+        """Nodes owned per shard."""
         return np.diff(self.starts)
 
     @property
@@ -184,23 +166,10 @@ class PartitionPlan:
 
     def owner_of(self, keys) -> np.ndarray:
         """Owning shard of each node id (vectorized)."""
-        if self.mode == "range":
-            return range_partition_array(keys, self.starts[1:-1])
         return self.assignment[np.asarray(keys)].astype(np.int64)
 
-    def shard_range(self, shard: int) -> tuple:
-        """``(lo, hi)`` node range owned by ``shard`` (range mode only)."""
-        if self.mode != "range":
-            raise ValueError(
-                "shard_range is undefined for lp plans; use shard_rows"
-            )
-        return int(self.starts[shard]), int(self.starts[shard + 1])
-
     def shard_rows(self, shard: int) -> np.ndarray:
-        """Ascending global node ids owned by ``shard`` (either mode)."""
-        if self.mode == "range":
-            lo, hi = self.shard_range(shard)
-            return np.arange(lo, hi, dtype=np.int64)
+        """Ascending global node ids owned by ``shard``."""
         return np.flatnonzero(self.assignment == shard).astype(np.int64)
 
 
@@ -227,68 +196,33 @@ def plan_partition(
     graph: CSRGraph,
     num_shards: int,
     *,
-    partitioner: str = DEFAULT_PARTITIONER,
     slack: float = 0.5,
     seed: int = 0,
 ) -> PartitionPlan:
     """Assign ``graph``'s nodes to ``num_shards`` shards.
 
-    ``partitioner="range"`` chooses contiguous boundaries on the
-    ``indptr`` prefix sums so every shard owns roughly
-    ``num_arcs / num_shards`` arcs (up to one node's degree); shards may
-    be empty when ``num_shards > num_nodes``.  ``partitioner="lp"`` runs
-    the locality-aware multilevel label-propagation pipeline
+    Runs the locality-aware multilevel label-propagation pipeline
     (:func:`~repro.mr.partitioner.lp_assignment`), trading up to
     ``1 + slack`` arc-load imbalance for a lower edge cut; it never cuts
-    more than the range plan.  Either way the shards cover
-    ``[0, num_nodes)`` exactly.
+    more than a contiguous arc-balanced split of the id space.  The
+    shards cover ``[0, num_nodes)`` exactly; some may be empty when
+    ``num_shards > num_nodes``.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
-    if partitioner not in PARTITIONERS:
-        raise ValueError(
-            f"unknown partitioner {partitioner!r} (expected one of "
-            f"{', '.join(PARTITIONERS)})"
-        )
-    n = graph.num_nodes
-    arcs = graph.num_arcs
-    if partitioner == "lp":
-        assignment = lp_assignment(graph, num_shards, slack=slack, seed=seed)
-        row_shard = assignment.astype(np.int64)
-        counts = np.bincount(row_shard, minlength=num_shards)
-        starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        shard_arcs, cut_arcs, boundary = _cut_report(
-            graph, row_shard, num_shards
-        )
-        return PartitionPlan(
-            num_nodes=n,
-            num_arcs=arcs,
-            starts=starts,
-            shard_arcs=shard_arcs,
-            cut_arcs=cut_arcs,
-            boundary_nodes=boundary,
-            mode="lp",
-            assignment=assignment,
-        )
-
-    targets = (arcs * np.arange(1, num_shards, dtype=np.int64)) // num_shards
-    cuts = np.searchsorted(graph.indptr, targets, side="left")
-    starts = np.concatenate(
-        ([0], np.clip(cuts, 0, n), [n])
-    ).astype(np.int64)
-    starts = np.maximum.accumulate(starts)
-
-    row_shard = np.repeat(
-        np.arange(num_shards, dtype=np.int64), np.diff(starts)
-    )
+    assignment = lp_assignment(graph, num_shards, slack=slack, seed=seed)
+    row_shard = assignment.astype(np.int64)
+    counts = np.bincount(row_shard, minlength=num_shards)
+    starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
     shard_arcs, cut_arcs, boundary = _cut_report(graph, row_shard, num_shards)
     return PartitionPlan(
-        num_nodes=n,
-        num_arcs=arcs,
+        num_nodes=graph.num_nodes,
+        num_arcs=graph.num_arcs,
         starts=starts,
         shard_arcs=shard_arcs,
         cut_arcs=cut_arcs,
         boundary_nodes=boundary,
+        assignment=assignment,
     )
 
 
@@ -296,54 +230,35 @@ def plan_partition(
 class PartitionedStore:
     """A partition on disk: the plan plus where its shard files live.
 
-    For lp partitions, ``assignment`` and ``localidx`` are the two
-    memory-mapped int32 sidecars (node→shard and node→local-row); they
-    are ``None`` for range partitions, where both maps are arithmetic.
+    ``assignment`` and ``localidx`` are the two int32 sidecars
+    (node→shard and node→local-row), memory-mapped when loaded.
     """
 
     directory: Path
     plan: PartitionPlan
     shard_paths: List[Path]
     source: Path
-    assignment: Optional[np.ndarray] = None
-    localidx: Optional[np.ndarray] = None
+    assignment: np.ndarray
+    localidx: np.ndarray
 
     def open_shard(self, shard: int) -> CSRGraph:
         """Memory-map one shard's rows (local indptr, global indices)."""
         return open_store(self.shard_paths[shard])
 
 
-def shards_dir_for(
-    store_path: PathLike,
-    num_shards: int,
-    partitioner: str = DEFAULT_PARTITIONER,
-) -> Path:
+def shards_dir_for(store_path: PathLike, num_shards: int) -> Path:
     """Directory holding ``store_path``'s ``num_shards``-way partition."""
     store_path = Path(store_path)
-    leaf = str(num_shards) if partitioner == "range" else (
-        f"{num_shards}-{partitioner}"
-    )
     return (
         store_path.parent
         / (store_path.name + SHARDS_DIR_SUFFIX)
-        / leaf
+        / f"{num_shards}-{PARTITIONER}"
     )
 
 
 def _source_signature(store_path: Path) -> tuple:
     stat = store_path.stat()
     return stat.st_mtime_ns, stat.st_size
-
-
-def _shard_graph(graph: CSRGraph, lo: int, hi: int) -> CSRGraph:
-    """Shard ``[lo, hi)`` as an array container (global neighbour ids)."""
-    a, b = int(graph.indptr[lo]), int(graph.indptr[hi])
-    return CSRGraph(
-        graph.indptr[lo : hi + 1] - graph.indptr[lo],
-        graph.indices[a:b],
-        graph.weights[a:b],
-        validate=False,
-    )
 
 
 def _shard_graph_rows(graph: CSRGraph, rows: np.ndarray) -> CSRGraph:
@@ -385,28 +300,41 @@ def write_partitioned_store(
     *,
     plan: Optional[PartitionPlan] = None,
     directory: Optional[PathLike] = None,
-    partitioner: str = DEFAULT_PARTITIONER,
 ) -> PartitionedStore:
     """Write ``graph``'s ``num_shards``-way partition next to ``store_path``.
 
     ``store_path`` is the *source* store the manifest records (it must
     exist — its signature is what invalidates the shards); ``directory``
-    overrides the default ``<store>.shards/<K>[-lp]/`` location.  Shard
-    files go through the atomic :func:`write_store` path, lp sidecars
+    overrides the default ``<store>.shards/<K>-lp/`` location.  Shard
+    files go through the atomic :func:`write_store` path, the sidecars
     follow, and the manifest is written last (temp file +
     ``os.replace``) as the commit point.
+
+    Raises
+    ------
+    ConfigurationError
+        Before anything is written, if a shard would own more than
+        :data:`MAX_SHARD_ROWS` rows (its local rows would overflow the
+        int32 ``localidx`` sidecar).
     """
     store_path = Path(store_path)
     if plan is None:
-        plan = plan_partition(graph, num_shards, partitioner=partitioner)
-    elif plan.mode != partitioner:
-        raise ValueError("plan mode does not match requested partitioner")
+        plan = plan_partition(graph, num_shards)
     if plan.num_shards != num_shards:
         raise ValueError("plan shard count does not match num_shards")
+    oversized = np.flatnonzero(plan.shard_nodes > MAX_SHARD_ROWS)
+    if len(oversized):
+        k = int(oversized[0])
+        raise ConfigurationError(
+            f"shard {k} of {num_shards} would own "
+            f"{int(plan.shard_nodes[k])} rows, more than the "
+            f"{MAX_SHARD_ROWS} the int32 partition sidecars can index; "
+            "use more shards"
+        )
     directory = (
         Path(directory)
         if directory is not None
-        else shards_dir_for(store_path, num_shards, partitioner)
+        else shards_dir_for(store_path, num_shards)
     )
     directory.mkdir(parents=True, exist_ok=True)
     sweep_orphan_tmps(directory)
@@ -415,12 +343,7 @@ def write_partitioned_store(
     shard_digests: List[str] = []
     for k in range(num_shards):
         path = directory / f"part-{k}{STORE_SUFFIX}"
-        if plan.mode == "range":
-            lo, hi = plan.shard_range(k)
-            shard = _shard_graph(graph, lo, hi)
-        else:
-            shard = _shard_graph_rows(graph, plan.shard_rows(k))
-        write_store(shard, path)
+        write_store(_shard_graph_rows(graph, plan.shard_rows(k)), path)
         # Whole-file digest over the bytes just written (page cache is
         # warm): lets a deep verify catch a shard file swapped for a
         # different-but-self-consistent store, which the shard's own
@@ -428,26 +351,22 @@ def write_partitioned_store(
         shard_digests.append(file_sha256(path))
         shard_paths.append(path)
 
-    assignment = localidx = None
+    assignment = np.ascontiguousarray(plan.assignment, dtype=np.int32)
+    localidx = _localidx_of(assignment, num_shards)
     sidecar_digests = {}
-    if plan.mode == "lp":
-        assignment = np.ascontiguousarray(plan.assignment, dtype=np.int32)
-        localidx = _localidx_of(assignment, num_shards)
-        for name, arr in (
-            (ASSIGNMENT_NAME, assignment),
-            (LOCALIDX_NAME, localidx),
-        ):
-            preflight_free_space(
-                directory, arr.nbytes, label=f"sidecar {name}"
-            )
-            tmp = directory / (name + ".tmp")
-            try:
-                arr.tofile(tmp)
-                os.replace(tmp, directory / name)
-            finally:
-                if tmp.exists():
-                    tmp.unlink()
-            sidecar_digests[name] = bytes_sha256(arr.tobytes())
+    for name, arr in (
+        (ASSIGNMENT_NAME, assignment),
+        (LOCALIDX_NAME, localidx),
+    ):
+        preflight_free_space(directory, arr.nbytes, label=f"sidecar {name}")
+        tmp = directory / (name + ".tmp")
+        try:
+            arr.tofile(tmp)
+            os.replace(tmp, directory / name)
+        finally:
+            if tmp.exists():
+                tmp.unlink()
+        sidecar_digests[name] = bytes_sha256(arr.tobytes())
 
     mtime_ns, size = _source_signature(store_path)
     manifest = {
@@ -458,7 +377,7 @@ def write_partitioned_store(
         "num_nodes": plan.num_nodes,
         "num_arcs": plan.num_arcs,
         "num_shards": num_shards,
-        "partitioner": plan.mode,
+        "partitioner": PARTITIONER,
         "starts": [int(s) for s in plan.starts],
         "shard_arcs": [int(a) for a in plan.shard_arcs],
         "cut_arcs": [int(a) for a in plan.cut_arcs],
@@ -547,9 +466,7 @@ def verify_partition(
     return report
 
 
-def _plan_from_manifest(
-    manifest: dict, assignment: Optional[np.ndarray] = None
-) -> PartitionPlan:
+def _plan_from_manifest(manifest: dict, assignment: np.ndarray) -> PartitionPlan:
     return PartitionPlan(
         num_nodes=int(manifest["num_nodes"]),
         num_arcs=int(manifest["num_arcs"]),
@@ -559,7 +476,6 @@ def _plan_from_manifest(
         boundary_nodes=np.asarray(
             manifest["boundary_nodes"], dtype=np.int64
         ),
-        mode=manifest.get("partitioner", "range"),
         assignment=assignment,
     )
 
@@ -586,7 +502,8 @@ def load_partitioned(directory: PathLike) -> PartitionedStore:
     ------
     GraphFormatError
         If the manifest is missing, unreadable, of a different format
-        version, or names shard or sidecar files that do not exist.
+        version or partitioner (a leftover contiguous-range layout), or
+        names shard or sidecar files that do not exist.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -601,6 +518,11 @@ def load_partitioned(directory: PathLike) -> PartitionedStore:
             f"{directory}: partition version {manifest.get('version')!r} "
             f"not supported (expected {PARTITION_VERSION})"
         )
+    if manifest.get("partitioner") != PARTITIONER:
+        raise GraphFormatError(
+            f"{directory}: {manifest.get('partitioner')!r} partition "
+            f"layout not supported (expected {PARTITIONER!r})"
+        )
     # The env-selected verify tier guards every load the same way store
     # opens are guarded: ``header`` costs one manifest re-hash, ``full``
     # re-hashes shards and sidecars too.
@@ -609,11 +531,9 @@ def load_partitioned(directory: PathLike) -> PartitionedStore:
     missing = [p for p in shard_paths if not p.exists()]
     if missing:
         raise GraphFormatError(f"{directory}: missing shard files {missing}")
-    assignment = localidx = None
-    if manifest.get("partitioner", "range") == "lp":
-        num_nodes = int(manifest["num_nodes"])
-        assignment = _mmap_sidecar(directory, ASSIGNMENT_NAME, num_nodes)
-        localidx = _mmap_sidecar(directory, LOCALIDX_NAME, num_nodes)
+    num_nodes = int(manifest["num_nodes"])
+    assignment = _mmap_sidecar(directory, ASSIGNMENT_NAME, num_nodes)
+    localidx = _mmap_sidecar(directory, LOCALIDX_NAME, num_nodes)
     return PartitionedStore(
         directory=directory,
         plan=_plan_from_manifest(manifest, assignment),
@@ -624,12 +544,7 @@ def load_partitioned(directory: PathLike) -> PartitionedStore:
     )
 
 
-def _manifest_fresh(
-    directory: Path,
-    store_path: Path,
-    num_shards: int,
-    partitioner: str,
-) -> bool:
+def _manifest_fresh(directory: Path, store_path: Path, num_shards: int) -> bool:
     try:
         manifest = json.loads((directory / MANIFEST_NAME).read_text())
     except (OSError, ValueError):
@@ -637,8 +552,6 @@ def _manifest_fresh(
     if manifest.get("version") != PARTITION_VERSION:
         return False
     if manifest.get("num_shards") != num_shards:
-        return False
-    if manifest.get("partitioner", "range") != partitioner:
         return False
     try:
         mtime_ns, size = _source_signature(store_path)
@@ -656,23 +569,21 @@ def ensure_partitioned(
     *,
     graph: Optional[CSRGraph] = None,
     directory: Optional[PathLike] = None,
-    partitioner: str = DEFAULT_PARTITIONER,
 ) -> PartitionedStore:
     """Return a fresh partition of ``store_path``, (re)writing if stale.
 
-    The cached partition under ``<store>.shards/<K>[-lp]/`` is reused
-    when its manifest matches the store's current (mtime, size)
-    signature, the requested shard count, and the requested partitioner;
-    otherwise the shards are recomputed from ``graph`` (or the store,
-    memory-mapped) and rewritten.
+    The cached partition under ``<store>.shards/<K>-lp/`` is reused when
+    its manifest matches the store's current (mtime, size) signature and
+    the requested shard count; otherwise the shards are recomputed from
+    ``graph`` (or the store, memory-mapped) and rewritten.
     """
     store_path = Path(store_path)
     directory = (
         Path(directory)
         if directory is not None
-        else shards_dir_for(store_path, num_shards, partitioner)
+        else shards_dir_for(store_path, num_shards)
     )
-    if _manifest_fresh(directory, store_path, num_shards, partitioner):
+    if _manifest_fresh(directory, store_path, num_shards):
         try:
             return load_partitioned(directory)
         except CorruptArtifact as exc:
@@ -682,10 +593,11 @@ def ensure_partitioned(
             # the parent store — the self-heal path.
             quarantine_artifact(directory, reason=str(exc))
         except GraphFormatError:
-            pass  # torn/deleted shard files: fall through and rewrite
+            # Torn/deleted shard files or a foreign (range) layout:
+            # fall through and rewrite.
+            pass
     if graph is None:
         graph = open_store(store_path)
     return write_partitioned_store(
-        graph, store_path, num_shards,
-        directory=directory, partitioner=partitioner,
+        graph, store_path, num_shards, directory=directory
     )

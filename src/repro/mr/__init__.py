@@ -29,12 +29,7 @@ from repro.mr.model import MRSpec
 from repro.mr.metrics import Counters
 from repro.mr.trace import RoundTrace, RoundRecord
 from repro.mr.engine import MREngine
-from repro.mr.partitioner import (
-    hash_partition,
-    hash_partition_array,
-    range_partition,
-    range_partition_array,
-)
+from repro.mr.partitioner import hash_partition, hash_partition_array
 from repro.mr.executor import EXECUTOR_NAMES, make_executor
 
 __all__ = [
@@ -45,8 +40,6 @@ __all__ = [
     "MREngine",
     "hash_partition",
     "hash_partition_array",
-    "range_partition",
-    "range_partition_array",
     "make_executor",
     "EXECUTOR_NAMES",
 ]

@@ -175,16 +175,16 @@ class EmitScratch:
     """Reusable candidate-generation state for one growing state.
 
     Bound to one CSR slice: local rows ``[0, num_rows)`` whose
-    ``indices`` may carry global neighbour ids (shard slices do);
-    ``base`` is the global id of local row 0.  All buffers are allocated
-    lazily and grown monotonically; :meth:`reset` clears the
+    ``indices`` may carry global neighbour ids (shard slices do).  Two
+    layouts: the whole graph (row ``r`` is node ``r``) and the mapped
+    layout below.  All buffers are allocated lazily and grown
+    monotonically; :meth:`reset` clears the
     frozen-emission cache but keeps every buffer, so CLUSTER2's second
     phase (and the sharded workers' ``reset`` command) re-run on warm
     scratch.
 
-    **Mapped layout** (lp-partitioned shards): when ``row_gids`` is
-    given, local row ``r`` is global node ``row_gids[r]`` and the row
-    set is *not* contiguous — ``base`` must be 0 and ``localidx`` /
+    **Mapped layout** (shard slices): when ``row_gids`` is given, local
+    row ``r`` is global node ``row_gids[r]`` and ``localidx`` /
     ``owners`` (the partition sidecars, indexed by global id) and
     ``shard_id`` supply the reverse maps.  Push expansion needs none of
     them (its keys come straight from ``indices``); the frozen-emission
@@ -197,18 +197,14 @@ class EmitScratch:
         indices: np.ndarray,
         weights: np.ndarray,
         *,
-        base: int = 0,
         row_gids: Optional[np.ndarray] = None,
         localidx: Optional[np.ndarray] = None,
         owners: Optional[np.ndarray] = None,
         shard_id: int = 0,
     ):
-        if row_gids is not None and base:
-            raise ValueError("mapped layout requires base == 0")
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        self.base = base
         self.num_rows = len(indptr) - 1
         self.num_arcs = len(indices)
         self.row_gids = row_gids
@@ -484,8 +480,6 @@ class EmitScratch:
         non-forced rounds (local ids, ascending); forced rounds scan all
         nodes.
         """
-        if self.base:
-            raise ValueError("emit() is the whole-graph layout; use emit_raw")
         batch = EmitBatch()
         if not force:
             cols = self.emit_raw(
@@ -587,7 +581,6 @@ class EmitScratch:
 
         A Δ change invalidates everything — the light-arc filter moved.
         """
-        lo, hi = self.base, self.base + self.num_rows
         if self._cache_in is None:
             self._cache_in = np.zeros(self.num_rows, dtype=bool)
             self._cache_hist = np.zeros(self.num_rows, dtype=np.int64)
@@ -607,7 +600,7 @@ class EmitScratch:
         np.logical_and(fresh, frozen, out=fresh)
         newly = np.flatnonzero(fresh)
         if _native.use_native():
-            self._cache_update_native(newly, frozen, delta, lo, hi)
+            self._cache_update_native(newly, frozen, delta)
             return
 
         if len(newly):
@@ -615,19 +608,15 @@ class EmitScratch:
                 newly, np.zeros(len(newly)), delta
             )
             if cnt:
+                k_loc = k
                 if self.row_gids is not None:
                     owned = self.owners[k] == self.shard_id
-                else:
-                    owned = (k >= lo) & (k < hi)
-                ext = cnt - int(np.count_nonzero(owned))
-                if ext:
-                    self._cache_inert += ext
-                    k, s, a = k[owned], s[owned], a[owned]
+                    ext = cnt - int(np.count_nonzero(owned))
+                    if ext:
+                        self._cache_inert += ext
+                        k, s, a = k[owned], s[owned], a[owned]
+                    k_loc = self.localidx[k]
                 if len(k):
-                    if self.row_gids is not None:
-                        k_loc = self.localidx[k]
-                    else:
-                        k_loc = k - lo if lo else k
                     np.add.at(self._cache_hist, k_loc, 1)
                     self._cache_keys = np.concatenate((self._cache_keys, k))
                     self._cache_src = np.concatenate((self._cache_src, s))
@@ -635,10 +624,9 @@ class EmitScratch:
             self._cache_in[newly] = True
 
         if len(self._cache_keys):
+            loc = self._cache_keys
             if self.row_gids is not None:
-                loc = self.localidx[self._cache_keys]
-            else:
-                loc = self._cache_keys - lo if lo else self._cache_keys
+                loc = self.localidx[loc]
             open_t = ~frozen[loc]
             dropped = len(open_t) - int(np.count_nonzero(open_t))
             if dropped:
@@ -661,7 +649,7 @@ class EmitScratch:
                 buf[: self._cache_len] = old[: self._cache_len]
             setattr(self, name, buf)
 
-    def _cache_update_native(self, newly, frozen, delta, lo, hi) -> None:
+    def _cache_update_native(self, newly, frozen, delta) -> None:
         """Native cache maintenance: append + retire in place.
 
         Same append/retire semantics as the NumPy branch, but the cache
@@ -669,8 +657,8 @@ class EmitScratch:
         reconcatenate it; ``_cache_keys``/``_cache_src``/``_cache_aidx``
         become prefix views over those columns.  Mapped layouts hand the
         kernels their ``owners``/``localidx`` sidecars for the ownership
-        test and the key→row map; contiguous ones pass ``None`` and keep
-        the ``[lo, hi)`` range test.
+        test and the key→row map; the whole graph passes ``None`` (every
+        key is an owned row).
         """
         if len(self._cache_keys) and (
             self._cbuf_k is None or self._cache_keys.base is not self._cbuf_k
@@ -687,7 +675,7 @@ class EmitScratch:
 
         if len(newly):
             # Fused expansion: frozen sources emit at effective distance
-            # 0, so the light/Δ filter and the owned-range append run in
+            # 0, so the light/Δ filter and the owned-row append run in
             # one C pass straight into the capacity columns (no
             # intermediate candidate banks).
             bound = int(
@@ -696,7 +684,7 @@ class EmitScratch:
             self._cache_reserve(self._cache_len + bound)
             appended, cnt = _native.cache_emit(
                 self.indptr, self.indices, self.weights, newly,
-                delta, lo, hi, self._cache_hist,
+                delta, self._cache_hist,
                 self._cbuf_k, self._cbuf_s, self._cbuf_a,
                 self._cache_len,
                 owners=self.owners, localidx=self.localidx,
@@ -709,7 +697,7 @@ class EmitScratch:
         if self._cache_len:
             new_len = _native.cache_retire(
                 self._cbuf_k, self._cbuf_s, self._cbuf_a,
-                self._cache_len, frozen, lo, localidx=self.localidx,
+                self._cache_len, frozen, localidx=self.localidx,
             )
             self._cache_inert += self._cache_len - new_len
             self._cache_len = new_len

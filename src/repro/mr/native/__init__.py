@@ -121,14 +121,13 @@ _SIGNATURES = {
     "rk_begin_stage": ([_P, _I, _P, _P, _P, _P, _P], None),
     "rk_freeze_assigned": ([_P, _I, _I, _P, _P, _P], _I),
     "rk_forced_sets": ([_P, _P, _P, _I, _D, _P, _P], None),
-    # indptr, indices, weights, src_ids, nsrc, delta, lo, hi, owners,
-    # localidx, shard, hist, ck, cs, ca, pos, total_out -> appended
+    # indptr, indices, weights, src_ids, nsrc, delta, owners, localidx,
+    # shard, hist, ck, cs, ca, pos, total_out -> appended
     "rk_cache_emit": (
-        [_P, _P, _P, _P, _I, _D, _I, _I, _P, _P, _I,
-         _P, _P, _P, _P, _I, _P],
+        [_P, _P, _P, _P, _I, _D, _P, _P, _I, _P, _P, _P, _P, _I, _P],
         _I,
     ),
-    "rk_cache_retire": ([_P, _P, _P, _I, _P, _I, _P], _I),
+    "rk_cache_retire": ([_P, _P, _P, _I, _P, _P], _I),
     "rk_partition_loads": ([_P, _I, _P, _I, _P], _I),
     # ck, cs, ca, n, weights, dist, center, fk, fnd, fs, fw, fctr,
     # fsrcf -> kept
@@ -423,22 +422,26 @@ def forced_sets(center, dist, frozen, delta, mask, eff) -> None:
 
 
 def cache_emit(
-    indptr, indices, weights, src_ids, delta, lo, hi, hist, ck, cs, ca, pos,
+    indptr, indices, weights, src_ids, delta, hist, ck, cs, ca, pos,
     owners=None, localidx=None, shard_id=0,
 ):
     """Expand frozen sources straight into the cache columns.
 
     Returns ``(appended, total_emitted)`` — the light-arc multiset size
     minus the appended count is the externally-targeted (inert) mass.
-    Ownership is the contiguous ``[lo, hi)`` range unless the mapped
-    layout's int32 sidecars ``owners``/``localidx`` (indexed by global
-    id) and ``shard_id`` are given; ``hist`` is indexed by local row.
+    Every key is owned (the whole graph) unless the mapped layout's
+    int32 sidecars ``owners``/``localidx`` (indexed by global id) and
+    ``shard_id`` are given; ``hist`` is indexed by local row.
     """
+    if owners is None and len(hist) != len(indptr) - 1:
+        # Without sidecars every key indexes hist directly, which only
+        # a whole-graph slice (one row per id) keeps in bounds.
+        raise ValueError("without sidecars the slice must be the whole graph")
     lib = _load()
     total = np.zeros(1, dtype=np.int64)
     appended = lib.rk_cache_emit(
         _ptr(indptr), _ptr(indices), _ptr(weights),
-        _ptr(src_ids), len(src_ids), delta, lo, hi,
+        _ptr(src_ids), len(src_ids), delta,
         _ptr(_sidecar(owners)), _ptr(_sidecar(localidx)), shard_id,
         _ptr(hist), _ptr(ck), _ptr(cs), _ptr(ca), pos, _ptr(total),
     )
@@ -457,15 +460,15 @@ def partition_loads(keys, weights, nworkers, loads) -> int:
     )
 
 
-def cache_retire(ck, cs, ca, length, frozen, lo, localidx=None) -> int:
+def cache_retire(ck, cs, ca, length, frozen, localidx=None) -> int:
     """In-place compaction dropping frozen targets; returns new length.
 
-    ``frozen`` is indexed by local row: ``key - lo``, or
+    ``frozen`` is indexed by local row: the key itself, or
     ``localidx[key]`` under the mapped layout's sidecar.
     """
     lib = _load()
     return lib.rk_cache_retire(
-        _ptr(ck), _ptr(cs), _ptr(ca), length, _ptr(frozen), lo,
+        _ptr(ck), _ptr(cs), _ptr(ca), length, _ptr(frozen),
         _ptr(_sidecar(localidx)),
     )
 

@@ -367,15 +367,15 @@ void rk_forced_sets(
  * into `hist` (indexed by local row); returns the appended count, with
  * *total_out the full emitted multiset size (for inert accounting).
  *
- * Ownership: with `owners` NULL the shard is the contiguous range
- * [lo, hi) and a key's local row is key - lo; otherwise (the mapped lp
+ * Ownership: with `owners` NULL the slice is the whole graph, so every
+ * key is owned and is its own local row; otherwise (a shard's mapped
  * layout) `owners`/`localidx` are the partition sidecars indexed by
  * global id, a key is owned when owners[key] == shard and its local
  * row is localidx[key].  The test is loop-invariant, so the compiler
- * unswitches it and the contiguous path keeps its plain range loop. */
+ * unswitches it and the whole-graph path keeps its plain loop. */
 i64 rk_cache_emit(
     const i64 *indptr, const i64 *indices, const double *weights,
-    const i64 *src_ids, i64 nsrc, double delta, i64 lo, i64 hi,
+    const i64 *src_ids, i64 nsrc, double delta,
     const i32 *owners, const i32 *localidx, i64 shard,
     i64 *hist, i64 *ck, i64 *cs, i64 *ca, i64 pos, i64 *total_out)
 {
@@ -389,15 +389,11 @@ i64 rk_cache_emit(
                 continue;
             ++total;
             i64 key = indices[a];
-            i64 row;
+            i64 row = key;
             if (owners) {
                 if (owners[key] != shard)
                     continue;
                 row = localidx[key];
-            } else {
-                if (key < lo || key >= hi)
-                    continue;
-                row = key - lo;
             }
             hist[row] += 1;
             ck[t] = key;
@@ -438,10 +434,10 @@ i64 rk_partition_loads(
  * compacting the cache columns in place (order preserved).  Returns
  * the surviving length; the histogram keeps the retired rows' mass (it
  * accounts every cached row, inert included).  Cached keys are owned,
- * so their local row is localidx[key] when the lp map is given (see
- * rk_cache_emit), else key - lo. */
+ * so their local row is localidx[key] when the sidecar is given (see
+ * rk_cache_emit), else the key itself. */
 i64 rk_cache_retire(
-    i64 *ck, i64 *cs, i64 *ca, i64 n, const u8 *frozen, i64 lo,
+    i64 *ck, i64 *cs, i64 *ca, i64 n, const u8 *frozen,
     const i32 *localidx)
 {
     i64 t = 0;
@@ -454,8 +450,8 @@ i64 rk_cache_retire(
             row = localidx[key];
         } else {
             if (i + RK_PF_DIST < n)
-                RK_PREFETCH(&frozen[ck[i + RK_PF_DIST] - lo]);
-            row = key - lo;
+                RK_PREFETCH(&frozen[ck[i + RK_PF_DIST]]);
+            row = key;
         }
         if (frozen[row])
             continue;

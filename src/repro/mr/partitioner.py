@@ -5,12 +5,12 @@ away; it matters here only for the executor's critical-path time model
 (a round costs as much as its most loaded worker) and for exercising the
 multiprocessing backend.
 
-Beyond the classic hash/range key partitioners, this module houses the
-**locality-aware graph partitioner** used by the owner-compute sharded
+Beyond the hash key partitioner, this module houses the
+**locality-aware graph partitioner** of the owner-compute sharded
 backend (:func:`lp_assignment`): a multilevel size-constrained label
 propagation pipeline that assigns whole CSR rows to shards so that far
-fewer arcs cross shard boundaries than under the contiguous-range
-planner, while keeping per-shard arc loads within a configurable slack
+fewer arcs cross shard boundaries than under a contiguous split of the
+id space, while keeping per-shard arc loads within a configurable slack
 of perfect balance.  The output is an explicit node→shard assignment
 array — node ids are *never* relabeled, which is what keeps sharded
 results bit-identical to the ``vector`` backend (the merge tie-break
@@ -20,8 +20,7 @@ results bit-identical to the ``vector`` backend (the merge tie-break
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, Optional
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from repro.mr import native as _native
 __all__ = [
     "hash_partition",
     "hash_partition_array",
-    "range_partition",
-    "range_partition_array",
     "lp_assignment",
     "assignment_cut_fraction",
 ]
@@ -65,51 +62,6 @@ def hash_partition_array(keys: np.ndarray, num_workers: int) -> np.ndarray:
     return ((h & np.uint64(0xFFFFFFFF)) % np.uint64(num_workers)).astype(np.int64)
 
 
-def range_partition(
-    key, splitters: Sequence, num_workers: int
-) -> int:
-    """Range partitioner against sorted ``splitters``.
-
-    ``splitters`` must be a sorted sequence of ``num_workers - 1`` boundary
-    keys, as produced by sample-sort pivots; keys below ``splitters[0]`` go
-    to worker 0, and so on.  This is the partitioner the O(log_{M_L} n)
-    sorting primitive uses.
-    """
-    if len(splitters) != num_workers - 1:
-        raise ValueError("need exactly num_workers - 1 splitters")
-    return bisect_right(list(splitters), key)
-
-
-def range_partition_array(
-    keys: np.ndarray, splitters: Sequence, num_workers: int = None
-) -> np.ndarray:
-    """Vectorized :func:`range_partition` for int64 key arrays.
-
-    ``np.searchsorted(..., side="right")`` computes ``bisect_right`` for
-    every key at once, so the scalar and array partitioners agree
-    element-wise (tests assert it).  ``num_workers`` is optional; when
-    given it is validated against the splitter count exactly like the
-    scalar version.  This is the assignment primitive of the
-    owner-compute partition planner (:mod:`repro.graph.partition`):
-    with splitters equal to the interior shard starts, key ``u`` maps to
-    the shard whose contiguous range contains it.
-    """
-    if num_workers is not None and len(splitters) != num_workers - 1:
-        raise ValueError("need exactly num_workers - 1 splitters")
-    keys = np.asarray(keys, dtype=np.int64)
-    splitters = np.asarray(splitters, dtype=np.int64)
-    return np.searchsorted(splitters, keys, side="right").astype(np.int64)
-
-
-def make_splitters(sorted_sample: Sequence, num_workers: int) -> List:
-    """Pick ``num_workers - 1`` evenly spaced pivots from a sorted sample."""
-    if num_workers <= 1 or not sorted_sample:
-        return []
-    step = len(sorted_sample) / num_workers
-    return [sorted_sample[min(int((i + 1) * step), len(sorted_sample) - 1)]
-            for i in range(num_workers - 1)]
-
-
 # --------------------------------------------------------------------- #
 # Locality-aware graph partitioning (multilevel label propagation)
 # --------------------------------------------------------------------- #
@@ -133,7 +85,7 @@ def make_splitters(sorted_sample: Sequence, num_workers: int) -> List:
 # The same refinement applied to the contiguous range plan gives a
 # second candidate; :func:`lp_assignment` returns whichever of
 # {range, refined range, multilevel} cuts the fewest arcs, so the
-# locality-aware mode can never lose to the planner it replaces (on
+# assignment can never cut more than a contiguous split (on
 # lattice-like graphs where contiguous ranges are already near-optimal,
 # the range candidate simply wins).
 #
@@ -382,7 +334,8 @@ def assignment_cut_fraction(graph, owner: np.ndarray) -> float:
 
 
 def _range_owner(graph, num_shards: int) -> np.ndarray:
-    """The contiguous arc-balanced range assignment (the legacy plan)."""
+    """Contiguous arc-balanced ranges of the id space: shard ``k`` owns
+    the nodes whose arc prefix sums fall in its ``1/K`` slice."""
     n = graph.num_nodes
     arcs = graph.num_arcs
     targets = (arcs * np.arange(1, num_shards, dtype=np.int64)) // num_shards

@@ -4,9 +4,9 @@ A single-process backend keeps the whole graph and growing state in
 one address space, so it cannot run a graph larger than one machine's
 memory.  This module splits both across persistent workers:
 
-* the graph is partitioned once — contiguous node ranges or the
-  locality-aware lp assignment (:mod:`repro.graph.partition`) — and
-  written as per-shard GraphStore files;
+* the graph is partitioned once — the locality-aware lp assignment of
+  :mod:`repro.graph.partition` — and written as per-shard GraphStore
+  files;
 * each **persistent worker** memory-maps its shard's CSR rows *once*
   and is an :class:`~repro.mrimpl.growing_mr.ArrayGrowingState` over
   those rows — the same node-state machine the ``vector`` backend runs
@@ -33,14 +33,15 @@ cut size (see the respective docstrings for the argument):
 
 On top of the candidate-volume reductions, two execution tiers:
 
-* **Locality-aware partitioning** (``partitioner="lp"``, the backend
-  default): shards are the multilevel label-propagation assignment of
+* **Locality-aware partitioning**: shards are the multilevel
+  label-propagation assignment of
   :func:`repro.mr.partitioner.lp_assignment`, which cuts far fewer
   arcs than contiguous ranges on generator-ordered graphs — smaller
   halos, smaller exchanges.  Node ids are *never* relabeled; the two
   int32 partition sidecars (node→shard, node→local row) supply the
   global↔local maps, so every candidate on the wire still carries
-  global ids and results stay bit-identical across partitioners.
+  global ids and results stay bit-identical to the whole-graph
+  backends.
 * **Out-of-core residency** (``REPRO_SHARD_RESIDENT_MB``): workers run
   sequentially in-process and their CSR mmaps are opened/released
   under an explicit byte budget, so no two shards need be resident
@@ -57,8 +58,8 @@ deduplicate edges, so a target receives at most one candidate per
 source and "earliest arrival" equals "smallest source id" — the winner
 is simply the row minimizing ``(nd, center, source)``.
 ``tests/mr/test_sharded_parity.py`` asserts equality against ``vector``
-and the test suite's per-key reference across shard counts,
-partitioners, and residency budgets.
+and the test suite's per-key reference across shard counts and
+residency budgets.
 
 The exchange is one protocol for both worker pools: each growing step
 is one ``step`` command per worker, and the cross-shard blocks a step
@@ -93,9 +94,7 @@ from repro.mrimpl.growing_mr import NO_CENTER, ArrayGrowingState
 __all__ = [
     "ShardedExecutor",
     "ShardedGrowingState",
-    "PARTITIONER_ENV",
     "RESIDENT_ENV",
-    "partitioner_from_env",
     "WORKER_TIMEOUT_ENV",
 ]
 
@@ -103,11 +102,6 @@ __all__ = [
 #: source column exists for the order-free merge tie-break; the state
 #: kernels consume only the first three columns.
 CANDIDATE_WIDTH = 4
-
-#: Partitioner override for the sharded backend: ``lp`` (default) or
-#: ``range``.  Library callers of ``ensure_partitioned`` still default
-#: to ``range``; only this backend opts into lp.
-PARTITIONER_ENV = "REPRO_SHARD_PARTITIONER"
 
 #: Out-of-core residency budget in MiB.  When set, shard workers run
 #: sequentially in-process and their CSR mmaps are LRU-released so the
@@ -119,23 +113,6 @@ RESIDENT_ENV = "REPRO_SHARD_RESIDENT_MB"
 #: and the whole pool is torn down with a
 #: :class:`~repro.errors.WorkerFailure` for the recovery loop.
 WORKER_TIMEOUT_ENV = "REPRO_WORKER_TIMEOUT_S"
-
-def partitioner_from_env() -> str:
-    """The backend's partitioner: ``REPRO_SHARD_PARTITIONER`` or ``lp``.
-
-    Shared by the executor and the runner's pre-partition step so both
-    agree on the cache leaf; a malformed value is a configuration
-    error naming the variable, not a traceback from the planner.
-    """
-    from repro.graph.partition import PARTITIONERS
-
-    value = os.environ.get(PARTITIONER_ENV) or "lp"
-    if value not in PARTITIONERS:
-        raise ConfigurationError(
-            f"{PARTITIONER_ENV}={value!r} is not a partitioner "
-            f"(use one of {', '.join(PARTITIONERS)})"
-        )
-    return value
 
 
 def _resident_mb_from_env() -> Optional[float]:
@@ -199,96 +176,59 @@ def _sorted_unique(keys: np.ndarray, domain: int, return_inverse=False):
 
 
 class _Ownership:
-    """One shard's node-id geometry under either partitioner.
+    """One shard's node-id geometry, from the partition sidecars.
 
     Everything the worker needs to translate between the global id
     space (candidates on the wire, ``indices`` entries) and its local
-    row space (state arrays):
+    row space (state arrays): ownership and the global→local map come
+    from the partition's two memory-mapped int32 sidecars (node→shard
+    ``owners`` and node→local-row ``localidx``), shared read-only
+    across all forked workers through the page cache.  Local row ``r``
+    is global node ``row_gids[r]``.
 
-    * ``range`` — local row ``r`` is global node ``lo + r``; ownership
-      and the global→local map are arithmetic on the ``starts``
-      boundaries.
-    * ``lp`` — ownership and the global→local map come from the
-      partition's two memory-mapped int32 sidecars (node→shard
-      ``owners`` and node→local-row ``localidx``), shared read-only
-      across all forked workers through the page cache.
-
-    In both layouts local row ``r`` is global node ``row_gids[r]``.
-
-    Both layouts keep ``localidx`` order-preserving (ascending global
-    id ↔ ascending local row), which the merge relies on: converting
-    ascending global group keys to local ids preserves ascending order,
-    so the merge's first-maximum group is the ascending-first one and
-    the inherited apply sees ascending target rows.
+    ``localidx`` is order-preserving (ascending global id ↔ ascending
+    local row), which the merge relies on: converting ascending global
+    group keys to local ids preserves ascending order, so the merge's
+    first-maximum group is the ascending-first one and the inherited
+    apply sees ascending target rows.
     """
 
     __slots__ = (
-        "mode",
         "shard_id",
         "num_shards",
         "num_nodes",
         "num_rows",
-        "lo",
-        "hi",
-        "starts",
-        "splitters",
         "owners",
         "localidx",
         "row_gids",
     )
 
     def __init__(self, shard_id: int, spec: dict):
-        self.mode = spec["mode"]
         self.shard_id = shard_id
-        if self.mode == "range":
-            starts = np.asarray(spec["starts"], dtype=np.int64)
-            self.starts = starts
-            self.splitters = starts[1:-1]
-            self.num_shards = len(starts) - 1
-            self.num_nodes = int(starts[-1])
-            self.lo = int(starts[shard_id])
-            self.hi = int(starts[shard_id + 1])
-            self.num_rows = self.hi - self.lo
-            self.owners = None
-            self.localidx = None
-            self.row_gids = np.arange(self.lo, self.hi, dtype=np.int64)
-        elif self.mode == "lp":
-            self.num_shards = int(spec["num_shards"])
-            self.num_nodes = int(spec["num_nodes"])
-            shape = (self.num_nodes,)
-            # Plain ndarray views of the mappings (zero-copy; the view
-            # keeps the map alive): the per-step gathers in is_local /
-            # owner_of / to_local then skip memmap's subclass wrapping.
-            self.owners = np.memmap(
-                spec["owners_path"], dtype=np.int32, mode="r", shape=shape
-            ).view(np.ndarray)
-            self.localidx = np.memmap(
-                spec["localidx_path"], dtype=np.int32, mode="r", shape=shape
-            ).view(np.ndarray)
-            self.row_gids = np.flatnonzero(
-                self.owners == np.int32(shard_id)
-            ).astype(np.int64)
-            self.num_rows = len(self.row_gids)
-            self.lo = self.hi = -1
-            self.starts = self.splitters = None
-        else:  # pragma: no cover - driver validates first
-            raise ValueError(f"unknown partition mode {self.mode!r}")
+        self.num_shards = int(spec["num_shards"])
+        self.num_nodes = int(spec["num_nodes"])
+        shape = (self.num_nodes,)
+        # Plain ndarray views of the mappings (zero-copy; the view keeps
+        # the map alive): the per-step gathers in is_local / owner_of /
+        # to_local then skip memmap's subclass wrapping.
+        self.owners = np.memmap(
+            spec["owners_path"], dtype=np.int32, mode="r", shape=shape
+        ).view(np.ndarray)
+        self.localidx = np.memmap(
+            spec["localidx_path"], dtype=np.int32, mode="r", shape=shape
+        ).view(np.ndarray)
+        self.row_gids = np.flatnonzero(
+            self.owners == np.int32(shard_id)
+        ).astype(np.int64)
+        self.num_rows = len(self.row_gids)
 
     def is_local(self, gids: np.ndarray) -> np.ndarray:
-        if self.mode == "range":
-            return (gids >= self.lo) & (gids < self.hi)
         return self.owners[gids] == np.int32(self.shard_id)
 
     def owner_of(self, gids: np.ndarray) -> np.ndarray:
-        if self.mode == "range":
-            from repro.mr.partitioner import range_partition_array
-
-            return range_partition_array(gids, self.splitters)
         return self.owners[gids].astype(np.int64)
 
     def to_local(self, gids):
-        if self.mode == "range":
-            return gids - self.lo
         return self.localidx[gids].astype(np.int64)
 
 
@@ -390,24 +330,17 @@ class _ShardWorker(ArrayGrowingState):
         self.r_frozen_iter = np.zeros(len(self.halo), dtype=np.int64)
 
     def _make_emit_scratch(self, graph) -> EmitScratch:
-        """Fused emit pipeline over this shard's rows.
-
-        Under lp the scratch takes the mapped layout: ``base=0`` plus the
-        sidecar maps, candidate keys still global.
-        """
+        """Fused emit pipeline over this shard's rows: the mapped layout
+        (the sidecar maps), candidate keys still global."""
         own = self.own
-        scratch_args = {}
-        if own.mode == "range":
-            scratch_args["base"] = own.lo
-        else:
-            scratch_args.update(
-                row_gids=own.row_gids,
-                localidx=own.localidx,
-                owners=own.owners,
-                shard_id=self.shard_id,
-            )
         return EmitScratch(
-            graph.indptr, graph.indices, graph.weights, **scratch_args
+            graph.indptr,
+            graph.indices,
+            graph.weights,
+            row_gids=own.row_gids,
+            localidx=own.localidx,
+            owners=own.owners,
+            shard_id=self.shard_id,
         )
 
     # -- graph residency (out-of-core tier) ----------------------------- #
@@ -1350,9 +1283,7 @@ class ShardedGrowingState:
             "reset", per_worker=[(env,)] * executor.num_shards
         )
         if replies and isinstance(replies[0], dict):
-            info = dict(replies[0])
-            info["partitioner"] = self.plan.mode
-            engine.counters.impl.update(info)
+            engine.counters.impl.update(replies[0])
         # remote[dest] -> list of (keys, values) awaiting delivery.
         self._remote: Dict[int, List] = {}
         # replica_updates[dest] -> list of freeze blocks to deliver.
@@ -1369,8 +1300,8 @@ class ShardedGrowingState:
         parts = self.executor._broadcast("uncovered")
         if not parts:
             return np.empty(0, np.int64)
-        # Each shard's block is ascending, but only the contiguous range
-        # layout makes the concatenation globally sorted — and the
+        # Each shard's block is ascending, but shard row sets need not
+        # be contiguous, so the concatenation is not — and the
         # drivers' seeded sampling depends on the order.
         return np.sort(np.concatenate(parts))
 
@@ -1577,11 +1508,6 @@ class ShardedExecutor:
     ----------
     num_shards:
         Worker/shard count (default: CPU count).
-    partitioner:
-        ``"lp"`` (default; env ``REPRO_SHARD_PARTITIONER``) or
-        ``"range"``.  The backend defaults to the locality-aware
-        assignment; library callers of ``ensure_partitioned`` keep the
-        ``range`` default.
     resident_mb:
         Out-of-core residency budget in MiB (env
         ``REPRO_SHARD_RESIDENT_MB``).  When set, workers run
@@ -1612,19 +1538,11 @@ class ShardedExecutor:
         self,
         num_shards: Optional[int] = None,
         *,
-        partitioner: Optional[str] = None,
         resident_mb: Optional[float] = None,
     ):
         if num_shards is not None and num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards or os.cpu_count() or 1
-        if partitioner is None:
-            partitioner = partitioner_from_env()
-        if partitioner not in ("range", "lp"):
-            raise ValueError(
-                f"unknown partitioner {partitioner!r} (use 'range' or 'lp')"
-            )
-        self.partitioner = partitioner
         if resident_mb is None:
             resident_mb = _resident_mb_from_env()
         if resident_mb is not None and resident_mb <= 0:
@@ -1683,10 +1601,7 @@ class ShardedExecutor:
             write_store(graph, store_path)
         try:
             self.partitioned = ensure_partitioned(
-                store_path,
-                self.num_shards,
-                graph=graph,
-                partitioner=self.partitioner,
+                store_path, self.num_shards, graph=graph
             )
         except OSError:
             # Store directory not writable (read-only datasets): fall
@@ -1698,23 +1613,15 @@ class ShardedExecutor:
                 self.num_shards,
                 graph=graph,
                 directory=Path(self._tmpdir) / "shards",
-                partitioner=self.partitioner,
             )
         self.plan = self.partitioned.plan
-        if self.plan.mode == "range":
-            spec = {
-                "mode": "range",
-                "starts": np.asarray(self.plan.starts, dtype=np.int64),
-            }
-        else:
-            directory = Path(self.partitioned.directory)
-            spec = {
-                "mode": "lp",
-                "num_shards": self.num_shards,
-                "num_nodes": int(graph.num_nodes),
-                "owners_path": str(directory / ASSIGNMENT_NAME),
-                "localidx_path": str(directory / LOCALIDX_NAME),
-            }
+        directory = Path(self.partitioned.directory)
+        spec = {
+            "num_shards": self.num_shards,
+            "num_nodes": int(graph.num_nodes),
+            "owners_path": str(directory / ASSIGNMENT_NAME),
+            "localidx_path": str(directory / LOCALIDX_NAME),
+        }
         shard_paths = [str(p) for p in self.partitioned.shard_paths]
         if self.resident_bytes is not None:
             self._pool = _InprocPool(shard_paths, spec, self.resident_bytes)

@@ -298,13 +298,9 @@ def run(
     if executor == "sharded" and not isinstance(graph, CSRGraph):
         # Partition through the GraphStore so the shard directories are
         # written (and trimmed) under the cache's byte budget; the
-        # executor then finds a fresh manifest and reuses it.  Resolve
-        # the partitioner the same way the executor will, so the two
-        # agree on the cache leaf.
-        from repro.mr.sharded import partitioner_from_env
-
+        # executor then finds a fresh manifest and reuses it.
         (store if store is not None else default_store()).get_partitioned(
-            graph, workers, partitioner=partitioner_from_env()
+            graph, workers
         )
 
     if engine is not None:

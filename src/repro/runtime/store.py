@@ -393,30 +393,32 @@ class GraphStore:
         self,
         path: PathLike,
         num_shards: int,
-        partitioner: Optional[str] = None,
+        partitioner: str = "lp",
     ):
         """Return ``path``'s ``num_shards``-way partition, building if needed.
 
         The graph is resolved through :meth:`get` (converted and
         memory-mapped as usual) and its partition is cached on disk
-        under ``<store>.shards/<K>[-lp]/`` next to the store file
-        (see :mod:`repro.graph.partition` for the layout and the two
-        partitioners).  The cache invalidates itself: converted stores
-        are signature-keyed files, so an edited source yields a fresh
-        store *and* fresh shards, while a rewritten ``.rcsr`` is caught
-        by the manifest's (mtime, size) record and re-partitioned.
+        under ``<store>.shards/<K>-lp/`` next to the store file (see
+        :mod:`repro.graph.partition` for the layout).  The cache
+        invalidates itself: converted stores are signature-keyed files,
+        so an edited source yields a fresh store *and* fresh shards,
+        while a rewritten ``.rcsr`` is caught by the manifest's
+        (mtime, size) record and re-partitioned.  ``partitioner`` only
+        accepts ``"lp"``, the one partitioner there is.
 
         Returns a :class:`~repro.graph.partition.PartitionedStore`.
         """
-        from repro.graph.partition import DEFAULT_PARTITIONER, ensure_partitioned
+        from repro.graph.partition import PARTITIONER, ensure_partitioned
 
-        if partitioner is None:
-            partitioner = DEFAULT_PARTITIONER
+        if partitioner != PARTITIONER:
+            raise ValueError(
+                f"unknown partitioner {partitioner!r} "
+                f"(the only one is {PARTITIONER!r})"
+            )
         store_file = self.store_path(path)
         graph = self.get(path)
-        partitioned = ensure_partitioned(
-            store_file, num_shards, graph=graph, partitioner=partitioner
-        )
+        partitioned = ensure_partitioned(store_file, num_shards, graph=graph)
         if store_file.parent == self.cache_dir:
             # Shard partitions count toward the cache budget like the
             # stores they belong to; re-trim now that one was written.

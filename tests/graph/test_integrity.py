@@ -296,11 +296,8 @@ def layout(tmp_path):
     graph = mesh(10, seed=4)
     store = tmp_path / "part.rcsr"
     write_store(graph, store)
-    # LP partitioning so the layout carries sidecars too.
     directory = tmp_path / "part.rcsr.shards" / "3-lp"
-    write_partitioned_store(
-        graph, store, 3, directory=directory, partitioner="lp"
-    )
+    write_partitioned_store(graph, store, 3, directory=directory)
     return graph, store, directory
 
 
@@ -351,7 +348,7 @@ class TestPartitionIntegrity:
         sidecar = directory / "localidx.i32"
         flip_byte(sidecar, sidecar.stat().st_size // 2)
         rebuilt = ensure_partitioned(
-            store, 3, graph=graph, directory=directory, partitioner="lp"
+            store, 3, graph=graph, directory=directory
         )
         assert rebuilt.plan.num_shards == 3
         # The damaged layout was moved aside, and the fresh one verifies.

@@ -87,17 +87,15 @@ def test_verify_tree_deep_passes(stores):
     assert reports and all(r["ok"] for r in reports)
 
 
-@pytest.mark.parametrize("partitioner", ["range", "lp"])
-def test_partition_matches_fresh_store(stores, partitioner):
+def test_partition_matches_fresh_store(stores):
     legacy, fresh = stores
-    old = ensure_partitioned(legacy, 2, partitioner=partitioner)
-    new = ensure_partitioned(fresh, 2, partitioner=partitioner)
+    old = ensure_partitioned(legacy, 2)
+    new = ensure_partitioned(fresh, 2)
     for k in range(2):
         assert old.open_shard(k) == new.open_shard(k)
         assert read_store_header(old.shard_paths[k]).rsrc_offset == 0
-    if partitioner == "lp":
-        np.testing.assert_array_equal(old.assignment, new.assignment)
-        np.testing.assert_array_equal(old.localidx, new.localidx)
+    np.testing.assert_array_equal(old.assignment, new.assignment)
+    np.testing.assert_array_equal(old.localidx, new.localidx)
 
 
 def test_vector_diameter_matches_fresh_store(stores, tmp_path):

@@ -1,9 +1,11 @@
 """Partition planner + partitioned-store layout properties.
 
-The owner-compute contract: ranges cover ``[0, n)`` exactly, the
+The owner-compute contract: shards cover ``[0, n)`` exactly, the
 edge-cut report is consistent with the graph, shard files reassemble to
-the original CSR, the manifest round-trips, and a stale source store
-invalidates its shards (directly and through the GraphStore cache).
+the original CSR, the manifest round-trips, a stale source store
+invalidates its shards (directly and through the GraphStore cache), a
+shard too large for the int32 sidecars is refused, and a layout left by
+the retired contiguous-range planner is rewritten, not loaded.
 """
 
 import json
@@ -11,10 +13,17 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.errors import ConfigurationError, GraphFormatError
 from repro.generators import gnm_random_graph, mesh, path_graph, rmat
+from repro.graph.csr import CSRGraph
 from repro.graph.ops import largest_connected_component
 from repro.graph.partition import (
     MANIFEST_NAME,
+    MAX_SHARD_ROWS,
+    PARTITION_VERSION,
+    PartitionPlan,
+    _manifest_digest,
     ensure_partitioned,
     load_partitioned,
     plan_partition,
@@ -22,7 +31,7 @@ from repro.graph.partition import (
     write_partitioned_store,
 )
 from repro.graph.serialize import open_store, write_store
-from repro.errors import GraphFormatError
+from repro.integrity import file_sha256
 
 SHARD_COUNTS = (1, 2, 3, 7, 64)
 
@@ -47,7 +56,7 @@ class TestPlanPartition:
         assert plan.starts[0] == 0
         assert plan.starts[-1] == graph.num_nodes
         assert np.all(np.diff(plan.starts) >= 0)
-        # Every node owned exactly once, by the shard whose range holds it.
+        # Every node owned exactly once; starts count each shard's nodes.
         owners = plan.owner_of(np.arange(graph.num_nodes))
         sizes = np.bincount(owners, minlength=shards)
         assert np.array_equal(sizes, np.diff(plan.starts))
@@ -56,8 +65,12 @@ class TestPlanPartition:
     def test_balanced_by_arcs(self, graphs, shards):
         graph = graphs["gnm"]
         plan = plan_partition(graph, shards)
-        # Contiguous-prefix balancing is exact up to one node's degree.
-        bound = graph.num_arcs / shards + int(graph.degrees.max())
+        # lp trades up to 1.5x arc load for cut; the contiguous candidate
+        # it may return instead is balanced up to one node's degree.
+        bound = max(
+            1.5 * graph.num_arcs / shards,
+            graph.num_arcs / shards + int(graph.degrees.max()),
+        )
         assert int(plan.shard_arcs.max()) <= bound
 
     @pytest.mark.parametrize("name", ["mesh", "gnm", "rmat"])
@@ -107,18 +120,24 @@ class TestPartitionedStore:
         store = tmp_path / "g.rcsr"
         write_store(graph, store)
         partitioned = write_partitioned_store(graph, store, shards)
-        indptr_parts, indices_parts, weights_parts = [], [], []
-        offset = 0
+        plan = partitioned.plan
+        seen = np.zeros(graph.num_nodes, dtype=bool)
         for k in range(shards):
             shard = partitioned.open_shard(k)
-            indptr_parts.append(shard.indptr[:-1] + offset)
-            offset += shard.indptr[-1]
-            indices_parts.append(shard.indices)
-            weights_parts.append(shard.weights)
-        indptr = np.concatenate(indptr_parts + [[offset]])
-        assert np.array_equal(indptr, graph.indptr)
-        assert np.array_equal(np.concatenate(indices_parts), graph.indices)
-        assert np.array_equal(np.concatenate(weights_parts), graph.weights)
+            rows = plan.shard_rows(k)
+            assert shard.num_nodes == len(rows)
+            # The sidecars map each owned node to its shard and local row.
+            assert np.all(partitioned.assignment[rows] == k)
+            assert np.array_equal(
+                partitioned.localidx[rows], np.arange(len(rows))
+            )
+            for r, u in enumerate(rows):
+                a, b = graph.indptr[u], graph.indptr[u + 1]
+                lo, hi = shard.indptr[r], shard.indptr[r + 1]
+                assert np.array_equal(shard.indices[lo:hi], graph.indices[a:b])
+                assert np.array_equal(shard.weights[lo:hi], graph.weights[a:b])
+            seen[rows] = True
+        assert seen.all()
 
     def test_manifest_round_trips(self, graphs, tmp_path):
         graph = graphs["mesh"]
@@ -126,6 +145,7 @@ class TestPartitionedStore:
         write_store(graph, store)
         written = write_partitioned_store(graph, store, 3)
         loaded = load_partitioned(written.directory)
+        assert np.array_equal(loaded.plan.assignment, written.plan.assignment)
         assert np.array_equal(loaded.plan.starts, written.plan.starts)
         assert np.array_equal(loaded.plan.shard_arcs, written.plan.shard_arcs)
         assert np.array_equal(loaded.plan.cut_arcs, written.plan.cut_arcs)
@@ -235,7 +255,136 @@ class TestGraphStorePartitionCache:
             executor="sharded", shards=2,
         )
         assert np.array_equal(core.raw.center, sharded.raw.center)
-        # The runner defaults to the locality-aware partitioner, so the
-        # cached shards live in the "lp" layout directory.
-        shards_dir = shards_dir_for(store.store_path(source), 2, "lp")
+        shards_dir = shards_dir_for(store.store_path(source), 2)
+        assert shards_dir.name == "2-lp"
         assert (shards_dir / MANIFEST_NAME).exists()
+
+    def test_get_partitioned_accepts_only_lp(self, tmp_path):
+        from repro.graph.io import write_auto
+        from repro.runtime.store import GraphStore
+
+        source = tmp_path / "mesh.gr"
+        write_auto(mesh(5, seed=2), source)
+        store = GraphStore(cache_dir=tmp_path / "cache")
+        assert store.get_partitioned(source, 2, partitioner="lp").plan
+        with pytest.raises(ValueError, match="range"):
+            store.get_partitioned(source, 2, partitioner="range")
+
+
+class TestSidecarLimit:
+    def test_oversized_shard_is_refused_before_writing(self, tmp_path):
+        """A shard of 2**31 rows overflows the int32 ``localidx``: the
+        write must fail with a ConfigurationError and leave no files.
+        The stub plan only claims the size, so nothing that large is
+        allocated."""
+        graph = path_graph(4, weights="unit")
+        store = tmp_path / "g.rcsr"
+        write_store(graph, store)
+        n = 2**31
+        assert n > MAX_SHARD_ROWS
+        plan = PartitionPlan(
+            num_nodes=n,
+            num_arcs=0,
+            starts=np.array([0, 0, n], dtype=np.int64),
+            shard_arcs=np.zeros(2, dtype=np.int64),
+            cut_arcs=np.zeros(2, dtype=np.int64),
+            boundary_nodes=np.zeros(2, dtype=np.int64),
+            assignment=np.zeros(0, dtype=np.int32),
+        )
+        directory = tmp_path / "shards"
+        with pytest.raises(ConfigurationError, match="shard 1 of 2"):
+            write_partitioned_store(
+                graph, store, 2, plan=plan, directory=directory
+            )
+        assert not directory.exists()
+
+
+def write_range_layout(graph, store, directory, num_shards=2):
+    """The layout the retired contiguous-range planner wrote: contiguous
+    arc-balanced row slices, no sidecars, a v3 manifest naming
+    ``range`` with valid digests."""
+    directory.mkdir(parents=True)
+    targets = graph.num_arcs * np.arange(1, num_shards) // num_shards
+    starts = np.concatenate(
+        ([0], np.searchsorted(graph.indptr, targets), [graph.num_nodes])
+    ).astype(np.int64)
+    owner = np.repeat(np.arange(num_shards), np.diff(starts))
+    cut = owner[graph.arc_sources()] != owner[graph.indices]
+    names, digests = [], []
+    for k in range(num_shards):
+        lo, hi = starts[k], starts[k + 1]
+        a, b = graph.indptr[lo], graph.indptr[hi]
+        path = directory / f"part-{k}.rcsr"
+        write_store(
+            CSRGraph(
+                graph.indptr[lo : hi + 1] - a,
+                graph.indices[a:b],
+                graph.weights[a:b],
+                validate=False,
+            ),
+            path,
+        )
+        names.append(path.name)
+        digests.append(file_sha256(path))
+    stat = store.stat()
+    manifest = {
+        "version": PARTITION_VERSION,
+        "source": str(store),
+        "source_mtime_ns": stat.st_mtime_ns,
+        "source_size": stat.st_size,
+        "num_nodes": graph.num_nodes,
+        "num_arcs": graph.num_arcs,
+        "num_shards": num_shards,
+        "partitioner": "range",
+        "starts": starts.tolist(),
+        "shard_arcs": np.diff(graph.indptr[starts]).tolist(),
+        "cut_arcs": np.bincount(
+            owner[graph.arc_sources()][cut], minlength=num_shards
+        ).tolist(),
+        "boundary_nodes": [0] * num_shards,
+        "shards": names,
+        "shard_sha256": digests,
+        "sidecar_sha256": {},
+    }
+    manifest["manifest_sha256"] = _manifest_digest(manifest)
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
+
+
+class TestLeftoverRangeLayout:
+    @pytest.fixture
+    def stored(self, graphs, tmp_path):
+        store = tmp_path / "g.rcsr"
+        write_store(graphs["mesh"], store)
+        directory = tmp_path / "g.rcsr.shards" / "2"
+        write_range_layout(graphs["mesh"], store, directory)
+        return graphs["mesh"], store, directory
+
+    def test_load_rejects_range_manifest(self, stored):
+        _, _, directory = stored
+        with pytest.raises(GraphFormatError, match="'range'"):
+            load_partitioned(directory)
+
+    def test_ensure_rewrites_range_layout_in_place(self, stored):
+        graph, store, directory = stored
+        rewritten = ensure_partitioned(
+            store, 2, graph=graph, directory=directory
+        )
+        assert rewritten.directory == directory
+        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        assert manifest["partitioner"] == "lp"
+        loaded = load_partitioned(directory)
+        assert np.array_equal(loaded.assignment, rewritten.plan.assignment)
+
+    def test_info_and_deep_verify_still_handle_it(self, stored, capsys):
+        """``repro info`` lists the leftover next to the live layout;
+        ``repro verify --deep`` re-hashes its shard files."""
+        graph, store, directory = stored
+        lp = ensure_partitioned(store, 2, graph=graph)
+        assert main(["info", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "2-way range (cut" in out and "2-way lp (cut" in out
+        assert main(["verify", str(store), "--deep"]) == 0
+        out = capsys.readouterr().out
+        for layout in (directory, lp.directory):
+            assert f"ok    partition  {layout}  (verified manifest.json" in out
+        assert "part-1.rcsr" in out and "0 failure(s)" in out

@@ -228,16 +228,17 @@ class TestEmitMatchesOracle:
 
 def shard_scratch(graph, layout, shard, num_shards=3):
     """An :class:`EmitScratch` over one shard's rows, shaped the way the
-    sharded workers build it: ``range`` is a contiguous row slice
-    (``base``), ``mapped`` an interleaved row set with the lp sidecars
-    (``row_gids``/``localidx``/``owners``).  Both keep global neighbour
-    ids, so arcs into other shards' rows stay in the slice.  Returns
-    the scratch and the global ids of its rows."""
+    sharded workers build it: the mapped layout with the partition
+    sidecars (``row_gids``/``localidx``/``owners``) over a
+    ``contiguous`` row set (the one ``lp`` returns when a contiguous
+    split cuts least) or an interleaved (``mapped``) one.  Both keep
+    global neighbour ids, so arcs into other shards' rows stay in the
+    slice.  Returns the scratch and the global ids of its rows."""
     n = graph.num_nodes
     if layout == "whole":
         scratch = EmitScratch(graph.indptr, graph.indices, graph.weights)
         return scratch, np.arange(n, dtype=np.int64)
-    if layout == "range":
+    if layout == "contiguous":
         bounds = np.linspace(0, n, num_shards + 1).astype(np.int64)
         owners = np.repeat(np.arange(num_shards), np.diff(bounds))
     else:
@@ -248,19 +249,15 @@ def shard_scratch(graph, layout, shard, num_shards=3):
     indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
     indices = graph.indices[aidx]
     assert np.any(owners[indices] != shard)  # the slice has boundary arcs
-    kwargs = {}
-    if layout == "range":
-        kwargs["base"] = int(rows[0])
-    else:
-        localidx = np.zeros(n, dtype=np.int32)
-        for k in range(num_shards):
-            mine = owners == k
-            localidx[mine] = np.arange(int(mine.sum()))
-        kwargs.update(
-            row_gids=rows, localidx=localidx,
-            owners=owners.astype(np.int32), shard_id=shard,
-        )
-    scratch = EmitScratch(indptr, indices, graph.weights[aidx], **kwargs)
+    localidx = np.zeros(n, dtype=np.int32)
+    for k in range(num_shards):
+        mine = owners == k
+        localidx[mine] = np.arange(int(mine.sum()))
+    scratch = EmitScratch(
+        indptr, indices, graph.weights[aidx],
+        row_gids=rows, localidx=localidx,
+        owners=owners.astype(np.int32), shard_id=shard,
+    )
     return scratch, rows
 
 
@@ -302,15 +299,18 @@ def oracle_columns(scratch, state, delta, force, **kwargs):
 
 
 LAYOUTS = [("whole", 0)] + [
-    (layout, shard) for layout in ("range", "mapped") for shard in range(3)
+    (layout, shard)
+    for layout in ("contiguous", "mapped")
+    for shard in range(3)
 ]
 
 
 class TestShardSlicesMatchOracle:
     """The push expansion emits the oracle's candidate columns, in the
     oracle's within-target order, on every scratch layout — whole
-    graph, contiguous shard slices and mapped (lp) shards, boundary
-    arcs included — on both kernel tiers."""
+    graph and contiguous and interleaved shard row sets through the
+    partition sidecars, boundary arcs included — on both kernel
+    tiers."""
 
     @pytest.mark.parametrize("impl", TIERS)
     @pytest.mark.parametrize("layout, shard", LAYOUTS)

@@ -34,7 +34,7 @@ from repro.errors import WorkerFailure
 from repro.generators import gnm_random_graph, road_network
 from repro.graph.serialize import write_store
 from repro.mr.faults import FAULT_PLAN_ENV, get_fault_plan, reset_fault_plan
-from repro.mr.sharded import PARTITIONER_ENV, RESIDENT_ENV
+from repro.mr.sharded import RESIDENT_ENV
 from repro.mrimpl.cluster2_mr import mr_cluster2
 from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.diameter_mr import mr_approximate_diameter
@@ -56,7 +56,7 @@ BACKENDS = {
     "vector": ("vector", None, {}),
     "literal": ("vector", None, {}),
     "sharded": ("sharded", 2, {}),
-    "sharded-range-7": ("sharded", 7, {PARTITIONER_ENV: "range"}),
+    "sharded-lp-7": ("sharded", 7, {}),
     "sharded-ooc": ("sharded", 2, {RESIDENT_ENV: "0.05"}),
 }
 
@@ -64,8 +64,7 @@ BACKENDS = {
 def backend_config(monkeypatch, name):
     """``CFG`` on backend variant ``name``, its environment applied."""
     executor, shards, env = BACKENDS[name]
-    for key in (PARTITIONER_ENV, RESIDENT_ENV):
-        monkeypatch.delenv(key, raising=False)
+    monkeypatch.delenv(RESIDENT_ENV, raising=False)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     return CFG.with_(executor=executor, shards=shards)
@@ -234,11 +233,11 @@ class TestInprocPoolKill:
 
 class TestCheckpointResume:
     @pytest.mark.parametrize(
-        "write_exec", ["vector", "sharded", "sharded-range-7"]
+        "write_exec", ["vector", "sharded", "sharded-lp-7"]
     )
     @pytest.mark.parametrize(
         "resume_exec",
-        ["vector", "literal", "sharded", "sharded-range-7", "sharded-ooc"],
+        ["vector", "literal", "sharded", "sharded-lp-7", "sharded-ooc"],
     )
     @pytest.mark.parametrize("algorithm", ["cluster", "cluster2"])
     def test_resume_is_bit_identical_across_backends(
@@ -246,8 +245,7 @@ class TestCheckpointResume:
         write_exec, resume_exec,
     ):
         """A snapshot written under one backend resumes under any other:
-        both shard layouts, several shard counts, and the out-of-core
-        pool stitch and restore the same global arrays.  The resume
+        several shard counts and the out-of-core pool stitch and restore the same global arrays.  The resume
         starts from the earliest retained round that has rounds after
         it, so the resume backend runs growing steps on restored state
         (the newest round is the run's last, leaving nothing to run)."""
@@ -285,7 +283,7 @@ class TestCheckpointResume:
             ("gnm", "vector"),
             ("road", "vector"),
             ("road", "sharded"),
-            ("road", "sharded-range-7"),
+            ("road", "sharded-lp-7"),
             ("road", "sharded-ooc"),
         ],
     )

@@ -547,7 +547,14 @@ class TestCacheKernels:
             indices = rng.integers(0, 40, narcs).astype(np.int64)
             arc_w = rng.random(narcs)
             delta = 0.7
+            # Shard 1 owns the contiguous ids [lo, hi) through the int32
+            # sidecars, the way a shard's row set reaches the kernels.
             lo, hi = 10, 30
+            ids = np.arange(40)
+            owners = ((ids >= lo).astype(np.int32) + (ids >= hi)).astype(
+                np.int32
+            )
+            localidx = (ids - np.array([0, lo, hi])[owners]).astype(np.int32)
             # Reference: frozen sources emit at effective distance 0,
             # so exactly their light arcs, source-major in CSR order.
             light = arc_w <= delta
@@ -560,7 +567,8 @@ class TestCacheKernels:
             ca = np.zeros(narcs + 8, np.int64)
             app, total = native.cache_emit(
                 indptr, indices, arc_w, np.arange(rows, dtype=np.int64),
-                delta, lo, hi, hist, ck, cs, ca, 0,
+                delta, hist, ck, cs, ca, 0,
+                owners=owners, localidx=localidx, shard_id=1,
             )
             assert total == len(k)
             owned = (k >= lo) & (k < hi)
@@ -574,7 +582,9 @@ class TestCacheKernels:
 
             frozen = rng.random(hi - lo) < 0.4
             keep = ~frozen[ck[:app] - lo]  # before in-place compaction
-            nl = native.cache_retire(ck, cs, ca, app, frozen, lo)
+            nl = native.cache_retire(
+                ck, cs, ca, app, frozen, localidx=localidx
+            )
             assert nl == int(keep.sum())
             np.testing.assert_array_equal(ck[:nl], k[owned][keep])
 
@@ -599,17 +609,17 @@ class TestCacheKernels:
             np.testing.assert_array_equal(fsrcf[:t], cs[:nl][imp])
 
     def test_cache_emit_matches_push_plus_append(self, graph):
+        """The whole-graph layout: no sidecars, every key owned."""
         delta = float(np.median(graph.weights))
-        lo, hi = 0, graph.num_nodes
         newly = np.arange(0, graph.num_nodes, 5, dtype=np.int64)
         bound = int((graph.indptr[newly + 1] - graph.indptr[newly]).sum())
-        hist = np.zeros(hi - lo, dtype=np.int64)
+        hist = np.zeros(graph.num_nodes, dtype=np.int64)
         ck = np.zeros(bound, np.int64)
         cs = np.zeros(bound, np.int64)
         ca = np.zeros(bound, np.int64)
         appended, cnt = native.cache_emit(
             graph.indptr, graph.indices, graph.weights, newly,
-            delta, lo, hi, hist, ck, cs, ca, 0,
+            delta, hist, ck, cs, ca, 0,
         )
         # Reference: python expansion with eff = 0, light filter only.
         ref_k, ref_s, ref_a = [], [], []
@@ -626,8 +636,13 @@ class TestCacheKernels:
         np.testing.assert_array_equal(cs[:appended], ref_s)
         np.testing.assert_array_equal(ca[:appended], ref_a)
         np.testing.assert_array_equal(
-            hist, np.bincount(np.array(ref_k), minlength=hi - lo)
+            hist, np.bincount(np.array(ref_k), minlength=graph.num_nodes)
         )
+        frozen = np.zeros(graph.num_nodes, dtype=bool)
+        frozen[::3] = True
+        keep = ~frozen[ck[:appended]]
+        nl = native.cache_retire(ck, cs, ca, appended, frozen)
+        np.testing.assert_array_equal(ck[:nl], np.array(ref_k)[keep])
 
     @pytest.mark.parametrize("shard_id", [0, 2])
     def test_mapped_ownership_emit_and_retire(self, graph, shard_id):
@@ -649,7 +664,7 @@ class TestCacheKernels:
         ck, cs, ca = (np.zeros(bound, np.int64) for _ in range(3))
         appended, cnt = native.cache_emit(
             graph.indptr, graph.indices, graph.weights, newly,
-            delta, 0, 0, hist, ck, cs, ca, 0,
+            delta, hist, ck, cs, ca, 0,
             owners=owners, localidx=localidx, shard_id=shard_id,
         )
         ref = [
@@ -671,11 +686,23 @@ class TestCacheKernels:
         frozen = rng.random(rows) < 0.4
         keep = [r for r in owned if not frozen[localidx[r[0]]]]
         nl = native.cache_retire(
-            ck, cs, ca, appended, frozen, 0, localidx=localidx
+            ck, cs, ca, appended, frozen, localidx=localidx
         )
         assert nl == len(keep)
         np.testing.assert_array_equal(ck[:nl], [r[0] for r in keep])
         np.testing.assert_array_equal(ca[:nl], [r[2] for r in keep])
+
+    def test_whole_graph_layout_needs_one_hist_row_per_id(self, graph):
+        """Without sidecars keys index ``hist`` directly: a shard-sized
+        histogram must be refused before the kernel writes past it."""
+        buf = np.zeros(1, np.int64)
+        with pytest.raises(ValueError, match="whole graph"):
+            native.cache_emit(
+                graph.indptr, graph.indices, graph.weights,
+                np.empty(0, np.int64), 1.0,
+                np.zeros(graph.num_nodes - 1, dtype=np.int64),
+                buf, buf, buf, 0,
+            )
 
     def test_sidecars_must_be_int32(self, graph):
         hist = np.zeros(graph.num_nodes, dtype=np.int64)
@@ -683,7 +710,7 @@ class TestCacheKernels:
         with pytest.raises(ValueError, match="int32"):
             native.cache_emit(
                 graph.indptr, graph.indices, graph.weights,
-                np.empty(0, np.int64), 1.0, 0, 0, hist, buf, buf, buf, 0,
+                np.empty(0, np.int64), 1.0, hist, buf, buf, buf, 0,
                 owners=np.zeros(graph.num_nodes, np.int64),
                 localidx=np.zeros(graph.num_nodes, np.int32),
             )

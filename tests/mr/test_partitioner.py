@@ -1,14 +1,6 @@
-"""Tests for key partitioners."""
+"""Tests for the hash key partitioner."""
 
-import numpy as np
-import pytest
-
-from repro.mr.partitioner import (
-    hash_partition,
-    make_splitters,
-    range_partition,
-    range_partition_array,
-)
+from repro.mr.partitioner import hash_partition
 
 
 class TestHashPartition:
@@ -25,79 +17,3 @@ class TestHashPartition:
         # No worker should be starved or monopolize with a decent mixer.
         assert min(counts) >= 4
         assert max(counts) <= 40
-
-
-class TestRangePartition:
-    def test_routing(self):
-        splitters = [10, 20]
-        assert range_partition(5, splitters, 3) == 0
-        assert range_partition(15, splitters, 3) == 1
-        assert range_partition(25, splitters, 3) == 2
-
-    def test_boundary_goes_right(self):
-        assert range_partition(10, [10], 2) == 1
-
-    def test_wrong_splitter_count(self):
-        with pytest.raises(ValueError):
-            range_partition(1, [1, 2, 3], 2)
-
-
-class TestRangePartitionArray:
-    def test_agrees_with_scalar(self):
-        rng = np.random.default_rng(7)
-        splitters = np.sort(
-            rng.choice(10_000, size=6, replace=False)
-        ).astype(np.int64)
-        keys = rng.integers(0, 10_000, size=500, dtype=np.int64)
-        # Include every boundary and its neighbours — the bisect_right
-        # edge cases.
-        keys = np.concatenate(
-            [keys, splitters, splitters - 1, splitters + 1]
-        )
-        vectorized = range_partition_array(keys, splitters, 7)
-        for key, worker in zip(keys, vectorized):
-            assert range_partition(int(key), list(splitters), 7) == worker
-
-    def test_int64_extremes(self):
-        splitters = np.array([0, 2**62], dtype=np.int64)
-        keys = np.array(
-            [-(2**62), -1, 0, 1, 2**62 - 1, 2**62, 2**63 - 1],
-            dtype=np.int64,
-        )
-        expected = [
-            range_partition(int(k), list(splitters), 3) for k in keys
-        ]
-        assert list(range_partition_array(keys, splitters, 3)) == expected
-
-    def test_boundary_goes_right(self):
-        out = range_partition_array(
-            np.array([9, 10, 11], dtype=np.int64), [10], 2
-        )
-        assert list(out) == [0, 1, 1]
-
-    def test_empty_keys(self):
-        out = range_partition_array(np.empty(0, dtype=np.int64), [5], 2)
-        assert out.dtype == np.int64
-        assert len(out) == 0
-
-    def test_wrong_splitter_count(self):
-        with pytest.raises(ValueError):
-            range_partition_array(np.array([1], dtype=np.int64), [1, 2], 2)
-
-    def test_no_validation_without_num_workers(self):
-        # The planner's form: splitters are the interior shard starts.
-        out = range_partition_array(np.arange(6, dtype=np.int64), [2, 4])
-        assert list(out) == [0, 0, 1, 1, 2, 2]
-
-
-class TestMakeSplitters:
-    def test_count(self):
-        sp = make_splitters(list(range(100)), 4)
-        assert len(sp) == 3
-        assert sp == sorted(sp)
-
-    def test_single_worker(self):
-        assert make_splitters([1, 2, 3], 1) == []
-
-    def test_empty_sample(self):
-        assert make_splitters([], 4) == []

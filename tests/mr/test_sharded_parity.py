@@ -198,8 +198,8 @@ class TestShardedMachinery:
             stored, config=CFG.with_(executor="sharded", shards=2)
         )
         assert_identical(result, reference)
-        leaf = "2-lp" if ShardedExecutor().partitioner == "lp" else "2"
-        assert (tmp_path / "mesh.rcsr.shards" / leaf / "part-0.rcsr").exists()
+        shards_dir = tmp_path / "mesh.rcsr.shards" / "2-lp"
+        assert (shards_dir / "part-0.rcsr").exists()
 
     def test_boundary_traffic_stays_small_on_path(self):
         """On a path graph split in two, only the single cut edge can
@@ -343,11 +343,9 @@ class TestShardedMachinery:
         assert f"(RLIMIT_NOFILE) is {soft}" in message
 
 
-def _inproc_workers(graph, shards, partitioner):
+def _inproc_workers(graph, shards):
     """The shard workers of an in-process pool (all shards kept open)."""
-    executor = ShardedExecutor(
-        num_shards=shards, partitioner=partitioner, resident_mb=1024
-    )
+    executor = ShardedExecutor(num_shards=shards, resident_mb=1024)
     executor._ensure_workers(graph)
     return executor, executor._pool.workers
 
@@ -407,21 +405,24 @@ class TestShardGeometry:
 
     The worker builds them with dense marks and packed keys; the oracle
     walks the whole graph's adjacency with Python sets.  Values and
-    dtypes must match for both layouts, isolated nodes included.
+    dtypes must match, isolated nodes included.  On a path graph ``lp``
+    returns the contiguous split (it cuts least), so that case runs a
+    contiguous row set through the sidecar maps.
     """
 
-    @pytest.mark.parametrize("partitioner", ["range", "lp"])
     @pytest.mark.parametrize("shards", [1, 2, 7])
-    @pytest.mark.parametrize("name", ["gnm", "isolated"])
-    def test_matches_set_oracle(self, graphs, name, shards, partitioner):
-        graph = graphs["gnm"] if name == "gnm" else _with_isolated_nodes()
-        executor, workers = _inproc_workers(graph, shards, partitioner)
+    @pytest.mark.parametrize("name", ["gnm", "isolated", "path"])
+    def test_matches_set_oracle(self, graphs, name, shards):
+        graph = {
+            "gnm": graphs["gnm"],
+            "isolated": _with_isolated_nodes(),
+            "path": graphs["path-unit"],
+        }[name]
+        executor, workers = _inproc_workers(graph, shards)
         try:
-            plan = executor.plan
-            if plan.mode == "range":
-                owner = np.repeat(np.arange(shards), np.diff(plan.starts))
-            else:
-                owner = np.asarray(plan.assignment)
+            owner = np.asarray(executor.plan.assignment)
+            if name == "path":
+                assert np.all(np.diff(owner) >= 0)  # contiguous
             assert len(workers) == shards
             for k, worker in enumerate(workers):
                 expected = _geometry_oracle(graph, owner, k)
@@ -435,13 +436,12 @@ class TestShardGeometry:
         finally:
             executor.close()
 
-    @pytest.mark.parametrize("partitioner", ["range", "lp"])
-    def test_no_global_sized_state_after_construction(self, partitioner):
+    def test_no_global_sized_state_after_construction(self):
         """Construction's id-space marks are transient: on a sparse graph
-        split 7 ways, no array a worker keeps (besides the shared lp
+        split 7 ways, no array a worker keeps (besides the shared
         sidecar maps) is as long as the global node count."""
         graph = path_graph(700, weights="uniform", seed=1)
-        executor, workers = _inproc_workers(graph, 7, partitioner)
+        executor, workers = _inproc_workers(graph, 7)
         try:
             for worker in workers:
                 shared = {id(worker.own.owners), id(worker.own.localidx)}
@@ -477,10 +477,9 @@ class TestShardGeometry:
             assert np.array_equal(inverse, ref_inverse)
             assert np.array_equal(_sorted_unique(sample, domain), ref)
 
-    @pytest.mark.parametrize("partitioner", ["range", "lp"])
-    def test_shard_without_external_arcs(self, partitioner):
+    def test_shard_without_external_arcs(self):
         graph = _two_islands()
-        executor, workers = _inproc_workers(graph, 2, partitioner)
+        executor, workers = _inproc_workers(graph, 2)
         try:
             sizes = [w.num_rows for w in workers]
             assert sizes == [16, 16]
@@ -535,9 +534,7 @@ class TestMappedCacheTiers:
         with monkeypatch.context() as patch:
             patch.setattr(EmitScratch, "emit_raw", recording)
             patch.setenv("REPRO_KERNEL_IMPL", impl)
-            executor = ShardedExecutor(
-                num_shards=3, partitioner="lp", resident_mb=1024
-            )
+            executor = ShardedExecutor(num_shards=3, resident_mb=1024)
             engine = MREngine(
                 MRSpec(total_memory=10**9, local_memory=10**6, num_workers=3),
                 executor=executor,
@@ -579,9 +576,7 @@ class TestWorkerCacheHits:
             return state
 
         monkeypatch.setattr(ShardedExecutor, "growing_state", recording)
-        executor = ShardedExecutor(
-            num_shards=2, partitioner="lp", resident_mb=resident_mb
-        )
+        executor = ShardedExecutor(num_shards=2, resident_mb=resident_mb)
         engine = MREngine(
             MRSpec(total_memory=10**9, local_memory=10**6, num_workers=2),
             executor=executor,

@@ -168,20 +168,18 @@ class TestPartition:
         assert (tmp_path / "g.rcsr.shards" / "3-lp" / "part-2.rcsr").exists()
         assert (tmp_path / "g.rcsr.shards" / "3-lp" / "manifest.json").exists()
 
-    def test_range_partitioner_and_info_summary(self, store_file, capsys,
-                                                tmp_path):
-        rc = main(
-            ["partition", store_file, "--shards", "2",
-             "--partitioner", "range"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "2-way range partition" in out
-        assert (tmp_path / "g.rcsr.shards" / "2" / "part-1.rcsr").exists()
+    def test_info_summary_and_no_partitioner_option(self, store_file,
+                                                    capsys, tmp_path):
+        assert main(["partition", store_file, "--shards", "2"]) == 0
+        capsys.readouterr()
         assert main(["info", store_file]) == 0
         out = capsys.readouterr().out
-        assert "partitions   :" in out
-        assert "2-way range" in out
+        assert "partitions   : 2-way lp (cut" in out
+        # lp is the only partitioner: the option that chose one is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", store_file, "--partitioner", "range"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "g.rcsr.shards" / "2").exists()
 
     def test_sharded_executor_reuses_partition(self, store_file, capsys):
         assert main(["partition", store_file, "--shards", "2"]) == 0
@@ -222,7 +220,6 @@ class TestPartition:
     @pytest.mark.parametrize(
         "variable, value",
         [
-            ("REPRO_SHARD_PARTITIONER", "bogus"),
             ("REPRO_SHARD_RESIDENT_MB", "abc"),
             ("REPRO_WORKER_TIMEOUT_S", "abc"),
             ("REPRO_WORKER_TIMEOUT_S", "0"),
