@@ -307,6 +307,46 @@ class TestTierParity:
             assert c not in row
 
 
+class TestRangeOwner:
+    """The contiguous arc-balanced plan: lp's first candidate and its
+    answer when the graph is too small or arc-less to refine."""
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("name", ["rmat", "mesh", "star"])
+    def test_contiguous_and_arc_balanced(self, graphs, name, shards):
+        """Shard ids ascend with the node id, and each shard holds at
+        most its ``1/K`` slice of the arcs plus one node's row."""
+        graph = graphs[name]
+        owner = _range_owner(graph, shards)
+        assert owner.dtype == np.int64
+        assert len(owner) == graph.num_nodes
+        assert np.all(np.diff(owner) >= 0)
+        assert owner.min() >= 0 and owner.max() < shards
+        degs = np.diff(graph.indptr)
+        loads = np.bincount(owner, weights=degs, minlength=shards)
+        bound = -(-graph.num_arcs // shards) + degs.max()
+        assert loads.max() <= bound
+        assert loads.sum() == graph.num_arcs
+
+    def test_tiny_graph_returns_the_range_plan(self):
+        """With n <= 2K lp skips refinement and returns the range plan."""
+        graph = path_graph(5, weights="uniform", seed=1)
+        owner = lp_assignment(graph, 4)
+        assert owner.dtype == np.int32
+        assert np.array_equal(owner, _range_owner(graph, 4))
+        assert np.all(np.diff(owner) >= 0)
+
+    def test_arcless_graph_returns_the_range_plan(self):
+        from repro.graph.builder import from_edges
+
+        empty = np.empty(0, dtype=np.int64)
+        graph = from_edges(empty, empty, empty.astype(np.float64), 12)
+        owner = lp_assignment(graph, 3)
+        assert owner.dtype == np.int32
+        assert len(owner) == 12
+        assert np.array_equal(owner, _range_owner(graph, 3))
+
+
 def test_lpt_seed_breaks_load_ties_to_lowest_shard():
     owner = _lpt_seed(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 3.0]), 3)
     assert owner.tolist() == [1, 2, 1, 2, 1, 0]
