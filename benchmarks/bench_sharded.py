@@ -89,6 +89,13 @@ def stored_workload(tmp_path_factory):
     return open_store(path)
 
 
+def _after_warmup(moved):
+    """Bytes moved after the warm-up rounds.  The last round is never
+    skipped, so a run shorter than the warm-up (the smoke scale's
+    2-round CLUSTER) still reports its steady-state traffic."""
+    return sum(moved[min(WARMUP_ROUNDS, max(len(moved) - 1, 0)):])
+
+
 def _moved_bytes_per_round(executor):
     """Bytes a backend moved to workers each round (none in-process)."""
     return list(getattr(executor, "bytes_shipped_per_round", []))
@@ -133,7 +140,7 @@ def test_boundary_exchange_report(benchmark, stored_workload):
                 "wall_s": round(elapsed, 2),
                 "rounds": clustering.counters.rounds,
                 "moved_total": sum(moved),
-                "moved_after_warmup": sum(moved[WARMUP_ROUNDS:]),
+                "moved_after_warmup": _after_warmup(moved),
                 "peak_round": max(moved, default=0),
             }
         )
@@ -146,7 +153,7 @@ def test_boundary_exchange_report(benchmark, stored_workload):
                 wall_s=elapsed,
                 rounds=clustering.counters.rounds,
                 bytes_shipped=sum(moved),
-                bytes_shipped_after_warmup=sum(moved[WARMUP_ROUNDS:]),
+                bytes_shipped_after_warmup=_after_warmup(moved),
                 shards=SHARDS if backend == "sharded" else 0,
                 timings=engine.counters.timing_snapshot(),
             )
@@ -217,7 +224,7 @@ def test_partitioner_locality_report(stored_workload):
                 wall_s=elapsed,
                 rounds=clustering.counters.rounds,
                 bytes_shipped=sum(moved),
-                bytes_shipped_after_warmup=sum(moved[WARMUP_ROUNDS:]),
+                bytes_shipped_after_warmup=_after_warmup(moved),
                 shards=SHARDS,
                 cut_fraction=round(cut, 4),
                 range_cut_fraction=round(range_cut, 4),
@@ -234,7 +241,7 @@ def test_partitioner_locality_report(stored_workload):
                     "contiguous_cut": f"{range_cut:.1%}",
                     "wall_s": round(elapsed, 2),
                     "moved_total": sum(moved),
-                    "moved_after_warmup": sum(moved[WARMUP_ROUNDS:]),
+                    "moved_after_warmup": _after_warmup(moved),
                 }
             ],
             title=(

@@ -16,10 +16,43 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.cluster import Clustering
-from repro.graph.builder import from_edges
+from repro.graph.builder import check_packable, from_pair_keys, pair_keys
 from repro.graph.csr import CSRGraph
+from repro.mr import native as _native
 
-__all__ = ["quotient_graph"]
+__all__ = ["crossing_edges", "quotient_graph"]
+
+
+def crossing_edges(
+    graph: CSRGraph, ids: np.ndarray, dist: np.ndarray, num_clusters: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The quotient map side: every edge whose endpoints' clusters differ.
+
+    For each edge ``(u, v)`` with ``u < v`` and ``ids[u] ≠ ids[v]``, in
+    CSR order, returns the cluster pair packed as
+    ``min·num_clusters + max`` (:func:`~repro.graph.builder.pair_keys`)
+    and the reweighted value ``(w + dist[u]) + dist[v]``.  Both quotient
+    constructions (this module's and
+    :mod:`repro.mrimpl.quotient_mr`'s) start here.  The native tier is
+    one CSR scan with exactly sized outputs; the NumPy tier masks every
+    arc and is its oracle.
+    """
+    if _native.use_native():
+        return _native.crossing_edges(
+            graph.indptr, graph.indices, graph.weights, ids, dist,
+            check_packable(num_clusters),
+        )
+    src = graph.arc_sources()
+    dst = graph.indices
+    one_dir = src < dst
+    u = src[one_dir]
+    v = dst[one_dir]
+    cu = ids[u]
+    cv = ids[v]
+    cross = cu != cv
+    keys = pair_keys(cu[cross], cv[cross], num_clusters)
+    values = graph.weights[one_dir][cross] + dist[u[cross]] + dist[v[cross]]
+    return keys, values
 
 
 def quotient_graph(
@@ -36,40 +69,14 @@ def quotient_graph(
 
     Notes
     -----
-    The construction is fully vectorized: cluster ids are looked up per
-    arc endpoint, intra-cluster arcs are masked out, and the builder's
-    min-weight deduplication implements the "retain only the minimum
-    weight edge between two clusters" rule.
+    :func:`crossing_edges` finds the crossing edges with their packed
+    cluster pairs, and the builder's min-weight deduplication implements
+    the "retain only the minimum weight edge between two clusters" rule
+    (a single cluster gives an edgeless quotient).
     """
-    ids = clustering.cluster_ids()
     centers = clustering.centers
-
-    src = graph.arc_sources()
-    dst = graph.indices
-    w = graph.weights
-    one_dir = src < dst
-    u = src[one_dir]
-    v = dst[one_dir]
-    ww = w[one_dir]
-
-    cu = ids[u]
-    cv = ids[v]
-    cross = cu != cv
-    if not cross.any():
-        # Single cluster (or disconnected identical assignment): quotient
-        # is an edgeless graph on the cluster set.
-        return (
-            from_edges(
-                np.empty(0, np.int64),
-                np.empty(0, np.int64),
-                np.empty(0),
-                len(centers),
-            ),
-            centers,
-        )
-
-    du = clustering.dist_to_center[u[cross]]
-    dv = clustering.dist_to_center[v[cross]]
-    qw = ww[cross] + du + dv
-    g_c = from_edges(cu[cross], cv[cross], qw, len(centers))
-    return g_c, centers
+    keys, values = crossing_edges(
+        graph, clustering.cluster_ids(), clustering.dist_to_center,
+        len(centers),
+    )
+    return from_pair_keys(keys, values, len(centers)), centers

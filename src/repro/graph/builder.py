@@ -19,8 +19,10 @@ from repro.graph.csr import CSRGraph
 
 __all__ = [
     "MAX_PACKED_NODES",
+    "check_packable",
     "from_edges",
     "from_edge_list",
+    "from_pair_keys",
     "min_by_key",
     "pair_keys",
     "symmetrized",
@@ -86,6 +88,24 @@ def from_edges(
     return _assemble_csr(pairs, weights, n)
 
 
+def from_pair_keys(keys: np.ndarray, w: np.ndarray, num_nodes: int) -> CSRGraph:
+    """:func:`from_edges` for edges already packed by :func:`pair_keys`.
+
+    ``keys`` are ``min·n + max`` codes of distinct endpoints (no
+    self-loops); parallel pairs keep their lightest copy.  Weights are
+    validated as in :func:`from_edges`; the graph is the one
+    :func:`from_edges` builds from the unpacked endpoints.
+    """
+    w = np.asarray(w, dtype=np.float64).ravel()
+    if len(w):
+        if w.min() <= 0:
+            raise GraphValidationError("edge weights must be strictly positive")
+        if not np.all(np.isfinite(w)):
+            raise GraphValidationError("edge weights must be finite")
+    pairs, weights = min_by_key(np.asarray(keys, dtype=np.int64), w)
+    return _assemble_csr(pairs, weights, int(num_nodes))
+
+
 def min_by_key(
     keys: np.ndarray, values: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -118,13 +138,22 @@ def pair_keys(u: np.ndarray, v: np.ndarray, num_nodes: int) -> np.ndarray:
     :class:`GraphValidationError` when ``n·n`` would overflow int64
     (``n > MAX_PACKED_NODES``) rather than wrapping silently.
     """
+    n = check_packable(num_nodes)
+    return np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
+
+
+def check_packable(num_nodes: int) -> int:
+    """``num_nodes`` as an int, if its packed pair keys fit int64.
+
+    Raises :class:`GraphValidationError` past :data:`MAX_PACKED_NODES`.
+    """
     n = int(num_nodes)
     if n > MAX_PACKED_NODES:
         raise GraphValidationError(
             f"num_nodes={n} exceeds the packed pair-key bound "
             f"{MAX_PACKED_NODES}: min(u,v)*n + max(u,v) would overflow int64"
         )
-    return np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
+    return n
 
 
 def _assemble_csr(key: np.ndarray, w: np.ndarray, n: int) -> CSRGraph:

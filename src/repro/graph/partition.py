@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Union
@@ -575,7 +576,9 @@ def ensure_partitioned(
     The cached partition under ``<store>.shards/<K>-lp/`` is reused when
     its manifest matches the store's current (mtime, size) signature and
     the requested shard count; otherwise the shards are recomputed from
-    ``graph`` (or the store, memory-mapped) and rewritten.
+    ``graph`` (or the store, memory-mapped) and rewritten.  Once the lp
+    manifest is committed, a ``<store>.shards/<K>/`` layout left by the
+    retired range partitioner is deleted (:func:`_remove_range_leftover`).
     """
     store_path = Path(store_path)
     directory = (
@@ -585,7 +588,7 @@ def ensure_partitioned(
     )
     if _manifest_fresh(directory, store_path, num_shards):
         try:
-            return load_partitioned(directory)
+            loaded = load_partitioned(directory)
         except CorruptArtifact as exc:
             # Positively-corrupt layout (failed a digest or length
             # check): move the whole directory into quarantine so the
@@ -596,8 +599,48 @@ def ensure_partitioned(
             # Torn/deleted shard files or a foreign (range) layout:
             # fall through and rewrite.
             pass
+        else:
+            _remove_range_leftover(store_path, num_shards, directory)
+            return loaded
     if graph is None:
         graph = open_store(store_path)
-    return write_partitioned_store(
+    written = write_partitioned_store(
         graph, store_path, num_shards, directory=directory
     )
+    _remove_range_leftover(store_path, num_shards, directory)
+    return written
+
+
+def _remove_range_leftover(
+    store_path: Path, num_shards: int, keep: Path
+) -> None:
+    """Delete the ``<store>.shards/<K>/`` layout of the retired range
+    partitioner, a full copy of the graph's rows nothing reads.
+
+    Only that directory is touched, and only when it is a real
+    directory (not a symlink) other than ``keep`` — the layout just
+    committed, which may have been written in its place — whose
+    manifest names the ``range`` partitioner.  Best effort: the
+    manifest goes first, so a removal that fails half way leaves files
+    no layout claims, and a failure never fails the caller.
+    """
+    leftover = (
+        store_path.parent
+        / (store_path.name + SHARDS_DIR_SUFFIX)
+        / str(num_shards)
+    )
+    if leftover.is_symlink() or not leftover.is_dir():
+        return
+    if leftover.resolve() == Path(keep).resolve():
+        return
+    try:
+        manifest = json.loads((leftover / MANIFEST_NAME).read_text())
+    except (OSError, ValueError):
+        return
+    if not isinstance(manifest, dict) or manifest.get("partitioner") != "range":
+        return
+    try:
+        (leftover / MANIFEST_NAME).unlink()
+    except OSError:
+        return
+    shutil.rmtree(leftover, ignore_errors=True)

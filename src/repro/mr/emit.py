@@ -49,9 +49,9 @@ see :class:`repro.mr.sharded.ShardedGrowingState` for that contract.
   improve its target then *no* candidate for that target does, and if
   it does improve then the whole minimal-distance tie set survives the
   filter unchanged.  Accounting still sees the full multiset:
-  ``emitted`` (the round's ``messages``), the per-target group
-  histogram (the memory-model checks), and the simulated critical path
-  are all computed from the unfiltered candidate set.
+  ``emitted`` (the round's ``messages``) and the group summary behind
+  the memory-model check and the simulated critical path are computed
+  from the unfiltered candidate set.
 
 * **Frozen-emission cache**: under Contract semantics (``rescale ==
   0``) a frozen node's forced-round contribution — ``(target, w,
@@ -59,16 +59,21 @@ see :class:`repro.mr.sharded.ShardedGrowingState` for that contract.
   scratch caches these rows the first forced round after each node
   freezes and replays them afterwards, partitioned into
   *inert* rows (target itself frozen: can never be adopted, contributes
-  only to counters and histogram) and *active* rows (target still
-  open).  A late forced round therefore costs O(newly-frozen arcs +
-  open boundary rows + live-frontier arcs + n) instead of O(m).  The
-  cache is replay, not approximation: the replayed multiset equals what
-  push would emit, and the dense histogram is maintained incrementally,
-  so the accounting stays exact.  Cache replay reorders rows (frozen
-  block first), which only an order-free merge may consume — every
-  merge (the whole-graph scatter and the sharded workers) breaks ties
-  by ``(nd, center, source)``, provably equal to arrival order for
-  deduplicated edges.  Contract2 rescaling uses the plain push path.
+  only to counters and accounting) and *active* rows (target still
+  open).  One scan of the node state (a single C pass on the native
+  tier) finds the live frontier and the newly frozen rows; past it, a
+  late forced round costs O(newly-frozen arcs + open boundary rows +
+  live-frontier arcs) instead of O(m).  The cache is replay, not
+  approximation: the replayed multiset equals what push would emit,
+  and the cache keeps its per-target histogram and its group summary
+  (:class:`~repro.mr.engine.GroupSummary`: per-worker loads and the
+  worst group) up to date as rows are appended, so a replay folds only
+  the live rows into the accounting and stays exact.  Cache replay
+  reorders rows (frozen block first), which only an order-free merge
+  may consume — every merge (the whole-graph scatter and the sharded
+  workers) breaks ties by ``(nd, center, source)``, provably equal to
+  arrival order for deduplicated edges.  Contract2 rescaling uses the
+  plain push path.
 
 The plain expansion survives as the ``emit_frontier`` oracle of
 ``tests/mr/test_emit.py``, which also checks shard-slice layouts
@@ -83,6 +88,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.mr import native as _native
+from repro.mr.engine import GroupSummary, max_worker_load
 
 __all__ = [
     "CACHE_LIVE_FRACTION",
@@ -110,10 +116,11 @@ class EmitBatch:
     may be views into the owning scratch's banks and stay valid until
     that scratch's next emit.  Accounting fields describe the
     **unfiltered** multiset: :attr:`emitted` is the round's ``messages``
-    count and :attr:`group_keys` / :attr:`group_counts` the per-target
-    histogram that the memory-model checks and the critical-path model
-    consume.  Cache-replayed rows are not in arrival order, so
-    consumers merge by ``(nd, center, source)``.
+    count and :attr:`summary` the :class:`~repro.mr.engine.GroupSummary`
+    of its per-target groups (hash-routed over ``num_workers`` simulated
+    workers, one output row per group) that the memory-model check and
+    the critical-path model consume.  Cache-replayed rows are not in
+    arrival order, so consumers merge by ``(nd, center, source)``.
     """
 
     __slots__ = (
@@ -125,8 +132,7 @@ class EmitBatch:
         "srcf",
         "src",
         "w",
-        "group_keys",
-        "group_counts",
+        "summary",
     )
 
     def __init__(self):
@@ -138,8 +144,7 @@ class EmitBatch:
         self.srcf = _EMPTY_F8
         self.src = _EMPTY_I8
         self.w = _EMPTY_F8
-        self.group_keys = _EMPTY_I8
-        self.group_counts = _EMPTY_I8
+        self.summary = GroupSummary()
 
 
 class _Bank:
@@ -211,7 +216,8 @@ class EmitScratch:
         self.localidx = localidx
         self.owners = owners
         self.shard_id = shard_id
-        # Forced-round per-row emitting mask and effective distances.
+        # NumPy-tier forced-round per-row emitting mask and effective
+        # distances.
         self._m_loc: Optional[np.ndarray] = None
         self._e_loc: Optional[np.ndarray] = None
         self._i8 = _Bank(np.int64)
@@ -220,14 +226,24 @@ class EmitScratch:
         # Dense all-zero histogram for the native accounting pass
         # (rk_finish_batch restores the invariant in-kernel).
         self._hist0: Optional[np.ndarray] = None
-        # Frozen-emission cache (rescale == 0, forced rounds).
+        # Frozen-emission cache (rescale == 0, forced rounds), valid for
+        # one (Δ, simulated worker count) pair.
         self._cache_delta: Optional[float] = None
+        self._cache_workers: Optional[int] = None
         self._cache_in: Optional[np.ndarray] = None
         self._cache_keys = _EMPTY_I8  # active rows: target still open
         self._cache_src = _EMPTY_I8
         self._cache_aidx = _EMPTY_I8
         self._cache_inert = 0  # rows whose target froze: counted, not stored
         self._cache_hist: Optional[np.ndarray] = None  # all cached rows
+        # The cached rows' group summary, kept by the native appends on
+        # the whole-graph layout: per-worker loads sum(count + 1) and
+        # the top group [max_count, smallest key reaching it].
+        self._cache_loads: Optional[np.ndarray] = None
+        self._cache_top = np.array([0, -1], dtype=np.int64)
+        #: Which tier last appended (``None``: nothing cached yet); the
+        #: native tier rebuilds a cache the NumPy tier maintained.
+        self._cache_native: Optional[bool] = None
         # Native-tier cache storage: preallocated capacity columns with
         # an explicit length, so forced rounds append/retire in place
         # instead of reconcatenating the whole cache (the public
@@ -243,16 +259,22 @@ class EmitScratch:
 
     def reset(self) -> None:
         """Forget cached frozen emissions; keep every buffer allocation."""
+        self._clear_cache()
         self._cache_delta = None
+
+    def _clear_cache(self) -> None:
         if self._cache_in is not None:
             self._cache_in.fill(False)
-        if self._cache_hist is not None:
             self._cache_hist.fill(0)
+        if self._cache_loads is not None:
+            self._cache_loads.fill(0)
+        self._cache_top[:] = (0, -1)
         self._cache_keys = _EMPTY_I8
         self._cache_src = _EMPTY_I8
         self._cache_aidx = _EMPTY_I8
         self._cache_inert = 0
         self._cache_len = 0
+        self._cache_native = None
 
     def release_buffers(self) -> None:
         """Free the per-round scratch: banks and dense per-row buffers.
@@ -262,8 +284,8 @@ class EmitScratch:
         forced-round sets are write-before-read), so correctness is
         untouched — only the high-water allocation is surrendered.  What
         carries cross-round state survives: the frozen-emission cache
-        columns and masks.  The out-of-core sharded tier calls this when
-        a shard is evicted so an evicted worker's footprint is
+        columns, masks and summary.  The out-of-core sharded tier calls
+        this when a shard is evicted so an evicted worker's footprint is
         O(state + cache), not O(its arcs).
         """
         self._i8 = _Bank(np.int64)
@@ -375,21 +397,23 @@ class EmitScratch:
         merge order-free (the sharded merge does).
         """
         if force:
-            m_loc, e_loc = self._forced_sets(
-                center, dist, frozen, frozen_iter, delta, rescale, iteration
+            live, cols = self._forced_round(
+                center, dist, frozen, frozen_iter, delta, rescale,
+                iteration, None,
             )
-            live_ids = self._cached_live_ids(m_loc, frozen, rescale)
-            if live_ids is None:
-                return self._expand_forced(m_loc, e_loc, delta)
+            if live is None:
+                return cols
             # Replay frozen emissions from the cache; only the live
             # frontier expands.  ``emitted`` includes the inert rows
             # (frozen or external targets) that are replayed as counts,
             # so it can exceed the column length — callers must read
             # the returned count.
+            live_ids, live_eff, newly = live
             self.cache_hits += 1
-            self._cache_update(frozen, delta)
+            self._cache_update(frozen, delta, newly, None)
+            self._cache_retire(frozen)
             lk, lnd, lsrc, laidx, lcnt = self._emit_push(
-                live_ids, e_loc[live_ids], delta
+                live_ids, live_eff, delta
             )
             active = len(self._cache_keys)
             emitted = self._cache_inert + active + lcnt
@@ -410,41 +434,68 @@ class EmitScratch:
             return _EMPTY_I8, _EMPTY_F8, _EMPTY_I8, _EMPTY_I8, 0
         return self._emit_push(src, eff_vals, delta)
 
-    def _cached_live_ids(
-        self, m_loc: np.ndarray, frozen: np.ndarray, rescale: float
-    ) -> Optional[np.ndarray]:
-        """Live (unfrozen emitting) rows of a forced round the
-        frozen-emission cache can answer, else ``None``: the cache needs
-        Contract semantics and a live degree-sum within
-        :data:`CACHE_LIVE_FRACTION` of the arcs (live rows expand
-        push-style next to the replay)."""
-        if rescale != 0.0:
-            return None
-        live_ids = np.flatnonzero(m_loc & ~frozen)
-        live_sum = int(
-            (self.indptr[live_ids + 1] - self.indptr[live_ids]).sum()
-        )
-        if live_sum > CACHE_LIVE_FRACTION * self.num_arcs:
-            return None
-        return live_ids
+    def _forced_round(
+        self, center, dist, frozen, frozen_iter, delta, rescale, iteration,
+        num_workers,
+    ):
+        """Plan one forced round: ``(live, None)`` when the
+        frozen-emission cache can answer it, else ``(None, cols)`` with
+        the plain expansion's columns (see :meth:`_emit_push`).
 
-    def _expand_forced(self, m_loc, e_loc, delta):
-        """Plain (uncached) expansion of a forced round's emitting rows."""
+        ``live`` is ``(live_ids, live_eff, newly)``: the live (unfrozen
+        emitting) rows with their distances, and the rows frozen since
+        the last replay (``None``: :meth:`_cache_update` finds them).
+        The cache needs Contract semantics and a live degree-sum within
+        :data:`CACHE_LIVE_FRACTION` of the arcs (live rows expand
+        push-style next to the replay).
+        """
+        limit = CACHE_LIVE_FRACTION * self.num_arcs
+        if rescale == 0.0 and _native.use_native():
+            if self._cache_native is False:
+                self._cache_delta = None  # NumPy-maintained: rebuild
+            # One C pass finds the live rows, their degree sum and the
+            # rows frozen since the last replay.
+            n = self.num_rows
+            ids = self._i8.get("forced_ids", n)
+            eff = self._f8.get("forced_eff", n)
+            newly = self._i8.get("forced_newly", n)
+            cache_in = (
+                self._cache_in
+                if self._cache_valid(delta, num_workers)
+                else None
+            )
+            t, fresh, live_sum = _native.forced_scan(
+                center, dist, frozen, delta, self.indptr, ids, eff,
+                cache_in=cache_in, newly=newly,
+            )
+            if live_sum <= limit:
+                return (ids[:t], eff[:t], newly[:fresh]), None
+            t, _, _ = _native.forced_scan(
+                center, dist, frozen, delta, self.indptr, ids, eff
+            )
+            return None, self._emit_push(ids[:t], eff[:t], delta)
+        m_loc, e_loc = self._forced_sets(
+            center, dist, frozen, frozen_iter, delta, rescale, iteration
+        )
+        if rescale == 0.0:
+            live_ids = np.flatnonzero(m_loc & ~frozen)
+            live_sum = int(
+                (self.indptr[live_ids + 1] - self.indptr[live_ids]).sum()
+            )
+            if live_sum <= limit:
+                return (live_ids, e_loc[live_ids], None), None
         src = np.flatnonzero(m_loc)
-        return self._emit_push(src, e_loc[src], delta)
+        return None, self._emit_push(src, e_loc[src], delta)
 
     def _forced_sets(
         self, center, dist, frozen, frozen_iter, delta, rescale, iteration
     ):
-        """Per-row emitting mask + effective distances for a forced round."""
+        """Per-row emitting mask + effective distances for a forced round
+        (the NumPy tier, and Contract2 rescaling on either tier)."""
         if self._m_loc is None:
             self._m_loc = np.zeros(self.num_rows, dtype=bool)
             self._e_loc = np.zeros(self.num_rows, dtype=np.float64)
         m_loc, e_loc = self._m_loc, self._e_loc
-        if rescale == 0.0 and _native.use_native():
-            # One C pass builds mask and eff together.
-            _native.forced_sets(center, dist, frozen, delta, m_loc, e_loc)
-            return m_loc, e_loc
         np.not_equal(center, NO_CENTER, out=m_loc)
         np.copyto(e_loc, dist)
         if rescale:
@@ -470,13 +521,15 @@ class EmitScratch:
         rescale: float = 0.0,
         iteration: int = 0,
         sources: Optional[np.ndarray] = None,
+        num_workers: int = 1,
     ) -> EmitBatch:
         """One round's fused candidate generation (whole-graph layout).
 
         Semantically the plain expansion (the ``emit_frontier`` oracle of
         ``tests/mr/test_emit.py``) followed by the merge-time discard of
-        unadoptable candidates, with the counters and histogram of the
-        *unfiltered* emission.  ``sources`` is the active frontier for
+        unadoptable candidates, with the counters and group summary of
+        the *unfiltered* emission, hash-routed over ``num_workers``
+        simulated workers.  ``sources`` is the active frontier for
         non-forced rounds (local ids, ascending); forced rounds scan all
         nodes.
         """
@@ -493,20 +546,25 @@ class EmitScratch:
                 iteration=iteration,
                 sources=sources,
             )
-            return self._finish(batch, cols, center, dist, frozen)
+            return self._finish(batch, cols, center, dist, frozen, num_workers)
 
-        m_loc, e_loc = self._forced_sets(
-            center, dist, frozen, frozen_iter, delta, rescale, iteration
+        live, cols = self._forced_round(
+            center, dist, frozen, frozen_iter, delta, rescale, iteration,
+            num_workers,
         )
-        live_ids = self._cached_live_ids(m_loc, frozen, rescale)
-        if live_ids is not None:
+        if live is not None:
             return self._emit_forced_cached(
-                batch, live_ids, e_loc, center, dist, frozen, delta
+                batch, live, center, dist, frozen, delta, num_workers
             )
-        cols = self._expand_forced(m_loc, e_loc, delta)
-        return self._finish(batch, cols, center, dist, frozen)
+        return self._finish(batch, cols, center, dist, frozen, num_workers)
 
-    def _finish(self, batch, cols, center, dist, frozen):
+    def _zero_hist(self) -> np.ndarray:
+        """The dense all-zero histogram the native accounting stamps."""
+        if self._hist0 is None or len(self._hist0) < self.num_rows:
+            self._hist0 = np.zeros(self.num_rows, dtype=np.int64)
+        return self._hist0
+
+    def _finish(self, batch, cols, center, dist, frozen, num_workers):
         """Shared tail: accounting over the full set, then the filter."""
         keys_c, nd_c, src_c, aidx_c, count = cols
         batch.emitted = count
@@ -514,28 +572,22 @@ class EmitScratch:
             return batch
         if _native.use_native():
             # Fused finish: one C stream over the candidate columns does
-            # the accounting histogram (stamped, ascending — identical
-            # to _histogram) AND the improvement filter + column
-            # materialization, replacing two full passes with one.
-            domain = self.num_rows
-            if self._hist0 is None or len(self._hist0) < domain:
-                self._hist0 = np.zeros(domain, dtype=np.int64)
-            gk_b = self._i8.get("hist_gk", count)
-            gc_b = self._i8.get("hist_gc", count)
+            # the group summary (stamped distinct keys, hash-routed) AND
+            # the improvement filter + column materialization.
             f_keys = self._i8.get("f_keys", count)
             f_nd = self._f8.get("f_nd", count)
             f_src = self._i8.get("f_src", count)
             f_w = self._f8.get("f_w", count)
             f_ctr = self._f8.get("f_ctr", count)
             f_srcf = self._f8.get("f_srcf", count)
-            kept, g = _native.finish_batch(
+            kept, summary = _native.finish_batch(
                 keys_c, nd_c, src_c, aidx_c, dist, frozen,
                 self.weights, center,
-                self._hist0, gk_b, gc_b,
                 f_keys, f_nd, f_src, f_w, f_ctr, f_srcf,
+                hist=self._zero_hist(), gk=self._i8.get("hist_gk", count),
+                loads=np.zeros(num_workers, dtype=np.int64),
             )
-            batch.group_keys = gk_b[:g].copy()
-            batch.group_counts = gc_b[:g].copy()
+            batch.summary = GroupSummary(*summary)
             batch.count = kept
             if kept == 0:
                 return batch
@@ -546,7 +598,7 @@ class EmitScratch:
             batch.ctr = f_ctr[:kept]
             batch.srcf = f_srcf[:kept]
             return batch
-        batch.group_keys, batch.group_counts = self._histogram(keys_c)
+        batch.summary = _summarize(*self._histogram(keys_c), num_workers)
         tgt_dist = np.take(dist, keys_c, out=self._f8.get("flt_dist", count))
         imp = np.less(nd_c, tgt_dist, out=self._b1.get("flt_imp", count))
         np.logical_and(imp, ~frozen[keys_c], out=imp)
@@ -567,42 +619,52 @@ class EmitScratch:
         batch.srcf = srcf
         return batch
 
-    def _cache_update(self, frozen: np.ndarray, delta: float) -> None:
-        """Bring the frozen-emission cache up to the current state.
+    # -- the frozen-emission cache -------------------------------------- #
 
-        1. Append the light arcs of sources frozen since the last
-           replay (a frozen source emits at effective distance 0, so
-           its candidate distance is the arc weight).  Rows targeting
-           another shard's nodes are *immediately* inert: the sharded
-           exchange never ships frozen-source candidates (receivers
-           regenerate them from replicas), so they only ever count.
-        2. Retire rows whose target froze: replayed as counts and
-           histogram mass only (a frozen target can never adopt).
+    def _cache_valid(self, delta: float, num_workers: Optional[int]) -> bool:
+        return (
+            self._cache_delta == delta and self._cache_workers == num_workers
+        )
 
-        A Δ change invalidates everything — the light-arc filter moved.
+    def _cache_update(
+        self, frozen: np.ndarray, delta: float, newly, num_workers
+    ) -> None:
+        """Append the light arcs of sources frozen since the last replay.
+
+        A frozen source emits at effective distance 0, so its candidate
+        distance is the arc weight.  Rows targeting another shard's
+        nodes are *immediately* inert: the sharded exchange never ships
+        frozen-source candidates (receivers regenerate them from
+        replicas), so they only ever count.  ``newly`` lists the fresh
+        sources (``None``: found here from the ``_cache_in`` mask).
+
+        A Δ change invalidates everything — the light-arc filter moved —
+        and so does a new simulated worker count, which re-routes the
+        summary's loads.  ``num_workers`` ``None`` keeps no summary (the
+        raw entry point; mapped layouts never keep one).
         """
         if self._cache_in is None:
             self._cache_in = np.zeros(self.num_rows, dtype=bool)
             self._cache_hist = np.zeros(self.num_rows, dtype=np.int64)
-        if self._cache_delta != delta:
-            self._cache_in.fill(False)
-            self._cache_hist.fill(0)
-            self._cache_keys = _EMPTY_I8
-            self._cache_src = _EMPTY_I8
-            self._cache_aidx = _EMPTY_I8
-            self._cache_inert = 0
-            self._cache_len = 0
+        if not self._cache_valid(delta, num_workers):
+            self._clear_cache()
             self._cache_delta = delta
-        # Sources frozen since the last replay, masked in a reused
-        # buffer (no n-sized temporaries per forced round).
-        fresh = self._b1.get("cache_fresh", self.num_rows)
-        np.logical_not(self._cache_in, out=fresh)
-        np.logical_and(fresh, frozen, out=fresh)
-        newly = np.flatnonzero(fresh)
+            self._cache_workers = num_workers
+            self._cache_loads = (
+                np.zeros(num_workers, dtype=np.int64)
+                if num_workers is not None and self.row_gids is None
+                else None
+            )
+        if newly is None:
+            # Masked in a reused buffer (no n-sized temporaries).
+            fresh = self._b1.get("cache_fresh", self.num_rows)
+            np.logical_not(self._cache_in, out=fresh)
+            np.logical_and(fresh, frozen, out=fresh)
+            newly = np.flatnonzero(fresh)
         if _native.use_native():
-            self._cache_update_native(newly, frozen, delta)
+            self._cache_append_native(newly, delta)
             return
-
+        self._cache_native = False
         if len(newly):
             k, nd, s, a, cnt = self._emit_push(
                 newly, np.zeros(len(newly)), delta
@@ -623,6 +685,19 @@ class EmitScratch:
                     self._cache_aidx = np.concatenate((self._cache_aidx, a))
             self._cache_in[newly] = True
 
+    def _cache_retire(self, frozen: np.ndarray) -> None:
+        """Retire cached rows whose target froze: replayed as counts
+        only from now on (a frozen target can never adopt)."""
+        if _native.use_native():
+            if self._cache_len:
+                new_len = _native.cache_retire(
+                    self._cbuf_k, self._cbuf_s, self._cbuf_a,
+                    self._cache_len, frozen, localidx=self.localidx,
+                )
+                self._cache_inert += self._cache_len - new_len
+                self._cache_len = new_len
+                self._cache_views()
+            return
         if len(self._cache_keys):
             loc = self._cache_keys
             if self.row_gids is not None:
@@ -649,35 +724,31 @@ class EmitScratch:
                 buf[: self._cache_len] = old[: self._cache_len]
             setattr(self, name, buf)
 
-    def _cache_update_native(self, newly, frozen, delta) -> None:
-        """Native cache maintenance: append + retire in place.
+    def _cache_views(self) -> None:
+        """Point the public cache columns at the capacity prefix."""
+        n = self._cache_len
+        if n:
+            self._cache_keys = self._cbuf_k[:n]
+            self._cache_src = self._cbuf_s[:n]
+            self._cache_aidx = self._cbuf_a[:n]
+        else:
+            self._cache_keys = _EMPTY_I8
+            self._cache_src = _EMPTY_I8
+            self._cache_aidx = _EMPTY_I8
 
-        Same append/retire semantics as the NumPy branch, but the cache
-        lives in preallocated capacity columns so forced rounds never
-        reconcatenate it; ``_cache_keys``/``_cache_src``/``_cache_aidx``
-        become prefix views over those columns.  Mapped layouts hand the
-        kernels their ``owners``/``localidx`` sidecars for the ownership
-        test and the key→row map; the whole graph passes ``None`` (every
-        key is an owned row).
+    def _cache_append_native(self, newly, delta) -> None:
+        """Native append: the NumPy branch's semantics, in place.
+
+        The cache lives in preallocated capacity columns so forced
+        rounds never reconcatenate it; frozen sources emit at effective
+        distance 0, so the light/Δ filter and the owned-row append run
+        in one C pass straight into those columns, keeping the
+        histogram and (whole graph) the group summary current.  Mapped
+        layouts hand the kernel their ``owners``/``localidx`` sidecars
+        for the ownership test and the key→row map.
         """
-        if len(self._cache_keys) and (
-            self._cbuf_k is None or self._cache_keys.base is not self._cbuf_k
-        ):
-            # The cache was last maintained by the NumPy branch (kernel
-            # tier flipped mid-lifetime): resync the capacity columns.
-            n = len(self._cache_keys)
-            self._cache_len = 0
-            self._cache_reserve(n)
-            self._cbuf_k[:n] = self._cache_keys
-            self._cbuf_s[:n] = self._cache_src
-            self._cbuf_a[:n] = self._cache_aidx
-            self._cache_len = n
-
+        self._cache_native = True
         if len(newly):
-            # Fused expansion: frozen sources emit at effective distance
-            # 0, so the light/Δ filter and the owned-row append run in
-            # one C pass straight into the capacity columns (no
-            # intermediate candidate banks).
             bound = int(
                 (self.indptr[newly + 1] - self.indptr[newly]).sum()
             )
@@ -689,38 +760,29 @@ class EmitScratch:
                 self._cache_len,
                 owners=self.owners, localidx=self.localidx,
                 shard_id=self.shard_id,
+                loads=self._cache_loads, top=self._cache_top,
             )
             self._cache_inert += cnt - appended
             self._cache_len += appended
             self._cache_in[newly] = True
-
-        if self._cache_len:
-            new_len = _native.cache_retire(
-                self._cbuf_k, self._cbuf_s, self._cbuf_a,
-                self._cache_len, frozen, localidx=self.localidx,
-            )
-            self._cache_inert += self._cache_len - new_len
-            self._cache_len = new_len
-        n = self._cache_len
-        if n:
-            self._cache_keys = self._cbuf_k[:n]
-            self._cache_src = self._cbuf_s[:n]
-            self._cache_aidx = self._cbuf_a[:n]
-        else:
-            self._cache_keys = _EMPTY_I8
-            self._cache_src = _EMPTY_I8
-            self._cache_aidx = _EMPTY_I8
+        self._cache_views()
 
     def _emit_forced_cached(
-        self, batch, live_ids, eff, center, dist, frozen, delta
+        self, batch, live, center, dist, frozen, delta, num_workers
     ):
         """Forced-round emission replayed from the frozen-emission cache."""
+        live_ids, live_eff, newly = live
         self.cache_hits += 1
-        self._cache_update(frozen, delta)
+        self._cache_update(frozen, delta, newly, num_workers)
+        if _native.use_native():
+            return self._replay_native(
+                batch, live_ids, live_eff, center, dist, frozen, delta
+            )
+        self._cache_retire(frozen)
 
         # Live (unfrozen assigned) sources expand push-style; the
         # cache path is only taken when their degree-sum is small.
-        lk, lnd, lsrc, laidx, lcnt = self._emit_push(live_ids, eff[live_ids], delta)
+        lk, lnd, lsrc, laidx, lcnt = self._emit_push(live_ids, live_eff, delta)
 
         f_active = len(self._cache_keys)
         batch.emitted = self._cache_inert + f_active + lcnt
@@ -732,54 +794,12 @@ class EmitScratch:
         hist = self._i8.get("fc_hist", self.num_rows)
         np.copyto(hist, self._cache_hist)
         if lcnt:
-            if _native.use_native():
-                _native.bincount_into(lk, hist)
-            else:
-                np.add.at(hist, lk, 1)
+            np.add.at(hist, lk, 1)
         gk = np.flatnonzero(hist)
-        batch.group_keys = gk
-        batch.group_counts = hist[gk]
+        batch.summary = _summarize(gk, hist[gk], num_workers)
 
-        # 4. Improvement filter: active cache rows first, live rows after
+        # Improvement filter: active cache rows first, live rows after
         # (order-free consumers only — recorded on the batch).
-        if _native.use_native():
-            cap = f_active + lcnt
-            b_keys = self._i8.get("fc_keys", cap)
-            b_nd = self._f8.get("fc_nd", cap)
-            b_src = self._i8.get("fc_src", cap)
-            b_w = self._f8.get("fc_w", cap)
-            b_ctr = self._f8.get("fc_ctr", cap)
-            b_srcf = self._f8.get("fc_srcf", cap)
-            fcnt = 0
-            if f_active:
-                # Cache rows survive when the arc weight still improves
-                # the target; nd is the weight itself (eff = 0).
-                fcnt = _native.cache_replay(
-                    self._cache_keys, self._cache_src, self._cache_aidx,
-                    f_active, self.weights, dist, center,
-                    b_keys, b_nd, b_src, b_w, b_ctr, b_srcf,
-                )
-            lkept = 0
-            if lcnt:
-                # The finish kernel without its accounting (hist None):
-                # the histogram above already covers the live rows.
-                lkept, _ = _native.finish_batch(
-                    lk, lnd, lsrc, laidx, dist, frozen,
-                    self.weights, center, None, None, None,
-                    b_keys[fcnt:], b_nd[fcnt:], b_src[fcnt:],
-                    b_w[fcnt:], b_ctr[fcnt:], b_srcf[fcnt:],
-                )
-            kept = fcnt + lkept
-            batch.count = kept
-            if kept == 0:
-                return batch
-            batch.keys = b_keys[:kept]
-            batch.nd = b_nd[:kept]
-            batch.src = b_src[:kept]
-            batch.w = b_w[:kept]
-            batch.ctr = b_ctr[:kept]
-            batch.srcf = b_srcf[:kept]
-            return batch
         if f_active:
             fw = np.take(self.weights, self._cache_aidx)
             f_imp = fw < dist[self._cache_keys]
@@ -815,6 +835,67 @@ class EmitScratch:
         batch.srcf = batch.src.astype(np.float64)
         return batch
 
+    def _replay_native(
+        self, batch, live_ids, live_eff, center, dist, frozen, delta
+    ):
+        """Native replay in O(cache rows + live arcs): no dense pass.
+
+        One kernel retires the cache rows whose target froze and
+        replays the survivors' improving rows; the live rows expand
+        push-style and go through the finish kernel, which folds them
+        onto the cache's group summary (the cached histogram as base).
+        """
+        lk, lnd, lsrc, laidx, lcnt = self._emit_push(live_ids, live_eff, delta)
+        cap = self._cache_len + lcnt
+        b_keys = self._i8.get("fc_keys", cap)
+        b_nd = self._f8.get("fc_nd", cap)
+        b_src = self._i8.get("fc_src", cap)
+        b_w = self._f8.get("fc_w", cap)
+        b_ctr = self._f8.get("fc_ctr", cap)
+        b_srcf = self._f8.get("fc_srcf", cap)
+        fcnt = 0
+        if self._cache_len:
+            # Cache rows survive when the arc weight still improves
+            # the target; nd is the weight itself (eff = 0).
+            new_len, fcnt = _native.cache_retire(
+                self._cbuf_k, self._cbuf_s, self._cbuf_a,
+                self._cache_len, frozen,
+                replay=(self.weights, dist, center,
+                        b_keys, b_nd, b_src, b_w, b_ctr, b_srcf),
+            )
+            self._cache_inert += self._cache_len - new_len
+            self._cache_len = new_len
+            self._cache_views()
+
+        batch.emitted = self._cache_inert + self._cache_len + lcnt
+        if batch.emitted == 0:
+            return batch
+        top = self._cache_top
+        lkept = 0
+        if lcnt:
+            lkept, summary = _native.finish_batch(
+                lk, lnd, lsrc, laidx, dist, frozen, self.weights, center,
+                b_keys[fcnt:], b_nd[fcnt:], b_src[fcnt:],
+                b_w[fcnt:], b_ctr[fcnt:], b_srcf[fcnt:],
+                hist=self._zero_hist(), gk=self._i8.get("hist_gk", lcnt),
+                base=self._cache_hist, loads=self._cache_loads.copy(),
+                top=top,
+            )
+        else:
+            summary = (int(top[0]), int(top[1]), int(self._cache_loads.max()))
+        batch.summary = GroupSummary(*summary)
+        kept = fcnt + lkept
+        batch.count = kept
+        if kept == 0:
+            return batch
+        batch.keys = b_keys[:kept]
+        batch.nd = b_nd[:kept]
+        batch.src = b_src[:kept]
+        batch.w = b_w[:kept]
+        batch.ctr = b_ctr[:kept]
+        batch.srcf = b_srcf[:kept]
+        return batch
+
     # ------------------------------------------------------------------ #
 
     #: Dense histograms only pay off when the target domain is not far
@@ -832,3 +913,10 @@ class EmitScratch:
         else:
             gk, counts = np.unique(keys_c, return_counts=True)
         return gk.astype(np.int64), counts.astype(np.int64)
+
+
+def _summarize(keys: np.ndarray, counts: np.ndarray, num_workers: int):
+    """NumPy-tier group summary: one output row per group."""
+    summary = GroupSummary.of(keys, counts)
+    summary.max_load = max_worker_load(keys, counts + 1, num_workers)
+    return summary

@@ -13,7 +13,7 @@ experiment measures).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.mr.metrics import Counters
 from repro.mr.model import MRSpec
 from repro.mr.partitioner import hash_partition_array
 
-__all__ = ["MREngine", "BatchReducer"]
+__all__ = ["MREngine", "BatchReducer", "GroupSummary", "max_worker_load"]
 
 #: A batch reducer maps grouped ``(keys, offsets, values)`` arrays to an
 #: output batch ``(out_keys, out_values, out_counts)`` — see
@@ -32,6 +32,69 @@ BatchReducer = Callable[
     [np.ndarray, np.ndarray, np.ndarray],
     Tuple[np.ndarray, np.ndarray, np.ndarray],
 ]
+
+
+class GroupSummary:
+    """What the batch cost model reads of one round's reducer groups.
+
+    ``max_count`` is the largest group's row count and ``max_key`` the
+    smallest key with that count (``None`` when the round has no
+    groups) — the memory-model check's worst reducer; ``max_load`` is
+    the busiest simulated worker's input + output rows under the hash
+    partitioner — the round's share of the critical path.  Producers
+    build it from their own groups: :meth:`MREngine.round_batch` from
+    its shuffle, the fused growing pipeline (:mod:`repro.mr.emit`) from
+    its candidate stream and, on replayed forced rounds, from the
+    frozen-emission cache's running summary.
+    """
+
+    __slots__ = ("max_count", "max_key", "max_load")
+
+    def __init__(
+        self, max_count: int = 0, max_key: Optional[int] = None,
+        max_load: int = 0,
+    ):
+        self.max_count = max_count
+        self.max_key = max_key
+        self.max_load = max_load
+
+    @classmethod
+    def of(cls, keys: np.ndarray, counts: np.ndarray) -> "GroupSummary":
+        """The worst group of ascending distinct ``keys`` (load unset)."""
+        if not len(keys):
+            return cls()
+        at = int(np.argmax(counts))  # first maximum = smallest key
+        return cls(int(counts[at]), int(keys[at]))
+
+
+def max_worker_load(keys: np.ndarray, loads, num_workers: int) -> int:
+    """Busiest simulated worker's summed ``loads`` over hash-routed ``keys``.
+
+    ``loads`` is the per-key load (an array, or a scalar for every key).
+    """
+    if not len(keys):
+        return 0
+    if _native.use_native():
+        # Fused hash-route + weighted max-load in one C pass (the mix
+        # matches hash_partition_array bit for bit, and int64
+        # accumulation equals the float bincount for any realistic
+        # load sum).
+        weights = np.broadcast_to(
+            np.asarray(loads, dtype=np.int64), keys.shape
+        )
+        return _native.partition_loads(
+            np.ascontiguousarray(keys, dtype=np.int64),
+            np.ascontiguousarray(weights),
+            num_workers,
+            np.zeros(num_workers, dtype=np.int64),
+        )
+    workers = hash_partition_array(keys, num_workers)
+    per_worker = np.bincount(
+        workers,
+        weights=np.broadcast_to(loads, keys.shape),
+        minlength=num_workers,
+    )
+    return int(per_worker.max())
 
 
 def _group_batch(
@@ -93,9 +156,6 @@ class MREngine:
         self.enforce_memory = enforce_memory
         self.counters = Counters()
         self.simulated_time = 0
-        # Per-worker load scratch for the native critical-path
-        # accounting (all-zero between rounds).
-        self._loads: np.ndarray = None
 
     # ------------------------------------------------------------------ #
 
@@ -113,51 +173,25 @@ class MREngine:
             )
 
     def check_local_memory(
-        self, group_keys: np.ndarray, counts: np.ndarray, words_per_pair: int
+        self, summary: GroupSummary, words_per_pair: int
     ) -> None:
-        """Raise when the largest reducer group exceeds ``M_L``."""
-        if self.enforce_memory and len(group_keys):
-            worst = int(counts.max()) * words_per_pair
-            if worst > self.spec.local_memory:
-                bad = int(group_keys[int(np.argmax(counts))])
-                raise MemoryLimitExceeded(worst, self.spec.local_memory, bad)
+        """Raise when the round's largest reducer group exceeds ``M_L``."""
+        worst = summary.max_count * words_per_pair
+        if self.enforce_memory and worst > self.spec.local_memory:
+            raise MemoryLimitExceeded(
+                worst, self.spec.local_memory, summary.max_key
+            )
 
-    def account_batch_round(
-        self,
-        messages: int,
-        group_keys: np.ndarray,
-        counts: np.ndarray,
-        out_counts,
-    ) -> None:
+    def account_batch_round(self, messages: int, summary: GroupSummary) -> None:
         """One batch round's counters + hash-partitioned critical path.
 
-        ``out_counts`` is the per-group output size (an array, or a
-        scalar for reducers that emit exactly one row per group).  This
-        is the *single* definition of the batch cost model: both
+        This is the *single* definition of the batch cost model: both
         :meth:`round_batch` and the fused growing pipeline account
-        through it, so the two paths cannot drift apart.
+        through it, each handing over the :class:`GroupSummary` of its
+        own groups, so the two paths cannot drift apart.
         """
         self.counters.record_round(messages=messages, updates=0)
-        if group_keys is not None and len(group_keys):
-            if _native.use_native():
-                # Fused hash-route + weighted max-load in one C pass
-                # (the mix matches hash_partition_array bit for bit,
-                # and int64 accumulation equals the float bincount for
-                # any realistic load sum).
-                if self._loads is None or len(self._loads) < self.spec.num_workers:
-                    self._loads = np.zeros(self.spec.num_workers, dtype=np.int64)
-                weights = np.add(counts, out_counts, dtype=np.int64)
-                self.simulated_time += _native.partition_loads(
-                    group_keys, weights, self.spec.num_workers, self._loads
-                )
-                return
-            workers = hash_partition_array(group_keys, self.spec.num_workers)
-            loads = np.bincount(
-                workers,
-                weights=counts + out_counts,
-                minlength=self.spec.num_workers,
-            )
-            self.simulated_time += int(loads.max())
+        self.simulated_time += summary.max_load
 
     def round_batch(
         self,
@@ -192,10 +226,11 @@ class MREngine:
         if len(keys):
             group_keys, offsets, sorted_values = _group_batch(keys, values)
             counts = np.diff(offsets)
-            self.check_local_memory(group_keys, counts, words_per_pair)
         else:
             group_keys = np.empty(0, dtype=np.int64)
             counts = np.empty(0, dtype=np.int64)
+        summary = GroupSummary.of(group_keys, counts)
+        self.check_local_memory(summary, words_per_pair)
 
         reduce_start = perf_counter()
         self.counters.add_time("shuffle", reduce_start - shuffle_start)
@@ -209,5 +244,8 @@ class MREngine:
             )
         self.counters.add_time("reduce", perf_counter() - reduce_start)
 
-        self.account_batch_round(len(keys), group_keys, counts, out_counts)
+        summary.max_load = max_worker_load(
+            group_keys, counts + out_counts, self.spec.num_workers
+        )
+        self.account_batch_round(len(keys), summary)
         return out_keys, out_values

@@ -2,9 +2,10 @@
 
 ``REPRO_KERNEL_IMPL=py|native|auto`` selects the implementation tier for
 the Δ-growing hot kernels (push emit with the improvement
-pre-filter, ``scatter_min_rows``, the merge's apply, the distinct-key
-count, and the frozen-replay histogram), for CL-DIAM's
-quotient-diameter Dijkstra
+pre-filter, ``scatter_min_rows``, the merge's apply, the forced-round
+scan, and the frozen-replay cache with its running group summary), for
+the quotient's crossing-edge scan (:func:`crossing_edges`), for
+CL-DIAM's quotient-diameter Dijkstra
 (:func:`quotient_ecc`, whose pure tier is scipy's — so a native-tier
 run never imports scipy), and for the ``lp`` shard partitioner's three
 passes over every arc (:func:`lp_best_label`, :func:`lp_affinity`,
@@ -68,6 +69,7 @@ __all__ = [
     "emit_threads",
     "impl_overrides",
     "resolved_info",
+    "crossing_edges",
     "quotient_ecc",
     "lp_best_label",
     "lp_affinity",
@@ -105,9 +107,10 @@ _SIGNATURES = {
     "rk_emit_push": ([_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _P], _I),
     "rk_compact": ([_P, _P, _P, _P, _P, _P, _I], _I),
     # keys, nd, src, aidx, n, dist, frozen, weights, center,
-    # hist (NULL: no accounting), gk, gc, ngroups, f_* banks -> kept
+    # hist (NULL: no accounting), gk, base, nworkers, loads, summ,
+    # f_* banks -> kept
     "rk_finish_batch": (
-        [_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P,
+        [_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _I, _P, _P,
          _P, _P, _P, _P, _P, _P],
         _I,
     ),
@@ -120,24 +123,32 @@ _SIGNATURES = {
     ),
     "rk_begin_stage": ([_P, _I, _P, _P, _P, _P, _P], None),
     "rk_freeze_assigned": ([_P, _I, _I, _P, _P, _P], _I),
-    "rk_forced_sets": ([_P, _P, _P, _I, _D, _P, _P], None),
+    # center, dist, frozen, n, delta, indptr, cache_in, all_rows, ids,
+    # eff, newly, out -> ids count
+    "rk_forced_scan": (
+        [_P, _P, _P, _I, _D, _P, _P, _I, _P, _P, _P, _P], _I
+    ),
     # indptr, indices, weights, src_ids, nsrc, delta, owners, localidx,
-    # shard, hist, ck, cs, ca, pos, total_out -> appended
+    # shard, hist, nworkers, loads, top, ck, cs, ca, pos, total_out
+    # -> appended
     "rk_cache_emit": (
-        [_P, _P, _P, _P, _I, _D, _P, _P, _I, _P, _P, _P, _P, _I, _P],
+        [_P, _P, _P, _P, _I, _D, _P, _P, _I, _P, _I, _P, _P,
+         _P, _P, _P, _I, _P],
         _I,
     ),
-    "rk_cache_retire": ([_P, _P, _P, _I, _P, _P], _I),
-    "rk_partition_loads": ([_P, _I, _P, _I, _P], _I),
-    # ck, cs, ca, n, weights, dist, center, fk, fnd, fs, fw, fctr,
-    # fsrcf -> kept
-    "rk_cache_replay": (
-        [_P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P], _I
+    # ck, cs, ca, n, frozen, localidx, weights, dist, center, fk, fnd,
+    # fs, fw, fctr, fsrcf, nkept -> surviving length
+    "rk_cache_retire": (
+        [_P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P],
+        _I,
     ),
+    "rk_partition_loads": ([_P, _I, _P, _I, _P], _I),
     "rk_core_emit_push": (
         [_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _P, _P, _P, _P],
         _I,
     ),
+    # indptr, indices, weights, n, cid, d, nc, keys, vals -> crossing
+    "rk_crossing_edges": ([_P, _P, _P, _I, _P, _P, _I, _P, _P], _I),
     # indptr, indices, weights, sources, nsources, skip_reached, dist,
     # touched, heap_d, heap_v -> largest finite distance
     "rk_quotient_ecc": ([_P, _P, _P, _P, _I, _I, _P, _P, _P, _P], _D),
@@ -340,26 +351,37 @@ def bincount_into(keys, hist) -> None:
 
 def finish_batch(
     keys, nd, src, aidx, dist, frozen, weights, center,
-    hist, gk, gc,
     f_keys, f_nd, f_src, f_w, f_ctr, f_srcf,
+    *, hist=None, gk=None, base=None, loads=None, top=(0, -1),
 ):
     """One fused stream over the unfiltered candidate columns: the
-    stamped accounting histogram (ascending distinct keys + counts into
-    ``gk``/``gc``, hist left all-zero) plus the improvement filter,
-    gathering the kept rows' w/center/float-source columns.  ``hist``
-    ``None`` skips the accounting (``gk``/``gc`` unused).  Returns
-    ``(kept, ngroups)``.
+    improvement filter, gathering the kept rows' w/center/float-source
+    columns, plus — when ``hist`` (an all-zero domain scratch, left
+    all-zero) is given — the round's group summary.
+
+    The summary folds the batch onto a base: ``base`` per-key counts
+    (``None``: empty), ``loads`` the base's per-worker loads (an int64
+    array of the worker count, zeroed on return) and ``top`` its
+    ``(max_count, max_key)``.  ``gk`` is distinct-key scratch of the
+    batch length.  Returns ``(kept, summary)``, the summary a
+    ``(max_count, max_key, max_load)`` tuple, or ``None`` without
+    ``hist``.
     """
+    if hist is not None and (gk is None or loads is None or not len(loads)):
+        raise ValueError("the group summary needs gk and a per-worker loads array")
     lib = _load()
-    ngroups = np.zeros(1, dtype=np.int64)
+    summ = np.array([top[0], top[1], 0], dtype=np.int64)
     kept = lib.rk_finish_batch(
         _ptr(keys), _ptr(nd), _ptr(src), _ptr(aidx), len(keys),
         _ptr(dist), _ptr(frozen), _ptr(weights), _ptr(center),
-        _ptr(hist), _ptr(gk), _ptr(gc), _ptr(ngroups),
+        _ptr(hist), _ptr(gk), _ptr(base),
+        len(loads) if loads is not None else 0, _ptr(loads), _ptr(summ),
         _ptr(f_keys), _ptr(f_nd), _ptr(f_src),
         _ptr(f_w), _ptr(f_ctr), _ptr(f_srcf),
     )
-    return kept, int(ngroups[0])
+    if hist is None:
+        return kept, None
+    return kept, (int(summ[0]), int(summ[1]), int(summ[2]))
 
 
 def apply_winners(
@@ -412,18 +434,37 @@ def freeze_assigned(center, iteration, frozen, changed, frozen_iter) -> int:
     )
 
 
-def forced_sets(center, dist, frozen, delta, mask, eff) -> None:
-    """Forced-round mask/eff build (rescale == 0)."""
+def forced_scan(
+    center, dist, frozen, delta, indptr, ids, eff, *,
+    cache_in=None, newly=None,
+):
+    """A forced round's emitting rows (``rescale == 0``) in one pass.
+
+    With ``newly`` given: the live emitting rows (assigned, unfrozen,
+    distance below ``delta``) and their distances go to ``ids``/``eff``,
+    and the frozen rows not in ``cache_in`` (``None``: every frozen
+    row) to ``newly``; returns ``(live, newly_count, live_degree_sum)``.
+    Without it: every emitting row, frozen ones at effective distance
+    0; returns ``(rows, 0, 0)``.  Output buffers need one slot per row.
+    """
+    n = len(center)
+    if len(indptr) != n + 1 or min(len(ids), len(eff)) < n or (
+        newly is not None and len(newly) < n
+    ):
+        raise ValueError("forced_scan needs indptr of n + 1 and n-row outputs")
     lib = _load()
-    lib.rk_forced_sets(
-        _ptr(center), _ptr(dist), _ptr(frozen),
-        len(center), delta, _ptr(mask), _ptr(eff),
+    out = np.zeros(2, dtype=np.int64)
+    t = lib.rk_forced_scan(
+        _ptr(center), _ptr(dist), _ptr(frozen), n, delta,
+        _ptr(indptr), _ptr(cache_in), 0 if newly is not None else 1,
+        _ptr(ids), _ptr(eff), _ptr(newly), _ptr(out),
     )
+    return t, int(out[0]), int(out[1])
 
 
 def cache_emit(
     indptr, indices, weights, src_ids, delta, hist, ck, cs, ca, pos,
-    owners=None, localidx=None, shard_id=0,
+    owners=None, localidx=None, shard_id=0, loads=None, top=None,
 ):
     """Expand frozen sources straight into the cache columns.
 
@@ -431,19 +472,26 @@ def cache_emit(
     minus the appended count is the externally-targeted (inert) mass.
     Every key is owned (the whole graph) unless the mapped layout's
     int32 sidecars ``owners``/``localidx`` (indexed by global id) and
-    ``shard_id`` are given; ``hist`` is indexed by local row.
+    ``shard_id`` are given; ``hist`` is indexed by local row.  With
+    ``loads`` (per-worker int64) and ``top`` (int64 ``[max_count,
+    max_key]``) the appended rows also update the cache's group summary
+    in place (whole graph only).
     """
     if owners is None and len(hist) != len(indptr) - 1:
         # Without sidecars every key indexes hist directly, which only
         # a whole-graph slice (one row per id) keeps in bounds.
         raise ValueError("without sidecars the slice must be the whole graph")
+    if loads is not None and (not len(loads) or top is None or owners is not None):
+        raise ValueError("the cache summary needs loads, top and the whole graph")
     lib = _load()
     total = np.zeros(1, dtype=np.int64)
     appended = lib.rk_cache_emit(
         _ptr(indptr), _ptr(indices), _ptr(weights),
         _ptr(src_ids), len(src_ids), delta,
         _ptr(_sidecar(owners)), _ptr(_sidecar(localidx)), shard_id,
-        _ptr(hist), _ptr(ck), _ptr(cs), _ptr(ca), pos, _ptr(total),
+        _ptr(hist), len(loads) if loads is not None else 0,
+        _ptr(loads), _ptr(top),
+        _ptr(ck), _ptr(cs), _ptr(ca), pos, _ptr(total),
     )
     return appended, int(total[0])
 
@@ -460,30 +508,26 @@ def partition_loads(keys, weights, nworkers, loads) -> int:
     )
 
 
-def cache_retire(ck, cs, ca, length, frozen, localidx=None) -> int:
+def cache_retire(ck, cs, ca, length, frozen, localidx=None, replay=None):
     """In-place compaction dropping frozen targets; returns new length.
 
     ``frozen`` is indexed by local row: the key itself, or
-    ``localidx[key]`` under the mapped layout's sidecar.
+    ``localidx[key]`` under the mapped layout's sidecar.  ``replay``
+    (whole graph only) fuses the replay filter into the same pass: a
+    ``(weights, dist, center, fk, fnd, fs, fw, fctr, fsrcf)`` tuple
+    whose last six banks receive the survivors that strictly improve
+    their target; the return value is then ``(length, replayed)``.
     """
     lib = _load()
-    return lib.rk_cache_retire(
+    cols = (None,) * 9 if replay is None else replay
+    nkept = np.zeros(1, dtype=np.int64)
+    length = lib.rk_cache_retire(
         _ptr(ck), _ptr(cs), _ptr(ca), length, _ptr(frozen),
-        _ptr(_sidecar(localidx)),
+        _ptr(_sidecar(localidx)), *(_ptr(c) for c in cols), _ptr(nkept),
     )
-
-
-def cache_replay(
-    ck, cs, ca, length, weights, dist, center, fk, fnd, fs, fw, fctr, fsrcf,
-) -> int:
-    """Improvement-filtered cache replay with the survivors'
-    w/center/float-source columns; returns the surviving count."""
-    lib = _load()
-    return lib.rk_cache_replay(
-        _ptr(ck), _ptr(cs), _ptr(ca), length, _ptr(weights), _ptr(dist),
-        _ptr(center), _ptr(fk), _ptr(fnd), _ptr(fs),
-        _ptr(fw), _ptr(fctr), _ptr(fsrcf),
-    )
+    if replay is None:
+        return length
+    return length, int(nkept[0])
 
 
 # -- threaded emit ------------------------------------------------------ #
@@ -632,6 +676,35 @@ def quotient_ecc(indptr, indices, weights, sources, *, skip_reached) -> float:
         _ptr(sources), len(sources), 1 if skip_reached else 0,
         _ptr(dist), _ptr(touched), _ptr(heap_d), _ptr(heap_v),
     )
+
+
+# -- quotient map side -------------------------------------------------- #
+
+
+def crossing_edges(indptr, indices, weights, cid, d, num_clusters):
+    """Crossing edges of a clustering as exactly sized ``(keys, values)``.
+
+    One CSR scan over arcs ``u -> v`` with ``u < v`` and
+    ``cid[u] != cid[v]``, in CSR order: the packed cluster pair
+    ``min·num_clusters + max`` and the value ``(w + d[u]) + d[v]``.
+    """
+    lib = _load()
+    indptr = _contig_i8(indptr)
+    indices = _contig_i8(indices)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    cid = _contig_i8(cid)
+    d = np.ascontiguousarray(d, dtype=np.float64)
+    if not len(cid) == len(d) == len(indptr) - 1:
+        raise ValueError("cid and d need one entry per node")
+    # Arc-sized outputs: only the written prefix is ever touched, so
+    # the untouched pages are never committed; the prefix is copied out.
+    keys = np.empty(len(indices), dtype=np.int64)
+    values = np.empty(len(indices))
+    count = lib.rk_crossing_edges(
+        _ptr(indptr), _ptr(indices), _ptr(weights), len(indptr) - 1,
+        _ptr(cid), _ptr(d), int(num_clusters), _ptr(keys), _ptr(values),
+    )
+    return keys[:count].copy(), values[:count].copy()
 
 
 # -- lp partitioner ------------------------------------------------------ #

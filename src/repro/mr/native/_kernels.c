@@ -44,6 +44,27 @@ typedef uint8_t u8;
  * header to parse, and the build is part of every cold start. */
 #define RK_INF (1.0 / 0.0)
 
+/* The simulated worker of a reducer key: the Fibonacci mix of
+ * repro.mr.partitioner.hash_partition_array, bit for bit, so every
+ * accounting kernel routes a key where the NumPy tier does. */
+static inline i64 rk_worker_of(i64 key, i64 nworkers)
+{
+    uint64_t h = (uint64_t)key;
+    h ^= h >> 16;
+    return (i64)(((h * 2654435761ULL) & 0xFFFFFFFFULL) % (uint64_t)nworkers);
+}
+
+/* Group summary: top[0] is the largest group count, top[1] the smallest
+ * key reaching it (-1 while there is no group).  Counts only ever grow,
+ * so raising one key's count and re-testing it keeps the pair exact. */
+static inline void rk_top_update(i64 count, i64 key, i64 *top)
+{
+    if (count > top[0] || (count == top[0] && key < top[1])) {
+        top[0] = count;
+        top[1] = key;
+    }
+}
+
 static int cmp_i64(const void *pa, const void *pb)
 {
     i64 a = *(const i64 *)pa, b = *(const i64 *)pb;
@@ -212,24 +233,33 @@ i64 rk_compact(
 }
 
 /* Fused batch finish (EmitScratch._finish): one stream over the
- * unfiltered candidate columns doing the accounting histogram (stamped
- * distinct-key collection, radix-sorted ascending with gc as the
- * ping-pong space, hist restored to zero) and the improvement filter:
- * keep rows whose target is open and strictly improved, gathering w
- * (from the arc index), the source's center and the float source
- * column in the same pass.  A NULL hist skips the accounting (gk, gc
- * and ngroups are then unused).  Returns the kept count and writes the
- * distinct-group count through ngroups. */
+ * unfiltered candidate columns doing the accounting (stamped
+ * distinct-key collection into gk, hist restored to zero) and the
+ * improvement filter: keep rows whose target is open and strictly
+ * improved, gathering w (from the arc index), the source's center and
+ * the float source column in the same pass.
+ *
+ * The accounting is the round's group summary, folded onto a base: the
+ * rows already in the round that this batch does not carry (the
+ * frozen-emission cache's, or none).  `base` holds their per-key
+ * counts (NULL: none), `loads` (nworkers) their per-worker load
+ * sum(count + 1) and summ[0..1] their top group (see rk_top_update).
+ * Each distinct key of the batch adds its count, plus one when the key
+ * opens a group, to its worker's load and re-tests the top group with
+ * its combined count.  On exit summ[2] is the largest load and `loads`
+ * is all-zero again.  A NULL hist skips the accounting (gk, base,
+ * loads and summ are then unused).  Returns the kept count. */
 i64 rk_finish_batch(
     const i64 *keys, const double *nd, const i64 *src, const i64 *aidx,
     i64 n,
     const double *dist, const u8 *frozen,
     const double *weights, const i64 *center,
-    i64 *hist, i64 *gk, i64 *gc, i64 *ngroups,
+    i64 *hist, i64 *gk, const i64 *base, i64 nworkers, i64 *loads,
+    i64 *summ,
     i64 *f_keys, double *f_nd, i64 *f_src,
     double *f_w, double *f_ctr, double *f_srcf)
 {
-    i64 g = 0, t = 0, maxk = 0;
+    i64 g = 0, t = 0;
     for (i64 i = 0; i < n; ++i) {
         if (i + RK_PF_DIST < n) {
             RK_PREFETCH(&frozen[keys[i + RK_PF_DIST]]);
@@ -238,11 +268,8 @@ i64 rk_finish_batch(
                 RK_PREFETCH_W(&hist[keys[i + RK_PF_DIST]]);
         }
         i64 k = keys[i];
-        if (hist && hist[k]++ == 0) {
+        if (hist && hist[k]++ == 0)
             gk[g++] = k;
-            if (k > maxk)
-                maxk = k;
-        }
         double d = nd[i];
         if (frozen[k] || !(d < dist[k]))
             continue;
@@ -257,13 +284,21 @@ i64 rk_finish_batch(
     }
     if (!hist)
         return t;
-    if (rk_radix_sort(gk, gc, g, maxk) == gc)
-        memcpy(gk, gc, (size_t)g * sizeof(i64));
     for (i64 j = 0; j < g; ++j) {
-        gc[j] = hist[gk[j]];
-        hist[gk[j]] = 0;
+        i64 k = gk[j];
+        i64 c = hist[k];
+        i64 b = base ? base[k] : 0;
+        hist[k] = 0;
+        loads[rk_worker_of(k, nworkers)] += c + (b == 0);
+        rk_top_update(b + c, k, summ);
     }
-    *ngroups = g;
+    i64 mx = 0;
+    for (i64 p = 0; p < nworkers; ++p) {
+        if (loads[p] > mx)
+            mx = loads[p];
+        loads[p] = 0;
+    }
+    summ[2] = mx;
     return t;
 }
 
@@ -347,18 +382,47 @@ i64 rk_freeze_assigned(
     return cnt;
 }
 
-/* Forced-round emitting sets (EmitScratch._forced_sets, rescale == 0):
- * mask = assigned && eff < delta, eff = frozen ? 0 : dist — one pass
- * instead of four masked array sweeps. */
-void rk_forced_sets(
-    const i64 *center, const double *dist, const u8 *frozen,
-    i64 n, double delta, u8 *mask, double *eff)
+/* Forced-round scan (EmitScratch._forced_round, rescale == 0): one
+ * pass over the rows.  A frozen row emits at
+ * effective distance 0, a live one at its distance; a row emits when
+ * it is assigned and its effective distance is below delta.
+ *
+ * all_rows == 0: ids/eff receive the live emitting rows (assigned,
+ * unfrozen, dist < delta), out[1] their degree sum, and newly the
+ * frozen rows not yet in the frozen-emission cache (cache_in NULL:
+ * every frozen row), with out[0] their count.
+ * all_rows == 1: ids/eff receive every emitting row (newly, cache_in
+ * and out unused).  Returns the ids count. */
+i64 rk_forced_scan(
+    const i64 *center, const double *dist, const u8 *frozen, i64 n,
+    double delta, const i64 *indptr, const u8 *cache_in, i64 all_rows,
+    i64 *ids, double *eff, i64 *newly, i64 *out)
 {
-    for (i64 i = 0; i < n; ++i) {
-        double e = frozen[i] ? 0.0 : dist[i];
-        eff[i] = e;
-        mask[i] = (center[i] != -1) && (e < delta);
+    i64 t = 0;
+    if (all_rows) {
+        for (i64 i = 0; i < n; ++i) {
+            double e = frozen[i] ? 0.0 : dist[i];
+            if (center[i] != -1 && e < delta) {
+                ids[t] = i;
+                eff[t++] = e;
+            }
+        }
+        return t;
     }
+    i64 nn = 0, degsum = 0;
+    for (i64 i = 0; i < n; ++i) {
+        if (frozen[i]) {
+            if (!cache_in || !cache_in[i])
+                newly[nn++] = i;
+        } else if (center[i] != -1 && dist[i] < delta) {
+            ids[t] = i;
+            eff[t++] = dist[i];
+            degsum += indptr[i + 1] - indptr[i];
+        }
+    }
+    out[0] = nn;
+    out[1] = degsum;
+    return t;
 }
 
 /* Fused frozen-source expansion straight into the cache columns: a
@@ -367,17 +431,24 @@ void rk_forced_sets(
  * into `hist` (indexed by local row); returns the appended count, with
  * *total_out the full emitted multiset size (for inert accounting).
  *
+ * With `loads` non-NULL (whole graph only) the cache's group summary
+ * follows every append: the key's worker gains one (two when the key
+ * opens a group: its count plus the group's output row) and the top
+ * group `top` is re-tested (see rk_top_update), so a replay never
+ * rescans the histogram.
+ *
  * Ownership: with `owners` NULL the slice is the whole graph, so every
  * key is owned and is its own local row; otherwise (a shard's mapped
  * layout) `owners`/`localidx` are the partition sidecars indexed by
  * global id, a key is owned when owners[key] == shard and its local
- * row is localidx[key].  The test is loop-invariant, so the compiler
- * unswitches it and the whole-graph path keeps its plain loop. */
+ * row is localidx[key].  The tests are loop-invariant, so the compiler
+ * unswitches them and the whole-graph path keeps its plain loop. */
 i64 rk_cache_emit(
     const i64 *indptr, const i64 *indices, const double *weights,
     const i64 *src_ids, i64 nsrc, double delta,
     const i32 *owners, const i32 *localidx, i64 shard,
-    i64 *hist, i64 *ck, i64 *cs, i64 *ca, i64 pos, i64 *total_out)
+    i64 *hist, i64 nworkers, i64 *loads, i64 *top,
+    i64 *ck, i64 *cs, i64 *ca, i64 pos, i64 *total_out)
 {
     i64 t = pos;
     i64 total = 0;
@@ -395,7 +466,11 @@ i64 rk_cache_emit(
                     continue;
                 row = localidx[key];
             }
-            hist[row] += 1;
+            i64 c = ++hist[row];
+            if (loads) {
+                loads[rk_worker_of(key, nworkers)] += 1 + (c == 1);
+                rk_top_update(c, key, top);
+            }
             ck[t] = key;
             cs[t] = u;
             ca[t] = a;
@@ -406,21 +481,15 @@ i64 rk_cache_emit(
     return t - pos;
 }
 
-/* Critical-path accounting (MREngine.account_batch_round): hash-route
- * every group key to its simulated worker (the exact Fibonacci mix of
- * repro.mr.partitioner.hash_partition_array) and accumulate the
+/* Critical-path accounting (MREngine.round_batch): hash-route every
+ * group key to its simulated worker (rk_worker_of) and accumulate the
  * weighted load, returning the maximum.  `loads` is an all-zero
  * nworkers scratch, restored to all-zero on exit. */
 i64 rk_partition_loads(
     const i64 *keys, i64 n, const i64 *w, i64 nworkers, i64 *loads)
 {
-    for (i64 i = 0; i < n; ++i) {
-        uint64_t h = (uint64_t)keys[i];
-        h ^= h >> 16;
-        uint64_t p = ((h * 2654435761ULL) & 0xFFFFFFFFULL)
-                     % (uint64_t)nworkers;
-        loads[p] += w[i];
-    }
+    for (i64 i = 0; i < n; ++i)
+        loads[rk_worker_of(keys[i], nworkers)] += w[i];
     i64 mx = 0;
     for (i64 p = 0; p < nworkers; ++p) {
         if (loads[p] > mx)
@@ -430,17 +499,27 @@ i64 rk_partition_loads(
     return mx;
 }
 
-/* Frozen-emission cache retire (step 2): drop rows whose target froze,
- * compacting the cache columns in place (order preserved).  Returns
- * the surviving length; the histogram keeps the retired rows' mass (it
- * accounts every cached row, inert included).  Cached keys are owned,
- * so their local row is localidx[key] when the sidecar is given (see
- * rk_cache_emit), else the key itself. */
+/* Frozen-emission cache retire: drop rows whose target froze,
+ * compacting the cache columns in place (order preserved), and return
+ * the surviving length.  The histogram keeps the retired rows' mass
+ * (it accounts every cached row, inert included).  Cached keys are
+ * owned, so their local row is localidx[key] when the sidecar is given
+ * (see rk_cache_emit), else the key itself.
+ *
+ * With `fk` non-NULL (whole graph only) the same pass also replays
+ * the survivors (EmitScratch._emit_forced_cached): a cached frozen
+ * emission's candidate distance is its arc weight, and rows that
+ * strictly improve their target are written out with the w /
+ * source-center / float-source columns (fnd and fw both hold the
+ * weight); *nkept receives their count. */
 i64 rk_cache_retire(
     i64 *ck, i64 *cs, i64 *ca, i64 n, const u8 *frozen,
-    const i32 *localidx)
+    const i32 *localidx,
+    const double *weights, const double *dist, const i64 *center,
+    i64 *fk, double *fnd, i64 *fs,
+    double *fw, double *fctr, double *fsrcf, i64 *nkept)
 {
-    i64 t = 0;
+    i64 t = 0, r = 0;
     for (i64 i = 0; i < n; ++i) {
         i64 key = ck[i];
         i64 row;
@@ -449,51 +528,39 @@ i64 rk_cache_retire(
                 RK_PREFETCH(&localidx[ck[i + RK_PF_DIST]]);
             row = localidx[key];
         } else {
-            if (i + RK_PF_DIST < n)
+            if (i + RK_PF_DIST < n) {
                 RK_PREFETCH(&frozen[ck[i + RK_PF_DIST]]);
+                if (fk) {
+                    RK_PREFETCH(&dist[ck[i + RK_PF_DIST]]);
+                    RK_PREFETCH(&weights[ca[i + RK_PF_DIST]]);
+                }
+            }
             row = key;
         }
         if (frozen[row])
             continue;
+        i64 s = cs[i], a = ca[i];
         if (t != i) {
             ck[t] = key;
-            cs[t] = cs[i];
-            ca[t] = ca[i];
+            cs[t] = s;
+            ca[t] = a;
         }
         ++t;
-    }
-    return t;
-}
-
-/* Cache replay improvement filter (EmitScratch._emit_forced_cached):
- * a cached frozen emission's candidate distance is its arc weight;
- * keep rows that strictly improve their (open, by the retire pass)
- * target, gathering the w / source-center / float-source columns of
- * the survivors in the same pass (fnd and fw both hold the weight). */
-i64 rk_cache_replay(
-    const i64 *ck, const i64 *cs, const i64 *ca, i64 n,
-    const double *weights, const double *dist, const i64 *center,
-    i64 *fk, double *fnd, i64 *fs,
-    double *fw, double *fctr, double *fsrcf)
-{
-    i64 t = 0;
-    for (i64 i = 0; i < n; ++i) {
-        if (i + RK_PF_DIST < n) {
-            RK_PREFETCH(&weights[ca[i + RK_PF_DIST]]);
-            RK_PREFETCH(&dist[ck[i + RK_PF_DIST]]);
-        }
-        double w = weights[ca[i]];
-        if (!(w < dist[ck[i]]))
+        if (!fk)
             continue;
-        i64 s = cs[i];
-        fk[t] = ck[i];
-        fnd[t] = w;
-        fs[t] = s;
-        fw[t] = w;
-        fctr[t] = (double)center[s];
-        fsrcf[t] = (double)s;
-        ++t;
+        double w = weights[a];
+        if (!(w < dist[key]))
+            continue;
+        fk[r] = key;
+        fnd[r] = w;
+        fs[r] = s;
+        fw[r] = w;
+        fctr[r] = (double)center[s];
+        fsrcf[r] = (double)s;
+        ++r;
     }
+    if (fk)
+        *nkept = r;
     return t;
 }
 
@@ -627,6 +694,35 @@ double rk_quotient_ecc(
                 dist[touched[t]] = RK_INF;
     }
     return best;
+}
+
+/* Quotient map side (core.quotient.crossing_edges): one pass over the
+ * CSR arcs u -> v with u < v whose clusters differ, in CSR order.
+ * Each writes the packed cluster pair min(cu, cv) * nc + max(cu, cv)
+ * into keys and the value (w + d[u]) + d[v] into vals — the NumPy
+ * tier's addition order.  keys/vals need room for every arc; returns
+ * the crossing-edge count. */
+i64 rk_crossing_edges(
+    const i64 *indptr, const i64 *indices, const double *weights, i64 n,
+    const i64 *cid, const double *d, i64 nc, i64 *keys, double *vals)
+{
+    i64 t = 0;
+    for (i64 u = 0; u < n; ++u) {
+        i64 cu = cid[u];
+        i64 hi = indptr[u + 1];
+        for (i64 a = indptr[u]; a < hi; ++a) {
+            i64 v = indices[a];
+            if (v <= u)
+                continue;
+            i64 cv = cid[v];
+            if (cu == cv)
+                continue;
+            keys[t] = cu < cv ? cu * nc + cv : cv * nc + cu;
+            vals[t] = (weights[a] + d[u]) + d[v];
+            ++t;
+        }
+    }
+    return t;
 }
 
 /* Label-propagation row scans for repro.mr.partitioner (the lp shard

@@ -49,11 +49,14 @@ def hash_partition(key: Hashable, num_workers: int) -> int:
 def hash_partition_array(keys: np.ndarray, num_workers: int) -> np.ndarray:
     """Vectorized :func:`hash_partition` for non-negative int64 key arrays.
 
-    Agrees element-wise with the scalar partitioner (``hash(k) == k`` for
-    non-negative machine integers, and ``(a·b mod 2^64) mod 2^32`` equals
-    ``(a·b) mod 2^32``), so per-key and batch rounds route every key to
-    the same simulated worker — a precondition for identical critical-path
-    accounting across backends.
+    Agrees element-wise with the scalar partitioner for keys below
+    ``2^61 − 1`` (there ``hash(k) == k``; Python hashes larger ints
+    modulo ``2^61 − 1``, so ``hash(2**61 - 1) == 0``), because
+    ``(a·b mod 2^64) mod 2^32`` equals ``(a·b) mod 2^32``.  Per-key and
+    batch rounds therefore route every node id to the same simulated
+    worker — a precondition for identical critical-path accounting
+    across backends.  The native kernels use the same mix
+    (``rk_worker_of`` in ``repro/mr/native/_kernels.c``).
     """
     h = np.asarray(keys, dtype=np.uint64)
     h = h ^ (h >> np.uint64(16))

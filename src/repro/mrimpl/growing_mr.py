@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.mr.emit import EmitBatch, EmitScratch
-from repro.mr.engine import MREngine
+from repro.mr.engine import GroupSummary, MREngine
 from repro.mr.executor import make_executor
 from repro.mr.kernels import ScatterScratch, scatter_min_rows
 from repro.mr import native as _native
@@ -214,6 +214,7 @@ class ArrayGrowingState:
             rescale=rescale,
             iteration=iteration,
             sources=None if force else self._active,
+            num_workers=engine.spec.num_workers,
         )
         engine.counters.add_time("emit", perf_counter() - emit_start)
 
@@ -277,17 +278,16 @@ class ArrayGrowingState:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One merge round over a fused batch, with ``round_batch``'s
         exact accounting — the shared engine cost-model helpers, fed
-        the *unfiltered* multiset the batch recorded at emit time.
+        the group summary of the *unfiltered* multiset the batch
+        recorded at emit time (one output row per group).
         Returns the distinct target rows (ascending) and each one's
         winning row in the batch."""
         emitted = batch.emitted if batch is not None else 0
         words_per_pair = 4  # 1 key word + 3 payload words
         engine.check_total_memory(emitted, words_per_pair)
         shuffle_start = perf_counter()
-        if batch is not None:
-            engine.check_local_memory(
-                batch.group_keys, batch.group_counts, words_per_pair
-            )
+        summary = batch.summary if batch is not None else GroupSummary()
+        engine.check_local_memory(summary, words_per_pair)
 
         reduce_start = perf_counter()
         if batch is None or batch.count == 0:
@@ -306,12 +306,7 @@ class ArrayGrowingState:
         engine.counters.add_time("shuffle", reduce_start - shuffle_start)
         engine.counters.add_time("reduce", perf_counter() - reduce_start)
 
-        engine.account_batch_round(
-            emitted,
-            batch.group_keys if batch is not None else None,
-            batch.group_counts if batch is not None else None,
-            1,  # the merge outputs one row per (full-multiset) group
-        )
+        engine.account_batch_round(emitted, summary)
         return out_keys, rows
 
     def in_flight(self) -> bool:

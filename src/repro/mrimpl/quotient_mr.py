@@ -18,7 +18,8 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.cluster import Clustering
-from repro.graph.builder import from_edges, min_by_key, pair_keys
+from repro.core.quotient import crossing_edges
+from repro.graph.builder import from_pair_keys, min_by_key
 from repro.graph.csr import CSRGraph
 from repro.mr.batch import group_min
 from repro.mr.engine import MREngine
@@ -29,8 +30,10 @@ __all__ = ["mr_quotient_graph"]
 def _batch_quotient(
     engine: MREngine, graph: CSRGraph, ids: np.ndarray, d: np.ndarray,
     num_centers: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized map side + one batch reduce round.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Map side (:func:`~repro.core.quotient.crossing_edges`) + one
+    batch reduce round; returns the distinct packed pairs and their
+    minimum values.
 
     Cluster pairs are packed into a single int64 key
     (``min·num_centers + max``, :func:`~repro.graph.builder.pair_keys`),
@@ -42,18 +45,10 @@ def _batch_quotient(
     could exceed an ``M_L`` sized for the growing rounds.  ``min`` is
     order-free, so neither the sort nor the reducer needs a tie-break.
     """
-    srcs, tgts, w = graph.edge_arrays()
-    cu, cv = ids[srcs], ids[tgts]
-    crossing = cu != cv
-    keys = pair_keys(cu[crossing], cv[crossing], num_centers)
-    values = w[crossing] + d[srcs[crossing]] + d[tgts[crossing]]
+    keys, values = crossing_edges(graph, ids, d, num_centers)
     keys, values = min_by_key(keys, values)
     out_keys, out_values = engine.round_batch(keys, values, group_min)
-    return (
-        out_keys // num_centers,
-        out_keys % num_centers,
-        out_values[:, 0],
-    )
+    return out_keys, out_values[:, 0]
 
 
 def mr_quotient_graph(
@@ -69,8 +64,8 @@ def mr_quotient_graph(
     Returns the same ``(G_C, centers)`` as the vectorized constructor.
     """
     centers = clustering.centers
-    qu, qv, qw = _batch_quotient(
+    keys, qw = _batch_quotient(
         engine, graph, clustering.cluster_ids(), clustering.dist_to_center,
         len(centers),
     )
-    return from_edges(qu, qv, qw, len(centers)), centers
+    return from_pair_keys(keys, qw, len(centers)), centers

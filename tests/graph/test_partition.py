@@ -376,10 +376,12 @@ class TestLeftoverRangeLayout:
         assert np.array_equal(loaded.assignment, rewritten.plan.assignment)
 
     def test_info_and_deep_verify_still_handle_it(self, stored, capsys):
-        """``repro info`` lists the leftover next to the live layout;
-        ``repro verify --deep`` re-hashes its shard files."""
+        """A leftover not yet cleaned up (the lp layout written directly,
+        not through ``ensure_partitioned``): ``repro info`` lists it next
+        to the live layout; ``repro verify --deep`` re-hashes its shard
+        files."""
         graph, store, directory = stored
-        lp = ensure_partitioned(store, 2, graph=graph)
+        lp = write_partitioned_store(graph, store, 2)
         assert main(["info", str(store)]) == 0
         out = capsys.readouterr().out
         assert "2-way range (cut" in out and "2-way lp (cut" in out
@@ -388,3 +390,38 @@ class TestLeftoverRangeLayout:
         for layout in (directory, lp.directory):
             assert f"ok    partition  {layout}  (verified manifest.json" in out
         assert "part-1.rcsr" in out and "0 failure(s)" in out
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_ensure_removes_leftover_after_commit(self, stored, capsys, fresh):
+        """Once the lp manifest is committed — written now, or already
+        fresh on disk — ``ensure_partitioned`` deletes the range
+        leftover, and only it."""
+        graph, store, directory = stored
+        if fresh:
+            write_partitioned_store(graph, store, 2)
+            assert directory.is_dir()
+        lp = ensure_partitioned(store, 2, graph=graph)
+        assert not directory.exists()
+        assert (lp.directory / MANIFEST_NAME).is_file()
+        assert store.is_file()
+        assert main(["info", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "2-way lp (cut" in out and "range" not in out
+
+    def test_foreign_or_linked_leftovers_stay(self, graphs, tmp_path):
+        """A ``<K>/`` directory whose manifest does not name ``range``,
+        and a symlinked one, are not the retired layout: kept."""
+        graph = graphs["mesh"]
+        store = tmp_path / "g.rcsr"
+        write_store(graph, store)
+        foreign = tmp_path / "g.rcsr.shards" / "2"
+        foreign.mkdir(parents=True)
+        (foreign / MANIFEST_NAME).write_text('{"partitioner": "other"}')
+        elsewhere = tmp_path / "elsewhere"
+        write_range_layout(graph, store, elsewhere, num_shards=3)
+        linked = tmp_path / "g.rcsr.shards" / "3"
+        linked.symlink_to(elsewhere, target_is_directory=True)
+        ensure_partitioned(store, 2, graph=graph)
+        ensure_partitioned(store, 3, graph=graph)
+        assert (foreign / MANIFEST_NAME).is_file()
+        assert linked.is_symlink() and (elsewhere / MANIFEST_NAME).is_file()

@@ -1,8 +1,9 @@
 """Unit and property tests of the fused emit pipeline (repro.mr.emit).
 
 The contract under test: for any state, :meth:`EmitScratch.emit` must
-report the *unfiltered* emission (count and per-target histogram) of the
-plain ``emit_frontier`` oracle below while materializing exactly the
+report the *unfiltered* emission (count and group summary: worst group
+and busiest simulated worker) of the plain ``emit_frontier`` oracle
+below while materializing exactly the
 candidates that could be adopted — on both kernel tiers, across reused
 buffers, and across the frozen-emission cache's append/prune/invalidate
 transitions.  The raw push expansion of shard-slice scratches
@@ -19,6 +20,7 @@ from repro.mr import native
 from repro.mr.batch import group_min_first
 from repro.mr.emit import EmitBatch, EmitScratch
 from repro.mr.kernels import scatter_min_rows
+from repro.mr.partitioner import hash_partition
 from repro.mrimpl.growing_mr import NO_CENTER
 from repro.util import expand_ranges
 
@@ -137,7 +139,27 @@ def legacy_reference(graph, state, delta, force, sources=None, rescale=0.0, iter
     return keys, values, imp
 
 
-def forced_batch(graph, state, delta):
+def oracle_summary(keys, num_nodes, num_workers):
+    """The literal accounting of a round's full candidate multiset:
+    ``(max_count, max_key, max_load)`` of its per-target groups, each
+    routed by the scalar hash partitioner with its rows plus one
+    output row."""
+    dense = np.bincount(keys, minlength=num_nodes)
+    groups = np.flatnonzero(dense)
+    if not len(groups):
+        return 0, None, 0
+    top = int(dense.max())
+    loads = [0] * num_workers
+    for key in groups.tolist():
+        loads[hash_partition(key, num_workers)] += int(dense[key]) + 1
+    return top, int(groups[dense[groups] == top][0]), max(loads)
+
+
+def summary_tuple(summary):
+    return summary.max_count, summary.max_key, summary.max_load
+
+
+def forced_batch(graph, state, delta, num_workers=1):
     """One forced round on a fresh scratch, bypassing the
     frozen-emission cache: the plain push expansion plus the shared
     filter/accounting tail."""
@@ -148,7 +170,7 @@ def forced_batch(graph, state, delta):
     )
     src = np.flatnonzero(m_loc)
     cols = scratch._emit_push(src, e_loc[src], delta)
-    return scratch._finish(EmitBatch(), cols, center, dist, frozen)
+    return scratch._finish(EmitBatch(), cols, center, dist, frozen, num_workers)
 
 
 def sorted_rows(keys, nd, ctr, src):
@@ -156,14 +178,14 @@ def sorted_rows(keys, nd, ctr, src):
     return keys[order], nd[order], ctr[order], src[order]
 
 
-def assert_batch_matches_oracle(batch, graph, state, delta, force, sources=None):
+def assert_batch_matches_oracle(
+    batch, graph, state, delta, force, sources=None, num_workers=1
+):
     keys, values, imp = legacy_reference(graph, state, delta, force, sources)
     assert batch.emitted == len(keys)
-    # Full-multiset histogram.
-    dense = np.bincount(keys, minlength=graph.num_nodes)
-    np.testing.assert_array_equal(batch.group_keys, np.flatnonzero(dense))
-    np.testing.assert_array_equal(
-        batch.group_counts, dense[np.flatnonzero(dense)]
+    # Full-multiset accounting.
+    assert summary_tuple(batch.summary) == oracle_summary(
+        keys, graph.num_nodes, num_workers
     )
     # The filtered rows are exactly the adoptable candidates (as a
     # multiset — cache replay reorders rows).
@@ -195,9 +217,10 @@ TIERS = (
 class TestEmitMatchesOracle:
     @pytest.mark.parametrize("impl", TIERS)
     @pytest.mark.parametrize("force", [True, False])
-    def test_random_states(self, force, impl):
+    @pytest.mark.parametrize("num_workers", [1, 2, 7])
+    def test_random_states(self, force, impl, num_workers):
         """Each tier's fused finish — ``rk_finish_batch`` on the native
-        tier — reports the oracle's dense histogram and adoptable rows."""
+        tier — reports the oracle's group summary and adoptable rows."""
         graph = small_graph()
         rng = np.random.default_rng(3)
         for trial in range(8):
@@ -222,8 +245,11 @@ class TestEmitMatchesOracle:
                     delta=delta,
                     force=force,
                     sources=sources,
+                    num_workers=num_workers,
                 )
-            assert_batch_matches_oracle(batch, graph, state, delta, force, sources)
+            assert_batch_matches_oracle(
+                batch, graph, state, delta, force, sources, num_workers
+            )
 
 
 def shard_scratch(graph, layout, shard, num_shards=3):
@@ -403,9 +429,15 @@ class TestScratchReuse:
                 got_s = np.sort(np.asarray(got))
                 np.testing.assert_allclose(got_s, np.sort(np.asarray(want)))
 
-    def test_cache_tracks_freezing_and_delta_changes(self):
+    @pytest.mark.parametrize("impl", TIERS)
+    @pytest.mark.parametrize("num_workers", [1, 2, 7])
+    def test_cache_tracks_freezing_and_delta_changes(self, impl, num_workers):
         """Forced-round replay must equal plain push through a realistic
-        freeze / delta-doubling / stage-reset history."""
+        freeze / delta-doubling / stage-reset history: the same rows and
+        the oracle's group summary, with the cache's histogram (and, on
+        the native tier, its running summary) equal to the oracle's
+        accounting of the cached rows — every frozen source's light
+        arcs."""
         graph = small_graph(seed=33)
         n = graph.num_nodes
         rng = np.random.default_rng(17)
@@ -430,19 +462,47 @@ class TestScratchReuse:
             dacc[picks] = 0.0
             if stage == 3:
                 delta *= 2  # invalidates the cache wholesale
-            batch = scratch.emit(
-                center=center, dist=dist, dacc=dacc, frozen=frozen,
-                frozen_iter=fit, delta=delta, force=True,
-            )
-            ref = forced_batch(graph, (center, dist, frozen, dacc, None, fit), delta)
+            hits = scratch.cache_hits
+            with native.impl_overrides(impl, None):
+                batch = scratch.emit(
+                    center=center, dist=dist, dacc=dacc, frozen=frozen,
+                    frozen_iter=fit, delta=delta, force=True,
+                    num_workers=num_workers,
+                )
+                ref = forced_batch(
+                    graph, (center, dist, frozen, dacc, None, fit), delta,
+                    num_workers,
+                )
             assert batch.emitted == ref.emitted
             assert batch.count == ref.count
-            np.testing.assert_array_equal(batch.group_keys, ref.group_keys)
-            np.testing.assert_array_equal(batch.group_counts, ref.group_counts)
+            state = (center, dist, frozen, dacc, np.zeros(n, bool), fit)
+            keys, _, _ = legacy_reference(graph, state, delta, True)
+            assert summary_tuple(batch.summary) == oracle_summary(
+                keys, n, num_workers
+            )
+            assert summary_tuple(batch.summary) == summary_tuple(ref.summary)
             got = sorted_rows(batch.keys, batch.nd, batch.ctr, batch.srcf)
             want = sorted_rows(ref.keys, ref.nd, ref.ctr, ref.srcf)
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a, b)
+            if scratch.cache_hits > hits:
+                # Only frozen sources emitting: the cached rows.
+                only_frozen = np.where(frozen, center, NO_CENTER)
+                cached, _, _ = legacy_reference(
+                    graph, (only_frozen,) + state[1:], delta, True
+                )
+                np.testing.assert_array_equal(
+                    scratch._cache_hist, np.bincount(cached, minlength=n)
+                )
+                if impl == "native":
+                    top, key, _ = oracle_summary(cached, n, num_workers)
+                    no_key = -1 if key is None else key  # empty cache
+                    assert tuple(scratch._cache_top) == (top, no_key)
+                    loads = np.zeros(num_workers, dtype=np.int64)
+                    dense = np.bincount(cached, minlength=n)
+                    for k in np.flatnonzero(dense).tolist():
+                        loads[hash_partition(k, num_workers)] += dense[k] + 1
+                    np.testing.assert_array_equal(scratch._cache_loads, loads)
         assert scratch.cache_hits >= 1
 
     def test_reset_clears_cache_but_keeps_working(self):

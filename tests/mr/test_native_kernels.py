@@ -274,28 +274,50 @@ def _finish_inputs(rng, n, domain):
     return keys, nd, src, aidx, dist, frozen, weights, center
 
 
-def _finish(inputs, hist):
+def _finish(inputs, hist, *, num_workers=1, base=None, base_loads=None,
+            top=(0, -1)):
     n = len(inputs[0])
     banks = (
         np.empty(n, np.int64), np.empty(n), np.empty(n, np.int64),
         np.empty(n), np.empty(n), np.empty(n),
     )
-    gk = gc = None
+    loads = (
+        np.zeros(num_workers, np.int64) if base_loads is None
+        else base_loads.copy()
+    )
+    kept, summary = native.finish_batch(
+        *inputs, *banks, hist=hist, gk=np.empty(n, np.int64), base=base,
+        loads=loads, top=top,
+    )
     if hist is not None:
-        gk, gc = np.empty(n, np.int64), np.empty(n, np.int64)
-    kept, g = native.finish_batch(*inputs, hist, gk, gc, *banks)
-    return kept, g, gk, gc, banks
+        assert not loads.any(), "loads must be restored to all-zero"
+    return kept, summary, banks
+
+
+def _summary_oracle(counts_by_key, num_workers):
+    """``(max_count, smallest key at it, max load)`` of a dense
+    per-key count array, each group loading its worker count + 1."""
+    groups = np.flatnonzero(counts_by_key)
+    if not len(groups):
+        return 0, -1, 0
+    counts = counts_by_key[groups]
+    top = int(counts.max())
+    loads = np.bincount(
+        hash_partition_array(groups, num_workers), weights=counts + 1,
+        minlength=num_workers,
+    )
+    return top, int(groups[counts == top][0]), int(loads.max())
 
 
 @needs_native
 class TestFinishBatch:
-    @pytest.mark.parametrize(
-        "domain",
-        # one, two and three 11-bit radix passes over the largest key
-        [1, 3, 2048, 5000, (1 << 22) + 5],
-    )
-    def test_groups_equal_unique(self, domain):
-        rng = np.random.default_rng(domain)
+    @pytest.mark.parametrize("domain", [1, 3, 2048, 5000, (1 << 22) + 5])
+    @pytest.mark.parametrize("num_workers", [1, 2, 7])
+    def test_summary_matches_unique(self, domain, num_workers):
+        """The stamped summary equals the ``np.unique`` histogram's: the
+        largest group, the smallest key reaching it (ties included) and
+        the busiest worker — for any key order."""
+        rng = np.random.default_rng(domain + num_workers)
         for n in (0, 1, 7, 900):
             inputs = _finish_inputs(rng, n, domain)
             keys = inputs[0]
@@ -303,11 +325,38 @@ class TestFinishBatch:
                 inputs = (np.sort(keys)[::-1].copy(),) + inputs[1:]
                 keys = inputs[0]
             hist = np.zeros(domain, dtype=np.int64)
-            kept, g, gk, gc, _ = _finish(inputs, hist)
-            ref_keys, ref_counts = np.unique(keys, return_counts=True)
-            np.testing.assert_array_equal(gk[:g], ref_keys)
-            np.testing.assert_array_equal(gc[:g], ref_counts)
+            _, summary, _ = _finish(inputs, hist, num_workers=num_workers)
+            dense = np.bincount(keys, minlength=domain)
+            assert summary == _summary_oracle(dense, num_workers)
             assert not hist.any(), "hist must be restored to all-zero"
+
+    @pytest.mark.parametrize("num_workers", [1, 3, 7])
+    def test_fold_onto_base(self, num_workers):
+        """With a base (the cache's histogram and running summary), the
+        summary is the one of base + batch: new keys open a group, keys
+        already in the base only add rows, and tied counts resolve to
+        the smallest key."""
+        rng = np.random.default_rng(40 + num_workers)
+        domain = 60
+        for trial in range(40):
+            base = rng.integers(0, 3, domain) * (rng.random(domain) < 0.5)
+            base = base.astype(np.int64)
+            groups = np.flatnonzero(base)
+            base_loads = np.zeros(num_workers, np.int64)
+            np.add.at(
+                base_loads, hash_partition_array(groups, num_workers),
+                base[groups] + 1,
+            )
+            top, key, _ = _summary_oracle(base, num_workers)
+            n = int(rng.integers(0, 40))
+            inputs = _finish_inputs(rng, n, domain)
+            hist = np.zeros(domain, dtype=np.int64)
+            _, summary, _ = _finish(
+                inputs, hist, num_workers=num_workers, base=base,
+                base_loads=base_loads, top=(top, key),
+            )
+            combined = base + np.bincount(inputs[0], minlength=domain)
+            assert summary == _summary_oracle(combined, num_workers)
 
     def test_filter_columns_and_null_hist(self):
         """The improvement filter keeps open, strictly improved targets
@@ -316,19 +365,177 @@ class TestFinishBatch:
         rng = np.random.default_rng(12)
         inputs = _finish_inputs(rng, 500, 120)
         keys, nd, src, aidx, dist, frozen, weights, center = inputs
-        kept, g, _, _, banks = _finish(inputs, np.zeros(120, np.int64))
+        kept, summary, banks = _finish(inputs, np.zeros(120, np.int64))
         imp = ~frozen[keys] & (nd < dist[keys])
-        assert kept == int(imp.sum()) and g > 0
+        assert kept == int(imp.sum()) and summary[0] > 0
         expect = (
             keys[imp], nd[imp], src[imp], weights[aidx[imp]],
             center[src[imp]].astype(np.float64), src[imp].astype(np.float64),
         )
         for got, ref in zip(banks, expect):
             np.testing.assert_array_equal(got[:kept], ref)
-        kept2, g2, _, _, banks2 = _finish(inputs, None)
-        assert (kept2, g2) == (kept, 0)
+        kept2, summary2, banks2 = _finish(inputs, None)
+        assert (kept2, summary2) == (kept, None)
         for got, ref in zip(banks2, banks):
             np.testing.assert_array_equal(got[:kept], ref[:kept])
+
+
+# --------------------------------------------------------------------- #
+# the forced-round scan
+# --------------------------------------------------------------------- #
+
+
+@needs_native
+class TestForcedScan:
+    """``rk_forced_scan`` against the NumPy forced-round masks."""
+
+    def _state(self, rng, n):
+        center = np.where(
+            rng.random(n) < 0.3, NO_CENTER, rng.integers(0, max(n, 1), n)
+        ).astype(np.int64)
+        # Quantized distances so dist == delta ties are common.
+        dist = np.round(rng.random(n) * 4.0) / 4.0
+        dist[center == NO_CENTER] = np.inf
+        frozen = (center != NO_CENTER) & (rng.random(n) < 0.4)
+        cache_in = frozen & (rng.random(n) < 0.5)
+        return center, dist, frozen, cache_in
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 90])
+    def test_matches_masks(self, n):
+        rng = np.random.default_rng(n)
+        degs = rng.integers(0, 5, n)
+        indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
+        for trial in range(20):
+            center, dist, frozen, cache_in = self._state(rng, n)
+            delta = 0.5
+            ids = np.empty(n, np.int64)
+            eff = np.empty(n)
+            newly = np.empty(n, np.int64)
+            assigned = center != NO_CENTER
+            live = np.flatnonzero(assigned & ~frozen & (dist < delta))
+            for cin in (cache_in, None):
+                t, fresh, degsum = native.forced_scan(
+                    center, dist, frozen, delta, indptr, ids, eff,
+                    cache_in=cin, newly=newly,
+                )
+                np.testing.assert_array_equal(ids[:t], live)
+                np.testing.assert_array_equal(eff[:t], dist[live])
+                assert degsum == int(degs[live].sum())
+                want = frozen if cin is None else frozen & ~cin
+                np.testing.assert_array_equal(
+                    newly[:fresh], np.flatnonzero(want)
+                )
+            t, _, _ = native.forced_scan(
+                center, dist, frozen, delta, indptr, ids, eff
+            )
+            e = np.where(frozen, 0.0, dist)
+            rows = np.flatnonzero(assigned & (e < delta))
+            np.testing.assert_array_equal(ids[:t], rows)
+            np.testing.assert_array_equal(eff[:t], e[rows])
+
+
+    def test_rejects_short_buffers(self):
+        center = np.zeros(4, np.int64)
+        dist = np.zeros(4)
+        frozen = np.zeros(4, bool)
+        indptr = np.zeros(5, np.int64)
+        with pytest.raises(ValueError, match="n-row outputs"):
+            native.forced_scan(
+                center, dist, frozen, 1.0, indptr,
+                np.empty(3, np.int64), np.empty(4),
+            )
+        with pytest.raises(ValueError, match="n-row outputs"):
+            native.forced_scan(
+                center, dist, frozen, 1.0, indptr,
+                np.empty(4, np.int64), np.empty(4), newly=np.empty(2, np.int64),
+            )
+
+
+# --------------------------------------------------------------------- #
+# the quotient map side
+# --------------------------------------------------------------------- #
+
+
+def _crossing_tiers(graph, ids, d, nc):
+    from repro.core.quotient import crossing_edges
+
+    with native.impl_overrides("py", None):
+        ref = crossing_edges(graph, ids, d, nc)
+    got = native.crossing_edges(
+        graph.indptr, graph.indices, graph.weights, ids, d, nc
+    )
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.flags.c_contiguous
+        np.testing.assert_array_equal(g, r)
+    return got
+
+
+@needs_native
+class TestCrossingEdges:
+    """``rk_crossing_edges`` against the NumPy map side it replaced."""
+
+    @pytest.mark.parametrize("nc", [1, 2, 5, 40])
+    def test_random_clusterings(self, graph, nc):
+        rng = np.random.default_rng(nc)
+        for _ in range(5):
+            ids = rng.integers(0, nc, graph.num_nodes).astype(np.int64)
+            # Quantized offsets: equal values on parallel cluster pairs.
+            d = np.round(rng.random(graph.num_nodes) * 4.0) / 4.0
+            keys, values = _crossing_tiers(graph, ids, d, nc)
+            if nc == 1:
+                assert len(keys) == 0
+
+    def test_exact_values_and_order(self):
+        g = from_edges(
+            np.array([0, 1, 2, 0]), np.array([1, 2, 3, 3]),
+            np.array([1.0, 2.0, 1.0, 5.0]), 4,
+        )
+        ids = np.array([0, 0, 1, 1], dtype=np.int64)
+        d = np.array([0.0, 1.0, 1.0, 0.0])
+        keys, values = _crossing_tiers(g, ids, d, 2)
+        # Arcs 0->3 (w 5) then 1->2 (w 2), CSR order, both pair (0, 1).
+        np.testing.assert_array_equal(keys, [1, 1])
+        np.testing.assert_array_equal(values, [5.0, 4.0])
+
+    def test_self_loops_never_cross(self):
+        from repro.graph.csr import CSRGraph
+
+        # A raw CSR with a self-loop on node 1 (builders drop them).
+        g = CSRGraph(
+            np.array([0, 1, 3, 4], dtype=np.int64),
+            np.array([1, 1, 2, 1], dtype=np.int64),
+            np.array([1.0, 3.0, 2.0, 2.0]),
+            validate=False,
+        )
+        keys, _ = _crossing_tiers(g, np.array([0, 1, 2]), np.zeros(3), 3)
+        np.testing.assert_array_equal(keys, [0 * 3 + 1, 1 * 3 + 2])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_graphs(self, n):
+        g = from_edges(np.empty(0, np.int64), np.empty(0, np.int64),
+                       np.empty(0), n)
+        keys, values = _crossing_tiers(
+            g, np.zeros(n, np.int64), np.zeros(n), max(n, 1)
+        )
+        assert len(keys) == len(values) == 0
+
+    def test_rejects_per_node_length_mismatch(self, graph):
+        n = graph.num_nodes
+        with pytest.raises(ValueError, match="one entry per node"):
+            native.crossing_edges(
+                graph.indptr, graph.indices, graph.weights,
+                np.zeros(n - 1, np.int64), np.zeros(n), 2,
+            )
+
+    def test_disconnected_graph(self):
+        g = from_edges(
+            np.array([0, 2, 4]), np.array([1, 3, 5]),
+            np.array([1.0, 1.0, 1.0]), 7,
+        )
+        ids = np.array([0, 1, 2, 2, 3, 4, 5], dtype=np.int64)
+        keys, values = _crossing_tiers(g, ids, np.full(7, 0.5), 6)
+        np.testing.assert_array_equal(keys, [0 * 6 + 1, 3 * 6 + 4])
+        np.testing.assert_array_equal(values, [2.0, 2.0])
 
 
 # --------------------------------------------------------------------- #
@@ -539,7 +746,7 @@ class TestCacheKernels:
         rng = np.random.default_rng(6)
         for _ in range(40):
             # Random frozen sources (rows of a small CSR over 40 ids),
-            # appended the way _cache_update_native fills the cache.
+            # appended the way _cache_append_native fills the cache.
             rows = int(rng.integers(1, 12))
             degs = rng.integers(0, 8, rows)
             indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
@@ -588,28 +795,40 @@ class TestCacheKernels:
             assert nl == int(keep.sum())
             np.testing.assert_array_equal(ck[:nl], k[owned][keep])
 
+            # The whole-graph replay, fused into the retire pass: the
+            # survivors that strictly improve their target come out
+            # with their value columns.
+            rk, rs, ra = ck[:nl].copy(), cs[:nl].copy(), ca[:nl].copy()
+            wfrozen = np.zeros(40, dtype=bool)
+            wfrozen[rng.integers(0, 40, 6)] = True
             weights = rng.random(100)
             dist = rng.random(40) * 0.8
             center = rng.integers(-1, 40, rows).astype(np.int64)
             fk = np.zeros(nl + 1, np.int64)
             fs = np.zeros(nl + 1, np.int64)
             fnd, fw, fctr, fsrcf = (np.zeros(nl + 1) for _ in range(4))
-            t = native.cache_replay(
-                ck, cs, ca, nl, weights, dist, center,
-                fk, fnd, fs, fw, fctr, fsrcf,
+            nl2, t = native.cache_retire(
+                ck, cs, ca, nl, wfrozen,
+                replay=(weights, dist, center, fk, fnd, fs, fw, fctr, fsrcf),
             )
-            ref_w = weights[ca[:nl]]
-            imp = ref_w < dist[ck[:nl]]
+            live = ~wfrozen[rk]
+            assert nl2 == int(live.sum())
+            np.testing.assert_array_equal(ck[:nl2], rk[live])
+            np.testing.assert_array_equal(cs[:nl2], rs[live])
+            ref_w = weights[ra[live]]
+            imp = ref_w < dist[rk[live]]
             assert t == int(imp.sum())
-            np.testing.assert_array_equal(fk[:t], ck[:nl][imp])
+            np.testing.assert_array_equal(fk[:t], rk[live][imp])
             np.testing.assert_array_equal(fnd[:t], ref_w[imp])
-            np.testing.assert_array_equal(fs[:t], cs[:nl][imp])
+            np.testing.assert_array_equal(fs[:t], rs[live][imp])
             np.testing.assert_array_equal(fw[:t], ref_w[imp])
-            np.testing.assert_array_equal(fctr[:t], center[cs[:nl][imp]])
-            np.testing.assert_array_equal(fsrcf[:t], cs[:nl][imp])
+            np.testing.assert_array_equal(fctr[:t], center[rs[live][imp]])
+            np.testing.assert_array_equal(fsrcf[:t], rs[live][imp])
 
-    def test_cache_emit_matches_push_plus_append(self, graph):
-        """The whole-graph layout: no sidecars, every key owned."""
+    @pytest.mark.parametrize("num_workers", [1, 2, 7])
+    def test_cache_emit_matches_push_plus_append(self, graph, num_workers):
+        """The whole-graph layout: no sidecars, every key owned; the
+        running group summary follows the appends across two calls."""
         delta = float(np.median(graph.weights))
         newly = np.arange(0, graph.num_nodes, 5, dtype=np.int64)
         bound = int((graph.indptr[newly + 1] - graph.indptr[newly]).sum())
@@ -617,10 +836,19 @@ class TestCacheKernels:
         ck = np.zeros(bound, np.int64)
         cs = np.zeros(bound, np.int64)
         ca = np.zeros(bound, np.int64)
-        appended, cnt = native.cache_emit(
-            graph.indptr, graph.indices, graph.weights, newly,
-            delta, hist, ck, cs, ca, 0,
+        loads = np.zeros(num_workers, np.int64)
+        top = np.array([0, -1], np.int64)
+        half = len(newly) // 2
+        first, cnt1 = native.cache_emit(
+            graph.indptr, graph.indices, graph.weights, newly[:half],
+            delta, hist, ck, cs, ca, 0, loads=loads, top=top,
         )
+        appended, cnt2 = native.cache_emit(
+            graph.indptr, graph.indices, graph.weights, newly[half:],
+            delta, hist, ck, cs, ca, first, loads=loads, top=top,
+        )
+        appended += first
+        cnt = cnt1 + cnt2
         # Reference: python expansion with eff = 0, light filter only.
         ref_k, ref_s, ref_a = [], [], []
         total = 0
@@ -637,6 +865,17 @@ class TestCacheKernels:
         np.testing.assert_array_equal(ca[:appended], ref_a)
         np.testing.assert_array_equal(
             hist, np.bincount(np.array(ref_k), minlength=graph.num_nodes)
+        )
+        ref_top, ref_key, ref_load = _summary_oracle(hist, num_workers)
+        assert tuple(top) == (ref_top, ref_key)
+        assert int(loads.max()) == ref_load
+        groups = np.flatnonzero(hist)
+        np.testing.assert_array_equal(
+            loads,
+            np.bincount(
+                hash_partition_array(groups, num_workers),
+                weights=hist[groups] + 1, minlength=num_workers,
+            ).astype(np.int64),
         )
         frozen = np.zeros(graph.num_nodes, dtype=bool)
         frozen[::3] = True
@@ -702,6 +941,26 @@ class TestCacheKernels:
                 np.empty(0, np.int64), 1.0,
                 np.zeros(graph.num_nodes - 1, dtype=np.int64),
                 buf, buf, buf, 0,
+            )
+
+    def test_summary_arguments_are_checked(self, graph):
+        """A summary needs a non-empty per-worker loads array (the worker
+        count divides the hash) and, for the cache, the whole graph."""
+        hist = np.zeros(graph.num_nodes, dtype=np.int64)
+        buf = np.zeros(1, np.int64)
+        with pytest.raises(ValueError, match="cache summary"):
+            native.cache_emit(
+                graph.indptr, graph.indices, graph.weights,
+                np.empty(0, np.int64), 1.0, hist, buf, buf, buf, 0,
+                loads=np.zeros(0, np.int64), top=np.array([0, -1]),
+            )
+        inputs = _finish_inputs(np.random.default_rng(0), 4, 8)
+        banks = (np.empty(4, np.int64), np.empty(4), np.empty(4, np.int64),
+                 np.empty(4), np.empty(4), np.empty(4))
+        with pytest.raises(ValueError, match="group summary"):
+            native.finish_batch(
+                *inputs, *banks, hist=np.zeros(8, np.int64),
+                gk=np.empty(4, np.int64),
             )
 
     def test_sidecars_must_be_int32(self, graph):
