@@ -16,9 +16,11 @@ Usage::
     python benchmarks/_big_graph_child.py <store> <backend> <cap_bytes> \
         <shards> <resident_mb>
 
-``backend`` is an executor name, or ``sharded-ooc`` for the sharded
-backend with the ``<resident_mb>`` residency budget applied.
-``cap_bytes`` 0 means unconstrained.
+``backend`` is ``vector`` or ``sharded-ooc`` (the sharded backend with
+the ``<resident_mb>`` residency budget applied).  Plain ``sharded`` is
+not offered: its shards all stay mapped in this one process, so under
+a cap it measures nothing the two rows do not.  ``cap_bytes`` 0 means
+unconstrained.
 """
 
 from __future__ import annotations
@@ -42,8 +44,13 @@ def _vm_peak_bytes() -> int:
     return 0
 
 
+BACKENDS = ("vector", "sharded-ooc")
+
+
 def main(argv) -> int:
     store_path, backend, cap_bytes, shards, resident_mb = argv[:5]
+    if backend not in BACKENDS:
+        raise SystemExit(f"backend must be one of {BACKENDS}, not {backend!r}")
     cap = int(cap_bytes)
     shards = int(shards)
     out = {"backend": backend, "ok": False, "cap_bytes": cap}
@@ -56,7 +63,7 @@ def main(argv) -> int:
         from repro.mrimpl.cluster_mr import mr_cluster
         from repro.mrimpl.growing_mr import default_engine
 
-        executor = backend
+        executor = "vector"
         if backend == "sharded-ooc":
             executor = "sharded"
             os.environ["REPRO_SHARD_RESIDENT_MB"] = resident_mb

@@ -1,8 +1,8 @@
-"""Checkpoint overhead and crash-recovery cost on R-MAT(16) LCC.
+"""Checkpoint overhead on R-MAT(16) LCC.
 
 Fault tolerance must be close to free when it is armed and strictly
 free when it is off.  This bench runs CLUSTER on a stored R-MAT LCC
-(same workload family as ``bench_sharded``) four ways and records one
+(same workload family as ``bench_sharded``) three ways and records one
 ``BENCH_faults.json`` row per configuration:
 
 * ``checkpoint-off``   — the plain vector run; the baseline every other
@@ -13,13 +13,13 @@ free when it is off.  This bench runs CLUSTER on a stored R-MAT LCC
 * ``checkpoint-5r``    — the same run snapshotting every 5 growing
   rounds; the acceptance bar is **<10% overhead** over
   ``checkpoint-off`` at bench scale.
-* ``sharded-faultfree``— the sharded pool, no faults: the denominator
-  for the recovery row.
-* ``sharded-recovery`` — the sharded pool with ``REPRO_FAULT_PLAN``
-  killing one worker mid-growth (checkpoint armed), so the wall
-  includes detection, pool teardown, re-fork, and replay from the last
-  durable round.  The ratio over ``sharded-faultfree`` is the measured
-  recovery overhead quoted in the ROADMAP.
+* ``sharded-faultfree``— the sharded backend, no faults, on the same
+  workload.
+
+A killed driver is covered by ``--resume``
+(``tests/mr/test_fault_recovery.py``); shard workers run inside the
+driver, so there is no separate worker death to recover from and no
+recovery row.
 
 Every run must produce a clustering bit-identical to the baseline —
 the fault-tolerance layer is only admissible as an oracle-equal
@@ -131,25 +131,8 @@ def test_fault_tolerance_overhead(stored_workload, tmp_path, monkeypatch):
 
     faultfree, ff_wall, _ = _timed_run(graph, sharded_cfg)
 
-    # Kill one worker mid-growth with a checkpoint behind it: the wall
-    # now includes detection, teardown, re-fork, and replay.  The kill
-    # ordinal sits past the first round the armed run published, so the
-    # recovery run has a durable round to resume from (growing-step
-    # ordinals track engine rounds one-for-one on this driver).
-    kill_round = ckpt.saved_rounds[0] + 2
-    recovery_ckpt = _checkpointer(
-        tmp_path / "recovery", graph, sharded_cfg, every=CHECKPOINT_EVERY
-    )
-    monkeypatch.setenv(FAULT_PLAN_ENV, f"kill:shard=1,round={kill_round}")
-    reset_fault_plan()
-    recovered, rec_wall, _ = _timed_run(
-        graph, sharded_cfg, checkpoint=recovery_ckpt
-    )
-    monkeypatch.delenv(FAULT_PLAN_ENV)
-    reset_fault_plan()
-
     # Every path lands on the identical clustering and counters.
-    for other in (armed, faultfree, recovered):
+    for other in (armed, faultfree):
         assert np.array_equal(other.center, baseline.center)
         assert np.allclose(other.dist_to_center, baseline.dist_to_center)
         assert other.counters.rounds == baseline.counters.rounds
@@ -159,7 +142,6 @@ def test_fault_tolerance_overhead(stored_workload, tmp_path, monkeypatch):
         ("checkpoint-off", baseline, base_wall, base_wall),
         (f"checkpoint-{CHECKPOINT_EVERY}r", armed, armed_wall, base_wall),
         ("sharded-faultfree", faultfree, ff_wall, ff_wall),
-        ("sharded-recovery", recovered, rec_wall, ff_wall),
     ]
     rows = []
     bench_rows = []
@@ -192,9 +174,7 @@ def test_fault_tolerance_overhead(stored_workload, tmp_path, monkeypatch):
             rows,
             title=(
                 f"Fault-tolerance overhead on stored R-MAT({SCALE}) LCC "
-                f"(n={graph.num_nodes}, m={graph.num_edges}, "
-                f"kill at growing step {kill_round}, "
-                f"resumed round {recovery_ckpt.resumed_round})"
+                f"(n={graph.num_nodes}, m={graph.num_edges})"
             ),
         ),
     )
@@ -205,5 +185,3 @@ def test_fault_tolerance_overhead(stored_workload, tmp_path, monkeypatch):
             f">{CHECKPOINT_OVERHEAD_BAR:.0%} over the "
             f"checkpoint-off wall {base_wall:.2f}s"
         )
-        # The recovery run actually exercised the recovery path.
-        assert recovery_ckpt.resumed_round is not None

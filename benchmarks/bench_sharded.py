@@ -373,12 +373,12 @@ def test_big_graph_out_of_core(tmp_path_factory):
     """The regime the distributed model exists for: graph > memory.
 
     Every backend runs CLUSTER on a stored R-MAT(BIG_SCALE) in a child
-    process.  Unconstrained, all three complete bit-identically and the
+    process.  Unconstrained, both complete bit-identically and the
     in-RAM ``vector`` backend is naturally fastest.  Then the address
     space is capped between the out-of-core footprint and the
     full-graph footprint — a machine the graph does not fit on — and
-    ``vector`` fails while the sharded tiers complete: sharded is the
-    fastest (indeed only) backend family in that tier.
+    ``vector`` fails while ``sharded-ooc`` completes: the out-of-core
+    tier is the only backend that finishes there.
     """
     graph = rmat(BIG_SCALE, edge_factor=8, seed=11)
     path = tmp_path_factory.mktemp("big-graph") / f"rmat{BIG_SCALE}.rcsr"
@@ -389,8 +389,8 @@ def test_big_graph_out_of_core(tmp_path_factory):
     n, m = stored.num_nodes, stored.num_edges
     workload = f"rmat{BIG_SCALE}_cluster_stored"
 
-    # Partition once, outside any cap, so both sharded children reuse
-    # the cached shards and walls compare transport, not planning.
+    # Partition once, outside any cap, so the sharded children reuse
+    # the cached shards and walls compare execution, not planning.
     from repro.graph.partition import ensure_partitioned
 
     ensure_partitioned(path, SHARDS, graph=stored)
@@ -401,7 +401,7 @@ def test_big_graph_out_of_core(tmp_path_factory):
     # Budget: one shard comfortably, two never.
     resident_mb = max(1.0, 1.25 * max(shard_sizes) / 2**20)
 
-    backends = ("vector", "sharded", "sharded-ooc")
+    backends = ("vector", "sharded-ooc")
     unconstrained = {
         b: _spawn_big_graph_child(path, b, 0, SHARDS, resident_mb)
         for b in backends
@@ -462,11 +462,6 @@ def test_big_graph_out_of_core(tmp_path_factory):
         assert capped["sharded-ooc"]["checksum"] in checksums
         assert not capped["vector"]["ok"], (
             f"vector unexpectedly fit under the {cap} byte cap"
-        )
-        completed = {b: r for b, r in capped.items() if r["ok"]}
-        fastest = min(completed, key=lambda b: completed[b]["wall_s"])
-        assert fastest.startswith("sharded"), (
-            f"{fastest} beat the sharded tiers under the memory cap"
         )
         for b, rec in capped.items():
             rows.append(

@@ -89,8 +89,14 @@ class Clustering:
         return len(self.centers)
 
     def cluster_ids(self) -> np.ndarray:
-        """Dense 0-based cluster index per node (ordered by center id)."""
-        return np.searchsorted(self.centers, self.center)
+        """Dense 0-based cluster index per node (ordered by center id).
+
+        Centers are node ids, so one dense id → rank map answers every
+        node in O(n) (no binary search per node).
+        """
+        rank = np.empty(len(self.center), dtype=np.intp)
+        rank[self.centers] = np.arange(len(self.centers))
+        return rank[self.center]
 
     def cluster_sizes(self) -> np.ndarray:
         """Number of nodes per cluster, aligned with :attr:`centers`."""

@@ -14,7 +14,6 @@ __all__ = [
     "CorruptArtifact",
     "MemoryLimitExceeded",
     "ConfigurationError",
-    "WorkerFailure",
     "CheckpointError",
 ]
 
@@ -89,42 +88,6 @@ class MemoryLimitExceeded(ReproError):
 
 class ConfigurationError(ReproError):
     """Raised when algorithm parameters are invalid or inconsistent."""
-
-
-class WorkerFailure(ReproError):
-    """A distributed worker died, hung past its deadline, or lost its pipe.
-
-    Carries enough context to supervise: which shard (``None`` for an
-    unknown origin), which command was in flight, and
-    the growing-step ordinal the driver was executing (attached by the
-    driver, which is the only layer that knows it).  The recovery loop
-    in :mod:`repro.runtime.checkpoint` catches this, rebuilds the worker
-    pool, and replays from the last durable checkpoint (or round 0).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        shard: object = None,
-        round: object = None,
-        command: object = None,
-    ):
-        self.shard = shard
-        self.round = round
-        self.command = command
-        super().__init__(message)
-
-    def __str__(self) -> str:  # annotate lazily: round is attached late
-        base = super().__str__()
-        ctx = []
-        if self.shard is not None:
-            ctx.append(f"shard={self.shard}")
-        if self.command is not None:
-            ctx.append(f"command={self.command}")
-        if self.round is not None:
-            ctx.append(f"round={self.round}")
-        return f"{base} [{', '.join(ctx)}]" if ctx else base
 
 
 class CheckpointError(ReproError):

@@ -27,7 +27,7 @@ This module provides the storage half of that contract:
   the CSR *rows* of shard ``k``'s node set, ascending: a local
   ``indptr`` of length ``num_rows + 1`` whose ``indices`` keep
   **global** node ids.  The two int32 sidecars (memory-mapped, so
-  forked workers share their pages) give the node→shard and
+  every worker shares their pages) give the node→shard and
   node→local-row maps workers route by.  A shard-owning worker
   memory-maps exactly its rows — O(shard) pages, never the whole graph.
 

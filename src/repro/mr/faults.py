@@ -1,24 +1,19 @@
 """Deterministic fault injection for the data and process planes.
 
 ``REPRO_FAULT_PLAN`` names a schedule of faults executed at exact
-ordinals, so the crash/recovery *and* corruption test matrices are
+ordinals, so the crash/resume *and* corruption test matrices are
 reproducible down to the round::
 
-    REPRO_FAULT_PLAN="kill:shard=2,round=5;kill:shard=driver,round=9"
-    REPRO_FAULT_PLAN="delay:shard=1,round=3,seconds=2.5"
+    REPRO_FAULT_PLAN="kill:shard=driver,round=9"
     REPRO_FAULT_PLAN="corrupt:target=ckpt,round=4;enospc:target=store,round=1"
 
 Actions:
 
-``kill:shard=<k|driver>,round=<r>``
-    Kill shard worker *k* (``os._exit(1)`` — indistinguishable from a
-    SIGKILL as far as the driver's pipes are concerned; under the
-    in-process pool a simulated :class:`~repro.errors.WorkerFailure` is
-    raised instead) or the driver itself at growing-step ``r``.
-``delay:shard=<k>,round=<r>,seconds=<s>``
-    Make shard worker *k* sleep ``s`` seconds inside the step — the
-    deterministic way to trip the ``REPRO_WORKER_TIMEOUT_S`` deadline
-    supervision without an actual hang.
+``kill:shard=driver,round=<r>``
+    Kill the driver process (``os._exit(1)``, no cleanup — as a
+    SIGKILL would) at growing-step ``r``; only a durable checkpoint and
+    ``repro run --resume`` survive it.  Shard workers run inside the
+    driver, so ``driver`` is the only shard a plan can kill.
 ``ioerror:target=<store|ckpt>,round=<r>`` / ``enospc:target=...``
     Raise ``OSError(EIO)`` / ``OSError(ENOSPC)`` at the start of the
     targeted write: checkpoint round ``r`` for ``ckpt``, the ``r``-th
@@ -29,16 +24,14 @@ Actions:
     / quarantine machinery must catch.
 
 Each entry fires **once per process**: the plan is consumed as it
-triggers, so an in-process recovery replay passing through the same
-ordinal does not re-fire (the counters restored from the checkpoint
-keep the ordinal monotone, and the consumed set persists).  A resumed
-*process* starts with a fresh plan — resume tests unset the variable.
+triggers.  A resumed *process* starts with a fresh plan — resume tests
+unset the variable.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = [
     "FAULT_PLAN_ENV",
@@ -51,10 +44,10 @@ __all__ = [
 
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
-#: Sentinel shard id meaning "kill the driver process itself".
+#: The one shard a ``kill:`` entry can name: the driver process itself.
 DRIVER = "driver"
 
-_ACTIONS = ("kill", "delay", "corrupt", "ioerror", "enospc")
+_ACTIONS = ("kill", "corrupt", "ioerror", "enospc")
 _TARGETS = ("store", "ckpt")
 
 
@@ -63,8 +56,8 @@ class FaultPlan:
 
     def __init__(self, raw: str):
         self.raw = raw
-        #: (action, subject, round) -> entry dict; subject is a shard id
-        #: (int or ``DRIVER``) for kill/delay, a target name otherwise.
+        #: (action, subject, round) -> entry dict; subject is ``DRIVER``
+        #: for kill, a target name otherwise.
         self._entries: Dict[Tuple[str, object, int], dict] = {}
         self._consumed: set = set()
         for entry in raw.split(";"):
@@ -77,16 +70,20 @@ class FaultPlan:
                 raise ValueError(
                     f"unsupported fault action {action!r} in plan {raw!r}"
                 )
-            shard: Optional[object] = None
+            shard: Optional[str] = None
             rnd: Optional[int] = None
             target: Optional[str] = None
-            seconds: Optional[float] = None
             for field in params.split(","):
                 key, _, value = field.partition("=")
                 key = key.strip()
                 value = value.strip()
                 if key == "shard":
-                    shard = DRIVER if value == DRIVER else int(value)
+                    if value != DRIVER:
+                        raise ValueError(
+                            f"shard={value} in plan {raw!r}: shard workers "
+                            f"run in the driver, only shard={DRIVER} dies"
+                        )
+                    shard = value
                 elif key == "round":
                     rnd = int(value)
                 elif key == "target":
@@ -95,19 +92,15 @@ class FaultPlan:
                             f"unknown fault target {value!r} in plan {raw!r}"
                         )
                     target = value
-                elif key == "seconds":
-                    seconds = float(value)
                 else:
                     raise ValueError(
                         f"unknown fault field {key!r} in plan {raw!r}"
                     )
             if rnd is None:
                 raise ValueError(f"fault entry {entry!r} needs round=")
-            if action in ("kill", "delay"):
+            if action == "kill":
                 if shard is None:
                     raise ValueError(f"fault entry {entry!r} needs shard=")
-                if action == "delay" and seconds is None:
-                    raise ValueError(f"fault entry {entry!r} needs seconds=")
                 subject: object = shard
             else:
                 if target is None:
@@ -117,7 +110,6 @@ class FaultPlan:
                 "action": action,
                 "subject": subject,
                 "round": rnd,
-                "seconds": seconds,
             }
 
     def _consume(self, key: Tuple[str, object, int]) -> Optional[dict]:
@@ -127,38 +119,9 @@ class FaultPlan:
         self._consumed.add(key)
         return entry
 
-    def _subjects(self, action: str, ordinal: int) -> List[object]:
-        return [
-            subject
-            for (act, subject, rnd) in self._entries
-            if act == action and rnd == ordinal
-        ]
-
-    def shard_kills(self, ordinal: int) -> List[int]:
-        """Consume and return the shard ids to kill at this step ordinal.
-
-        Each (round, shard) entry fires at most once per plan instance.
-        """
-        shards: List[int] = []
-        for subject in self._subjects("kill", ordinal):
-            if subject == DRIVER:
-                continue
-            if self._consume(("kill", subject, ordinal)) is not None:
-                shards.append(subject)
-        return shards
-
     def driver_kill(self, ordinal: int) -> bool:
         """Consume and return whether the driver dies at this ordinal."""
         return self._consume(("kill", DRIVER, ordinal)) is not None
-
-    def shard_delays(self, ordinal: int) -> Dict[int, float]:
-        """Consume and return ``{shard: seconds}`` delays at this ordinal."""
-        delays: Dict[int, float] = {}
-        for subject in self._subjects("delay", ordinal):
-            entry = self._consume(("delay", subject, ordinal))
-            if entry is not None:
-                delays[subject] = float(entry["seconds"])
-        return delays
 
     def io_fault(self, target: str, ordinal: int) -> Optional[str]:
         """Consume a scheduled I/O failure for ``target`` at this ordinal.

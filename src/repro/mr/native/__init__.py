@@ -21,13 +21,11 @@ is the one spelling of "use the pure tier": it never builds or loads
 the library (the no-toolchain CI job runs the suite under it).
 
 The switches are read from the environment **per call**, so benchmarks
-and the parity suites flip tiers between runs in one process, and
-forked shard workers receive the active tier through the environment
-snapshot the driver ships on every reset.
+and the parity suites flip tiers between runs in one process.
 :func:`impl_overrides` is the config-plumbing entry (used by
 ``repro.runtime.runner``): it applies :class:`ClusterConfig` overrides
-by setting the environment for the run's duration, which is what makes
-them visible to executors forked during the run.
+by setting the environment for the run's duration, which makes them
+visible to every kernel the run calls, shard workers included.
 
 Threaded emit
 -------------
@@ -259,8 +257,7 @@ def impl_overrides(
 
     Overrides are applied through the environment (and restored on
     exit) because that is the one channel every consumer shares: the
-    in-process kernels read it per call, and shard workers receive it
-    in the environment snapshot the driver ships on every reset.
+    kernels read it per call.
     ``impl="auto"``/``None`` and ``threads=None`` defer to whatever the
     caller's environment already says.
     """
@@ -557,8 +554,9 @@ def _reset_pool_in_child() -> None:
 
     ``fork`` copies the executor object but none of its threads, so a
     child that reused it would queue emit chunks no thread ever runs
-    (the sharded backend forks its workers).  The child builds a fresh
-    pool, under a fresh lock, on first use.
+    (any caller that forks after a run, e.g. a test harness or an
+    embedding service).  The child builds a fresh pool, under a fresh
+    lock, on first use.
     """
     global _pool, _pool_size, _pool_lock
     _pool = None

@@ -1,8 +1,9 @@
-"""Owner-compute sharded execution: persistent workers, boundary exchange.
+"""Owner-compute sharded execution: persistent shard workers, boundary
+exchange.
 
-A single-process backend keeps the whole graph and growing state in
-one address space, so it cannot run a graph larger than one machine's
-memory.  This module splits both across persistent workers:
+A whole-graph backend keeps the graph and growing state in one set of
+arrays, so its resident set grows with the whole graph.  This module
+splits both across persistent shard workers:
 
 * the graph is partitioned once — the locality-aware lp assignment of
   :mod:`repro.graph.partition` — and written as per-shard GraphStore
@@ -42,12 +43,12 @@ On top of the candidate-volume reductions, two execution tiers:
   global↔local maps, so every candidate on the wire still carries
   global ids and results stay bit-identical to the whole-graph
   backends.
-* **Out-of-core residency** (``REPRO_SHARD_RESIDENT_MB``): workers run
-  sequentially in-process and their CSR mmaps are opened/released
-  under an explicit byte budget, so no two shards need be resident
-  together and graphs larger than memory stream through one shard at
-  a time.  Per-shard growing state (O(nodes + cut)) stays resident;
-  only the O(arcs) CSR pages page in and out.
+* **Out-of-core residency** (``REPRO_SHARD_RESIDENT_MB``): shard CSR
+  mmaps are opened/released under an explicit byte budget, so no two
+  shards need be resident together and graphs larger than memory
+  stream through one shard at a time.  Per-shard growing state
+  (O(nodes + cut)) stays resident; only the O(arcs) CSR pages page in
+  and out.
 
 Bit-identical results are by construction, not luck: workers inherit
 stage control, the apply half of the merge, freezing, singletons, and
@@ -61,14 +62,14 @@ is simply the row minimizing ``(nd, center, source)``.
 and the test suite's per-key reference across shard counts and
 residency budgets.
 
-The exchange is one protocol for both worker pools: each growing step
-is one ``step`` command per worker, and the cross-shard blocks a step
-produces return to the driver, which delivers them with the next
-step's command — the MR shuffle between two rounds.  The pools differ
-only in transport and residency: :class:`_PipePool` runs one forked
-process per shard behind a driver↔worker pipe (pickled NumPy arrays),
-:class:`_InprocPool` calls the same workers directly in the driver.
-The protocol is already message-passing over explicit byte streams,
+The exchange is the MR shuffle between two rounds: each growing step
+runs every worker's :meth:`_ShardWorker.exchange_step` in turn, and the
+cross-shard blocks a step produces go back to the driver, which
+delivers them with the next step.  No worker reads another shard's
+state within a round, so running the shards one after another in the
+driver process (:class:`_ShardPool`) computes exactly what concurrent
+reducers would; each shard's emit is itself multi-threaded
+(``REPRO_EMIT_THREADS``).  The protocol passes explicit arrays only,
 so a multi-host transport is a serialization detail, not a rewrite.
 """
 
@@ -77,7 +78,6 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import threading
 import time
 import weakref
 from pathlib import Path
@@ -85,7 +85,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, MemoryLimitExceeded, WorkerFailure
+from repro.errors import ConfigurationError, MemoryLimitExceeded
 from repro.mr import native as _native
 from repro.mr.emit import EmitScratch
 from repro.mr.kernels import ScatterScratch, scatter_min_rows
@@ -95,7 +95,6 @@ __all__ = [
     "ShardedExecutor",
     "ShardedGrowingState",
     "RESIDENT_ENV",
-    "WORKER_TIMEOUT_ENV",
 ]
 
 #: Candidate rows on the wire: ``(nd, center, dacc, source)``.  The
@@ -103,16 +102,9 @@ __all__ = [
 #: kernels consume only the first three columns.
 CANDIDATE_WIDTH = 4
 
-#: Out-of-core residency budget in MiB.  When set, shard workers run
-#: sequentially in-process and their CSR mmaps are LRU-released so the
-#: mapped shard bytes stay under the budget.
+#: Out-of-core residency budget in MiB.  When set, shard CSR mmaps are
+#: LRU-released so the mapped shard bytes stay under the budget.
 RESIDENT_ENV = "REPRO_SHARD_RESIDENT_MB"
-
-#: Per-command worker deadline in seconds (default 60).  A worker that
-#: neither replies nor heartbeats within the window is declared dead
-#: and the whole pool is torn down with a
-#: :class:`~repro.errors.WorkerFailure` for the recovery loop.
-WORKER_TIMEOUT_ENV = "REPRO_WORKER_TIMEOUT_S"
 
 
 def _resident_mb_from_env() -> Optional[float]:
@@ -131,14 +123,19 @@ def _resident_mb_from_env() -> Optional[float]:
     return value
 
 
-#: Kernel-selection environment, re-applied in every worker on each
-#: ``reset`` broadcast: persistent workers outlive driver-side env
-#: changes (tests and the runner's ``impl_overrides`` both mutate
-#: these between runs), so the driver ships its snapshot along.
-_KERNEL_ENV_KEYS = (
-    "REPRO_KERNEL_IMPL",
-    "REPRO_EMIT_THREADS",
-)
+def _check_worker_env() -> None:
+    """Fail closed on the kernel knobs the shard steps read, up front.
+
+    ``REPRO_KERNEL_IMPL`` and ``REPRO_EMIT_THREADS`` would otherwise
+    surface mid-run, and ``REPRO_NATIVE_BUILD_TIMEOUT_S`` only when the
+    library is not yet built; checking all three before partitioning
+    raises the :class:`ConfigurationError` naming the variable first.
+    """
+    from repro.mr.native.build import build_timeout
+
+    _native.requested_impl()
+    _native.emit_threads()
+    build_timeout()
 
 
 def _candidate_bytes(blocks) -> int:
@@ -182,8 +179,8 @@ class _Ownership:
     space (candidates on the wire, ``indices`` entries) and its local
     row space (state arrays): ownership and the global→local map come
     from the partition's two memory-mapped int32 sidecars (node→shard
-    ``owners`` and node→local-row ``localidx``), shared read-only
-    across all forked workers through the page cache.  Local row ``r``
+    ``owners`` and node→local-row ``localidx``), shared read-only by
+    all workers.  Local row ``r``
     is global node ``row_gids[r]``.
 
     ``localidx`` is order-preserving (ascending global id ↔ ascending
@@ -240,33 +237,22 @@ class _Ownership:
 class _ShardWorker(ArrayGrowingState):
     """One shard-owning worker: :class:`ArrayGrowingState` over its rows.
 
-    Lives in a forked worker process under :class:`_PipePool` (commands
-    arrive over a pipe) or directly in the driver process under
-    :class:`_InprocPool` (the out-of-core tier).  The node state, stage
-    control, freezing, singletons, and checkpoint snapshots are the
-    inherited whole-graph code over local rows ``[0, num_rows)``, with
-    ``row_gids`` mapping rows to the global ids that cross every pipe.
+    Hosted in the driver process by :class:`_ShardPool`.  The node
+    state, stage control, freezing, singletons, and checkpoint
+    snapshots are the inherited whole-graph code over local rows
+    ``[0, num_rows)``, with ``row_gids`` mapping rows to the global ids
+    that every exchanged block carries.
     This class adds only what sharding needs: the shard geometry and
     graph residency, the merge of resident and delivered candidates,
     routing of cross-shard candidates through the map-side combine and
     halo filter, and the frozen-replica ghosts.
     """
 
-    def __init__(
-        self,
-        shard_path,
-        shard_id: int,
-        spec: dict,
-        in_process: bool = False,
-    ):
+    def __init__(self, shard_path, shard_id: int, spec: dict):
         from repro.graph.serialize import open_store
 
         self.shard_path = shard_path
         self.shard_id = shard_id
-        #: Whether this worker shares the driver's process (_InprocPool):
-        #: injected faults then raise instead of ``os._exit`` — exiting
-        #: would take the driver down with the "worker".
-        self.in_process = in_process
         own = _Ownership(shard_id, spec)
         self.own = own
 
@@ -381,22 +367,11 @@ class _ShardWorker(ArrayGrowingState):
         scratch.weights = shard.weights
         self.graph_open = True
 
-    # -- commands ------------------------------------------------------ #
+    # -- calls from the driver ---------------------------------------- #
 
-    def reset(self, env: Optional[dict] = None):
-        if env is not None:
-            # Sync the kernel-selection environment from the driver:
-            # this worker may predate the driver's current overrides.
-            for key in _KERNEL_ENV_KEYS:
-                if key in env:
-                    os.environ[key] = env[key]
-                else:
-                    os.environ.pop(key, None)
+    def reset(self) -> None:
         super().reset()
         self.r_frozen.fill(False)
-        # The resolved kernel tier, as seen by the process that will
-        # actually run the emit kernels; stamped into Counters.impl.
-        return _native.resolved_info()
 
     def discard_candidates(self) -> None:
         super().discard_candidates()
@@ -453,24 +428,9 @@ class _ShardWorker(ArrayGrowingState):
         self.r_frozen_iter[idx] = iteration
 
     def exchange_step(
-        self, delta, force, rescale, iteration, incoming, replicas, fault=None
+        self, delta, force, rescale, iteration, incoming, replicas
     ):
-        """One growing step of this shard (the ``step`` command)."""
-        if fault == "kill":
-            # REPRO_FAULT_PLAN injection: die exactly like a SIGKILL —
-            # no unwinding, no pipe goodbye — so the supervision path
-            # under test is the real one.  In-process "workers" raise a
-            # simulated failure instead (they share the driver).
-            if self.in_process:
-                raise WorkerFailure(
-                    "injected fault", shard=self.shard_id, command="step"
-                )
-            os._exit(1)
-        if isinstance(fault, tuple) and fault[0] == "delay":
-            # delay: injection — a deterministic stall inside the step,
-            # the controlled way to trip REPRO_WORKER_TIMEOUT_S deadline
-            # supervision without an actual hang.
-            time.sleep(float(fault[1]))
+        """One growing step of this shard."""
         for block in replicas:
             self.apply_replicas(*block)
 
@@ -746,430 +706,30 @@ class _ShardWorker(ArrayGrowingState):
         )
 
 
-def _dispatch(worker: _ShardWorker, command: str, args):
-    """Run one driver command — shared by the pipe loop and _InprocPool."""
-    if command == "step":
-        return worker.exchange_step(*args)
-    if command == "uncovered":
-        return worker.uncovered()
-    if command == "begin_stage":
-        return worker.begin_stage(*args)
-    if command == "freeze_assigned":
-        return worker.freeze_and_replicate(*args)
-    if command == "make_singletons":
-        return worker.make_singletons(*args)
-    if command == "discard":
-        return worker.discard_candidates()
-    if command == "reset":
-        return worker.reset(*args)
-    if command == "snapshot":
-        return worker.snapshot_arrays()
-    if command == "restore":
-        return worker.restore_arrays(*args)
-    raise ValueError(f"unknown worker command {command!r}")
-
-
-def _worker_timeout() -> float:
-    """Per-command deadline in seconds (``REPRO_WORKER_TIMEOUT_S``, 60).
-
-    Anything but a positive finite number is a configuration error
-    naming the variable, not a silent fall-back to the default.
-    """
-    raw = os.environ.get(WORKER_TIMEOUT_ENV)
-    if not raw:
-        return 60.0
-    try:
-        timeout = float(raw)
-    except ValueError:
-        timeout = None
-    if timeout is None or not 0 < timeout < float("inf"):
-        raise ConfigurationError(
-            f"{WORKER_TIMEOUT_ENV}={raw!r} is not a positive number of "
-            "seconds"
-        )
-    return timeout
-
-
-def _check_worker_env() -> None:
-    """Fail closed on the knobs shard workers read, before any fork.
-
-    A worker resolving a malformed value itself would surface it as a
-    worker traceback mid-run; the driver raises the
-    :class:`ConfigurationError` naming the variable up front instead.
-    """
-    from repro.mr.native.build import build_timeout
-
-    _worker_timeout()
-    _native.requested_impl()
-    _native.emit_threads()
-    build_timeout()
-
-
-def _hb_interval(timeout: float) -> float:
-    """Heartbeat period: several beats fit inside one deadline window."""
-    return min(5.0, timeout / 4.0)
-
-
-def _hb_loop(conn, lock, busy, stop, interval) -> None:
-    """Worker-side heartbeat: ``("hb",)`` frames while a command runs.
-
-    Beats are sent **only while a command is executing** (the ``busy``
-    window): an idle worker writing unacknowledged frames would
-    eventually fill the pipe buffer and deadlock against the driver —
-    serve keeps workers warm between queries for hours.  During a
-    command the driver drains the pipe continuously, so in-window beats
-    are always consumed; each one pushes the driver's deadline out, so
-    a *slow* round is distinguished from a *dead* worker no matter how
-    long the round runs.  The send lock is shared with the reply path —
-    a beat interleaved into a reply frame would corrupt the stream.
-    """
-    while not stop.is_set():
-        if not busy.wait(timeout=0.25):
-            continue
-        while busy.is_set() and not stop.is_set():
-            if stop.wait(interval):
-                return
-            if not busy.is_set():
-                break
-            with lock:
-                if not busy.is_set():
-                    break
-                try:
-                    conn.send(("hb",))
-                except (OSError, ValueError):  # driver gone
-                    return
-
-
-def _orphan_watchdog(stop, ppid) -> None:
-    """Exit when the driver process disappears.
-
-    A driver killed with SIGKILL (or ``os._exit``, as the fault plan's
-    ``shard=driver`` injection does) never runs the pool's close path,
-    and EOF alone cannot unwind the pool: each forked worker inherits
-    copies of the earlier workers' driver-pipe ends, so the orphans
-    keep each other's pipes open in a ring.  Reparenting is the one
-    signal that survives any driver death, so every worker polls its
-    parent pid and exits once it changes.
-    """
-    while not stop.wait(1.0):
-        if os.getppid() != ppid:
-            os._exit(2)
-
-
-def _shard_worker_main(conn, shard_path, shard_id, spec):
-    """Entry point of a shard-owning worker process."""
-    watchdog_stop = threading.Event()
-    threading.Thread(
-        target=_orphan_watchdog,
-        args=(watchdog_stop, os.getppid()),
-        daemon=True,
-    ).start()
-    try:
-        worker = _ShardWorker(shard_path, shard_id, spec)
-    except BaseException as exc:  # noqa: BLE001 - reported to the driver
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        conn.close()
-        return
-    send_lock = threading.Lock()
-    busy = threading.Event()
-    stop = threading.Event()
-    timeout = _worker_timeout()
-    hb_thread = threading.Thread(
-        target=_hb_loop,
-        args=(conn, send_lock, busy, stop, _hb_interval(timeout)),
-        daemon=True,
-    )
-    hb_thread.start()
-    with send_lock:
-        conn.send(("ok", None))
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        command = message[0]
-        if command == "close":
-            stop.set()
-            with send_lock:
-                conn.send(("ok", None))
-            break
-        busy.set()
-        try:
-            reply = _dispatch(worker, command, message[1:])
-            busy.clear()
-            with send_lock:
-                conn.send(("ok", reply))
-        except BaseException:  # noqa: BLE001 - reported to the driver
-            import traceback
-
-            busy.clear()
-            with send_lock:
-                conn.send(("error", traceback.format_exc()))
-    stop.set()
-    conn.close()
-
-
 # --------------------------------------------------------------------- #
-# Worker pools
+# Worker pool
 # --------------------------------------------------------------------- #
 
 
-def _check_fd_budget(num_shards: int) -> None:
-    """Refuse a pipe pool the open-file limit cannot hold.
+class _ShardPool:
+    """The shard workers, hosted in the driver process.
 
-    The driver holds, per worker, a command pipe pair and the process
-    sentinel while it forks.  Past ``RLIMIT_NOFILE`` some ``pipe()`` or
-    fork fails with a raw ``EMFILE`` halfway through the spawn, so
-    check the need up front and raise a :class:`ConfigurationError`
-    that names it.
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX hosts
-        return
-    soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-    if soft == resource.RLIM_INFINITY:
-        return
-    try:
-        already_open = len(os.listdir("/proc/self/fd"))
-    except OSError:  # pragma: no cover - no procfs
-        already_open = 0
-    need = 3 * num_shards + already_open
-    if need > soft:
-        raise ConfigurationError(
-            f"sharded executor with {num_shards} shards needs {need} open "
-            f"file descriptors ({3 * num_shards} for worker pipes, "
-            f"{already_open} already open) but the limit (RLIMIT_NOFILE) "
-            f"is {soft}; use fewer shards or raise the limit"
-        )
-
-
-class _PipePool:
-    """Forked worker processes driven over per-worker command pipes.
-
-    The default pool: one persistent process per shard, commands and
-    replies — cross-shard candidate blocks included — over a dedicated
-    driver↔worker pipe.
-    """
-
-    kind = "pipe"
-
-    def __init__(self, shard_paths, spec):
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        self.num_shards = len(shard_paths)
-        _check_fd_budget(self.num_shards)
-        self._procs: List = []
-        self._conns: List = []
-        self._early: Dict[int, tuple] = {}
-        for k, path in enumerate(shard_paths):
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker_main,
-                args=(child, str(path), k, spec),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            self._procs.append(proc)
-            self._conns.append(parent)
-        for k, conn in enumerate(self._conns):
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError) as exc:
-                self.terminate()
-                raise WorkerFailure(
-                    f"shard worker {k} died during startup: {exc!r}",
-                    shard=k,
-                ) from exc
-            if status != "ok":
-                self.close()
-                raise RuntimeError(
-                    f"shard worker {k} failed to start: {payload}"
-                )
-
-    def broadcast(self, command: str, per_worker=None):
-        """Send one command to every worker and gather the replies.
-
-        ``per_worker`` supplies each worker's argument (a tuple is
-        splatted into the command message).  All sends complete before
-        any receive, so workers proceed in lockstep without deadlock.
-
-        Supervision: any send or receive failure — broken pipe, EOF, a
-        dead process, or a deadline miss with no heartbeat — terminates
-        the **whole pool** and raises :class:`WorkerFailure`.  Never
-        heal the pool in place: a single-worker respawn could not
-        restore cross-shard consistency (the dead shard's state and its
-        undelivered candidates are gone).  The recovery loop respawns
-        everything from the last checkpoint.
-        Worker-side Python exceptions (shipped back as tracebacks) stay
-        ``RuntimeError`` — the worker is alive and consistent, that is
-        an application error, not a fault.
-        """
-        if not self._conns:
-            raise RuntimeError("sharded workers are not running")
-        #: replies recovered out of order from a worker that finished a
-        #: command and *then* died — consumed by index in _recv_reply.
-        self._early: Dict[int, tuple] = {}
-        for k, conn in enumerate(self._conns):
-            try:
-                if per_worker is None:
-                    conn.send((command,))
-                else:
-                    args = per_worker[k]
-                    if not isinstance(args, tuple):
-                        args = (args,)
-                    conn.send((command,) + args)
-            except (OSError, ValueError, InterruptedError) as exc:
-                self.terminate()
-                raise WorkerFailure(
-                    f"lost pipe to shard worker {k}: {exc!r}",
-                    shard=k,
-                    command=command,
-                ) from exc
-        timeout = _worker_timeout()
-        replies = []
-        errors = []
-        try:
-            for k in range(len(self._conns)):
-                status, payload = self._recv_reply(k, timeout)
-                if status == "ok":
-                    replies.append(payload)
-                else:
-                    errors.append(f"shard worker {k}: {payload}")
-        except WorkerFailure as exc:
-            if exc.command is None:
-                exc.command = command
-            self.terminate()
-            raise
-        if errors:
-            raise RuntimeError(
-                "sharded execution failed:\n" + "\n".join(errors)
-            )
-        return replies
-
-    def _recv_reply(self, k: int, timeout: float):
-        """One worker's reply, with heartbeat-extended deadline.
-
-        Polls in short slices so a *different* worker's death is
-        noticed promptly even while this one's (possibly long) round is
-        still running, instead of only after worker *k*'s reply or
-        deadline.  ``poll(0)`` alone cannot distinguish a dead
-        worker (EOF *is* readable) from one with a buffered reply, so
-        the scan drains the dead worker's pipe: a complete non-heartbeat
-        frame means it finished the command before dying (stashed for
-        its in-order turn); EOF or heartbeats-only means it died
-        mid-command — whole-pool failure.
-        """
-        conn = self._conns[k]
-        deadline = time.monotonic() + timeout
-        while True:
-            early = self._early.pop(k, None)
-            if early is not None:
-                return early
-            try:
-                if conn.poll(0.05):
-                    message = conn.recv()
-                    if message[0] == "hb":
-                        deadline = time.monotonic() + timeout
-                        continue
-                    return message
-            except (EOFError, OSError, InterruptedError) as exc:
-                raise WorkerFailure(
-                    f"shard worker {k} died mid-command: {exc!r}", shard=k
-                ) from exc
-            for j, proc in enumerate(self._procs):
-                if proc.is_alive() or j in self._early or j == k:
-                    continue
-                reply = None
-                try:
-                    while self._conns[j].poll(0):
-                        frame = self._conns[j].recv()
-                        if frame[0] != "hb":
-                            reply = frame
-                            break
-                except (EOFError, OSError):
-                    reply = None
-                if reply is None:
-                    raise WorkerFailure(
-                        f"shard worker {j} died "
-                        f"(exit code {proc.exitcode})",
-                        shard=j,
-                    )
-                self._early[j] = reply
-            if time.monotonic() > deadline:
-                raise WorkerFailure(
-                    f"shard worker {k} missed its deadline "
-                    f"({timeout:.0f}s without reply or heartbeat)",
-                    shard=k,
-                )
-
-    def terminate(self) -> None:
-        """Kill the pool without the polite close handshake.
-
-        Used when a worker is already dead or wedged: sending
-        ``("close",)`` and joining would block on broken pipes.
-        """
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-                if proc.is_alive():  # pragma: no cover - unkillable
-                    proc.kill()
-                    proc.join(timeout=5)
-        self._procs = []
-        self._conns = []
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("close",))
-            except (OSError, ValueError):
-                pass
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=5)
-        self._procs = []
-        self._conns = []
-
-
-class _InprocPool:
-    """Sequential in-process shard workers under a residency budget.
-
-    The out-of-core tier: every :class:`_ShardWorker` lives in the
-    driver process and commands dispatch directly (no pipes, no
-    pickle).  The pool holds shard CSR mmaps open LRU-style
-    under ``resident_bytes``: a worker's graph is (re)opened only for
-    its ``step`` — the only command that reads CSR arrays; merge, ghost
+    Calls run on one worker after another, in shard order.  With no
+    ``resident_bytes`` budget every shard's CSR stays mapped.  With one
+    (the out-of-core tier) the pool holds shard CSR mmaps open LRU-style
+    under the budget: a worker's graph is (re)opened only for its
+    growing step — the only call that reads CSR arrays; merge, ghost
     regeneration, and stage control run on resident O(nodes + cut)
     copies — and the coldest open shards are fully unmapped first.  At
     most one shard *needs* to be mapped at a time, so the peak mapped
     footprint is ``max(budget, largest shard)`` no matter how big the
-    graph is.  Results are bit-identical to the pipe pool's: same
-    workers, same command order, same delivery timing.
+    graph is.  The budget changes when shards are mapped, never what
+    they compute.
     """
 
-    kind = "inproc"
-
-    def __init__(self, shard_paths, spec, resident_bytes: int):
+    def __init__(self, shard_paths, spec, resident_bytes: Optional[int]):
         self.num_shards = len(shard_paths)
-        self.resident_bytes = int(resident_bytes)
+        self.resident_bytes = resident_bytes
         self._sizes = [os.path.getsize(p) for p in shard_paths]
         self._open: List[int] = []  # open shard ids, coldest first
         self._open_bytes = 0
@@ -1183,12 +743,12 @@ class _InprocPool:
             # make room *before* the worker opens its store, so even
             # the build phase respects the budget.
             self._make_room(self._sizes[k])
-            self.workers.append(
-                _ShardWorker(str(path), k, spec, in_process=True)
-            )
+            self.workers.append(_ShardWorker(str(path), k, spec))
             self._note_open(k)
 
     def _make_room(self, need: int) -> None:
+        if self.resident_bytes is None:
+            return
         while self._open and self._open_bytes + need > self.resident_bytes:
             victim = self._open.pop(0)
             self.workers[victim].release_graph()
@@ -1211,12 +771,17 @@ class _InprocPool:
         self.workers[shard].acquire_graph()
         self._note_open(shard)
 
-    def broadcast(self, command: str, per_worker=None):
+    def broadcast(self, method: str, per_worker=None):
+        """Call ``method`` on every worker in shard order; the replies.
+
+        ``per_worker`` supplies each worker's argument (a tuple is
+        splatted into the call).
+        """
         if not self.workers:
             raise RuntimeError("sharded workers are not running")
         replies = []
         for k, worker in enumerate(self.workers):
-            if command == "step":
+            if method == "exchange_step":
                 self._acquire(k)
             if per_worker is None:
                 args = ()
@@ -1224,7 +789,7 @@ class _InprocPool:
                 args = per_worker[k]
                 if not isinstance(args, tuple):
                     args = (args,)
-            replies.append(_dispatch(worker, command, args))
+            replies.append(getattr(worker, method)(*args))
         return replies
 
     def close(self) -> None:
@@ -1269,21 +834,10 @@ class ShardedGrowingState:
         self.executor = executor
         executor._ensure_workers(graph)
         self.plan = executor.plan
-        # Reset every worker, shipping the driver's kernel-selection
-        # environment (persistent workers may predate it), and stamp
-        # the workers' *own* resolved tier into the run's impl info —
-        # the workers do the emitting, so their resolution is the one
-        # benchmarks must report.
-        env = {
-            key: os.environ[key]
-            for key in _KERNEL_ENV_KEYS
-            if key in os.environ
-        }
-        replies = executor._broadcast(
-            "reset", per_worker=[(env,)] * executor.num_shards
-        )
-        if replies and isinstance(replies[0], dict):
-            engine.counters.impl.update(replies[0])
+        executor._broadcast("reset")
+        # The resolved kernel tier the shard steps will run, for the
+        # benchmark records (outside the comparable snapshot).
+        engine.counters.impl.update(_native.resolved_info())
         # remote[dest] -> list of (keys, values) awaiting delivery.
         self._remote: Dict[int, List] = {}
         # replica_updates[dest] -> list of freeze blocks to deliver.
@@ -1324,13 +878,7 @@ class ShardedGrowingState:
         rescale: float = 0.0,
         iteration: int = 0,
     ) -> Tuple[int, int]:
-        from repro.mr.faults import get_fault_plan
-
         num_shards = self.executor.num_shards
-        ordinal = engine.counters.growing_steps + 1
-        plan = get_fault_plan()
-        fault_shards = set(plan.shard_kills(ordinal)) if plan else ()
-        fault_delays = plan.shard_delays(ordinal) if plan else {}
         deliver, self._remote = self._remote, {}
         replicas, self._replica_updates = self._replica_updates, {}
         per_worker = []
@@ -1344,39 +892,23 @@ class ShardedGrowingState:
                 for block in ghosts
             )
             per_worker.append(
-                (
-                    delta,
-                    force,
-                    rescale,
-                    iteration,
-                    incoming,
-                    ghosts,
-                    "kill"
-                    if k in fault_shards
-                    else ("delay", fault_delays[k])
-                    if k in fault_delays
-                    else None,
-                )
+                (delta, force, rescale, iteration, incoming, ghosts)
             )
-        # Fixed per-worker command overhead (params + framing), so the
+        # Fixed per-worker step overhead (the step parameters), so the
         # accounting never reads zero on an idle round.
         shipped += 64 * num_shards
         step_start = time.perf_counter()
-        try:
-            replies = self.executor._broadcast("step", per_worker=per_worker)
-        except WorkerFailure as exc:
-            if exc.round is None:
-                exc.round = ordinal
-            raise
+        replies = self.executor._broadcast("exchange_step", per_worker)
         step_wall = time.perf_counter() - step_start
-        # Per-phase timers: the critical path (slowest shard) of each
-        # worker-reported phase; everything else — pickling, pipe
-        # transport, scheduling — is the exchange, booked as shuffle.
+        # Per-phase timers: the shards step one after another, so each
+        # worker-reported phase costs the sum over shards; the rest of
+        # the step wall — routing and concatenating the exchanged
+        # blocks — is booked as shuffle.
         compute = 0.0
         for phase in ("emit", "reduce", "apply"):
-            worst = max((r["times"][phase] for r in replies), default=0.0)
-            engine.counters.add_time(phase, worst)
-            compute += worst
+            total = sum(r["times"][phase] for r in replies)
+            engine.counters.add_time(phase, total)
+            compute += total
         engine.counters.add_time("shuffle", max(0.0, step_wall - compute))
 
         merged = sum(r["merged"] for r in replies)
@@ -1427,11 +959,11 @@ class ShardedGrowingState:
     def discard_candidates(self) -> None:
         self._remote = {}
         self._emitted_last = 0
-        self.executor._broadcast("discard")
+        self.executor._broadcast("discard_candidates")
 
     def freeze_assigned(self, iteration: int = 0) -> int:
         replies = self.executor._broadcast(
-            "freeze_assigned",
+            "freeze_and_replicate",
             per_worker=[iteration] * self.executor.num_shards,
         )
         total = 0
@@ -1465,7 +997,7 @@ class ShardedGrowingState:
         sharded run under ``vector``.
         """
         arrays: Dict[str, np.ndarray] = {}
-        for k, part in enumerate(self.executor._broadcast("snapshot")):
+        for k, part in enumerate(self.executor._broadcast("snapshot_arrays")):
             rows = self.plan.shard_rows(k)
             for name, column in part.items():
                 if name not in arrays:
@@ -1481,7 +1013,8 @@ class ShardedGrowingState:
         safe point an uninterrupted run holds none either.
         """
         self.executor._broadcast(
-            "restore", per_worker=[(arrays,)] * self.executor.num_shards
+            "restore_arrays",
+            per_worker=[(arrays,)] * self.executor.num_shards,
         )
         self._remote = {}
         self._replica_updates = {}
@@ -1491,7 +1024,7 @@ class ShardedGrowingState:
 class ShardedExecutor:
     """Owner-compute backend: persistent shard workers, boundary exchange.
 
-    Construction is cheap; workers spawn lazily on first use (when a
+    Construction is cheap; workers start lazily on first use (when a
     driver asks for a growing state) and persist until :meth:`close` —
     across stages, Δ doublings, and both phases of CLUSTER2.  Each
     worker memory-maps one ``part-k.rcsr`` of the graph's partitioned
@@ -1510,16 +1043,15 @@ class ShardedExecutor:
         Worker/shard count (default: CPU count).
     resident_mb:
         Out-of-core residency budget in MiB (env
-        ``REPRO_SHARD_RESIDENT_MB``).  When set, workers run
-        sequentially in-process and shard CSR mmaps are LRU-released
-        to keep the mapped bytes under the budget — the big-graph
-        tier.
+        ``REPRO_SHARD_RESIDENT_MB``).  When set, shard CSR mmaps are
+        LRU-released to keep the mapped bytes under the budget — the
+        big-graph tier.  Unset, every shard stays mapped.
 
     Attributes
     ----------
     plan:
         The :class:`~repro.graph.partition.PartitionPlan` in effect
-        (after workers spawn).
+        (after the workers start).
     bytes_shipped_per_round:
         Bytes delivered to workers each growing step: the cross-shard
         candidate blocks of the previous step plus one-time
@@ -1566,12 +1098,12 @@ class ShardedExecutor:
 
     @property
     def max_resident_bytes(self) -> Optional[int]:
-        """Out-of-core pool's peak mapped shard bytes (else ``None``)."""
+        """Peak mapped shard bytes (``None`` before the workers start)."""
         return getattr(self._pool, "max_resident_bytes", None)
 
     @property
     def max_open_shards(self) -> Optional[int]:
-        """Out-of-core pool's peak concurrently-mapped shard count."""
+        """Peak concurrently-mapped shard count (``None`` before start)."""
         return getattr(self._pool, "max_open_shards", None)
 
     # -- growing-state factory ----------------------------------------- #
@@ -1623,20 +1155,17 @@ class ShardedExecutor:
             "localidx_path": str(directory / LOCALIDX_NAME),
         }
         shard_paths = [str(p) for p in self.partitioned.shard_paths]
-        if self.resident_bytes is not None:
-            self._pool = _InprocPool(shard_paths, spec, self.resident_bytes)
-        else:
-            self._pool = _PipePool(shard_paths, spec)
+        self._pool = _ShardPool(shard_paths, spec, self.resident_bytes)
         self.spawn_count += 1
         self._graph = graph
         self._finalizer = weakref.finalize(
             self, self._cleanup, self._pool, self._tmpdir
         )
 
-    def _broadcast(self, command: str, per_worker=None):
+    def _broadcast(self, method: str, per_worker=None):
         if self._pool is None:
             raise RuntimeError("sharded workers are not running")
-        return self._pool.broadcast(command, per_worker)
+        return self._pool.broadcast(method, per_worker)
 
     @staticmethod
     def _cleanup(pool, tmpdir) -> None:
@@ -1646,13 +1175,14 @@ class ShardedExecutor:
             shutil.rmtree(tmpdir, ignore_errors=True)
 
     def close(self) -> None:
-        """Shut down the workers and remove any private temp store."""
+        """Release the shard workers and remove any private temp store."""
         if self._finalizer is not None:
             self._finalizer()  # runs _cleanup once, then detaches
             self._finalizer = None
         elif self._pool is not None or self._tmpdir is not None:
-            # No finalizer yet: the pool failed to start (e.g. the fd
-            # budget check) after the private temp store was written.
+            # No finalizer yet: the pool failed to start (e.g. a shard
+            # store failed to open) after the private temp store was
+            # written.
             self._cleanup(self._pool, self._tmpdir)
         self._pool = None
         self._tmpdir = None

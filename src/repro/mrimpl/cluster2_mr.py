@@ -13,13 +13,11 @@ not exercise.
 Like :func:`~repro.mrimpl.cluster_mr.mr_cluster`, the driver runs batch
 rounds on ``vector`` and ``sharded`` alike — same results either way.
 
-Fault tolerance mirrors the CLUSTER driver: the public entry wraps both
-phases in one :func:`~repro.runtime.checkpoint.recovery_loop` (phase 1
-runs through the internal, non-recovering ``_mr_cluster`` so a worker
-failure never nests two retry loops), and phase 2 adds its own safe
-point at the top of each iteration.  A phase-2 cursor carries the only
-facts phase 1 feeds forward — the base radius, τ, and stage list — so
-resuming a phase-2 checkpoint skips phase 1 entirely.
+Fault tolerance mirrors the CLUSTER driver: phase 1 runs through the
+internal ``_mr_cluster`` with the same checkpointer, and phase 2 adds
+its own safe point at the top of each iteration.  A phase-2 cursor
+carries the only facts phase 1 feeds forward — the base radius, τ, and
+stage list — so resuming a phase-2 checkpoint skips phase 1 entirely.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.mr.engine import MREngine
 from repro.mr.faults import maybe_kill_driver
-from repro.mrimpl.cluster_mr import _mr_cluster
+from repro.mrimpl.cluster_mr import _distinct_centers, _mr_cluster
 from repro.mrimpl.growing_mr import make_growing_state, owned_engine
 from repro.util import as_rng
 
@@ -65,17 +63,15 @@ def mr_cluster2(
     if graph.num_nodes == 0:
         raise ConfigurationError("cannot cluster the empty graph")
 
-    from repro.runtime.checkpoint import recovery_loop
-
     with owned_engine(graph, config, engine) as eng:
-        return recovery_loop(
-            eng,
-            checkpoint,
-            resume,
-            lambda payload: _mr_cluster2(
-                graph, config, eng, checkpoint=checkpoint, resume=payload
-            ),
+        clustering = _mr_cluster2(
+            graph, config, eng, checkpoint=checkpoint, resume=resume
         )
+        if checkpoint is not None:
+            # Drain the write-behind thread: the run's checkpoints are
+            # durable by the time the driver returns.
+            checkpoint.flush()
+        return clustering
 
 
 def _mr_cluster2(
@@ -183,7 +179,7 @@ def _mr_cluster2(
     clustering = Clustering(
         center=center,
         dist_to_center=dacc,
-        centers=np.unique(center),
+        centers=_distinct_centers(center),
         radius=float(dacc.max()) if n else 0.0,
         delta_end=delta,
         tau=base_tau,

@@ -14,17 +14,14 @@ whole-graph :class:`~repro.mrimpl.growing_mr.ArrayGrowingState` on
 results, which the backend-equivalence tests assert against the test
 suite's paper-literal per-key reducer program.
 
-Fault tolerance: the public entry wraps the driver in
-:func:`~repro.runtime.checkpoint.recovery_loop` — a
-:class:`~repro.errors.WorkerFailure` tears the executor down and replays
-from the last durable checkpoint (or round 0).  Checkpoints are taken at
-the driver's **safe points** — the top of each stage and the top of each
-Δ-growth phase — where no candidates are in flight, the ``changed`` mask
-is clear, and the previous round emitted nothing, so a snapshot is just
-the state arrays plus this driver's loop cursor and restores onto any
-backend.  The :mod:`~repro.mr.faults` kill schedule fires at growing-step
-ordinals inside the growth loops, which is what makes the recovery test
-matrix deterministic.
+Fault tolerance: checkpoints are taken at the driver's **safe points**
+— the top of each stage and the top of each Δ-growth phase — where no
+candidates are in flight, the ``changed`` mask is clear, and the
+previous round emitted nothing, so a snapshot is just the state arrays
+plus this driver's loop cursor and restores onto any backend; a killed
+driver resumes from the newest one.  The :mod:`~repro.mr.faults`
+driver-kill schedule fires at growing-step ordinals inside the growth
+loops, which is what makes the resume test matrix deterministic.
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ def mr_cluster(
         memory for the densest node's reducer group.
     checkpoint:
         Optional :class:`~repro.runtime.checkpoint.RunCheckpointer`;
-        enables safe-point snapshots and checkpointed worker recovery.
+        enables safe-point snapshots.
     resume:
         Optional checkpoint payload (from
         :meth:`~repro.runtime.checkpoint.RunCheckpointer.load_latest`)
@@ -89,17 +86,26 @@ def mr_cluster(
     if graph.num_nodes == 0:
         raise ConfigurationError("cannot cluster the empty graph")
 
-    from repro.runtime.checkpoint import recovery_loop
-
     with owned_engine(graph, config, engine) as eng:
-        return recovery_loop(
-            eng,
-            checkpoint,
-            resume,
-            lambda payload: _mr_cluster(
-                graph, config, eng, checkpoint=checkpoint, resume=payload
-            ),
+        clustering = _mr_cluster(
+            graph, config, eng, checkpoint=checkpoint, resume=resume
         )
+        if checkpoint is not None:
+            # Drain the write-behind thread: the run's checkpoints are
+            # durable by the time the driver returns.
+            checkpoint.flush()
+        return clustering
+
+
+def _distinct_centers(center: np.ndarray) -> np.ndarray:
+    """``np.unique(center)`` for a complete assignment over node ids.
+
+    Every entry is a node id in ``[0, len(center))``, so one mark and
+    its ``flatnonzero`` give the sorted distinct centers in O(n).
+    """
+    mark = np.zeros(len(center), dtype=bool)
+    mark[center] = True
+    return np.flatnonzero(mark).astype(center.dtype, copy=False)
 
 
 def _growth_cursor(
@@ -324,7 +330,7 @@ def _mr_cluster(
     clustering = Clustering(
         center=center,
         dist_to_center=dacc,
-        centers=np.unique(center),
+        centers=_distinct_centers(center),
         radius=float(dacc.max()) if n else 0.0,
         delta_end=delta,
         tau=tau_val,

@@ -44,14 +44,13 @@ def mr_approximate_diameter(
     built from ``config.executor`` when not supplied — runs the whole
     pipeline, so the estimate, round count, and update counts are
     identical on every backend.  An engine constructed here has its
-    executor closed before returning (the ``sharded`` backend owns
-    worker processes).  ``num_workers`` sets the constructed engine's
-    simulated machine count (the shard count for ``sharded``; ``None``
-    means the backend default); it is ignored when an ``engine`` is
-    passed.  ``checkpoint``/``resume``
-    are forwarded to the decomposition driver (the only long-running
-    part of the pipeline) as in
-    :func:`~repro.mrimpl.cluster_mr.mr_cluster`.
+    executor closed before returning (the ``sharded`` backend holds
+    shard maps and may own a temp store).  ``num_workers`` sets the
+    constructed engine's simulated machine count (the shard count for
+    ``sharded``; ``None`` means the backend default); it is ignored when
+    an ``engine`` is passed.  ``checkpoint``/``resume`` are forwarded
+    to the decomposition driver (the only long-running part of the
+    pipeline) as in :func:`~repro.mrimpl.cluster_mr.mr_cluster`.
     """
     config = config or ClusterConfig()
     if tau is not None:

@@ -1,17 +1,16 @@
 """Round-level checkpoints for the MR clustering drivers.
 
 The paper's algorithms target MapReduce runtimes whose defining
-operational property is surviving worker failure mid-job; this module is
-that property for the reproduction.  A :class:`CheckpointPolicy`
+operational property is surviving failure mid-job; this module is that
+property for the reproduction.  A :class:`CheckpointPolicy`
 (``REPRO_CHECKPOINT_EVERY=<rounds|seconds>``, off by default) arms a
 :class:`RunCheckpointer` that atomically snapshots the growing state —
 the global ``ClusterState`` arrays, the changed mask, the driver's
 stage/Δ cursor, the RNG bit-generator state, and the ``Counters``
 snapshot — to ``<dir>/round-<r>/`` with a manifest + sha256.  A killed
 driver resumes from the last durable round (``repro run --resume``) and
-a killed shard worker is replayed from it by :func:`recovery_loop`; both
-paths finish bit-identical (clusterings AND counters) to an
-uninterrupted run, because every snapshot is taken at a *safe point*.
+finishes bit-identical (clusterings AND counters) to an uninterrupted
+run, because every snapshot is taken at a *safe point*.
 
 Safe points
 -----------
@@ -54,11 +53,11 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import CheckpointError, ConfigurationError, WorkerFailure
+from repro.errors import CheckpointError
 from repro.integrity import (
     preflight_free_space,
     quarantine_artifact,
@@ -69,7 +68,6 @@ __all__ = [
     "CHECKPOINT_EVERY_ENV",
     "CHECKPOINT_DIR_ENV",
     "CKPT_RETAIN_ENV",
-    "WORKER_RETRIES_ENV",
     "CheckpointPolicy",
     "RetentionPolicy",
     "RunCheckpointer",
@@ -77,7 +75,6 @@ __all__ = [
     "collect_garbage",
     "latest_metadata",
     "list_checkpoints",
-    "recovery_loop",
     "run_key",
 ]
 
@@ -89,11 +86,9 @@ CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 #: Retention policy for published rounds: ``<count>`` newest rounds,
 #: ``<age>[smhd]`` by round mtime, or ``<bytes>[KMG]B`` total budget.
 CKPT_RETAIN_ENV = "REPRO_CKPT_RETAIN"
-#: Replay attempts after a WorkerFailure before giving up (default 2).
-WORKER_RETRIES_ENV = "REPRO_WORKER_RETRIES"
 
 #: Floor on retained rounds: whatever the policy says, the newest 3
-#: survive — recovery always has a durable round plus two fallbacks.
+#: survive — a resume always has a durable round plus two fallbacks.
 _KEEP_ROUNDS = 3
 
 _ARRAY_FIELDS = ("center", "dist", "dist_acc", "frozen", "frozen_iter", "changed")
@@ -160,8 +155,8 @@ class RetentionPolicy:
       the budget (``"500MB"``, ``"2GB"``).
 
     Whatever the policy, the newest :data:`_KEEP_ROUNDS` rounds are
-    never deleted — a recovery replay must always find a durable round
-    plus fallbacks, even under an aggressive age/byte budget.
+    never deleted — a resume must always find a durable round plus
+    fallbacks, even under an aggressive age/byte budget.
     """
 
     count: Optional[int] = None
@@ -291,8 +286,8 @@ class RunCheckpointer:
     """Writer/reader of one run's checkpoint tree.
 
     One instance per ``runtime.run`` invocation; the drivers call
-    :meth:`maybe_save` at every safe point and :func:`recovery_loop`
-    calls :meth:`load_latest` when replaying after a worker failure.
+    :meth:`maybe_save` at every safe point, and ``--resume`` calls
+    :meth:`load_latest` to restart from the newest durable round.
     """
 
     def __init__(
@@ -787,84 +782,6 @@ def latest_metadata(directory: os.PathLike) -> Optional[Dict[str, Any]]:
         meta["round"] = int(manifest.get("round", rounds))
         result = meta
     return result if best is not None else None
-
-
-# --------------------------------------------------------------------- #
-# Recovery: replay after a WorkerFailure
-# --------------------------------------------------------------------- #
-
-
-def worker_retries() -> int:
-    """Replay attempts after a failure (``REPRO_WORKER_RETRIES``, 2).
-
-    Unset or empty means the default; anything but a non-negative
-    integer is a :class:`~repro.errors.ConfigurationError` naming the
-    variable.
-    """
-    raw = os.environ.get(WORKER_RETRIES_ENV)
-    if not raw:
-        return 2
-    try:
-        retries = int(raw)
-    except ValueError:
-        retries = -1
-    if retries < 0:
-        raise ConfigurationError(
-            f"{WORKER_RETRIES_ENV}={raw!r} is not a non-negative retry count"
-        )
-    return retries
-
-
-def recovery_loop(
-    engine,
-    checkpointer: Optional[RunCheckpointer],
-    resume: Optional[Dict[str, Any]],
-    attempt: Callable[[Optional[Dict[str, Any]]], Any],
-):
-    """Run ``attempt(payload)``, replaying on :class:`WorkerFailure`.
-
-    The supervision state machine, driver side: a worker death (kill,
-    hang past deadline, broken pipe) surfaces as ``WorkerFailure``; the
-    loop tears down the executor's pool (the whole pool — single-worker
-    rehydration cannot restore cross-shard consistency), sleeps an
-    exponential backoff, reloads the last durable checkpoint (or falls
-    back to a round-0 replay with the counters reset to this call's
-    baseline), and re-enters the driver.  Determinism makes the replay
-    bit-identical, checkpointing on or off.  ``REPRO_WORKER_RETRIES``
-    bounds the attempts.
-    """
-    from repro.mr.metrics import Counters
-
-    baseline = engine.counters.snapshot()
-    baseline_time = int(engine.simulated_time)
-    retries = worker_retries()
-    attempts = 0
-    delay = 0.05
-    payload = resume
-    while True:
-        try:
-            result = attempt(payload)
-            if checkpointer is not None:
-                # Drain the write-behind thread: the run's checkpoints
-                # are durable by the time the driver returns.
-                checkpointer.flush()
-            return result
-        except WorkerFailure:
-            attempts += 1
-            if attempts > retries:
-                raise
-            executor = getattr(engine, "executor", None)
-            if hasattr(executor, "close"):
-                executor.close()
-            time.sleep(delay)
-            delay = min(delay * 2.0, 2.0)
-            payload = (
-                checkpointer.load_latest() if checkpointer is not None else None
-            )
-            if payload is None:
-                # Round-0 replay: back to this invocation's entry state.
-                Counters.restore_into(engine.counters, baseline)
-                engine.simulated_time = baseline_time
 
 
 def restore_run_state(state, engine, rng, payload: Dict[str, Any]) -> None:

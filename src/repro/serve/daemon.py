@@ -22,7 +22,7 @@ concurrent query scheduler:
 
 Fault containment: malformed or oversized requests get error responses
 without killing the connection; a client disconnecting mid-response
-only ends that connection; a broken engine (e.g. a shard worker killed
+only ends that connection; a broken engine (a run that raised
 mid-query) is closed and dropped so the next query rebuilds it; a store
 file mutated under a resident graph is detected by its (mtime, size)
 signature — the stale residency is retired and its cached results are
@@ -540,16 +540,13 @@ class ReproServer:
             # A twin query completed while this one waited in the queue.
             return cached, True
 
-        from repro.errors import WorkerFailure
-
         with entry.lock:
             entry.queries += 1
-
-            def _run_once():
+            try:
                 engine = entry.get_engine(
                     request.executor, request.workers, request.shards
                 )
-                return run(
+                result = run(
                     request.algorithm,
                     entry.graph,
                     config=request.config,
@@ -560,34 +557,16 @@ class ReproServer:
                     store=self.store,
                     **request.option_dict(),
                 )
-
-            try:
-                try:
-                    result = _run_once()
-                except WorkerFailure:
-                    # The driver's own recovery loop is exhausted, so
-                    # the warm engine's pool is poisoned: drop it and
-                    # retry exactly once on a fresh engine before
-                    # surfacing an error.
-                    entry.drop_engine(
-                        request.executor, request.workers, request.shards
-                    )
-                    result = _run_once()
             except KeyError as exc:
                 raise ServeError.not_found(str(exc.args[0]) if exc.args else str(exc))
             except ConfigurationError as exc:
                 raise ServeError.bad_request(str(exc))
-            except WorkerFailure as exc:
-                entry.drop_engine(
-                    request.executor, request.workers, request.shards
-                )
-                raise ServeError.internal(f"{type(exc).__name__}: {exc}")
             except ReproError as exc:
                 raise ServeError.bad_request(f"{type(exc).__name__}: {exc}")
             except Exception as exc:
-                # A broken engine (killed shard worker, poisoned shard
-                # state) must not poison later queries: close and drop
-                # it so the next run rebuilds from scratch.
+                # A run that died mid-way may leave the warm engine's
+                # shard state poisoned: close and drop it so the next
+                # run rebuilds from scratch.
                 entry.drop_engine(
                     request.executor, request.workers, request.shards
                 )

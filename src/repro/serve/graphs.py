@@ -98,8 +98,9 @@ class ResidentGraph:
         workers: Optional[int],
         shards: Optional[int],
     ) -> None:
-        """Discard (and close) one backend's engine — e.g. after its
-        worker processes broke mid-query.  The next query rebuilds it."""
+        """Discard (and close) one backend's engine — e.g. after a run
+        raised mid-query and left its state half-updated.  The next
+        query rebuilds it."""
         if executor is None:
             return
         engine = self._engines.pop((executor, workers, shards), None)

@@ -3,8 +3,8 @@
 A *stored* R-MAT graph is memory-mapped through the GraphStore, and
 the mapped graph must be indistinguishable from the parsed one — on
 the vector engine, and end to end through the CLI on the sharded
-backend, whose forked workers map their shard files instead of
-receiving pickled graph arrays.
+backend, whose shard workers map their own shard files instead of
+copying slices of the graph arrays.
 """
 
 import numpy as np

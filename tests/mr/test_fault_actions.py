@@ -1,9 +1,8 @@
-"""The generalized fault plane: delay / ioerror / enospc / corrupt.
+"""The generalized fault plane: ioerror / enospc / corrupt.
 
-``kill:`` recovery is covered by ``test_fault_recovery``; this suite
-exercises the newer actions — parse validation, the store-write and
-checkpoint-write hook points, and a benign ``delay:`` end to end (the
-slowed run still finishes bit-identical).
+``kill:shard=driver`` resume is covered by ``test_fault_recovery``; this
+suite exercises the data-plane actions — parse validation and the
+store-write and checkpoint-write hook points.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import pytest
 
 from repro.core.config import ClusterConfig
 from repro.errors import CorruptArtifact
-from repro.generators import gnm_random_graph, mesh
+from repro.generators import mesh
 from repro.graph.serialize import open_store, verify_store, write_store
 from repro.mr.faults import (
     FAULT_PLAN_ENV,
@@ -25,7 +24,6 @@ from repro.mr.faults import (
     store_write_ordinal,
 )
 from repro.mr.metrics import Counters
-from repro.mrimpl.cluster_mr import mr_cluster
 from repro.runtime.checkpoint import CheckpointPolicy, RunCheckpointer
 
 CFG = ClusterConfig(tau=3, seed=1, stage_threshold_factor=1.0)
@@ -58,9 +56,13 @@ class TestPlanGrammar:
             "ioerror:target=disk,round=1",      # unknown target
             "ioerror:round=1",                  # missing target
             "corrupt:target=store",             # missing round
-            "delay:shard=1,round=2",            # missing seconds
             "kill:round=3",                     # missing shard
-            "kill:shard=1,round=2,color=red",   # unknown field
+            "kill:shard=driver,round=2,color=red",  # unknown field
+            # Shard workers run in the driver: no per-worker kill, and
+            # no per-worker stall to trip a deadline on.
+            "kill:shard=1,round=2",
+            "kill:shard=driver,round=9;kill:shard=0,round=1",
+            "delay:shard=1,round=3,seconds=0.5",
         ],
     )
     def test_invalid_plans_rejected(self, raw):
@@ -70,28 +72,26 @@ class TestPlanGrammar:
     def test_mixed_plan_parses(self):
         plan = FaultPlan(
             "kill:shard=driver,round=9;"
-            "delay:shard=1,round=3,seconds=0.5;"
             "enospc:target=store,round=1;"
             "corrupt:target=ckpt,round=4"
         )
-        assert plan.shard_delays(3) == {1: 0.5}
+        assert plan.driver_kill(8) is False  # not yet
         assert plan.io_fault("store", 1) == "enospc"
         assert plan.corrupt_fault("ckpt", 4)
         assert plan.driver_kill(9)
         # Every entry is one-shot.
-        assert plan.shard_delays(3) == {}
         assert plan.io_fault("store", 1) is None
         assert plan.corrupt_fault("ckpt", 4) is False
         assert plan.driver_kill(9) is False
 
     def test_plan_reparsed_on_env_change(self, monkeypatch):
-        arm_plan(monkeypatch, "delay:shard=0,round=1,seconds=1")
+        arm_plan(monkeypatch, "kill:shard=driver,round=1")
         first = get_fault_plan()
-        assert first.shard_delays(1)
-        monkeypatch.setenv(FAULT_PLAN_ENV, "delay:shard=0,round=2,seconds=1")
+        assert first.driver_kill(1)
+        monkeypatch.setenv(FAULT_PLAN_ENV, "kill:shard=driver,round=2")
         second = get_fault_plan()
         assert second is not first
-        assert second.shard_delays(2)
+        assert second.driver_kill(2)
 
 
 # --------------------------------------------------------------------- #
@@ -201,22 +201,3 @@ class TestCheckpointFaults:
         # …but resume detects the damage, quarantines it, falls back.
         assert payload is not None and payload["round"] == 2
         assert other.quarantined_rounds == [3]
-
-
-# --------------------------------------------------------------------- #
-# delay: benign end to end
-# --------------------------------------------------------------------- #
-
-
-class TestDelayAction:
-    def test_delayed_worker_run_is_bit_identical(self, monkeypatch):
-        graph = gnm_random_graph(80, 240, seed=5, connect=True)
-        reference = mr_cluster(graph, config=CFG.with_(executor="vector"))
-        arm_plan(monkeypatch, "delay:shard=1,round=2,seconds=0.2")
-        result = mr_cluster(
-            graph, config=CFG.with_(executor="sharded", shards=2)
-        )
-        assert get_fault_plan()._consumed  # the delay fired
-        assert np.array_equal(result.center, reference.center)
-        assert result.radius == reference.radius
-        assert result.counters.rounds == reference.counters.rounds

@@ -1,15 +1,10 @@
-"""Crash/recovery matrix: killed workers and drivers finish bit-identical.
+"""Crash/resume matrix: a killed driver resumes bit-identical.
 
-The fault-tolerance claim is end-to-end determinism: a run that loses a
-shard worker mid-growth (``REPRO_FAULT_PLAN``) — or the whole driver
-process — must finish with the *same clustering and the same counters*
-as an uninterrupted run, whether it replays from round 0 or from a
-durable checkpoint.  This suite is that claim as tests:
+The fault-tolerance claim is end-to-end determinism: a run whose driver
+process dies mid-growth (``REPRO_FAULT_PLAN``) must, resumed from a
+durable checkpoint, finish with the *same clustering and the same
+counters* as an uninterrupted run.  This suite is that claim as tests:
 
-* sharded worker kills at chosen growing-step ordinals, across shard
-  counts, CLUSTER and CLUSTER2, checkpointing on and off — against the
-  real process pool (the worker ``os._exit(1)``\\ s, the driver sees a
-  dead pipe) and the in-process pool (simulated ``WorkerFailure``);
 * driver-level checkpoint resume, same-backend and cross-backend (a
   snapshot written under ``sharded`` resumed under ``vector`` or the
   per-key oracle of ``tests/oracle/mr_literal.py``);
@@ -30,19 +25,13 @@ import pytest
 from mr_literal import literal_engine
 
 from repro.core.config import ClusterConfig
-from repro.errors import WorkerFailure
 from repro.generators import gnm_random_graph, road_network
 from repro.graph.serialize import write_store
-from repro.mr.faults import FAULT_PLAN_ENV, get_fault_plan, reset_fault_plan
+from repro.mr.faults import FAULT_PLAN_ENV
 from repro.mr.sharded import RESIDENT_ENV
 from repro.mrimpl.cluster2_mr import mr_cluster2
 from repro.mrimpl.cluster_mr import mr_cluster
-from repro.mrimpl.diameter_mr import mr_approximate_diameter
-from repro.runtime.checkpoint import (
-    WORKER_RETRIES_ENV,
-    CheckpointPolicy,
-    RunCheckpointer,
-)
+from repro.runtime.checkpoint import CheckpointPolicy, RunCheckpointer
 
 CFG = ClusterConfig(tau=3, seed=1, stage_threshold_factor=1.0)
 
@@ -91,11 +80,6 @@ def road():
     return g, mr_cluster(g, config=CFG.with_(executor="vector"))
 
 
-def arm_plan(monkeypatch, plan):
-    monkeypatch.setenv(FAULT_PLAN_ENV, plan)
-    reset_fault_plan()
-
-
 def make_checkpointer(tmp_path, graph, algorithm, config, *, every=2):
     return RunCheckpointer(
         tmp_path / "ckpt",
@@ -134,96 +118,6 @@ def assert_identical(result, reference, counters=COUNTERS):
     theirs = reference.counters.snapshot()
     for key in counters:
         assert ours[key] == theirs[key], key
-
-
-# --------------------------------------------------------------------- #
-# sharded worker kills (real process pool: the worker os._exits)
-# --------------------------------------------------------------------- #
-
-
-class TestShardedWorkerKill:
-    @pytest.mark.parametrize("with_checkpoint", [False, True],
-                             ids=["replay-round0", "replay-checkpoint"])
-    @pytest.mark.parametrize("kill_round", [1, 3])
-    @pytest.mark.parametrize("shards", [2, 3])
-    @pytest.mark.parametrize("algorithm", ["cluster", "cluster2"])
-    def test_killed_worker_run_is_bit_identical(
-        self, graph, references, tmp_path, monkeypatch,
-        algorithm, shards, kill_round, with_checkpoint,
-    ):
-        reference = references[algorithm]
-        # Precondition: the scheduled ordinal is actually reached.
-        assert reference.counters.growing_steps >= kill_round
-        cfg = CFG.with_(executor="sharded", shards=shards)
-        ckpt = (
-            make_checkpointer(tmp_path, graph, algorithm, cfg)
-            if with_checkpoint
-            else None
-        )
-        arm_plan(monkeypatch, f"kill:shard=1,round={kill_round}")
-        result = DRIVERS[algorithm](graph, config=cfg, checkpoint=ckpt)
-        # The kill fired (one-shot entries are consumed when they do).
-        assert get_fault_plan()._consumed
-        assert_identical(result, reference)
-
-    def test_two_kills_same_run(self, graph, references, monkeypatch):
-        """Two scheduled deaths → two replays, still bit-identical."""
-        cfg = CFG.with_(executor="sharded", shards=2)
-        arm_plan(monkeypatch, "kill:shard=0,round=1;kill:shard=1,round=3")
-        result = mr_cluster(graph, config=cfg)
-        assert len(get_fault_plan()._consumed) == 2
-        assert_identical(result, references["cluster"])
-
-    def test_diameter_pipeline_recovers(self, graph, monkeypatch):
-        cfg = CFG.with_(executor="vector")
-        reference = mr_approximate_diameter(graph, config=cfg)
-        arm_plan(monkeypatch, "kill:shard=0,round=2")
-        result = mr_approximate_diameter(
-            graph, config=CFG.with_(executor="sharded", shards=2)
-        )
-        assert get_fault_plan()._consumed
-        assert result.value == reference.value
-        assert result.radius == reference.radius
-        assert result.counters.rounds == reference.counters.rounds
-
-    def test_retries_exhausted_surfaces_worker_failure(
-        self, graph, monkeypatch
-    ):
-        monkeypatch.setenv(WORKER_RETRIES_ENV, "0")
-        arm_plan(monkeypatch, "kill:shard=1,round=2")
-        with pytest.raises(WorkerFailure):
-            mr_cluster(graph, config=CFG.with_(executor="sharded", shards=2))
-
-    def test_checkpoint_shortens_replay(self, graph, tmp_path, monkeypatch):
-        """With a checkpoint behind it, the replay resumes mid-run."""
-        cfg = CFG.with_(executor="sharded", shards=2)
-        ckpt = make_checkpointer(tmp_path, graph, "cluster", cfg, every=1)
-        arm_plan(monkeypatch, "kill:shard=0,round=4")
-        mr_cluster(graph, config=cfg, checkpoint=ckpt)
-        # The recovery loop restored from a durable round, not round 0.
-        assert ckpt.resumed_round is not None
-        assert ckpt.resumed_round >= 1
-
-
-class TestInprocPoolKill:
-    """The resident (in-process) pool raises a simulated WorkerFailure."""
-
-    @pytest.mark.parametrize("with_checkpoint", [False, True],
-                             ids=["replay-round0", "replay-checkpoint"])
-    def test_killed_worker_run_is_bit_identical(
-        self, graph, references, tmp_path, monkeypatch, with_checkpoint
-    ):
-        monkeypatch.setenv(RESIDENT_ENV, "64")
-        cfg = CFG.with_(executor="sharded", shards=2)
-        ckpt = (
-            make_checkpointer(tmp_path, graph, "cluster", cfg)
-            if with_checkpoint
-            else None
-        )
-        arm_plan(monkeypatch, "kill:shard=1,round=2")
-        result = mr_cluster(graph, config=cfg, checkpoint=ckpt)
-        assert get_fault_plan()._consumed
-        assert_identical(result, references["cluster"])
 
 
 # --------------------------------------------------------------------- #
@@ -339,8 +233,8 @@ def run_cli(args, *, env_extra=None, store_dir):
 class TestDriverKillResume:
     @pytest.mark.parametrize(
         "kill_exec,resume_exec",
-        [("vector", "vector"), ("sharded", "vector")],
-        ids=["same-backend", "cross-backend"],
+        [("vector", "vector"), ("sharded", "vector"), ("sharded", "sharded")],
+        ids=["same-backend", "cross-backend", "sharded-both"],
     )
     def test_sigkilled_driver_resumes_bit_identical(
         self, tmp_path, kill_exec, resume_exec
@@ -350,14 +244,15 @@ class TestDriverKillResume:
         write_store(graph, store)
         base = ["run", "cluster", str(store), "--tau", "3", "--seed", "1"]
 
-        reference = run_cli(
-            base + ["--executor", resume_exec], store_dir=tmp_path
-        )
+        def backend(executor):
+            shards = ["--shards", "2"] if executor == "sharded" else []
+            return ["--executor", executor, *shards]
+
+        reference = run_cli(base + backend(resume_exec), store_dir=tmp_path)
         assert reference.returncode == 0, reference.stderr
 
-        extra = ["--shards", "2"] if kill_exec == "sharded" else []
         killed = run_cli(
-            base + ["--executor", kill_exec, *extra, "--checkpoint", "2"],
+            base + backend(kill_exec) + ["--checkpoint", "2"],
             env_extra={FAULT_PLAN_ENV: "kill:shard=driver,round=4"},
             store_dir=tmp_path,
         )
@@ -366,7 +261,7 @@ class TestDriverKillResume:
         assert ckpt_root.is_dir()  # a durable round survived the death
 
         resumed = run_cli(
-            base + ["--executor", resume_exec, "--checkpoint", "2", "--resume"],
+            base + backend(resume_exec) + ["--checkpoint", "2", "--resume"],
             store_dir=tmp_path,
         )
         assert resumed.returncode == 0, resumed.stderr

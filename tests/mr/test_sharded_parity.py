@@ -13,10 +13,6 @@ same round/message/update counters.
 """
 
 import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,11 +25,7 @@ from repro.generators import gnm_random_graph, mesh, path_graph
 from repro.graph.builder import from_edge_list
 from repro.graph.serialize import open_store, write_store
 from repro.mr import native
-from repro.mr.sharded import (
-    RESIDENT_ENV,
-    ShardedExecutor,
-    _check_fd_budget,
-)
+from repro.mr.sharded import RESIDENT_ENV, ShardedExecutor
 from repro.mrimpl.cluster2_mr import mr_cluster2
 from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.diameter_mr import mr_approximate_diameter
@@ -230,15 +222,16 @@ class TestShardedMachinery:
         finally:
             executor.close()
 
-    def test_close_terminates_workers(self, graphs):
+    def test_close_releases_every_shard(self, graphs):
         from repro.mrimpl.growing_mr import default_engine
 
         engine = default_engine(graphs["mesh"], executor="sharded", shards=2)
         mr_cluster(graphs["mesh"], config=CFG, engine=engine)
-        procs = list(engine.executor._pool._procs)
-        assert all(p.is_alive() for p in procs)
+        workers = list(engine.executor._pool.workers)
+        assert all(w.graph_open for w in workers)
         engine.executor.close()
-        assert all(not p.is_alive() for p in procs)
+        assert not any(w.graph_open for w in workers)
+        assert engine.executor._pool is None
 
     def test_executor_close_idempotent(self):
         executor = ShardedExecutor(num_shards=2)
@@ -249,103 +242,10 @@ class TestShardedMachinery:
         with pytest.raises(ValueError):
             ShardedExecutor(num_shards=0)
 
-    @pytest.mark.skipif(
-        not sys.platform.startswith("linux"),
-        reason="needs RLIMIT_NOFILE and /proc/self/fd",
-    )
-    def test_fd_limit_is_a_structured_error(self, tmp_path):
-        """A pipe pool beyond RLIMIT_NOFILE is refused up front.
 
-        K shards need 3K fds in the driver (a command pipe pair and a
-        process sentinel per worker); past the soft limit the spawn
-        used to die with a raw ``[Errno 24] Too many open files``.  Run
-        under a lowered limit in a subprocess (the limit is per
-        process): K=100 needs 300 > 256 and raises ConfigurationError
-        naming K, the need and the limit, before any worker exists,
-        and leaves no temp store behind; a small K still runs.
-        """
-        script = textwrap.dedent(
-            """
-            import resource
-            from repro.errors import ConfigurationError
-            from repro.generators import mesh
-            from repro.runtime import run
-
-            _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-            resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))
-            graph = mesh(8, seed=1)
-            try:
-                run("diameter", graph, tau=4, executor="sharded", shards=100)
-            except ConfigurationError as exc:
-                print("ERROR", exc)
-            result = run("diameter", graph, tau=4, executor="sharded", shards=3)
-            print("OK", result.value)
-            """
-        )
-        env = dict(os.environ, TMPDIR=str(tmp_path))
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        error = next(line for line in lines if line.startswith("ERROR"))
-        assert "100 shards" in error
-        assert "needs " in error and "(300 for worker pipes" in error
-        assert "is 256" in error
-        assert any(line.startswith("OK") for line in lines)
-        assert not list(tmp_path.iterdir()), "temp store leaked"
-
-
-    @pytest.mark.skipif(
-        not sys.platform.startswith("linux"),
-        reason="needs RLIMIT_NOFILE and /proc/self/fd",
-    )
-    @pytest.mark.parametrize(
-        "shards, soft, refused",
-        [
-            (100, 256, True),  # 300 worker-pipe fds alone overflow 256
-            (3, 1 << 20, False),
-            (300, 1 << 20, False),  # 900 fds: many shards, roomy limit
-            (2, 3, True),  # worker pipes past an absurd limit
-            (50, "unlimited", False),
-        ],
-        ids=["over", "fits", "many-fit", "tiny-limit", "unlimited"],
-    )
-    def test_fd_budget(self, monkeypatch, shards, soft, refused):
-        """The up-front check counts three fds per worker on top of what
-        is already open, against the soft limit; an unlimited soft limit
-        always passes."""
-        import resource
-
-        _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-        if soft == "unlimited":
-            soft = resource.RLIM_INFINITY
-        monkeypatch.setattr(resource, "getrlimit", lambda _which: (soft, hard))
-        if not refused:
-            _check_fd_budget(shards)
-            return
-        with pytest.raises(ConfigurationError) as excinfo:
-            _check_fd_budget(shards)
-        message = str(excinfo.value)
-        assert f"with {shards} shards" in message
-        assert f"({3 * shards} for worker pipes" in message
-        need = int(message.split(" needs ")[1].split()[0])
-        already_open = int(message.split("pipes, ")[1].split()[0])
-        assert need == 3 * shards + already_open > soft
-        assert f"(RLIMIT_NOFILE) is {soft}" in message
-
-
-def _inproc_workers(graph, shards):
-    """The shard workers of an in-process pool (all shards kept open)."""
-    executor = ShardedExecutor(num_shards=shards, resident_mb=1024)
+def _shard_workers(graph, shards):
+    """The shard workers of a pool with every shard mapped."""
+    executor = ShardedExecutor(num_shards=shards)
     executor._ensure_workers(graph)
     return executor, executor._pool.workers
 
@@ -418,7 +318,7 @@ class TestShardGeometry:
             "isolated": _with_isolated_nodes(),
             "path": graphs["path-unit"],
         }[name]
-        executor, workers = _inproc_workers(graph, shards)
+        executor, workers = _shard_workers(graph, shards)
         try:
             owner = np.asarray(executor.plan.assignment)
             if name == "path":
@@ -441,7 +341,7 @@ class TestShardGeometry:
         split 7 ways, no array a worker keeps (besides the shared
         sidecar maps) is as long as the global node count."""
         graph = path_graph(700, weights="uniform", seed=1)
-        executor, workers = _inproc_workers(graph, 7)
+        executor, workers = _shard_workers(graph, 7)
         try:
             for worker in workers:
                 shared = {id(worker.own.owners), id(worker.own.localidx)}
@@ -479,7 +379,7 @@ class TestShardGeometry:
 
     def test_shard_without_external_arcs(self):
         graph = _two_islands()
-        executor, workers = _inproc_workers(graph, 2)
+        executor, workers = _shard_workers(graph, 2)
         try:
             sizes = [w.num_rows for w in workers]
             assert sizes == [16, 16]
@@ -589,30 +489,32 @@ class TestWorkerCacheHits:
         assert "cache_hits" not in engine.counters.snapshot()
         return states[0].cache_hits, result.value
 
-    def test_pipe_pool_count_equals_in_process_pool(
-        self, graphs, monkeypatch
-    ):
-        piped = self._run(monkeypatch, graphs["gnm"], None)
-        in_process = self._run(monkeypatch, graphs["gnm"], 1024)
-        assert piped[0] > 0
-        assert piped == in_process
+    def test_count_is_independent_of_residency(self, graphs, monkeypatch):
+        """Every shard mapped or one at a time, the workers answer the
+        same forced rounds from their caches."""
+        mapped = self._run(monkeypatch, graphs["gnm"], None)
+        budgeted = self._run(monkeypatch, graphs["gnm"], 0.001)
+        assert mapped[0] > 0
+        assert mapped == budgeted
 
 
 class TestWorkerEnvChecks:
-    """Malformed worker knobs fail in the driver, before any fork."""
+    """Malformed kernel knobs fail up front, before the graph is
+    partitioned or any shard opens."""
 
     @pytest.mark.parametrize(
         "variable, value",
         [
-            ("REPRO_WORKER_TIMEOUT_S", "abc"),
-            ("REPRO_WORKER_TIMEOUT_S", "0"),
-            ("REPRO_WORKER_TIMEOUT_S", "-1"),
-            ("REPRO_WORKER_TIMEOUT_S", "nan"),
-            ("REPRO_WORKER_TIMEOUT_S", "inf"),
             ("REPRO_KERNEL_IMPL", "natvie"),
+            ("REPRO_EMIT_THREADS", "abc"),
+            ("REPRO_EMIT_THREADS", "0"),
+            ("REPRO_NATIVE_BUILD_TIMEOUT_S", "abc"),
+            ("REPRO_NATIVE_BUILD_TIMEOUT_S", "-1"),
         ],
     )
-    def test_rejected_before_spawn(self, graphs, monkeypatch, variable, value):
+    def test_rejected_before_shards_open(
+        self, graphs, monkeypatch, variable, value
+    ):
         monkeypatch.setenv(variable, value)
         executor = ShardedExecutor(num_shards=2)
         try:
@@ -621,17 +523,10 @@ class TestWorkerEnvChecks:
             ):
                 executor._ensure_workers(graphs["mesh"])
             assert executor._pool is None
+            assert executor.partitioned is None
             assert executor.spawn_count == 0
         finally:
             executor.close()
-
-    def test_timeout_accepts_positive_seconds(self, monkeypatch):
-        from repro.mr.sharded import WORKER_TIMEOUT_ENV, _worker_timeout
-
-        monkeypatch.delenv(WORKER_TIMEOUT_ENV, raising=False)
-        assert _worker_timeout() == 60.0
-        monkeypatch.setenv(WORKER_TIMEOUT_ENV, "2.5")
-        assert _worker_timeout() == 2.5
 
 
 class TestExchangeParity:
@@ -761,3 +656,162 @@ class TestRuntimeIntegration:
                 "cluster", graphs["mesh"], tau=3, seed=1,
                 executor="vector", shards=2,
             )
+
+
+class TestInDriverExecution:
+    """Shard workers run in the driver: a sharded run starts no process."""
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_sharded_run_starts_no_process(self, graphs, monkeypatch, shards):
+        import multiprocessing
+        import os
+
+        # Build (or load) the native library first: a cold build runs
+        # the compiler, which is not part of the sharded run.
+        native.native_available()
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the sharded backend started a process")
+
+        monkeypatch.setattr(os, "fork", forbidden)
+        monkeypatch.setattr(multiprocessing.Process, "start", forbidden)
+        reference = mr_approximate_diameter(
+            graphs["gnm"], config=CFG.with_(executor="vector")
+        )
+        result = mr_approximate_diameter(
+            graphs["gnm"], config=CFG.with_(executor="sharded", shards=shards)
+        )
+        assert result.value == reference.value
+        assert result.counters.snapshot() == reference.counters.snapshot()
+
+
+class _StubPool:
+    """Stands in for the shard pool: every step reply carries fixed
+    per-phase times and no candidates."""
+
+    def __init__(self, times):
+        self.times = times
+
+    def broadcast(self, method, per_worker=None):
+        if method != "exchange_step":
+            return [None] * len(self.times)
+        return [
+            {
+                "updated": 1, "newly": 0, "merged": 2, "emitted": 3,
+                "groups": 1, "max_group": 1, "max_group_key": 0,
+                "outgoing": [], "times": dict(times), "cache_hits": 0,
+            }
+            for times in self.times
+        ]
+
+
+class TestPhaseTimers:
+    """Shards step one after another, so every worker-reported phase is
+    booked as the sum over shards and shuffle is the rest of the step."""
+
+    @staticmethod
+    def _step(monkeypatch, graph, times, wall):
+        import types
+
+        from repro.mr import sharded
+        from repro.mr.engine import MREngine
+        from repro.mr.model import MRSpec
+
+        executor = ShardedExecutor(num_shards=len(times))
+        executor._pool = _StubPool(times)
+        executor._graph = graph
+        engine = MREngine(
+            MRSpec(total_memory=10**9, local_memory=10**6,
+                   num_workers=len(times)),
+            executor=executor,
+        )
+        state = executor.growing_state(graph, engine)
+        clock = iter((100.0, 100.0 + wall))
+        fake_time = types.SimpleNamespace(perf_counter=lambda: next(clock))
+        monkeypatch.setattr(sharded, "time", fake_time)
+        state.step(engine, 1.0)
+        executor._pool = None
+        return engine
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_phases_sum_over_shards(self, graphs, monkeypatch, shards):
+        times = [
+            {"emit": 0.5 * (k + 1), "reduce": 0.25 * (k + 1),
+             "apply": 0.125 * (k + 1)}
+            for k in range(shards)
+        ]
+        scale = shards * (shards + 1) / 2  # sum of k + 1
+        engine = self._step(monkeypatch, graphs["mesh"], times, wall=40.0)
+        timings = engine.counters.timings
+        assert timings["emit"] == pytest.approx(0.5 * scale)
+        assert timings["reduce"] == pytest.approx(0.25 * scale)
+        assert timings["apply"] == pytest.approx(0.125 * scale)
+        assert timings["shuffle"] == pytest.approx(40.0 - 0.875 * scale)
+        # The comparable figures do not depend on the timers.
+        assert engine.counters.rounds == 1
+        assert engine.counters.updates == shards
+        assert engine.simulated_time == 3  # busiest shard: merged + groups
+
+    def test_shuffle_never_negative(self, graphs, monkeypatch):
+        times = [{"emit": 1.0, "reduce": 1.0, "apply": 1.0}] * 2
+        engine = self._step(monkeypatch, graphs["mesh"], times, wall=5.0)
+        assert engine.counters.timings["shuffle"] == 0.0
+        assert engine.counters.timings["emit"] == pytest.approx(2.0)
+
+
+class TestResidency:
+    """Without a budget every shard stays mapped; a budget bounds how
+    many are mapped together without changing any result."""
+
+    def test_no_budget_keeps_every_shard_mapped(self, graphs, monkeypatch):
+        monkeypatch.delenv(RESIDENT_ENV, raising=False)
+        executor, workers = _shard_workers(graphs["gnm"], 3)
+        try:
+            from repro.mr.engine import MREngine
+            from repro.mr.model import MRSpec
+
+            engine = MREngine(
+                MRSpec(total_memory=10**9, local_memory=10**6, num_workers=3),
+                executor=executor,
+            )
+            mr_cluster(graphs["gnm"], config=CFG, engine=engine)
+            assert all(w.graph_open for w in workers)
+            assert executor.max_open_shards == 3
+            sizes = [
+                os.path.getsize(p) for p in executor.partitioned.shard_paths
+            ]
+            assert executor.max_resident_bytes == sum(sizes)
+        finally:
+            executor.close()
+
+    def test_budget_below_all_shards_maps_two(self, graphs, tmp_path):
+        """A budget one byte short of all three shards holds any two."""
+        from repro.mr.engine import MREngine
+        from repro.mr.model import MRSpec
+
+        path = tmp_path / "gnm.rcsr"
+        write_store(graphs["gnm"], path)
+        stored = open_store(path)
+        probe = ShardedExecutor(num_shards=3)
+        probe._ensure_workers(stored)
+        total = sum(
+            os.path.getsize(p) for p in probe.partitioned.shard_paths
+        )
+        probe.close()
+        reference = mr_cluster(
+            graphs["gnm"], config=CFG.with_(executor="vector")
+        )
+        executor = ShardedExecutor(
+            num_shards=3, resident_mb=(total - 1) / (1024 * 1024)
+        )
+        engine = MREngine(
+            MRSpec(total_memory=10**9, local_memory=10**6, num_workers=3),
+            executor=executor,
+        )
+        try:
+            result = mr_cluster(stored, config=CFG, engine=engine)
+            assert_identical(result, reference)
+            assert executor.max_open_shards == 2
+            assert executor.max_resident_bytes <= total - 1
+        finally:
+            executor.close()

@@ -100,3 +100,57 @@ def test_growing_step_cap_never_breaks_validity(params, seed):
     cfg = ClusterConfig(seed=seed, stage_threshold_factor=1.0, growing_step_cap=1)
     c = cluster(g, tau=2, config=cfg)
     c.validate()
+
+
+@st.composite
+def assignments(draw):
+    """A complete, self-consistent center assignment over node ids."""
+    n = draw(st.integers(1, 200))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    k = draw(st.integers(1, n))
+    centers = np.sort(rng.choice(n, size=k, replace=False))
+    center = centers[rng.integers(0, k, n)]
+    center[centers] = centers  # every center is in its own cluster
+    return center.astype(np.int64)
+
+
+@given(assignments())
+@settings(max_examples=60, deadline=None)
+def test_dense_cluster_index_matches_binary_search(center):
+    """The O(n) center helpers equal the sort / binary-search forms
+    they replaced, values and dtypes, on any valid assignment."""
+    from repro.core.cluster import Clustering
+    from repro.mr.metrics import Counters
+    from repro.mrimpl.cluster_mr import _distinct_centers
+
+    centers = _distinct_centers(center)
+    reference = np.unique(center)
+    assert centers.dtype == reference.dtype
+    assert np.array_equal(centers, reference)
+    clustering = Clustering(
+        center=center,
+        dist_to_center=np.zeros(len(center)),
+        centers=centers,
+        radius=0.0,
+        delta_end=0.0,
+        tau=1,
+        counters=Counters(),
+    )
+    clustering.validate()
+    ids = clustering.cluster_ids()
+    old = np.searchsorted(centers, center)
+    assert ids.dtype == old.dtype
+    assert np.array_equal(ids, old)
+
+
+@given(graph_params, st.integers(1, 8), st.integers(0, 1000))
+@settings(max_examples=20, deadline=None)
+def test_cluster_ids_index_the_sorted_centers(params, tau, seed):
+    """On real clusterings, node u's dense index points back at its
+    center in the sorted ``centers`` array."""
+    c = cluster(build_graph(params), tau=tau,
+                config=ClusterConfig(seed=seed, stage_threshold_factor=1.0))
+    ids = c.cluster_ids()
+    assert np.array_equal(c.centers[ids], c.center)
+    assert np.array_equal(ids, np.searchsorted(c.centers, c.center))

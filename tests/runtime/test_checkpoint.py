@@ -1,11 +1,11 @@
-"""Round checkpoints: policy, atomicity, staleness, recovery replay.
+"""Round checkpoints: policy, atomicity, staleness, restore.
 
 Unit-level coverage for :mod:`repro.runtime.checkpoint` — the driver
-round-trip matrix (kill a worker mid-run, finish bit-identical) lives in
+round-trip matrix (resume mid-run, finish bit-identical) lives in
 ``tests/mr/test_fault_recovery.py``; here we exercise the store itself:
 cadence parsing, atomic publication under mid-write kills, staleness via
-the store signature, pruning, and the :func:`recovery_loop` state
-machine with a fake engine.
+the store signature, pruning, the write-behind writer, and
+:func:`restore_run_state` with a fake engine.
 """
 
 from __future__ import annotations
@@ -16,18 +16,17 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError, WorkerFailure
+from repro.errors import CheckpointError
 from repro.mr.metrics import Counters
 from repro.mrimpl.cluster_mr import ClusterConfig
 from repro.runtime.checkpoint import (
     CHECKPOINT_DIR_ENV,
     CHECKPOINT_EVERY_ENV,
-    WORKER_RETRIES_ENV,
     CheckpointPolicy,
     RunCheckpointer,
     checkpoint_dir_for,
     latest_metadata,
-    recovery_loop,
+    restore_run_state,
     run_key,
 )
 
@@ -52,10 +51,6 @@ class FakeEngine:
     def __init__(self):
         self.counters = Counters()
         self.simulated_time = 0
-        self.executor = self
-
-    def close(self):
-        self.closed = getattr(self, "closed", 0) + 1
 
 
 class FakeState:
@@ -343,80 +338,85 @@ class TestDurability:
 
 
 # --------------------------------------------------------------------- #
-# recovery loop
+# restore and the write-behind writer
 # --------------------------------------------------------------------- #
 
 
-class TestRecoveryLoop:
-    def test_success_passthrough(self, tmp_path):
+class TestRestoreRunState:
+    def test_payload_rehydrates_state_counters_and_rng(self, tmp_path):
+        """A saved payload puts back the arrays, the comparable counters,
+        the simulated time and the RNG stream position."""
+        ckpt = make_ckpt(tmp_path, policy=CheckpointPolicy(every_rounds=1))
         engine = FakeEngine()
-        calls = []
-        out = recovery_loop(engine, None, {"round": 1}, lambda p: calls.append(p) or "ok")
-        assert out == "ok"
-        assert calls == [{"round": 1}]
+        engine.counters.rounds = 7
+        engine.counters.messages = 70
+        engine.counters.extra["cluster2_iterations"] = 2
+        engine.simulated_time = 41
+        rng = np.random.default_rng(5)
+        rng.random(3)
+        state = FakeState(make_arrays(seed=9))
+        assert ckpt.maybe_save(state, engine, rng, {"r": 7})
+        ckpt.flush()
+        expected_draws = rng.random(4)
 
-    def test_round0_replay_restores_baseline(self, monkeypatch):
-        """No checkpoint: replay resets the counters to the entry state."""
-        monkeypatch.setenv(WORKER_RETRIES_ENV, "2")
-        engine = FakeEngine()
-        engine.counters.rounds = 5
-        engine.counters.messages = 50
-        engine.simulated_time = 5
-        seen = []
+        fresh_engine = FakeEngine()
+        fresh_state = FakeState(make_arrays(seed=1))
+        fresh_rng = np.random.default_rng(0)
+        payload = make_ckpt(tmp_path).load_latest()
+        restore_run_state(fresh_state, fresh_engine, fresh_rng, payload)
+        for name, array in state.arrays.items():
+            assert np.array_equal(fresh_state.arrays[name], array), name
+        assert fresh_engine.counters.snapshot() == engine.counters.snapshot()
+        assert fresh_engine.simulated_time == 41
+        assert np.array_equal(fresh_rng.random(4), expected_draws)
 
-        def attempt(payload):
-            seen.append((payload, engine.counters.rounds, engine.simulated_time))
-            if len(seen) == 1:
-                engine.counters.rounds += 7  # dirty mid-run progress
-                engine.simulated_time += 7
-                raise WorkerFailure("shard 2 died")
-            return "done"
-
-        assert recovery_loop(engine, None, None, attempt) == "done"
-        # Both attempts entered with the baseline counters, payload None.
-        assert seen == [(None, 5, 5), (None, 5, 5)]
-        assert engine.closed == 1  # pool torn down between attempts
-
-    def test_replays_from_checkpoint_payload(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(WORKER_RETRIES_ENV, "2")
-        engine = FakeEngine()
+    def test_rng_is_optional(self, tmp_path):
         ckpt = make_ckpt(tmp_path)
-        ckpt.save(6, arrays=make_arrays(seed=6), cursor={"r": 6}, **SAVE_KW)
-        payloads = []
-
-        def attempt(payload):
-            payloads.append(payload)
-            if len(payloads) == 1:
-                raise WorkerFailure("shard 0 died")
-            return payload["round"]
-
-        assert recovery_loop(engine, ckpt, None, attempt) == 6
-        assert payloads[0] is None
-        assert payloads[1]["round"] == 6
-
-    def test_retries_exhausted_reraises(self, monkeypatch):
-        monkeypatch.setenv(WORKER_RETRIES_ENV, "1")
+        ckpt.save(3, arrays=make_arrays(seed=3), cursor={}, **SAVE_KW)
         engine = FakeEngine()
-        calls = []
+        state = FakeState(make_arrays(seed=4))
+        restore_run_state(state, engine, None, ckpt.load_latest())
+        expected = make_arrays(seed=3)["dist"]
+        assert np.array_equal(state.arrays["dist"], expected)
+        assert engine.counters.rounds == 0
 
-        def attempt(payload):
-            calls.append(payload)
-            raise WorkerFailure("persistent")
 
-        with pytest.raises(WorkerFailure):
-            recovery_loop(engine, None, None, attempt)
-        assert len(calls) == 2  # initial + 1 retry
-        assert engine.closed == 1
-
-    def test_zero_retries_fails_fast(self, monkeypatch):
-        monkeypatch.setenv(WORKER_RETRIES_ENV, "0")
+class TestWriteBehind:
+    def test_flush_reraises_a_failed_publish(self, tmp_path, monkeypatch):
+        ckpt = make_ckpt(tmp_path, policy=CheckpointPolicy(every_rounds=1))
         engine = FakeEngine()
-        calls = []
+        engine.counters.rounds = 1
 
-        def attempt(payload):
-            calls.append(payload)
-            raise WorkerFailure("dead")
+        def broken(*_args, **_kwargs):
+            raise OSError("disk gone")
 
-        with pytest.raises(WorkerFailure):
-            recovery_loop(engine, None, None, attempt)
-        assert len(calls) == 1
+        monkeypatch.setattr(ckpt, "_publish", broken)
+        assert ckpt.maybe_save(FakeState(make_arrays()), engine, None, {})
+        with pytest.raises(OSError, match="disk gone"):
+            ckpt.flush()
+        ckpt.flush()  # the error surfaces once
+
+    @pytest.mark.parametrize("algorithm", ["cluster", "cluster2"])
+    def test_driver_returns_with_every_round_durable(
+        self, tmp_path, algorithm
+    ):
+        """The MR drivers drain the writer before they return: every
+        round they scheduled is published, none is still in flight."""
+        from repro.generators import mesh
+        from repro.mrimpl.cluster2_mr import mr_cluster2
+        from repro.mrimpl.cluster_mr import mr_cluster
+
+        config = ClusterConfig(tau=3, seed=1, stage_threshold_factor=1.0)
+        ckpt = RunCheckpointer(
+            tmp_path / "ckpt",
+            algorithm=algorithm,
+            config=config,
+            signature=("s", 1, 2),
+            policy=CheckpointPolicy(every_rounds=1),
+        )
+        driver = mr_cluster if algorithm == "cluster" else mr_cluster2
+        driver(mesh(8, seed=7), config=config, checkpoint=ckpt)
+        assert ckpt._writer is None
+        assert ckpt.saved_rounds
+        published = sorted(ckpt._round_dirs())
+        assert published == sorted(ckpt.saved_rounds)[-len(published):]

@@ -1,12 +1,11 @@
-"""Fault injection: the daemon must survive misbehaving clients,
-dying shard workers, and graphs mutating on disk — recovering without
-leaked shared-memory segments or orphaned worker processes."""
+"""Fault injection: the daemon must survive misbehaving clients, runs
+that fail mid-growth, and graphs mutating on disk — recovering without
+leaked shared-memory segments or orphaned processes."""
 
 from __future__ import annotations
 
 import json
 import os
-import signal
 import socket
 import threading
 import time
@@ -117,60 +116,57 @@ class TestClientDisconnect:
             assert client.ping()["pong"] is True
 
 
-def _engine_worker_pids(handle) -> set:
-    """PIDs of shard workers owned by the daemon's resident engines."""
-    pids = set()
-    for entry in handle.server.graphs._entries.values():
-        for engine in entry._engines.values():
-            pool = getattr(getattr(engine, "executor", None), "_pool", None)
-            for proc in getattr(pool, "_procs", None) or ():
-                pids.add(proc.pid)
-    return pids
+def _sharded_engines(handle) -> list:
+    """The daemon's resident sharded engines."""
+    return [
+        engine
+        for entry in handle.server.graphs._entries.values()
+        for engine in entry._engines.values()
+        if getattr(engine.executor, "num_shards", None)
+    ]
 
 
-class TestWorkerDeath:
-    def test_killed_shard_worker_recovers(self, make_server, stored_graphs):
+class TestBrokenRun:
+    def test_failed_run_drops_the_engine(
+        self, make_server, stored_graphs, monkeypatch
+    ):
+        """A run that raises mid-growth may leave its warm engine's
+        shard state half-updated: the query fails 500, the engine is
+        closed and dropped, and the next query rebuilds it and matches
+        a direct run bit-for-bit."""
+        from repro.mr.sharded import ShardedGrowingState
+
         before_shm = shm_segments()
         handle = make_server()
         with ServeClient(socket_path=handle.socket_path) as client:
-            # Warm a sharded engine (persistent worker processes).
             first = client.query(
                 stored_graphs["big"], "cluster", tau=16, seed=21,
                 executor="sharded", shards=2,
             )
             assert first["serve"]["cache_hit"] is False
+            (warm,) = _sharded_engines(handle)
 
-            pids = _engine_worker_pids(handle)
-            assert pids, "sharded engine should own worker processes"
+            original = ShardedGrowingState.step
+            calls = [0]
 
-            # Race a cold query against SIGKILLing the shard workers.
-            outcome = {}
+            def step_then_fail(self, *args, **kwargs):
+                calls[0] += 1
+                if calls[0] == 2:
+                    raise RuntimeError("injected mid-growth failure")
+                return original(self, *args, **kwargs)
 
-            def fire():
-                try:
-                    outcome["response"] = client.query(
+            with monkeypatch.context() as patch:
+                patch.setattr(ShardedGrowingState, "step", step_then_fail)
+                with pytest.raises(ServeRemoteError) as excinfo:
+                    client.query(
                         stored_graphs["big"], "cluster", tau=16, seed=22,
                         executor="sharded", shards=2,
                     )
-                except ServeRemoteError as exc:
-                    outcome["error"] = exc
+            assert excinfo.value.status == 500
+            assert "injected mid-growth failure" in str(excinfo.value)
+            assert _sharded_engines(handle) == []
+            assert warm.executor._pool is None  # closed, shards released
 
-            thread = threading.Thread(target=fire)
-            thread.start()
-            for pid in pids:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-            thread.join(120)
-            assert not thread.is_alive()
-            # The race is legitimate: the query either finished first or
-            # died with the workers — but the daemon must survive either.
-            if "error" in outcome:
-                assert outcome["error"].status == 500
-
-            # Recovery: the broken engine was dropped; a fresh query
-            # rebuilds it and matches a direct run bit-for-bit.
             after = client.query(
                 stored_graphs["big"], "cluster", tau=16, seed=23,
                 executor="sharded", shards=2,
@@ -181,17 +177,9 @@ class TestWorkerDeath:
             )
             assert after["digest"] == result_digest(direct.raw)
             assert after["counters"] == direct.counters.snapshot()
+            (rebuilt,) = _sharded_engines(handle)
+            assert rebuilt is not warm
         handle.stop()
-        # No zombie workers: every engine's workers shut down with the
-        # server; reap anything fork left behind, then check /dev/shm.
-        deadline = time.time() + 30
-        while time.time() < deadline:
-            try:
-                if os.waitpid(-1, os.WNOHANG) == (0, 0):
-                    break
-            except ChildProcessError:
-                break
-            time.sleep(0.05)
         assert shm_segments() - before_shm == set()
 
 
@@ -424,7 +412,7 @@ class TestShutdownDrain:
 class TestLeakHygiene:
     def test_serve_lifecycle_leaks_nothing(self, tmp_path, stored_graphs):
         """Boot → mixed queries on every backend → stop: /dev/shm is
-        clean and no worker processes outlive the daemon."""
+        clean and every resident sharded engine released its shards."""
         from repro.serve import ServerConfig, start_server_thread
 
         before_shm = shm_segments()
@@ -443,38 +431,8 @@ class TestLeakHygiene:
                 stored_graphs["big"], "cluster", tau=16,
                 executor="sharded", shards=2,
             )
-            pids = _engine_worker_pids(handle)
+            engines = _sharded_engines(handle)
+        assert engines
         handle.stop()
-        deadline = time.time() + 30
-        while time.time() < deadline:
-            alive = [pid for pid in pids if _pid_alive(pid)]
-            if not alive:
-                break
-            time.sleep(0.05)
-        assert not [pid for pid in pids if _pid_alive(pid)], (
-            "shard workers outlived the daemon"
-        )
+        assert all(engine.executor._pool is None for engine in engines)
         assert shm_segments() - before_shm == set()
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other-user process
-        return True
-    # Might be a zombie we can reap (fork children of this process).
-    try:
-        done, _ = os.waitpid(pid, os.WNOHANG)
-        if done == pid:
-            return False
-    except ChildProcessError:
-        return False
-    except OSError:
-        pass
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().split()[2] != "Z"
-    except OSError:
-        return False

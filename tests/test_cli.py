@@ -221,15 +221,13 @@ class TestPartition:
         "variable, value",
         [
             ("REPRO_SHARD_RESIDENT_MB", "abc"),
-            ("REPRO_WORKER_TIMEOUT_S", "abc"),
-            ("REPRO_WORKER_TIMEOUT_S", "0"),
-            ("REPRO_WORKER_TIMEOUT_S", "-1"),
-            ("REPRO_WORKER_TIMEOUT_S", "nan"),
+            ("REPRO_SHARD_RESIDENT_MB", "0"),
+            ("REPRO_SHARD_RESIDENT_MB", "-1"),
+            ("REPRO_SHARD_RESIDENT_MB", "nan"),
             ("REPRO_KERNEL_IMPL", "natvie"),
             ("REPRO_EMIT_THREADS", "abc"),
             ("REPRO_EMIT_THREADS", "0"),
-            ("REPRO_WORKER_RETRIES", "abc"),
-            ("REPRO_WORKER_RETRIES", "-1"),
+            ("REPRO_EMIT_THREADS", "-2"),
             ("REPRO_NATIVE_BUILD_TIMEOUT_S", "abc"),
             ("REPRO_NATIVE_BUILD_TIMEOUT_S", "0"),
             ("REPRO_NATIVE_BUILD_TIMEOUT_S", "-1"),
