@@ -2,12 +2,11 @@
 
 PR 4 moved the reduce side to O(candidates); this bench measures the
 emit side's fused pipeline (``repro.mr.emit``): scratch-buffered
-candidate generation, push expansion, the improvement pre-filter, and
-the frozen-emission cache that replays forced rounds.  A
-Figure-4-family workload (R-MAT LCC, CLUSTER with capped growth) runs
-on every fused backend (``<backend>-auto`` rows: push expansion, forced
-rounds replayed from the frozen-emission cache) and on the serial core
-(``serial-core``).
+candidate generation, push expansion into open targets, and the
+improvement pre-filter.  A Figure-4-family workload (R-MAT LCC,
+CLUSTER with capped growth) runs on every fused backend
+(``<backend>-auto`` rows: push expansion, forced rounds as a push over
+every emitting row) and on the serial core (``serial-core``).
 
 Every row runs once on the pure-NumPy tier (``py`` — rows keep their
 PR 5 names) and once on the native C tier (``-native`` suffix) when a
@@ -195,7 +194,7 @@ def test_emit_pipeline_report(benchmark, workload):
                 f"Fused emit pipeline on R-MAT({SCALE}) LCC "
                 f"(n={workload.num_nodes}, m={workload.num_edges}, "
                 f"{WORKERS} workers; serial-core wall {core_time:.2f}s; "
-                f"auto = push + frozen-emission cache)"
+                f"auto = push into open targets + improvement pre-filter)"
             ),
         ),
     )

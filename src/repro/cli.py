@@ -575,6 +575,7 @@ def _cmd_components(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.mr.faults import get_fault_plan
     from repro.runtime import REGISTRY, run
 
     if args.algorithm not in REGISTRY:
@@ -587,6 +588,9 @@ def _cmd_run(args) -> int:
     rc = _check_workers(args)
     if rc is not None:
         return rc
+    # Parse REPRO_FAULT_PLAN up front: only the MR drivers consult it,
+    # and a malformed plan must fail every executor alike.
+    get_fault_plan()
     # Options are passed through unfiltered: run() rejects any the
     # algorithm does not understand, instead of silently ignoring them.
     options = {}

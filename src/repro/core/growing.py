@@ -22,7 +22,9 @@ Frontier maintenance: after the first full step, only nodes whose state
 changed can generate new improvements (frozen nodes' contributions never
 change), so subsequent steps scan only the previous step's updated set.
 This matches what a real MapReduce implementation sends and is the basis
-of the work counts (messages = light arcs scanned from active sources).
+of the work counts: messages are the candidates over light arcs that
+pass the Δ test into targets not yet frozen — the rule every backend
+applies (``docs/mr_model.md``).
 """
 
 from __future__ import annotations
@@ -107,10 +109,10 @@ def delta_growing_step(
     emit_start = perf_counter()
     degs = graph.indptr[srcs + 1] - graph.indptr[srcs]
     if _native.use_native():
-        # Fused push expansion + message count + Δ/improvement filter in
+        # Fused push expansion + message count + improvement filter in
         # one C pass over the frontier's arcs (same semantics as the
-        # NumPy cascade below, including the message count's exclusion
-        # of the Δ and improvement tests).
+        # NumPy cascade below: the message count excludes only the
+        # improvement test).
         cand_t, cand_d, cand_s, cand_w, messages = _native.core_emit_push(
             graph.indptr, graph.indices, graph.weights, srcs, eff,
             delta, state.frozen, state.dist, int(degs.sum()),
@@ -129,16 +131,15 @@ def delta_growing_step(
         src_rep = np.repeat(srcs, degs)
         eff_rep = np.repeat(eff, degs)
 
-        # Messages = light arcs that exist in the *contracted* graph:
-        # arcs into frozen targets were removed by Contract (both
-        # endpoints covered → edge dropped; boundary edges point outward
-        # only), so a real implementation never sends along them.
-        light = w <= delta
-        open_target = ~state.frozen[tgt]
-        messages = int(np.count_nonzero(light & open_target))
-
+        # Messages = candidates over light arcs, within Δ, that exist in
+        # the *contracted* graph: arcs into frozen targets were removed
+        # by Contract (both endpoints covered → edge dropped; boundary
+        # edges point outward only), so a real implementation never
+        # sends along them.
         nd = eff_rep + w
-        ok = light & (nd <= delta) & open_target & (nd < state.dist[tgt])
+        sent = (w <= delta) & (nd <= delta) & ~state.frozen[tgt]
+        messages = int(np.count_nonzero(sent))
+        ok = sent & (nd < state.dist[tgt])
         if not ok.any():
             counters.record_round(messages=messages, updates=0)
             counters.add_time("emit", perf_counter() - emit_start)

@@ -44,8 +44,7 @@ class GroupSummary:
     partitioner — the round's share of the critical path.  Producers
     build it from their own groups: :meth:`MREngine.round_batch` from
     its shuffle, the fused growing pipeline (:mod:`repro.mr.emit`) from
-    its candidate stream and, on replayed forced rounds, from the
-    frozen-emission cache's running summary.
+    its message stream.
     """
 
     __slots__ = ("max_count", "max_key", "max_load")

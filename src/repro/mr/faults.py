@@ -25,13 +25,16 @@ Actions:
 
 Each entry fires **once per process**: the plan is consumed as it
 triggers.  A resumed *process* starts with a fresh plan — resume tests
-unset the variable.
+unset the variable.  A malformed plan is a
+:class:`~repro.errors.ConfigurationError` naming the variable.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Dict, Optional, Tuple
+
+from repro.errors import ConfigurationError
 
 __all__ = [
     "FAULT_PLAN_ENV",
@@ -51,6 +54,10 @@ _ACTIONS = ("kill", "corrupt", "ioerror", "enospc")
 _TARGETS = ("store", "ckpt")
 
 
+def _invalid(message: str) -> ConfigurationError:
+    return ConfigurationError(f"{FAULT_PLAN_ENV}: {message}")
+
+
 class FaultPlan:
     """Parsed, one-shot-per-entry fault schedule."""
 
@@ -67,7 +74,7 @@ class FaultPlan:
             action, _, params = entry.partition(":")
             action = action.strip()
             if action not in _ACTIONS:
-                raise ValueError(
+                raise _invalid(
                     f"unsupported fault action {action!r} in plan {raw!r}"
                 )
             shard: Optional[str] = None
@@ -79,32 +86,38 @@ class FaultPlan:
                 value = value.strip()
                 if key == "shard":
                     if value != DRIVER:
-                        raise ValueError(
+                        raise _invalid(
                             f"shard={value} in plan {raw!r}: shard workers "
                             f"run in the driver, only shard={DRIVER} dies"
                         )
                     shard = value
                 elif key == "round":
-                    rnd = int(value)
+                    try:
+                        rnd = int(value)
+                    except ValueError:
+                        raise _invalid(
+                            f"round={value!r} in plan {raw!r} is not an "
+                            "integer"
+                        ) from None
                 elif key == "target":
                     if value not in _TARGETS:
-                        raise ValueError(
+                        raise _invalid(
                             f"unknown fault target {value!r} in plan {raw!r}"
                         )
                     target = value
                 else:
-                    raise ValueError(
+                    raise _invalid(
                         f"unknown fault field {key!r} in plan {raw!r}"
                     )
             if rnd is None:
-                raise ValueError(f"fault entry {entry!r} needs round=")
+                raise _invalid(f"fault entry {entry!r} needs round=")
             if action == "kill":
                 if shard is None:
-                    raise ValueError(f"fault entry {entry!r} needs shard=")
+                    raise _invalid(f"fault entry {entry!r} needs shard=")
                 subject: object = shard
             else:
                 if target is None:
-                    raise ValueError(f"fault entry {entry!r} needs target=")
+                    raise _invalid(f"fault entry {entry!r} needs target=")
                 subject = target
             self._entries[(action, subject, rnd)] = {
                 "action": action,

@@ -1,9 +1,9 @@
 """Native kernel tier: compiled hot kernels + threaded emit.
 
 ``REPRO_KERNEL_IMPL=py|native|auto`` selects the implementation tier for
-the Δ-growing hot kernels (push emit with the improvement
-pre-filter, ``scatter_min_rows``, the merge's apply, the forced-round
-scan, and the frozen-replay cache with its running group summary), for
+the Δ-growing hot kernels (push emit with the open-target test, the
+fused finish with the improvement pre-filter and the group summary,
+``scatter_min_rows``, the merge's apply and the forced-round scan), for
 the quotient's crossing-edge scan (:func:`crossing_edges`), for
 CL-DIAM's quotient-diameter Dijkstra
 (:func:`quotient_ecc`, whose pure tier is scipy's — so a native-tier
@@ -102,13 +102,17 @@ _SIGNATURES = {
         _I,
     ),
     "rk_bincount": ([_P, _I, _P], None),
-    "rk_emit_push": ([_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _P], _I),
+    # indptr, indices, weights, src_ids, eff, nsrc, delta, frozen,
+    # owners, localidx, shard, out_keys, out_nd, out_src, out_aidx
+    "rk_emit_push": (
+        [_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _I, _P, _P, _P, _P], _I
+    ),
     "rk_compact": ([_P, _P, _P, _P, _P, _P, _I], _I),
-    # keys, nd, src, aidx, n, dist, frozen, weights, center,
-    # hist (NULL: no accounting), gk, base, nworkers, loads, summ,
+    # keys, nd, src, aidx, n, dist, weights, center,
+    # hist (NULL: no accounting), gk, nworkers, loads, summ,
     # f_* banks -> kept
     "rk_finish_batch": (
-        [_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _I, _P, _P,
+        [_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _I, _P, _P,
          _P, _P, _P, _P, _P, _P],
         _I,
     ),
@@ -121,24 +125,10 @@ _SIGNATURES = {
     ),
     "rk_begin_stage": ([_P, _I, _P, _P, _P, _P, _P], None),
     "rk_freeze_assigned": ([_P, _I, _I, _P, _P, _P], _I),
-    # center, dist, frozen, n, delta, indptr, cache_in, all_rows, ids,
-    # eff, newly, out -> ids count
+    # center, dist, frozen, n, delta, indptr, indices, owners, localidx,
+    # shard, dead, ids, eff, cum -> ids count
     "rk_forced_scan": (
-        [_P, _P, _P, _I, _D, _P, _P, _I, _P, _P, _P, _P], _I
-    ),
-    # indptr, indices, weights, src_ids, nsrc, delta, owners, localidx,
-    # shard, hist, nworkers, loads, top, ck, cs, ca, pos, total_out
-    # -> appended
-    "rk_cache_emit": (
-        [_P, _P, _P, _P, _I, _D, _P, _P, _I, _P, _I, _P, _P,
-         _P, _P, _P, _I, _P],
-        _I,
-    ),
-    # ck, cs, ca, n, frozen, localidx, weights, dist, center, fk, fnd,
-    # fs, fw, fctr, fsrcf, nkept -> surviving length
-    "rk_cache_retire": (
-        [_P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P],
-        _I,
+        [_P, _P, _P, _I, _D, _P, _P, _P, _P, _I, _P, _P, _P, _P], _I
     ),
     "rk_partition_loads": ([_P, _I, _P, _I, _P], _I),
     "rk_core_emit_push": (
@@ -314,6 +304,24 @@ def _sidecar(arr: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return arr
 
 
+def _byte_mask(arr: np.ndarray) -> np.ndarray:
+    """A per-row flag array as the kernels read it (C-contiguous bytes)."""
+    if arr.dtype not in (np.bool_, np.uint8) or not arr.flags.c_contiguous:
+        raise ValueError("row flags must be C-contiguous bool or uint8")
+    return arr
+
+
+def _row_flags(frozen, indptr, owners, localidx):
+    """``frozen`` checked against the slice layout: without sidecars
+    every neighbour id indexes it directly, which only a whole-graph
+    slice (one row per id) keeps in bounds."""
+    if (owners is None) != (localidx is None):
+        raise ValueError("owners and localidx come together")
+    if owners is None and len(frozen) != len(indptr) - 1:
+        raise ValueError("without sidecars the slice must be the whole graph")
+    return _byte_mask(frozen)
+
+
 def _contig_i8(arr: np.ndarray) -> np.ndarray:
     if arr.dtype != np.int64 or not arr.flags.c_contiguous:
         return np.ascontiguousarray(arr, dtype=np.int64)
@@ -347,19 +355,15 @@ def bincount_into(keys, hist) -> None:
 
 
 def finish_batch(
-    keys, nd, src, aidx, dist, frozen, weights, center,
+    keys, nd, src, aidx, dist, weights, center,
     f_keys, f_nd, f_src, f_w, f_ctr, f_srcf,
-    *, hist=None, gk=None, base=None, loads=None, top=(0, -1),
+    *, hist=None, gk=None, loads=None,
 ):
-    """One fused stream over the unfiltered candidate columns: the
-    improvement filter, gathering the kept rows' w/center/float-source
-    columns, plus — when ``hist`` (an all-zero domain scratch, left
-    all-zero) is given — the round's group summary.
-
-    The summary folds the batch onto a base: ``base`` per-key counts
-    (``None``: empty), ``loads`` the base's per-worker loads (an int64
-    array of the worker count, zeroed on return) and ``top`` its
-    ``(max_count, max_key)``.  ``gk`` is distinct-key scratch of the
+    """One fused stream over a round's messages: the improvement filter,
+    gathering the kept rows' w/center/float-source columns, plus — when
+    ``hist`` (an all-zero domain scratch, left all-zero) is given — the
+    round's group summary over ``loads`` (an all-zero int64 array of the
+    worker count, left all-zero).  ``gk`` is distinct-key scratch of the
     batch length.  Returns ``(kept, summary)``, the summary a
     ``(max_count, max_key, max_load)`` tuple, or ``None`` without
     ``hist``.
@@ -367,11 +371,11 @@ def finish_batch(
     if hist is not None and (gk is None or loads is None or not len(loads)):
         raise ValueError("the group summary needs gk and a per-worker loads array")
     lib = _load()
-    summ = np.array([top[0], top[1], 0], dtype=np.int64)
+    summ = np.array([0, -1, 0], dtype=np.int64)
     kept = lib.rk_finish_batch(
         _ptr(keys), _ptr(nd), _ptr(src), _ptr(aidx), len(keys),
-        _ptr(dist), _ptr(frozen), _ptr(weights), _ptr(center),
-        _ptr(hist), _ptr(gk), _ptr(base),
+        _ptr(dist), _ptr(weights), _ptr(center),
+        _ptr(hist), _ptr(gk),
         len(loads) if loads is not None else 0, _ptr(loads), _ptr(summ),
         _ptr(f_keys), _ptr(f_nd), _ptr(f_src),
         _ptr(f_w), _ptr(f_ctr), _ptr(f_srcf),
@@ -432,65 +436,31 @@ def freeze_assigned(center, iteration, frozen, changed, frozen_iter) -> int:
 
 
 def forced_scan(
-    center, dist, frozen, delta, indptr, ids, eff, *,
-    cache_in=None, newly=None,
-):
+    center, dist, frozen, delta, indptr, indices, dead, ids, eff, cum,
+    *, owners=None, localidx=None, shard_id=0,
+) -> int:
     """A forced round's emitting rows (``rescale == 0``) in one pass.
 
-    With ``newly`` given: the live emitting rows (assigned, unfrozen,
-    distance below ``delta``) and their distances go to ``ids``/``eff``,
-    and the frozen rows not in ``cache_in`` (``None``: every frozen
-    row) to ``newly``; returns ``(live, newly_count, live_degree_sum)``.
-    Without it: every emitting row, frozen ones at effective distance
-    0; returns ``(rows, 0, 0)``.  Output buffers need one slot per row.
+    Every assigned row whose effective distance (0 when frozen) is below
+    ``delta`` goes to ``ids`` with that distance in ``eff`` and the
+    inclusive prefix sum of the rows' degrees in ``cum``; returns the
+    row count.  Output buffers need one slot per row.  Frozen rows with
+    no arc into an open target (the push's test; ``owners``/``localidx``
+    and ``shard_id`` as in :func:`emit_push_into`) are left out and
+    marked in ``dead`` (one byte per row), which later scans trust:
+    between resets the frozen set may only grow.
     """
     n = len(center)
-    if len(indptr) != n + 1 or min(len(ids), len(eff)) < n or (
-        newly is not None and len(newly) < n
-    ):
+    if len(indptr) != n + 1 or min(len(ids), len(eff), len(cum), len(dead)) < n:
         raise ValueError("forced_scan needs indptr of n + 1 and n-row outputs")
+    frozen = _row_flags(frozen, indptr, owners, localidx)
     lib = _load()
-    out = np.zeros(2, dtype=np.int64)
-    t = lib.rk_forced_scan(
+    return lib.rk_forced_scan(
         _ptr(center), _ptr(dist), _ptr(frozen), n, delta,
-        _ptr(indptr), _ptr(cache_in), 0 if newly is not None else 1,
-        _ptr(ids), _ptr(eff), _ptr(newly), _ptr(out),
-    )
-    return t, int(out[0]), int(out[1])
-
-
-def cache_emit(
-    indptr, indices, weights, src_ids, delta, hist, ck, cs, ca, pos,
-    owners=None, localidx=None, shard_id=0, loads=None, top=None,
-):
-    """Expand frozen sources straight into the cache columns.
-
-    Returns ``(appended, total_emitted)`` — the light-arc multiset size
-    minus the appended count is the externally-targeted (inert) mass.
-    Every key is owned (the whole graph) unless the mapped layout's
-    int32 sidecars ``owners``/``localidx`` (indexed by global id) and
-    ``shard_id`` are given; ``hist`` is indexed by local row.  With
-    ``loads`` (per-worker int64) and ``top`` (int64 ``[max_count,
-    max_key]``) the appended rows also update the cache's group summary
-    in place (whole graph only).
-    """
-    if owners is None and len(hist) != len(indptr) - 1:
-        # Without sidecars every key indexes hist directly, which only
-        # a whole-graph slice (one row per id) keeps in bounds.
-        raise ValueError("without sidecars the slice must be the whole graph")
-    if loads is not None and (not len(loads) or top is None or owners is not None):
-        raise ValueError("the cache summary needs loads, top and the whole graph")
-    lib = _load()
-    total = np.zeros(1, dtype=np.int64)
-    appended = lib.rk_cache_emit(
-        _ptr(indptr), _ptr(indices), _ptr(weights),
-        _ptr(src_ids), len(src_ids), delta,
+        _ptr(indptr), _ptr(indices),
         _ptr(_sidecar(owners)), _ptr(_sidecar(localidx)), shard_id,
-        _ptr(hist), len(loads) if loads is not None else 0,
-        _ptr(loads), _ptr(top),
-        _ptr(ck), _ptr(cs), _ptr(ca), pos, _ptr(total),
+        _ptr(_byte_mask(dead)), _ptr(ids), _ptr(eff), _ptr(cum),
     )
-    return appended, int(total[0])
 
 
 def partition_loads(keys, weights, nworkers, loads) -> int:
@@ -503,28 +473,6 @@ def partition_loads(keys, weights, nworkers, loads) -> int:
     return lib.rk_partition_loads(
         _ptr(keys), len(keys), _ptr(weights), nworkers, _ptr(loads)
     )
-
-
-def cache_retire(ck, cs, ca, length, frozen, localidx=None, replay=None):
-    """In-place compaction dropping frozen targets; returns new length.
-
-    ``frozen`` is indexed by local row: the key itself, or
-    ``localidx[key]`` under the mapped layout's sidecar.  ``replay``
-    (whole graph only) fuses the replay filter into the same pass: a
-    ``(weights, dist, center, fk, fnd, fs, fw, fctr, fsrcf)`` tuple
-    whose last six banks receive the survivors that strictly improve
-    their target; the return value is then ``(length, replayed)``.
-    """
-    lib = _load()
-    cols = (None,) * 9 if replay is None else replay
-    nkept = np.zeros(1, dtype=np.int64)
-    length = lib.rk_cache_retire(
-        _ptr(ck), _ptr(cs), _ptr(ca), length, _ptr(frozen),
-        _ptr(_sidecar(localidx)), *(_ptr(c) for c in cols), _ptr(nkept),
-    )
-    if replay is None:
-        return length
-    return length, int(nkept[0])
 
 
 # -- threaded emit ------------------------------------------------------ #
@@ -578,13 +526,19 @@ def _compact(lib, out_keys, out_nd, out_src, out_aidx, bases, counts) -> int:
 
 
 def emit_push_into(
-    indptr, indices, weights, src_ids, eff, delta, counts,
+    indptr, indices, weights, src_ids, eff, delta, cum,
     out_keys, out_nd, out_src, out_aidx, threads,
+    *, frozen, owners=None, localidx=None, shard_id=0,
 ) -> int:
     """Fused push expansion into the given banks; returns the row count.
 
-    ``counts`` is the per-source degree array (the caller already has it
-    for bank sizing).  With ``threads > 1`` and enough arcs, the source
+    Keeps the round's messages: light arcs passing the Δ test into open
+    targets (``frozen`` is indexed by local row; the mapped layout's
+    int32 sidecars ``owners``/``localidx`` and ``shard_id`` locate the
+    rows of owned keys, and other shards' keys are kept from live
+    sources only — see ``rk_emit_push``).  ``cum`` is the inclusive
+    prefix sum of the sources' degrees (the caller already has it for
+    bank sizing).  With ``threads > 1`` and enough arcs, the source
     list is split into contiguous chunks balanced by degree-sum; each
     chunk writes its own disjoint region (based at the chunk's
     cumulative degree offset — an exact upper bound on its output), and
@@ -593,23 +547,25 @@ def emit_push_into(
     """
     lib = _load()
     nsrc = len(src_ids)
+    frozen = _row_flags(frozen, indptr, owners, localidx)
+    owners, localidx = _sidecar(owners), _sidecar(localidx)
 
     def chunk(lo: int, hi: int, base: int) -> int:
         return lib.rk_emit_push(
             _ptr(indptr), _ptr(indices), _ptr(weights),
             _ptr(src_ids[lo:hi]), _ptr(eff[lo:hi]), hi - lo, delta,
+            _ptr(frozen), _ptr(owners), _ptr(localidx), shard_id,
             _ptr(out_keys[base:]), _ptr(out_nd[base:]),
             _ptr(out_src[base:]), _ptr(out_aidx[base:]),
         )
 
-    cum = np.cumsum(counts)
-    total = int(cum[-1]) if nsrc else 0
+    total = int(cum[nsrc - 1]) if nsrc else 0
     if threads <= 1 or nsrc < 2 or total < THREAD_MIN_ARCS:
         return chunk(0, nsrc, 0)
     nchunks = min(threads, nsrc)
     targets = np.arange(1, nchunks) * (total // nchunks)
     bounds = np.unique(
-        np.concatenate(([0], np.searchsorted(cum, targets, side="left") + 1,
+        np.concatenate(([0], np.searchsorted(cum[:nsrc], targets, side="left") + 1,
                         [nsrc]))
     )
     bounds = bounds[bounds <= nsrc]

@@ -54,17 +54,6 @@ static inline i64 rk_worker_of(i64 key, i64 nworkers)
     return (i64)(((h * 2654435761ULL) & 0xFFFFFFFFULL) % (uint64_t)nworkers);
 }
 
-/* Group summary: top[0] is the largest group count, top[1] the smallest
- * key reaching it (-1 while there is no group).  Counts only ever grow,
- * so raising one key's count and re-testing it keeps the pair exact. */
-static inline void rk_top_update(i64 count, i64 key, i64 *top)
-{
-    if (count > top[0] || (count == top[0] && key < top[1])) {
-        top[0] = count;
-        top[1] = key;
-    }
-}
-
 static int cmp_i64(const void *pa, const void *pb)
 {
     i64 a = *(const i64 *)pa, b = *(const i64 *)pb;
@@ -175,15 +164,25 @@ void rk_bincount(const i64 *keys, i64 n, i64 *hist)
     }
 }
 
-/* Fused push expansion + light/Δ filter (EmitScratch._emit_push).
- * Expands src_ids (any contiguous chunk) through their CSR rows,
- * keeping arcs with w <= delta and eff + w <= delta.  Output order is
- * source-major, arcs in CSR order — the legacy arrival order.  Output
- * pointers may be pre-offset for disjoint per-chunk regions; returns
- * the rows written. */
+/* Fused push expansion (EmitScratch._emit_push): expands src_ids (any
+ * contiguous chunk) through their CSR rows, keeping the round's
+ * messages — arcs with w <= delta and eff + w <= delta whose target is
+ * open.  Output order is source-major, arcs in CSR order — the legacy
+ * arrival order.  Output pointers may be pre-offset for disjoint
+ * per-chunk regions; returns the rows written.
+ *
+ * The open test reads `frozen`, indexed by local row.  With `owners`
+ * NULL the slice is the whole graph and a key is its own row.
+ * Otherwise (a shard's mapped layout) `owners`/`localidx` are the
+ * partition sidecars indexed by global id: a key this shard owns is
+ * tested at localidx[key]; a key owned elsewhere is kept only from a
+ * live source, since the receiver regenerates a frozen source's rows
+ * from its replica.  The tests are loop-invariant, so the compiler
+ * unswitches them. */
 i64 rk_emit_push(
     const i64 *indptr, const i64 *indices, const double *weights,
     const i64 *src_ids, const double *eff, i64 nsrc, double delta,
+    const u8 *frozen, const i32 *owners, const i32 *localidx, i64 shard,
     i64 *out_keys, double *out_nd, i64 *out_src, i64 *out_aidx)
 {
     i64 t = 0;
@@ -198,7 +197,17 @@ i64 rk_emit_push(
             double nd = e + w;
             if (nd > delta)
                 continue;
-            out_keys[t] = indices[a];
+            i64 key = indices[a];
+            if (!owners) {
+                if (frozen[key])
+                    continue;
+            } else if (owners[key] == shard) {
+                if (frozen[localidx[key]])
+                    continue;
+            } else if (frozen[u]) {
+                continue;
+            }
+            out_keys[t] = key;
             out_nd[t] = nd;
             out_src[t] = u;
             out_aidx[t] = a;
@@ -233,36 +242,30 @@ i64 rk_compact(
 }
 
 /* Fused batch finish (EmitScratch._finish): one stream over the
- * unfiltered candidate columns doing the accounting (stamped
- * distinct-key collection into gk, hist restored to zero) and the
- * improvement filter: keep rows whose target is open and strictly
- * improved, gathering w (from the arc index), the source's center and
- * the float source column in the same pass.
+ * round's messages (rk_emit_push's rows, every target open) doing the
+ * accounting (stamped distinct-key collection into gk, hist restored
+ * to zero) and the improvement filter: keep rows that strictly improve
+ * their target, gathering w (from the arc index), the source's center
+ * and the float source column in the same pass.
  *
- * The accounting is the round's group summary, folded onto a base: the
- * rows already in the round that this batch does not carry (the
- * frozen-emission cache's, or none).  `base` holds their per-key
- * counts (NULL: none), `loads` (nworkers) their per-worker load
- * sum(count + 1) and summ[0..1] their top group (see rk_top_update).
- * Each distinct key of the batch adds its count, plus one when the key
- * opens a group, to its worker's load and re-tests the top group with
- * its combined count.  On exit summ[2] is the largest load and `loads`
- * is all-zero again.  A NULL hist skips the accounting (gk, base,
- * loads and summ are then unused).  Returns the kept count. */
+ * The accounting is the round's group summary: each distinct key adds
+ * its count plus one output row to its worker's load (`loads`, an
+ * all-zero nworkers scratch, zeroed again on exit); summ[0..1] receive
+ * the largest group and the smallest key reaching it (summ enters as
+ * {0, -1}) and summ[2] the largest load.
+ * A NULL hist skips the accounting (gk, loads and summ are then
+ * unused).  Returns the kept count. */
 i64 rk_finish_batch(
     const i64 *keys, const double *nd, const i64 *src, const i64 *aidx,
     i64 n,
-    const double *dist, const u8 *frozen,
-    const double *weights, const i64 *center,
-    i64 *hist, i64 *gk, const i64 *base, i64 nworkers, i64 *loads,
-    i64 *summ,
+    const double *dist, const double *weights, const i64 *center,
+    i64 *hist, i64 *gk, i64 nworkers, i64 *loads, i64 *summ,
     i64 *f_keys, double *f_nd, i64 *f_src,
     double *f_w, double *f_ctr, double *f_srcf)
 {
     i64 g = 0, t = 0;
     for (i64 i = 0; i < n; ++i) {
         if (i + RK_PF_DIST < n) {
-            RK_PREFETCH(&frozen[keys[i + RK_PF_DIST]]);
             RK_PREFETCH(&dist[keys[i + RK_PF_DIST]]);
             if (hist)
                 RK_PREFETCH_W(&hist[keys[i + RK_PF_DIST]]);
@@ -271,7 +274,7 @@ i64 rk_finish_batch(
         if (hist && hist[k]++ == 0)
             gk[g++] = k;
         double d = nd[i];
-        if (frozen[k] || !(d < dist[k]))
+        if (!(d < dist[k]))
             continue;
         i64 s = src[i];
         f_keys[t] = k;
@@ -287,10 +290,12 @@ i64 rk_finish_batch(
     for (i64 j = 0; j < g; ++j) {
         i64 k = gk[j];
         i64 c = hist[k];
-        i64 b = base ? base[k] : 0;
         hist[k] = 0;
-        loads[rk_worker_of(k, nworkers)] += c + (b == 0);
-        rk_top_update(b + c, k, summ);
+        loads[rk_worker_of(k, nworkers)] += c + 1;
+        if (c > summ[0] || (c == summ[0] && k < summ[1])) {
+            summ[0] = c;
+            summ[1] = k;
+        }
     }
     i64 mx = 0;
     for (i64 p = 0; p < nworkers; ++p) {
@@ -383,102 +388,56 @@ i64 rk_freeze_assigned(
 }
 
 /* Forced-round scan (EmitScratch._forced_round, rescale == 0): one
- * pass over the rows.  A frozen row emits at
- * effective distance 0, a live one at its distance; a row emits when
- * it is assigned and its effective distance is below delta.
+ * pass over the rows.  A frozen row emits at effective distance 0, a
+ * live one at its distance; a row emits when it is assigned and its
+ * effective distance is below delta.  ids/eff receive the emitting
+ * rows and cum their inclusive degree prefix sums, which size the
+ * push's banks and split it across threads.  Returns the ids count.
  *
- * all_rows == 0: ids/eff receive the live emitting rows (assigned,
- * unfrozen, dist < delta), out[1] their degree sum, and newly the
- * frozen rows not yet in the frozen-emission cache (cache_in NULL:
- * every frozen row), with out[0] their count.
- * all_rows == 1: ids/eff receive every emitting row (newly, cache_in
- * and out unused).  Returns the ids count. */
+ * `dead` (one byte per row) marks frozen rows with no arc into an open
+ * target (see rk_emit_push for the layouts): the scan looks for such
+ * an arc once per frozen row and marks the row when there is none.
+ * The frozen set only grows between resets, so a marked row stays
+ * silent and later scans skip it without reading its arcs. */
 i64 rk_forced_scan(
     const i64 *center, const double *dist, const u8 *frozen, i64 n,
-    double delta, const i64 *indptr, const u8 *cache_in, i64 all_rows,
-    i64 *ids, double *eff, i64 *newly, i64 *out)
+    double delta, const i64 *indptr, const i64 *indices,
+    const i32 *owners, const i32 *localidx, i64 shard, u8 *dead,
+    i64 *ids, double *eff, i64 *cum)
 {
-    i64 t = 0;
-    if (all_rows) {
-        for (i64 i = 0; i < n; ++i) {
-            double e = frozen[i] ? 0.0 : dist[i];
-            if (center[i] != -1 && e < delta) {
-                ids[t] = i;
-                eff[t++] = e;
-            }
-        }
-        return t;
-    }
-    i64 nn = 0, degsum = 0;
+    i64 t = 0, degsum = 0;
     for (i64 i = 0; i < n; ++i) {
+        if (center[i] == -1)
+            continue;
+        double e = 0.0;
         if (frozen[i]) {
-            if (!cache_in || !cache_in[i])
-                newly[nn++] = i;
-        } else if (center[i] != -1 && dist[i] < delta) {
-            ids[t] = i;
-            eff[t++] = dist[i];
-            degsum += indptr[i + 1] - indptr[i];
-        }
-    }
-    out[0] = nn;
-    out[1] = degsum;
-    return t;
-}
-
-/* Fused frozen-source expansion straight into the cache columns: a
- * frozen source emits at effective distance 0, so nd == w and the
- * light and Δ tests coincide.  Owned targets append at `pos` and count
- * into `hist` (indexed by local row); returns the appended count, with
- * *total_out the full emitted multiset size (for inert accounting).
- *
- * With `loads` non-NULL (whole graph only) the cache's group summary
- * follows every append: the key's worker gains one (two when the key
- * opens a group: its count plus the group's output row) and the top
- * group `top` is re-tested (see rk_top_update), so a replay never
- * rescans the histogram.
- *
- * Ownership: with `owners` NULL the slice is the whole graph, so every
- * key is owned and is its own local row; otherwise (a shard's mapped
- * layout) `owners`/`localidx` are the partition sidecars indexed by
- * global id, a key is owned when owners[key] == shard and its local
- * row is localidx[key].  The tests are loop-invariant, so the compiler
- * unswitches them and the whole-graph path keeps its plain loop. */
-i64 rk_cache_emit(
-    const i64 *indptr, const i64 *indices, const double *weights,
-    const i64 *src_ids, i64 nsrc, double delta,
-    const i32 *owners, const i32 *localidx, i64 shard,
-    i64 *hist, i64 nworkers, i64 *loads, i64 *top,
-    i64 *ck, i64 *cs, i64 *ca, i64 pos, i64 *total_out)
-{
-    i64 t = pos;
-    i64 total = 0;
-    for (i64 s = 0; s < nsrc; ++s) {
-        i64 u = src_ids[s];
-        i64 end = indptr[u + 1];
-        for (i64 a = indptr[u]; a < end; ++a) {
-            if (weights[a] > delta)
+            if (dead[i] || !(e < delta))
                 continue;
-            ++total;
-            i64 key = indices[a];
-            i64 row = key;
-            if (owners) {
-                if (owners[key] != shard)
-                    continue;
-                row = localidx[key];
+            i64 a = indptr[i], hi = indptr[i + 1];
+            for (; a < hi; ++a) {
+                i64 key = indices[a];
+                if (!owners) {
+                    if (!frozen[key])
+                        break;
+                } else if (owners[key] == shard && !frozen[localidx[key]]) {
+                    break;
+                }
             }
-            i64 c = ++hist[row];
-            if (loads) {
-                loads[rk_worker_of(key, nworkers)] += 1 + (c == 1);
-                rk_top_update(c, key, top);
+            if (a == hi) {
+                dead[i] = 1;
+                continue;
             }
-            ck[t] = key;
-            cs[t] = u;
-            ca[t] = a;
-            ++t;
+        } else {
+            e = dist[i];
+            if (!(e < delta))
+                continue;
         }
+        degsum += indptr[i + 1] - indptr[i];
+        ids[t] = i;
+        eff[t] = e;
+        cum[t++] = degsum;
     }
-    *total_out = total;
-    return t - pos;
+    return t;
 }
 
 /* Critical-path accounting (MREngine.round_batch): hash-route every
@@ -499,75 +458,10 @@ i64 rk_partition_loads(
     return mx;
 }
 
-/* Frozen-emission cache retire: drop rows whose target froze,
- * compacting the cache columns in place (order preserved), and return
- * the surviving length.  The histogram keeps the retired rows' mass
- * (it accounts every cached row, inert included).  Cached keys are
- * owned, so their local row is localidx[key] when the sidecar is given
- * (see rk_cache_emit), else the key itself.
- *
- * With `fk` non-NULL (whole graph only) the same pass also replays
- * the survivors (EmitScratch._emit_forced_cached): a cached frozen
- * emission's candidate distance is its arc weight, and rows that
- * strictly improve their target are written out with the w /
- * source-center / float-source columns (fnd and fw both hold the
- * weight); *nkept receives their count. */
-i64 rk_cache_retire(
-    i64 *ck, i64 *cs, i64 *ca, i64 n, const u8 *frozen,
-    const i32 *localidx,
-    const double *weights, const double *dist, const i64 *center,
-    i64 *fk, double *fnd, i64 *fs,
-    double *fw, double *fctr, double *fsrcf, i64 *nkept)
-{
-    i64 t = 0, r = 0;
-    for (i64 i = 0; i < n; ++i) {
-        i64 key = ck[i];
-        i64 row;
-        if (localidx) {
-            if (i + RK_PF_DIST < n)
-                RK_PREFETCH(&localidx[ck[i + RK_PF_DIST]]);
-            row = localidx[key];
-        } else {
-            if (i + RK_PF_DIST < n) {
-                RK_PREFETCH(&frozen[ck[i + RK_PF_DIST]]);
-                if (fk) {
-                    RK_PREFETCH(&dist[ck[i + RK_PF_DIST]]);
-                    RK_PREFETCH(&weights[ca[i + RK_PF_DIST]]);
-                }
-            }
-            row = key;
-        }
-        if (frozen[row])
-            continue;
-        i64 s = cs[i], a = ca[i];
-        if (t != i) {
-            ck[t] = key;
-            cs[t] = s;
-            ca[t] = a;
-        }
-        ++t;
-        if (!fk)
-            continue;
-        double w = weights[a];
-        if (!(w < dist[key]))
-            continue;
-        fk[r] = key;
-        fnd[r] = w;
-        fs[r] = s;
-        fw[r] = w;
-        fctr[r] = (double)center[s];
-        fsrcf[r] = (double)s;
-        ++r;
-    }
-    if (fk)
-        *nkept = r;
-    return t;
-}
-
-/* Serial-core push expansion (core.growing.delta_growing_step): the
- * core's filter semantics differ from EmitScratch — messages count
- * light arcs into open targets (Δ and improvement tests excluded),
- * candidates additionally need nd <= delta and nd < dist[target]. */
+/* Serial-core push expansion (core.growing.delta_growing_step):
+ * messages count what rk_emit_push emits — light arcs into open
+ * targets that pass the Δ test — and candidates additionally need
+ * nd < dist[target]. */
 i64 rk_core_emit_push(
     const i64 *indptr, const i64 *indices, const double *weights,
     const i64 *srcs, const double *eff, i64 nsrc, double delta,
@@ -584,13 +478,13 @@ i64 rk_core_emit_push(
             double w = weights[a];
             if (w > delta)
                 continue;
+            double nd = e + w;
+            if (nd > delta)
+                continue;
             i64 v = indices[a];
             if (frozen[v])
                 continue;
             ++msg;
-            double nd = e + w;
-            if (nd > delta)
-                continue;
             if (!(nd < dist[v]))
                 continue;
             cand_t[t] = v;

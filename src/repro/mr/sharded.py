@@ -334,8 +334,8 @@ class _ShardWorker(ArrayGrowingState):
     def release_graph(self) -> None:
         """Drop the CSR mmap and arc-domain scratch of this shard.
 
-        Everything that survives (halo, boundary slices, frozen-emission
-        cache, state) is O(nodes + cut); the O(arcs) memory — the
+        Everything that survives (halo, boundary slices, replicas,
+        state) is O(nodes + cut); the O(arcs) memory — the
         ``indptr``/``indices``/``weights`` maps *and* the emit
         scratch's candidate banks — is released.  Releasing means
         actually unmapping/freeing — the address space, not just the
@@ -465,12 +465,14 @@ class _ShardWorker(ArrayGrowingState):
         # with the next step.  The adopted frontier drives non-forced
         # rounds directly.
         emit_start = time.perf_counter()
-        hits = self.cache_hits
         emitted, outgoing, pending_blocks = self._emit_fused(
             delta, force, rescale, iteration, None if force else self._active
         )
         if force and len(self.halo):
-            pending_blocks += self._ghost_candidates(delta, rescale, iteration)
+            ghosts, block = self._ghost_candidates(delta, rescale, iteration)
+            emitted += ghosts
+            if block is not None:
+                pending_blocks.append(block)
         emit_end = time.perf_counter()
         if pending_blocks:
             self.pending = (
@@ -492,7 +494,6 @@ class _ShardWorker(ArrayGrowingState):
             "max_group_key": max_group_key,
             "outgoing": outgoing,
             "times": times,
-            "cache_hits": self.cache_hits - hits,
         }
 
     # -- emission ------------------------------------------------------- #
@@ -502,11 +503,13 @@ class _ShardWorker(ArrayGrowingState):
 
         On a forced round every frozen replica contributes over this
         shard's own (symmetric) boundary arcs, exactly as its owner
-        would have emitted them.  The blocks join the resident pending
-        block for the next merge — the same timing as shipped
-        candidates.  They are not added to ``emitted``: each ghost
-        contribution is the regeneration of a candidate its owner
-        already counted (and dropped from shipping).
+        would have emitted them; the owner's push drops those rows.
+        Returns ``(messages, block)``: this shard counts the ghost rows
+        that are messages — light, within Δ, into an open local row —
+        because it holds their targets' frozen bits, and the block
+        (``None`` if empty) of those that also improve their target
+        joins the resident pending block for the next merge, the same
+        timing as shipped candidates.
         """
         if not rescale:
             # Fused fast path (Contract semantics): a ghost's candidate
@@ -519,6 +522,7 @@ class _ShardWorker(ArrayGrowingState):
             ok = self.r_frozen[self.ext_halo_idx]
             np.logical_and(ok, self.ext_w <= delta, out=ok)
             np.logical_and(ok, ~self.frozen[li], out=ok)
+            messages = int(np.count_nonzero(ok))
             np.logical_and(ok, self.ext_w < self.dist[li], out=ok)
             hidx = self.ext_halo_idx[ok]
             w = self.ext_w[ok]
@@ -536,11 +540,12 @@ class _ShardWorker(ArrayGrowingState):
             ghost_rows = self.ext_rows[arc]
             ok = (w <= delta) & (nd <= delta)
             ok &= ~self.frozen[ghost_rows]
+            messages = int(np.count_nonzero(ok))
             ok &= nd < self.dist[ghost_rows]
             hidx, w, nd = hidx[ok], w[ok], nd[ok]
             ghost_rows = ghost_rows[ok]
         if not len(ghost_rows):
-            return []
+            return messages, None
         values = np.column_stack(
             (
                 nd,
@@ -549,23 +554,25 @@ class _ShardWorker(ArrayGrowingState):
                 self.halo[hidx].astype(np.float64),
             )
         )
-        return [(self.row_gids[ghost_rows], values)]
+        return messages, (self.row_gids[ghost_rows], values)
 
     def _emit_fused(self, delta, force, rescale, iteration, sources):
         """Scratch-buffered fused emission.
 
-        Runs the push expansion (or frozen-emission replay) of
-        :class:`~repro.mr.emit.EmitScratch` over the shard's rows, then
+        Runs the push expansion of :class:`~repro.mr.emit.EmitScratch`
+        over the shard's rows — its rows into frozen local targets and
+        from frozen sources into other shards are already dropped — then
         routes: locally-owned targets pass the improvement pre-filter
-        (their ``dist``/``frozen`` state is resident, so unadoptable
-        rows are dropped before their value columns exist — winner-
-        preserving, see :mod:`repro.mr.emit`); cross-shard rows cannot
-        be tested and ship exactly as before, through the same combine
-        and halo filters.  ``emitted`` still counts the full emission,
-        so the ``messages`` counter stays bit-identical to every other
-        backend.
+        (their ``dist`` is resident, so unadoptable rows are dropped
+        before their value columns exist — winner-preserving, see
+        :mod:`repro.mr.emit`); cross-shard rows into open halo nodes
+        (the replicas hold the frozen bits) ship through the combine and
+        halo filters.  Returns ``(messages, outgoing, pending_blocks)``
+        where ``messages`` counts the local rows plus the shipped rows
+        before the combine: with the receivers' ghost rows, every
+        message of the whole-graph push is counted on exactly one shard.
         """
-        keys, nd, src_local, aidx, emitted = self._emit_scratch.emit_raw(
+        keys, nd, src_local, aidx, count = self._emit_scratch.emit_raw(
             center=self.center,
             dist=self.dist,
             frozen=self.frozen,
@@ -578,17 +585,17 @@ class _ShardWorker(ArrayGrowingState):
         )
         outgoing = []
         pending_blocks = []
-        if not emitted:
+        if not count:
             return 0, outgoing, pending_blocks
         local = self.own.is_local(keys)
         weights = self.graph.weights
 
-        # Locally-owned targets: improvement pre-filter, then one
-        # resident block with the value columns built per survivor.
+        # Locally-owned targets (all open): improvement pre-filter, then
+        # one resident block with the value columns built per survivor.
         lk = keys[local]
-        li = self.own.to_local(lk)
+        messages = len(lk)
         lnd = nd[local]
-        imp = ~self.frozen[li] & (lnd < self.dist[li])
+        imp = lnd < self.dist[self.own.to_local(lk)]
         if imp.any():
             lk = lk[imp]
             lsrc = src_local[local][imp]
@@ -600,11 +607,15 @@ class _ShardWorker(ArrayGrowingState):
             block[:, 3] = self.row_gids[lsrc]
             pending_blocks.append((lk.copy(), block))
 
-        # Cross-shard candidates: receiver state is unknown, ship the
-        # live-source rows through the usual combine/halo filters.
-        remote = ~local
-        remote &= ~self.frozen[src_local]
-        if remote.any():
+        # Cross-shard candidates (all from live sources): receiver
+        # state is unknown beyond the frozen replicas, so the rows into
+        # open halo nodes ship through the combine/halo filters.
+        remote = np.flatnonzero(~local)
+        hidx = np.searchsorted(self.halo, keys[remote])
+        shipped = ~self.r_frozen[hidx]
+        remote, hidx = remote[shipped], hidx[shipped]
+        messages += len(remote)
+        if len(remote):
             rk = keys[remote]
             rem_src = src_local[remote]
             rvals = np.empty((len(rk), CANDIDATE_WIDTH), dtype=np.float64)
@@ -616,12 +627,14 @@ class _ShardWorker(ArrayGrowingState):
             owners = self.own.owner_of(rk)
             for dest in np.unique(owners):
                 mask = owners == dest
-                okeys, ovalues = self._combine_outgoing(rk[mask], rvals[mask])
+                okeys, ovalues = self._combine_outgoing(
+                    rk[mask], hidx[mask], rvals[mask]
+                )
                 if len(okeys):
                     outgoing.append((int(dest), okeys, ovalues))
-        return emitted, outgoing, pending_blocks
+        return messages, outgoing, pending_blocks
 
-    def _combine_outgoing(self, keys, values):
+    def _combine_outgoing(self, keys, hidx, values):
         """Shrink one outgoing block to its improving per-target winners.
 
         Two semantics-preserving reductions before anything crosses the
@@ -640,12 +653,12 @@ class _ShardWorker(ArrayGrowingState):
 
         Both change only the shipped-bytes accounting (like any
         map-side combiner), never the resulting state.  The combine is
-        one :func:`~repro.mr.kernels.scatter_min_rows` over halo
-        indices; the halo is sorted, so the block stays in ascending
-        target order.
+        one :func:`~repro.mr.kernels.scatter_min_rows` over the keys'
+        halo indices ``hidx``; the halo is sorted, so the block stays in
+        ascending target order.
         """
         idx, rows = scatter_min_rows(
-            np.searchsorted(self.halo, keys),
+            hidx,
             (values[:, 0], values[:, 1], values[:, 3]),
             domain=len(self.halo),
             scratch=self.halo_scratch,
@@ -843,10 +856,6 @@ class ShardedGrowingState:
         # replica_updates[dest] -> list of freeze blocks to deliver.
         self._replica_updates: Dict[int, List] = {}
         self._emitted_last = 0
-        #: Forced rounds the workers answered from their frozen-emission
-        #: caches, summed over shards (kept out of the counters, like
-        #: the vector state's count).
-        self.cache_hits = 0
 
     # -- growing-state interface --------------------------------------- #
 
@@ -913,7 +922,6 @@ class ShardedGrowingState:
 
         merged = sum(r["merged"] for r in replies)
         updated = sum(r["updated"] for r in replies)
-        self.cache_hits += sum(r["cache_hits"] for r in replies)
         newly = sum(r["newly"] for r in replies)
         produced = 0
         for reply in replies:

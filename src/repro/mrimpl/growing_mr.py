@@ -85,12 +85,10 @@ class ArrayGrowingState:
     :mod:`repro.mr.emit`: candidates are written into a per-state
     :class:`~repro.mr.emit.EmitScratch`, unadoptable rows are dropped
     before their value columns are materialized (the counters and
-    memory-model checks still see the full multiset), and the surviving
+    memory-model checks still see every message), and the surviving
     rows go straight to :func:`~repro.mr.kernels.scatter_min_rows` — no
     intermediate copy, key materialization, or sort, and zero O(n)/O(m)
-    allocations on non-forced rounds.  Whether a forced round expands
-    or replays the frozen-emission cache is the scratch's own per-round
-    choice, never an option.
+    allocations on non-forced rounds.
     """
 
     def __init__(self, graph: CSRGraph, row_gids: Optional[np.ndarray] = None):
@@ -115,11 +113,6 @@ class ArrayGrowingState:
     def _make_emit_scratch(self, graph: CSRGraph) -> EmitScratch:
         return EmitScratch(graph.indptr, graph.indices, graph.weights)
 
-    @property
-    def cache_hits(self) -> int:
-        """Forced rounds answered from the frozen-emission cache."""
-        return self._emit_scratch.cache_hits
-
     def _to_global(self, rows: np.ndarray) -> np.ndarray:
         return rows if self.row_gids is None else self.row_gids[rows]
 
@@ -128,8 +121,8 @@ class ArrayGrowingState:
 
         Called when a driver starts a new clustering phase on the same
         graph (CLUSTER2's second phase): state arrays are refilled in
-        place and the emit scratch keeps its buffers (its frozen-emission
-        cache is cleared — phase-2 freezing starts over).
+        place and the emit scratch keeps its buffers (its silent-row
+        marks are cleared — phase-2 freezing starts over).
         """
         self.center.fill(NO_CENTER)
         self.dist.fill(np.inf)
@@ -185,7 +178,7 @@ class ArrayGrowingState:
         iteration: int = 0,
     ) -> Tuple[int, int]:
         # Merge: reduce last step's surviving candidates to the winning
-        # row per target, with the accounting of the full emission (the
+        # row per target, with the accounting of all its messages (the
         # batch carries it); the apply reads the winners in place.
         batch = self._pending
         keys, rows = self._merge_fused(engine, batch)
@@ -200,13 +193,10 @@ class ArrayGrowingState:
         engine.counters.add_time("apply", emit_start - apply_start)
 
         # Emit: fused expansion into the scratch banks.  Non-forced
-        # rounds pass the adopted frontier straight through.  The merge
-        # is order-free — the scatter breaks ties by (nd, center,
-        # source) — so the frozen-emission cache is always available.
+        # rounds pass the adopted frontier straight through.
         self._pending = self._emit_scratch.emit(
             center=self.center,
             dist=self.dist,
-            dacc=self.dacc,
             frozen=self.frozen,
             frozen_iter=self.frozen_iter,
             delta=delta,
@@ -278,8 +268,8 @@ class ArrayGrowingState:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One merge round over a fused batch, with ``round_batch``'s
         exact accounting — the shared engine cost-model helpers, fed
-        the group summary of the *unfiltered* multiset the batch
-        recorded at emit time (one output row per group).
+        the group summary of the messages the batch recorded at emit
+        time (one output row per group).
         Returns the distinct target rows (ascending) and each one's
         winning row in the batch."""
         emitted = batch.emitted if batch is not None else 0
@@ -357,8 +347,8 @@ class ArrayGrowingState:
 
         The active frontier is exactly the ``changed`` set at a safe
         point (all-False in practice — the drivers only snapshot between
-        growths), and any pending emission or cached frozen replay is
-        invalid for the restored state, so scratch is reset.
+        growths), and any pending emission or silent-row mark is invalid
+        for the restored state, so scratch is reset.
         """
         rows = slice(None) if self.row_gids is None else self.row_gids
         np.copyto(self.center, arrays["center"][rows])

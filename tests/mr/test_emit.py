@@ -1,14 +1,14 @@
 """Unit and property tests of the fused emit pipeline (repro.mr.emit).
 
 The contract under test: for any state, :meth:`EmitScratch.emit` must
-report the *unfiltered* emission (count and group summary: worst group
-and busiest simulated worker) of the plain ``emit_frontier`` oracle
-below while materializing exactly the
-candidates that could be adopted — on both kernel tiers, across reused
-buffers, and across the frozen-emission cache's append/prune/invalidate
-transitions.  The raw push expansion of shard-slice scratches
-(contiguous and lp-mapped rows, boundary arcs included) is checked
-against the same oracle run on the slice's own CSR.
+report the messages (count and group summary: worst group and busiest
+simulated worker) of the plain ``emit_frontier`` oracle below while
+materializing exactly the candidates that could be adopted — on both
+kernel tiers, across reused buffers, and across the freeze / Δ-doubling
+/ reset history the native scan's silent-row marks follow.  The raw
+push expansion of shard-slice scratches (contiguous and lp-mapped rows,
+boundary arcs included) is checked against the same oracle run on the
+slice's own CSR.
 """
 
 import numpy as np
@@ -41,6 +41,9 @@ def emit_frontier(
     rescale: float = 0.0,
     iteration: int = 0,
     sources=None,
+    owners=None,
+    localidx=None,
+    shard=0,
 ):
     """Expand the new-contribution frontier through CSR rows.
 
@@ -61,6 +64,12 @@ def emit_frontier(
     frozen) contributors re-emit.  Effective distances are computed on
     the emitting subset only; no O(n) temporary is allocated on either
     path.
+
+    The kept rows are the round's messages: light, within Δ and into an
+    open target.  A shard slice passes its partition sidecars
+    (``owners``/``localidx`` by global id, and its ``shard`` id): an
+    owned target is open when its local row is, and another shard's
+    target is sent to from live sources only.
 
     Returns ``(keys, values)``.
     """
@@ -91,7 +100,14 @@ def emit_frontier(
     w = weights[arc_idx]
     src_rep = np.repeat(src, counts)
     nd_out = np.repeat(eff, counts) + w
-    ok = (w <= delta) & (nd_out <= delta)
+    if owners is None:
+        open_ = ~frozen[tgts]
+    else:
+        own = owners[tgts] == shard
+        open_ = np.where(
+            own, ~frozen[np.where(own, localidx[tgts], 0)], ~frozen[src_rep]
+        )
+    ok = (w <= delta) & (nd_out <= delta) & open_
     keep_src = src_rep[ok]
     cand_values = np.empty((len(keep_src), 3), dtype=np.float64)
     cand_values[:, 0] = nd_out[ok]
@@ -117,7 +133,8 @@ def random_state(graph, rng, frozen_frac=0.3, assigned_frac=0.8):
 
 
 def legacy_reference(graph, state, delta, force, sources=None, rescale=0.0, iteration=0):
-    """The oracle: full emission, then the merge-time adoptability filter."""
+    """The oracle: the round's messages, then the merge-time
+    adoptability filter."""
     center, dist, frozen, dacc, changed, frozen_iter = state
     keys, values = emit_frontier(
         graph.indptr,
@@ -135,12 +152,12 @@ def legacy_reference(graph, state, delta, force, sources=None, rescale=0.0, iter
         iteration=iteration,
         sources=sources,
     )
-    imp = (~frozen[keys]) & (values[:, 0] < dist[keys])
+    imp = values[:, 0] < dist[keys]
     return keys, values, imp
 
 
 def oracle_summary(keys, num_nodes, num_workers):
-    """The literal accounting of a round's full candidate multiset:
+    """The literal accounting of a round's messages:
     ``(max_count, max_key, max_load)`` of its per-target groups, each
     routed by the scalar hash partitioner with its rows plus one
     output row."""
@@ -160,17 +177,17 @@ def summary_tuple(summary):
 
 
 def forced_batch(graph, state, delta, num_workers=1):
-    """One forced round on a fresh scratch, bypassing the
-    frozen-emission cache: the plain push expansion plus the shared
-    filter/accounting tail."""
+    """One forced round on a fresh scratch through the NumPy forced
+    sets (no silent-row marks): the plain push expansion plus the
+    shared filter/accounting tail."""
     center, dist, frozen, _, _, frozen_iter = state
     scratch = EmitScratch(graph.indptr, graph.indices, graph.weights)
     m_loc, e_loc = scratch._forced_sets(
         center, dist, frozen, frozen_iter, delta, 0.0, 0
     )
     src = np.flatnonzero(m_loc)
-    cols = scratch._emit_push(src, e_loc[src], delta)
-    return scratch._finish(EmitBatch(), cols, center, dist, frozen, num_workers)
+    cols = scratch._emit_push(src, e_loc[src], delta, frozen)
+    return scratch._finish(EmitBatch(), cols, center, dist, num_workers)
 
 
 def sorted_rows(keys, nd, ctr, src):
@@ -187,8 +204,7 @@ def assert_batch_matches_oracle(
     assert summary_tuple(batch.summary) == oracle_summary(
         keys, graph.num_nodes, num_workers
     )
-    # The filtered rows are exactly the adoptable candidates (as a
-    # multiset — cache replay reorders rows).
+    # The filtered rows are exactly the adoptable candidates.
     assert batch.count == int(imp.sum())
     # emit_frontier does not return source ids, so compare the
     # (keys, nd, center) multiset plus the reconstructed dacc column.
@@ -239,7 +255,6 @@ class TestEmitMatchesOracle:
                 batch = scratch.emit(
                     center=state[0],
                     dist=state[1],
-                    dacc=state[3],
                     frozen=state[2],
                     frozen_iter=state[5],
                     delta=delta,
@@ -313,7 +328,8 @@ def oracle_columns(scratch, state, delta, force, **kwargs):
         center=np.where(center != NO_CENTER, rows, NO_CENTER),
         dist=dist, dacc=np.zeros(len(center)), frozen=frozen,
         changed=np.zeros(len(center), dtype=bool), frozen_iter=frozen_iter,
-        delta=delta, force=force, **kwargs,
+        delta=delta, force=force, owners=scratch.owners,
+        localidx=scratch.localidx, shard=scratch.shard_id, **kwargs,
     )
     order = np.argsort(keys, kind="stable")
     return (
@@ -351,7 +367,7 @@ class TestShardSlicesMatchOracle:
             m_loc, e_loc = scratch._forced_sets(*state, 0.6, 0.0, 0)
             src = np.flatnonzero(m_loc)
             push = canonical_columns(
-                scratch, scratch._emit_push(src, e_loc[src], 0.6)
+                scratch, scratch._emit_push(src, e_loc[src], 0.6, state[2])
             )
         want = oracle_columns(scratch, state, 0.6, True)
         assert len(want[0])
@@ -362,8 +378,7 @@ class TestShardSlicesMatchOracle:
     @pytest.mark.parametrize("layout, shard", LAYOUTS)
     @pytest.mark.parametrize("force", [True, False])
     def test_emit_raw(self, layout, shard, force, impl):
-        """``emit_raw``: a rescaled forced round (the cache-ineligible
-        branch) and a frontier round."""
+        """``emit_raw``: a rescaled forced round and a frontier round."""
         graph = small_graph(seed=43)
         rng = np.random.default_rng(10 + shard)
         center, dist, frozen, _, _, frozen_iter = random_state(graph, rng)
@@ -408,117 +423,127 @@ class TestScratchReuse:
                 sources = np.sort(
                     rng.choice(assigned, size=k, replace=False)
                 ) if k else np.empty(0, dtype=np.int64)
-            batch = scratch.emit(
-                center=state[0], dist=state[1], dacc=state[3],
-                frozen=state[2], frozen_iter=state[5],
-                delta=delta, force=force, sources=sources,
+            kwargs = dict(
+                center=state[0], dist=state[1], frozen=state[2],
+                frozen_iter=state[5], delta=delta, force=force,
+                sources=sources,
             )
+            # Unrelated states thaw rows: forget the silent-row marks
+            # (the banks stay).
+            scratch.reset()
+            batch = scratch.emit(**kwargs)
             # Fresh scratch = ground truth for this round.
-            fresh = EmitScratch(graph.indptr, graph.indices, graph.weights)
-            ref = fresh.emit(
-                center=state[0], dist=state[1], dacc=state[3],
-                frozen=state[2], frozen_iter=state[5],
-                delta=delta, force=force, sources=sources,
-            )
+            ref = EmitScratch(
+                graph.indptr, graph.indices, graph.weights
+            ).emit(**kwargs)
             assert batch.emitted == ref.emitted
             assert batch.count == ref.count
             for got, want in (
                 (batch.keys, ref.keys), (batch.nd, ref.nd),
                 (batch.ctr, ref.ctr), (batch.src, ref.src), (batch.w, ref.w),
             ):
-                got_s = np.sort(np.asarray(got))
-                np.testing.assert_allclose(got_s, np.sort(np.asarray(want)))
+                np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("impl", TIERS)
-    @pytest.mark.parametrize("num_workers", [1, 2, 7])
-    def test_cache_tracks_freezing_and_delta_changes(self, impl, num_workers):
-        """Forced-round replay must equal plain push through a realistic
-        freeze / delta-doubling / stage-reset history: the same rows and
-        the oracle's group summary, with the cache's histogram (and, on
-        the native tier, its running summary) equal to the oracle's
-        accounting of the cached rows — every frozen source's light
-        arcs."""
-        graph = small_graph(seed=33)
+    @staticmethod
+    def _history(graph, rng):
+        """Forced-round states of a realistic stage history: a few
+        assigned nodes freeze, the rest reset, new centers start, and Δ
+        doubles once — the frozen set only grows."""
         n = graph.num_nodes
-        rng = np.random.default_rng(17)
-        scratch = EmitScratch(graph.indptr, graph.indices, graph.weights)
         center = np.full(n, NO_CENTER, dtype=np.int64)
         dist = np.full(n, np.inf)
         frozen = np.zeros(n, dtype=bool)
-        dacc = np.full(n, np.inf)
         fit = np.zeros(n, dtype=np.int64)
         delta = 0.3
         for stage in range(6):
-            # Freeze a few assigned nodes, reset the rest, pick centers.
-            newly = rng.random(n) < 0.15
+            newly = rng.random(n) < 0.3
             frozen |= newly & (center != NO_CENTER)
             live = ~frozen
             center[live] = NO_CENTER
             dist[live] = np.inf
-            dacc[live] = np.inf
-            picks = np.flatnonzero(live)[: 1 + stage]
+            picks = np.flatnonzero(live)[: 1 + 3 * stage]
             center[picks] = picks
             dist[picks] = 0.0
-            dacc[picks] = 0.0
+            # Grow the centers' neighbourhoods so frozen rows pile up.
+            for u in picks:
+                nbrs = graph.indices[graph.indptr[u]:graph.indptr[u + 1]]
+                nbrs = nbrs[live[nbrs] & (center[nbrs] == NO_CENTER)]
+                center[nbrs] = u
+                dist[nbrs] = 0.1
             if stage == 3:
-                delta *= 2  # invalidates the cache wholesale
-            hits = scratch.cache_hits
+                delta *= 2
+            yield center, dist, frozen, fit, delta
+
+    @pytest.mark.parametrize("impl", TIERS)
+    @pytest.mark.parametrize("num_workers", [1, 2, 7])
+    def test_forced_rounds_track_freezing(self, impl, num_workers):
+        """Forced rounds on one scratch through a freeze / Δ-doubling
+        history equal a fresh scratch's: the same rows and the oracle's
+        group summary.  On the native tier the scan marks exactly the
+        frozen rows left with no open neighbour."""
+        graph = small_graph(seed=33)
+        n = graph.num_nodes
+        scratch = EmitScratch(graph.indptr, graph.indices, graph.weights)
+        marked = False
+        for center, dist, frozen, fit, delta in self._history(
+            graph, np.random.default_rng(17)
+        ):
             with native.impl_overrides(impl, None):
                 batch = scratch.emit(
-                    center=center, dist=dist, dacc=dacc, frozen=frozen,
+                    center=center, dist=dist, frozen=frozen,
                     frozen_iter=fit, delta=delta, force=True,
                     num_workers=num_workers,
                 )
                 ref = forced_batch(
-                    graph, (center, dist, frozen, dacc, None, fit), delta,
+                    graph, (center, dist, frozen, None, None, fit), delta,
                     num_workers,
                 )
             assert batch.emitted == ref.emitted
             assert batch.count == ref.count
-            state = (center, dist, frozen, dacc, np.zeros(n, bool), fit)
+            state = (center, dist, frozen, dist, np.zeros(n, bool), fit)
             keys, _, _ = legacy_reference(graph, state, delta, True)
             assert summary_tuple(batch.summary) == oracle_summary(
                 keys, n, num_workers
             )
             assert summary_tuple(batch.summary) == summary_tuple(ref.summary)
-            got = sorted_rows(batch.keys, batch.nd, batch.ctr, batch.srcf)
-            want = sorted_rows(ref.keys, ref.nd, ref.ctr, ref.srcf)
-            for a, b in zip(got, want):
-                np.testing.assert_allclose(a, b)
-            if scratch.cache_hits > hits:
-                # Only frozen sources emitting: the cached rows.
-                only_frozen = np.where(frozen, center, NO_CENTER)
-                cached, _, _ = legacy_reference(
-                    graph, (only_frozen,) + state[1:], delta, True
-                )
+            for a, b in zip(
+                (batch.keys, batch.nd, batch.ctr, batch.srcf),
+                (ref.keys, ref.nd, ref.ctr, ref.srcf),
+            ):
+                np.testing.assert_array_equal(a, b)
+            if impl == "native":
+                open_nbr = np.zeros(n, dtype=bool)
+                src = np.repeat(np.arange(n), np.diff(graph.indptr))
+                np.logical_or.at(open_nbr, src, ~frozen[graph.indices])
+                silent = frozen & ~open_nbr
                 np.testing.assert_array_equal(
-                    scratch._cache_hist, np.bincount(cached, minlength=n)
+                    scratch._dead.astype(bool), silent
                 )
-                if impl == "native":
-                    top, key, _ = oracle_summary(cached, n, num_workers)
-                    no_key = -1 if key is None else key  # empty cache
-                    assert tuple(scratch._cache_top) == (top, no_key)
-                    loads = np.zeros(num_workers, dtype=np.int64)
-                    dense = np.bincount(cached, minlength=n)
-                    for k in np.flatnonzero(dense).tolist():
-                        loads[hash_partition(k, num_workers)] += dense[k] + 1
-                    np.testing.assert_array_equal(scratch._cache_loads, loads)
-        assert scratch.cache_hits >= 1
+                marked |= bool(silent.any())
+        assert impl == "py" or marked
 
-    def test_reset_clears_cache_but_keeps_working(self):
+    def test_reset_forgets_silent_rows(self):
+        """Thawing rows (a new phase, a restore) after :meth:`reset`
+        emits what a fresh scratch does."""
         graph = small_graph(seed=9)
-        rng = np.random.default_rng(23)
+        n = graph.num_nodes
         scratch = EmitScratch(graph.indptr, graph.indices, graph.weights)
-        state = random_state(graph, rng)
+        center = np.arange(n, dtype=np.int64)
         kwargs = dict(
-            center=state[0], dist=state[1], dacc=state[3], frozen=state[2],
-            frozen_iter=state[5], delta=0.6, force=True,
+            center=center, dist=np.zeros(n), frozen_iter=np.zeros(n, np.int64),
+            delta=0.6, force=True,
         )
-        first = scratch.emit(**kwargs)
+        frozen = np.ones(n, dtype=bool)
+        frozen[0] = False
+        scratch.emit(frozen=frozen, **kwargs)
+        thawed = np.zeros(n, dtype=bool)
         scratch.reset()
-        again = scratch.emit(**kwargs)
-        assert first.emitted == again.emitted
-        assert first.count == again.count
+        again = scratch.emit(frozen=thawed, **kwargs)
+        fresh = EmitScratch(graph.indptr, graph.indices, graph.weights).emit(
+            frozen=thawed, **kwargs
+        )
+        assert again.emitted == fresh.emitted > 0
+        assert again.count == fresh.count
 
 
 class TestOrderFreeReducer:

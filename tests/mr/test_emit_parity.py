@@ -1,16 +1,16 @@
 """End-to-end parity of the emit pipeline across kernel tiers.
 
-Each Δ-growing round expands its candidates push-style (the frontier's
-rows) or, on a forced round, by replaying the frozen-emission cache;
-each kernel tier has its own push expansion and cache kernels.  This
-suite runs the full CLUSTER / CLUSTER2 / CL-DIAM drivers on a seeded
+Each Δ-growing round expands its candidates push-style: the frontier's
+rows, or on a forced round every emitting row; each kernel tier has its
+own push expansion and forced-round scan.  This suite runs the full CLUSTER / CLUSTER2 / CL-DIAM drivers on a seeded
 R-MAT on each tier and across every executor, and asserts the
 strongest possible contract: bit-identical clusterings and
 bit-identical ``rounds`` / ``messages`` / ``updates`` /
 ``growing_steps`` counters.  The fixed point is the per-key oracle of
 ``tests/oracle/mr_literal.py``, which has no fused pipeline; it counts
-pair traffic, so its ``messages`` are not compared
-(``tests/mr/test_emit.py`` checks the fused emission counts against the
+pair traffic, so its ``messages`` are not compared here
+(``tests/mr/test_counter_parity.py`` compares its candidate pairs;
+``tests/mr/test_emit.py`` checks the fused emission counts against the
 ``emit_frontier`` oracle, and ``tests/mr/test_native_kernels.py`` the
 tiers' full counter snapshots against each other).  The CI
 ``bench-regression`` job runs this file before believing any benchmark.

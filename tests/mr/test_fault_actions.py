@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ClusterConfig
-from repro.errors import CorruptArtifact
+from repro.errors import ConfigurationError, CorruptArtifact
 from repro.generators import mesh
 from repro.graph.serialize import open_store, verify_store, write_store
 from repro.mr.faults import (
@@ -63,10 +63,11 @@ class TestPlanGrammar:
             "kill:shard=1,round=2",
             "kill:shard=driver,round=9;kill:shard=0,round=1",
             "delay:shard=1,round=3,seconds=0.5",
+            "kill:shard=driver,round=soon",     # non-integer round
         ],
     )
     def test_invalid_plans_rejected(self, raw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=FAULT_PLAN_ENV):
             FaultPlan(raw)
 
     def test_mixed_plan_parses(self):

@@ -266,28 +266,21 @@ def _finish_inputs(rng, n, domain):
     src = rng.integers(0, 50, n).astype(np.int64)
     aidx = rng.integers(0, 80, n).astype(np.int64)
     dist = np.full(domain, 0.5)
-    frozen = np.zeros(domain, dtype=bool)
     dist[keys] = np.round(rng.random(n) * 4.0) / 4.0
-    frozen[keys[rng.random(n) < 0.3]] = True
     weights = rng.random(80)
     center = rng.integers(-1, 50, 50).astype(np.int64)
-    return keys, nd, src, aidx, dist, frozen, weights, center
+    return keys, nd, src, aidx, dist, weights, center
 
 
-def _finish(inputs, hist, *, num_workers=1, base=None, base_loads=None,
-            top=(0, -1)):
+def _finish(inputs, hist, *, num_workers=1):
     n = len(inputs[0])
     banks = (
         np.empty(n, np.int64), np.empty(n), np.empty(n, np.int64),
         np.empty(n), np.empty(n), np.empty(n),
     )
-    loads = (
-        np.zeros(num_workers, np.int64) if base_loads is None
-        else base_loads.copy()
-    )
+    loads = np.zeros(num_workers, np.int64)
     kept, summary = native.finish_batch(
-        *inputs, *banks, hist=hist, gk=np.empty(n, np.int64), base=base,
-        loads=loads, top=top,
+        *inputs, *banks, hist=hist, gk=np.empty(n, np.int64), loads=loads,
     )
     if hist is not None:
         assert not loads.any(), "loads must be restored to all-zero"
@@ -330,43 +323,15 @@ class TestFinishBatch:
             assert summary == _summary_oracle(dense, num_workers)
             assert not hist.any(), "hist must be restored to all-zero"
 
-    @pytest.mark.parametrize("num_workers", [1, 3, 7])
-    def test_fold_onto_base(self, num_workers):
-        """With a base (the cache's histogram and running summary), the
-        summary is the one of base + batch: new keys open a group, keys
-        already in the base only add rows, and tied counts resolve to
-        the smallest key."""
-        rng = np.random.default_rng(40 + num_workers)
-        domain = 60
-        for trial in range(40):
-            base = rng.integers(0, 3, domain) * (rng.random(domain) < 0.5)
-            base = base.astype(np.int64)
-            groups = np.flatnonzero(base)
-            base_loads = np.zeros(num_workers, np.int64)
-            np.add.at(
-                base_loads, hash_partition_array(groups, num_workers),
-                base[groups] + 1,
-            )
-            top, key, _ = _summary_oracle(base, num_workers)
-            n = int(rng.integers(0, 40))
-            inputs = _finish_inputs(rng, n, domain)
-            hist = np.zeros(domain, dtype=np.int64)
-            _, summary, _ = _finish(
-                inputs, hist, num_workers=num_workers, base=base,
-                base_loads=base_loads, top=(top, key),
-            )
-            combined = base + np.bincount(inputs[0], minlength=domain)
-            assert summary == _summary_oracle(combined, num_workers)
-
     def test_filter_columns_and_null_hist(self):
-        """The improvement filter keeps open, strictly improved targets
-        and gathers w/center/float-source; a NULL histogram skips the
+        """The improvement filter keeps strictly improved targets and
+        gathers w/center/float-source; a NULL histogram skips the
         accounting but filters identically."""
         rng = np.random.default_rng(12)
         inputs = _finish_inputs(rng, 500, 120)
-        keys, nd, src, aidx, dist, frozen, weights, center = inputs
+        keys, nd, src, aidx, dist, weights, center = inputs
         kept, summary, banks = _finish(inputs, np.zeros(120, np.int64))
-        imp = ~frozen[keys] & (nd < dist[keys])
+        imp = nd < dist[keys]
         assert kept == int(imp.sum()) and summary[0] > 0
         expect = (
             keys[imp], nd[imp], src[imp], weights[aidx[imp]],
@@ -379,15 +344,41 @@ class TestFinishBatch:
         for got, ref in zip(banks2, banks):
             np.testing.assert_array_equal(got[:kept], ref[:kept])
 
+    def test_summary_arguments_are_checked(self):
+        inputs = _finish_inputs(np.random.default_rng(1), 4, 10)
+        banks = [np.empty(4, np.int64), np.empty(4), np.empty(4, np.int64),
+                 np.empty(4), np.empty(4), np.empty(4)]
+        with pytest.raises(ValueError, match="loads"):
+            native.finish_batch(
+                *inputs, *banks, hist=np.zeros(10, np.int64),
+                gk=np.empty(4, np.int64), loads=np.zeros(0, np.int64),
+            )
+
 
 # --------------------------------------------------------------------- #
 # the forced-round scan
 # --------------------------------------------------------------------- #
 
 
+def _silent(indptr, indices, frozen, rows, owners=None, localidx=None,
+            shard=0):
+    """Per row: no arc into a target the push could emit to."""
+    out = np.zeros(len(rows), dtype=bool)
+    for i, r in enumerate(rows):
+        keys = indices[indptr[r]:indptr[r + 1]]
+        if owners is None:
+            open_ = ~frozen[keys]
+        else:
+            own = owners[keys] == shard
+            open_ = own & ~frozen[np.where(own, localidx[keys], 0)]
+        out[i] = not open_.any()
+    return out
+
+
 @needs_native
 class TestForcedScan:
-    """``rk_forced_scan`` against the NumPy forced-round masks."""
+    """``rk_forced_scan`` against the NumPy forced-round masks, with
+    frozen rows that have no open neighbour left out and marked."""
 
     def _state(self, rng, n):
         center = np.where(
@@ -396,58 +387,96 @@ class TestForcedScan:
         # Quantized distances so dist == delta ties are common.
         dist = np.round(rng.random(n) * 4.0) / 4.0
         dist[center == NO_CENTER] = np.inf
-        frozen = (center != NO_CENTER) & (rng.random(n) < 0.4)
-        cache_in = frozen & (rng.random(n) < 0.5)
-        return center, dist, frozen, cache_in
+        frozen = (center != NO_CENTER) & (rng.random(n) < 0.6)
+        return center, dist, frozen
 
     @pytest.mark.parametrize("n", [0, 1, 2, 90])
     def test_matches_masks(self, n):
         rng = np.random.default_rng(n)
         degs = rng.integers(0, 5, n)
         indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
+        indices = rng.integers(0, max(n, 1), int(degs.sum())).astype(np.int64)
         for trial in range(20):
-            center, dist, frozen, cache_in = self._state(rng, n)
+            center, dist, frozen = self._state(rng, n)
             delta = 0.5
             ids = np.empty(n, np.int64)
             eff = np.empty(n)
-            newly = np.empty(n, np.int64)
-            assigned = center != NO_CENTER
-            live = np.flatnonzero(assigned & ~frozen & (dist < delta))
-            for cin in (cache_in, None):
-                t, fresh, degsum = native.forced_scan(
-                    center, dist, frozen, delta, indptr, ids, eff,
-                    cache_in=cin, newly=newly,
-                )
-                np.testing.assert_array_equal(ids[:t], live)
-                np.testing.assert_array_equal(eff[:t], dist[live])
-                assert degsum == int(degs[live].sum())
-                want = frozen if cin is None else frozen & ~cin
-                np.testing.assert_array_equal(
-                    newly[:fresh], np.flatnonzero(want)
-                )
-            t, _, _ = native.forced_scan(
-                center, dist, frozen, delta, indptr, ids, eff
+            cum = np.empty(n, np.int64)
+            dead = np.zeros(n, np.uint8)
+            t = native.forced_scan(
+                center, dist, frozen, delta, indptr, indices, dead, ids,
+                eff, cum,
             )
             e = np.where(frozen, 0.0, dist)
-            rows = np.flatnonzero(assigned & (e < delta))
+            rows = np.flatnonzero((center != NO_CENTER) & (e < delta))
+            silent = frozen[rows] & _silent(indptr, indices, frozen, rows)
+            np.testing.assert_array_equal(dead, np.isin(
+                np.arange(n), rows[silent]
+            ))
+            rows = rows[~silent]
             np.testing.assert_array_equal(ids[:t], rows)
             np.testing.assert_array_equal(eff[:t], e[rows])
+            np.testing.assert_array_equal(cum[:t], np.cumsum(degs[rows]))
+            # Marked rows are skipped without a second look.
+            dead[:] = 1
+            t = native.forced_scan(
+                center, dist, frozen, delta, indptr, indices, dead, ids,
+                eff, cum,
+            )
+            np.testing.assert_array_equal(
+                ids[:t], np.flatnonzero((center != NO_CENTER) & ~frozen
+                                        & (dist < delta))
+            )
 
+    def test_mapped_layout_marks(self, graph):
+        """Shard rows: only owned open neighbours keep a frozen row
+        emitting (a frozen source never emits into another shard)."""
+        n = graph.num_nodes
+        owners = (np.arange(n) % 3).astype(np.int32)
+        localidx = np.zeros(n, np.int32)
+        for k in range(3):
+            localidx[owners == k] = np.arange(int((owners == k).sum()))
+        rows = np.flatnonzero(owners == 1)
+        degs = graph.indptr[rows + 1] - graph.indptr[rows]
+        indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
+        indices = np.concatenate(
+            [graph.indices[graph.indptr[r]:graph.indptr[r + 1]] for r in rows]
+        ).astype(np.int64)
+        rng = np.random.default_rng(5)
+        center = rows.copy()
+        dist = np.zeros(len(rows))
+        frozen = rng.random(len(rows)) < 0.8
+        buf = [np.empty(len(rows), t) for t in (np.int64, float, np.int64)]
+        dead = np.zeros(len(rows), np.uint8)
+        t = native.forced_scan(
+            center, dist, frozen, 1.0, indptr, indices, dead, *buf,
+            owners=owners, localidx=localidx, shard_id=1,
+        )
+        silent = frozen & _silent(
+            indptr, indices, frozen, np.arange(len(rows)), owners,
+            localidx, 1,
+        )
+        assert silent.any() and not silent.all()
+        np.testing.assert_array_equal(dead.astype(bool), silent)
+        np.testing.assert_array_equal(buf[0][:t], np.flatnonzero(~silent))
 
     def test_rejects_short_buffers(self):
         center = np.zeros(4, np.int64)
         dist = np.zeros(4)
         frozen = np.zeros(4, bool)
         indptr = np.zeros(5, np.int64)
+        indices = np.zeros(0, np.int64)
         with pytest.raises(ValueError, match="n-row outputs"):
             native.forced_scan(
-                center, dist, frozen, 1.0, indptr,
-                np.empty(3, np.int64), np.empty(4),
+                center, dist, frozen, 1.0, indptr, indices,
+                np.zeros(4, np.uint8), np.empty(3, np.int64), np.empty(4),
+                np.empty(4, np.int64),
             )
         with pytest.raises(ValueError, match="n-row outputs"):
             native.forced_scan(
-                center, dist, frozen, 1.0, indptr,
-                np.empty(4, np.int64), np.empty(4), newly=np.empty(2, np.int64),
+                center, dist, frozen, 1.0, indptr, indices,
+                np.zeros(2, np.uint8), np.empty(4, np.int64), np.empty(4),
+                np.empty(4, np.int64),
             )
 
 
@@ -696,14 +725,14 @@ class TestApply:
 
 @needs_native
 class TestThreadedEmit:
-    def _push_once(self, graph, threads):
+    def _push_once(self, graph, threads, frozen):
         indptr = graph.indptr
         srcs = np.flatnonzero(
             (indptr[1:] - indptr[:-1]) > 0
         ).astype(np.int64)
         eff = np.zeros(len(srcs))
-        counts = indptr[srcs + 1] - indptr[srcs]
-        total = int(counts.sum())
+        cum = np.cumsum(indptr[srcs + 1] - indptr[srcs])
+        total = int(cum[-1])
         banks = [
             np.empty(total, dtype=np.int64),
             np.empty(total),
@@ -712,15 +741,17 @@ class TestThreadedEmit:
         ]
         cnt = native.emit_push_into(
             indptr, graph.indices, graph.weights, srcs, eff,
-            float(np.median(graph.weights)), counts,
-            banks[0], banks[1], banks[2], banks[3], threads,
+            float(np.median(graph.weights)), cum,
+            banks[0], banks[1], banks[2], banks[3], threads, frozen=frozen,
         )
         return [b[:cnt].copy() for b in banks]
 
     @pytest.mark.parametrize("threads", [2, 3, 7])
     def test_push_bit_identical_across_threads(self, graph, threads):
-        ref = self._push_once(graph, 1)
-        got = self._push_once(graph, threads)
+        frozen = np.random.default_rng(threads).random(graph.num_nodes) < 0.3
+        ref = self._push_once(graph, 1, frozen)
+        got = self._push_once(graph, threads, frozen)
+        assert len(ref[0])
         for a, b in zip(got, ref):
             np.testing.assert_array_equal(a, b)
 
@@ -731,163 +762,68 @@ class TestThreadedEmit:
             np.empty(0), 1.0, np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64), np.empty(0),
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 4,
+            frozen=np.zeros(graph.num_nodes, bool),
         )
         assert cnt == 0
 
 
-# --------------------------------------------------------------------- #
-# frozen-emission cache kernels
-# --------------------------------------------------------------------- #
+def _push_oracle(indptr, indices, weights, srcs, eff, delta, frozen,
+                 owners=None, localidx=None, shard=0):
+    """The push's messages, one Python row at a time: ``(key, src, arc)``."""
+    rows = []
+    for u, e in zip(srcs.tolist(), eff.tolist()):
+        for arc in range(indptr[u], indptr[u + 1]):
+            key, w = int(indices[arc]), weights[arc]
+            if w > delta or e + w > delta:
+                continue
+            if owners is None:
+                closed = frozen[key]
+            elif owners[key] == shard:
+                closed = frozen[localidx[key]]
+            else:
+                closed = frozen[u]
+            if not closed:
+                rows.append((key, u, arc))
+    return rows
 
 
 @needs_native
-class TestCacheKernels:
-    def test_cache_append_retire_replay(self):
-        rng = np.random.default_rng(6)
-        for _ in range(40):
-            # Random frozen sources (rows of a small CSR over 40 ids),
-            # appended the way _cache_append_native fills the cache.
-            rows = int(rng.integers(1, 12))
-            degs = rng.integers(0, 8, rows)
-            indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
-            narcs = int(indptr[-1])
-            indices = rng.integers(0, 40, narcs).astype(np.int64)
-            arc_w = rng.random(narcs)
-            delta = 0.7
-            # Shard 1 owns the contiguous ids [lo, hi) through the int32
-            # sidecars, the way a shard's row set reaches the kernels.
-            lo, hi = 10, 30
-            ids = np.arange(40)
-            owners = ((ids >= lo).astype(np.int32) + (ids >= hi)).astype(
-                np.int32
-            )
-            localidx = (ids - np.array([0, lo, hi])[owners]).astype(np.int32)
-            # Reference: frozen sources emit at effective distance 0,
-            # so exactly their light arcs, source-major in CSR order.
-            light = arc_w <= delta
-            k = indices[light]
-            s = np.repeat(np.arange(rows, dtype=np.int64), degs)[light]
-            a = np.flatnonzero(light).astype(np.int64)
-            hist = np.zeros(hi - lo, dtype=np.int64)
-            ck = np.zeros(narcs + 8, np.int64)
-            cs = np.zeros(narcs + 8, np.int64)
-            ca = np.zeros(narcs + 8, np.int64)
-            app, total = native.cache_emit(
-                indptr, indices, arc_w, np.arange(rows, dtype=np.int64),
-                delta, hist, ck, cs, ca, 0,
-                owners=owners, localidx=localidx, shard_id=1,
-            )
-            assert total == len(k)
-            owned = (k >= lo) & (k < hi)
-            assert app == int(owned.sum())
-            np.testing.assert_array_equal(ck[:app], k[owned])
-            np.testing.assert_array_equal(cs[:app], s[owned])
-            np.testing.assert_array_equal(ca[:app], a[owned])
-            np.testing.assert_array_equal(
-                hist, np.bincount(k[owned] - lo, minlength=hi - lo)
-            )
+class TestPushOpenTargets:
+    """``rk_emit_push`` keeps exactly the round's messages: light arcs
+    within Δ into open targets, on both layouts."""
 
-            frozen = rng.random(hi - lo) < 0.4
-            keep = ~frozen[ck[:app] - lo]  # before in-place compaction
-            nl = native.cache_retire(
-                ck, cs, ca, app, frozen, localidx=localidx
-            )
-            assert nl == int(keep.sum())
-            np.testing.assert_array_equal(ck[:nl], k[owned][keep])
+    def _push(self, indptr, indices, weights, srcs, eff, delta, frozen,
+              **sidecars):
+        cum = np.cumsum(indptr[srcs + 1] - indptr[srcs])
+        total = int(cum[-1]) if len(cum) else 0
+        banks = [np.empty(total, np.int64), np.empty(total),
+                 np.empty(total, np.int64), np.empty(total, np.int64)]
+        cnt = native.emit_push_into(
+            indptr, indices, weights, srcs, eff, delta, cum, *banks, 1,
+            frozen=frozen, **sidecars,
+        )
+        keys, nd, src, aidx = (b[:cnt] for b in banks)
+        np.testing.assert_array_equal(nd, eff[np.searchsorted(srcs, src)]
+                                      + weights[aidx])
+        return list(zip(keys.tolist(), src.tolist(), aidx.tolist()))
 
-            # The whole-graph replay, fused into the retire pass: the
-            # survivors that strictly improve their target come out
-            # with their value columns.
-            rk, rs, ra = ck[:nl].copy(), cs[:nl].copy(), ca[:nl].copy()
-            wfrozen = np.zeros(40, dtype=bool)
-            wfrozen[rng.integers(0, 40, 6)] = True
-            weights = rng.random(100)
-            dist = rng.random(40) * 0.8
-            center = rng.integers(-1, 40, rows).astype(np.int64)
-            fk = np.zeros(nl + 1, np.int64)
-            fs = np.zeros(nl + 1, np.int64)
-            fnd, fw, fctr, fsrcf = (np.zeros(nl + 1) for _ in range(4))
-            nl2, t = native.cache_retire(
-                ck, cs, ca, nl, wfrozen,
-                replay=(weights, dist, center, fk, fnd, fs, fw, fctr, fsrcf),
-            )
-            live = ~wfrozen[rk]
-            assert nl2 == int(live.sum())
-            np.testing.assert_array_equal(ck[:nl2], rk[live])
-            np.testing.assert_array_equal(cs[:nl2], rs[live])
-            ref_w = weights[ra[live]]
-            imp = ref_w < dist[rk[live]]
-            assert t == int(imp.sum())
-            np.testing.assert_array_equal(fk[:t], rk[live][imp])
-            np.testing.assert_array_equal(fnd[:t], ref_w[imp])
-            np.testing.assert_array_equal(fs[:t], rs[live][imp])
-            np.testing.assert_array_equal(fw[:t], ref_w[imp])
-            np.testing.assert_array_equal(fctr[:t], center[rs[live][imp]])
-            np.testing.assert_array_equal(fsrcf[:t], rs[live][imp])
-
-    @pytest.mark.parametrize("num_workers", [1, 2, 7])
-    def test_cache_emit_matches_push_plus_append(self, graph, num_workers):
-        """The whole-graph layout: no sidecars, every key owned; the
-        running group summary follows the appends across two calls."""
+    def test_whole_graph(self, graph):
+        rng = np.random.default_rng(2)
         delta = float(np.median(graph.weights))
-        newly = np.arange(0, graph.num_nodes, 5, dtype=np.int64)
-        bound = int((graph.indptr[newly + 1] - graph.indptr[newly]).sum())
-        hist = np.zeros(graph.num_nodes, dtype=np.int64)
-        ck = np.zeros(bound, np.int64)
-        cs = np.zeros(bound, np.int64)
-        ca = np.zeros(bound, np.int64)
-        loads = np.zeros(num_workers, np.int64)
-        top = np.array([0, -1], np.int64)
-        half = len(newly) // 2
-        first, cnt1 = native.cache_emit(
-            graph.indptr, graph.indices, graph.weights, newly[:half],
-            delta, hist, ck, cs, ca, 0, loads=loads, top=top,
-        )
-        appended, cnt2 = native.cache_emit(
-            graph.indptr, graph.indices, graph.weights, newly[half:],
-            delta, hist, ck, cs, ca, first, loads=loads, top=top,
-        )
-        appended += first
-        cnt = cnt1 + cnt2
-        # Reference: python expansion with eff = 0, light filter only.
-        ref_k, ref_s, ref_a = [], [], []
-        total = 0
-        for u in newly:
-            for arc in range(graph.indptr[u], graph.indptr[u + 1]):
-                if graph.weights[arc] <= delta:
-                    total += 1
-                    ref_k.append(graph.indices[arc])
-                    ref_s.append(u)
-                    ref_a.append(arc)
-        assert cnt == total and appended == len(ref_k)
-        np.testing.assert_array_equal(ck[:appended], ref_k)
-        np.testing.assert_array_equal(cs[:appended], ref_s)
-        np.testing.assert_array_equal(ca[:appended], ref_a)
-        np.testing.assert_array_equal(
-            hist, np.bincount(np.array(ref_k), minlength=graph.num_nodes)
-        )
-        ref_top, ref_key, ref_load = _summary_oracle(hist, num_workers)
-        assert tuple(top) == (ref_top, ref_key)
-        assert int(loads.max()) == ref_load
-        groups = np.flatnonzero(hist)
-        np.testing.assert_array_equal(
-            loads,
-            np.bincount(
-                hash_partition_array(groups, num_workers),
-                weights=hist[groups] + 1, minlength=num_workers,
-            ).astype(np.int64),
-        )
-        frozen = np.zeros(graph.num_nodes, dtype=bool)
-        frozen[::3] = True
-        keep = ~frozen[ck[:appended]]
-        nl = native.cache_retire(ck, cs, ca, appended, frozen)
-        np.testing.assert_array_equal(ck[:nl], np.array(ref_k)[keep])
+        for _ in range(5):
+            frozen = rng.random(graph.num_nodes) < 0.4
+            srcs = np.flatnonzero(rng.random(graph.num_nodes) < 0.5)
+            eff = np.where(frozen[srcs], 0.0, rng.random(len(srcs)) * delta)
+            got = self._push(graph.indptr, graph.indices, graph.weights,
+                             srcs, eff, delta, frozen)
+            assert got == _push_oracle(graph.indptr, graph.indices,
+                                       graph.weights, srcs, eff, delta,
+                                       frozen)
 
     @pytest.mark.parametrize("shard_id", [0, 2])
-    def test_mapped_ownership_emit_and_retire(self, graph, shard_id):
-        """The lp ownership map (int32 owners/localidx sidecars) against a
-        Python oracle: owned keys append, hist counts by local row, and
-        retire reads frozen through localidx."""
+    def test_mapped_layout(self, graph, shard_id):
+        """Owned keys are tested through ``localidx``; other shards'
+        keys are kept from live sources only."""
         rng = np.random.default_rng(shard_id)
         n = graph.num_nodes
         owners = rng.integers(0, 3, n).astype(np.int32)
@@ -895,81 +831,58 @@ class TestCacheKernels:
         for k in range(3):
             mine = np.flatnonzero(owners == k)
             localidx[mine] = np.arange(len(mine))
-        rows = int((owners == shard_id).sum())
+        rows = np.flatnonzero(owners == shard_id)
+        degs = graph.indptr[rows + 1] - graph.indptr[rows]
+        indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
+        aidx = np.concatenate(
+            [np.arange(graph.indptr[r], graph.indptr[r + 1]) for r in rows]
+        )
+        indices, weights = graph.indices[aidx], graph.weights[aidx]
+        frozen = rng.random(len(rows)) < 0.5
+        srcs = np.arange(len(rows), dtype=np.int64)
         delta = float(np.median(graph.weights))
-        newly = np.arange(1, n, 4, dtype=np.int64)
-        bound = int((graph.indptr[newly + 1] - graph.indptr[newly]).sum())
-        hist = np.zeros(rows, dtype=np.int64)
-        ck, cs, ca = (np.zeros(bound, np.int64) for _ in range(3))
-        appended, cnt = native.cache_emit(
-            graph.indptr, graph.indices, graph.weights, newly,
-            delta, hist, ck, cs, ca, 0,
-            owners=owners, localidx=localidx, shard_id=shard_id,
-        )
-        ref = [
-            (int(graph.indices[arc]), int(u), arc)
-            for u in newly
-            for arc in range(graph.indptr[u], graph.indptr[u + 1])
-            if graph.weights[arc] <= delta
-        ]
-        owned = [r for r in ref if owners[r[0]] == shard_id]
-        assert cnt == len(ref) and appended == len(owned)
-        np.testing.assert_array_equal(ck[:appended], [r[0] for r in owned])
-        np.testing.assert_array_equal(cs[:appended], [r[1] for r in owned])
-        np.testing.assert_array_equal(ca[:appended], [r[2] for r in owned])
-        np.testing.assert_array_equal(
-            hist,
-            np.bincount(localidx[ck[:appended]], minlength=rows),
-        )
+        eff = np.where(frozen, 0.0, rng.random(len(rows)) * delta)
+        sidecars = dict(owners=owners, localidx=localidx)
+        got = self._push(indptr, indices, weights, srcs, eff, delta, frozen,
+                         shard_id=shard_id, **sidecars)
+        want = _push_oracle(indptr, indices, weights, srcs, eff, delta,
+                            frozen, shard=shard_id, **sidecars)
+        assert want and got == want
 
-        frozen = rng.random(rows) < 0.4
-        keep = [r for r in owned if not frozen[localidx[r[0]]]]
-        nl = native.cache_retire(
-            ck, cs, ca, appended, frozen, localidx=localidx
-        )
-        assert nl == len(keep)
-        np.testing.assert_array_equal(ck[:nl], [r[0] for r in keep])
-        np.testing.assert_array_equal(ca[:nl], [r[2] for r in keep])
+    def test_row_flags_must_be_contiguous_bytes(self, graph):
+        args = (graph.indptr, graph.indices, graph.weights,
+                np.empty(0, np.int64), np.empty(0), 1.0,
+                np.empty(0, np.int64), *(np.empty(0),) * 4, 1)
+        for frozen in (np.zeros(graph.num_nodes, np.int64),
+                       np.zeros(2 * graph.num_nodes, bool)[::2]):
+            with pytest.raises(ValueError, match="row flags"):
+                native.emit_push_into(*args, frozen=frozen)
 
-    def test_whole_graph_layout_needs_one_hist_row_per_id(self, graph):
-        """Without sidecars keys index ``hist`` directly: a shard-sized
-        histogram must be refused before the kernel writes past it."""
-        buf = np.zeros(1, np.int64)
+    def test_whole_graph_layout_needs_one_flag_per_id(self, graph):
+        """Without sidecars keys index ``frozen`` directly: a shard-sized
+        flag array is refused before a kernel reads past it."""
+        short = np.zeros(graph.num_nodes - 1, bool)
         with pytest.raises(ValueError, match="whole graph"):
-            native.cache_emit(
+            native.emit_push_into(
                 graph.indptr, graph.indices, graph.weights,
-                np.empty(0, np.int64), 1.0,
-                np.zeros(graph.num_nodes - 1, dtype=np.int64),
-                buf, buf, buf, 0,
+                np.empty(0, np.int64), np.empty(0), 1.0,
+                np.empty(0, np.int64), *(np.empty(0),) * 4, 1, frozen=short,
             )
-
-    def test_summary_arguments_are_checked(self, graph):
-        """A summary needs a non-empty per-worker loads array (the worker
-        count divides the hash) and, for the cache, the whole graph."""
-        hist = np.zeros(graph.num_nodes, dtype=np.int64)
-        buf = np.zeros(1, np.int64)
-        with pytest.raises(ValueError, match="cache summary"):
-            native.cache_emit(
-                graph.indptr, graph.indices, graph.weights,
-                np.empty(0, np.int64), 1.0, hist, buf, buf, buf, 0,
-                loads=np.zeros(0, np.int64), top=np.array([0, -1]),
-            )
-        inputs = _finish_inputs(np.random.default_rng(0), 4, 8)
-        banks = (np.empty(4, np.int64), np.empty(4), np.empty(4, np.int64),
-                 np.empty(4), np.empty(4), np.empty(4))
-        with pytest.raises(ValueError, match="group summary"):
-            native.finish_batch(
-                *inputs, *banks, hist=np.zeros(8, np.int64),
-                gk=np.empty(4, np.int64),
+        n = graph.num_nodes
+        with pytest.raises(ValueError, match="whole graph"):
+            native.forced_scan(
+                np.zeros(n, np.int64), np.zeros(n), np.zeros(n + 1, bool),
+                1.0, graph.indptr, graph.indices, np.zeros(n, np.uint8),
+                np.empty(n, np.int64), np.empty(n), np.empty(n, np.int64),
             )
 
     def test_sidecars_must_be_int32(self, graph):
-        hist = np.zeros(graph.num_nodes, dtype=np.int64)
-        buf = np.zeros(1, np.int64)
         with pytest.raises(ValueError, match="int32"):
-            native.cache_emit(
+            native.emit_push_into(
                 graph.indptr, graph.indices, graph.weights,
-                np.empty(0, np.int64), 1.0, hist, buf, buf, buf, 0,
+                np.empty(0, np.int64), np.empty(0), 1.0,
+                np.empty(0, np.int64), *(np.empty(0),) * 4, 1,
+                frozen=np.zeros(graph.num_nodes, bool),
                 owners=np.zeros(graph.num_nodes, np.int64),
                 localidx=np.zeros(graph.num_nodes, np.int32),
             )
@@ -1259,7 +1172,7 @@ def _run_driver(graph, algorithm, executor, impl, threads=None):
 
 @needs_native
 class TestEndToEndParity:
-    """Both tiers push and replay the frozen-emission cache through
+    """Both tiers push, scan forced rounds and finish batches through
     their own kernels; whole drivers must agree bit for bit."""
 
     EXECUTORS = ("vector", "sharded")

@@ -1,9 +1,8 @@
 """Golden parity of the ``sharded`` backend against a recorded fixture.
 
-``data/sharded_golden.json`` was recorded from the process-per-shard
-pipe pool that the in-driver pool replaced.  For CLUSTER and CLUSTER2
-on a road grid (several stages, frozen cut nodes, Contract2 ghosts),
-at K = 1, 2 and 7 shards and on both kernel tiers, it holds:
+``data/sharded_golden.json`` holds, for CLUSTER and CLUSTER2 on a
+road grid (several stages, frozen cut nodes, Contract2 ghosts), at
+K = 1, 2 and 7 shards and on both kernel tiers:
 
 * the clustering (digests of ``center`` and ``dist_to_center``, plus
   radius, Δ and center count);
@@ -12,8 +11,13 @@ at K = 1, 2 and 7 shards and on both kernel tiers, it holds:
 * the digest of every checkpoint payload the run published (state
   arrays, cursor, counters, simulated time and RNG state).
 
-Each run must reproduce its record exactly, with every shard mapped
-and under a residency budget that keeps one shard mapped at a time.
+The clustering entries date from the process-per-shard pipe pool that
+the in-driver pool replaced.  The other fields were re-recorded when
+``messages`` became the candidates into open targets and shards
+stopped shipping candidates into frozen halo nodes; the clustering
+entries did not move.  Each run must reproduce its record exactly,
+with every shard mapped and under a residency budget that keeps one
+shard mapped at a time.
 Regenerate the fixture (only when a change is *meant* to alter these
 figures) with::
 

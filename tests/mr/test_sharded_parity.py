@@ -394,38 +394,33 @@ class TestShardGeometry:
             executor.close()
 
 
-class TestMappedCacheTiers:
-    """The lp layout's frozen-emission cache on the native kernels.
+class TestMappedForcedTiers:
+    """The lp layout's forced rounds on both kernel tiers.
 
     Records every forced-round ``emit_raw`` of the mapped scratches
-    through a CLUSTER run, once per kernel tier: the replayed column
-    multisets and the ``emitted`` counts must agree, and the cache must
-    actually have been hit.
+    through a CLUSTER run, once per tier: the message columns (the
+    native scan skips silent frozen rows, the NumPy tier expands them
+    all) and their counts must agree.
     """
 
     @staticmethod
     def _record(monkeypatch, graph, impl):
-        """Forced-round columns (sorted) of the mapped scratches + hits."""
+        """Forced-round columns (sorted) of the mapped scratches."""
         from repro.mr.emit import EmitScratch
 
         calls = []
-        scratches = []
         original = EmitScratch.emit_raw
 
         def recording(self, **kwargs):
-            hits = self.cache_hits
             out = original(self, **kwargs)
             if kwargs["force"] and self.row_gids is not None:
-                keys, nd, src, aidx, emitted = out
-                replayed = self.cache_hits > hits
+                keys, nd, src, aidx, count = out
                 order = np.lexsort((nd, aidx, src, keys))
                 calls.append((
-                    self.shard_id, replayed, emitted, keys[order].tolist(),
+                    self.shard_id, count, keys[order].tolist(),
                     nd[order].tolist(), src[order].tolist(),
                     aidx[order].tolist(),
                 ))
-                if self not in scratches:
-                    scratches.append(self)
             return out
 
         from repro.mr.engine import MREngine
@@ -443,59 +438,64 @@ class TestMappedCacheTiers:
                 mr_cluster(graph, config=CFG, engine=engine)
             finally:
                 executor.close()
-        hits = sum(s.cache_hits for s in scratches)
-        return calls, hits
+        return calls
 
     def test_native_matches_numpy_tier(self, graphs, monkeypatch):
         if not native.native_available():
             pytest.skip("native kernel tier unavailable (no C toolchain)")
-        native_calls, native_hits = self._record(
-            monkeypatch, graphs["gnm"], "native"
-        )
-        py_calls, py_hits = self._record(monkeypatch, graphs["gnm"], "py")
-        assert native_hits > 0
-        assert native_hits == py_hits
+        native_calls = self._record(monkeypatch, graphs["gnm"], "native")
+        py_calls = self._record(monkeypatch, graphs["gnm"], "py")
         assert any(call[1] for call in native_calls)
         assert native_calls == py_calls
 
 
-class TestWorkerCacheHits:
-    """Shard workers report their frozen-emission cache hits with each
-    step reply; the driver state sums them, outside the counters."""
+class TestShardMessages:
+    """Each message is counted on exactly one shard: round by round, the
+    workers' counts sum to the whole-graph push's, whether every shard
+    stays mapped or one is mapped at a time."""
 
-    def _run(self, monkeypatch, graph, resident_mb):
+    @staticmethod
+    def _per_round(monkeypatch, graph, executor):
         from repro.mr.engine import MREngine
+        from repro.mr.metrics import Counters
         from repro.mr.model import MRSpec
 
-        states = []
-        original = ShardedExecutor.growing_state
+        rounds = []
+        original = Counters.record_round
 
-        def recording(self, graph, engine):
-            state = original(self, graph, engine)
-            states.append(state)
-            return state
+        def recording(self, messages, updates, **kwargs):
+            rounds.append(messages)
+            return original(self, messages, updates, **kwargs)
 
-        monkeypatch.setattr(ShardedExecutor, "growing_state", recording)
-        executor = ShardedExecutor(num_shards=2, resident_mb=resident_mb)
-        engine = MREngine(
-            MRSpec(total_memory=10**9, local_memory=10**6, num_workers=2),
-            executor=executor,
+        with monkeypatch.context() as patch:
+            patch.setattr(Counters, "record_round", recording)
+            engine = MREngine(
+                MRSpec(total_memory=10**9, local_memory=10**6, num_workers=2),
+                executor=executor,
+            )
+            try:
+                result = mr_approximate_diameter(
+                    graph, config=CFG, engine=engine
+                )
+            finally:
+                if executor is not None:
+                    executor.close()
+        return rounds, result.value
+
+    @pytest.mark.parametrize("resident_mb", [None, 0.001])
+    def test_round_counts_match_vector(self, graphs, monkeypatch, resident_mb):
+        from repro.mr.executor import make_executor
+
+        want = self._per_round(
+            monkeypatch, graphs["gnm"], make_executor("vector")
         )
-        try:
-            result = mr_approximate_diameter(graph, config=CFG, engine=engine)
-        finally:
-            executor.close()
-        assert len(states) == 1
-        assert "cache_hits" not in engine.counters.snapshot()
-        return states[0].cache_hits, result.value
+        got = self._per_round(
+            monkeypatch, graphs["gnm"],
+            ShardedExecutor(num_shards=2, resident_mb=resident_mb),
+        )
+        assert sum(want[0]) > 0
+        assert got == want
 
-    def test_count_is_independent_of_residency(self, graphs, monkeypatch):
-        """Every shard mapped or one at a time, the workers answer the
-        same forced rounds from their caches."""
-        mapped = self._run(monkeypatch, graphs["gnm"], None)
-        budgeted = self._run(monkeypatch, graphs["gnm"], 0.001)
-        assert mapped[0] > 0
-        assert mapped == budgeted
 
 
 class TestWorkerEnvChecks:
@@ -699,7 +699,7 @@ class _StubPool:
             {
                 "updated": 1, "newly": 0, "merged": 2, "emitted": 3,
                 "groups": 1, "max_group": 1, "max_group_key": 0,
-                "outgoing": [], "times": dict(times), "cache_hits": 0,
+                "outgoing": [], "times": dict(times),
             }
             for times in self.times
         ]

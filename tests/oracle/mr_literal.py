@@ -23,8 +23,9 @@ Growing steps then run as per-key rounds (:func:`literal_round`) over
 
 Accounting is literal: ``messages`` counts every pair of a round,
 adjacency and state records included, so it is not comparable with
-the batch backends' count of relaxation candidates; clusterings,
-``rounds``, ``updates`` and ``growing_steps`` are.
+the batch backends' count; clusterings, ``rounds``, ``updates`` and
+``growing_steps`` are.  The batch backends' ``messages`` are a round's
+candidate (``"C"``) pairs: :func:`candidate_messages` counts them.
 """
 
 from __future__ import annotations
@@ -89,18 +90,27 @@ def literal_round(engine, pairs, reducer):
     return output
 
 
+def candidate_messages(pairs) -> int:
+    """The candidate (``"C"``) pairs of a pair multiset: the messages a
+    growing round emitted, in the batch backends' sense."""
+    return sum(1 for _, value in pairs if value[0] == "C")
+
+
 def growing_reducer(key, values, delta, force, rescale, iteration):
     """One node's share of a Δ-growing step.
 
-    ``values`` hold the node's adjacency ``("A", ((v, w), ...))``, its
+    ``values`` hold the node's adjacency ``("A", ((v, w, v_frozen),
+    ...))``, its
     state ``("S", center, dist, frozen, dacc, changed, frozen_iter)``
     and the candidates ``("C", nd, center, dacc)`` delivered to it.  The
     winning candidate is the smallest distance, then the smallest
     center, then the first to arrive — a plain comparison loop,
     independent of the batch scatter-min kernel.  A node emits to its
-    light neighbours when its state changed or the round is forced;
-    frozen nodes emit with effective distance 0 (Contract) or their
-    Contract2-rescaled distance.
+    light, open neighbours within Δ when its state changed or the round
+    is forced; frozen nodes emit with effective distance 0 (Contract)
+    or their Contract2-rescaled distance.  A node learns once that a
+    neighbour froze — the freeze step flags it in the adjacency record
+    — so nothing is ever sent to a frozen node.
     """
     adj = ()
     state = None
@@ -134,8 +144,8 @@ def growing_reducer(key, values, delta, force, rescale, iteration):
         else:
             eff = dist
         if eff < delta:
-            for nbr, w in adj:
-                if w <= delta and eff + w <= delta:
+            for nbr, w, nbr_frozen in adj:
+                if w <= delta and eff + w <= delta and not nbr_frozen:
                     out.append((nbr, ("C", eff + w, center, dacc + w)))
     return out
 
@@ -153,7 +163,7 @@ class PairGrowingState:
         self.pairs = []
         for u in range(graph.num_nodes):
             nbrs, ws = graph.neighbors(u)
-            adj = tuple((int(v), float(w)) for v, w in zip(nbrs, ws))
+            adj = tuple((int(v), float(w), False) for v, w in zip(nbrs, ws))
             self.pairs += [(u, ("A", adj)), (u, BLANK)]
 
     def _states(self):
@@ -161,11 +171,20 @@ class PairGrowingState:
 
     def _replace(self, updates, *, drop_candidates=False):
         """Swap in the state records of ``updates`` (driver-side steps
-        such as center installation and freezing)."""
+        such as center installation and freezing), then deliver the
+        freeze messages: every adjacency record flags its frozen
+        neighbours."""
         self.pairs = [
             (k, updates[k]) if v[0] == "S" and k in updates else (k, v)
             for k, v in self.pairs
             if not (drop_candidates and v[0] == "C")
+        ]
+        frozen = {k for k, v in self.pairs if v[0] == "S" and v[3]}
+        self.pairs = [
+            (k, ("A", tuple((u, w, u in frozen) for u, w, _ in v[1])))
+            if v[0] == "A"
+            else (k, v)
+            for k, v in self.pairs
         ]
 
     def uncovered(self):

@@ -344,6 +344,24 @@ class TestRunCommand:
         assert rc == 1
         assert "does not understand" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("executor", [None, "vector"])
+    @pytest.mark.parametrize(
+        "plan", ["explode:shard=1,round=4", "kill:shard=1,round=4"]
+    )
+    def test_malformed_fault_plan_is_clean(
+        self, graph_file, capsys, monkeypatch, executor, plan
+    ):
+        from repro.mr.faults import FAULT_PLAN_ENV, reset_fault_plan
+
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan)
+        reset_fault_plan()
+        args = ["run", "diameter", graph_file, "--tau", "3"]
+        if executor is not None:
+            args += ["--executor", executor]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and FAULT_PLAN_ENV in err
+
     def test_components_report_counters(self, graph_file, capsys):
         assert main(["run", "components", graph_file, "--tau", "3"]) == 0
         out = capsys.readouterr().out
