@@ -82,7 +82,7 @@ def _run(graph, backend: str, impl: str = "py", repeats: int = 1):
     """One timed run (best wall of ``repeats``) under ``impl``'s tier."""
     best = None
     for _ in range(repeats):
-        with native.impl_overrides(impl, None):
+        with native.impl_overrides(impl):
             if backend == "serial-core":
                 start = time.perf_counter()
                 clustering = cluster(graph, config=CFG)

@@ -193,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="kernel tier: native C kernels, pure NumPy, "
                             "or auto (native when a compiler exists)")
-    p_run.add_argument("--emit-threads", type=int, default=None,
-                       help="threads for the native emit expansion "
-                            "(default: REPRO_EMIT_THREADS or CPU count)")
 
     sub.add_parser("algorithms", help="list the registered algorithms")
 
@@ -609,7 +606,6 @@ def _cmd_run(args) -> int:
         workers=args.workers,
         shards=args.shards,
         kernel_impl=args.kernel_impl,
-        emit_threads=args.emit_threads,
         checkpoint_every=args.checkpoint,
         resume=args.resume,
         checkpoint_dir=args.checkpoint_dir,
@@ -619,13 +615,7 @@ def _cmd_run(args) -> int:
     if args.executor is not None:
         print(f"executor     : {args.executor} ({result.workers} workers)")
     if result.kernel_impl is not None:
-        threads = result.emit_threads
-        suffix = (
-            f" ({threads} emit threads)"
-            if threads and result.kernel_impl == "native"
-            else ""
-        )
-        print(f"kernels      : {result.kernel_impl}{suffix}")
+        print(f"kernels      : {result.kernel_impl}")
     resume_round = result.counters.impl.get("resume_round")
     if resume_round is not None:
         print(f"resumed from : round {resume_round}")

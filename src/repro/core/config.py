@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from repro.errors import ConfigurationError
 
@@ -90,10 +90,6 @@ class ClusterConfig:
         ``"native"`` (request the C tier; degrades to ``"py"`` with a
         warning when it cannot build).  Both tiers are bit-identical.
         Overrides ``REPRO_KERNEL_IMPL`` for the run.
-    emit_threads:
-        Thread count for the native tier's chunked emit expansion
-        (``None``: ``REPRO_EMIT_THREADS``, else ``os.cpu_count()``).
-        Any count produces the same bit-identical batches.
     """
 
     tau: Optional[int] = None
@@ -110,7 +106,8 @@ class ClusterConfig:
     executor: str = "vector"
     shards: Optional[int] = None
     kernel_impl: str = "auto"
-    emit_threads: Optional[int] = None
+    # Not a field: a constant perfbench/traced.py still reads.
+    emit_threads: ClassVar[None] = None
 
     def __post_init__(self):
         if self.tau is not None and self.tau < 1:
@@ -146,8 +143,6 @@ class ClusterConfig:
             raise ConfigurationError("shards must be >= 1")
         if self.kernel_impl not in ("auto", "py", "native"):
             raise ConfigurationError("kernel_impl must be auto|py|native")
-        if self.emit_threads is not None and self.emit_threads < 1:
-            raise ConfigurationError("emit_threads must be >= 1")
 
     # ------------------------------------------------------------------ #
 

@@ -38,13 +38,12 @@ path — equal to the plain expansion's.
   key materialization, or sort.
 
 * **Push expansion** is the only direction: each round gathers the
-  emitting frontier's CSR rows — one fused C pass on the native tier
-  (chunk-threaded over ``REPRO_EMIT_THREADS``), a buffered ``indptr``
-  gather cascade on the NumPy tier — so a round costs O(frontier arcs)
-  and emits candidates source-major, sources ascending.  A forced
-  round (stage start, Δ change) is the same push over every emitting
-  row, frozen rows at effective distance 0, found by one scan of the
-  node state.
+  emitting frontier's CSR rows — one fused C pass on the native tier,
+  a buffered ``indptr`` gather cascade on the NumPy tier — so a round
+  costs O(frontier arcs) and emits candidates source-major, sources
+  ascending.  A forced round (stage start, Δ change) is the same push
+  over every emitting row, frozen rows at effective distance 0, found
+  by one scan of the node state.
 
 * **Improvement pre-filter**: messages that cannot be adopted —
   candidate distance not below the target's current distance — are
@@ -259,10 +258,9 @@ class EmitScratch:
         if total == 0:
             return _EMPTY_COLS
         if _native.use_native():
-            # Fused native expansion: one C pass (chunk-threaded over
-            # the frontier when REPRO_EMIT_THREADS > 1) replaces the
-            # gid/aidx gather cascade below, writing the message
-            # columns straight into the banks.
+            # Fused native expansion: one C pass replaces the gid/aidx
+            # gather cascade below, writing the message columns straight
+            # into the banks.
             keys_b = self._i8.get("full_keys", total)
             nd_b = self._f8.get("full_nd", total)
             src_b = self._i8.get("full_src", total)
@@ -270,8 +268,7 @@ class EmitScratch:
             count = _native.emit_push_into(
                 self.indptr, self.indices, self.weights,
                 src_ids, np.ascontiguousarray(eff, dtype=np.float64),
-                delta, cum,
-                keys_b, nd_b, src_b, aidx_b, _native.emit_threads(),
+                delta, keys_b, nd_b, src_b, aidx_b,
                 frozen=frozen, owners=self.owners, localidx=self.localidx,
                 shard_id=self.shard_id,
             )

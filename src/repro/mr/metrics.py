@@ -62,8 +62,8 @@ class Counters:
     #: modes, and wall-clock never is.  Read via :meth:`timing_snapshot`.
     timings: Dict[str, float] = field(default_factory=dict)
     #: Resolved execution environment of the run — kernel tier
-    #: (``py``/``native``), emit thread count, native availability —
-    #: stamped by the runner.  Like :attr:`timings`, excluded from
+    #: (``py``/``native``), native availability — stamped by the
+    #: runner.  Like :attr:`timings`, excluded from
     #: :meth:`snapshot`: the tier must never perturb the comparable
     #: counters, only annotate them.  Read via :meth:`impl_snapshot`.
     impl: Dict[str, object] = field(default_factory=dict)

@@ -1,4 +1,4 @@
-"""Native kernel tier: compiled hot kernels + threaded emit.
+"""Native kernel tier: compiled hot kernels.
 
 ``REPRO_KERNEL_IMPL=py|native|auto`` selects the implementation tier for
 the Δ-growing hot kernels (push emit with the open-target test, the
@@ -23,22 +23,9 @@ the library (the no-toolchain CI job runs the suite under it).
 The switches are read from the environment **per call**, so benchmarks
 and the parity suites flip tiers between runs in one process.
 :func:`impl_overrides` is the config-plumbing entry (used by
-``repro.runtime.runner``): it applies :class:`ClusterConfig` overrides
-by setting the environment for the run's duration, which makes them
+``repro.runtime.runner``): it applies :class:`ClusterConfig`'s kernel
+tier by setting the environment for the run's duration, which makes it
 visible to every kernel the run calls, shard workers included.
-
-Threaded emit
--------------
-``ClusterConfig.emit_threads`` / ``REPRO_EMIT_THREADS`` (default
-``os.cpu_count()``) set how many threads the native emit expansion may
-use.  The model is deterministic by construction: the frontier is
-split into contiguous chunks, each chunk's kernel writes into a
-**disjoint region** of the shared output banks
-(regions sized by the chunk's degree-sum upper bound), and a final
-order-preserving compaction (``rk_compact``) packs the regions — so the
-candidate columns are bit-identical to the single-threaded pass for
-*any* thread count.  ctypes releases the GIL around every kernel call,
-which is what lets the chunks run concurrently.
 """
 
 from __future__ import annotations
@@ -56,15 +43,12 @@ from repro.mr.native.build import NATIVE_DIR_ENV, build_library
 
 __all__ = [
     "KERNEL_IMPL_ENV",
-    "EMIT_THREADS_ENV",
     "NATIVE_DIR_ENV",
     "KERNEL_IMPLS",
-    "THREAD_MIN_ARCS",
     "requested_impl",
     "kernel_impl",
     "use_native",
     "native_available",
-    "emit_threads",
     "impl_overrides",
     "resolved_info",
     "crossing_edges",
@@ -77,14 +61,7 @@ __all__ = [
 #: Implementation-tier switch: ``py`` | ``native`` | ``auto`` (default).
 KERNEL_IMPL_ENV = "REPRO_KERNEL_IMPL"
 
-#: Thread count for the chunked emit expansion (default: CPU count).
-EMIT_THREADS_ENV = "REPRO_EMIT_THREADS"
-
 KERNEL_IMPLS = ("py", "native", "auto")
-
-#: Below this many expanded arcs a round is emitted single-threaded —
-#: chunk dispatch overhead would dominate skinny frontiers.
-THREAD_MIN_ARCS = 4096
 
 _lib: Optional[ctypes.CDLL] = None
 _lib_failed = False
@@ -107,7 +84,6 @@ _SIGNATURES = {
     "rk_emit_push": (
         [_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _I, _P, _P, _P, _P], _I
     ),
-    "rk_compact": ([_P, _P, _P, _P, _P, _P, _I], _I),
     # keys, nd, src, aidx, n, dist, weights, center,
     # hist (NULL: no accounting), gk, nworkers, loads, summ,
     # f_* banks -> kept
@@ -219,53 +195,32 @@ def kernel_impl() -> str:
     return "native" if use_native() else "py"
 
 
-def emit_threads() -> int:
-    """Resolved emit thread count: :data:`EMIT_THREADS_ENV` or the CPU count.
-
-    Unset or empty means the CPU count; anything but a positive integer
-    is a :class:`~repro.errors.ConfigurationError` naming the variable.
-    """
-    raw = os.environ.get(EMIT_THREADS_ENV)
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigurationError(
-            f"{EMIT_THREADS_ENV}={raw!r} is not a positive thread count"
-        )
-    return threads
-
-
 @contextmanager
 def impl_overrides(
-    impl: Optional[str] = None, threads: Optional[int] = None
+    impl: Optional[str] = None, threads: None = None
 ) -> Iterator[None]:
-    """Apply :class:`ClusterConfig` kernel overrides for a run's duration.
+    """Apply a :class:`ClusterConfig` kernel tier for a run's duration.
 
-    Overrides are applied through the environment (and restored on
+    The override is applied through the environment (and restored on
     exit) because that is the one channel every consumer shares: the
-    kernels read it per call.
-    ``impl="auto"``/``None`` and ``threads=None`` defer to whatever the
-    caller's environment already says.
+    kernels read it per call.  ``impl="auto"``/``None`` defers to
+    whatever the caller's environment already says.
     """
-    updates = {}
-    if impl is not None and impl != "auto":
-        updates[KERNEL_IMPL_ENV] = impl
+    # ``threads`` remains only for perfbench/traced.py's two-argument call.
     if threads is not None:
-        updates[EMIT_THREADS_ENV] = str(int(threads))
-    saved = {key: os.environ.get(key) for key in updates}
-    os.environ.update(updates)
+        raise TypeError("impl_overrides takes no thread count")
+    if impl is None or impl == "auto":
+        yield
+        return
+    saved = os.environ.get(KERNEL_IMPL_ENV)
+    os.environ[KERNEL_IMPL_ENV] = impl
     try:
         yield
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop(KERNEL_IMPL_ENV, None)
+        else:
+            os.environ[KERNEL_IMPL_ENV] = saved
 
 
 def resolved_info() -> Dict[str, object]:
@@ -276,7 +231,6 @@ def resolved_info() -> Dict[str, object]:
     """
     return {
         "kernel_impl": kernel_impl(),
-        "emit_threads": emit_threads(),
         "native_available": (
             None if requested_impl() == "py" else native_available()
         ),
@@ -475,59 +429,9 @@ def partition_loads(keys, weights, nworkers, loads) -> int:
     )
 
 
-# -- threaded emit ------------------------------------------------------ #
-
-_pool = None
-_pool_size = 0
-_pool_lock = Lock()
-
-
-def _get_pool(workers: int):
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool is None or _pool_size < workers:
-            from concurrent.futures import ThreadPoolExecutor
-
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-emit"
-            )
-            _pool_size = workers
-        return _pool
-
-
-def _reset_pool_in_child() -> None:
-    """Forget the parent's emit pool in a forked child.
-
-    ``fork`` copies the executor object but none of its threads, so a
-    child that reused it would queue emit chunks no thread ever runs
-    (any caller that forks after a run, e.g. a test harness or an
-    embedding service).  The child builds a fresh pool, under a fresh
-    lock, on first use.
-    """
-    global _pool, _pool_size, _pool_lock
-    _pool = None
-    _pool_size = 0
-    _pool_lock = Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_pool_in_child)
-
-
-def _compact(lib, out_keys, out_nd, out_src, out_aidx, bases, counts) -> int:
-    bases = np.asarray(bases, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    return lib.rk_compact(
-        _ptr(out_keys), _ptr(out_nd), _ptr(out_src), _ptr(out_aidx),
-        _ptr(bases), _ptr(counts), len(counts),
-    )
-
-
 def emit_push_into(
-    indptr, indices, weights, src_ids, eff, delta, cum,
-    out_keys, out_nd, out_src, out_aidx, threads,
+    indptr, indices, weights, src_ids, eff, delta,
+    out_keys, out_nd, out_src, out_aidx,
     *, frozen, owners=None, localidx=None, shard_id=0,
 ) -> int:
     """Fused push expansion into the given banks; returns the row count.
@@ -536,48 +440,17 @@ def emit_push_into(
     targets (``frozen`` is indexed by local row; the mapped layout's
     int32 sidecars ``owners``/``localidx`` and ``shard_id`` locate the
     rows of owned keys, and other shards' keys are kept from live
-    sources only — see ``rk_emit_push``).  ``cum`` is the inclusive
-    prefix sum of the sources' degrees (the caller already has it for
-    bank sizing).  With ``threads > 1`` and enough arcs, the source
-    list is split into contiguous chunks balanced by degree-sum; each
-    chunk writes its own disjoint region (based at the chunk's
-    cumulative degree offset — an exact upper bound on its output), and
-    ``rk_compact`` packs the regions in chunk order, so the result is
-    bit-identical to the single-threaded pass.
+    sources only — see ``rk_emit_push``).  The banks need one slot per
+    arc of the sources.
     """
-    lib = _load()
-    nsrc = len(src_ids)
     frozen = _row_flags(frozen, indptr, owners, localidx)
-    owners, localidx = _sidecar(owners), _sidecar(localidx)
-
-    def chunk(lo: int, hi: int, base: int) -> int:
-        return lib.rk_emit_push(
-            _ptr(indptr), _ptr(indices), _ptr(weights),
-            _ptr(src_ids[lo:hi]), _ptr(eff[lo:hi]), hi - lo, delta,
-            _ptr(frozen), _ptr(owners), _ptr(localidx), shard_id,
-            _ptr(out_keys[base:]), _ptr(out_nd[base:]),
-            _ptr(out_src[base:]), _ptr(out_aidx[base:]),
-        )
-
-    total = int(cum[nsrc - 1]) if nsrc else 0
-    if threads <= 1 or nsrc < 2 or total < THREAD_MIN_ARCS:
-        return chunk(0, nsrc, 0)
-    nchunks = min(threads, nsrc)
-    targets = np.arange(1, nchunks) * (total // nchunks)
-    bounds = np.unique(
-        np.concatenate(([0], np.searchsorted(cum[:nsrc], targets, side="left") + 1,
-                        [nsrc]))
-    )
-    bounds = bounds[bounds <= nsrc]
-    bases = [0 if lo == 0 else int(cum[lo - 1]) for lo in bounds[:-1]]
-    pool = _get_pool(len(bounds) - 1)
-    futures = [
-        pool.submit(chunk, int(lo), int(hi), base)
-        for lo, hi, base in zip(bounds[:-1], bounds[1:], bases)
-    ]
-    chunk_counts = [f.result() for f in futures]
-    return _compact(
-        lib, out_keys, out_nd, out_src, out_aidx, bases, chunk_counts
+    lib = _load()
+    return lib.rk_emit_push(
+        _ptr(indptr), _ptr(indices), _ptr(weights),
+        _ptr(src_ids), _ptr(eff), len(src_ids), delta,
+        _ptr(frozen), _ptr(_sidecar(owners)), _ptr(_sidecar(localidx)),
+        shard_id,
+        _ptr(out_keys), _ptr(out_nd), _ptr(out_src), _ptr(out_aidx),
     )
 
 

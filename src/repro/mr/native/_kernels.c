@@ -5,9 +5,7 @@
  * loaded through ctypes; every entry point is a plain C function over
  * int64 / float64 / uint8 buffers (plus the int32 lp partition sidecars)
  * so the Python wrappers can hand numpy
- * array pointers straight through (ctypes releases the GIL for the
- * duration of each call, which is what lets the threaded emit path run
- * chunks concurrently from a ThreadPoolExecutor).
+ * array pointers straight through.
  *
  * Parity contract: each kernel computes bit-for-bit what its NumPy
  * counterpart computes — same IEEE double arithmetic (one add per
@@ -164,12 +162,11 @@ void rk_bincount(const i64 *keys, i64 n, i64 *hist)
     }
 }
 
-/* Fused push expansion (EmitScratch._emit_push): expands src_ids (any
- * contiguous chunk) through their CSR rows, keeping the round's
- * messages — arcs with w <= delta and eff + w <= delta whose target is
- * open.  Output order is source-major, arcs in CSR order — the legacy
- * arrival order.  Output pointers may be pre-offset for disjoint
- * per-chunk regions; returns the rows written.
+/* Fused push expansion (EmitScratch._emit_push): expands src_ids
+ * through their CSR rows, keeping the round's messages — arcs with
+ * w <= delta and eff + w <= delta whose target is open.  Output order
+ * is source-major, arcs in CSR order — the legacy arrival order;
+ * returns the rows written.
  *
  * The open test reads `frozen`, indexed by local row.  With `owners`
  * NULL the slice is the whole graph and a key is its own row.
@@ -215,30 +212,6 @@ i64 rk_emit_push(
         }
     }
     return t;
-}
-
-/* Order-preserving compaction of the threaded emit's disjoint chunk
- * regions: chunk c wrote counts[c] rows starting at bases[c] (bases
- * ascend and regions never overlap their final position from the
- * left), so a forward memmove per column packs the candidate block
- * contiguously while keeping chunk order — the result is bit-identical
- * to a single-threaded pass.  Returns the total row count. */
-i64 rk_compact(
-    i64 *keys, double *nd, i64 *src, i64 *aidx,
-    const i64 *bases, const i64 *counts, i64 nchunks)
-{
-    i64 pos = counts[0];
-    for (i64 c = 1; c < nchunks; ++c) {
-        i64 b = bases[c], n = counts[c];
-        if (n && b != pos) {
-            memmove(keys + pos, keys + b, (size_t)n * sizeof(i64));
-            memmove(nd + pos, nd + b, (size_t)n * sizeof(double));
-            memmove(src + pos, src + b, (size_t)n * sizeof(i64));
-            memmove(aidx + pos, aidx + b, (size_t)n * sizeof(i64));
-        }
-        pos += n;
-    }
-    return pos;
 }
 
 /* Fused batch finish (EmitScratch._finish): one stream over the

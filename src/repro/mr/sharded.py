@@ -68,8 +68,7 @@ cross-shard blocks a step produces go back to the driver, which
 delivers them with the next step.  No worker reads another shard's
 state within a round, so running the shards one after another in the
 driver process (:class:`_ShardPool`) computes exactly what concurrent
-reducers would; each shard's emit is itself multi-threaded
-(``REPRO_EMIT_THREADS``).  The protocol passes explicit arrays only,
+reducers would.  The protocol passes explicit arrays only,
 so a multi-host transport is a serialization detail, not a rewrite.
 """
 
@@ -126,15 +125,14 @@ def _resident_mb_from_env() -> Optional[float]:
 def _check_worker_env() -> None:
     """Fail closed on the kernel knobs the shard steps read, up front.
 
-    ``REPRO_KERNEL_IMPL`` and ``REPRO_EMIT_THREADS`` would otherwise
-    surface mid-run, and ``REPRO_NATIVE_BUILD_TIMEOUT_S`` only when the
-    library is not yet built; checking all three before partitioning
-    raises the :class:`ConfigurationError` naming the variable first.
+    ``REPRO_KERNEL_IMPL`` would otherwise surface mid-run, and
+    ``REPRO_NATIVE_BUILD_TIMEOUT_S`` only when the library is not yet
+    built; checking both before partitioning raises the
+    :class:`ConfigurationError` naming the variable first.
     """
     from repro.mr.native.build import build_timeout
 
     _native.requested_impl()
-    _native.emit_threads()
     build_timeout()
 
 

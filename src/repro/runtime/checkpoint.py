@@ -225,9 +225,7 @@ class RetentionPolicy:
 #: Config fields that select an execution platform, not a result.  All
 #: backends/tiers are bit-identical, so two configs differing only here
 #: share checkpoints — which is what makes cross-backend resume work.
-_BACKEND_FIELDS = frozenset(
-    {"executor", "shards", "kernel_impl", "emit_threads"}
-)
+_BACKEND_FIELDS = frozenset({"executor", "shards", "kernel_impl"})
 
 
 def _canonical_config(config) -> str:

@@ -118,12 +118,6 @@ class RunResult:
         impl = self.counters.impl.get("kernel_impl")
         return str(impl) if impl is not None else None
 
-    @property
-    def emit_threads(self) -> Optional[int]:
-        """Resolved emit thread count of the run (native tier)."""
-        threads = self.counters.impl.get("emit_threads")
-        return int(threads) if threads is not None else None
-
     def snapshot(self) -> Dict[str, Any]:
         """Flat dict view: metrics + counters + run metadata."""
         return {
@@ -151,7 +145,6 @@ def _resolve_config(
     tau: Optional[int],
     shards: Optional[int] = None,
     kernel_impl: Optional[str] = None,
-    emit_threads: Optional[int] = None,
 ) -> ClusterConfig:
     if config is None:
         # The CLI's historical defaults: practical stage threshold, the
@@ -165,8 +158,6 @@ def _resolve_config(
         config = config.with_(shards=shards)
     if kernel_impl is not None:
         config = config.with_(kernel_impl=kernel_impl)
-    if emit_threads is not None:
-        config = config.with_(emit_threads=emit_threads)
     return config
 
 
@@ -181,7 +172,6 @@ def run(
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     kernel_impl: Optional[str] = None,
-    emit_threads: Optional[int] = None,
     engine: Optional[Any] = None,
     checkpoint_every: Optional[str] = None,
     resume: bool = False,
@@ -212,11 +202,11 @@ def run(
         Shard count for ``executor="sharded"`` (default: ``workers``,
         falling back to the CPU count).  Rejected with any other
         executor.
-    kernel_impl, emit_threads:
-        Kernel-tier overrides applied on top of the config (see
+    kernel_impl:
+        Kernel-tier override applied on top of the config (see
         :class:`~repro.core.config.ClusterConfig`): ``"py"``/``"native"``
-        /``"auto"`` tier and the native emit thread count.  The resolved
-        values are stamped on ``result.counters.impl``.
+        /``"auto"``.  The resolved tier is stamped on
+        ``result.counters.impl``.
     engine:
         A caller-owned :class:`~repro.mr.engine.MREngine` for the spec
         to reuse instead of building (and closing) one per run.  The
@@ -312,9 +302,7 @@ def run(
         engine.counters = Counters()
         engine.simulated_time = 0
 
-    resolved_config = _resolve_config(
-        config, seed, tau, shards, kernel_impl, emit_threads
-    )
+    resolved_config = _resolve_config(config, seed, tau, shards, kernel_impl)
 
     explicit_ckpt = (
         checkpoint_every is not None or resume or checkpoint_dir is not None
@@ -388,11 +376,11 @@ def run(
     from repro.mr import native
 
     start = time.perf_counter()
-    # The config's kernel tier / thread count apply for the whole run
+    # The config's kernel tier applies for the whole run
     # (environment-scoped so shard workers run with the same setting);
-    # the resolved values are stamped on the counters for reporting —
+    # the resolved tier is stamped on the counters for reporting —
     # never into the snapshot, which stays tier-invariant.
-    with native.impl_overrides(ctx.config.kernel_impl, ctx.config.emit_threads):
+    with native.impl_overrides(ctx.config.kernel_impl):
         result = spec.fn(ctx)
         ctx.counters.impl.update(native.resolved_info())
     from repro.integrity import verify_level

@@ -1,5 +1,6 @@
 """Tests for :class:`ClusterConfig`."""
 
+import dataclasses
 import math
 
 import pytest
@@ -91,3 +92,13 @@ class TestMisc:
 
     def test_default_gamma_constant(self):
         assert DEFAULT_GAMMA == pytest.approx(4 * math.log(2))
+
+    def test_emit_threads_is_a_constant_not_a_field(self):
+        """The emit runs on the calling thread: the attribute reads
+        ``None`` and neither construction nor ``with_`` accepts it."""
+        assert ClusterConfig.emit_threads is None
+        assert ClusterConfig().emit_threads is None
+        names = {f.name for f in dataclasses.fields(ClusterConfig)}
+        assert "emit_threads" not in names
+        with pytest.raises(TypeError):
+            ClusterConfig().with_(emit_threads=2)

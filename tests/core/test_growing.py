@@ -220,7 +220,7 @@ class TestTiers:
             for name in ("center", "dist", "dist_acc", "frozen", "frozen_iter"):
                 getattr(state, name)[:] = getattr(base, name)
             counters = Counters()
-            with native.impl_overrides(impl, None):
+            with native.impl_overrides(impl):
                 upd, newly = delta_growing_step(
                     graph, state, 0.8, counters,
                     sources=sources if frontier else None,

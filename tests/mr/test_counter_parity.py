@@ -194,7 +194,7 @@ def test_every_path_counts_the_same_messages(drawn):
     args = (arrays, delta, force, sources, rescale, iteration)
     counts = {}
     for impl in TIERS:
-        with native.impl_overrides(impl, None):
+        with native.impl_overrides(impl):
             counts[f"vector/{impl}"] = vector_count(graph, *args)
             counts[f"core/{impl}"] = core_count(graph, *args)
     counts["literal"] = literal_count(graph, *args)
@@ -206,7 +206,7 @@ def test_every_path_counts_the_same_messages(drawn):
             try:
                 executor._ensure_workers(graph)
                 for impl in TIERS:
-                    with native.impl_overrides(impl, None):
+                    with native.impl_overrides(impl):
                         counts[f"sharded{shards}/{impl}"] = shard_count(
                             executor._pool.workers, *args
                         )
@@ -307,7 +307,7 @@ def expected_accounting(engine, rounds, num_workers):
 
 
 def run_vector(graph, algorithm, impl, num_workers, spec=None):
-    with native.impl_overrides(impl, None):
+    with native.impl_overrides(impl):
         engine = default_engine(graph, executor="vector", num_workers=num_workers)
         if spec is not None:
             engine = MREngine(spec)

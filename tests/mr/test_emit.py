@@ -251,7 +251,7 @@ class TestEmitMatchesOracle:
                     assigned, size=min(20, len(assigned)), replace=False
                 )
                 sources.sort()
-            with native.impl_overrides(impl, None):
+            with native.impl_overrides(impl):
                 batch = scratch.emit(
                     center=state[0],
                     dist=state[1],
@@ -363,7 +363,7 @@ class TestShardSlicesMatchOracle:
             graph, np.random.default_rng(shard)
         )
         state = (center[rows], dist[rows], frozen[rows], frozen_iter[rows])
-        with native.impl_overrides(impl, None):
+        with native.impl_overrides(impl):
             m_loc, e_loc = scratch._forced_sets(*state, 0.6, 0.0, 0)
             src = np.flatnonzero(m_loc)
             push = canonical_columns(
@@ -392,7 +392,7 @@ class TestShardSlicesMatchOracle:
             rescale=0.05 if force else 0.0, iteration=3,
             sources=None if force else local,
         )
-        with native.impl_overrides(impl, None):
+        with native.impl_overrides(impl):
             cols = scratch.emit_raw(
                 center=state[0], dist=state[1], frozen=state[2],
                 frozen_iter=state[3], delta=0.7, force=force, **kwargs,
@@ -488,7 +488,7 @@ class TestScratchReuse:
         for center, dist, frozen, fit, delta in self._history(
             graph, np.random.default_rng(17)
         ):
-            with native.impl_overrides(impl, None):
+            with native.impl_overrides(impl):
                 batch = scratch.emit(
                     center=center, dist=dist, frozen=frozen,
                     frozen_iter=fit, delta=delta, force=True,

@@ -49,7 +49,7 @@ def graph():
 
 
 def run_mr(graph, algorithm, executor, impl):
-    with native.impl_overrides(impl, None):
+    with native.impl_overrides(impl):
         if executor == "literal":
             engine = literal_engine(graph, num_workers=2)
         else:
@@ -98,7 +98,7 @@ def test_cl_diam_matches_oracle(graph, impl):
     """CL-DIAM end to end: estimates and counters survive the pipeline."""
     engine = literal_engine(graph, num_workers=2)
     reference = mr_approximate_diameter(graph, config=CFG, engine=engine)
-    with native.impl_overrides(impl, None):
+    with native.impl_overrides(impl):
         engine2 = default_engine(graph, executor="vector", num_workers=2)
         result = mr_approximate_diameter(graph, config=CFG, engine=engine2)
     assert result.value == reference.value
@@ -110,7 +110,7 @@ def test_cl_diam_matches_oracle(graph, impl):
 def test_core_cluster_matches_vector(graph, impl):
     """The core path's growing step lands on the same clustering as the
     MR drivers."""
-    with native.impl_overrides(impl, None):
+    with native.impl_overrides(impl):
         result = cluster(graph, config=CFG)
     reference = run_mr(graph, mr_cluster, "vector", impl)
     np.testing.assert_array_equal(result.center, reference.center)

@@ -5,8 +5,7 @@ bit-for-bit what its pure counterpart computes — same IEEE arithmetic,
 same ``(nd, center, source)`` tie-breaks, same output ordering — for any
 input, including the awkward ones (equal-distance ties, duplicate
 targets, empty and singleton frontiers, infinite distances).  The
-threaded emit path must additionally be invariant in the thread count.
-The quotient-eccentricity kernel has no NumPy twin: scipy's csgraph
+quotient-eccentricity kernel has no NumPy twin: scipy's csgraph
 Dijkstra is its oracle.
 
 The suite also locks down the degradation contract (``py`` requested,
@@ -54,15 +53,13 @@ def graph():
 
 @pytest.fixture()
 def impl_env():
-    """Restore every kernel-tier switch after each test."""
-    keys = (native.KERNEL_IMPL_ENV, native.EMIT_THREADS_ENV)
-    before = {k: os.environ.get(k) for k in keys}
+    """Restore the kernel-tier switch after each test."""
+    before = os.environ.get(native.KERNEL_IMPL_ENV)
     yield
-    for key, value in before.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
+    if before is None:
+        os.environ.pop(native.KERNEL_IMPL_ENV, None)
+    else:
+        os.environ[native.KERNEL_IMPL_ENV] = before
 
 
 def _random_batch(rng, *, ncols, n, domain, ties=False):
@@ -81,7 +78,7 @@ def _random_batch(rng, *, ncols, n, domain, ties=False):
 
 def _assert_scatter_parity(ids, cols, domain):
     """Native winners equal the pure tier's for one batch."""
-    with native.impl_overrides("py", None):
+    with native.impl_overrides("py"):
         ref_ids, ref_rows = scatter_min_rows(
             ids, cols, domain=domain, scratch=ScatterScratch()
         )
@@ -111,7 +108,7 @@ class TestScatterMinRows:
             )
             # Pure oracle explicitly (the dispatching wrapper would give
             # us the native path right back).
-            with native.impl_overrides("py", None):
+            with native.impl_overrides("py"):
                 ref_ids, ref_rows = scatter_min_rows(
                     ids, cols, domain=domain, scratch=ScatterScratch()
                 )
@@ -137,7 +134,7 @@ class TestScatterMinRows:
         values = rng.random((50, 4))
         ids = rng.integers(0, 12, 50).astype(np.int64)
         cols = (values[:, 0], values[:, 2])  # stride-4 views
-        with native.impl_overrides("py", None):
+        with native.impl_overrides("py"):
             ref = scatter_min_rows(
                 ids, cols, domain=12, scratch=ScatterScratch()
             )
@@ -207,7 +204,7 @@ class TestScatterMinRows:
             if order == "descending":
                 ids = np.sort(ids)[::-1].copy()
             cols = (np.round(rng.random(400) * 4.0), rng.random(400))
-            with native.impl_overrides("py", None):
+            with native.impl_overrides("py"):
                 ref = scatter_min_rows(
                     ids, cols, domain=domain, scratch=ScatterScratch()
                 )
@@ -488,7 +485,7 @@ class TestForcedScan:
 def _crossing_tiers(graph, ids, d, nc):
     from repro.core.quotient import crossing_edges
 
-    with native.impl_overrides("py", None):
+    with native.impl_overrides("py"):
         ref = crossing_edges(graph, ids, d, nc)
     got = native.crossing_edges(
         graph.indptr, graph.indices, graph.weights, ids, d, nc
@@ -586,7 +583,7 @@ def _apply_tiers(graph, arrays, active, keys, rows, cols, src):
         for name, value in arrays.items():
             getattr(state, name)[:] = value
         state._active = active.copy()
-        with native.impl_overrides(impl, None):
+        with native.impl_overrides(impl):
             returned = state._apply(keys, rows, *cols, src=src)
         out.append((returned, state.snapshot_arrays(), state._active.copy()))
     return out
@@ -623,7 +620,7 @@ class TestApply:
         ctr = rng.integers(0, n, c).astype(np.float64)
         w = rng.random(c)
         src = rng.integers(0, n, c).astype(np.int64)  # often adopted too
-        with native.impl_overrides("py", None):
+        with native.impl_overrides("py"):
             keys, rows = scatter_min_rows(
                 keys_all, (nd, ctr, src.astype(np.float64)), domain=n
             )
@@ -718,55 +715,6 @@ class TestApply:
         )
 
 
-# --------------------------------------------------------------------- #
-# fused emit expansion: threading is a no-op on the output
-# --------------------------------------------------------------------- #
-
-
-@needs_native
-class TestThreadedEmit:
-    def _push_once(self, graph, threads, frozen):
-        indptr = graph.indptr
-        srcs = np.flatnonzero(
-            (indptr[1:] - indptr[:-1]) > 0
-        ).astype(np.int64)
-        eff = np.zeros(len(srcs))
-        cum = np.cumsum(indptr[srcs + 1] - indptr[srcs])
-        total = int(cum[-1])
-        banks = [
-            np.empty(total, dtype=np.int64),
-            np.empty(total),
-            np.empty(total, dtype=np.int64),
-            np.empty(total, dtype=np.int64),
-        ]
-        cnt = native.emit_push_into(
-            indptr, graph.indices, graph.weights, srcs, eff,
-            float(np.median(graph.weights)), cum,
-            banks[0], banks[1], banks[2], banks[3], threads, frozen=frozen,
-        )
-        return [b[:cnt].copy() for b in banks]
-
-    @pytest.mark.parametrize("threads", [2, 3, 7])
-    def test_push_bit_identical_across_threads(self, graph, threads):
-        frozen = np.random.default_rng(threads).random(graph.num_nodes) < 0.3
-        ref = self._push_once(graph, 1, frozen)
-        got = self._push_once(graph, threads, frozen)
-        assert len(ref[0])
-        for a, b in zip(got, ref):
-            np.testing.assert_array_equal(a, b)
-
-    def test_empty_frontier(self, graph):
-        srcs = np.empty(0, dtype=np.int64)
-        cnt = native.emit_push_into(
-            graph.indptr, graph.indices, graph.weights, srcs,
-            np.empty(0), 1.0, np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64), np.empty(0),
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 4,
-            frozen=np.zeros(graph.num_nodes, bool),
-        )
-        assert cnt == 0
-
-
 def _push_oracle(indptr, indices, weights, srcs, eff, delta, frozen,
                  owners=None, localidx=None, shard=0):
     """The push's messages, one Python row at a time: ``(key, src, arc)``."""
@@ -794,12 +742,11 @@ class TestPushOpenTargets:
 
     def _push(self, indptr, indices, weights, srcs, eff, delta, frozen,
               **sidecars):
-        cum = np.cumsum(indptr[srcs + 1] - indptr[srcs])
-        total = int(cum[-1]) if len(cum) else 0
+        total = int((indptr[srcs + 1] - indptr[srcs]).sum())
         banks = [np.empty(total, np.int64), np.empty(total),
                  np.empty(total, np.int64), np.empty(total, np.int64)]
         cnt = native.emit_push_into(
-            indptr, indices, weights, srcs, eff, delta, cum, *banks, 1,
+            indptr, indices, weights, srcs, eff, delta, *banks,
             frozen=frozen, **sidecars,
         )
         keys, nd, src, aidx = (b[:cnt] for b in banks)
@@ -849,10 +796,39 @@ class TestPushOpenTargets:
                             frozen, shard=shard_id, **sidecars)
         assert want and got == want
 
+    @pytest.mark.parametrize("cut", ["below", "tie", "above"])
+    def test_delta_cut_is_inclusive(self, graph, cut):
+        """An arc is light iff ``w <= Δ`` and kept iff ``eff + w <= Δ``:
+        Δ below every weight keeps nothing, Δ equal to a weight keeps
+        the arcs that tie it, Δ above every path keeps every open one."""
+        w = np.sort(graph.weights)
+        delta = {"below": float(w[0]) / 2, "tie": float(w[len(w) // 2]),
+                 "above": 4 * float(w[-1])}[cut]
+        frozen = np.random.default_rng(5).random(graph.num_nodes) < 0.3
+        srcs = np.arange(graph.num_nodes, dtype=np.int64)
+        eff = np.zeros(graph.num_nodes)
+        got = self._push(graph.indptr, graph.indices, graph.weights,
+                         srcs, eff, delta, frozen)
+        assert got == _push_oracle(graph.indptr, graph.indices,
+                                   graph.weights, srcs, eff, delta, frozen)
+        open_arcs = int((~frozen[graph.indices]).sum())
+        if cut == "below":
+            assert got == []
+        elif cut == "tie":
+            assert any(graph.weights[a] == delta for _, _, a in got)
+        else:
+            assert len(got) == open_arcs
+
+    def test_empty_frontier(self, graph):
+        srcs = np.empty(0, dtype=np.int64)
+        assert self._push(graph.indptr, graph.indices, graph.weights, srcs,
+                          np.empty(0), 1.0,
+                          np.zeros(graph.num_nodes, bool)) == []
+
     def test_row_flags_must_be_contiguous_bytes(self, graph):
         args = (graph.indptr, graph.indices, graph.weights,
                 np.empty(0, np.int64), np.empty(0), 1.0,
-                np.empty(0, np.int64), *(np.empty(0),) * 4, 1)
+                *(np.empty(0),) * 4)
         for frozen in (np.zeros(graph.num_nodes, np.int64),
                        np.zeros(2 * graph.num_nodes, bool)[::2]):
             with pytest.raises(ValueError, match="row flags"):
@@ -866,7 +842,7 @@ class TestPushOpenTargets:
             native.emit_push_into(
                 graph.indptr, graph.indices, graph.weights,
                 np.empty(0, np.int64), np.empty(0), 1.0,
-                np.empty(0, np.int64), *(np.empty(0),) * 4, 1, frozen=short,
+                *(np.empty(0),) * 4, frozen=short,
             )
         n = graph.num_nodes
         with pytest.raises(ValueError, match="whole graph"):
@@ -881,7 +857,7 @@ class TestPushOpenTargets:
             native.emit_push_into(
                 graph.indptr, graph.indices, graph.weights,
                 np.empty(0, np.int64), np.empty(0), 1.0,
-                np.empty(0, np.int64), *(np.empty(0),) * 4, 1,
+                *(np.empty(0),) * 4,
                 frozen=np.zeros(graph.num_nodes, bool),
                 owners=np.zeros(graph.num_nodes, np.int64),
                 localidx=np.zeros(graph.num_nodes, np.int32),
@@ -986,9 +962,9 @@ class TestQuotientEcc:
     @given(_quotient_graphs(), st.sampled_from(["sweep", "exact"]))
     @settings(max_examples=150, deadline=None)
     def test_quotient_diameter_tiers_agree(self, g, mode):
-        with native.impl_overrides("py", None):
+        with native.impl_overrides("py"):
             ref = quotient_diameter(g, mode=mode)
-        with native.impl_overrides("native", None):
+        with native.impl_overrides("native"):
             got = quotient_diameter(g, mode=mode)
         assert got == ref
 
@@ -1078,6 +1054,7 @@ class TestFallback:
         info = native.resolved_info()
         assert info["kernel_impl"] == "py"
         assert info["native_available"] is None
+        assert "emit_threads" not in info
 
     @pytest.mark.parametrize("how", ["flag", "env"])
     @pytest.mark.parametrize("executor", ["vector", "sharded"])
@@ -1127,19 +1104,21 @@ class TestFallback:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             ClusterConfig(kernel_impl="fortran")
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(emit_threads=0)
+        with pytest.raises(TypeError):
+            ClusterConfig(emit_threads=2)
 
     def test_impl_overrides_sets_and_restores(self, impl_env):
         os.environ.pop(native.KERNEL_IMPL_ENV, None)
-        with native.impl_overrides("py", 3):
+        with native.impl_overrides("py"):
             assert os.environ[native.KERNEL_IMPL_ENV] == "py"
-            assert os.environ[native.EMIT_THREADS_ENV] == "3"
         assert native.KERNEL_IMPL_ENV not in os.environ
         # "auto" defers to the ambient environment.
         os.environ[native.KERNEL_IMPL_ENV] = "py"
-        with native.impl_overrides("auto", None):
+        with native.impl_overrides("auto"):
             assert os.environ[native.KERNEL_IMPL_ENV] == "py"
+        with pytest.raises(TypeError):
+            with native.impl_overrides("py", 2):
+                pass
 
 
 # --------------------------------------------------------------------- #
@@ -1155,12 +1134,8 @@ def _signature(result, counters):
     )
 
 
-def _run_driver(graph, algorithm, executor, impl, threads=None):
+def _run_driver(graph, algorithm, executor, impl):
     os.environ[native.KERNEL_IMPL_ENV] = impl
-    if threads is None:
-        os.environ.pop(native.EMIT_THREADS_ENV, None)
-    else:
-        os.environ[native.EMIT_THREADS_ENV] = str(threads)
     engine = default_engine(graph, executor=executor, num_workers=2)
     try:
         result = algorithm(graph, config=CFG, engine=engine)
@@ -1187,13 +1162,6 @@ class TestEndToEndParity:
         ref = _run_driver(graph, mr_cluster2, executor, "py")
         assert _run_driver(graph, mr_cluster2, executor, "native") == ref
 
-    @pytest.mark.parametrize("threads", (1, 2, 7))
-    def test_thread_count_is_invisible(self, graph, threads, impl_env):
-        ref = _run_driver(graph, mr_cluster, "vector", "py")
-        assert _run_driver(
-            graph, mr_cluster, "vector", "native", threads
-        ) == ref
-
     def test_core_cluster_tiers_agree(self, graph, impl_env):
         os.environ[native.KERNEL_IMPL_ENV] = "py"
         ref = cluster(graph, config=CFG)
@@ -1216,10 +1184,9 @@ class TestEndToEndParity:
     def test_runner_stamps_resolved_impl(self, graph, impl_env):
         result = runtime_run(
             "cluster", graph, config=CFG, executor="vector",
-            kernel_impl="native", emit_threads=2,
+            kernel_impl="native",
         )
         assert result.kernel_impl == "native"
-        assert result.emit_threads == 2
         assert result.counters.impl["native_available"] is True
         assert "kernel_impl" in result.snapshot()
         # The comparable counter snapshot itself stays tier-free.

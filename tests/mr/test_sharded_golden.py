@@ -96,9 +96,7 @@ class _RecordingCheckpointer(RunCheckpointer):
 def golden_record(algorithm: str, shards: int, impl: str) -> dict:
     """One run's comparable figures, in the fixture's JSON shape."""
     graph = _graph()
-    with tempfile.TemporaryDirectory() as tmp, native.impl_overrides(
-        impl, None
-    ):
+    with tempfile.TemporaryDirectory() as tmp, native.impl_overrides(impl):
         ckpt = _RecordingCheckpointer(
             Path(tmp) / "ckpt",
             algorithm=algorithm,

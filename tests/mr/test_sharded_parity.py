@@ -506,10 +506,11 @@ class TestWorkerEnvChecks:
         "variable, value",
         [
             ("REPRO_KERNEL_IMPL", "natvie"),
-            ("REPRO_EMIT_THREADS", "abc"),
-            ("REPRO_EMIT_THREADS", "0"),
             ("REPRO_NATIVE_BUILD_TIMEOUT_S", "abc"),
+            ("REPRO_NATIVE_BUILD_TIMEOUT_S", "0"),
             ("REPRO_NATIVE_BUILD_TIMEOUT_S", "-1"),
+            ("REPRO_NATIVE_BUILD_TIMEOUT_S", "inf"),
+            ("REPRO_NATIVE_BUILD_TIMEOUT_S", "nan"),
         ],
     )
     def test_rejected_before_shards_open(
@@ -546,7 +547,7 @@ class TestExchangeParity:
     @pytest.mark.parametrize("algo", ["cluster", "cluster2"])
     def test_matrix_bit_identical(self, graphs, algo, shards, impl):
         fn = mr_cluster if algo == "cluster" else mr_cluster2
-        with native.impl_overrides(impl, None):
+        with native.impl_overrides(impl):
             reference = fn(graphs["gnm"], config=CFG.with_(executor="vector"))
             result = fn(
                 graphs["gnm"],
@@ -559,7 +560,7 @@ class TestExchangeParity:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_diameter_matrix(self, graphs, shards, impl):
         cfg = ClusterConfig(seed=3, stage_threshold_factor=1.0, tau=4)
-        with native.impl_overrides(impl, None):
+        with native.impl_overrides(impl):
             reference = mr_approximate_diameter(
                 graphs["gnm"], config=cfg.with_(executor="vector")
             )

@@ -133,9 +133,14 @@ class TestRunKey:
             ClusterConfig(tau=3, seed=1, executor="sharded", shards=4),
             ClusterConfig(tau=3, seed=1, executor="vector"),
             ClusterConfig(tau=3, seed=1, kernel_impl="native"),
-            ClusterConfig(tau=3, seed=1, emit_threads=3),
+            ClusterConfig(tau=3, seed=1, kernel_impl="py"),
         ):
             assert run_key("cluster", variant) == run_key("cluster", base)
+
+    def test_default_key_is_stable(self):
+        """Existing checkpoint trees stay reachable: the default config's
+        leaf name is pinned."""
+        assert run_key("diameter", ClusterConfig()) == "diameter-1ab6d559326f"
 
     def test_result_fields_included(self):
         base = ClusterConfig(tau=3, seed=1)

@@ -84,6 +84,7 @@ class TestParseQuery:
             _query(options={"arr": [1, 2]}),
             _query(options="x"),
             _query(config={"tau": "not-an-int"}),
+            _query(config={"emit_threads": 2}),
         ],
     )
     def test_malformed_requests_rejected(self, bad):

@@ -225,12 +225,11 @@ class TestPartition:
             ("REPRO_SHARD_RESIDENT_MB", "-1"),
             ("REPRO_SHARD_RESIDENT_MB", "nan"),
             ("REPRO_KERNEL_IMPL", "natvie"),
-            ("REPRO_EMIT_THREADS", "abc"),
-            ("REPRO_EMIT_THREADS", "0"),
-            ("REPRO_EMIT_THREADS", "-2"),
             ("REPRO_NATIVE_BUILD_TIMEOUT_S", "abc"),
             ("REPRO_NATIVE_BUILD_TIMEOUT_S", "0"),
             ("REPRO_NATIVE_BUILD_TIMEOUT_S", "-1"),
+            ("REPRO_NATIVE_BUILD_TIMEOUT_S", "inf"),
+            ("REPRO_NATIVE_BUILD_TIMEOUT_S", "nan"),
             ("REPRO_STORE_MAX_BYTES", "abc"),
         ],
     )
