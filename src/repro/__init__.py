@@ -37,101 +37,59 @@ Quickstart
 True
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.errors import (
-    ConfigurationError,
-    GraphFormatError,
-    GraphValidationError,
-    MemoryLimitExceeded,
-    ReproError,
-)
-from repro.graph import (
-    CSRGraph,
-    from_edges,
-    from_edge_list,
-    read_dimacs,
-    read_edge_list,
-    write_dimacs,
-    write_edge_list,
-)
-from repro.generators import (
-    gnm_random_graph,
-    mesh,
-    path_graph,
-    powerlaw_cluster_like,
-    rmat,
-    road_network,
-    roads,
-    torus,
-)
-from repro.core import (
-    ClusterConfig,
-    Clustering,
-    DiameterEstimate,
-    approximate_diameter,
-    cluster,
-    cluster2,
-    quotient_graph,
-)
-from repro.baselines import (
-    bellman_ford_sssp,
-    delta_stepping_sssp,
-    diameter_lower_bound,
-    dijkstra_sssp,
-    sssp_diameter_approx,
-)
-from repro.exact import exact_diameter
-from repro.mr import Counters, MREngine, MRSpec
-from repro.runtime import GraphStore, RunResult, get_graph
-from repro.runtime import run as run_algorithm
 
-__all__ = [
-    "__version__",
+_EXPORTS = {
     # errors
-    "ReproError",
-    "GraphFormatError",
-    "GraphValidationError",
-    "MemoryLimitExceeded",
-    "ConfigurationError",
+    "ReproError": "repro.errors",
+    "GraphFormatError": "repro.errors",
+    "GraphValidationError": "repro.errors",
+    "MemoryLimitExceeded": "repro.errors",
+    "ConfigurationError": "repro.errors",
     # graphs
-    "CSRGraph",
-    "from_edges",
-    "from_edge_list",
-    "read_dimacs",
-    "write_dimacs",
-    "read_edge_list",
-    "write_edge_list",
+    "CSRGraph": "repro.graph",
+    "from_edges": "repro.graph",
+    "from_edge_list": "repro.graph",
+    "read_dimacs": "repro.graph",
+    "write_dimacs": "repro.graph",
+    "read_edge_list": "repro.graph",
+    "write_edge_list": "repro.graph",
     # generators
-    "mesh",
-    "torus",
-    "rmat",
-    "road_network",
-    "roads",
-    "gnm_random_graph",
-    "path_graph",
-    "powerlaw_cluster_like",
+    "mesh": "repro.generators",
+    "torus": "repro.generators",
+    "rmat": "repro.generators",
+    "road_network": "repro.generators",
+    "roads": "repro.generators",
+    "gnm_random_graph": "repro.generators",
+    "path_graph": "repro.generators",
+    "powerlaw_cluster_like": "repro.generators",
     # core
-    "ClusterConfig",
-    "Clustering",
-    "DiameterEstimate",
-    "cluster",
-    "cluster2",
-    "quotient_graph",
-    "approximate_diameter",
+    "ClusterConfig": "repro.core",
+    "Clustering": "repro.core",
+    "DiameterEstimate": "repro.core",
+    "cluster": "repro.core",
+    "cluster2": "repro.core",
+    "quotient_graph": "repro.core",
+    "approximate_diameter": "repro.core",
     # baselines
-    "dijkstra_sssp",
-    "bellman_ford_sssp",
-    "delta_stepping_sssp",
-    "sssp_diameter_approx",
-    "diameter_lower_bound",
-    "exact_diameter",
+    "dijkstra_sssp": "repro.baselines",
+    "bellman_ford_sssp": "repro.baselines",
+    "delta_stepping_sssp": "repro.baselines",
+    "sssp_diameter_approx": "repro.baselines",
+    "diameter_lower_bound": "repro.baselines",
+    "exact_diameter": "repro.exact",
     # MR model
-    "MRSpec",
-    "MREngine",
-    "Counters",
+    "MRSpec": "repro.mr",
+    "MREngine": "repro.mr",
+    "Counters": "repro.mr",
     # runtime layer
-    "GraphStore",
-    "get_graph",
-    "run_algorithm",
-    "RunResult",
-]
+    "GraphStore": "repro.runtime",
+    "get_graph": "repro.runtime",
+    "run_algorithm": "repro.runtime:run",
+    "RunResult": "repro.runtime",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

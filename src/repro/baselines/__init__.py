@@ -14,29 +14,23 @@
   are measured against (caption of Table 2).
 """
 
-from repro.baselines.dijkstra import dijkstra_sssp, dijkstra_sssp_reference
-from repro.baselines.dial import dial_sssp
-from repro.baselines.bellman_ford import bellman_ford_sssp
-from repro.baselines.delta_stepping import delta_stepping_sssp, DeltaSteppingResult
-from repro.baselines.sssp_diameter import sssp_diameter_approx, SSSPDiameterResult
-from repro.baselines.double_sweep import diameter_lower_bound
-from repro.baselines.paths import (
-    approximate_diametral_path,
-    dijkstra_with_parents,
-    extract_path,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "dijkstra_with_parents",
-    "extract_path",
-    "approximate_diametral_path",
-    "dijkstra_sssp",
-    "dijkstra_sssp_reference",
-    "dial_sssp",
-    "bellman_ford_sssp",
-    "delta_stepping_sssp",
-    "DeltaSteppingResult",
-    "sssp_diameter_approx",
-    "SSSPDiameterResult",
-    "diameter_lower_bound",
-]
+_EXPORTS = {
+    "dijkstra_with_parents": "repro.baselines.paths",
+    "extract_path": "repro.baselines.paths",
+    "approximate_diametral_path": "repro.baselines.paths",
+    "dijkstra_sssp": "repro.baselines.dijkstra",
+    "dijkstra_sssp_reference": "repro.baselines.dijkstra",
+    "dial_sssp": "repro.baselines.dial",
+    "bellman_ford_sssp": "repro.baselines.bellman_ford",
+    "delta_stepping_sssp": "repro.baselines.delta_stepping",
+    "DeltaSteppingResult": "repro.baselines.delta_stepping",
+    "sssp_diameter_approx": "repro.baselines.sssp_diameter",
+    "SSSPDiameterResult": "repro.baselines.sssp_diameter",
+    "diameter_lower_bound": "repro.baselines.double_sweep",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

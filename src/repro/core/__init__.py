@@ -12,32 +12,25 @@ Layout
 * :mod:`~repro.core.diameter` — CL-DIAM: ``Φ_approx = Φ(G_C) + 2·R``.
 """
 
-from repro.core.config import ClusterConfig
-from repro.core.cluster import cluster, Clustering
-from repro.core.cluster2 import cluster2
-from repro.core.quotient import quotient_graph
-from repro.core.diameter import (
-    approximate_diameter,
-    diameter_from_clustering,
-    DiameterEstimate,
-)
-from repro.core.eccentricity import eccentricity_bounds, EccentricityBounds
-from repro.core.tuning import tune_tau, TauTuningResult
-from repro.core.components import per_component_diameters, ComponentDiameter
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "cluster",
-    "cluster2",
-    "Clustering",
-    "quotient_graph",
-    "approximate_diameter",
-    "diameter_from_clustering",
-    "DiameterEstimate",
-    "eccentricity_bounds",
-    "EccentricityBounds",
-    "tune_tau",
-    "TauTuningResult",
-    "per_component_diameters",
-    "ComponentDiameter",
-]
+_EXPORTS = {
+    "ClusterConfig": "repro.core.config",
+    "cluster": "repro.core.cluster",
+    "cluster2": "repro.core.cluster2",
+    "Clustering": "repro.core.cluster",
+    "quotient_graph": "repro.core.quotient",
+    "approximate_diameter": "repro.core.diameter",
+    "diameter_from_clustering": "repro.core.diameter",
+    "DiameterEstimate": "repro.core.diameter",
+    "eccentricity_bounds": "repro.core.eccentricity",
+    "EccentricityBounds": "repro.core.eccentricity",
+    "tune_tau": "repro.core.tuning",
+    "TauTuningResult": "repro.core.tuning",
+    "per_component_diameters": "repro.core.components",
+    "ComponentDiameter": "repro.core.components",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -116,6 +116,17 @@ class Clustering:
             raise GraphValidationError("center with nonzero self-distance")
 
 
+def distinct_centers(center: np.ndarray) -> np.ndarray:
+    """``np.unique(center)`` for a complete assignment over node ids.
+
+    Every entry is a node id in ``[0, len(center))``, so one mark and
+    its ``flatnonzero`` give the sorted distinct centers in O(n).
+    """
+    mark = np.zeros(len(center), dtype=bool)
+    mark[center] = True
+    return np.flatnonzero(mark).astype(center.dtype, copy=False)
+
+
 def _select_new_centers(
     uncovered: np.ndarray, probability: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -263,7 +274,7 @@ def cluster(
     clustering = Clustering(
         center=state.center.copy(),
         dist_to_center=state.dist_acc.copy(),
-        centers=np.unique(state.center),
+        centers=distinct_centers(state.center),
         radius=state.radius(),
         delta_end=delta,
         tau=tau_val,

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.cluster import Clustering, cluster
+from repro.core.cluster import Clustering, cluster, distinct_centers
 from repro.core.config import ClusterConfig
 from repro.core.contract import contract2
 from repro.core.growing import partial_growth
@@ -112,7 +112,7 @@ def cluster2(
     clustering = Clustering(
         center=state.center.copy(),
         dist_to_center=state.dist_acc.copy(),
-        centers=np.unique(state.center),
+        centers=distinct_centers(state.center),
         radius=state.radius(),
         delta_end=delta,
         tau=base.tau,

@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.cluster import Clustering, cluster
-from repro.core.cluster2 import cluster2
 from repro.core.config import ClusterConfig
 from repro.core.quotient import quotient_graph
 from repro.errors import ConfigurationError
@@ -189,7 +188,10 @@ def approximate_diameter(
         config = config.with_(tau=tau)
     counters = Counters()
 
-    decompose = cluster2 if config.use_cluster2 else cluster
+    if config.use_cluster2:
+        from repro.core.cluster2 import cluster2 as decompose
+    else:
+        decompose = cluster
     clustering = decompose(graph, config=config, counters=counters)
 
     g_c, _centers = quotient_graph(graph, clustering)

@@ -16,31 +16,39 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.cluster import Clustering
-from repro.graph.builder import check_packable, from_pair_keys, pair_keys
+from repro.graph.builder import (
+    check_packable,
+    from_pair_keys,
+    min_by_key,
+    pair_keys,
+)
 from repro.graph.csr import CSRGraph
 from repro.mr import native as _native
 
-__all__ = ["crossing_edges", "quotient_graph"]
+__all__ = ["quotient_pairs", "quotient_graph"]
 
 
-def crossing_edges(
+def quotient_pairs(
     graph: CSRGraph, ids: np.ndarray, dist: np.ndarray, num_clusters: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The quotient map side: every edge whose endpoints' clusters differ.
+    """The quotient map side, combined: one entry per cluster pair.
 
-    For each edge ``(u, v)`` with ``u < v`` and ``ids[u] ≠ ids[v]``, in
-    CSR order, returns the cluster pair packed as
-    ``min·num_clusters + max`` (:func:`~repro.graph.builder.pair_keys`)
-    and the reweighted value ``(w + dist[u]) + dist[v]``.  Both quotient
-    constructions (this module's and
-    :mod:`repro.mrimpl.quotient_mr`'s) start here.  The native tier is
-    one CSR scan with exactly sized outputs; the NumPy tier masks every
-    arc and is its oracle.
+    Every edge ``(u, v)`` with ``u < v`` and ``ids[u] ≠ ids[v]`` maps to
+    its cluster pair packed as ``min·num_clusters + max``
+    (:func:`~repro.graph.builder.pair_keys`) with the reweighted value
+    ``(w + dist[u]) + dist[v]``; the pairs come back distinct and
+    ascending, each with its minimum value
+    (:func:`~repro.graph.builder.min_by_key`).  Both quotient
+    constructions (this module's and :mod:`repro.mrimpl.quotient_mr`'s)
+    start here.  The native tier is one C kernel (a CSR scan, a counting
+    sort by the smaller cluster and a dense min per bucket); the NumPy
+    tier masks every arc, sorts, and is its oracle.
     """
+    num_clusters = check_packable(num_clusters)
     if _native.use_native():
-        return _native.crossing_edges(
+        return _native.quotient_pairs(
             graph.indptr, graph.indices, graph.weights, ids, dist,
-            check_packable(num_clusters),
+            num_clusters,
         )
     src = graph.arc_sources()
     dst = graph.indices
@@ -52,7 +60,7 @@ def crossing_edges(
     cross = cu != cv
     keys = pair_keys(cu[cross], cv[cross], num_clusters)
     values = graph.weights[one_dir][cross] + dist[u[cross]] + dist[v[cross]]
-    return keys, values
+    return min_by_key(keys, values)
 
 
 def quotient_graph(
@@ -69,13 +77,12 @@ def quotient_graph(
 
     Notes
     -----
-    :func:`crossing_edges` finds the crossing edges with their packed
-    cluster pairs, and the builder's min-weight deduplication implements
-    the "retain only the minimum weight edge between two clusters" rule
-    (a single cluster gives an edgeless quotient).
+    :func:`quotient_pairs` finds the crossing edges and implements the
+    "retain only the minimum weight edge between two clusters" rule (a
+    single cluster gives an edgeless quotient).
     """
     centers = clustering.centers
-    keys, values = crossing_edges(
+    keys, values = quotient_pairs(
         graph, clustering.cluster_ids(), clustering.dist_to_center,
         len(centers),
     )

@@ -16,46 +16,31 @@
   experiment).
 """
 
-from repro.generators.mesh import mesh, torus
-from repro.generators.rmat import rmat
-from repro.generators.roads import road_network, roads
-from repro.generators.random_graphs import (
-    gnm_random_graph,
-    path_graph,
-    cycle_graph,
-    star_graph,
-    complete_graph,
-    random_tree,
-    powerlaw_cluster_like,
-)
-from repro.generators.spatial import grid3d, random_geometric, watts_strogatz
-from repro.generators.weights import (
-    uniform_weights,
-    integer_weights,
-    bimodal_weights,
-    unit_weights,
-    reweighted,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "mesh",
-    "torus",
-    "rmat",
-    "road_network",
-    "roads",
-    "gnm_random_graph",
-    "path_graph",
-    "cycle_graph",
-    "star_graph",
-    "complete_graph",
-    "random_tree",
-    "powerlaw_cluster_like",
-    "grid3d",
-    "random_geometric",
-    "watts_strogatz",
-    "uniform_weights",
-    "integer_weights",
-    "bimodal_weights",
-    "unit_weights",
-    "reweighted",
-]
+_EXPORTS = {
+    "mesh": "repro.generators.mesh",
+    "torus": "repro.generators.mesh",
+    "rmat": "repro.generators.rmat",
+    "road_network": "repro.generators.roads",
+    "roads": "repro.generators.roads",
+    "gnm_random_graph": "repro.generators.random_graphs",
+    "path_graph": "repro.generators.random_graphs",
+    "cycle_graph": "repro.generators.random_graphs",
+    "star_graph": "repro.generators.random_graphs",
+    "complete_graph": "repro.generators.random_graphs",
+    "random_tree": "repro.generators.random_graphs",
+    "powerlaw_cluster_like": "repro.generators.random_graphs",
+    "grid3d": "repro.generators.spatial",
+    "random_geometric": "repro.generators.spatial",
+    "watts_strogatz": "repro.generators.spatial",
+    "uniform_weights": "repro.generators.weights",
+    "integer_weights": "repro.generators.weights",
+    "bimodal_weights": "repro.generators.weights",
+    "unit_weights": "repro.generators.weights",
+    "reweighted": "repro.generators.weights",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,79 +1,44 @@
 """Weighted-graph substrate: CSR storage, construction, I/O, and operations."""
 
-from repro.graph.csr import CSRGraph
-from repro.graph.builder import from_edges, from_edge_list, symmetrized
-from repro.graph.io import (
-    read_auto,
-    read_dimacs,
-    read_edge_list,
-    read_metis,
-    write_auto,
-    write_dimacs,
-    write_edge_list,
-    write_metis,
-)
-from repro.graph.serialize import (
-    StoreHeader,
-    is_store,
-    load_clustering,
-    load_graph,
-    open_store,
-    read_store_header,
-    save_clustering,
-    save_graph,
-    write_store,
-)
-from repro.graph.partition import (
-    PartitionPlan,
-    PartitionedStore,
-    ensure_partitioned,
-    load_partitioned,
-    plan_partition,
-    write_partitioned_store,
-)
-from repro.graph.ops import (
-    connected_components,
-    largest_connected_component,
-    induced_subgraph,
-    degree_histogram,
-    total_weight,
-    cartesian_product,
-)
-from repro.graph.validate import validate_graph
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CSRGraph",
-    "from_edges",
-    "from_edge_list",
-    "symmetrized",
-    "read_auto",
-    "read_dimacs",
-    "write_dimacs",
-    "read_edge_list",
-    "write_edge_list",
-    "read_metis",
-    "write_metis",
-    "write_auto",
-    "save_graph",
-    "load_graph",
-    "save_clustering",
-    "load_clustering",
-    "write_store",
-    "open_store",
-    "read_store_header",
-    "is_store",
-    "StoreHeader",
-    "PartitionPlan",
-    "PartitionedStore",
-    "plan_partition",
-    "write_partitioned_store",
-    "ensure_partitioned",
-    "load_partitioned",
-    "connected_components",
-    "largest_connected_component",
-    "induced_subgraph",
-    "degree_histogram",
-    "total_weight",
-    "cartesian_product",
-    "validate_graph",
-]
+_EXPORTS = {
+    "CSRGraph": "repro.graph.csr",
+    "from_edges": "repro.graph.builder",
+    "from_edge_list": "repro.graph.builder",
+    "symmetrized": "repro.graph.builder",
+    "read_auto": "repro.graph.io",
+    "read_dimacs": "repro.graph.io",
+    "write_dimacs": "repro.graph.io",
+    "read_edge_list": "repro.graph.io",
+    "write_edge_list": "repro.graph.io",
+    "read_metis": "repro.graph.io",
+    "write_metis": "repro.graph.io",
+    "write_auto": "repro.graph.io",
+    "save_graph": "repro.graph.serialize",
+    "load_graph": "repro.graph.serialize",
+    "save_clustering": "repro.graph.serialize",
+    "load_clustering": "repro.graph.serialize",
+    "write_store": "repro.graph.serialize",
+    "open_store": "repro.graph.serialize",
+    "read_store_header": "repro.graph.serialize",
+    "is_store": "repro.graph.serialize",
+    "StoreHeader": "repro.graph.serialize",
+    "PartitionPlan": "repro.graph.partition",
+    "PartitionedStore": "repro.graph.partition",
+    "plan_partition": "repro.graph.partition",
+    "write_partitioned_store": "repro.graph.partition",
+    "ensure_partitioned": "repro.graph.partition",
+    "load_partitioned": "repro.graph.partition",
+    "connected_components": "repro.graph.ops",
+    "largest_connected_component": "repro.graph.ops",
+    "induced_subgraph": "repro.graph.ops",
+    "degree_histogram": "repro.graph.ops",
+    "total_weight": "repro.graph.ops",
+    "cartesian_product": "repro.graph.ops",
+    "validate_graph": "repro.graph.validate",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

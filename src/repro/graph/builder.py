@@ -89,21 +89,26 @@ def from_edges(
 
 
 def from_pair_keys(keys: np.ndarray, w: np.ndarray, num_nodes: int) -> CSRGraph:
-    """:func:`from_edges` for edges already packed by :func:`pair_keys`.
+    """:func:`from_edges` for edges already packed and combined.
 
-    ``keys`` are ``min·n + max`` codes of distinct endpoints (no
-    self-loops); parallel pairs keep their lightest copy.  Weights are
-    validated as in :func:`from_edges`; the graph is the one
+    ``keys`` are strictly ascending ``min·n + max`` codes of distinct
+    endpoints (:func:`pair_keys`, no self-loops), one per edge, as a
+    combined quotient map side gives them (:func:`min_by_key`'s
+    output).  Unsorted or repeated keys raise
+    :class:`GraphValidationError`; one O(k) comparison tells.  Weights
+    are validated as in :func:`from_edges`; the graph is the one
     :func:`from_edges` builds from the unpacked endpoints.
     """
+    keys = np.asarray(keys, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64).ravel()
     if len(w):
         if w.min() <= 0:
             raise GraphValidationError("edge weights must be strictly positive")
         if not np.all(np.isfinite(w)):
             raise GraphValidationError("edge weights must be finite")
-    pairs, weights = min_by_key(np.asarray(keys, dtype=np.int64), w)
-    return _assemble_csr(pairs, weights, int(num_nodes))
+    if not np.all(keys[1:] > keys[:-1]):
+        raise GraphValidationError("pair keys must be strictly ascending")
+    return _assemble_csr(keys, w, int(num_nodes))
 
 
 def min_by_key(

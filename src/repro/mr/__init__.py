@@ -25,21 +25,20 @@ per key) is a test oracle, not a backend: it lives in the test suite
 (``docs/mr_model.md`` §3).
 """
 
-from repro.mr.model import MRSpec
-from repro.mr.metrics import Counters
-from repro.mr.trace import RoundTrace, RoundRecord
-from repro.mr.engine import MREngine
-from repro.mr.partitioner import hash_partition, hash_partition_array
-from repro.mr.executor import EXECUTOR_NAMES, make_executor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MRSpec",
-    "Counters",
-    "RoundTrace",
-    "RoundRecord",
-    "MREngine",
-    "hash_partition",
-    "hash_partition_array",
-    "make_executor",
-    "EXECUTOR_NAMES",
-]
+_EXPORTS = {
+    "MRSpec": "repro.mr.model",
+    "Counters": "repro.mr.metrics",
+    "RoundTrace": "repro.mr.trace",
+    "RoundRecord": "repro.mr.trace",
+    "MREngine": "repro.mr.engine",
+    "hash_partition": "repro.mr.partitioner",
+    "hash_partition_array": "repro.mr.partitioner",
+    "make_executor": "repro.mr.executor",
+    "EXECUTOR_NAMES": "repro.mr.executor",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

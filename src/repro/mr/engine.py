@@ -21,7 +21,6 @@ from repro.errors import MemoryLimitExceeded
 from repro.mr import native as _native
 from repro.mr.metrics import Counters
 from repro.mr.model import MRSpec
-from repro.mr.partitioner import hash_partition_array
 
 __all__ = ["MREngine", "BatchReducer", "GroupSummary", "max_worker_load"]
 
@@ -87,6 +86,8 @@ def max_worker_load(keys: np.ndarray, loads, num_workers: int) -> int:
             num_workers,
             np.zeros(num_workers, dtype=np.int64),
         )
+    from repro.mr.partitioner import hash_partition_array
+
     workers = hash_partition_array(keys, num_workers)
     per_worker = np.bincount(
         workers,

@@ -4,7 +4,7 @@
 the Δ-growing hot kernels (push emit with the open-target test, the
 fused finish with the improvement pre-filter and the group summary,
 ``scatter_min_rows``, the merge's apply and the forced-round scan), for
-the quotient's crossing-edge scan (:func:`crossing_edges`), for
+the quotient's map side with its combine (:func:`quotient_pairs`), for
 CL-DIAM's quotient-diameter Dijkstra
 (:func:`quotient_ecc`, whose pure tier is scipy's — so a native-tier
 run never imports scipy), and for the ``lp`` shard partitioner's three
@@ -51,7 +51,7 @@ __all__ = [
     "native_available",
     "impl_overrides",
     "resolved_info",
-    "crossing_edges",
+    "quotient_pairs",
     "quotient_ecc",
     "lp_best_label",
     "lp_affinity",
@@ -111,8 +111,11 @@ _SIGNATURES = {
         [_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _P, _P, _P, _P],
         _I,
     ),
-    # indptr, indices, weights, n, cid, d, nc, keys, vals -> crossing
-    "rk_crossing_edges": ([_P, _P, _P, _I, _P, _P, _I, _P, _P], _I),
+    # indptr, indices, weights, n, cid, d, nc, keys, vals, part, bstart,
+    # bpart, bval, stamp, best -> pairs
+    "rk_quotient_pairs": (
+        [_P, _P, _P, _I, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P], _I
+    ),
     # indptr, indices, weights, sources, nsources, skip_reached, dist,
     # touched, heap_d, heap_v -> largest finite distance
     "rk_quotient_ecc": ([_P, _P, _P, _P, _I, _I, _P, _P, _P, _P], _D),
@@ -508,12 +511,14 @@ def quotient_ecc(indptr, indices, weights, sources, *, skip_reached) -> float:
 # -- quotient map side -------------------------------------------------- #
 
 
-def crossing_edges(indptr, indices, weights, cid, d, num_clusters):
-    """Crossing edges of a clustering as exactly sized ``(keys, values)``.
+def quotient_pairs(indptr, indices, weights, cid, d, num_clusters):
+    """The quotient's crossing edges combined per cluster pair.
 
-    One CSR scan over arcs ``u -> v`` with ``u < v`` and
-    ``cid[u] != cid[v]``, in CSR order: the packed cluster pair
-    ``min·num_clusters + max`` and the value ``(w + d[u]) + d[v]``.
+    Over arcs ``u -> v`` with ``u < v`` and ``cid[u] != cid[v]``: the
+    distinct packed cluster pairs ``min·num_clusters + max``, ascending,
+    each with the minimum of its values ``(w + d[u]) + d[v]`` --
+    :func:`~repro.graph.builder.min_by_key` of the masked NumPy scan,
+    bit for bit.  ``cid`` must lie in ``[0, num_clusters)``.
     """
     lib = _load()
     indptr = _contig_i8(indptr)
@@ -521,15 +526,26 @@ def crossing_edges(indptr, indices, weights, cid, d, num_clusters):
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     cid = _contig_i8(cid)
     d = np.ascontiguousarray(d, dtype=np.float64)
+    nc = int(num_clusters)
     if not len(cid) == len(d) == len(indptr) - 1:
         raise ValueError("cid and d need one entry per node")
-    # Arc-sized outputs: only the written prefix is ever touched, so
-    # the untouched pages are never committed; the prefix is copied out.
-    keys = np.empty(len(indices), dtype=np.int64)
-    values = np.empty(len(indices))
-    count = lib.rk_crossing_edges(
+    if len(cid) and (cid.min() < 0 or cid.max() >= nc):
+        raise ValueError(f"cid must lie in [0, {nc})")
+    # Arc-sized buffers: only the crossing-edge prefix is ever touched,
+    # so the untouched pages are never committed; the pairs are copied out.
+    arcs = len(indices)
+    keys = np.empty(arcs, dtype=np.int64)
+    values = np.empty(arcs)
+    part = np.empty(arcs, dtype=np.int64)
+    bpart = np.empty(arcs, dtype=np.int64)
+    bval = np.empty(arcs)
+    bstart = np.zeros(nc + 1, dtype=np.int64)
+    stamp = np.full(nc, -1, dtype=np.int64)
+    best = np.empty(nc)
+    count = lib.rk_quotient_pairs(
         _ptr(indptr), _ptr(indices), _ptr(weights), len(indptr) - 1,
-        _ptr(cid), _ptr(d), int(num_clusters), _ptr(keys), _ptr(values),
+        _ptr(cid), _ptr(d), nc, _ptr(keys), _ptr(values), _ptr(part),
+        _ptr(bstart), _ptr(bpart), _ptr(bval), _ptr(stamp), _ptr(best),
     )
     return keys[:count].copy(), values[:count].copy()
 

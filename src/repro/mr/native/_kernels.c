@@ -563,17 +563,28 @@ double rk_quotient_ecc(
     return best;
 }
 
-/* Quotient map side (core.quotient.crossing_edges): one pass over the
- * CSR arcs u -> v with u < v whose clusters differ, in CSR order.
- * Each writes the packed cluster pair min(cu, cv) * nc + max(cu, cv)
- * into keys and the value (w + d[u]) + d[v] into vals — the NumPy
- * tier's addition order.  keys/vals need room for every arc; returns
- * the crossing-edge count. */
-i64 rk_crossing_edges(
+/* Quotient map side with its combine (core.quotient.quotient_pairs):
+ * every CSR arc u -> v with u < v whose clusters differ, reduced to
+ * one entry per cluster pair carrying the pair's minimum value
+ * (w + d[u]) + d[v] -- the NumPy tier's addition order.
+ *
+ * One scan in CSR order collects (lo, hi, value) with lo < hi the
+ * edge's two clusters and counts each lo; a counting sort groups the
+ * edges by lo; per lo, a dense min over the partners hi, stamped with
+ * lo so the nc-sized table never needs a reset; the bucket's distinct
+ * partners are then sorted and written as keys lo * nc + hi.  The keys
+ * come out strictly ascending, as min_by_key returns them.
+ *
+ * keys/vals (outputs, also the scan's lo/value space), part, bpart and
+ * bval need room for every arc; bstart (nc + 1) must be all-zero,
+ * stamp (nc) all -1; best needs nc.  Returns the pair count. */
+i64 rk_quotient_pairs(
     const i64 *indptr, const i64 *indices, const double *weights, i64 n,
-    const i64 *cid, const double *d, i64 nc, i64 *keys, double *vals)
+    const i64 *cid, const double *d, i64 nc,
+    i64 *keys, double *vals, i64 *part, i64 *bstart, i64 *bpart,
+    double *bval, i64 *stamp, double *best)
 {
-    i64 t = 0;
+    i64 x = 0;
     for (i64 u = 0; u < n; ++u) {
         i64 cu = cid[u];
         i64 hi = indptr[u + 1];
@@ -584,10 +595,45 @@ i64 rk_crossing_edges(
             i64 cv = cid[v];
             if (cu == cv)
                 continue;
-            keys[t] = cu < cv ? cu * nc + cv : cv * nc + cu;
-            vals[t] = (weights[a] + d[u]) + d[v];
-            ++t;
+            i64 lo = cu < cv ? cu : cv;
+            keys[x] = lo;
+            part[x] = cu < cv ? cv : cu;
+            vals[x] = (weights[a] + d[u]) + d[v];
+            bstart[lo + 1] += 1;
+            ++x;
         }
+    }
+    for (i64 c = 0; c < nc; ++c)
+        bstart[c + 1] += bstart[c];
+    /* Fill cursor bstart[lo]: afterwards bstart[c] is bucket c's end. */
+    for (i64 i = 0; i < x; ++i) {
+        i64 j = bstart[keys[i]]++;
+        bpart[j] = part[i];
+        bval[j] = vals[i];
+    }
+    i64 t = 0;
+    i64 s = 0;
+    for (i64 c = 0; c < nc; ++c) {
+        i64 e = bstart[c];
+        i64 first = t;
+        for (i64 j = s; j < e; ++j) {
+            i64 p = bpart[j];
+            double w = bval[j];
+            if (stamp[p] != c) {
+                stamp[p] = c;
+                best[p] = w;
+                keys[t++] = p;
+            } else if (w < best[p]) {
+                best[p] = w;
+            }
+        }
+        qsort(keys + first, (size_t)(t - first), sizeof(i64), cmp_i64);
+        for (i64 j = first; j < t; ++j) {
+            i64 p = keys[j];
+            vals[j] = best[p];
+            keys[j] = c * nc + p;
+        }
+        s = e;
     }
     return t;
 }

@@ -17,24 +17,19 @@ Python reducer call per node — is kept in the test suite as the oracle
 the parity suites compare against.
 """
 
-from repro.mrimpl.growing_mr import (
-    ArrayGrowingState,
-    default_engine,
-    make_growing_state,
-    owned_engine,
-)
-from repro.mrimpl.cluster_mr import mr_cluster
-from repro.mrimpl.cluster2_mr import mr_cluster2
-from repro.mrimpl.diameter_mr import mr_approximate_diameter
-from repro.mrimpl.quotient_mr import mr_quotient_graph
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArrayGrowingState",
-    "make_growing_state",
-    "default_engine",
-    "owned_engine",
-    "mr_cluster",
-    "mr_cluster2",
-    "mr_approximate_diameter",
-    "mr_quotient_graph",
-]
+_EXPORTS = {
+    "ArrayGrowingState": "repro.mrimpl.growing_mr",
+    "make_growing_state": "repro.mrimpl.growing_mr",
+    "default_engine": "repro.mrimpl.growing_mr",
+    "owned_engine": "repro.mrimpl.growing_mr",
+    "mr_cluster": "repro.mrimpl.cluster_mr",
+    "mr_cluster2": "repro.mrimpl.cluster2_mr",
+    "mr_approximate_diameter": "repro.mrimpl.diameter_mr",
+    "mr_quotient_graph": "repro.mrimpl.quotient_mr",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,13 +28,13 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.core.cluster import Clustering, StageInfo
+from repro.core.cluster import Clustering, StageInfo, distinct_centers
 from repro.core.config import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.mr.engine import MREngine
 from repro.mr.faults import maybe_kill_driver
-from repro.mrimpl.cluster_mr import _distinct_centers, _mr_cluster
+from repro.mrimpl.cluster_mr import _mr_cluster
 from repro.mrimpl.growing_mr import make_growing_state, owned_engine
 from repro.util import as_rng
 
@@ -179,7 +179,7 @@ def _mr_cluster2(
     clustering = Clustering(
         center=center,
         dist_to_center=dacc,
-        centers=_distinct_centers(center),
+        centers=distinct_centers(center),
         radius=float(dacc.max()) if n else 0.0,
         delta_end=delta,
         tau=base_tau,

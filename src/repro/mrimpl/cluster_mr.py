@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.cluster import Clustering, StageInfo
+from repro.core.cluster import Clustering, StageInfo, distinct_centers
 from repro.core.config import ClusterConfig
 from repro.errors import CheckpointError, ConfigurationError
 from repro.graph.csr import CSRGraph
@@ -95,17 +95,6 @@ def mr_cluster(
             # durable by the time the driver returns.
             checkpoint.flush()
         return clustering
-
-
-def _distinct_centers(center: np.ndarray) -> np.ndarray:
-    """``np.unique(center)`` for a complete assignment over node ids.
-
-    Every entry is a node id in ``[0, len(center))``, so one mark and
-    its ``flatnonzero`` give the sorted distinct centers in O(n).
-    """
-    mark = np.zeros(len(center), dtype=bool)
-    mark[center] = True
-    return np.flatnonzero(mark).astype(center.dtype, copy=False)
 
 
 def _growth_cursor(
@@ -330,7 +319,7 @@ def _mr_cluster(
     clustering = Clustering(
         center=center,
         dist_to_center=dacc,
-        centers=_distinct_centers(center),
+        centers=distinct_centers(center),
         radius=float(dacc.max()) if n else 0.0,
         delta_end=delta,
         tau=tau_val,

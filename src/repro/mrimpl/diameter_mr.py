@@ -18,7 +18,6 @@ from repro.core.config import ClusterConfig
 from repro.core.diameter import DiameterEstimate, quotient_diameter
 from repro.graph.csr import CSRGraph
 from repro.mr.engine import MREngine
-from repro.mrimpl.cluster2_mr import mr_cluster2
 from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.growing_mr import owned_engine
 from repro.mrimpl.quotient_mr import mr_quotient_graph
@@ -57,7 +56,10 @@ def mr_approximate_diameter(
         config = config.with_(tau=tau)
 
     with owned_engine(graph, config, engine, num_workers=num_workers) as eng:
-        decompose = mr_cluster2 if config.use_cluster2 else mr_cluster
+        if config.use_cluster2:
+            from repro.mrimpl.cluster2_mr import mr_cluster2 as decompose
+        else:
+            decompose = mr_cluster
         clustering = decompose(
             graph,
             config=config,

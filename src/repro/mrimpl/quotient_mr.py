@@ -18,8 +18,8 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.cluster import Clustering
-from repro.core.quotient import crossing_edges
-from repro.graph.builder import from_pair_keys, min_by_key
+from repro.core.quotient import quotient_pairs
+from repro.graph.builder import from_pair_keys
 from repro.graph.csr import CSRGraph
 from repro.mr.batch import group_min
 from repro.mr.engine import MREngine
@@ -31,7 +31,7 @@ def _batch_quotient(
     engine: MREngine, graph: CSRGraph, ids: np.ndarray, d: np.ndarray,
     num_centers: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Map side (:func:`~repro.core.quotient.crossing_edges`) + one
+    """Map side (:func:`~repro.core.quotient.quotient_pairs`) + one
     batch reduce round; returns the distinct packed pairs and their
     minimum values.
 
@@ -39,14 +39,13 @@ def _batch_quotient(
     (``min·num_centers + max``, :func:`~repro.graph.builder.pair_keys`),
     so the shuffle groups crossing edges by unordered cluster pair.
     The map side combines before the shuffle, to one pair per cluster
-    pair (:func:`~repro.graph.builder.min_by_key`: one sort, a ``min``
-    per run): a popular cluster pair can own far more crossing edges than
-    any node has neighbours, so without combining its reducer group
-    could exceed an ``M_L`` sized for the growing rounds.  ``min`` is
-    order-free, so neither the sort nor the reducer needs a tie-break.
+    pair (inside :func:`~repro.core.quotient.quotient_pairs`): a popular
+    cluster pair can own far more crossing edges than any node has
+    neighbours, so without combining its reducer group could exceed an
+    ``M_L`` sized for the growing rounds.  ``min`` is order-free, so
+    neither the combine nor the reducer needs a tie-break.
     """
-    keys, values = crossing_edges(graph, ids, d, num_centers)
-    keys, values = min_by_key(keys, values)
+    keys, values = quotient_pairs(graph, ids, d, num_centers)
     out_keys, out_values = engine.round_batch(keys, values, group_min)
     return out_keys, out_values[:, 0]
 

@@ -17,24 +17,28 @@ Two subsystems (see ``docs/architecture.md`` for the full picture):
 True
 """
 
-from repro.runtime.registry import (
-    REGISTRY,
-    AlgorithmRegistry,
-    AlgorithmSpec,
-    register,
-)
-from repro.runtime.runner import RunContext, RunResult, run
-from repro.runtime.store import GraphStore, default_store, get_graph
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GraphStore",
-    "default_store",
-    "get_graph",
-    "AlgorithmRegistry",
-    "AlgorithmSpec",
-    "REGISTRY",
-    "register",
-    "RunContext",
-    "RunResult",
-    "run",
-]
+#: Checkpoint cadence knob: an integer = every N engine rounds; ``<x>s``
+#: = every x wall-clock seconds.  Unset/empty = checkpointing off.
+#: :meth:`repro.runtime.checkpoint.CheckpointPolicy.parse` owns the
+#: syntax; the name lives here so a run can see the knob is set without
+#: importing the checkpoint module.
+CHECKPOINT_EVERY_ENV = "REPRO_CHECKPOINT_EVERY"
+
+_EXPORTS = {
+    "GraphStore": "repro.runtime.store",
+    "default_store": "repro.runtime.store",
+    "get_graph": "repro.runtime.store",
+    "AlgorithmRegistry": "repro.runtime.registry",
+    "AlgorithmSpec": "repro.runtime.registry",
+    "REGISTRY": "repro.runtime.registry",
+    "register": "repro.runtime.registry",
+    "RunContext": "repro.runtime.runner",
+    "RunResult": "repro.runtime.runner",
+    "run": "repro.runtime.runner",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -63,6 +63,7 @@ from repro.integrity import (
     quarantine_artifact,
     sweep_orphan_tmps,
 )
+from repro.runtime import CHECKPOINT_EVERY_ENV
 
 __all__ = [
     "CHECKPOINT_EVERY_ENV",
@@ -78,9 +79,6 @@ __all__ = [
     "run_key",
 ]
 
-#: Cadence knob: an integer = every N engine rounds; ``<x>s`` = every x
-#: wall-clock seconds.  Unset/empty = checkpointing off.
-CHECKPOINT_EVERY_ENV = "REPRO_CHECKPOINT_EVERY"
 #: Directory override for checkpoint trees (default: ``<store>.ckpt``).
 CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 #: Retention policy for published rounds: ``<count>`` newest rounds,

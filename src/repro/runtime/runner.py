@@ -25,6 +25,7 @@ True
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,7 @@ from repro.core.config import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.mr.metrics import Counters
+from repro.runtime import CHECKPOINT_EVERY_ENV
 from repro.runtime.registry import REGISTRY, AlgorithmRegistry
 from repro.runtime.store import GraphStore, default_store
 
@@ -259,8 +261,6 @@ def run(
         # The owner-compute backend's machine count is its shard count.
         # Explicit kwargs win; a caller-supplied config's shards is
         # preserved (shards stays None so _resolve_config keeps it).
-        import os
-
         if workers is not None and shards is not None and workers != shards:
             raise ConfigurationError(
                 "executor='sharded' has workers == shards by definition; "
@@ -317,7 +317,10 @@ def run(
         )
     checkpointer = None
     resume_payload = None
-    if spec.supports_checkpoint and executor is not None:
+    # The checkpoint module loads only when a checkpoint is asked for or
+    # the cadence knob is set (a malformed value then fails in parse).
+    armed = explicit_ckpt or os.environ.get(CHECKPOINT_EVERY_ENV)
+    if spec.supports_checkpoint and executor is not None and armed:
         from repro.runtime.checkpoint import (
             CheckpointPolicy,
             RunCheckpointer,

@@ -172,6 +172,11 @@ class ReproServer:
     # ------------------------------------------------------------------ #
 
     async def start(self) -> None:
+        # Load the run path before the daemon reports ready, so the
+        # first cache miss does not pay for its imports.
+        import repro.mrimpl.diameter_mr  # noqa: F401
+        import repro.runtime.runner  # noqa: F401
+
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self.scheduler.start(self._loop)

@@ -9,6 +9,8 @@ from repro.graph.builder import (
     MAX_PACKED_NODES,
     from_edge_list,
     from_edges,
+    from_pair_keys,
+    min_by_key,
     pair_keys,
     symmetrized,
 )
@@ -238,6 +240,27 @@ class TestMatchesLexsortOracle:
         assert_bit_identical(got, want)
         assert got.indptr.tolist() == [0, 0, 1, 1, 1, 3, 3, 4, 4]
         assert got.weights.tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
+class TestFromPairKeys:
+    """Combined packed keys (distinct, ascending) build the graph
+    :func:`from_edges` builds; raw or repeated keys are rejected."""
+
+    @given(edge_inputs())
+    def test_combined_keys_bit_identical(self, case):
+        u, v, w, n = case
+        keep = u != v
+        keys, weights = min_by_key(pair_keys(u[keep], v[keep], n), w[keep])
+        assert_bit_identical(
+            from_pair_keys(keys, weights, n), from_edges(u, v, w, n)
+        )
+
+    @pytest.mark.parametrize(
+        "keys", [[6, 1], [1, 1], [1, 6, 6]], ids=["unsorted", "equal", "repeated"]
+    )
+    def test_uncombined_keys_are_rejected(self, keys):
+        with pytest.raises(GraphValidationError, match="strictly ascending"):
+            from_pair_keys(np.array(keys), np.ones(len(keys)), 4)
 
 
 class TestPackingBound:

@@ -481,87 +481,129 @@ class TestForcedScan:
 # the quotient map side
 # --------------------------------------------------------------------- #
 
+#: Edge weights and center offsets the quotient property draws from:
+#: denormals, values whose sums round or tie, and extremes whose sums
+#: overflow to infinity.  ``CSRGraph`` rejects zero weights.
+_Q_WEIGHTS = [5e-324, 1e-310, 1e-300, 0.25, 0.5, 1.0, 3.0, 1e300, 1.7e308]
+_Q_OFFSETS = [0.0, 5e-324, 0.25, 1.0, 1e300]
 
-def _crossing_tiers(graph, ids, d, nc):
-    from repro.core.quotient import crossing_edges
 
-    with native.impl_overrides("py"):
-        ref = crossing_edges(graph, ids, d, nc)
-    got = native.crossing_edges(
-        graph.indptr, graph.indices, graph.weights, ids, d, nc
+@st.composite
+def quotient_inputs(draw):
+    """A raw symmetric CSR (self-loops and parallel edges kept) with a
+    clustering: one cluster, all singletons, or random ids over ``k``
+    clusters (some possibly empty)."""
+    from repro.graph.csr import CSRGraph
+
+    n = draw(st.integers(0, 12))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)),
+                  st.sampled_from(_Q_WEIGHTS)),
+        max_size=40 if n else 0,
+    ))
+    src = [u for u, v, _ in edges] + [v for u, v, _ in edges if u != v]
+    dst = [v for u, v, _ in edges] + [u for u, v, _ in edges if u != v]
+    wts = [w for *_, w in edges] + [w for u, v, w in edges if u != v]
+    order = np.argsort(np.asarray(src, dtype=np.int64), kind="stable")
+    graph = CSRGraph(
+        np.concatenate(([0], np.cumsum(np.bincount(
+            np.asarray(src, dtype=np.int64), minlength=n)))),
+        np.asarray(dst, dtype=np.int64)[order],
+        np.asarray(wts, dtype=np.float64)[order],
     )
-    for g, r in zip(got, ref):
-        assert g.dtype == r.dtype and g.flags.c_contiguous
-        np.testing.assert_array_equal(g, r)
-    return got
+    shape = draw(st.sampled_from(["one", "singletons", "random"]))
+    if shape == "one":
+        nc = 1
+        ids = np.zeros(n, dtype=np.int64)
+    elif shape == "singletons":
+        nc = max(n, 1)
+        ids = np.arange(n, dtype=np.int64)
+    else:
+        nc = draw(st.integers(1, max(n, 1) + 3))
+        ids = np.asarray(
+            draw(st.lists(st.integers(0, nc - 1), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+    d = np.asarray(
+        draw(st.lists(st.sampled_from(_Q_OFFSETS), min_size=n, max_size=n)),
+        dtype=np.float64,
+    )
+    return graph, ids, d, nc
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.int64)
 
 
 @needs_native
-class TestCrossingEdges:
-    """``rk_crossing_edges`` against the NumPy map side it replaced."""
+class TestQuotientPairs:
+    """``rk_quotient_pairs`` against the NumPy map side and its combine."""
 
-    @pytest.mark.parametrize("nc", [1, 2, 5, 40])
-    def test_random_clusterings(self, graph, nc):
-        rng = np.random.default_rng(nc)
-        for _ in range(5):
-            ids = rng.integers(0, nc, graph.num_nodes).astype(np.int64)
-            # Quantized offsets: equal values on parallel cluster pairs.
-            d = np.round(rng.random(graph.num_nodes) * 4.0) / 4.0
-            keys, values = _crossing_tiers(graph, ids, d, nc)
-            if nc == 1:
-                assert len(keys) == 0
+    @given(quotient_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_oracle_bit_for_bit(self, case):
+        from repro.core.quotient import quotient_pairs
 
-    def test_exact_values_and_order(self):
+        graph, ids, d, nc = case
+        with native.impl_overrides("py"):
+            ref = quotient_pairs(graph, ids, d, nc)
+        got = native.quotient_pairs(
+            graph.indptr, graph.indices, graph.weights, ids, d, nc
+        )
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and g.flags.c_contiguous
+            np.testing.assert_array_equal(_bits(g), _bits(r))
+        keys = got[0]
+        assert np.all(keys[1:] > keys[:-1])
+        if nc == 1:
+            assert len(keys) == 0
+
+    def test_combines_parallel_pairs_to_their_minimum(self):
         g = from_edges(
             np.array([0, 1, 2, 0]), np.array([1, 2, 3, 3]),
             np.array([1.0, 2.0, 1.0, 5.0]), 4,
         )
         ids = np.array([0, 0, 1, 1], dtype=np.int64)
         d = np.array([0.0, 1.0, 1.0, 0.0])
-        keys, values = _crossing_tiers(g, ids, d, 2)
-        # Arcs 0->3 (w 5) then 1->2 (w 2), CSR order, both pair (0, 1).
-        np.testing.assert_array_equal(keys, [1, 1])
-        np.testing.assert_array_equal(values, [5.0, 4.0])
-
-    def test_self_loops_never_cross(self):
-        from repro.graph.csr import CSRGraph
-
-        # A raw CSR with a self-loop on node 1 (builders drop them).
-        g = CSRGraph(
-            np.array([0, 1, 3, 4], dtype=np.int64),
-            np.array([1, 1, 2, 1], dtype=np.int64),
-            np.array([1.0, 3.0, 2.0, 2.0]),
-            validate=False,
+        keys, values = native.quotient_pairs(
+            g.indptr, g.indices, g.weights, ids, d, 2
         )
-        keys, _ = _crossing_tiers(g, np.array([0, 1, 2]), np.zeros(3), 3)
-        np.testing.assert_array_equal(keys, [0 * 3 + 1, 1 * 3 + 2])
-
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_tiny_graphs(self, n):
-        g = from_edges(np.empty(0, np.int64), np.empty(0, np.int64),
-                       np.empty(0), n)
-        keys, values = _crossing_tiers(
-            g, np.zeros(n, np.int64), np.zeros(n), max(n, 1)
-        )
-        assert len(keys) == len(values) == 0
+        # Arcs 0->3 (w 5 -> 5.0) and 1->2 (w 2 -> 4.0), both pair (0, 1).
+        np.testing.assert_array_equal(keys, [1])
+        np.testing.assert_array_equal(values, [4.0])
 
     def test_rejects_per_node_length_mismatch(self, graph):
         n = graph.num_nodes
         with pytest.raises(ValueError, match="one entry per node"):
-            native.crossing_edges(
+            native.quotient_pairs(
                 graph.indptr, graph.indices, graph.weights,
                 np.zeros(n - 1, np.int64), np.zeros(n), 2,
             )
 
-    def test_disconnected_graph(self):
-        g = from_edges(
-            np.array([0, 2, 4]), np.array([1, 3, 5]),
-            np.array([1.0, 1.0, 1.0]), 7,
-        )
-        ids = np.array([0, 1, 2, 2, 3, 4, 5], dtype=np.int64)
-        keys, values = _crossing_tiers(g, ids, np.full(7, 0.5), 6)
-        np.testing.assert_array_equal(keys, [0 * 6 + 1, 3 * 6 + 4])
-        np.testing.assert_array_equal(values, [2.0, 2.0])
+    def test_rejects_cluster_ids_outside_the_domain(self, graph):
+        n = graph.num_nodes
+        with pytest.raises(ValueError, match="cid must lie in"):
+            native.quotient_pairs(
+                graph.indptr, graph.indices, graph.weights,
+                np.full(n, 2, np.int64), np.zeros(n), 2,
+            )
+
+    def test_unpackable_cluster_count_raises_before_the_kernel(
+        self, graph, monkeypatch
+    ):
+        from repro.core.quotient import quotient_pairs
+        from repro.errors import GraphValidationError
+        from repro.graph.builder import MAX_PACKED_NODES
+
+        def kernel(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(native, "quotient_pairs", kernel)
+        ids = np.zeros(graph.num_nodes, np.int64)
+        with pytest.raises(GraphValidationError, match="packed pair-key"):
+            quotient_pairs(
+                graph, ids, np.zeros(graph.num_nodes), MAX_PACKED_NODES + 1
+            )
 
 
 # --------------------------------------------------------------------- #

@@ -120,11 +120,10 @@ def assignments(draw):
 def test_dense_cluster_index_matches_binary_search(center):
     """The O(n) center helpers equal the sort / binary-search forms
     they replaced, values and dtypes, on any valid assignment."""
-    from repro.core.cluster import Clustering
+    from repro.core.cluster import Clustering, distinct_centers
     from repro.mr.metrics import Counters
-    from repro.mrimpl.cluster_mr import _distinct_centers
 
-    centers = _distinct_centers(center)
+    centers = distinct_centers(center)
     reference = np.unique(center)
     assert centers.dtype == reference.dtype
     assert np.array_equal(centers, reference)

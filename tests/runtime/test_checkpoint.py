@@ -112,6 +112,17 @@ class TestPolicy:
         monkeypatch.delenv(CHECKPOINT_EVERY_ENV)
         assert not CheckpointPolicy.from_env().enabled
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "5x"])
+    def test_malformed_env_fails_a_run_closed(self, monkeypatch, raw):
+        """The runner imports this module only when the knob is set; a
+        malformed value still stops the run instead of being ignored."""
+        from repro.generators import mesh
+        from repro.runtime import run
+
+        monkeypatch.setenv(CHECKPOINT_EVERY_ENV, raw)
+        with pytest.raises(CheckpointError):
+            run("diameter", mesh(6, seed=1), tau=4, seed=1, executor="vector")
+
     def test_due_cadence(self, tmp_path):
         ckpt = make_ckpt(tmp_path, policy=CheckpointPolicy(every_rounds=5))
         assert not ckpt.due(4)
